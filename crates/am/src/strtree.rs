@@ -18,32 +18,6 @@ pub enum StrQuery {
     Eq(Vec<u8>),
 }
 
-/// Smallest string strictly greater than every string with prefix `p`
-/// (or `None` when `p` is all-0xFF, meaning "unbounded").
-fn prefix_upper(p: &[u8]) -> Option<Vec<u8>> {
-    let mut up = p.to_vec();
-    while let Some(last) = up.last_mut() {
-        if *last < 0xFF {
-            *last += 1;
-            return Some(up);
-        }
-        up.pop();
-    }
-    None
-}
-
-impl StrQuery {
-    /// Bounds as an inclusive-lo / exclusive-ish-hi pair for overlap
-    /// tests against `(min, max)` predicates; `None` hi = unbounded.
-    fn bounds(&self) -> (&[u8], Option<Vec<u8>>, bool) {
-        match self {
-            StrQuery::Range(lo, hi) => (lo, Some(hi.clone()), true),
-            StrQuery::Prefix(p) => (p, prefix_upper(p), false),
-            StrQuery::Eq(k) => (k, Some(k.clone()), true),
-        }
-    }
-}
-
 /// The byte-string B-tree extension.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StrTreeExt;
@@ -53,11 +27,60 @@ fn put_framed(out: &mut Vec<u8>, b: &[u8]) {
     out.extend_from_slice(b);
 }
 
-fn get_framed(b: &[u8], off: usize) -> (Vec<u8>, usize) {
+/// The framed string at `off`, in place, and the offset just past it.
+fn get_framed(b: &[u8], off: usize) -> (&[u8], usize) {
     let mut len4 = [0u8; 4];
     len4.copy_from_slice(&b[off..off + 4]);
     let len = u32::from_le_bytes(len4) as usize;
-    (b[off + 4..off + 4 + len].to_vec(), off + 4 + len)
+    (&b[off + 4..off + 4 + len], off + 4 + len)
+}
+
+/// An encoded `(min, max)` predicate as two slices of its bytes.
+fn pred_bounds(bytes: &[u8]) -> (&[u8], &[u8]) {
+    let (lo, off) = get_framed(bytes, 0);
+    let (hi, _) = get_framed(bytes, off);
+    (lo, hi)
+}
+
+/// Can the interval `[lo, hi]` contain a key satisfying `q`?
+fn interval_consistent(lo: &[u8], hi: &[u8], q: &StrQuery) -> bool {
+    match q {
+        StrQuery::Range(qlo, qhi) => hi >= qlo.as_slice() && lo <= qhi.as_slice(),
+        StrQuery::Eq(k) => hi >= k.as_slice() && lo <= k.as_slice(),
+        // Keys with prefix `p` form the range from `p` up to (excluding)
+        // the smallest string above all of them; `lo` lies below that
+        // bound exactly when it sorts before `p` or itself starts with it.
+        StrQuery::Prefix(p) => hi >= p.as_slice() && (lo < p.as_slice() || lo.starts_with(p)),
+    }
+}
+
+fn key_consistent(key: &[u8], q: &StrQuery) -> bool {
+    match q {
+        StrQuery::Range(lo, hi) => key >= lo.as_slice() && key <= hi.as_slice(),
+        StrQuery::Prefix(p) => key.starts_with(p),
+        StrQuery::Eq(k) => key == k.as_slice(),
+    }
+}
+
+/// No numeric span for strings: charge by how far outside `[lo, hi]` the
+/// key falls, using the first differing byte as a coarse distance.
+fn interval_penalty(lo: &[u8], hi: &[u8], key: &[u8]) -> f64 {
+    fn byte_distance(a: &[u8], b: &[u8]) -> f64 {
+        let mut i = 0;
+        while i < a.len() && i < b.len() && a[i] == b[i] {
+            i += 1;
+        }
+        let av = a.get(i).copied().unwrap_or(0) as f64;
+        let bv = b.get(i).copied().unwrap_or(0) as f64;
+        (av - bv).abs() / 256f64.powi(i as i32)
+    }
+    if key < lo {
+        byte_distance(lo, key)
+    } else if key > hi {
+        byte_distance(key, hi)
+    } else {
+        0.0
+    }
 }
 
 impl GistExtension for StrTreeExt {
@@ -80,9 +103,8 @@ impl GistExtension for StrTreeExt {
     }
 
     fn decode_pred(&self, bytes: &[u8]) -> (Vec<u8>, Vec<u8>) {
-        let (lo, off) = get_framed(bytes, 0);
-        let (hi, _) = get_framed(bytes, off);
-        (lo, hi)
+        let (lo, hi) = pred_bounds(bytes);
+        (lo.to_vec(), hi.to_vec())
     }
 
     fn encode_query(&self, q: &StrQuery, out: &mut Vec<u8>) {
@@ -106,38 +128,21 @@ impl GistExtension for StrTreeExt {
     fn decode_query(&self, bytes: &[u8]) -> StrQuery {
         match bytes[0] {
             0 => {
-                let (lo, off) = get_framed(bytes, 1);
-                let (hi, _) = get_framed(bytes, off);
-                StrQuery::Range(lo, hi)
+                let (lo, hi) = pred_bounds(&bytes[1..]);
+                StrQuery::Range(lo.to_vec(), hi.to_vec())
             }
-            1 => StrQuery::Prefix(get_framed(bytes, 1).0),
-            2 => StrQuery::Eq(get_framed(bytes, 1).0),
+            1 => StrQuery::Prefix(get_framed(bytes, 1).0.to_vec()),
+            2 => StrQuery::Eq(get_framed(bytes, 1).0.to_vec()),
             t => panic!("bad string query tag {t}"),
         }
     }
 
     fn consistent_pred(&self, pred: &(Vec<u8>, Vec<u8>), q: &StrQuery) -> bool {
-        let (lo, hi, hi_inclusive) = q.bounds();
-        let above_lo = pred.1.as_slice() >= lo;
-        let below_hi = match &hi {
-            None => true,
-            Some(h) => {
-                if hi_inclusive {
-                    pred.0.as_slice() <= h.as_slice()
-                } else {
-                    pred.0.as_slice() < h.as_slice()
-                }
-            }
-        };
-        above_lo && below_hi
+        interval_consistent(&pred.0, &pred.1, q)
     }
 
     fn consistent_key(&self, key: &Vec<u8>, q: &StrQuery) -> bool {
-        match q {
-            StrQuery::Range(lo, hi) => key >= lo && key <= hi,
-            StrQuery::Prefix(p) => key.starts_with(p),
-            StrQuery::Eq(k) => key == k,
-        }
+        key_consistent(key, q)
     }
 
     fn key_equal(&self, a: &Vec<u8>, b: &Vec<u8>) -> bool {
@@ -161,25 +166,28 @@ impl GistExtension for StrTreeExt {
     }
 
     fn penalty(&self, pred: &(Vec<u8>, Vec<u8>), key: &Vec<u8>) -> f64 {
-        // No numeric span for strings: charge by how far outside the
-        // interval the key falls, using the first differing byte as a
-        // coarse distance.
-        fn byte_distance(a: &[u8], b: &[u8]) -> f64 {
-            let mut i = 0;
-            while i < a.len() && i < b.len() && a[i] == b[i] {
-                i += 1;
-            }
-            let av = a.get(i).copied().unwrap_or(0) as f64;
-            let bv = b.get(i).copied().unwrap_or(0) as f64;
-            (av - bv).abs() / 256f64.powi(i as i32)
-        }
-        if key.as_slice() < pred.0.as_slice() {
-            byte_distance(&pred.0, key)
-        } else if key.as_slice() > pred.1.as_slice() {
-            byte_distance(key, &pred.1)
-        } else {
-            0.0
-        }
+        interval_penalty(&pred.0, &pred.1, key)
+    }
+
+    // Decoding a key or predicate here copies it into fresh `Vec`s, so
+    // the per-entry traversal tests read the encoded bytes in place.
+
+    fn consistent_key_bytes(&self, key_bytes: &[u8], q: &StrQuery) -> bool {
+        key_consistent(key_bytes, q)
+    }
+
+    fn consistent_pred_bytes(&self, pred_bytes: &[u8], q: &StrQuery) -> bool {
+        let (lo, hi) = pred_bounds(pred_bytes);
+        interval_consistent(lo, hi, q)
+    }
+
+    fn penalty_bytes(&self, pred_bytes: &[u8], key: &Vec<u8>) -> f64 {
+        let (lo, hi) = pred_bounds(pred_bytes);
+        interval_penalty(lo, hi, key)
+    }
+
+    fn key_bytes_equal(&self, key_bytes: &[u8], key: &Vec<u8>) -> bool {
+        key_bytes == key.as_slice()
     }
 
     fn pick_split(&self, preds: &[(Vec<u8>, Vec<u8>)]) -> SplitDecision {
@@ -197,6 +205,21 @@ mod tests {
 
     fn k(s: &str) -> Vec<u8> {
         s.as_bytes().to_vec()
+    }
+
+    /// Smallest string strictly greater than every string with prefix
+    /// `p` (`None` when `p` is all-0xFF, meaning "unbounded") — the
+    /// textbook upper bound `interval_consistent` avoids materializing.
+    fn prefix_upper(p: &[u8]) -> Option<Vec<u8>> {
+        let mut up = p.to_vec();
+        while let Some(last) = up.last_mut() {
+            if *last < 0xFF {
+                *last += 1;
+                return Some(up);
+            }
+            up.pop();
+        }
+        None
     }
 
     #[test]
@@ -221,10 +244,32 @@ mod tests {
     }
 
     #[test]
-    fn prefix_upper_bounds() {
+    fn prefix_test_matches_the_explicit_upper_bound() {
         assert_eq!(prefix_upper(b"abc"), Some(b"abd".to_vec()));
         assert_eq!(prefix_upper(&[0x61, 0xFF]), Some(vec![0x62]));
         assert_eq!(prefix_upper(&[0xFF, 0xFF]), None);
+        // Every pair of strings up to length 3 over an alphabet that
+        // includes the 0xFF carry case.
+        let alphabet = [0x00u8, 0x61, 0xFE, 0xFF];
+        let mut strings: Vec<Vec<u8>> = vec![vec![]];
+        for len in 1..=3 {
+            for i in 0..alphabet.len().pow(len) {
+                strings.push((0..len).map(|d| alphabet[i / alphabet.len().pow(d) % 4]).collect());
+            }
+        }
+        for p in &strings {
+            let upper = prefix_upper(p);
+            for lo in &strings {
+                let below_upper = upper.as_ref().is_none_or(|u| lo < u);
+                for hi in strings.iter().filter(|hi| *hi >= lo) {
+                    assert_eq!(
+                        interval_consistent(lo, hi, &StrQuery::Prefix(p.clone())),
+                        hi >= p && below_upper,
+                        "lo {lo:?} hi {hi:?} prefix {p:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@ use parking_lot::{Mutex, RwLock};
 
 use gist_pagestore::{BufferPool, PageAllocator, PageId, PageReadGuard, PageWriteGuard, Rid};
 
-use crate::entry::{InternalEntry, LeafEntry};
+use crate::entry::{InternalEntry, InternalEntryRef, LeafEntry, LeafEntryRef};
 use crate::ext::GistExtension;
 use crate::node;
 use crate::{GistError, Result};
@@ -164,19 +164,16 @@ impl<E: GistExtension> SimpleTree<E> {
                 stack.push((g.rightlink(), mem));
             }
             if g.is_leaf() {
-                for (_, cell) in node::entry_cells(&g) {
-                    let e = LeafEntry::decode(cell);
-                    let key = self.ext.decode_key(&e.key_bytes);
-                    if self.ext.consistent_key(&key, query) && seen.insert(e.rid) {
-                        out.push((key, e.rid));
+                for (_, e) in node::leaf_views(&g) {
+                    if self.ext.consistent_key_bytes(e.key_bytes(), query) && seen.insert(e.rid()) {
+                        out.push((self.ext.decode_key(e.key_bytes()), e.rid()));
                     }
                 }
             } else {
                 let mem_child = self.nsn.load(Ordering::SeqCst);
-                for (_, e) in node::internal_entries(&g) {
-                    let pred = self.ext.decode_pred(&e.pred_bytes);
-                    if self.ext.consistent_pred(&pred, query) {
-                        stack.push((e.child, mem_child));
+                for (_, e) in node::internal_views(&g) {
+                    if self.ext.consistent_pred_bytes(e.pred_bytes(), query) {
+                        stack.push((e.child(), mem_child));
                     }
                 }
             }
@@ -195,19 +192,16 @@ impl<E: GistExtension> SimpleTree<E> {
             out: &mut Vec<(E::Key, Rid)>,
         ) -> Result<()> {
             if g.is_leaf() {
-                for (_, cell) in node::entry_cells(g) {
-                    let e = LeafEntry::decode(cell);
-                    let key = tree.ext.decode_key(&e.key_bytes);
-                    if tree.ext.consistent_key(&key, query) {
-                        out.push((key, e.rid));
+                for (_, e) in node::leaf_views(g) {
+                    if tree.ext.consistent_key_bytes(e.key_bytes(), query) {
+                        out.push((tree.ext.decode_key(e.key_bytes()), e.rid()));
                     }
                 }
             } else {
-                for (_, e) in node::internal_entries(g) {
-                    let pred = tree.ext.decode_pred(&e.pred_bytes);
-                    if tree.ext.consistent_pred(&pred, query) {
+                for (_, e) in node::internal_views(g) {
+                    if tree.ext.consistent_pred_bytes(e.pred_bytes(), query) {
                         // Parent latch deliberately held across this I/O.
-                        let child = tree.pool.fetch_read(e.child)?;
+                        let child = tree.pool.fetch_read(e.child())?;
                         visit(tree, &child, query, out)?;
                     }
                 }
@@ -235,18 +229,15 @@ impl<E: GistExtension> SimpleTree<E> {
         _mem: Option<u64>,
     ) -> Result<()> {
         if g.is_leaf() {
-            for (_, cell) in node::entry_cells(g) {
-                let e = LeafEntry::decode(cell);
-                let key = self.ext.decode_key(&e.key_bytes);
-                if self.ext.consistent_key(&key, query) {
-                    out.push((key, e.rid));
+            for (_, e) in node::leaf_views(g) {
+                if self.ext.consistent_key_bytes(e.key_bytes(), query) {
+                    out.push((self.ext.decode_key(e.key_bytes()), e.rid()));
                 }
             }
         } else {
-            for (_, e) in node::internal_entries(g) {
-                let pred = self.ext.decode_pred(&e.pred_bytes);
-                if self.ext.consistent_pred(&pred, query) {
-                    stack.push(e.child);
+            for (_, e) in node::internal_views(g) {
+                if self.ext.consistent_pred_bytes(e.pred_bytes(), query) {
+                    stack.push(e.child());
                 }
             }
         }
@@ -298,8 +289,8 @@ impl<E: GistExtension> SimpleTree<E> {
                 if cur.is_leaf() {
                     break;
                 }
-                let (slot, entry) = self.min_penalty(cur, key)?;
-                let child = self.pool.fetch_write(entry.child)?;
+                let (slot, child_pid) = self.min_penalty(cur, key)?;
+                let child = self.pool.fetch_write(child_pid)?;
                 if child.free_for_insert() < slack && node::entry_count(&child) >= 2 {
                     // Split the child; the parent has room by induction.
                     let parent_idx = path.len() - 1;
@@ -350,10 +341,10 @@ impl<E: GistExtension> SimpleTree<E> {
                     break w;
                 }
                 pids.push(cur);
-                let (_, entry) = self.min_penalty(&g, key)?;
+                let (_, child_pid) = self.min_penalty(&g, key)?;
                 mem = self.nsn.load(Ordering::SeqCst);
                 drop(g);
-                cur = entry.child;
+                cur = child_pid;
             };
             if leaf.free_for_insert() < slack && node::entry_count(&leaf) >= 2 {
                 // Split via the conservative path (simplest correct
@@ -404,7 +395,7 @@ impl<E: GistExtension> SimpleTree<E> {
                     }
                     pid = next;
                 };
-                let (slot, _) = node::find_child_entry(&g, child_pid)
+                let slot = node::find_child_entry(&g, child_pid)
                     .unwrap_or_else(|| unreachable!("child entry present: parent latched"));
                 let cellb = InternalEntry::new(child_pid, self.encode_pred(&child_bp)).encode();
                 if g.update_cell(slot, &cellb).is_err() {
@@ -436,17 +427,16 @@ impl<E: GistExtension> SimpleTree<E> {
         &self,
         page: &gist_pagestore::Page,
         key: &E::Key,
-    ) -> Result<(u16, InternalEntry)> {
-        let mut best: Option<(f64, u16, InternalEntry)> = None;
-        for (slot, e) in node::internal_entries(page) {
-            let pred = self.ext.decode_pred(&e.pred_bytes);
-            let pen = self.ext.penalty(&pred, key);
-            match &best {
-                Some((b, _, _)) if *b <= pen => {}
-                _ => best = Some((pen, slot, e)),
+    ) -> Result<(u16, PageId)> {
+        let mut best: Option<(f64, u16, PageId)> = None;
+        for (slot, e) in node::internal_views(page) {
+            let pen = self.ext.penalty_bytes(e.pred_bytes(), key);
+            match best {
+                Some((b, _, _)) if b <= pen => {}
+                _ => best = Some((pen, slot, e.child())),
             }
         }
-        best.map(|(_, s, e)| (s, e))
+        best.map(|(_, s, child)| (s, child))
             .ok_or_else(|| GistError::Corrupt("empty internal node".into()))
     }
 
@@ -553,9 +543,9 @@ impl<E: GistExtension> SimpleTree<E> {
             .iter()
             .map(|(_, cell)| {
                 if g.is_leaf() {
-                    self.ext.key_pred(&self.ext.decode_key(&LeafEntry::decode(cell).key_bytes))
+                    self.ext.key_pred(&self.ext.decode_key(LeafEntryRef::new(cell).key_bytes()))
                 } else {
-                    self.ext.decode_pred(&InternalEntry::decode(cell).pred_bytes)
+                    self.ext.decode_pred(InternalEntryRef::new(cell).pred_bytes())
                 }
             })
             .collect();
@@ -589,7 +579,7 @@ impl<E: GistExtension> SimpleTree<E> {
             path[i].mark_dirty_unlogged();
             if i > 0 {
                 let child_pid = path[i].page_id();
-                let (slot, _) = node::find_child_entry(&path[i - 1], child_pid)
+                let slot = node::find_child_entry(&path[i - 1], child_pid)
                     .unwrap_or_else(|| unreachable!("entry present: path latched"));
                 let cell = InternalEntry::new(child_pid, bytes).encode();
                 path[i - 1]

@@ -20,7 +20,6 @@ use std::collections::{HashMap, HashSet};
 
 use gist_pagestore::{PageId, Rid};
 
-use crate::entry::{InternalEntry, LeafEntry};
 use crate::ext::GistExtension;
 use crate::node;
 use crate::tree::GistIndex;
@@ -50,8 +49,9 @@ impl CheckReport {
 }
 
 /// Work-queue entry: `(page, expected (level, parent predicate), whether
-/// the page was reached through a parent entry)`.
-type CheckItem = (PageId, Option<(u16, Vec<u8>)>, bool);
+/// the page was reached through a parent entry)`. The predicate is
+/// decoded while its node is latched; the queue outlives that latch.
+type CheckItem<P> = (PageId, Option<(u16, P)>, bool);
 
 /// Run the structural checks over `index`. Takes no latches beyond one
 /// node at a time; call while the tree is quiescent for exact results.
@@ -66,7 +66,7 @@ pub fn check_tree<E: GistExtension>(index: &GistIndex<E>) -> Result<CheckReport>
     // Rightlinks may legitimately dangle into freed pages — the NSN guard
     // means no operation ever follows them — so availability is only a
     // violation when the page was reached through a parent entry.
-    let mut queue: Vec<CheckItem> = vec![(root, None, true)];
+    let mut queue: Vec<CheckItem<E::Pred>> = vec![(root, None, true)];
     let mut visited: HashSet<PageId> = HashSet::new();
     let mut rid_owner: HashMap<Rid, PageId> = HashMap::new();
 
@@ -92,19 +92,12 @@ pub fn check_tree<E: GistExtension>(index: &GistIndex<E>) -> Result<CheckReport>
                     .push(format!("{pid}: level {} but parent expects {level}", g.level()));
             }
             // Invariant 3: parent entry covers the child's own BP.
-            let child_bp = index.decode_bp_opt(node::bp_bytes(&g));
-            let parent_p = index.decode_bp_opt(parent_pred);
-            match (parent_p, child_bp) {
-                (Some(pp), Some(cb)) if !ext.pred_covers(&pp, &cb) => {
+            if let Some(child_bp) = index.decode_bp_opt(node::bp_bytes(&g)) {
+                if !ext.pred_covers(parent_pred, &child_bp) {
                     report
                         .violations
                         .push(format!("{pid}: parent entry does not cover child BP"));
                 }
-                (Some(_), Some(_)) => {}
-                (None, Some(_)) => report
-                    .violations
-                    .push(format!("{pid}: parent entry empty but child BP is not")),
-                _ => {}
             }
         }
         if g.nsn() > global {
@@ -131,10 +124,9 @@ pub fn check_tree<E: GistExtension>(index: &GistIndex<E>) -> Result<CheckReport>
 
         let own_bp = index.decode_bp_opt(node::bp_bytes(&g));
         if g.is_leaf() {
-            for (_, cell) in node::entry_cells(&g) {
+            for (_, e) in node::leaf_views(&g) {
                 report.entries += 1;
-                let e = LeafEntry::decode(cell);
-                let key = ext.decode_key(&e.key_bytes);
+                let key = ext.decode_key(e.key_bytes());
                 // Invariant 4 (leaf form).
                 match &own_bp {
                     Some(bp) if ext.pred_covers_key(bp, &key) => {}
@@ -143,21 +135,21 @@ pub fn check_tree<E: GistExtension>(index: &GistIndex<E>) -> Result<CheckReport>
                         .push(format!("{pid}: BP does not cover key {key:?}")),
                 }
                 // Invariant 5: RIDs partitioned across leaves.
-                if let Some(prev) = rid_owner.insert(e.rid, pid) {
+                if let Some(prev) = rid_owner.insert(e.rid(), pid) {
                     report.violations.push(format!(
                         "{:?} stored on both {prev} and {pid}",
-                        e.rid
+                        e.rid()
                     ));
                 }
             }
         } else {
-            let entries = node::internal_entries(&g);
             // Invariant 6.
-            if entries.is_empty() {
+            if node::entry_count(&g) == 0 {
                 report.violations.push(format!("{pid}: empty internal node"));
             }
-            for (_, InternalEntry { child, pred_bytes }) in entries {
-                let pred = ext.decode_pred(&pred_bytes);
+            for (_, e) in node::internal_views(&g) {
+                let child = e.child();
+                let pred = ext.decode_pred(e.pred_bytes());
                 // Invariant 4 (internal form).
                 match &own_bp {
                     Some(bp) if ext.pred_covers(bp, &pred) => {}
@@ -165,7 +157,7 @@ pub fn check_tree<E: GistExtension>(index: &GistIndex<E>) -> Result<CheckReport>
                         .violations
                         .push(format!("{pid}: BP does not cover entry for {child}")),
                 }
-                queue.push((child, Some((g.level() - 1, pred_bytes)), true));
+                queue.push((child, Some((g.level() - 1, pred)), true));
             }
         }
     }

@@ -1253,16 +1253,14 @@ impl Db {
                 .fetch_write(pid)
                 .map_err(|e| RecoveryError(format!("fetch {pid} for undo: {e}")))?;
             if g.is_leaf() {
-                if let Some((slot, _)) = crate::node::find_leaf_by_rid(&g, rid) {
+                if let Some(slot) = crate::node::find_leaf_by_rid(&g, rid) {
                     apply(&mut g, slot);
                     return Ok(());
                 }
                 queue.push(g.rightlink());
             } else {
                 // Root split demoted the original page: sweep children.
-                for (_, e) in crate::node::internal_entries(&g) {
-                    queue.push(e.child);
-                }
+                queue.extend(crate::node::internal_views(&g).map(|(_, e)| e.child()));
                 queue.push(g.rightlink());
             }
         }

@@ -9,11 +9,19 @@
 //!   where flag bit 0 is the logical-delete mark (§7) and `deleter` is the
 //!   marking transaction,
 //! - internal entry: `[child u32][pred…]`.
+//!
+//! Two ways to read a cell: the borrowed views [`LeafEntryRef`] /
+//! [`InternalEntryRef`] (fixed-offset field reads over the page bytes, no
+//! allocation — what every traversal uses), and the owning
+//! [`LeafEntry`] / [`InternalEntry`] for the few places that keep an
+//! entry past the latch (split redistribution, log-record construction).
+//! Both read the same bytes; the cell format has exactly one definition.
 
 use gist_pagestore::{PageId, Rid};
 use gist_wal::TxnId;
 
 const LEAF_HEADER: usize = 1 + 8 + 4 + 2;
+const INTERNAL_HEADER: usize = 4;
 const FLAG_DELETED: u8 = 1 << 0;
 
 // Little-endian field reads; the length asserts in the callers make the
@@ -67,38 +75,19 @@ impl LeafEntry {
         out
     }
 
-    /// Deserialize from a page cell.
+    /// Deserialize from a page cell into an owned entry (copies the key).
     ///
     /// # Panics
     /// Panics on truncated cells — a malformed leaf cell means page
     /// corruption, which must not be papered over.
     pub fn decode(cell: &[u8]) -> Self {
-        assert!(cell.len() >= LEAF_HEADER, "leaf cell too short: {}", cell.len());
-        let flags = cell[0];
-        let deleter = TxnId(le_u64(&cell[1..9]));
-        let page = PageId(le_u32(&cell[9..13]));
-        let slot = le_u16(&cell[13..15]);
-        LeafEntry {
-            key_bytes: cell[LEAF_HEADER..].to_vec(),
-            rid: Rid::new(page, slot),
-            deleted: flags & FLAG_DELETED != 0,
-            deleter,
-        }
+        LeafEntryRef::new(cell).to_owned()
     }
 
     /// Read just the RID without decoding the key (logical undo locates
     /// entries by RID).
     pub fn decode_rid(cell: &[u8]) -> Rid {
-        assert!(cell.len() >= LEAF_HEADER);
-        let page = PageId(le_u32(&cell[9..13]));
-        let slot = le_u16(&cell[13..15]);
-        Rid::new(page, slot)
-    }
-
-    /// Read just the delete mark and deleter.
-    pub fn decode_mark(cell: &[u8]) -> (bool, TxnId) {
-        assert!(cell.len() >= LEAF_HEADER);
-        (cell[0] & FLAG_DELETED != 0, TxnId(le_u64(&cell[1..9])))
+        LeafEntryRef::new(cell).rid()
     }
 
     /// Produce the cell with the delete mark set/cleared in place (the
@@ -109,6 +98,56 @@ impl LeafEntry {
         out[0] = if deleted { FLAG_DELETED } else { 0 };
         out[1..9].copy_from_slice(&deleter.0.to_le_bytes());
         out
+    }
+}
+
+/// Borrowed view of a leaf cell: every field is a fixed-offset read of
+/// the page bytes, the key is a sub-slice. Valid for as long as the page
+/// (latched guard or optimistic private copy) it was taken from.
+#[derive(Debug, Clone, Copy)]
+pub struct LeafEntryRef<'a> {
+    cell: &'a [u8],
+}
+
+impl<'a> LeafEntryRef<'a> {
+    /// View `cell` as a leaf entry.
+    ///
+    /// # Panics
+    /// Panics on truncated cells — a malformed leaf cell means page
+    /// corruption, which must not be papered over.
+    pub fn new(cell: &'a [u8]) -> Self {
+        assert!(cell.len() >= LEAF_HEADER, "leaf cell too short: {}", cell.len());
+        LeafEntryRef { cell }
+    }
+
+    /// The data record this entry points at.
+    pub fn rid(self) -> Rid {
+        Rid::new(PageId(le_u32(&self.cell[9..13])), le_u16(&self.cell[13..15]))
+    }
+
+    /// Logical-delete mark (§7).
+    pub fn deleted(self) -> bool {
+        self.cell[0] & FLAG_DELETED != 0
+    }
+
+    /// Transaction that set the mark ([`TxnId::NONE`] when unmarked).
+    pub fn deleter(self) -> TxnId {
+        TxnId(le_u64(&self.cell[1..9]))
+    }
+
+    /// Encoded key, in place.
+    pub fn key_bytes(self) -> &'a [u8] {
+        &self.cell[LEAF_HEADER..]
+    }
+
+    /// Copy out an owned entry.
+    pub fn to_owned(self) -> LeafEntry {
+        LeafEntry {
+            key_bytes: self.key_bytes().to_vec(),
+            rid: self.rid(),
+            deleted: self.deleted(),
+            deleter: self.deleter(),
+        }
     }
 }
 
@@ -131,25 +170,53 @@ impl InternalEntry {
 
     /// Serialize to a page cell.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(4 + self.pred_bytes.len());
+        let mut out = Vec::with_capacity(INTERNAL_HEADER + self.pred_bytes.len());
         out.extend_from_slice(&self.child.0.to_le_bytes());
         out.extend_from_slice(&self.pred_bytes);
         out
     }
 
-    /// Deserialize from a page cell.
+    /// Deserialize from a page cell into an owned entry (copies the
+    /// predicate).
     pub fn decode(cell: &[u8]) -> Self {
-        assert!(cell.len() >= 4, "internal cell too short");
-        InternalEntry {
-            child: PageId(le_u32(&cell[0..4])),
-            pred_bytes: cell[4..].to_vec(),
-        }
+        InternalEntryRef::new(cell).to_owned()
     }
 
     /// Read just the child pointer.
     pub fn decode_child(cell: &[u8]) -> PageId {
-        assert!(cell.len() >= 4);
-        PageId(le_u32(&cell[0..4]))
+        InternalEntryRef::new(cell).child()
+    }
+}
+
+/// Borrowed view of an internal cell (see [`LeafEntryRef`]).
+#[derive(Debug, Clone, Copy)]
+pub struct InternalEntryRef<'a> {
+    cell: &'a [u8],
+}
+
+impl<'a> InternalEntryRef<'a> {
+    /// View `cell` as an internal entry.
+    ///
+    /// # Panics
+    /// Panics on truncated cells (page corruption).
+    pub fn new(cell: &'a [u8]) -> Self {
+        assert!(cell.len() >= INTERNAL_HEADER, "internal cell too short: {}", cell.len());
+        InternalEntryRef { cell }
+    }
+
+    /// Child page.
+    pub fn child(self) -> PageId {
+        PageId(le_u32(&self.cell[..INTERNAL_HEADER]))
+    }
+
+    /// Encoded bounding predicate of the child, in place.
+    pub fn pred_bytes(self) -> &'a [u8] {
+        &self.cell[INTERNAL_HEADER..]
+    }
+
+    /// Copy out an owned entry.
+    pub fn to_owned(self) -> InternalEntry {
+        InternalEntry { child: self.child(), pred_bytes: self.pred_bytes().to_vec() }
     }
 }
 
@@ -163,7 +230,8 @@ mod tests {
         let cell = e.encode();
         assert_eq!(LeafEntry::decode(&cell), e);
         assert_eq!(LeafEntry::decode_rid(&cell), e.rid);
-        assert_eq!(LeafEntry::decode_mark(&cell), (false, TxnId::NONE));
+        let view = LeafEntryRef::new(&cell);
+        assert_eq!((view.deleted(), view.deleter()), (false, TxnId::NONE));
     }
 
     #[test]

@@ -112,14 +112,38 @@ pub trait GistExtension: Send + Sync + 'static {
         self.pred_covers(pred, &self.key_pred(key))
     }
 
-    /// Conflict test between an encoded scan predicate and an encoded key
-    /// — the single `consistent()` the predicate manager needs (§6: the
-    /// same user-supplied function used for navigation detects conflicting
-    /// predicates).
-    fn query_conflicts_key_bytes(&self, query_bytes: &[u8], key_bytes: &[u8]) -> bool {
-        let q = self.decode_query(query_bytes);
-        let k = self.decode_key(key_bytes);
-        self.consistent_key(&k, &q)
+    // ---- byte-level forms of the traversal tests ----
+    //
+    // The tree calls these on every entry of every node it visits, with
+    // the key or predicate still in place on the page. The defaults
+    // decode and delegate, which is free for fixed-size types; override
+    // them where `decode_key`/`decode_pred` allocate (variable-length
+    // keys), comparing against the bytes directly. An override must
+    // agree with its default on every input the codecs can produce.
+
+    /// [`consistent_key`](Self::consistent_key) on an encoded key. Also
+    /// the §6 conflict test between a scan predicate and an insert
+    /// predicate's key ("the function consistent(), which is used to
+    /// detect conflicting predicates, is the same user-supplied function
+    /// used for navigation").
+    fn consistent_key_bytes(&self, key_bytes: &[u8], query: &Self::Query) -> bool {
+        self.consistent_key(&self.decode_key(key_bytes), query)
+    }
+
+    /// [`consistent_pred`](Self::consistent_pred) on an encoded predicate.
+    fn consistent_pred_bytes(&self, pred_bytes: &[u8], query: &Self::Query) -> bool {
+        self.consistent_pred(&self.decode_pred(pred_bytes), query)
+    }
+
+    /// [`penalty`](Self::penalty) on an encoded predicate.
+    fn penalty_bytes(&self, pred_bytes: &[u8], key: &Self::Key) -> f64 {
+        self.penalty(&self.decode_pred(pred_bytes), key)
+    }
+
+    /// [`key_equal`](Self::key_equal) between an encoded key and a
+    /// decoded one (delete's leaf match).
+    fn key_bytes_equal(&self, key_bytes: &[u8], key: &Self::Key) -> bool {
+        self.key_equal(&self.decode_key(key_bytes), key)
     }
 
     /// Conflict test between an encoded scan predicate and a decoded BP

@@ -40,13 +40,14 @@ mod logrec;
 mod maint;
 mod node;
 mod ops;
+mod scratch;
 mod tree;
 
 pub use db::{
     Db, DbConfig, IsolationLevel, NsnSource, OptReadStats, PredicateMode, RestartReport,
     RobustnessStats,
 };
-pub use entry::{InternalEntry, LeafEntry};
+pub use entry::{InternalEntry, InternalEntryRef, LeafEntry, LeafEntryRef};
 pub use error::GistError;
 pub use ext::GistExtension;
 // The maintenance daemon's public surface, re-exported so users don't

@@ -7,7 +7,7 @@
 
 use gist_pagestore::{Page, PageFull, Rid, SlotId};
 
-use crate::entry::{InternalEntry, LeafEntry};
+use crate::entry::{InternalEntryRef, LeafEntryRef};
 
 /// Slot holding the node's own BP.
 pub const BP_SLOT: SlotId = 0;
@@ -42,33 +42,30 @@ pub fn entry_count(page: &Page) -> usize {
     entry_cells(page).count()
 }
 
-/// Decode all leaf entries.
-pub fn leaf_entries(page: &Page) -> Vec<(SlotId, LeafEntry)> {
+/// Borrowed views of a leaf's entries, in slot order. Nothing is copied:
+/// the views read the page bytes in place.
+pub fn leaf_views(page: &Page) -> impl Iterator<Item = (SlotId, LeafEntryRef<'_>)> {
     debug_assert!(page.is_leaf());
-    entry_cells(page).map(|(s, c)| (s, LeafEntry::decode(c))).collect()
+    entry_cells(page).map(|(s, c)| (s, LeafEntryRef::new(c)))
 }
 
-/// Decode all internal entries.
-pub fn internal_entries(page: &Page) -> Vec<(SlotId, InternalEntry)> {
+/// Borrowed views of an internal node's entries, in slot order.
+pub fn internal_views(page: &Page) -> impl Iterator<Item = (SlotId, InternalEntryRef<'_>)> {
     debug_assert!(!page.is_leaf());
-    entry_cells(page).map(|(s, c)| (s, InternalEntry::decode(c))).collect()
+    entry_cells(page).map(|(s, c)| (s, InternalEntryRef::new(c)))
 }
 
-/// Find the internal entry pointing at `child`.
-pub fn find_child_entry(page: &Page, child: gist_pagestore::PageId) -> Option<(SlotId, InternalEntry)> {
-    entry_cells(page)
-        .find(|(_, c)| InternalEntry::decode_child(c) == child)
-        .map(|(s, c)| (s, InternalEntry::decode(c)))
+/// Slot of the internal entry pointing at `child`.
+pub fn find_child_entry(page: &Page, child: gist_pagestore::PageId) -> Option<SlotId> {
+    entry_cells(page).find(|(_, c)| InternalEntryRef::new(c).child() == child).map(|(s, _)| s)
 }
 
-/// Find the leaf entry whose data RID is `rid` (logical undo and delete
-/// both locate entries by RID — RIDs are unique across the leaf level
-/// because "exactly one GiST leaf entry points to a given data record",
-/// §2).
-pub fn find_leaf_by_rid(page: &Page, rid: Rid) -> Option<(SlotId, LeafEntry)> {
-    entry_cells(page)
-        .find(|(_, c)| LeafEntry::decode_rid(c) == rid)
-        .map(|(s, c)| (s, LeafEntry::decode(c)))
+/// Slot of the leaf entry whose data RID is `rid` (logical undo and
+/// delete both locate entries by RID — RIDs are unique across the leaf
+/// level because "exactly one GiST leaf entry points to a given data
+/// record", §2).
+pub fn find_leaf_by_rid(page: &Page, rid: Rid) -> Option<SlotId> {
+    entry_cells(page).find(|(_, c)| LeafEntryRef::new(c).rid() == rid).map(|(s, _)| s)
 }
 
 /// Whether the page has room for another cell of `len` bytes.
@@ -79,6 +76,7 @@ pub fn has_room(page: &Page, len: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::entry::{InternalEntry, LeafEntry};
     use gist_pagestore::PageId;
 
     fn fresh_leaf() -> Page {
@@ -104,9 +102,10 @@ mod tests {
         let e2 = LeafEntry::new(vec![2], Rid::new(PageId(10), 1));
         p.insert_cell(&e1.encode()).unwrap();
         p.insert_cell(&e2.encode()).unwrap();
-        let entries = leaf_entries(&p);
+        let entries: Vec<_> = leaf_views(&p).collect();
         assert_eq!(entries.len(), 2);
         assert!(entries.iter().all(|(s, _)| *s != BP_SLOT));
+        assert_eq!(entries[1].1.to_owned(), e2);
     }
 
     #[test]
@@ -114,7 +113,8 @@ mod tests {
         let mut leaf = fresh_leaf();
         let rid = Rid::new(PageId(3), 7);
         leaf.insert_cell(&LeafEntry::new(vec![9], rid).encode()).unwrap();
-        assert_eq!(find_leaf_by_rid(&leaf, rid).unwrap().1.rid, rid);
+        let slot = find_leaf_by_rid(&leaf, rid).unwrap();
+        assert_eq!(LeafEntryRef::new(leaf.cell(slot).unwrap()).rid(), rid);
         assert!(find_leaf_by_rid(&leaf, Rid::new(PageId(3), 8)).is_none());
 
         let mut internal = Page::zeroed();
@@ -122,8 +122,8 @@ mod tests {
         init_node(&mut internal, b"bp");
         internal.insert_cell(&InternalEntry::new(PageId(5), vec![1]).encode()).unwrap();
         internal.insert_cell(&InternalEntry::new(PageId(6), vec![2]).encode()).unwrap();
-        let (_, e) = find_child_entry(&internal, PageId(6)).unwrap();
-        assert_eq!(e.pred_bytes, vec![2]);
+        let slot = find_child_entry(&internal, PageId(6)).unwrap();
+        assert_eq!(InternalEntryRef::new(internal.cell(slot).unwrap()).pred_bytes(), &[2]);
         assert!(find_child_entry(&internal, PageId(7)).is_none());
     }
 }

@@ -44,29 +44,55 @@
 //! stacked pointers are pinned by the transaction manager at savepoint
 //! time.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use gist_lockmgr::{LockMode, LockName};
-use gist_pagestore::{PageId, Rid, Validation};
+use gist_pagestore::{Page, PageId, Rid, Validation};
 use gist_predlock::{PredId, PredKind, GLOBAL_NODE};
 use gist_wal::TxnId;
 
 use crate::db::{IsolationLevel, PredicateMode};
-use crate::entry::LeafEntry;
 use crate::ext::GistExtension;
 use crate::node;
+use crate::scratch::{InlineSet, InlineVec};
 use crate::tree::GistIndex;
 use crate::Result;
+
+/// Traversal stack: `(node, memorized counter value)`. A point lookup
+/// stacks one pointer per level; eight inline slots cover it.
+type NodeStack = InlineVec<(PageId, u64), 8>;
+/// Data RIDs already delivered or skipped (footnote 9).
+type RidSet = InlineSet<Rid, 8>;
+/// Nodes a scan has attached its predicate to.
+type PageSet = InlineSet<PageId, 8>;
+
+/// `(rid, key, delete-marked)` of the entries on `leaf` that satisfy
+/// `query` and are not in `seen`. Entries are tested in place; only the
+/// keys of qualifying entries are decoded.
+fn leaf_candidates<E: GistExtension>(
+    ext: &E,
+    leaf: &Page,
+    query: &E::Query,
+    seen: &RidSet,
+) -> Vec<(Rid, E::Key, bool)> {
+    let mut candidates = Vec::new();
+    for (_, e) in node::leaf_views(leaf) {
+        if ext.consistent_key_bytes(e.key_bytes(), query) && !seen.contains(&e.rid()) {
+            candidates.push((e.rid(), ext.decode_key(e.key_bytes()), e.deleted()));
+        }
+    }
+    candidates
+}
 
 /// Saved cursor position (§10.2: "to record the position of a GiST
 /// search operation when establishing a savepoint, it is necessary to
 /// record the then-current stack").
 #[derive(Debug, Clone)]
 pub struct CursorSnapshot<K> {
-    stack: Vec<(PageId, u64)>,
-    seen: HashSet<Rid>,
-    attached: HashSet<PageId>,
+    stack: NodeStack,
+    seen: RidSet,
+    attached: PageSet,
     pending: VecDeque<(K, Rid)>,
     finished: bool,
 }
@@ -78,14 +104,11 @@ pub struct Cursor<E: GistExtension> {
     query: E::Query,
     /// Scan predicate handle (Degree 3 only).
     pred: Option<PredId>,
-    /// Traversal stack: `(node, memorized counter value)`.
-    stack: Vec<(PageId, u64)>,
-    /// Data RIDs already returned or skipped (footnote 9).
-    seen: HashSet<Rid>,
+    stack: NodeStack,
+    seen: RidSet,
     /// Decoded, locked results from the current leaf not yet returned.
     pending: VecDeque<(E::Key, Rid)>,
-    /// Nodes this cursor has already attached its predicate to.
-    attached: HashSet<PageId>,
+    attached: PageSet,
     finished: bool,
 }
 
@@ -102,11 +125,8 @@ impl<E: GistExtension> Cursor<E> {
             if db.config().predicate_mode == PredicateMode::PureGlobal {
                 // §4.2: one global predicate; verified against conflicting
                 // (insert/delete) predicates before any traversal.
-                let owners = db.preds().attach_scan_and_check(
-                    p,
-                    GLOBAL_NODE,
-                    &|q, k| index.ext().query_conflicts_key_bytes(q, k),
-                );
+                let owners =
+                    db.preds().attach_scan_and_check(p, GLOBAL_NODE, &index.scan_conflict_fn(&query));
                 for owner in owners {
                     db.txns().wait_for_txn(txn, owner).map_err(crate::GistError::Lock)?;
                 }
@@ -118,15 +138,17 @@ impl<E: GistExtension> Cursor<E> {
         let mem = db.global_nsn();
         let root = index.root()?;
         index.signal_lock(txn, root)?;
+        let mut stack = NodeStack::new();
+        stack.push((root, mem));
         Ok(Cursor {
             index,
             txn,
             query,
             pred,
-            stack: vec![(root, mem)],
-            seen: HashSet::new(),
+            stack,
+            seen: RidSet::new(),
             pending: VecDeque::new(),
-            attached: HashSet::new(),
+            attached: PageSet::new(),
             finished: false,
         })
     }
@@ -193,7 +215,7 @@ impl<E: GistExtension> Cursor<E> {
             let owners = db.preds().attach_scan_and_check(
                 pred,
                 index.node_key(pid),
-                &index.conflict_fn(),
+                &index.scan_conflict_fn(&self.query),
             );
             self.attached.insert(pid);
             if !owners.is_empty() {
@@ -214,18 +236,7 @@ impl<E: GistExtension> Cursor<E> {
 
         if g.is_leaf() {
             // Collect the qualifying entries under the latch, then lock.
-            let mut candidates: Vec<(gist_pagestore::Rid, E::Key, bool)> = Vec::new();
-            for (_, cell) in node::entry_cells(&g) {
-                let rid = LeafEntry::decode_rid(cell);
-                if self.seen.contains(&rid) {
-                    continue;
-                }
-                let entry = LeafEntry::decode(cell);
-                let key = ext.decode_key(&entry.key_bytes);
-                if ext.consistent_key(&key, &self.query) {
-                    candidates.push((rid, key, entry.deleted));
-                }
-            }
+            let candidates = leaf_candidates(ext, &g, &self.query, &self.seen);
             let mut blocker = None;
             let isolation = db.config().isolation;
             let takes_record_locks = isolation != IsolationLevel::Latching
@@ -276,14 +287,13 @@ impl<E: GistExtension> Cursor<E> {
                 return Ok(());
             }
         } else {
-            for (_, e) in node::internal_entries(&g) {
-                let pred = ext.decode_pred(&e.pred_bytes);
-                if ext.consistent_pred(&pred, &self.query) {
+            for (_, e) in node::internal_views(&g) {
+                if ext.consistent_pred_bytes(e.pred_bytes(), &self.query) {
                     let child_mem = index.read_mem(Some(&g));
                     // Signaling lock taken under the parent's latch —
                     // the discipline node deletion relies on (§7.2).
-                    index.signal_lock(self.txn, e.child)?;
-                    self.stack.push((e.child, child_mem));
+                    index.signal_lock(self.txn, e.child())?;
+                    self.stack.push((e.child(), child_mem));
                 }
             }
         }
@@ -345,7 +355,7 @@ enum NodeCopy<K> {
         nsn: u64,
         rightlink: PageId,
         /// `(child, memorized counter)` for entries matching the query.
-        children: Vec<(PageId, u64)>,
+        children: NodeStack,
     },
 }
 
@@ -355,7 +365,7 @@ enum NodeCopy<K> {
 enum OptOutcome<K> {
     Done(Vec<(K, Rid)>),
     Fallback {
-        seen: HashSet<Rid>,
+        seen: RidSet,
         partial: Vec<(K, Rid)>,
     },
 }
@@ -388,7 +398,7 @@ impl<E: GistExtension> GistIndex<E> {
                     // conservative (extra blocking only, never missed
                     // conflicts). Seeding `seen` keeps result sets exact.
                     let mut c = self.cursor(txn, query.clone())?;
-                    c.seen.extend(seen);
+                    c.seen.extend(seen.iter());
                     let mut out = partial;
                     out.extend(c.collect_all()?);
                     Ok(out)
@@ -427,9 +437,8 @@ impl<E: GistExtension> GistIndex<E> {
             if db.config().predicate_mode == PredicateMode::PureGlobal {
                 // §4.2: one global predicate; verified against
                 // conflicting predicates before any traversal.
-                let owners = db.preds().attach_scan_and_check(p, GLOBAL_NODE, &|q, k| {
-                    index.ext().query_conflicts_key_bytes(q, k)
-                });
+                let owners =
+                    db.preds().attach_scan_and_check(p, GLOBAL_NODE, &index.scan_conflict_fn(query));
                 for owner in owners {
                     db.txns().wait_for_txn(txn, owner).map_err(crate::GistError::Lock)?;
                 }
@@ -441,9 +450,10 @@ impl<E: GistExtension> GistIndex<E> {
 
         let mem = db.global_nsn();
         let root = index.root()?;
-        let mut stack: Vec<(PageId, u64)> = vec![(root, mem)];
-        let mut seen: HashSet<Rid> = HashSet::new();
-        let mut attached: HashSet<PageId> = HashSet::new();
+        let mut stack = NodeStack::new();
+        stack.push((root, mem));
+        let mut seen = RidSet::new();
+        let mut attached = PageSet::new();
         let mut out: Vec<(E::Key, Rid)> = Vec::new();
         let mut hits = 0u64;
 
@@ -479,9 +489,11 @@ impl<E: GistExtension> GistIndex<E> {
                 let Some(p) = pred else {
                     unreachable!("degree3 search always carries a predicate")
                 };
-                let owners =
-                    db.preds()
-                        .attach_scan_and_check(p, index.node_key(pid), &index.conflict_fn());
+                let owners = db.preds().attach_scan_and_check(
+                    p,
+                    index.node_key(pid),
+                    &index.scan_conflict_fn(query),
+                );
                 attached.insert(pid);
                 if !owners.is_empty() {
                     stack.push((pid, mem));
@@ -508,25 +520,14 @@ impl<E: GistExtension> GistIndex<E> {
                     let nsn = p.nsn();
                     let rightlink = p.rightlink();
                     if p.is_leaf() {
-                        let mut candidates = Vec::new();
-                        for (_, cell) in node::entry_cells(p) {
-                            let rid = LeafEntry::decode_rid(cell);
-                            if seen.contains(&rid) {
-                                continue;
-                            }
-                            let entry = LeafEntry::decode(cell);
-                            let key = ext.decode_key(&entry.key_bytes);
-                            if ext.consistent_key(&key, query) {
-                                candidates.push((rid, key, entry.deleted));
-                            }
-                        }
+                        let candidates = leaf_candidates(ext, p, query, &seen);
                         NodeCopy::Leaf { nsn, rightlink, candidates }
                     } else {
-                        let mut children = Vec::new();
-                        for (_, e) in node::internal_entries(p) {
-                            let pb = ext.decode_pred(&e.pred_bytes);
-                            if ext.consistent_pred(&pb, query) {
-                                children.push((e.child, index.read_mem(Some(p))));
+                        let child_mem = index.read_mem(Some(p));
+                        let mut children = NodeStack::new();
+                        for (_, e) in node::internal_views(p) {
+                            if ext.consistent_pred_bytes(e.pred_bytes(), query) {
+                                children.push((e.child(), child_mem));
                             }
                         }
                         NodeCopy::Internal { nsn, rightlink, children }
@@ -560,7 +561,7 @@ impl<E: GistExtension> GistIndex<E> {
                         // the copy, so the child pointers and memorized
                         // counters are a consistent snapshot; the epoch
                         // pin keeps every one of them type-stable.
-                        stack.extend(children);
+                        stack.extend(children.iter());
                         hits += 1;
                         break 'node;
                     }
@@ -569,7 +570,7 @@ impl<E: GistExtension> GistIndex<E> {
                         // then confirm the node didn't change while the
                         // locks were acquired — a lock taken against a
                         // stale copy proves nothing about the entry.
-                        let mut locked: Vec<Rid> = Vec::new();
+                        let mut locked: InlineVec<Rid, 8> = InlineVec::new();
                         let mut blocker = None;
                         if takes_record_locks {
                             for (rid, _, _) in &candidates {
@@ -592,7 +593,7 @@ impl<E: GistExtension> GistIndex<E> {
                             if isolation == IsolationLevel::ReadCommitted {
                                 // Degree 2 retains nothing across the
                                 // wait (cursor stability only).
-                                for r in locked.drain(..) {
+                                for r in locked.iter() {
                                     db.locks().unlock(txn, LockName::Rid(r));
                                 }
                             }
@@ -631,7 +632,7 @@ impl<E: GistExtension> GistIndex<E> {
                                 // extra S locks are 2PL-legal and make
                                 // the re-read regrant instantly.
                                 if isolation == IsolationLevel::ReadCommitted {
-                                    for r in locked.drain(..) {
+                                    for r in locked.iter() {
                                         db.locks().unlock(txn, LockName::Rid(r));
                                     }
                                 }

@@ -11,11 +11,12 @@ use gist_predlock::{PredKind, GLOBAL_NODE};
 use gist_wal::{RecordBody, TxnId};
 
 use crate::db::{IsolationLevel, PredicateMode};
-use crate::entry::LeafEntry;
+use crate::entry::{LeafEntry, LeafEntryRef};
 use crate::ext::GistExtension;
 use crate::logrec::GistRecord;
 use crate::node;
 use crate::ops::{ParentLoc, StackEntry};
+use crate::scratch::InlineVec;
 use crate::tree::GistIndex;
 use crate::{GistError, Result};
 
@@ -63,7 +64,8 @@ impl<E: GistExtension> GistIndex<E> {
         if degree3 && cfg.predicate_mode == PredicateMode::PureGlobal {
             let mut kb = Vec::new();
             self.ext().encode_key(key, &mut kb);
-            let owners = db.preds().check_insert(GLOBAL_NODE, txn, &kb, &self.conflict_fn());
+            let owners =
+                db.preds().check_insert(GLOBAL_NODE, txn, &kb, &self.insert_conflict_fn(key));
             let p = db.preds().register(txn, PredKind::Insert, kb);
             db.preds().attach(p, GLOBAL_NODE);
             for owner in owners {
@@ -82,8 +84,8 @@ impl<E: GistExtension> GistIndex<E> {
         let mut mem = db.global_nsn();
         let root = self.root()?;
         self.signal_lock(txn, root)?;
-        let mut stack: Vec<(PageId, u64, Option<PageId>)> = vec![(root, mem, None)];
-        let mut visited_for_unlock: Vec<PageId> = Vec::new();
+        let mut stack: InlineVec<(PageId, u64, Option<PageId>), 8> = InlineVec::new();
+        stack.push((root, mem, None));
         let mut found = false;
         while let Some((pid, pmem, parent)) = stack.pop() {
             if pid.is_invalid() {
@@ -100,16 +102,16 @@ impl<E: GistExtension> GistIndex<E> {
                 if w.nsn() > mem {
                     // Split between the latches: make sure the chain
                     // continuation is stacked exactly once.
-                    if stack.last() != Some(&(w.rightlink(), mem, parent)) {
+                    if stack.last() != Some((w.rightlink(), mem, parent)) {
                         stack.push((w.rightlink(), mem, parent));
                     }
                 }
                 let target = node::entry_cells(&w)
                     .find(|(_, cell)| {
-                        let e = LeafEntry::decode(cell);
-                        e.rid == rid
-                            && !e.deleted
-                            && self.ext().key_equal(&self.ext().decode_key(&e.key_bytes), key)
+                        let e = LeafEntryRef::new(cell);
+                        e.rid() == rid
+                            && !e.deleted()
+                            && self.ext().key_bytes_equal(e.key_bytes(), key)
                     })
                     .map(|(slot, cell)| (slot, cell.to_vec()));
                 if let Some((slot, old_cell)) = target {
@@ -148,21 +150,19 @@ impl<E: GistExtension> GistIndex<E> {
                 }
                 drop(w);
             } else {
-                for (_, e) in node::internal_entries(&g) {
-                    let pred = self.ext().decode_pred(&e.pred_bytes);
-                    if self.ext().consistent_pred(&pred, &q) {
+                for (_, e) in node::internal_views(&g) {
+                    if self.ext().consistent_pred_bytes(e.pred_bytes(), &q) {
                         let child_mem = self.read_mem(Some(&g));
-                        self.signal_lock(txn, e.child)?;
-                        stack.push((e.child, child_mem, Some(pid)));
+                        self.signal_lock(txn, e.child())?;
+                        stack.push((e.child(), child_mem, Some(pid)));
                     }
                 }
                 drop(g);
             }
-            visited_for_unlock.push(pid);
             self.signal_unlock(txn, pid);
         }
         // Unvisited stacked pointers: release their signaling locks.
-        for (pid, _, _) in stack {
+        for (pid, _, _) in stack.iter() {
             if !pid.is_invalid() {
                 self.signal_unlock(txn, pid);
             }
@@ -188,26 +188,32 @@ impl<E: GistExtension> GistIndex<E> {
         let db = self.db().clone();
         let txns = db.txns();
         let fast_path = leaf.page_lsn() < txns.oldest_active_begin_lsn();
-        let mut removed: Vec<(u16, Vec<u8>)> = Vec::new();
-        let mut remaining_preds: Vec<E::Pred> = Vec::new();
-        for (slot, cell) in node::entry_cells(leaf) {
-            let (marked, deleter) = LeafEntry::decode_mark(cell);
-            // Our own marks are not removable (we might roll back).
-            if marked && deleter != txn && (fast_path || txns.is_certainly_committed(deleter)) {
-                removed.push((slot, cell.to_vec()));
-            } else {
-                let e = LeafEntry::decode(cell);
-                remaining_preds.push(self.ext().key_pred(&self.ext().decode_key(&e.key_bytes)));
-            }
-        }
+        // The removed cells are kept: the log record carries them.
+        let removed: Vec<(u16, Vec<u8>)> = node::entry_cells(leaf)
+            .filter(|(_, cell)| {
+                let e = LeafEntryRef::new(cell);
+                // Our own marks are not removable (we might roll back).
+                e.deleted()
+                    && e.deleter() != txn
+                    && (fast_path || txns.is_certainly_committed(e.deleter()))
+            })
+            .map(|(slot, cell)| (slot, cell.to_vec()))
+            .collect();
         if removed.is_empty() {
             return Ok(0);
         }
-        let new_bp_opt = if remaining_preds.is_empty() {
-            None
-        } else {
-            Some(self.ext().union_many(&remaining_preds))
-        };
+        // Keys are decoded only now that the BP really has to be rebuilt,
+        // over exactly the entries that stay (both walks are in slot
+        // order, so `removed` is consumed front to back).
+        let mut gone = removed.iter().map(|(slot, _)| *slot).peekable();
+        let mut new_bp_opt: Option<E::Pred> = None;
+        for (slot, e) in node::leaf_views(leaf) {
+            if gone.next_if_eq(&slot).is_some() {
+                continue;
+            }
+            let key = self.ext().decode_key(e.key_bytes());
+            new_bp_opt = Some(self.bp_union_key(&new_bp_opt, &key));
+        }
         let new_bp = self.encode_bp_opt(&new_bp_opt);
         let nta = txns.begin_nta(txn)?;
         let rec = GistRecord::GarbageCollection {
@@ -271,7 +277,7 @@ impl<E: GistExtension> GistIndex<E> {
         let mut pid = parent_hint;
         let (mut parent_g, slot) = loop {
             let g = db.pool().fetch_write(pid)?;
-            if let Some((slot, _)) = node::find_child_entry(&g, child) {
+            if let Some(slot) = node::find_child_entry(&g, child) {
                 break (g, slot);
             }
             let next = g.rightlink();
@@ -387,10 +393,10 @@ impl<E: GistExtension> GistIndex<E> {
                 let g = db.pool().fetch_read(pid)?;
                 queue.push(g.rightlink());
                 if !g.is_leaf() {
-                    for (_, e) in node::internal_entries(&g) {
-                        queue.push(e.child);
+                    for (_, e) in node::internal_views(&g) {
+                        queue.push(e.child());
                         if g.level() == 1 {
-                            pairs.push((pid, g.nsn(), e.child));
+                            pairs.push((pid, g.nsn(), e.child()));
                         }
                     }
                 }

@@ -23,7 +23,7 @@ use gist_predlock::{PredKind, GLOBAL_NODE};
 use gist_wal::{RecordBody, TxnId};
 
 use crate::db::{IsolationLevel, PredicateMode};
-use crate::entry::{InternalEntry, LeafEntry};
+use crate::entry::{InternalEntry, InternalEntryRef, LeafEntry, LeafEntryRef};
 use crate::ext::GistExtension;
 use crate::logrec::GistRecord;
 use crate::node;
@@ -108,7 +108,7 @@ impl<E: GistExtension> GistIndex<E> {
         // key so later scans block on us.
         if degree3 && pure {
             let owners =
-                db.preds().check_insert(GLOBAL_NODE, txn, &key_bytes, &self.conflict_fn());
+                db.preds().check_insert(GLOBAL_NODE, txn, &key_bytes, &self.insert_conflict_fn(key));
             let p = db.preds().register(txn, PredKind::Insert, key_bytes.clone());
             db.preds().attach(p, GLOBAL_NODE);
             for owner in owners {
@@ -169,7 +169,7 @@ impl<E: GistExtension> GistIndex<E> {
                 self.node_key(leaf_pid),
                 txn,
                 &key_bytes,
-                &self.conflict_fn(),
+                &self.insert_conflict_fn(key),
             );
             if owners.is_empty() {
                 drop(leaf);
@@ -240,13 +240,13 @@ impl<E: GistExtension> GistIndex<E> {
                 return Ok((w, stack));
             }
             stack.push(StackEntry { page: cur, nsn_at_visit: g.nsn() });
-            let (_, entry) = self.min_penalty_child(&g, key)?;
+            let child = self.min_penalty_child(&g, key)?;
             let child_mem = self.read_mem(Some(&g));
             // Signaling lock under the parent latch (§7.2 discipline).
-            self.signal_lock(txn, entry.child)?;
+            self.signal_lock(txn, child)?;
             drop(g);
             mem = child_mem;
-            cur = entry.child;
+            cur = child;
         }
     }
 
@@ -265,9 +265,10 @@ impl<E: GistExtension> GistIndex<E> {
         let mut cur = start;
         loop {
             let g = db.pool().fetch_read(cur)?;
-            let pen = match self.decode_bp_opt(node::bp_bytes(&g)) {
-                Some(bp) => self.ext().penalty(&bp, key),
-                None => f64::MAX,
+            // An empty BP ("covers nothing") is the worst candidate.
+            let pen = match node::bp_bytes(&g) {
+                [] => f64::MAX,
+                bp => self.ext().penalty_bytes(bp, key),
             };
             match &best {
                 Some((b, _, _)) if *b <= pen => {}
@@ -404,9 +405,9 @@ impl<E: GistExtension> GistIndex<E> {
             .iter()
             .map(|(_, cell)| {
                 if level == 0 {
-                    ext.key_pred(&ext.decode_key(&LeafEntry::decode(cell).key_bytes))
+                    ext.key_pred(&ext.decode_key(LeafEntryRef::new(cell).key_bytes()))
                 } else {
-                    ext.decode_pred(&InternalEntry::decode(cell).pred_bytes)
+                    ext.decode_pred(InternalEntryRef::new(cell).pred_bytes())
                 }
             })
             .collect();
@@ -584,10 +585,7 @@ impl<E: GistExtension> GistIndex<E> {
                             held.push(p_orig);
                         }
                         entry_slot = node::find_child_entry(&parent_g, node_id)
-                            .unwrap_or_else(|| {
-                                unreachable!("entry present after parent split")
-                            })
-                            .0;
+                            .unwrap_or_else(|| unreachable!("entry present after parent split"));
                     }
                     let install_start = db.txns().last_lsn(txn).ok_or(GistError::Txn(gist_txn::TxnError::NotActive(txn)))?;
                     // Update the original node's entry to its shrunk BP.

@@ -79,11 +79,28 @@ impl<E: GistExtension> GistIndex<E> {
         }
     }
 
-    /// The predicate-conflict test handed to the predicate manager:
-    /// `conflict(scan_query_bytes, insert_key_bytes)` via the extension's
-    /// `consistent()`.
-    pub(crate) fn conflict_fn(&self) -> impl Fn(&[u8], &[u8]) -> bool + '_ {
-        move |query_bytes, key_bytes| self.ext().query_conflicts_key_bytes(query_bytes, key_bytes)
+    /// The §6 conflict test as a scan hands it to the predicate manager:
+    /// `conflict(scan_query_bytes, insert_key_bytes)`. The manager always
+    /// passes the attaching scan's own bytes first, so the already
+    /// decoded `query` stands in for them — one decode per scan instead
+    /// of one per insert predicate checked.
+    pub(crate) fn scan_conflict_fn<'a>(
+        &'a self,
+        query: &'a E::Query,
+    ) -> impl Fn(&[u8], &[u8]) -> bool + 'a {
+        move |_own_query_bytes, key_bytes| self.ext().consistent_key_bytes(key_bytes, query)
+    }
+
+    /// The same test from the inserting side (`check_insert`): the key is
+    /// fixed and already decoded; each attached scan's query is decoded
+    /// once.
+    pub(crate) fn insert_conflict_fn<'a>(
+        &'a self,
+        key: &'a E::Key,
+    ) -> impl Fn(&[u8], &[u8]) -> bool + 'a {
+        move |query_bytes, _own_key_bytes| {
+            self.ext().consistent_key(key, &self.ext().decode_query(query_bytes))
+        }
     }
 
     /// Latch (X) the node holding the parent entry of `child`, starting
@@ -107,7 +124,7 @@ impl<E: GistExtension> GistIndex<E> {
             let mut pid = top.page;
             loop {
                 let g = self.db().pool().fetch_write(pid)?;
-                if let Some((slot, _)) = node::find_child_entry(&g, child_id) {
+                if let Some(slot) = node::find_child_entry(&g, child_id) {
                     return Ok(ParentLoc::Found(g, slot));
                 }
                 let next = g.rightlink();
@@ -164,9 +181,7 @@ impl<E: GistExtension> GistIndex<E> {
                     }
                     let g = self.db().pool().fetch_read(pid)?;
                     queue.push(g.rightlink());
-                    for (_, e) in node::internal_entries(&g) {
-                        next.push(e.child);
-                    }
+                    next.extend(node::internal_views(&g).map(|(_, e)| e.child()));
                 }
                 current = next;
             }
@@ -177,7 +192,7 @@ impl<E: GistExtension> GistIndex<E> {
                     continue;
                 }
                 let g = self.db().pool().fetch_write(pid)?;
-                if let Some((slot, _)) = node::find_child_entry(&g, child_id) {
+                if let Some(slot) = node::find_child_entry(&g, child_id) {
                     return Ok(ParentLoc::Found(g, slot));
                 }
                 queue.push(g.rightlink());
@@ -188,22 +203,22 @@ impl<E: GistExtension> GistIndex<E> {
         }
     }
 
-    /// The entry with the smallest insertion penalty on an internal node.
+    /// The child with the smallest insertion penalty on an internal node
+    /// (first wins on ties), tested against the predicates in place.
     pub(crate) fn min_penalty_child(
         &self,
         page: &gist_pagestore::Page,
         key: &E::Key,
-    ) -> Result<(SlotId, InternalEntry)> {
-        let mut best: Option<(f64, SlotId, InternalEntry)> = None;
-        for (slot, entry) in node::internal_entries(page) {
-            let pred = self.ext().decode_pred(&entry.pred_bytes);
-            let pen = self.ext().penalty(&pred, key);
-            match &best {
-                Some((b, _, _)) if *b <= pen => {}
-                _ => best = Some((pen, slot, entry)),
+    ) -> Result<PageId> {
+        let mut best: Option<(f64, PageId)> = None;
+        for (_, entry) in node::internal_views(page) {
+            let pen = self.ext().penalty_bytes(entry.pred_bytes(), key);
+            match best {
+                Some((b, _)) if b <= pen => {}
+                _ => best = Some((pen, entry.child())),
             }
         }
-        best.map(|(_, s, e)| (s, e)).ok_or_else(|| {
+        best.map(|(_, child)| child).ok_or_else(|| {
             GistError::Corrupt(format!("internal node {} has no entries", page.page_id()))
         })
     }

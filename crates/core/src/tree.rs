@@ -199,8 +199,8 @@ impl<E: GistExtension> GistIndex<E> {
                 rightlink: p.rightlink(),
                 leaf: is_leaf.then(|| {
                     let (mut marked, mut live) = (0, 0);
-                    for (_, e) in node::leaf_entries(p) {
-                        if e.deleted {
+                    for (_, e) in node::leaf_views(p) {
+                        if e.deleted() {
                             marked += 1;
                         } else {
                             live += 1;
@@ -211,7 +211,7 @@ impl<E: GistExtension> GistIndex<E> {
                 children: if available || is_leaf {
                     Vec::new()
                 } else {
-                    node::internal_entries(p).into_iter().map(|(_, e)| e.child).collect()
+                    node::internal_views(p).map(|(_, e)| e.child()).collect()
                 },
             }
         };

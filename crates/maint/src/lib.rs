@@ -32,6 +32,7 @@
 //! and is requeued with backoff, up to a bounded number of attempts.
 
 use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
@@ -281,6 +282,8 @@ pub struct MaintStats {
     pub dropped: AtomicU64,
     /// Items that failed fatally.
     pub failures: AtomicU64,
+    /// Items that panicked (contained; each also counts as a failure).
+    pub panics: AtomicU64,
     /// Idle transactions aborted by the watchdog.
     pub watchdog_aborts: AtomicU64,
 }
@@ -299,6 +302,7 @@ pub struct MaintStatsSnapshot {
     pub retries: u64,
     pub dropped: u64,
     pub failures: u64,
+    pub panics: u64,
     pub watchdog_aborts: u64,
 }
 
@@ -316,6 +320,7 @@ impl MaintStats {
             retries: self.retries.load(Ordering::Relaxed),
             dropped: self.dropped.load(Ordering::Relaxed),
             failures: self.failures.load(Ordering::Relaxed),
+            panics: self.panics.load(Ordering::Relaxed),
             watchdog_aborts: self.watchdog_aborts.load(Ordering::Relaxed),
         }
     }
@@ -706,8 +711,28 @@ impl MaintDaemon {
         self.cond.notify_all();
     }
 
+    /// Run one item and report it finished, whatever it did. A panic
+    /// inside the item (an engine bug surfacing on this thread) is
+    /// contained and finishes the item as a fatal failure: an unwinding
+    /// worker would die owning `in_flight`, and `stop(drain)` and
+    /// `run_until_idle` wait for that count to reach zero.
     fn process(&self, q: Queued) {
-        let result: Result<Option<WorkItem>, MaintError> = match &q.item {
+        let result = panic::catch_unwind(AssertUnwindSafe(|| self.run_item(&q.item)))
+            .unwrap_or_else(|payload| {
+                self.stats.panics.fetch_add(1, Ordering::Relaxed);
+                let msg = payload
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "non-string panic payload".to_string());
+                Err(MaintError::Fatal(format!("{:?} panicked: {msg}", q.item)))
+            });
+        self.finish(q, result);
+    }
+
+    /// The work behind one item; the follow-up item, if it produced one.
+    fn run_item(&self, item: &WorkItem) -> Result<Option<WorkItem>, MaintError> {
+        match item {
             WorkItem::Checkpoint => match self.checkpoint_now() {
                 Ok(_) => Ok(None),
                 // A poisoned (read-only) store can never checkpoint
@@ -779,8 +804,7 @@ impl MaintDaemon {
                     }
                 }
             },
-        };
-        self.finish(q, result);
+        }
     }
 
     /// Write a fuzzy checkpoint right now, on the calling thread.
@@ -1101,6 +1125,63 @@ mod tests {
         assert!(!d.is_running());
         // Post-stop enqueues are refused.
         assert!(!d.enqueue(WorkItem::Checkpoint));
+    }
+
+    /// An index whose GC panics, as an engine bug surfacing on the
+    /// worker thread would.
+    struct PanickingIndex;
+
+    impl MaintIndex for PanickingIndex {
+        fn maint_index_id(&self) -> u32 {
+            9
+        }
+        fn maint_gc_leaf(
+            &self,
+            leaf: PageId,
+            _parent_hint: Option<PageId>,
+        ) -> Result<GcOutcome, MaintError> {
+            panic!("injected: gc of {leaf} blew up");
+        }
+        fn maint_try_drain(
+            &self,
+            _leaf: PageId,
+            _parent_hint: Option<PageId>,
+        ) -> Result<DrainOutcome, MaintError> {
+            Ok(DrainOutcome::Skipped)
+        }
+        fn maint_sweep(&self) -> Result<SweepOutcome, MaintError> {
+            Ok(SweepOutcome { entries_removed: 1, nodes_deleted: 0 })
+        }
+    }
+
+    #[test]
+    fn worker_survives_a_panicking_item_and_drains() {
+        let (d, _log) = daemon(MaintConfig::default());
+        let idx: Arc<dyn MaintIndex> = Arc::new(PanickingIndex);
+        d.register_index(Arc::downgrade(&idx));
+        // GC outranks the sweep, so the panic comes first and the sweep
+        // proves a worker outlived it.
+        d.enqueue(WorkItem::Gc { index: 9, leaf: PageId(3), parent_hint: None });
+        d.enqueue(WorkItem::FullSweep { index: 9 });
+        d.start();
+        // `stop(drain)` waits for the in-flight count; a worker that died
+        // mid-item would leave it at 1 forever.
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let stopper = {
+            let d = d.clone();
+            std::thread::spawn(move || {
+                d.stop(true);
+                done_tx.send(()).unwrap();
+            })
+        };
+        done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("stop(drain) hung behind the panicked item");
+        stopper.join().unwrap();
+        let stats = d.stats.snapshot();
+        assert_eq!((stats.panics, stats.failures), (1, 1), "contained and counted once");
+        assert_eq!(stats.full_sweeps, 1, "the queue behind the panic was served");
+        assert_eq!(d.backlog(), 0);
     }
 
     #[test]

@@ -383,28 +383,22 @@ impl TxnManager {
         Ok(self.log.begin_nta(info.last_lsn))
     }
 
-    /// Finish a nested top action for `txn`: writes the dummy CLR and
-    /// forces it through the commit pipeline.
+    /// Finish a nested top action for `txn`: writes the dummy CLR that
+    /// makes the unit invisible to rollback.
     ///
-    /// The force must happen before the unit's latches are released —
-    /// once its pages can reach disk, the fact that the unit completed
-    /// must be durable too, otherwise restart would undo a structure
-    /// modification that concurrent operations have already built upon.
-    /// Routing it through the pipeline (instead of an inline flush) lets
-    /// the terminator share a device sync with whatever commits and
-    /// units are in flight; with no flusher running the barrier degrades
-    /// to the old synchronous flush.
+    /// The terminator is *not* forced (ARIES does not force dummy CLRs
+    /// either). The durable horizon is a contiguous prefix and pages
+    /// obey WAL-before-data, so nothing that depends on the unit — a
+    /// page it touched reaching disk, a later commit — can be durable
+    /// unless the log up to that point is, terminator included. A crash
+    /// that loses the terminator therefore loses every later record too,
+    /// and restart sees exactly a crash in the middle of the unit, which
+    /// its undo pass already handles (`tests/recovery_crash.rs`).
     pub fn end_nta(&self, txn: TxnId, nta: NestedTopAction) -> Result<Lsn, TxnError> {
-        let lsn = {
-            let mut table = self.table.lock();
-            let info = table.get_mut(&txn).ok_or(TxnError::NotActive(txn))?;
-            let lsn = self.log.end_nta(txn, info.last_lsn, nta);
-            info.last_lsn = lsn;
-            lsn
-        };
-        // Barrier outside the table lock: parking here must not block
-        // unrelated begin/commit traffic.
-        self.pipeline.barrier(lsn)?;
+        let mut table = self.table.lock();
+        let info = table.get_mut(&txn).ok_or(TxnError::NotActive(txn))?;
+        let lsn = self.log.end_nta(txn, info.last_lsn, nta);
+        info.last_lsn = lsn;
         Ok(lsn)
     }
 

@@ -134,6 +134,10 @@ impl Default for LogManager {
 }
 
 impl LogManager {
+    /// Records per segment of the in-memory directory: appends whose LSNs
+    /// straddle a multiple of this are the ones that extend it.
+    pub const SEGMENT_RECORDS: u64 = SEGMENT_SIZE as u64;
+
     /// Empty log.
     pub fn new() -> Self {
         LogManager {
@@ -182,19 +186,24 @@ impl LogManager {
         }
     }
 
-    fn segment_for(&self, lsn: u64) -> Arc<Segment> {
+    /// The segment holding `lsn`, or `None` when the directory does not
+    /// reach that far yet. `reserved` is bumped before the reserver
+    /// extends the directory, so a reader that has seen the new
+    /// `reserved` may ask for a segment that is a moment from existing;
+    /// its cells are then, by definition, not set.
+    fn segment_for(&self, lsn: u64) -> Option<Arc<Segment>> {
         let idx = ((lsn - 1) >> SEGMENT_BITS) as usize;
-        self.segments.read()[idx].clone()
+        self.segments.read().get(idx).cloned()
     }
 
     fn cell_get(&self, lsn: u64) -> Option<LogRecord> {
-        let seg = self.segment_for(lsn);
+        let seg = self.segment_for(lsn)?;
         seg.cells[((lsn - 1) as usize) & (SEGMENT_SIZE - 1)].get().cloned()
     }
 
     fn cell_is_set(&self, lsn: u64) -> bool {
-        let seg = self.segment_for(lsn);
-        seg.cells[((lsn - 1) as usize) & (SEGMENT_SIZE - 1)].get().is_some()
+        self.segment_for(lsn)
+            .is_some_and(|seg| seg.cells[((lsn - 1) as usize) & (SEGMENT_SIZE - 1)].get().is_some())
     }
 
     /// Reserve the next LSN for `txn` (backchain `prev_lsn`). The slot is
@@ -207,7 +216,9 @@ impl LogManager {
         audit::atomic_rmw(self.hb_reserved, "wal-reserve");
         let lsn = self.reserved.fetch_add(1, Ordering::SeqCst) + 1;
         // Make sure the slot's segment exists before returning: the fill
-        // (and any concurrent reader) must never see a missing segment.
+        // of this reservation relies on it. Other threads' readers can
+        // run between the bump above and the push below; they treat the
+        // missing segment as an unset cell (`segment_for`).
         let idx = ((lsn - 1) >> SEGMENT_BITS) as usize;
         if self.segments.read().len() <= idx {
             let mut segs = self.segments.write();
@@ -302,7 +313,9 @@ impl LogManager {
     pub fn fill(&self, res: Reservation, body: RecordBody) -> Lsn {
         let lsn = res.lsn;
         let rec = LogRecord { lsn, prev_lsn: res.prev_lsn, txn: res.txn, body };
-        let seg = self.segment_for(lsn.0);
+        let seg = self
+            .segment_for(lsn.0)
+            .unwrap_or_else(|| unreachable!("reserve() created the segment of {lsn}"));
         let set = seg.cells[((lsn.0 - 1) as usize) & (SEGMENT_SIZE - 1)].set(rec);
         debug_assert!(set.is_ok(), "slot {lsn} filled twice");
         self.advance_filled();
@@ -585,11 +598,9 @@ impl LogManager {
     /// whole unit of work invisible to rollback. Returns the new last LSN
     /// for the transaction's backchain.
     ///
-    /// The terminator is *not* forced here: durability policy belongs to
-    /// the caller. The transaction layer forces it through the commit
-    /// pipeline before the unit's latches are released, so concurrent
-    /// units and committers share one device sync instead of each paying
-    /// an inline flush.
+    /// The terminator is not forced, here or by the transaction layer:
+    /// prefix durability makes a lost terminator indistinguishable from
+    /// a crash inside the unit (`TxnManager::end_nta`).
     pub fn end_nta(&self, txn: TxnId, txn_last_lsn: Lsn, nta: NestedTopAction) -> Lsn {
         self.append(txn, txn_last_lsn, RecordBody::NtaEnd { undo_next: nta.undo_next })
     }

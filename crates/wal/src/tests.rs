@@ -500,6 +500,38 @@ fn hole_fences_durable_horizon_until_filled() {
     assert_eq!(log.flushed_lsn(), after);
 }
 
+/// The segment-directory race: `reserve` bumps `reserved` before it
+/// extends the directory, so another appender's `advance_filled` can ask
+/// for the cell of an LSN whose segment is not there yet. That must read
+/// as "not filled", not index past the directory. Needs two CPUs to fire
+/// here; `tests/mc_scenarios.rs` pins the interleaving deterministically.
+#[test]
+fn concurrent_appends_across_segment_boundaries_never_index_past_the_directory() {
+    const THREADS: u64 = 4;
+    const BOUNDARIES: u64 = 64;
+    let per_thread = (BOUNDARIES + 1) * LogManager::SEGMENT_RECORDS / THREADS;
+    let log = std::sync::Arc::new(LogManager::new());
+    let start = std::sync::Arc::new(std::sync::Barrier::new(THREADS as usize));
+    let appenders: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let (log, start) = (log.clone(), start.clone());
+            std::thread::spawn(move || {
+                start.wait();
+                for _ in 0..per_thread {
+                    log.append(TxnId(t + 1), Lsn::NULL, RecordBody::Noop);
+                }
+            })
+        })
+        .collect();
+    for a in appenders {
+        a.join().expect("an appender panicked");
+    }
+    let total = THREADS * per_thread;
+    assert!(total / LogManager::SEGMENT_RECORDS >= BOUNDARIES);
+    assert_eq!(log.last_lsn(), Lsn(total));
+    assert_eq!(log.filled_lsn(), log.last_lsn(), "every reservation was filled and published");
+}
+
 #[test]
 fn crash_discards_reserved_but_unfilled_hole() {
     let log = LogManager::new();

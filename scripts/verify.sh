@@ -28,7 +28,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== tier 2: cargo clippy --workspace --all-targets --features chaos,latch-audit,model-check =="
 cargo clippy --workspace --all-targets --features chaos,latch-audit,model-check -- -D warnings
 
-echo "== tier 2: gist-lint (static discipline rules) =="
+echo "== tier 2: gist-lint (static discipline rules, incl. no-owned-decode-in-traversal) =="
 cargo run -q --bin gist-lint
 
 echo "== tier 2: cargo test -q --features latch-audit (dynamic analyzer) =="
@@ -76,6 +76,9 @@ echo "== tier 2: serve disconnect-storm bench (smoke) =="
 BENCH_SERVE_SMOKE=1 cargo run -q --release -p gist-bench --bin bench_serve \
     target/BENCH_serve_smoke.json
 
+echo "== tier 2: bench_e2e package (unit tests, BENCHMARK.json sync, smoke + all-CPU run) =="
+cargo test --release --offline --manifest-path bench_e2e/Cargo.toml
+
 echo "== tier 3: deterministic model checker (crates/mc) =="
 # Fixed per-scenario budgets and two schedule-generation seeds per
 # scenario are compiled into tests/mc_scenarios.rs (seeded-random +
@@ -105,5 +108,6 @@ echo "  overload acceptance (>=80% goodput)          0"
 echo "  serve: protocol corpus + sessions            0"
 echo "  serve chaos teardown sweep                   0"
 echo "  serve disconnect storm (no leaks)            0"
+echo "  bench_e2e tests + smoke (0 failed txns)      0"
 echo "  model checker (mc scenarios)                 0"
 echo "verify.sh: all green"

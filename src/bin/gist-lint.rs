@@ -18,6 +18,7 @@
 //! | `no-latch-in-optimistic` | no `fetch_read` / `fetch_write` / `new_page_write` inside a `read_with(...)` optimistic closure in `crates/core` — the latch-free fast path must not take latches mid-copy (static twin of the dynamic `latch-in-optimistic` audit rule) |
 //! | `no-unbounded-wait` | no bare `.wait(&mut ...)` condvar parks in non-test crate code — every wait must carry a deadline (`wait_for`/`wait_until`) so a lost wakeup degrades instead of hanging (the `gist-sync` wrappers and the `mc` scheduler are exempt) |
 //! | `no-unbounded-read` | no raw `.read(...)` / `.write_all(...)` socket calls in `crates/serve` outside the deadline-wrapped transport helpers (`io.rs`) — a session parked on a dead peer with no deadline is exactly the leak the serving layer exists to prevent |
+//! | `no-owned-decode-in-traversal` | no `LeafEntry::decode(` / `InternalEntry::decode(` / `node::internal_entries(` / `node::leaf_entries(` under `crates/core/src/ops/` or in `tree.rs` / `maint.rs` / `check.rs` — traversals read entries through the borrowed views (`LeafEntryRef`, `InternalEntryRef`); an owning decode there is one `malloc` per entry looked at |
 //! | `chaos-point-registry` | every `chaos::point("...")` call site names an entry of the chaos crate's `CATALOG`, the catalog is duplicate-free, and every cataloged point is threaded through at least one call site |
 //!
 //! Scanning is line/AST-lite on purpose: the build must stay offline, so
@@ -541,6 +542,49 @@ fn rule_no_unbounded_read(f: &SourceFile, out: &mut Vec<Violation>) {
     }
 }
 
+/// Rule `no-owned-decode-in-traversal`: the traversal code of
+/// `crates/core` looks at every entry of every node it visits, so it
+/// reads them through the borrowed views (`LeafEntryRef` /
+/// `InternalEntryRef`, `node::leaf_views` / `node::internal_views`).
+/// An owning decode (`LeafEntry::decode`, `InternalEntry::decode`) or a
+/// collecting helper (`node::internal_entries`, `node::leaf_entries`)
+/// there copies a key or predicate to the heap per entry — the cost the
+/// views removed (DESIGN.md, "Node access: borrowed entry views"). Code
+/// that really keeps an owned entry past the latch (split
+/// redistribution, log-record construction) takes a same-line
+/// `lint: allow-owned-decode` waiver saying so.
+fn rule_no_owned_decode_in_traversal(f: &SourceFile, out: &mut Vec<Violation>) {
+    const TRAVERSAL_FILES: [&str; 3] =
+        ["crates/core/src/tree.rs", "crates/core/src/maint.rs", "crates/core/src/check.rs"];
+    const OWNING: [&str; 4] = [
+        "LeafEntry::decode(",
+        "InternalEntry::decode(",
+        "node::internal_entries(",
+        "node::leaf_entries(",
+    ];
+    if !f.path.starts_with("crates/core/src/ops/") && !TRAVERSAL_FILES.contains(&f.path.as_str()) {
+        return;
+    }
+    for (n, clean, raw, test) in f.lines() {
+        if test || raw.contains("lint: allow-owned-decode") {
+            continue;
+        }
+        let compact: String = clean.chars().filter(|c| !c.is_whitespace()).collect();
+        if let Some(call) = OWNING.iter().find(|pat| compact.contains(**pat)) {
+            out.push(Violation {
+                rule: "no-owned-decode-in-traversal",
+                file: f.path.clone(),
+                line: n,
+                msg: format!(
+                    "`{call}…)` on a traversal path allocates per entry — read the cell \
+                     through `LeafEntryRef`/`InternalEntryRef`; waive with \
+                     `lint: allow-owned-decode` where an owned entry is really kept"
+                ),
+            });
+        }
+    }
+}
+
 /// Extract the variant names of `pub enum <name>` from sanitized source.
 fn enum_variants(clean: &str, name: &str) -> Vec<String> {
     let mut variants = Vec::new();
@@ -840,6 +884,7 @@ fn scan(files: &[SourceFile]) -> Vec<Violation> {
         rule_no_latch_in_optimistic(f, &mut out);
         rule_no_unbounded_wait(f, &mut out);
         rule_no_unbounded_read(f, &mut out);
+        rule_no_owned_decode_in_traversal(f, &mut out);
     }
     rule_record_coverage(files, &mut out);
     rule_forbid_unsafe(files, &mut out);
@@ -900,7 +945,7 @@ fn main() {
     }
     println!();
     println!("gist-lint summary ({} files scanned)", files.len());
-    println!("  {:<22} violations", "rule");
+    println!("  {:<28} violations", "rule");
     for rule in [
         "no-unwrap",
         "record-coverage",
@@ -913,10 +958,11 @@ fn main() {
         "no-latch-in-optimistic",
         "no-unbounded-wait",
         "no-unbounded-read",
+        "no-owned-decode-in-traversal",
         "chaos-point-registry",
     ] {
         let n = violations.iter().filter(|v| v.rule == rule).count();
-        println!("  {rule:<22} {n}");
+        println!("  {rule:<28} {n}");
     }
     if violations.is_empty() {
         println!("  OK — no violations");
@@ -996,6 +1042,32 @@ mod tests {
         let src = "fn pump(s: &mut TcpStream, buf: &mut [u8]) {\n    let n = s.read(buf); // lint: allow-raw-io\n}\n#[cfg(test)]\nmod tests {\n    fn t(s: &mut TcpStream, b: &mut [u8]) { s.read(b).unwrap(); }\n}\n";
         let mut v = Vec::new();
         rule_no_unbounded_read(&file("crates/serve/src/session.rs", src), &mut v);
+        assert!(v.is_empty(), "waiver + test region exempt: {v:?}");
+    }
+
+    #[test]
+    fn owned_decode_is_flagged_on_traversal_paths_only() {
+        let src = "fn f(p: &Page) {\n    for (_, c) in node::entry_cells(p) {\n        let e = LeafEntry::decode(c);\n        let i = InternalEntry :: decode(c);\n    }\n    let all = node::internal_entries(p);\n    let rid = LeafEntry::decode_rid(c);\n    let v = LeafEntryRef::new(c);\n}";
+        for path in ["crates/core/src/ops/cursor.rs", "crates/core/src/check.rs"] {
+            let mut v = Vec::new();
+            rule_no_owned_decode_in_traversal(&file(path, src), &mut v);
+            assert_eq!(v.iter().map(|x| x.line).collect::<Vec<_>>(), vec![3, 4, 6], "{path}: {v:?}");
+            assert!(v.iter().all(|x| x.rule == "no-owned-decode-in-traversal"));
+        }
+        // Out of scope: the baseline protocols, the entry module itself,
+        // other crates.
+        let mut v = Vec::new();
+        for path in ["crates/core/src/baseline.rs", "crates/core/src/entry.rs", "crates/bench/src/experiments.rs"] {
+            rule_no_owned_decode_in_traversal(&file(path, src), &mut v);
+        }
+        assert!(v.is_empty(), "{v:?}");
+    }
+
+    #[test]
+    fn owned_decode_exemptions_hold() {
+        let src = "fn split(c: &[u8]) {\n    let kept = LeafEntry::decode(c); // lint: allow-owned-decode (moved to the sibling)\n}\n#[cfg(test)]\nmod tests {\n    fn t(c: &[u8]) { LeafEntry::decode(c); }\n}\n";
+        let mut v = Vec::new();
+        rule_no_owned_decode_in_traversal(&file("crates/core/src/ops/insert.rs", src), &mut v);
         assert!(v.is_empty(), "waiver + test region exempt: {v:?}");
     }
 

@@ -414,6 +414,56 @@ fn wal_watermark_invariants_hold_under_random_schedules() {
     report.assert_no_failure();
 }
 
+/// The segment-directory race (found by `bench_e2e` on two CPUs): the
+/// log holds one record less than a segment, so the two racing appends
+/// take the last slot of segment 0 and the first slot of segment 1.
+/// `reserve` bumps `reserved` *before* it extends the directory; the
+/// other appender's `advance_filled`, scheduled into that window, sees
+/// the new `reserved` and asks whether a cell of the not-yet-existing
+/// segment is set. The answer must be "no" (it used to be an
+/// out-of-bounds index), and both records must end up published.
+fn wal_segment_boundary_scenario(sim: &mut Sim) {
+    let log = Arc::new(LogManager::new());
+    for _ in 0..LogManager::SEGMENT_RECORDS - 1 {
+        log.append(TxnId(1), Lsn::NULL, RecordBody::Noop);
+    }
+    for name in ["appender-a", "appender-b"] {
+        let l = log.clone();
+        sim.spawn(name, move || {
+            l.append(TxnId(2), Lsn::NULL, RecordBody::Noop);
+        });
+    }
+
+    watermark_invariant(sim, &log);
+    sim.check(move || {
+        let want = Lsn(LogManager::SEGMENT_RECORDS + 1);
+        if log.last_lsn() == want && log.filled_lsn() == want {
+            Ok(())
+        } else {
+            Err(format!(
+                "appends across the boundary: reserved={:?} filled={:?}, want {want:?}",
+                log.last_lsn(),
+                log.filled_lsn()
+            ))
+        }
+    });
+}
+
+/// Seeded random + PCT schedules of the boundary-straddling appends: no
+/// interleaving panics, breaks the watermark order, or strands a record
+/// behind the filled watermark.
+#[test]
+fn wal_segment_directory_extension_never_strands_a_reader() {
+    let _serial = suite_lock();
+    for explorer in [
+        Explorer::seeded("wal-segment-seeded", 0x5E6, 128),
+        Explorer::pct("wal-segment-pct", 0x5E7, 3, 128),
+    ] {
+        let report = explorer.run(wal_segment_boundary_scenario);
+        report.assert_no_failure();
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Optimistic read path 1: seqlock copies vs a concurrent split.
 // ---------------------------------------------------------------------------

@@ -213,6 +213,66 @@ fn incomplete_split_nta_is_rolled_back() {
 }
 
 #[test]
+fn unforced_split_terminator_lost_in_crash_is_rolled_back() {
+    // `end_nta` does not force the NtaEnd record. The worst crash that
+    // allows: a split ran to completion — every record of the unit
+    // durable, latches released, the transaction carried on — but the
+    // terminator itself never left the volatile tail. Restart must treat
+    // that as a crash inside the unit. No flusher thread here, so nothing
+    // but this test's own `flush` moves the durable horizon.
+    use gist_repro::core::GistRecord;
+    use gist_repro::wal::{Lsn, RecordBody};
+
+    let h = Harness::with_config(DbConfig { group_commit: false, ..DbConfig::default() });
+    let (db, idx) = h.open();
+    let txn = db.begin();
+    for k in 0..100i64 {
+        idx.insert(txn, &k, rid(k as u64)).unwrap();
+    }
+    db.commit(txn).unwrap();
+    let committed_end = h.log.last_lsn();
+    let nodes_before = idx.stats().unwrap().nodes;
+
+    // The loser: insert until a Split record appears, and find the
+    // terminator that closed its unit.
+    let txn = db.begin();
+    let mut k = 100i64;
+    let nta_end_lsn = loop {
+        idx.insert(txn, &k, rid(k as u64)).unwrap();
+        k += 1;
+        assert!(k < 3000, "no split happened");
+        let recs = h.log.scan_from(Lsn(committed_end.0 + 1));
+        let split = recs.iter().find(|r| match &r.body {
+            RecordBody::Payload(p) => {
+                matches!(GistRecord::decode(&p.bytes), Ok(GistRecord::Split { .. }))
+            }
+            _ => false,
+        });
+        if let Some(split) = split {
+            let end = recs
+                .iter()
+                .find(|r| r.lsn > split.lsn && matches!(r.body, RecordBody::NtaEnd { .. }))
+                .expect("the insert returned, so the split unit was terminated");
+            break end.lsn;
+        }
+    };
+    assert!(idx.stats().unwrap().nodes > nodes_before, "the split completed");
+    assert!(
+        h.log.flushed_lsn() < nta_end_lsn,
+        "end_nta forced its terminator: durable {:?}, NtaEnd {nta_end_lsn:?}",
+        h.log.flushed_lsn()
+    );
+    assert_eq!(h.log.filled_lsn(), h.log.last_lsn(), "the terminator is filled, only not durable");
+
+    h.log.flush(Lsn(nta_end_lsn.0 - 1));
+    db.crash();
+
+    let (db2, idx2) = h.restart();
+    assert_eq!(keys_present(&db2, &idx2, 0, 10_000), (0..100).collect::<Vec<i64>>());
+    check_tree(&idx2).unwrap().assert_ok();
+}
+
+#[test]
 fn garbage_collection_redo_survives() {
     let h = Harness::new();
     let (db, idx) = h.open();
