@@ -10,9 +10,7 @@
 //! reproduction targets.
 
 pub mod experiments;
-pub mod harness;
 pub mod workload;
 
 pub use experiments::*;
-pub use harness::*;
 pub use workload::*;

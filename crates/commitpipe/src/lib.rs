@@ -114,6 +114,8 @@ fn bucket_of(micros: u64) -> usize {
 
 struct Stats {
     batches: AtomicU64,
+    /// The subset of `batches` that made at least one commit durable.
+    commit_batches: AtomicU64,
     commits: AtomicU64,
     flusher_panics: AtomicU64,
     waits: AtomicU64,
@@ -124,10 +126,20 @@ impl Stats {
     fn new() -> Stats {
         Stats {
             batches: AtomicU64::new(0),
+            commit_batches: AtomicU64::new(0),
             commits: AtomicU64::new(0),
             flusher_panics: AtomicU64::new(0),
             waits: AtomicU64::new(0),
             wait_hist: std::array::from_fn(|_| AtomicU64::new(0)),
+        }
+    }
+
+    /// One device sync that covered `commits` pending commit requests.
+    fn record_sync(&self, commits: u64) {
+        self.batches.fetch_add(1, Ordering::Relaxed);
+        if commits > 0 {
+            self.commit_batches.fetch_add(1, Ordering::Relaxed);
+            self.commits.fetch_add(commits, Ordering::Relaxed);
         }
     }
 
@@ -159,11 +171,14 @@ impl Stats {
 /// these).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PipeStats {
-    /// Device syncs performed by the flusher (or inline fallbacks).
+    /// Device syncs performed by the flusher (or inline fallbacks),
+    /// whoever asked: commits, barriers, idle sweeps.
     pub batches_flushed: u64,
     /// Commit requests made durable through the pipeline.
     pub commits_flushed: u64,
-    /// Mean commits per device sync (the group-commit win).
+    /// Mean commits per *commit-carrying* device sync (the group-commit
+    /// win); syncs that served only barriers or idle sweeps do not
+    /// dilute it.
     pub mean_batch_size: f64,
     /// Median commit park time, microseconds (bucketed, upper bound).
     pub commit_wait_p50_us: u64,
@@ -356,12 +371,12 @@ impl CommitPipeline {
         let started = Instant::now();
         if !self.request(lsn, deadline, is_commit) {
             // No flusher: the old synchronous path, one device sync per
-            // caller.
+            // caller — which also covers every commit still pending
+            // behind it (Async requests nobody has flushed yet).
+            let commits = std::mem::take(&mut self.state.lock().pending_commits);
             self.log.flush(lsn);
-            self.stats.batches.fetch_add(1, Ordering::Relaxed);
+            self.stats.record_sync(commits);
             if is_commit {
-                self.stats.commits.fetch_add(1, Ordering::Relaxed);
-                self.state.lock().pending_commits = 0;
                 self.stats.record_wait(started.elapsed());
             }
             return Ok(());
@@ -387,12 +402,15 @@ impl CommitPipeline {
             // and keep the flusher alive — parked committers self-heal by
             // re-checking the horizon, and the idle sweep retries the
             // batch.
-            let run = panic::catch_unwind(AssertUnwindSafe(|| self.flush_batch(commits)));
-            match run {
-                Ok(Ok(())) | Ok(Err(_)) => {}
-                Err(_) => {
-                    self.stats.flusher_panics.fetch_add(1, Ordering::Relaxed);
-                }
+            let mut uncounted = commits;
+            let run = panic::catch_unwind(AssertUnwindSafe(|| self.flush_batch(&mut uncounted)));
+            if run.is_err() {
+                self.stats.flusher_panics.fetch_add(1, Ordering::Relaxed);
+            }
+            if uncounted > 0 {
+                // The batch died before its sync: its commits ride the
+                // retry.
+                self.state.lock().pending_commits += uncounted;
             }
             if stop {
                 return;
@@ -438,8 +456,9 @@ impl CommitPipeline {
 
     /// One batch: everything filled becomes durable with a single device
     /// sync, then waiters wake. The two chaos points bracket the sync so
-    /// fault tests can crash a batch on either side of it.
-    fn flush_batch(&self, commits: u64) -> Result<(), PipeError> {
+    /// fault tests can crash a batch on either side of it. `commits` is
+    /// zeroed once the batch's commits are counted.
+    fn flush_batch(&self, commits: &mut u64) -> Result<(), PipeError> {
         // Overload-resilience chaos point: armed with a `Delay` it makes
         // the flusher linger at the top of every batch (a stalled
         // flusher), which is what drives committers into `Stalled` /
@@ -447,9 +466,13 @@ impl CommitPipeline {
         chaos::point("commitpipe.flusher.stall")?;
         let target = self.log.filled_lsn();
         chaos::point("commitpipe.flusher.post_fill_pre_fsync")?;
+        let commits = std::mem::take(commits);
         if target > self.log.flushed_lsn() {
             self.log.fsync_to(target);
-            self.stats.batches.fetch_add(1, Ordering::Relaxed);
+            self.stats.record_sync(commits);
+        } else {
+            // Someone else's sync (an inline barrier, a backpressure
+            // escalation) already covered these commits.
             self.stats.commits.fetch_add(commits, Ordering::Relaxed);
         }
         chaos::point("commitpipe.flusher.post_fsync_pre_wakeup")?;
@@ -459,12 +482,16 @@ impl CommitPipeline {
 
     /// Observability snapshot.
     pub fn stats(&self) -> PipeStats {
-        let batches = self.stats.batches.load(Ordering::Relaxed);
+        let commit_batches = self.stats.commit_batches.load(Ordering::Relaxed);
         let commits = self.stats.commits.load(Ordering::Relaxed);
         PipeStats {
-            batches_flushed: batches,
+            batches_flushed: self.stats.batches.load(Ordering::Relaxed),
             commits_flushed: commits,
-            mean_batch_size: if batches == 0 { 0.0 } else { commits as f64 / batches as f64 },
+            mean_batch_size: if commit_batches == 0 {
+                0.0
+            } else {
+                commits as f64 / commit_batches as f64
+            },
             commit_wait_p50_us: self.stats.percentile_us(0.50),
             commit_wait_p99_us: self.stats.percentile_us(0.99),
             flusher_panics: self.stats.flusher_panics.load(Ordering::Relaxed),

@@ -74,6 +74,55 @@ fn batched_commits_share_fsyncs() {
 }
 
 #[test]
+fn mean_batch_size_ignores_syncs_that_carried_no_commit() {
+    let log = Arc::new(LogManager::new());
+    log.set_sync_latency(Duration::from_millis(3));
+    let pipe = CommitPipeline::new(log.clone());
+    pipe.start();
+    // Barrier traffic first (page write-back, checkpoints): syncs, no
+    // commits.
+    for i in 0..5u64 {
+        let lsn = log.append(TxnId(100 + i), Lsn::NULL, RecordBody::TxnEnd);
+        pipe.barrier(lsn).unwrap();
+    }
+    let barrier_syncs = pipe.stats().batches_flushed;
+    assert!(barrier_syncs >= 1);
+    assert_eq!(pipe.stats().mean_batch_size, 0.0, "no commit has been flushed yet");
+
+    let threads: Vec<_> = (0..8u64)
+        .map(|i| {
+            let (pipe, log) = (pipe.clone(), log.clone());
+            std::thread::spawn(move || {
+                let lsn = log.append(TxnId(i + 1), Lsn::NULL, RecordBody::TxnCommit);
+                pipe.commit_durable(lsn, Durability::Batched { window: Duration::from_millis(10) })
+            })
+        })
+        .collect();
+    for t in threads {
+        t.join().unwrap().unwrap();
+    }
+    let s = pipe.stats();
+    assert_eq!(s.commits_flushed, 8);
+    let commit_syncs = s.batches_flushed - barrier_syncs;
+    assert!(commit_syncs >= 1);
+    assert_eq!(s.mean_batch_size, 8.0 / commit_syncs as f64, "{s:?}");
+    pipe.stop(true);
+}
+
+#[test]
+fn inline_sync_counts_the_async_commits_it_covers() {
+    let (log, lsns) = log_with_commits(3);
+    let pipe = CommitPipeline::new(log.clone());
+    // No flusher: the Async requests stay pending until someone syncs.
+    pipe.commit_durable(lsns[0], Durability::Async).unwrap();
+    pipe.commit_durable(lsns[1], Durability::Async).unwrap();
+    pipe.commit_durable(lsns[2], Durability::Immediate).unwrap();
+    let s = pipe.stats();
+    assert_eq!((s.batches_flushed, s.commits_flushed), (1, 3));
+    assert_eq!(s.mean_batch_size, 3.0);
+}
+
+#[test]
 fn async_commit_returns_before_durable_and_converges() {
     let (log, lsns) = log_with_commits(1);
     let pipe = CommitPipeline::with_config(

@@ -2,9 +2,8 @@
 //!
 //! With the feature on, `chaos::point("...")` forwards to `gist_chaos`
 //! and an armed point can panic, inject [`GistError::Injected`], delay
-//! or yield. Without it the call compiles to `Ok(())` — the bench
-//! `bench_chaos` prices the difference (spoiler: one relaxed atomic
-//! load when on, nothing when off). Point names must appear in
+//! or yield. Without it the call compiles to `Ok(())` (one relaxed
+//! atomic load when on, nothing when off). Point names must appear in
 //! `gist_chaos::CATALOG`; the `chaos-point-registry` lint rule checks
 //! every call site against the catalog.
 

@@ -114,9 +114,12 @@ pub fn check_tree<E: GistExtension>(index: &GistIndex<E>) -> Result<CheckReport>
         // keeps a stale rightlink (legal — the NSN guard keeps traversals
         // off it), and once the page is reused that stale edge is
         // structurally indistinguishable from corruption. A self-link is
-        // the exception: no code path ever stores a page's own id in its
-        // rightlink, so it is always corruption — and it is the failure
-        // mode a torn or misdirected header write actually produces.
+        // the exception. The one path that could write it — a split
+        // handed, as its new sibling, the freed page its own stale
+        // rightlink still names — inherits the dead tenant's rightlink
+        // instead (`inherited_rightlink` in `ops/insert.rs`), so a
+        // self-link is always corruption — and it is the failure mode a
+        // torn or misdirected header write actually produces.
         if g.rightlink() == pid {
             report.violations.push(format!("rightlink cycle through {pid} (self-link)"));
         }

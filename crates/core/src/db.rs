@@ -85,8 +85,6 @@ pub struct DbConfig {
     pub isolation: IsolationLevel,
     /// Phantom-avoidance mechanism.
     pub predicate_mode: PredicateMode,
-    /// Lock-wait timeout (safety net).
-    pub lock_timeout: Duration,
     /// With [`NsnSource::WalLsn`]: memorize the parent page's LSN instead
     /// of reading the log manager's counter when descending (§10.1's
     /// second optimization, which relieves the high-frequency counter).
@@ -105,19 +103,8 @@ pub struct DbConfig {
     pub durability: Durability,
     /// Start the group-commit flusher thread. When off, every durability
     /// request is served inline by its caller — the pre-pipeline
-    /// one-fsync-per-commit behavior (the benchmarks' baseline).
+    /// one-fsync-per-commit behavior.
     pub group_commit: bool,
-    /// Simulated log-device sync latency, paid once per durability
-    /// advance under a device-wide mutex. Zero (the default) keeps
-    /// in-memory tests instant; benchmarks set it to make fsync sharing
-    /// observable.
-    pub wal_sync_latency: Duration,
-    /// Serve [`crate::GistIndex::search`] through the optimistic
-    /// latch-free read path (seqlock-validated copy-out under an epoch
-    /// pin, falling back to the latched cursor on contention). Off
-    /// reproduces the pre-optimistic latched traversal exactly;
-    /// incremental cursors always use the latched protocol.
-    pub optimistic_reads: bool,
     /// Admission control for transaction begins: at most
     /// [`AdmissionConfig::max_in_flight`] transactions run at once;
     /// [`Db::try_begin`] sheds with [`GistError::Overloaded`] after
@@ -125,22 +112,25 @@ pub struct DbConfig {
     /// barges past the cap after the same park (it cannot fail).
     /// `max_in_flight: 0` disables admission entirely.
     pub admission: AdmissionConfig,
-    /// WAL backpressure: when the volatile log tail (`reserved −
-    /// durable`) exceeds this many records, `LogManager::reserve` parks
-    /// the appender until the flusher catches up. `0` disables the gate.
-    pub wal_backpressure_limit: u64,
-    /// How long a backpressured appender parks before escalating to an
-    /// inline flush of the filled prefix (stalled-flusher degradation).
-    pub wal_backpressure_timeout: Duration,
-    /// Epoch retire-bin byte cap: above it the domain reports a stall,
-    /// optimistic reads fall back to the latched path, and retire forces
-    /// an epoch advance. `0` disables the cap.
-    pub epoch_cap_bytes: u64,
     /// Oldest-pin age budget: a pin older than this marks the epoch
-    /// domain stalled (same degradations as the byte cap). Zero disables
-    /// the age check.
+    /// domain stalled — searches walk latched (no new pins) and retire
+    /// forces epoch advances, as when the retire bin passes its fixed
+    /// byte cap. Zero disables the age check.
     pub epoch_stall_age: Duration,
 }
+
+/// Lock-wait timeout (safety net behind deadlock detection).
+const LOCK_TIMEOUT: Duration = Duration::from_secs(10);
+/// WAL backpressure: when the volatile log tail (`reserved − durable`)
+/// exceeds this many records, `LogManager::reserve` parks the appender
+/// until the flusher catches up.
+const WAL_BACKPRESSURE_LIMIT: u64 = 1 << 16;
+/// How long a backpressured appender parks before escalating to an
+/// inline flush of the filled prefix (stalled-flusher degradation).
+const WAL_BACKPRESSURE_TIMEOUT: Duration = Duration::from_millis(100);
+/// Epoch retire-bin byte cap: above it the domain reports a stall (see
+/// [`DbConfig::epoch_stall_age`]).
+const EPOCH_CAP_BYTES: u64 = 64 << 20;
 
 impl Default for DbConfig {
     fn default() -> Self {
@@ -149,18 +139,12 @@ impl Default for DbConfig {
             nsn_source: NsnSource::WalLsn,
             isolation: IsolationLevel::RepeatableRead,
             predicate_mode: PredicateMode::Hybrid,
-            lock_timeout: Duration::from_secs(10),
             memorize_parent_lsn: true,
             maint: gist_maint::MaintConfig::default(),
             sync_shards: 0,
             durability: Durability::Immediate,
             group_commit: true,
-            wal_sync_latency: Duration::ZERO,
-            optimistic_reads: true,
             admission: AdmissionConfig::default(),
-            wal_backpressure_limit: 1 << 16,
-            wal_backpressure_timeout: Duration::from_millis(100),
-            epoch_cap_bytes: 64 << 20,
             epoch_stall_age: Duration::from_secs(2),
         }
     }
@@ -269,7 +253,7 @@ pub struct Db {
     opt_hits: AtomicU64,
     /// Seqlock validation failures that re-read a node optimistically.
     opt_retries: AtomicU64,
-    /// Optimistic traversals that fell back to the latched cursor.
+    /// Optimistic traversals that flipped to the latched access.
     opt_fallbacks: AtomicU64,
     /// Admission controller gating transaction begins (overload shed).
     admission: AdmissionController,
@@ -292,7 +276,7 @@ pub struct OptReadStats {
     pub retries: u64,
     /// Traversals that gave up on the fast path — eviction under the
     /// reader, retry budget exhausted, or an uncachable page — and
-    /// restarted on the latched cursor (partial results kept).
+    /// restarted from the root latched (delivered rows kept).
     pub fallbacks: u64,
     /// Pool misses served by a pool-bypassing direct store read (no
     /// frame, no pin, no eviction pressure).
@@ -353,7 +337,7 @@ pub struct RobustnessStats {
     pub opt_read_hits: u64,
     /// Optimistic-read seqlock retries.
     pub opt_read_retries: u64,
-    /// Optimistic traversals that fell back to the latched cursor.
+    /// Optimistic traversals that flipped to the latched access.
     pub opt_read_fallbacks: u64,
     /// Optimistic pool misses served by a direct (pool-bypassing)
     /// store read.
@@ -417,9 +401,9 @@ impl Db {
         // One reclamation domain per database: evicted frames and §7.2
         // page frees defer behind the optimistic readers' pins.
         let epoch = Arc::new(EpochGc::new());
-        epoch.set_limits(config.epoch_cap_bytes, config.epoch_stall_age);
+        epoch.set_limits(EPOCH_CAP_BYTES, config.epoch_stall_age);
         pool.set_epoch(epoch.clone());
-        log.set_backpressure(config.wal_backpressure_limit, config.wal_backpressure_timeout);
+        log.set_backpressure(WAL_BACKPRESSURE_LIMIT, WAL_BACKPRESSURE_TIMEOUT);
         if store.page_count() == 0 {
             // Bootstrap the catalog page and make it durable immediately
             // so redo can always assume a formatted page 0.
@@ -429,16 +413,11 @@ impl Db {
             pool.flush_all()?;
             pool.sync_store()?;
         }
-        let locks = Arc::new(LockManager::with_timeout_and_shards(
-            config.lock_timeout,
-            config.sync_shards,
-        ));
+        let locks =
+            Arc::new(LockManager::with_timeout_and_shards(LOCK_TIMEOUT, config.sync_shards));
         let preds = Arc::new(PredicateManager::with_shards(config.sync_shards));
         let txns = Arc::new(TxnManager::new(log.clone(), locks.clone(), preds.clone()));
         txns.set_default_durability(config.durability);
-        if !config.wal_sync_latency.is_zero() {
-            log.set_sync_latency(config.wal_sync_latency);
-        }
         // Re-point the WAL-before-data barrier at the pipeline: page
         // writeback then batches its log force with pending commits
         // instead of issuing a private fsync (inline when not started).
@@ -615,17 +594,14 @@ impl Db {
         self.opt_fallbacks.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Whether searches may take the optimistic latch-free path right
-    /// now: configured on *and* the epoch domain is not stalled. Under a
-    /// stall (retire bin over its byte cap, or a pin past the age
-    /// budget) reads degrade to the latched cursor — which takes no pin,
-    /// so the overloaded domain stops growing while forced advances and
+    /// Whether a one-shot traversal may start on the optimistic
+    /// latch-free node access right now: always, unless the epoch domain
+    /// is stalled. Under a stall (retire bin over its byte cap, or a pin
+    /// past the age budget) reads walk latched — which takes no pin, so
+    /// the overloaded domain stops growing while forced advances and
     /// collection push it back under its caps. Recovery is automatic:
-    /// the next call after the stall clears re-enables the fast path.
+    /// the next call after the stall clears starts optimistic again.
     pub fn optimistic_enabled(&self) -> bool {
-        if !self.config.optimistic_reads {
-            return false;
-        }
         if self.epoch.is_stalled() {
             self.opt_stall_skips.fetch_add(1, Ordering::Relaxed);
             return false;

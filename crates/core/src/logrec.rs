@@ -79,7 +79,9 @@ pub enum GistRecord {
         /// known before the record is appended.
         orig_nsn_new: u64,
         /// Original node's rightlink before the split (sibling inherits
-        /// it).
+        /// it) — with links to freed pages already followed through to
+        /// the first live page, so neither redo nor undo ever re-installs
+        /// a link to the freed page `new` itself used to be.
         orig_rightlink_old: u32,
         /// Table 1's "newly inserted key and which page it belongs on":
         /// whether the pending insert was routed to the sibling.

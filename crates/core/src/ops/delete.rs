@@ -15,8 +15,8 @@ use crate::entry::{LeafEntry, LeafEntryRef};
 use crate::ext::GistExtension;
 use crate::logrec::GistRecord;
 use crate::node;
+use crate::ops::walk::{Access, Walk};
 use crate::ops::{ParentLoc, StackEntry};
-use crate::scratch::InlineVec;
 use crate::tree::GistIndex;
 use crate::{GistError, Result};
 
@@ -75,98 +75,56 @@ impl<E: GistExtension> GistIndex<E> {
 
         // Locate the leaf holding the entry: "equivalent to a search
         // operation with an equality predicate" (§7), X-latching leaves.
-        // Each stacked pointer carries the page we followed it from: if
-        // the mark succeeds, that parent becomes the GC candidate's hint
-        // (a sibling reached by rightlink shares its predecessor's
-        // parent hint — the maintenance path walks parent rightlinks, so
-        // any same-level ancestor's parent locates the entry).
+        // If the mark succeeds, the page the leaf's pointer was read from
+        // becomes the GC candidate's parent hint (the maintenance path
+        // walks parent rightlinks, so any same-level ancestor's parent
+        // locates the entry).
         let q = self.ext().eq_query(key);
-        let mut mem = db.global_nsn();
-        let root = self.root()?;
-        self.signal_lock(txn, root)?;
-        let mut stack: InlineVec<(PageId, u64, Option<PageId>), 8> = InlineVec::new();
-        stack.push((root, mem, None));
+        let mut walk = Walk::new(self.clone(), txn, &q, Access::Latched, false)?;
         let mut found = false;
-        while let Some((pid, pmem, parent)) = stack.pop() {
-            if pid.is_invalid() {
-                continue;
+        while let Some(leaf) = walk.next_leaf()? {
+            let (pid, parent_hint) = (leaf.page, leaf.parent);
+            let mut w = walk.relatch_write(leaf)?;
+            let target = node::entry_cells(&w)
+                .find(|(_, cell)| {
+                    let e = LeafEntryRef::new(cell);
+                    e.rid() == rid && !e.deleted() && self.ext().key_bytes_equal(e.key_bytes(), key)
+                })
+                .map(|(slot, cell)| (slot, cell.to_vec()));
+            if let Some((slot, old_cell)) = target {
+                crate::chaos::point("delete.before_mark")?;
+                let rec = GistRecord::MarkLeafEntry {
+                    page: pid.0,
+                    nsn: w.nsn(),
+                    slot,
+                    old_cell: old_cell.clone(),
+                    deleter: txn.0,
+                };
+                let lsn = db.txns().log_update(txn, RecordBody::Payload(rec.to_payload()))?;
+                let marked = LeafEntry::with_mark(&old_cell, true, txn);
+                w.update_cell(slot, &marked)
+                    .unwrap_or_else(|e| unreachable!("mark is same-size: {e}"));
+                w.mark_dirty(lsn);
+                // An injected fault here leaves a logged, applied mark
+                // behind — exactly what the abort path must undo.
+                crate::chaos::point("delete.after_mark")?;
+                // Hand the leaf to the maintenance daemon: if (when)
+                // this transaction commits, the mark becomes
+                // garbage-collectable and the daemon reclaims the
+                // slot (§7.1) without any foreground sweep.
+                db.txns().note_gc_candidate(
+                    txn,
+                    gist_txn::GcCandidate { index: self.id(), leaf: pid, parent_hint },
+                );
+                found = true;
             }
-            mem = pmem;
-            let g = db.pool().fetch_read(pid)?;
-            if g.nsn() > mem {
-                stack.push((g.rightlink(), mem, parent));
-            }
-            if g.is_leaf() {
-                drop(g);
-                let mut w = db.pool().fetch_write(pid)?;
-                if w.nsn() > mem {
-                    // Split between the latches: make sure the chain
-                    // continuation is stacked exactly once.
-                    if stack.last() != Some((w.rightlink(), mem, parent)) {
-                        stack.push((w.rightlink(), mem, parent));
-                    }
-                }
-                let target = node::entry_cells(&w)
-                    .find(|(_, cell)| {
-                        let e = LeafEntryRef::new(cell);
-                        e.rid() == rid
-                            && !e.deleted()
-                            && self.ext().key_bytes_equal(e.key_bytes(), key)
-                    })
-                    .map(|(slot, cell)| (slot, cell.to_vec()));
-                if let Some((slot, old_cell)) = target {
-                    crate::chaos::point("delete.before_mark")?;
-                    let rec = GistRecord::MarkLeafEntry {
-                        page: pid.0,
-                        nsn: w.nsn(),
-                        slot,
-                        old_cell: old_cell.clone(),
-                        deleter: txn.0,
-                    };
-                    let lsn = db.txns().log_update(txn, RecordBody::Payload(rec.to_payload()))?;
-                    let marked = LeafEntry::with_mark(&old_cell, true, txn);
-                    w.update_cell(slot, &marked)
-                        .unwrap_or_else(|e| unreachable!("mark is same-size: {e}"));
-                    w.mark_dirty(lsn);
-                    // An injected fault here leaves a logged, applied mark
-                    // behind — exactly what the abort path must undo.
-                    crate::chaos::point("delete.after_mark")?;
-                    // Hand the leaf to the maintenance daemon: if (when)
-                    // this transaction commits, the mark becomes
-                    // garbage-collectable and the daemon reclaims the
-                    // slot (§7.1) without any foreground sweep.
-                    db.txns().note_gc_candidate(
-                        txn,
-                        gist_txn::GcCandidate {
-                            index: self.id(),
-                            leaf: pid,
-                            parent_hint: parent,
-                        },
-                    );
-                    found = true;
-                    drop(w);
-                    self.signal_unlock(txn, pid);
-                    break;
-                }
-                drop(w);
-            } else {
-                for (_, e) in node::internal_views(&g) {
-                    if self.ext().consistent_pred_bytes(e.pred_bytes(), &q) {
-                        let child_mem = self.read_mem(Some(&g));
-                        self.signal_lock(txn, e.child())?;
-                        stack.push((e.child(), child_mem, Some(pid)));
-                    }
-                }
-                drop(g);
-            }
-            self.signal_unlock(txn, pid);
-        }
-        // Unvisited stacked pointers: release their signaling locks.
-        for (pid, _, _) in stack.iter() {
-            if !pid.is_invalid() {
-                self.signal_unlock(txn, pid);
+            drop(w);
+            walk.visited(pid);
+            if found {
+                break;
             }
         }
+        walk.finish();
         if found {
             Ok(())
         } else {

@@ -371,6 +371,47 @@ impl<E: GistExtension> GistIndex<E> {
         }
     }
 
+    /// The rightlink a split hands from `node_g` to its new sibling
+    /// `new_pid` (§3: "the new sibling inherits the old rightlink") — and
+    /// logs as the original's old rightlink, so redo, undo and the
+    /// in-unit compensation all agree on it. Normally the node's own. But
+    /// a drained right sibling leaves its page id behind in this node's
+    /// rightlink (legal: the NSN guard keeps traversals off it, and a
+    /// GiST has no left links to repair it through), and the allocator
+    /// may hand out exactly that page — inheriting the link as is would
+    /// make the sibling point at itself. So while the link names a freed
+    /// page, follow that dead tenant's own rightlink instead.
+    fn inherited_rightlink(&self, node_g: &PageWriteGuard, new_pid: PageId) -> Result<PageId> {
+        let pool = self.db().pool();
+        let mut link = node_g.rightlink();
+        // A chain of freed pages is shorter than the store.
+        for _ in 0..pool.store().page_count() {
+            if link.is_invalid() {
+                return Ok(link);
+            }
+            let dead_tenant = loop {
+                match pool.try_fetch_write(link)? {
+                    Some(g) => break g.is_available().then(|| g.rightlink()),
+                    // Ours since the allocation and still unformatted: any
+                    // other holder is a reader passing through (a stale
+                    // rightlink chase, a sweep), so waiting it out cannot
+                    // be part of a deadlock — `new_page_write`'s argument
+                    // for the same page.
+                    None if link == new_pid => std::thread::yield_now(),
+                    // Any other freed page may be some split's fresh
+                    // sibling by now, latched until that unit ends: let it
+                    // keep the link the protocol already tolerates.
+                    None => break None,
+                }
+            };
+            match dead_tenant {
+                Some(next) => link = next,
+                None => return Ok(link),
+            }
+        }
+        Err(GistError::Corrupt(format!("rightlink cycle among freed pages from {}", node_g.page_id())))
+    }
+
     /// Recursive splitting (Fig. 4 `splitNode`). Returns the original and
     /// new-sibling guards plus whether the pending key routes to the
     /// sibling. Parent guards move into `held` (kept until the atomic
@@ -438,7 +479,10 @@ impl<E: GistExtension> GistIndex<E> {
         let level_start = db.txns().last_lsn(txn).ok_or(GistError::Txn(gist_txn::TxnError::NotActive(txn)))?;
 
         // Allocate and format the sibling (Get-Page, inside the unit).
+        // The rightlink it will inherit is settled first: healing reads
+        // the allocated page's previous image, which formatting erases.
         let new_pid = db.alloc().allocate();
+        let orig_rightlink_old = self.inherited_rightlink(&node_g, new_pid)?;
         let get_rec = GistRecord::GetPage { page: new_pid.0, level, bp: new_bp.clone() };
         let get_lsn = db.txns().log_update(txn, RecordBody::Payload(get_rec.to_payload()))?;
         let mut new_g = db.pool().new_page_write(new_pid, level)?;
@@ -448,7 +492,6 @@ impl<E: GistExtension> GistIndex<E> {
 
         // The Split record: log, then apply to both latched pages.
         let orig_nsn_old = node_g.nsn();
-        let orig_rightlink_old = node_g.rightlink();
         let split_rec_partial = |nsn_new: u64| GistRecord::Split {
             orig: node_id.0,
             new: new_pid.0,

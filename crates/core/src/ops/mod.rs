@@ -1,7 +1,8 @@
 //! The tree operations: search (Fig. 3), insertion (Fig. 4), deletion,
 //! garbage collection, node deletion, unique insertion.
 //!
-//! Shared machinery lives here: descent stack entries, memorized-counter
+//! The Fig. 3 traversal itself — run by search, cursors and the delete
+//! descent — is [`walk`]. Other shared machinery lives here: descent stack entries, memorized-counter
 //! reads (§10.1), parent latching with rightlink correction, signaling
 //! locks (§7.2), and the log-then-apply helpers for structure
 //! modifications.
@@ -9,6 +10,7 @@
 pub mod cursor;
 pub mod delete;
 mod insert;
+mod walk;
 
 use gist_lockmgr::{LockMode, LockName};
 use gist_pagestore::{PageId, PageWriteGuard, SlotId};

@@ -50,13 +50,6 @@ impl<T: Copy, const N: usize> InlineVec<T, N> {
         self.head_len + self.tail.len()
     }
 
-    pub(crate) fn last(&self) -> Option<T> {
-        match self.tail.last() {
-            Some(item) => Some(*item),
-            None => self.head[..self.head_len].last().copied().flatten(),
-        }
-    }
-
     pub(crate) fn iter(&self) -> impl Iterator<Item = T> + '_ {
         self.head[..self.head_len].iter().flatten().chain(self.tail.iter()).copied()
     }
@@ -116,20 +109,6 @@ impl<T: Copy + Eq + Hash, const N: usize> InlineSet<T, N> {
             None => self.small.len(),
         }
     }
-
-    pub(crate) fn iter(&self) -> impl Iterator<Item = T> + '_ {
-        // Once spilled, `small` is stale (a strict subset); read `large`.
-        let small = self.large.is_none().then(|| self.small.iter());
-        small.into_iter().flatten().chain(self.large.iter().flatten().copied())
-    }
-}
-
-impl<T: Copy + Eq + Hash, const N: usize> Extend<T> for InlineSet<T, N> {
-    fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
-        for item in iter {
-            self.insert(item);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -140,10 +119,8 @@ mod tests {
     fn vec_is_lifo_across_the_spill_boundary() {
         let mut v: InlineVec<u32, 4> = InlineVec::new();
         assert_eq!(v.pop(), None);
-        assert_eq!(v.last(), None);
         for i in 0..10 {
             v.push(i);
-            assert_eq!(v.last(), Some(i));
         }
         assert_eq!(v.len(), 10);
         assert_eq!(v.iter().collect::<Vec<_>>(), (0..10).collect::<Vec<_>>());
@@ -165,14 +142,6 @@ mod tests {
             }
         }
         assert_eq!(s.len(), 10);
-        assert!(s.contains(&9) && s.contains(&0) && !s.contains(&10));
-        let mut all: Vec<u32> = s.iter().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..10).collect::<Vec<_>>());
-
-        let mut t: InlineSet<u32, 4> = InlineSet::new();
-        t.extend([1, 1, 2]);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.iter().collect::<Vec<_>>(), vec![1, 2]);
+        assert!((0..10).all(|i| s.contains(&i)) && !s.contains(&10));
     }
 }

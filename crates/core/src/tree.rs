@@ -176,7 +176,7 @@ impl<E: GistExtension> GistIndex<E> {
     }
 
     /// Compute tree statistics with a full sweep (no isolation — a
-    /// diagnostic snapshot). With `DbConfig::optimistic_reads` each
+    /// diagnostic snapshot). Unless the epoch domain is stalled each
     /// node is copied out latch-free under a seqlock check, falling
     /// back to a latched read per node when its version word moves.
     pub fn stats(&self) -> Result<TreeStats> {

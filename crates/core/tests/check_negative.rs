@@ -99,11 +99,14 @@ fn healthy_tree() -> (Arc<Db>, Arc<GistIndex<IntervalExt>>) {
 /// Descend along first-child entries from the root to some non-root
 /// leaf. Slot 0 of every node is its BP; slots ≥ 1 are entries.
 fn some_leaf(db: &Arc<Db>, idx: &GistIndex<IntervalExt>) -> PageId {
-    let mut pid = idx.root().unwrap();
+    // Read before the loop: `root()` latches the catalog page, and one
+    // latch at a time is the discipline `--features latch-audit` enforces.
+    let root = idx.root().unwrap();
+    let mut pid = root;
     loop {
         let g = db.pool().fetch_read(pid).unwrap();
         if g.is_leaf() {
-            assert_ne!(pid, idx.root().unwrap(), "tree must have height > 1");
+            assert_ne!(pid, root, "tree must have height > 1");
             return pid;
         }
         let (_, cell) = g.iter_cells().find(|(s, _)| *s != 0).expect("internal node has entries");

@@ -301,8 +301,7 @@ impl BufferPool {
     }
 
     /// Enable/disable checksum verification on page loads (stamping on
-    /// write-back is unconditional). On by default; `bench_fault` turns
-    /// it off to isolate the read-path verification cost.
+    /// write-back is unconditional). On by default.
     pub fn set_verify_checksums(&self, on: bool) {
         self.verify_checksums.store(on, Ordering::Relaxed);
     }

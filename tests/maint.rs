@@ -473,3 +473,43 @@ fn drained_pages_are_unreachable_afterward() {
     assert_eq!(keys_present(&db, &idx, 0, 2000).len(), 500);
     check_tree(&idx).unwrap().assert_ok();
 }
+
+/// A drained leaf's left sibling keeps naming it in its rightlink (legal:
+/// the NSN guard keeps traversals off it). When that sibling later splits
+/// and the LIFO allocator hands it the very page its stale rightlink
+/// names, the new node must inherit the dead tenant's rightlink, not a
+/// link to itself.
+#[test]
+fn split_onto_the_page_a_stale_rightlink_names_heals_the_link() {
+    let h = Harness::new();
+    let (db, idx) = h.open();
+    let txn = db.begin();
+    for k in 0..3_000i64 {
+        idx.insert(txn, &(k * 1000), rid(k as u64)).unwrap();
+    }
+    db.commit(txn).unwrap();
+    let txn = db.begin();
+    for k in 1_000..2_000i64 {
+        idx.delete(txn, &(k * 1000), rid(k as u64)).unwrap();
+    }
+    db.commit(txn).unwrap();
+    let txn = db.begin();
+    let report = idx.vacuum_sync(txn).unwrap();
+    db.commit(txn).unwrap();
+    db.maint_sync();
+    assert!(report.nodes_deleted > 0 && db.alloc().free_count() > 0, "nothing drained");
+
+    // Refill next to the drained range until every freed page is reused.
+    let mut k = 999_000i64;
+    while db.alloc().free_count() > 0 {
+        k += 1;
+        assert!(k < 999_000 + 5_000, "free list never drained");
+        let txn = db.begin();
+        idx.insert(txn, &k, rid(100_000 + k as u64)).unwrap();
+        db.commit(txn).unwrap();
+        if k % 25 == 0 {
+            check_tree(&idx).unwrap().assert_ok();
+        }
+    }
+    check_tree(&idx).unwrap().assert_ok();
+}

@@ -1,6 +1,6 @@
-//! The optimistic latch-free read path: equivalence with the latched
+//! The optimistic latch-free node access: equivalence with the latched
 //! cursor, repeatability under a concurrent writer storm, and the
-//! fallback seeding that keeps result sets exact.
+//! in-place flip to the latched access that keeps result sets exact.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -16,33 +16,30 @@ fn rid(n: u64) -> Rid {
     Rid::new(PageId(810_000 + (n >> 16) as u32), (n & 0xFFFF) as u16)
 }
 
-fn open(optimistic: bool) -> (Arc<Db>, Arc<GistIndex<BtreeExt>>) {
+fn open() -> (Arc<Db>, Arc<GistIndex<BtreeExt>>) {
     let store = Arc::new(InMemoryStore::new());
     let log = Arc::new(LogManager::new());
-    let config = DbConfig { optimistic_reads: optimistic, ..DbConfig::default() };
-    let db = Db::open(store, log, config).unwrap();
+    let db = Db::open(store, log, DbConfig::default()).unwrap();
     let idx = GistIndex::create(db.clone(), "t", BtreeExt, IndexOptions::default()).unwrap();
     (db, idx)
 }
 
-/// The two read paths must be observationally identical: the same
-/// committed content answers the same queries with the same result
-/// sets, whichever traversal mode the config selects.
+/// The two node accesses must be observationally identical: the same
+/// committed content answers the same queries with the same result sets
+/// whether `search` walks it (optimistic) or a cursor does (always
+/// latched).
 #[test]
 fn optimistic_and_latched_return_identical_result_sets() {
-    let (db_opt, idx_opt) = open(true);
-    let (db_lat, idx_lat) = open(false);
-    for (db, idx) in [(&db_opt, &idx_opt), (&db_lat, &idx_lat)] {
-        let txn = db.begin();
-        for k in 0..3_000i64 {
-            idx.insert(txn, &k, rid(k as u64)).unwrap();
-        }
-        // Punch some holes so delete-marked entries are in play too.
-        for k in (0..3_000i64).step_by(7) {
-            idx.delete(txn, &k, rid(k as u64)).unwrap();
-        }
-        db.commit(txn).unwrap();
+    let (db, idx) = open();
+    let txn = db.begin();
+    for k in 0..3_000i64 {
+        idx.insert(txn, &k, rid(k as u64)).unwrap();
     }
+    // Punch some holes so delete-marked entries are in play too.
+    for k in (0..3_000i64).step_by(7) {
+        idx.delete(txn, &k, rid(k as u64)).unwrap();
+    }
+    db.commit(txn).unwrap();
 
     let queries = [
         I64Query::range(0, 2_999),
@@ -52,23 +49,83 @@ fn optimistic_and_latched_return_identical_result_sets() {
         I64Query::range(4_000, 5_000), // empty
     ];
     for q in &queries {
-        let t1 = db_opt.begin();
-        let mut a = idx_opt.search(t1, q).unwrap();
-        db_opt.commit(t1).unwrap();
-        let t2 = db_lat.begin();
-        let mut b = idx_lat.search(t2, q).unwrap();
-        db_lat.commit(t2).unwrap();
+        let t1 = db.begin();
+        let mut a = idx.search(t1, q).unwrap();
+        db.commit(t1).unwrap();
+        let before = db.opt_read_stats();
+        let t2 = db.begin();
+        let mut b = idx.cursor(t2, *q).unwrap().collect_all().unwrap();
+        db.commit(t2).unwrap();
+        let after = db.opt_read_stats();
+        assert_eq!(
+            (before.hits, before.retries, before.fallbacks),
+            (after.hits, after.retries, after.fallbacks),
+            "a cursor drain touched the optimistic access"
+        );
         a.sort();
         b.sort();
         assert_eq!(a, b, "optimistic and latched result sets diverge");
     }
+    let s = db.opt_read_stats();
+    assert!(s.hits > 0, "search never validated an optimistic copy: {s:?}");
+}
 
-    // The fast path actually ran on the optimistic db and never ran on
-    // the latched one.
-    let so = db_opt.opt_read_stats();
-    assert!(so.hits > 0, "optimistic path never validated a node: {so:?}");
-    let sl = db_lat.opt_read_stats();
-    assert_eq!((sl.hits, sl.retries, sl.fallbacks), (0, 0, 0), "latched db used fast path");
+/// A forced fallback: a writer holds the X latch of a leaf in the middle
+/// of the scanned range, so the optimistic access burns its retry budget
+/// on that leaf (after delivering the leaves before it) and the same walk
+/// flips to latched. The result must be exact and duplicate-free, and the
+/// search must have registered exactly one scan predicate.
+#[test]
+fn forced_fallback_keeps_one_predicate_and_exact_rows() {
+    let (db, idx) = open();
+    let txn = db.begin();
+    for k in 0..1_000i64 {
+        idx.insert(txn, &k, rid(k as u64)).unwrap();
+    }
+    db.commit(txn).unwrap();
+    assert!(idx.stats().unwrap().leaves >= 3);
+
+    // The leaf holding key 500, found through the locked record's page.
+    let store_pages = db.pool().store().page_count();
+    let target = (1..store_pages)
+        .map(PageId)
+        .find(|&pid| {
+            let g = db.pool().fetch_read(pid).unwrap();
+            !g.is_available()
+                && g.is_leaf()
+                && g.iter_cells().filter(|(slot, _)| *slot != 0).any(|(_, cell)| {
+                    gist_repro::core::LeafEntryRef::new(cell).rid() == rid(500)
+                })
+        })
+        .expect("some leaf holds key 500");
+
+    let preds_before = db.preds().stats().predicates;
+    let fallbacks_before = db.opt_read_stats().fallbacks;
+    let latch = db.pool().fetch_write(target).unwrap();
+    let reader = {
+        let (db, idx) = (db.clone(), idx.clone());
+        std::thread::spawn(move || {
+            let txn = db.begin();
+            let rows = idx.search(txn, &I64Query::range(0, 999)).unwrap();
+            let preds = db.preds().stats().predicates;
+            db.commit(txn).unwrap();
+            (rows, preds)
+        })
+    };
+    // The reader cannot get past the latched leaf: once it has given up
+    // on the optimistic access it is queued on the latch (or about to
+    // be), and releasing it lets the latched walk finish.
+    while db.opt_read_stats().fallbacks == fallbacks_before {
+        std::thread::yield_now();
+    }
+    drop(latch);
+    let (rows, preds_during) = reader.join().unwrap();
+
+    assert_eq!(db.opt_read_stats().fallbacks, fallbacks_before + 1);
+    assert_eq!(preds_during, preds_before + 1, "one search, one scan predicate");
+    let mut keys: Vec<i64> = rows.iter().map(|(k, _)| *k).collect();
+    keys.sort_unstable();
+    assert_eq!(keys, (0..1_000).collect::<Vec<_>>(), "rows lost or duplicated across the flip");
 }
 
 /// Under a sustained insert/delete storm the optimistic drain must
@@ -76,7 +133,7 @@ fn optimistic_and_latched_return_identical_result_sets() {
 /// stable baseline region in full, and never a phantom inside it.
 #[test]
 fn optimistic_scans_stay_exact_under_writer_storm() {
-    let (db, idx) = open(true);
+    let (db, idx) = open();
     let txn = db.begin();
     for k in 0..1_000i64 {
         idx.insert(txn, &k, rid(k as u64)).unwrap();
@@ -180,7 +237,7 @@ fn optimistic_scans_stay_exact_under_writer_storm() {
 /// the retire bin).
 #[test]
 fn optimistic_epoch_bin_drains_at_quiescence() {
-    let (db, idx) = open(true);
+    let (db, idx) = open();
     let txn = db.begin();
     for k in 0..2_000i64 {
         idx.insert(txn, &k, rid(k as u64)).unwrap();

@@ -196,7 +196,6 @@ fn epoch_stall_degrades_and_recovers() {
     use std::time::Instant;
 
     let config = DbConfig {
-        optimistic_reads: true,
         // A pin is "stalled" after 10ms so the drill converges fast.
         epoch_stall_age: Duration::from_millis(10),
         ..DbConfig::default()

@@ -440,3 +440,101 @@ fn store_only_durability_without_log_is_ignored() {
     // The store itself survived both rounds.
     assert!(h.store.page_count() > 0);
 }
+
+/// Redo and undo of a split that healed its inherited rightlink: the
+/// left sibling of a drained leaf still names the freed page in its
+/// rightlink when it splits (`tests/maint.rs` has the live-path recipe).
+/// The Split record carries the healed link, so repeating history (crash
+/// after the commit) and unwinding the unit (crash before its NtaEnd)
+/// must both leave the chain pointing past the freed pages.
+#[test]
+fn split_with_healed_rightlink_redoes_and_undoes() {
+    use gist_repro::core::GistRecord;
+    use gist_repro::wal::{Lsn, RecordBody};
+
+    for crash_inside_unit in [false, true] {
+        let h = Harness::with_config(DbConfig { group_commit: false, ..DbConfig::default() });
+        let (db, idx) = h.open();
+        let txn = db.begin();
+        for k in 0..3_000i64 {
+            idx.insert(txn, &(k * 1000), rid(k as u64)).unwrap();
+        }
+        db.commit(txn).unwrap();
+        let txn = db.begin();
+        for k in 1_000..2_000i64 {
+            idx.delete(txn, &(k * 1000), rid(k as u64)).unwrap();
+        }
+        db.commit(txn).unwrap();
+        let txn = db.begin();
+        idx.vacuum_sync(txn).unwrap();
+        db.commit(txn).unwrap();
+        db.maint_sync();
+
+        // Refill one transaction per key until a split logs a rightlink
+        // other than the one its node held just before.
+        let rightlinks = |db: &Arc<Db>| -> Vec<PageId> {
+            (0..h.store.page_count())
+                .map(|p| db.pool().fetch_read(PageId(p)).unwrap().rightlink())
+                .collect()
+        };
+        let mut k = 999_000i64;
+        let (txn, orig, sibling, healed, nta_end) = loop {
+            k += 1;
+            assert!(k < 999_000 + 5_000, "no split ever inherited a stale rightlink");
+            let (links_before, log_before) = (rightlinks(&db), h.log.last_lsn());
+            let txn = db.begin();
+            idx.insert(txn, &k, rid(100_000 + k as u64)).unwrap();
+            let recs = h.log.scan_from(Lsn(log_before.0 + 1));
+            let healing = recs.iter().find_map(|r| match &r.body {
+                RecordBody::Payload(p) => match GistRecord::decode(&p.bytes) {
+                    Ok(GistRecord::Split { orig, new, orig_rightlink_old, .. })
+                        if links_before[orig as usize] != PageId(orig_rightlink_old) =>
+                    {
+                        Some((r.lsn, PageId(orig), PageId(new), PageId(orig_rightlink_old)))
+                    }
+                    _ => None,
+                },
+                _ => None,
+            });
+            if let Some((split_lsn, orig, sibling, healed)) = healing {
+                let stale = links_before[orig.0 as usize];
+                assert!(db.pool().fetch_read(stale).unwrap().is_available() || stale == sibling);
+                let end = recs
+                    .iter()
+                    .find(|r| r.lsn > split_lsn && matches!(r.body, RecordBody::NtaEnd { .. }))
+                    .expect("the insert returned, so the split unit was terminated");
+                break (txn, orig, sibling, healed, end.lsn);
+            }
+            db.commit(txn).unwrap();
+        };
+        if crash_inside_unit {
+            h.log.flush(Lsn(nta_end.0 - 1));
+        } else {
+            db.commit(txn).unwrap();
+        }
+        db.crash();
+
+        let (db2, idx2) = h.restart();
+        check_tree(&idx2).unwrap().assert_ok();
+        // One latch at a time: (rightlink, available) per page.
+        let peek = |p: PageId| {
+            let g = db2.pool().fetch_read(p).unwrap();
+            (g.rightlink(), g.is_available())
+        };
+        if crash_inside_unit {
+            // Undone: the node is whole again and links past the freed
+            // pages; the sibling is free once more.
+            assert_eq!(peek(orig), (healed, false));
+            assert!(peek(sibling).1);
+        } else {
+            assert_eq!(peek(orig), (sibling, false));
+            assert_eq!(peek(sibling), (healed, false));
+        }
+        assert!(!peek(healed).1);
+        let last = if crash_inside_unit { k - 1 } else { k };
+        assert_eq!(
+            keys_present(&db2, &idx2, 999_001, 1_000_000 - 1),
+            (999_001..=last).collect::<Vec<i64>>()
+        );
+    }
+}
