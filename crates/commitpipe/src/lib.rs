@@ -17,7 +17,7 @@
 //!   flusher linger up to `window` to widen the batch) and `Async`
 //!   (return immediately; the idle sweep bounds the loss window).
 //!
-//! When the flusher is not running (unit tests, `group_commit: false`,
+//! When the flusher is not running (unit tests, a stopped pipeline,
 //! post-shutdown write-back), every durability request degrades to the
 //! old synchronous inline flush, so the pipeline is always safe to call.
 //!

@@ -101,10 +101,6 @@ pub struct DbConfig {
     /// Default commit durability for transactions begun via [`Db::begin`]
     /// ([`Db::begin_with`] overrides per transaction).
     pub durability: Durability,
-    /// Start the group-commit flusher thread. When off, every durability
-    /// request is served inline by its caller — the pre-pipeline
-    /// one-fsync-per-commit behavior.
-    pub group_commit: bool,
     /// Admission control for transaction begins: at most
     /// [`AdmissionConfig::max_in_flight`] transactions run at once;
     /// [`Db::try_begin`] sheds with [`GistError::Overloaded`] after
@@ -113,9 +109,9 @@ pub struct DbConfig {
     /// `max_in_flight: 0` disables admission entirely.
     pub admission: AdmissionConfig,
     /// Oldest-pin age budget: a pin older than this marks the epoch
-    /// domain stalled — searches walk latched (no new pins) and retire
-    /// forces epoch advances, as when the retire bin passes its fixed
-    /// byte cap. Zero disables the age check.
+    /// domain stalled — [`Db::health`] reports it and retire forces
+    /// epoch advances; how nodes are read does not change. Zero
+    /// disables the age check.
     pub epoch_stall_age: Duration,
 }
 
@@ -128,9 +124,6 @@ const WAL_BACKPRESSURE_LIMIT: u64 = 1 << 16;
 /// How long a backpressured appender parks before escalating to an
 /// inline flush of the filled prefix (stalled-flusher degradation).
 const WAL_BACKPRESSURE_TIMEOUT: Duration = Duration::from_millis(100);
-/// Epoch retire-bin byte cap: above it the domain reports a stall (see
-/// [`DbConfig::epoch_stall_age`]).
-const EPOCH_CAP_BYTES: u64 = 64 << 20;
 
 impl Default for DbConfig {
     fn default() -> Self {
@@ -143,7 +136,6 @@ impl Default for DbConfig {
             maint: gist_maint::MaintConfig::default(),
             sync_shards: 0,
             durability: Durability::Immediate,
-            group_commit: true,
             admission: AdmissionConfig::default(),
             epoch_stall_age: Duration::from_secs(2),
         }
@@ -246,8 +238,7 @@ pub struct Db {
     /// Per-process state for deterministic backoff jitter.
     jitter_state: AtomicU64,
     /// Epoch-reclamation domain: optimistic traversals pin it; §7.2
-    /// page frees, dropped-index frees and pool evictions retire
-    /// through its bin.
+    /// page frees and dropped-index frees retire through its bin.
     epoch: Arc<EpochGc>,
     /// Nodes served by a validated optimistic copy-out.
     opt_hits: AtomicU64,
@@ -260,32 +251,6 @@ pub struct Db {
     /// [`Db::run_txn`] calls that exhausted their retry budget on a
     /// retryable error and surfaced it to the caller.
     retries_exhausted: AtomicU64,
-    /// Searches that skipped the optimistic path because the epoch
-    /// domain was stalled (graceful degradation to the latched cursor).
-    opt_stall_skips: AtomicU64,
-}
-
-/// Counters for the optimistic (latch-free) read path
-/// ([`Db::opt_read_stats`]).
-#[derive(Debug, Clone, Default)]
-pub struct OptReadStats {
-    /// Nodes served by a validated optimistic copy-out.
-    pub hits: u64,
-    /// Seqlock validation failures that re-read the same node
-    /// optimistically (a concurrent writer touched the frame mid-copy).
-    pub retries: u64,
-    /// Traversals that gave up on the fast path — eviction under the
-    /// reader, retry budget exhausted, or an uncachable page — and
-    /// restarted from the root latched (delivered rows kept).
-    pub fallbacks: u64,
-    /// Pool misses served by a pool-bypassing direct store read (no
-    /// frame, no pin, no eviction pressure).
-    pub direct_reads: u64,
-    /// Epochs the oldest live pin trails the global epoch by (0 =
-    /// nothing is holding reclamation back).
-    pub epoch_lag: u64,
-    /// Retired frames/pages waiting in the epoch bin.
-    pub epoch_pending: u64,
 }
 
 /// Point-in-time snapshot of the database's degradation and self-healing
@@ -333,18 +298,22 @@ pub struct RobustnessStats {
     pub wal_flusher_running: bool,
     /// Flusher panics contained (batch retried by the next wakeup).
     pub wal_flusher_panics: u64,
-    /// Optimistic-read fast-path hits (validated copy-outs).
+    /// Nodes served by a validated optimistic copy-out.
     pub opt_read_hits: u64,
-    /// Optimistic-read seqlock retries.
+    /// Seqlock validation failures that re-read the same node
+    /// optimistically (a concurrent writer touched the frame mid-copy).
     pub opt_read_retries: u64,
-    /// Optimistic traversals that flipped to the latched access.
+    /// Optimistic traversals that gave up on the fast path — eviction
+    /// under the reader, retry budget exhausted, or an uncachable page —
+    /// and restarted from the root latched (delivered rows kept).
     pub opt_read_fallbacks: u64,
     /// Optimistic pool misses served by a direct (pool-bypassing)
-    /// store read.
+    /// store read: no frame, no pin, no eviction pressure.
     pub opt_read_direct: u64,
-    /// Epochs the oldest live pin trails the global epoch by.
+    /// Epochs the oldest live pin trails the global epoch by (0 =
+    /// nothing is holding reclamation back).
     pub epoch_lag: u64,
-    /// Retired frames/pages waiting in the epoch bin.
+    /// Deferred §7.2 page frees waiting in the epoch bin.
     pub epoch_pending: u64,
     /// [`Db::run_txn`] calls that exhausted their retry budget on a
     /// retryable error (the caller got the last underlying failure).
@@ -360,17 +329,13 @@ pub struct RobustnessStats {
     /// Volatile log tail (`reserved − durable`) the backpressure gate
     /// currently sees.
     pub wal_bp_backlog: u64,
-    /// Bytes waiting in the epoch retire bin.
-    pub epoch_pending_bytes: u64,
-    /// Whether the epoch domain is currently in its stall regime.
+    /// Whether a live epoch pin is older than
+    /// [`DbConfig::epoch_stall_age`].
     pub epoch_stalled: bool,
     /// Healthy→stalled transitions of the epoch domain.
     pub epoch_stalls: u64,
     /// Forced epoch advances issued while stalled.
     pub epoch_forced_advances: u64,
-    /// Searches that skipped the optimistic path because the epoch
-    /// domain was stalled.
-    pub opt_stall_skips: u64,
     /// The aggregate health verdict ([`Db::health`]).
     pub health: HealthState,
 }
@@ -398,11 +363,10 @@ impl Db {
     ) -> Result<Arc<Db>> {
         let pool = BufferPool::with_shards(store.clone(), config.pool_capacity, config.sync_shards);
         pool.set_flusher(log.clone());
-        // One reclamation domain per database: evicted frames and §7.2
-        // page frees defer behind the optimistic readers' pins.
+        // One reclamation domain per database: §7.2 page frees defer
+        // behind the optimistic readers' pins.
         let epoch = Arc::new(EpochGc::new());
-        epoch.set_limits(EPOCH_CAP_BYTES, config.epoch_stall_age);
-        pool.set_epoch(epoch.clone());
+        epoch.set_stall_age(config.epoch_stall_age);
         log.set_backpressure(WAL_BACKPRESSURE_LIMIT, WAL_BACKPRESSURE_TIMEOUT);
         if store.page_count() == 0 {
             // Bootstrap the catalog page and make it durable immediately
@@ -422,9 +386,7 @@ impl Db {
         // writeback then batches its log force with pending commits
         // instead of issuing a private fsync (inline when not started).
         pool.set_flusher(txns.pipeline().clone());
-        if config.group_commit {
-            txns.pipeline().start();
-        }
+        txns.pipeline().start();
         let alloc = Arc::new(PageAllocator::new(1));
         let heap = HeapFile::new(pool.clone(), alloc.clone());
         let maint =
@@ -459,7 +421,6 @@ impl Db {
             opt_fallbacks: AtomicU64::new(0),
             admission,
             retries_exhausted: AtomicU64::new(0),
-            opt_stall_skips: AtomicU64::new(0),
         });
         // The database is the daemon's undo handler: the transaction
         // watchdog needs logical undo to roll idle victims back. Weak for
@@ -569,19 +530,6 @@ impl Db {
         &self.epoch
     }
 
-    /// Snapshot the optimistic read-path counters.
-    pub fn opt_read_stats(&self) -> OptReadStats {
-        let es = self.epoch.stats();
-        OptReadStats {
-            hits: self.opt_hits.load(Ordering::Relaxed),
-            retries: self.opt_retries.load(Ordering::Relaxed),
-            fallbacks: self.opt_fallbacks.load(Ordering::Relaxed),
-            direct_reads: self.pool.stats.direct_reads.load(Ordering::Relaxed),
-            epoch_lag: es.epoch_lag,
-            epoch_pending: es.pending,
-        }
-    }
-
     pub(crate) fn note_opt_hits(&self, n: u64) {
         self.opt_hits.fetch_add(n, Ordering::Relaxed);
     }
@@ -592,21 +540,6 @@ impl Db {
 
     pub(crate) fn note_opt_fallback(&self) {
         self.opt_fallbacks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Whether a one-shot traversal may start on the optimistic
-    /// latch-free node access right now: always, unless the epoch domain
-    /// is stalled. Under a stall (retire bin over its byte cap, or a pin
-    /// past the age budget) reads walk latched — which takes no pin, so
-    /// the overloaded domain stops growing while forced advances and
-    /// collection push it back under its caps. Recovery is automatic:
-    /// the next call after the stall clears starts optimistic again.
-    pub fn optimistic_enabled(&self) -> bool {
-        if self.epoch.is_stalled() {
-            self.opt_stall_skips.fetch_add(1, Ordering::Relaxed);
-            return false;
-        }
-        true
     }
 
     /// Spawn the maintenance daemon's worker threads (idempotent). Until
@@ -858,7 +791,6 @@ impl Db {
     pub fn robustness_stats(&self) -> RobustnessStats {
         let ls = &self.locks.stats;
         let ps = self.txns.pipeline().stats();
-        let os = self.opt_read_stats();
         let bs = self.log.backpressure_stats();
         let es = self.epoch.stats();
         RobustnessStats {
@@ -880,22 +812,20 @@ impl Db {
             wal_durable_lsn: ps.durable_lsn,
             wal_flusher_running: ps.running,
             wal_flusher_panics: ps.flusher_panics,
-            opt_read_hits: os.hits,
-            opt_read_retries: os.retries,
-            opt_read_fallbacks: os.fallbacks,
-            opt_read_direct: os.direct_reads,
-            epoch_lag: os.epoch_lag,
-            epoch_pending: os.epoch_pending,
+            opt_read_hits: self.opt_hits.load(Ordering::Relaxed),
+            opt_read_retries: self.opt_retries.load(Ordering::Relaxed),
+            opt_read_fallbacks: self.opt_fallbacks.load(Ordering::Relaxed),
+            opt_read_direct: self.pool.stats.direct_reads.load(Ordering::Relaxed),
+            epoch_lag: es.epoch_lag,
+            epoch_pending: es.pending,
             retries_exhausted: self.retries_exhausted.load(Ordering::Relaxed),
             admission: self.admission.stats(),
             wal_bp_parks: bs.parks,
             wal_bp_stalls: bs.stalls,
             wal_bp_backlog: bs.backlog,
-            epoch_pending_bytes: es.pending_bytes,
             epoch_stalled: es.stalled,
             epoch_stalls: es.stalls,
             epoch_forced_advances: es.forced_advances,
-            opt_stall_skips: self.opt_stall_skips.load(Ordering::Relaxed),
             health: self.health(),
         }
     }
@@ -903,9 +833,9 @@ impl Db {
     /// The database's aggregate health verdict, computed from current
     /// conditions (no latched state — safe to poll): `ReadOnly` when the
     /// buffer pool is poisoned, `Degraded` while any overload defense is
-    /// engaged (flusher down with group commit configured, WAL backlog
-    /// at the backpressure limit, epoch domain stalled, admission at
-    /// capacity), `Healthy` otherwise. Degradations clear themselves, so
+    /// engaged (group-commit flusher not running, WAL backlog at the
+    /// backpressure limit, an epoch pin past its age budget, admission
+    /// at capacity), `Healthy` otherwise. Degradations clear themselves, so
     /// the verdict recovers as soon as the underlying pressure does.
     pub fn health(&self) -> HealthState {
         let mut r = HealthReport::healthy();
@@ -918,7 +848,7 @@ impl Db {
             r.read_only(format!("buffer pool poisoned: {why}"));
         }
         let ps = self.txns.pipeline().stats();
-        if self.config.group_commit && !ps.running {
+        if !ps.running {
             r.degrade("group-commit flusher not running; durability served inline");
         }
         let bs = self.log.backpressure_stats();
@@ -931,9 +861,8 @@ impl Db {
         let es = self.epoch.stats();
         if es.stalled {
             r.degrade(format!(
-                "epoch reclamation stalled ({} bytes pending, oldest pin {}µs); \
-                 optimistic reads disabled",
-                es.pending_bytes, es.oldest_pin_micros
+                "epoch reclamation stalled (oldest pin {}µs, {} page frees pending)",
+                es.oldest_pin_micros, es.pending
             ));
         }
         if self.admission.is_saturated() {
@@ -968,8 +897,8 @@ impl Db {
         self.pool.crash();
         self.log.crash();
         // A crash implies quiescence (the pool just asserted it), so the
-        // epoch bin can drain — retired frames drop, deferred page frees
-        // are moot (the allocator is rebuilt at restart anyway).
+        // epoch bin can drain — deferred page frees are moot (the
+        // allocator is rebuilt at restart anyway).
         self.epoch.try_collect();
     }
 

@@ -44,8 +44,7 @@ mod scratch;
 mod tree;
 
 pub use db::{
-    Db, DbConfig, IsolationLevel, NsnSource, OptReadStats, PredicateMode, RestartReport,
-    RobustnessStats,
+    Db, DbConfig, IsolationLevel, NsnSource, PredicateMode, RestartReport, RobustnessStats,
 };
 pub use entry::{InternalEntry, InternalEntryRef, LeafEntry, LeafEntryRef};
 pub use error::GistError;

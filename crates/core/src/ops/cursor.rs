@@ -2,11 +2,10 @@
 //! incremental [`Cursor`], both thin drivers of the traversal in
 //! [`super::walk`].
 //!
-//! `search` drains its walk in one call, so it can start on the
-//! optimistic latch-free node access (unless the epoch domain is
-//! stalled). A [`Cursor`] keeps its stack between calls, which only the
-//! signaling locks of the latched access protect, so it always walks
-//! latched.
+//! `search` drains its walk in one call, so it starts on the optimistic
+//! latch-free node access. A [`Cursor`] keeps its stack between calls,
+//! which only the signaling locks of the latched access protect, so it
+//! always walks latched.
 //!
 //! Cursors also serve §10.2: [`Cursor::snapshot`] captures the stack (and
 //! progress) when a savepoint is established; [`Cursor::restore`] brings
@@ -129,9 +128,7 @@ impl<E: GistExtension> GistIndex<E> {
     }
 
     fn search_inner(self: &Arc<Self>, txn: TxnId, query: &E::Query) -> Result<Vec<(E::Key, Rid)>> {
-        let access =
-            if self.db().optimistic_enabled() { Access::optimistic() } else { Access::Latched };
-        let mut walk = Walk::new(self.clone(), txn, query, access, true)?;
+        let mut walk = Walk::new(self.clone(), txn, query, Access::optimistic(), true)?;
         let mut out = Vec::new();
         while let Some(leaf) = walk.next_leaf()? {
             walk.collect(leaf, &mut out)?;

@@ -31,11 +31,15 @@
 //!   version check, an uncached one is read straight from the store into
 //!   a private copy; record locks are `try_lock`ed only after the copy,
 //!   and the copy is re-validated with the locks held, so a lock is never
-//!   trusted for an entry that changed mid-read. One epoch pin covers the
-//!   traversal (§7.2 page frees defer until every pin drains, so a
-//!   stacked pointer is never re-typed under the reader) and is dropped
-//!   around every wait. One-shot `GistIndex::search` starts here unless
-//!   the epoch domain is stalled.
+//!   trusted for an entry that changed mid-read. One epoch pin covers one
+//!   uninterrupted stretch of the traversal (§7.2 page frees defer until
+//!   every pin drains, so a stacked pointer is never re-typed under the
+//!   reader). A wait drops the pin, and with it every guarantee about the
+//!   stacked pointers: a stacked page may be drained *and reallocated*
+//!   before the wait ends, and on a recycled page the NSN check proves
+//!   nothing. So after a wait the walk clears its stack and starts again
+//!   at the root under a fresh pin, keeping its predicate, `seen` and
+//!   `attached`. One-shot `GistIndex::search` starts here.
 //!
 //! When a page leaves the pool under an optimistic reader, cannot be
 //! cached, or keeps moving past the retry budget, the *same* walk flips
@@ -482,18 +486,21 @@ impl<E: GistExtension, Q: Borrow<E::Query>> Walk<E, Q> {
 
     /// Run a blocking `wait` with nothing held: never block while
     /// pinned, a stalled reader would stall reclamation for everyone.
+    /// Unpinned, no stacked optimistic pointer is protected any more —
+    /// its page may be freed and reused meanwhile — so an optimistic walk
+    /// drops its stack and re-pins at the root (module docs). A latched
+    /// walk's stack is covered by its signaling locks and stays.
     fn unpinned(
         &mut self,
         wait: impl FnOnce(&crate::Db) -> std::result::Result<(), gist_lockmgr::LockError>,
     ) -> Result<()> {
-        if let Access::Optimistic { pin, .. } = &mut self.access {
-            *pin = None;
-        }
+        let Access::Optimistic { pin, .. } = &mut self.access else {
+            return wait(self.index.db()).map_err(GistError::Lock);
+        };
+        *pin = None;
         wait(self.index.db()).map_err(GistError::Lock)?;
-        if let Access::Optimistic { pin, .. } = &mut self.access {
-            *pin = Some(self.index.db().epoch().pin());
-        }
-        Ok(())
+        self.at.stack = NodeStack::new();
+        self.start()
     }
 
     pub(crate) fn db(&self) -> &Arc<crate::Db> {

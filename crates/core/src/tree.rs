@@ -176,9 +176,9 @@ impl<E: GistExtension> GistIndex<E> {
     }
 
     /// Compute tree statistics with a full sweep (no isolation — a
-    /// diagnostic snapshot). Unless the epoch domain is stalled each
-    /// node is copied out latch-free under a seqlock check, falling
-    /// back to a latched read per node when its version word moves.
+    /// diagnostic snapshot). Each node is copied out latch-free under a
+    /// seqlock check, falling back to a latched read per node when its
+    /// version word moves or it cannot be read optimistically.
     pub fn stats(&self) -> Result<TreeStats> {
         /// Everything the sweep needs from one node, copied out so the
         /// latch (or optimistic guard) never outlives the visit.
@@ -221,20 +221,14 @@ impl<E: GistExtension> GistIndex<E> {
         let mut queue = vec![root];
         let mut visited: HashSet<PageId> = HashSet::new();
         let mut max_level = 0u16;
-        let optimistic = self.db.optimistic_enabled();
         // One pin for the whole sweep: freed-but-reachable pages stay
         // type-stable while we peek at them latch-free.
-        let _pin = optimistic.then(|| self.db.epoch().pin());
+        let _pin = self.db.epoch().pin();
         while let Some(pid) = queue.pop() {
             if pid.is_invalid() || !visited.insert(pid) {
                 continue;
             }
-            let mut copy = None;
-            if optimistic {
-                if let Some(og) = self.db.pool().fetch_optimistic(pid)? {
-                    copy = og.read_with(read_node);
-                }
-            }
+            let copy = self.db.pool().fetch_optimistic(pid)?.and_then(|og| og.read_with(read_node));
             let ns = match copy {
                 Some(ns) => ns,
                 None => {

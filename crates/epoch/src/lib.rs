@@ -12,10 +12,11 @@
 //! - Every optimistic traversal runs inside a [`Guard`] obtained from
 //!   [`EpochGc::pin`]. The guard stamps the thread's *slot* with the
 //!   current global epoch; dropping it clears the slot.
-//! - Resources that must not be recycled under a live reader — a
-//!   drained page's slot on the free list, an evicted buffer frame —
-//!   are not freed directly but [`EpochGc::retire`]d: the free callback
-//!   is parked in a bin stamped with the global epoch.
+//! - A drained page's slot on the free list must not be recycled under
+//!   a live reader, so §7.2 page frees are not run directly but
+//!   [`EpochGc::retire`]d: the free callback is parked in a bin stamped
+//!   with the global epoch. Nothing else goes through the bin: an
+//!   evicted buffer frame is owned by its last `Arc` and dies with it.
 //! - A retired callback only runs once every pinned slot has moved past
 //!   its stamp epoch ([`EpochGc::try_collect`]); with no reader pinned
 //!   it runs immediately, so single-threaded behavior is unchanged.
@@ -33,7 +34,9 @@
 //! blocking wait — the audit layer's `optimistic-unpinned` /
 //! `latch-in-optimistic` rules enforce the discipline); the bin is
 //! collected opportunistically on every retire and by the maintenance
-//! daemon's sync sweeps.
+//! daemon's sync sweeps. A pin older than the configured stall age is a
+//! health observation ([`EpochGc::is_stalled`]), not a change of how
+//! anything is read.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -82,13 +85,9 @@ pub struct EpochStats {
     /// `global_epoch - min(pinned epoch)` — how far the slowest live
     /// reader lags the present (0 with no reader pinned).
     pub epoch_lag: u64,
-    /// Bytes accounted to callbacks still parked in the bin.
-    pub pending_bytes: u64,
-    /// Configured bin byte cap (`0` = unlimited).
-    pub cap_bytes: u64,
     /// Age of the oldest live pin in microseconds (0 with none pinned).
     pub oldest_pin_micros: u64,
-    /// Whether the domain is currently in the stalled regime.
+    /// Whether the oldest live pin is past its age budget.
     pub stalled: bool,
     /// Healthy→stalled transitions observed (lifetime total).
     pub stalls: u64,
@@ -105,17 +104,10 @@ pub struct EpochGc {
     /// Every slot ever registered (one per thread that pinned; threads
     /// are few and slots are two words, so no unregistration).
     slots: Mutex<Vec<Arc<Slot>>>,
-    /// Retired callbacks, each stamped with the epoch at retire time and
-    /// the caller's byte estimate for what the callback frees.
-    bin: Mutex<Vec<(u64, u64, Retired)>>,
+    /// Retired callbacks, each stamped with the epoch at retire time.
+    bin: Mutex<Vec<(u64, Retired)>>,
     retired: AtomicU64,
     reclaimed: AtomicU64,
-    /// Bytes currently accounted to the bin (estimates supplied through
-    /// [`EpochGc::retire_sized`]; plain [`EpochGc::retire`] counts 0).
-    bin_bytes: AtomicU64,
-    /// Bin byte cap; at or above it the domain reports stalled. `0`
-    /// (default) disables the cap.
-    cap_bytes: AtomicU64,
     /// Pin-age budget in microseconds; an older live pin marks the
     /// domain stalled. `0` (default) disables the budget.
     stall_age_micros: AtomicU64,
@@ -158,8 +150,6 @@ impl EpochGc {
             bin: Mutex::new(Vec::new()),
             retired: AtomicU64::new(0),
             reclaimed: AtomicU64::new(0),
-            bin_bytes: AtomicU64::new(0),
-            cap_bytes: AtomicU64::new(0),
             stall_age_micros: AtomicU64::new(0),
             stalled_flag: AtomicBool::new(false),
             stalls: AtomicU64::new(0),
@@ -223,14 +213,6 @@ impl EpochGc {
     /// With nothing pinned the callback runs inline, so untouched
     /// single-threaded paths keep their eager-free behavior.
     pub fn retire(self: &Arc<Self>, free: impl FnOnce() + Send + 'static) {
-        self.retire_sized(0, free);
-    }
-
-    /// [`EpochGc::retire`] with a byte estimate of what `free` releases,
-    /// charged against the bin cap until the callback runs. Callers that
-    /// park sizeable resources (evicted buffer frames) use this so the
-    /// stall detector can bound the bin by memory, not just count.
-    pub fn retire_sized(self: &Arc<Self>, bytes: u64, free: impl FnOnce() + Send + 'static) {
         self.retired.fetch_add(1, Ordering::Relaxed);
         #[cfg(feature = "mutations")]
         if audit_crate::mutation::armed("epoch.skip-retire") {
@@ -242,13 +224,12 @@ impl EpochGc {
             return;
         }
         let e = self.global.load(Ordering::SeqCst);
-        self.bin_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.bin.lock().push((e, bytes, Box::new(free)));
+        self.bin.lock().push((e, Box::new(free)));
         self.try_collect();
-        // Over the cap even after collecting: the bin is hostage to a
-        // live pin. Force the epoch forward so everything retired from
-        // here on is stamped past that pin and frees the moment it
-        // unpins, instead of queueing behind the stalled generation.
+        // A pin past its age budget holds the bin hostage. Force the
+        // epoch forward so everything retired from here on is stamped
+        // past that pin and frees the moment it unpins, instead of
+        // queueing behind the stalled generation.
         if self.is_stalled() {
             self.force_advance();
         }
@@ -279,22 +260,16 @@ impl EpochGc {
         let ready: Vec<Retired> = {
             let mut bin = self.bin.lock();
             let mut ready = Vec::new();
-            let mut freed_bytes = 0u64;
-            bin.retain_mut(|(stamp, bytes, cb)| {
+            bin.retain_mut(|(stamp, cb)| {
                 if *stamp < horizon {
                     // retain_mut gives &mut; swap the box out with a
                     // no-op so the closure can move to `ready`.
-                    let cb = std::mem::replace(cb, Box::new(|| {}));
-                    freed_bytes += *bytes;
-                    ready.push(cb);
+                    ready.push(std::mem::replace(cb, Box::new(|| {})));
                     false
                 } else {
                     true
                 }
             });
-            if freed_bytes > 0 {
-                self.bin_bytes.fetch_sub(freed_bytes, Ordering::Relaxed);
-            }
             ready
         };
         let n = ready.len();
@@ -305,12 +280,10 @@ impl EpochGc {
         n
     }
 
-    /// Configure the stall defense: a bin holding at least `cap_bytes`
-    /// of pending frees, or a live pin older than `stall_age`, flips the
-    /// domain into the stalled regime ([`EpochGc::is_stalled`]). Either
-    /// knob at zero disables that trigger (both default to disabled).
-    pub fn set_limits(&self, cap_bytes: u64, stall_age: Duration) {
-        self.cap_bytes.store(cap_bytes, Ordering::Relaxed);
+    /// Configure the stall detector: a live pin older than `stall_age`
+    /// marks the domain stalled ([`EpochGc::is_stalled`]). Zero (the
+    /// default) disables it.
+    pub fn set_stall_age(&self, stall_age: Duration) {
         self.stall_age_micros.store(stall_age.as_micros() as u64, Ordering::Relaxed);
     }
 
@@ -326,22 +299,18 @@ impl EpochGc {
         Some(Duration::from_micros(now_micros().saturating_sub(oldest)))
     }
 
-    /// Whether the domain is in the stalled regime: the bin is at its
-    /// byte cap, or the oldest live pin has outlived its age budget.
-    /// The embedder reacts by flipping optimistic reads to the latched
-    /// fallback (no new pins) and forcing the epoch forward — it never
-    /// frees under a live pin, so safety is untouched. Transitions into
-    /// the regime are counted for `stats().stalls`.
+    /// Whether the domain is stalled: the oldest live pin has outlived
+    /// its age budget. Retire then forces the epoch forward (it never
+    /// frees under a live pin, so safety is untouched), and the embedder
+    /// reports the stall in its health verdict. Transitions into the
+    /// stall are counted for `stats().stalls`.
     pub fn is_stalled(&self) -> bool {
-        let cap = self.cap_bytes.load(Ordering::Relaxed);
-        let over_cap = cap != 0 && self.bin_bytes.load(Ordering::Relaxed) >= cap;
         let budget = self.stall_age_micros.load(Ordering::Relaxed);
-        let over_age = budget != 0
+        let stalled = budget != 0
             && self
                 .oldest_pin_age()
                 .map(|age| age.as_micros() as u64 >= budget)
                 .unwrap_or(false);
-        let stalled = over_cap || over_age;
         if stalled != self.stalled_flag.swap(stalled, Ordering::Relaxed) && stalled {
             self.stalls.fetch_add(1, Ordering::Relaxed);
         }
@@ -391,8 +360,6 @@ impl EpochGc {
             pending: self.bin.lock().len() as u64,
             pinned_threads: pinned,
             epoch_lag: min.map(|m| global.saturating_sub(m)).unwrap_or(0),
-            pending_bytes: self.bin_bytes.load(Ordering::Relaxed),
-            cap_bytes: self.cap_bytes.load(Ordering::Relaxed),
             oldest_pin_micros: self
                 .oldest_pin_age()
                 .map(|d| d.as_micros() as u64)
@@ -492,30 +459,9 @@ mod tests {
     }
 
     #[test]
-    fn byte_cap_marks_stall_and_recovers() {
-        let gc = Arc::new(EpochGc::new());
-        gc.set_limits(1024, Duration::ZERO);
-        assert!(!gc.is_stalled());
-        let guard = gc.pin();
-        for _ in 0..4 {
-            gc.retire_sized(512, || {});
-        }
-        let s = gc.stats();
-        assert!(s.stalled, "2 KiB pending under a pin vs a 1 KiB cap");
-        assert_eq!(s.pending_bytes, 2048);
-        assert_eq!(s.stalls, 1, "one healthy→stalled transition");
-        assert!(s.forced_advances >= 1, "stall defense forces the epoch on");
-        drop(guard);
-        gc.try_collect();
-        let s = gc.stats();
-        assert!(!s.stalled, "unpin drains the bin and clears the stall");
-        assert_eq!(s.pending_bytes, 0);
-    }
-
-    #[test]
     fn pin_age_budget_marks_stall() {
         let gc = Arc::new(EpochGc::new());
-        gc.set_limits(0, Duration::from_millis(5));
+        gc.set_stall_age(Duration::from_millis(5));
         assert!(gc.oldest_pin_age().is_none());
         let guard = gc.pin();
         assert!(!gc.is_stalled(), "fresh pin is within budget");

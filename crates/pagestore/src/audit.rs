@@ -12,10 +12,11 @@ pub(crate) use gist_audit::{
     optimistic_read,
 };
 
-// Only the buffer-pool unit tests open scopes from this crate; production
-// pagestore code never holds more than one latch.
+// Only the buffer-pool unit tests open scopes or stand in for an epoch
+// pin from this crate; production pagestore code never holds more than
+// one latch and never pins.
 #[cfg(all(feature = "latch-audit", test))]
-pub(crate) use gist_audit::enter_scope;
+pub(crate) use gist_audit::{enter_scope, epoch_pinned, epoch_unpinned};
 
 #[cfg(not(feature = "latch-audit"))]
 mod noop {
@@ -69,6 +70,14 @@ mod noop {
     ) -> ScopeGuard {
         ScopeGuard
     }
+
+    #[inline(always)]
+    #[allow(dead_code)] // mirrors the audited API; used by tests
+    pub(crate) fn epoch_pinned(_gc: u64) {}
+
+    #[inline(always)]
+    #[allow(dead_code)] // mirrors the audited API; used by tests
+    pub(crate) fn epoch_unpinned(_gc: u64) {}
 }
 
 #[cfg(not(feature = "latch-audit"))]

@@ -341,13 +341,12 @@ impl Shell {
                     s.wal_bp_parks, s.wal_bp_stalls
                 );
                 println!(
-                    "  epoch bin:      {} bytes pending, stalled: {} ({} stalls, {} forced advances)",
-                    s.epoch_pending_bytes,
+                    "  epoch bin:      {} page frees pending, stalled: {} ({} stalls, {} forced advances)",
+                    s.epoch_pending,
                     if s.epoch_stalled { "YES" } else { "no" },
                     s.epoch_stalls,
                     s.epoch_forced_advances
                 );
-                println!("  opt-read stall skips: {}", s.opt_stall_skips);
             }
             "crash" => {
                 self.txn = None;

@@ -517,7 +517,7 @@ mod flusher_crash {
         fn new(baseline: i64) -> Rig {
             let store: Arc<dyn PageStore> = Arc::new(InMemoryStore::new());
             let log = Arc::new(LogManager::new());
-            let config = DbConfig { group_commit: true, ..DbConfig::default() };
+            let config = DbConfig::default();
             let db = Db::open(store.clone(), log.clone(), config.clone()).unwrap();
             let idx =
                 GistIndex::create(db.clone(), "t", BtreeExt, IndexOptions::default()).unwrap();

@@ -1,6 +1,8 @@
 //! The optimistic latch-free node access: equivalence with the latched
-//! cursor, repeatability under a concurrent writer storm, and the
-//! in-place flip to the latched access that keeps result sets exact.
+//! cursor, repeatability under a concurrent writer storm, the in-place
+//! flip to the latched access that keeps result sets exact, evicted
+//! frames that die with their last `Arc` instead of waiting out a pin,
+//! and a walk that never revisits a pointer it stacked before a wait.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -8,8 +10,8 @@ use std::time::Duration;
 
 use gist_repro::am::{BtreeExt, I64Query};
 use gist_repro::core::check::check_tree;
-use gist_repro::core::{Db, DbConfig, GistIndex, IndexOptions};
-use gist_repro::pagestore::{InMemoryStore, PageId, Rid};
+use gist_repro::core::{Db, DbConfig, GistIndex, IndexOptions, InternalEntryRef, LeafEntryRef};
+use gist_repro::pagestore::{InMemoryStore, PageId, Rid, Validation};
 use gist_repro::wal::LogManager;
 
 fn rid(n: u64) -> Rid {
@@ -52,22 +54,22 @@ fn optimistic_and_latched_return_identical_result_sets() {
         let t1 = db.begin();
         let mut a = idx.search(t1, q).unwrap();
         db.commit(t1).unwrap();
-        let before = db.opt_read_stats();
+        let before = db.robustness_stats();
         let t2 = db.begin();
         let mut b = idx.cursor(t2, *q).unwrap().collect_all().unwrap();
         db.commit(t2).unwrap();
-        let after = db.opt_read_stats();
+        let after = db.robustness_stats();
         assert_eq!(
-            (before.hits, before.retries, before.fallbacks),
-            (after.hits, after.retries, after.fallbacks),
+            (before.opt_read_hits, before.opt_read_retries, before.opt_read_fallbacks),
+            (after.opt_read_hits, after.opt_read_retries, after.opt_read_fallbacks),
             "a cursor drain touched the optimistic access"
         );
         a.sort();
         b.sort();
         assert_eq!(a, b, "optimistic and latched result sets diverge");
     }
-    let s = db.opt_read_stats();
-    assert!(s.hits > 0, "search never validated an optimistic copy: {s:?}");
+    let s = db.robustness_stats();
+    assert!(s.opt_read_hits > 0, "search never validated an optimistic copy: {s:?}");
 }
 
 /// A forced fallback: a writer holds the X latch of a leaf in the middle
@@ -94,13 +96,13 @@ fn forced_fallback_keeps_one_predicate_and_exact_rows() {
             !g.is_available()
                 && g.is_leaf()
                 && g.iter_cells().filter(|(slot, _)| *slot != 0).any(|(_, cell)| {
-                    gist_repro::core::LeafEntryRef::new(cell).rid() == rid(500)
+                    LeafEntryRef::new(cell).rid() == rid(500)
                 })
         })
         .expect("some leaf holds key 500");
 
     let preds_before = db.preds().stats().predicates;
-    let fallbacks_before = db.opt_read_stats().fallbacks;
+    let fallbacks_before = db.robustness_stats().opt_read_fallbacks;
     let latch = db.pool().fetch_write(target).unwrap();
     let reader = {
         let (db, idx) = (db.clone(), idx.clone());
@@ -115,13 +117,13 @@ fn forced_fallback_keeps_one_predicate_and_exact_rows() {
     // The reader cannot get past the latched leaf: once it has given up
     // on the optimistic access it is queued on the latch (or about to
     // be), and releasing it lets the latched walk finish.
-    while db.opt_read_stats().fallbacks == fallbacks_before {
+    while db.robustness_stats().opt_read_fallbacks == fallbacks_before {
         std::thread::yield_now();
     }
     drop(latch);
     let (rows, preds_during) = reader.join().unwrap();
 
-    assert_eq!(db.opt_read_stats().fallbacks, fallbacks_before + 1);
+    assert_eq!(db.robustness_stats().opt_read_fallbacks, fallbacks_before + 1);
     assert_eq!(preds_during, preds_before + 1, "one search, one scan predicate");
     let mut keys: Vec<i64> = rows.iter().map(|(k, _)| *k).collect();
     keys.sort_unstable();
@@ -226,8 +228,8 @@ fn optimistic_scans_stay_exact_under_writer_storm() {
         h.join().unwrap();
     }
     assert!(scans.load(Ordering::Relaxed) > 0, "no scan completed");
-    let s = db.opt_read_stats();
-    assert!(s.hits > 0, "storm test never exercised the fast path: {s:?}");
+    let s = db.robustness_stats();
+    assert!(s.opt_read_hits > 0, "storm test never exercised the fast path: {s:?}");
     check_tree(&idx).unwrap().assert_ok();
     db.shutdown().unwrap();
 }
@@ -254,7 +256,141 @@ fn optimistic_epoch_bin_drains_at_quiescence() {
     db.commit(txn).unwrap();
     db.maint_sync();
 
-    let s = db.opt_read_stats();
+    let s = db.robustness_stats();
     assert_eq!(s.epoch_pending, 0, "retire bin not drained at quiescence: {s:?}");
     check_tree(&idx).unwrap().assert_ok();
+}
+
+/// Eviction under a live epoch pin parks nothing: the epoch bin stays
+/// empty however many frames leave the pool, and an optimistic guard
+/// taken before the flood still owns its dead frame and reads `Evicted`.
+#[test]
+fn evictions_under_a_pin_park_nothing_in_the_epoch_bin() {
+    let store = Arc::new(InMemoryStore::new());
+    let log = Arc::new(LogManager::new());
+    let config = DbConfig { pool_capacity: 8, ..DbConfig::default() };
+    let db = Db::open(store, log, config).unwrap();
+    let idx = GistIndex::create(db.clone(), "t", BtreeExt, IndexOptions::default()).unwrap();
+    let txn = db.begin();
+    for k in 0..3_000i64 {
+        idx.insert(txn, &k, rid(k as u64)).unwrap();
+    }
+    db.commit(txn).unwrap();
+    let root = idx.root().unwrap();
+    drop(db.pool().fetch_read(root).unwrap());
+
+    let pin = db.epoch().pin();
+    let og = db.pool().fetch_optimistic(root).unwrap().expect("the root is readable");
+    assert!(!og.is_direct(), "the root was just cached");
+    assert_eq!(og.validate(), Validation::Ok);
+
+    // The flood latches pages, so it runs on another thread: this one
+    // has an optimistic section open.
+    let evictions = |db: &Db| db.pool().stats.evictions.load(Ordering::Relaxed);
+    let before = evictions(&db);
+    let flood = {
+        let db = db.clone();
+        std::thread::spawn(move || {
+            let pages = db.pool().store().page_count();
+            while evictions(&db) - before <= 100 {
+                for p in 1..pages {
+                    drop(db.pool().fetch_read(PageId(p)).unwrap());
+                }
+            }
+        })
+    };
+    flood.join().unwrap();
+
+    assert!(evictions(&db) - before > 100);
+    assert_eq!(db.epoch().stats().pending, 0, "an eviction parked its frame behind the pin");
+    assert_eq!(og.validate(), Validation::Evicted, "the guard must see its frame die");
+    assert!(og.read_with(|p| p.page_lsn()).is_none(), "a dead frame refuses to copy");
+    drop(og);
+    drop(pin);
+}
+
+/// A search that waits must not come back to a pointer it stacked
+/// before the wait. Height-2 tree; the search blocks on a record lock in
+/// the first leaf it pops while another leaf is still stacked. During the
+/// wait that leaf is emptied, drained and freed (no pin is live, so the
+/// free runs at once) and its page becomes the root of a second index
+/// holding keys in the searched range. Once the lock is released the
+/// search must return exactly its own index's rows.
+#[test]
+fn optimistic_walk_never_revisits_a_pointer_stacked_before_a_wait() {
+    let (db, idx) = open();
+    let txn = db.begin();
+    for k in 0..600i64 {
+        idx.insert(txn, &k, rid(k as u64)).unwrap();
+    }
+    db.commit(txn).unwrap();
+    let stats = idx.stats().unwrap();
+    assert_eq!(stats.height, 2);
+    assert!(stats.leaves >= 3, "{stats:?}");
+
+    // The walk stacks the root's children in slot order and pops the
+    // last one first; the stacked leaf must not be the former root, which
+    // node deletion never drains. Keys equal their rid's slot.
+    let children: Vec<PageId> = {
+        let g = db.pool().fetch_read(idx.root().unwrap()).unwrap();
+        g.iter_cells()
+            .filter(|(slot, _)| *slot != 0)
+            .map(|(_, cell)| InternalEntryRef::new(cell).child())
+            .collect()
+    };
+    let keys_of = |leaf: PageId| -> Vec<i64> {
+        let g = db.pool().fetch_read(leaf).unwrap();
+        g.iter_cells()
+            .filter(|(slot, _)| *slot != 0)
+            .map(|(_, cell)| i64::from(LeafEntryRef::new(cell).rid().slot))
+            .collect()
+    };
+    let (&first, rest) = children.split_last().unwrap();
+    let &stacked = rest.iter().find(|&&p| !db.is_protected_root(p)).unwrap();
+    let blocker = keys_of(first)[0];
+    let drained = keys_of(stacked);
+
+    let t3 = db.begin();
+    idx.delete(t3, &blocker, rid(blocker as u64)).unwrap();
+    let waits_before = db.locks().stats.waits.load(Ordering::Relaxed);
+    let search = {
+        let (db, idx) = (db.clone(), idx.clone());
+        std::thread::spawn(move || {
+            let txn = db.begin();
+            let rows = idx.search(txn, &I64Query::range(0, 599)).unwrap();
+            db.commit(txn).unwrap();
+            rows
+        })
+    };
+    while db.locks().stats.waits.load(Ordering::Relaxed) == waits_before {
+        std::thread::yield_now();
+    }
+
+    // While the search waits: empty the stacked leaf, let maintenance
+    // drain and free it, and hand its page to a second index whose keys
+    // fall inside the searched range.
+    let t2 = db.begin();
+    for &k in &drained {
+        idx.delete(t2, &k, rid(k as u64)).unwrap();
+    }
+    db.commit(t2).unwrap();
+    db.maint_sync();
+    assert_eq!(db.alloc().free_count(), 1, "the emptied leaf was drained and freed");
+    let other = GistIndex::create(db.clone(), "u", BtreeExt, IndexOptions::default()).unwrap();
+    assert_eq!(other.root().unwrap(), stacked, "the freed page roots the second index");
+    let t4 = db.begin();
+    for k in 0..50i64 {
+        other.insert(t4, &k, rid(50_000 + k as u64)).unwrap();
+    }
+    db.commit(t4).unwrap();
+
+    db.commit(t3).unwrap();
+    let rows = search.join().unwrap();
+    for (k, r) in &rows {
+        assert_eq!(*r, rid(*k as u64), "row {k} belongs to another index");
+    }
+    let mut keys: Vec<i64> = rows.iter().map(|(k, _)| *k).collect();
+    keys.sort_unstable();
+    let expected: Vec<i64> = (0..600).filter(|k| *k != blocker && !drained.contains(k)).collect();
+    assert_eq!(keys, expected);
 }

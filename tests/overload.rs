@@ -185,9 +185,9 @@ fn health_degrades_while_flusher_is_down() {
 /// The epoch-stall drill (chaos builds only): a reader parks inside the
 /// optimistic path holding its epoch pin while the group-commit flusher
 /// crawls. The database must *degrade, not hang* — health flips to
-/// degraded with the stall named, reads fall back to the latched path
-/// (and stay correct), writes keep committing — and once the pin drops
-/// it walks back to healthy on its own.
+/// degraded with the stall named, reads stay exact, writes keep
+/// committing — and once the pin drops it walks back to healthy on its
+/// own.
 #[cfg(feature = "chaos")]
 #[test]
 fn epoch_stall_degrades_and_recovers() {
@@ -236,11 +236,10 @@ fn epoch_stall_degrades_and_recovers() {
     }
     assert!(saw_degraded, "epoch stall never surfaced: {:?}", db.health());
 
-    // Degraded, not broken: reads take the latched fallback and stay
-    // exact; writes still commit.
+    // Degraded, not broken: reads stay exact; writes still commit.
     let t = db.begin();
     let hits = idx.search(t, &I64Query::range(0, 199)).unwrap();
-    assert_eq!(hits.len(), 200, "latched fallback lost rows");
+    assert_eq!(hits.len(), 200, "search during the stall lost rows");
     idx.insert(t, &1_000i64, rid(1_000)).unwrap();
     db.commit(t).unwrap();
 
@@ -261,8 +260,4 @@ fn epoch_stall_degrades_and_recovers() {
 
     let s = db.robustness_stats();
     assert!(s.epoch_stalls >= 1, "stall transition not counted: {s:?}");
-    assert!(
-        s.opt_stall_skips >= 1,
-        "no read took the latched fallback during the stall: {s:?}"
-    );
 }

@@ -223,8 +223,9 @@ fn unforced_split_terminator_lost_in_crash_is_rolled_back() {
     use gist_repro::core::GistRecord;
     use gist_repro::wal::{Lsn, RecordBody};
 
-    let h = Harness::with_config(DbConfig { group_commit: false, ..DbConfig::default() });
+    let h = Harness::new();
     let (db, idx) = h.open();
+    db.txns().pipeline().stop(true);
     let txn = db.begin();
     for k in 0..100i64 {
         idx.insert(txn, &k, rid(k as u64)).unwrap();
@@ -453,8 +454,9 @@ fn split_with_healed_rightlink_redoes_and_undoes() {
     use gist_repro::wal::{Lsn, RecordBody};
 
     for crash_inside_unit in [false, true] {
-        let h = Harness::with_config(DbConfig { group_commit: false, ..DbConfig::default() });
+        let h = Harness::new();
         let (db, idx) = h.open();
+        db.txns().pipeline().stop(true);
         let txn = db.begin();
         for k in 0..3_000i64 {
             idx.insert(txn, &(k * 1000), rid(k as u64)).unwrap();

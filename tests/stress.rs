@@ -284,9 +284,9 @@ fn optimistic_scans_race_drains_and_eviction() {
         h.join().unwrap();
     }
 
-    let s = db.opt_read_stats();
+    let s = db.robustness_stats();
     assert!(
-        s.hits + s.retries + s.fallbacks > 0,
+        s.opt_read_hits + s.opt_read_retries + s.opt_read_fallbacks > 0,
         "fast path never engaged under eviction stress: {s:?}"
     );
     check_tree(&idx).unwrap().assert_ok();
