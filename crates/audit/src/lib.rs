@@ -52,7 +52,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{LazyLock, Mutex, MutexGuard};
 
 pub mod mc;
-pub mod mutation;
 
 /// One reported discipline violation.
 #[derive(Debug, Clone)]
@@ -434,11 +433,6 @@ pub fn shard_lock_released(layer: u64, index: usize) {
     });
 }
 
-/// Number of striped-table shard mutexes the calling thread holds.
-pub fn shard_held_count() -> usize {
-    TS.with(|cell| cell.borrow().shard_locks.len())
-}
-
 /// Record the opening of an optimistic read section on `(pool, page)`
 /// (an `OptimisticReadGuard` was created). Until the matching
 /// [`optimistic_exit`], the thread must not acquire any latch
@@ -591,11 +585,6 @@ pub fn enter_scope_rel(name: &'static str, extra: usize) -> ScopeGuard {
         ts.scopes.push(Scope { name, allowance, io_ok: true, lock_wait_ok: false });
     });
     ScopeGuard { _priv: () }
-}
-
-/// Number of latches the calling thread currently holds.
-pub fn held_count() -> usize {
-    TS.with(|cell| cell.borrow().held.len())
 }
 
 /// Assert the calling thread holds no latches (leak detection between

@@ -84,7 +84,7 @@ impl Default for PipeConfig {
 /// Failure surfaced by the pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PipeError {
-    /// A chaos crash point injected this failure (`chaos` feature).
+    /// A chaos crash point injected this failure.
     Injected(&'static str),
     /// The durable horizon did not reach the LSN within the park timeout
     /// (the flusher is dead or fenced by an abandoned reservation).
@@ -103,6 +103,12 @@ impl std::fmt::Display for PipeError {
 }
 
 impl std::error::Error for PipeError {}
+
+impl From<gist_chaos::Injected> for PipeError {
+    fn from(e: gist_chaos::Injected) -> Self {
+        PipeError::Injected(e.0)
+    }
+}
 
 /// Wait-time histogram: bucket `i` counts parks whose wall time in
 /// microseconds fell in `[2^i, 2^(i+1))` (bucket 0 covers 0–1 µs).
@@ -316,9 +322,9 @@ impl CommitPipeline {
     /// tests exercise.
     pub fn append_commit(&self, txn: TxnId, prev_lsn: Lsn) -> Result<Lsn, PipeError> {
         let res = self.log.reserve(txn, prev_lsn);
-        if let Err(e) = chaos::point("commitpipe.append.post_reserve_pre_fill") {
+        if let Err(e) = gist_chaos::point("commitpipe.append.post_reserve_pre_fill") {
             self.log.fill_noop(res);
-            return Err(e);
+            return Err(e.into());
         }
         Ok(self.log.fill(res, RecordBody::TxnCommit))
     }
@@ -463,9 +469,9 @@ impl CommitPipeline {
         // the flusher linger at the top of every batch (a stalled
         // flusher), which is what drives committers into `Stalled` /
         // inline-flush degradation in the stall-chaos harness.
-        chaos::point("commitpipe.flusher.stall")?;
+        gist_chaos::point("commitpipe.flusher.stall")?;
         let target = self.log.filled_lsn();
-        chaos::point("commitpipe.flusher.post_fill_pre_fsync")?;
+        gist_chaos::point("commitpipe.flusher.post_fill_pre_fsync")?;
         let commits = std::mem::take(commits);
         if target > self.log.flushed_lsn() {
             self.log.fsync_to(target);
@@ -475,7 +481,7 @@ impl CommitPipeline {
             // escalation) already covered these commits.
             self.stats.commits.fetch_add(commits, Ordering::Relaxed);
         }
-        chaos::point("commitpipe.flusher.post_fsync_pre_wakeup")?;
+        gist_chaos::point("commitpipe.flusher.post_fsync_pre_wakeup")?;
         self.log.notify_durable();
         Ok(())
     }
@@ -544,24 +550,6 @@ mod audit {
 mod audit {
     #[inline(always)]
     pub(crate) fn assert_thread_clear(_context: &str) {}
-}
-
-#[cfg(feature = "chaos")]
-mod chaos {
-    /// Crash point inside the pipeline; injections surface as
-    /// [`PipeError::Injected`](super::PipeError::Injected).
-    pub(crate) fn point(name: &'static str) -> Result<(), super::PipeError> {
-        gist_chaos::point(name).map_err(|e| super::PipeError::Injected(e.0))
-    }
-}
-
-#[cfg(not(feature = "chaos"))]
-mod chaos {
-    /// Crash points compile to nothing without the `chaos` feature.
-    #[inline(always)]
-    pub(crate) fn point(_name: &'static str) -> Result<(), super::PipeError> {
-        Ok(())
-    }
 }
 
 #[cfg(test)]

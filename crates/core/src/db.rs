@@ -625,16 +625,6 @@ impl Db {
         Ok(txn)
     }
 
-    /// [`Db::try_begin`] with explicit options.
-    pub fn try_begin_with(&self, opts: TxnOptions) -> Result<TxnId> {
-        if !self.admission.try_admit() {
-            return Err(GistError::Overloaded);
-        }
-        let txn = self.txns.begin_with(opts);
-        self.admission.bind(txn.0);
-        Ok(txn)
-    }
-
     /// The admission controller gating [`Db::begin`]/[`Db::try_begin`].
     pub fn admission(&self) -> &AdmissionController {
         &self.admission

@@ -34,7 +34,7 @@ pub enum GistError {
     /// refused with this error until the database is restarted against
     /// healthy storage.
     StorageFailed(String),
-    /// A chaos crash point injected this failure (`chaos` feature only).
+    /// A chaos crash point injected this failure.
     /// Deliberately *not* retryable: the harness decides what happens
     /// next, not the retry loop.
     Injected(&'static str),
@@ -102,6 +102,12 @@ impl From<io::Error> for GistError {
 impl From<LockError> for GistError {
     fn from(e: LockError) -> Self {
         GistError::Lock(e)
+    }
+}
+
+impl From<gist_chaos::Injected> for GistError {
+    fn from(e: gist_chaos::Injected) -> Self {
+        GistError::Injected(e.0)
     }
 }
 

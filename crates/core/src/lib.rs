@@ -30,7 +30,6 @@
 
 pub(crate) mod audit;
 pub mod baseline;
-pub(crate) mod chaos;
 pub mod check;
 mod db;
 mod entry;

@@ -58,7 +58,7 @@ impl<E: GistExtension> Cursor<E> {
     }
 
     fn next_inner(&mut self) -> Result<Option<(E::Key, Rid)>> {
-        crate::chaos::point("cursor.before_next")?;
+        gist_chaos::point("cursor.before_next")?;
         loop {
             if let Some(hit) = self.pending.pop_front() {
                 return Ok(Some(hit));

@@ -92,7 +92,7 @@ impl<E: GistExtension> GistIndex<E> {
                 })
                 .map(|(slot, cell)| (slot, cell.to_vec()));
             if let Some((slot, old_cell)) = target {
-                crate::chaos::point("delete.before_mark")?;
+                gist_chaos::point("delete.before_mark")?;
                 let rec = GistRecord::MarkLeafEntry {
                     page: pid.0,
                     nsn: w.nsn(),
@@ -107,7 +107,7 @@ impl<E: GistExtension> GistIndex<E> {
                 w.mark_dirty(lsn);
                 // An injected fault here leaves a logged, applied mark
                 // behind — exactly what the abort path must undo.
-                crate::chaos::point("delete.after_mark")?;
+                gist_chaos::point("delete.after_mark")?;
                 // Hand the leaf to the maintenance daemon: if (when)
                 // this transaction commits, the mark becomes
                 // garbage-collectable and the daemon reclaims the

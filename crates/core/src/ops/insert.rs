@@ -119,7 +119,7 @@ impl<E: GistExtension> GistIndex<E> {
         let cell = LeafEntry::new(key_bytes.clone(), rid).encode();
 
         // Phase 2: locate the target leaf (X-latched).
-        crate::chaos::point("insert.before_descent")?;
+        gist_chaos::point("insert.before_descent")?;
         let (mut leaf, mut stack) = self.locate_leaf(txn, key)?;
 
         // Phase 3: make room — opportunistic garbage collection first
@@ -142,7 +142,7 @@ impl<E: GistExtension> GistIndex<E> {
 
         // Phase 5: the Add-Leaf-Entry content record (logged, then
         // applied under the latch).
-        crate::chaos::point("insert.before_leaf_add")?;
+        gist_chaos::point("insert.before_leaf_add")?;
         let slot = leaf.next_insert_slot();
         let rec = GistRecord::AddLeafEntry {
             page: leaf.page_id().0,
@@ -154,7 +154,7 @@ impl<E: GistExtension> GistIndex<E> {
         leaf.insert_cell_at(slot, &cell)
             .unwrap_or_else(|e| unreachable!("room was ensured before logging: {e}"));
         leaf.mark_dirty(lsn);
-        crate::chaos::point("insert.after_leaf_add")?;
+        gist_chaos::point("insert.after_leaf_add")?;
 
         // Phase 6: check the predicates attached to the leaf; block on
         // conflicting scans after registering our own insert predicate
@@ -164,7 +164,7 @@ impl<E: GistExtension> GistIndex<E> {
         if degree3 && !pure {
             // An injected fault here drops the leaf latch via RAII; the
             // logged leaf insert is undone by the transaction's abort.
-            crate::chaos::point("insert.before_predicate_check")?;
+            gist_chaos::point("insert.before_predicate_check")?;
             let owners = db.preds().check_insert(
                 self.node_key(leaf_pid),
                 txn,
@@ -541,7 +541,7 @@ impl<E: GistExtension> GistIndex<E> {
         // the intermediate state. The immediately-invoked closure makes
         // every early `?` land in the revert arm below.
         let finish = (|| -> Result<()> {
-            crate::chaos::point("insert.split.after_sibling_write")?;
+            gist_chaos::point("insert.split.after_sibling_write")?;
 
             // Replicate predicate attachments consistent with the
             // sibling's BP (§4.3) and the signaling locks (§10.3).
@@ -559,7 +559,7 @@ impl<E: GistExtension> GistIndex<E> {
             );
 
             // Install the parent entries.
-            crate::chaos::point("insert.split.before_parent_install")?;
+            gist_chaos::point("insert.split.before_parent_install")?;
             match parent_loc {
                 ParentLoc::IsRoot => {
                     // Root split: allocate a new root holding entries for
@@ -594,7 +594,7 @@ impl<E: GistExtension> GistIndex<E> {
                     // root split, so the crash point sits just before it:
                     // an injected failure reverts the fresh root while it
                     // is still unreachable.
-                    if let Err(e) = crate::chaos::point("insert.split.after_parent_install") {
+                    if let Err(e) = gist_chaos::point("insert.split.after_parent_install") {
                         let l = db.txns().log_compensation(
                             txn,
                             install_start,
@@ -605,7 +605,7 @@ impl<E: GistExtension> GistIndex<E> {
                         root_g.mark_dirty(l);
                         drop(root_g);
                         db.alloc().free(root_pid);
-                        return Err(e);
+                        return Err(e.into());
                     }
                     db.set_root(txn, self.catalog_slot(), root_pid)?;
                     held.push(root_g);
@@ -660,7 +660,7 @@ impl<E: GistExtension> GistIndex<E> {
                         .insert_cell_at(add_slot, &new_entry)
                         .unwrap_or_else(|e| unreachable!("room was ensured: {e}"));
                     parent_g.mark_dirty(lsn);
-                    if let Err(e) = crate::chaos::point("insert.split.after_parent_install") {
+                    if let Err(e) = gist_chaos::point("insert.split.after_parent_install") {
                         // Revert both installs under the parent latch.
                         let l = db.txns().log_compensation(
                             txn,
@@ -689,7 +689,7 @@ impl<E: GistExtension> GistIndex<E> {
                             .update_cell(entry_slot, &old_cell)
                             .unwrap_or_else(|e| unreachable!("restoring the original cell: {e}"));
                         parent_g.mark_dirty(l);
-                        return Err(e);
+                        return Err(e.into());
                     }
                     held.push(parent_g);
                 }

@@ -214,7 +214,7 @@ impl<E: GistExtension, Q: Borrow<E::Query>> Walk<E, Q> {
             // An injected fault here strands the registered scan
             // predicate on the transaction; abort's release path must
             // reclaim it.
-            crate::chaos::point("cursor.after_register")?;
+            gist_chaos::point("cursor.after_register")?;
         }
         let mut walk = Walk {
             txn,
@@ -240,7 +240,7 @@ impl<E: GistExtension, Q: Borrow<E::Query>> Walk<E, Q> {
             // models the stalled-reader shape (the pin ages while the bin
             // fills); an Error/Panic dies pinned and must release via
             // RAII.
-            crate::chaos::point("cursor.optimistic.pinned")?;
+            gist_chaos::point("cursor.optimistic.pinned")?;
         }
         let mem = db.global_nsn();
         let root = self.index.root()?;

@@ -44,7 +44,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-#[cfg(any(feature = "latch-audit", feature = "mutations"))]
+#[cfg(feature = "latch-audit")]
 use gist_audit as audit_crate;
 
 /// A deferred reclamation callback.
@@ -214,8 +214,7 @@ impl EpochGc {
     /// single-threaded paths keep their eager-free behavior.
     pub fn retire(self: &Arc<Self>, free: impl FnOnce() + Send + 'static) {
         self.retired.fetch_add(1, Ordering::Relaxed);
-        #[cfg(feature = "mutations")]
-        if audit_crate::mutation::armed("epoch.skip-retire") {
+        if gist_chaos::armed("epoch.skip-retire") {
             // Mutation: the historical bug shape — free eagerly, as the
             // pre-epoch drain path did, recycling pages under live
             // optimistic readers.

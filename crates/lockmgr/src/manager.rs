@@ -399,14 +399,11 @@ impl LockManager {
 
     /// Release every lock held by `txn` (commit/abort).
     pub fn release_all(&self, txn: TxnId) {
-        // Historical orphan-grant race, compiled in only under the
-        // `mutations` feature and armed at runtime by model-checker
-        // self-tests: a single snapshot-and-purge pass misses a
-        // replicated entry added by a concurrent `replicate_shared`.
-        #[cfg(feature = "mutations")]
-        let single_pass = gist_audit::mutation::armed("lockmgr.release-all-single-pass");
-        #[cfg(not(feature = "mutations"))]
-        let single_pass = false;
+        // Historical orphan-grant race behind a mutation switch (armed by
+        // model-checker self-tests): a single snapshot-and-purge pass
+        // misses a replicated entry added by a concurrent
+        // `replicate_shared`.
+        let single_pass = gist_chaos::armed("lockmgr.release-all-single-pass");
         // Take the held set first and drop its shard before touching any
         // queue shard (the one cross-table ordering rule; see `held`).
         //

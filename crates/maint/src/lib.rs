@@ -47,26 +47,6 @@ use gist_wal::{LogManager, Lsn, TxnId};
 
 pub(crate) mod audit;
 
-/// Chaos-injection shim: with the `chaos` feature, forwards to the
-/// gist-chaos registry (an injected fault surfaces as a retryable
-/// `MaintError::Retry`, exercising the daemon's backoff path); without
-/// it, an inlined no-op.
-#[cfg(feature = "chaos")]
-pub(crate) mod chaos {
-    pub(crate) fn point(name: &'static str) -> Result<(), super::MaintError> {
-        gist_chaos::point(name)
-            .map_err(|e| super::MaintError::Retry(format!("chaos injection at {}", e.0)))
-    }
-}
-
-#[cfg(not(feature = "chaos"))]
-pub(crate) mod chaos {
-    #[inline(always)]
-    pub(crate) fn point(_name: &'static str) -> Result<(), super::MaintError> {
-        Ok(())
-    }
-}
-
 /// Failure modes of one maintenance work item.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MaintError {
@@ -75,6 +55,13 @@ pub enum MaintError {
     Retry(String),
     /// Permanent failure: the item is dropped (and counted).
     Fatal(String),
+}
+
+/// An injected fault is retryable, exercising the daemon's backoff path.
+impl From<gist_chaos::Injected> for MaintError {
+    fn from(e: gist_chaos::Injected) -> Self {
+        MaintError::Retry(format!("chaos injection at {}", e.0))
+    }
 }
 
 impl std::fmt::Display for MaintError {
@@ -747,7 +734,8 @@ impl MaintDaemon {
                 None => Ok(None), // index dropped: work is moot
                 Some(idx) => {
                     self.stats.gc_runs.fetch_add(1, Ordering::Relaxed);
-                    match chaos::point("maint.before_gc")
+                    match gist_chaos::point("maint.before_gc")
+                        .map_err(MaintError::from)
                         .and_then(|()| idx.maint_gc_leaf(*leaf, *parent_hint))
                     {
                         Ok(out) => {

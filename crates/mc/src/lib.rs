@@ -124,14 +124,6 @@ impl Report {
             );
         }
     }
-
-    /// The failure's display form, or "no failure".
-    pub fn failure_summary(&self) -> String {
-        match &self.failure {
-            Some(f) => f.failure.to_string(),
-            None => "no failure".to_string(),
-        }
-    }
 }
 
 /// A configured exploration, ready to [`run`](Explorer::run).

@@ -58,11 +58,6 @@ impl PageAllocator {
         self.state.lock().free.len()
     }
 
-    /// Highest page id ever handed out plus one.
-    pub fn high_water(&self) -> u32 {
-        self.state.lock().next
-    }
-
     /// Rebuild the free list after restart by scanning the availability
     /// flags of pages `[first, store.page_count())`.
     ///

@@ -1426,10 +1426,12 @@ mod tests {
 
     #[test]
     fn transient_read_errors_are_retried_through() {
-        use crate::fault::{FaultKind, FaultPoint, FaultStore, IoOp};
+        use crate::fault::FaultStore;
+        use gist_chaos::{Action, Plan, Trigger};
         let inner = Arc::new(InMemoryStore::new());
         inner.ensure_capacity(8).unwrap();
-        let faults = FaultStore::new(inner);
+        let plan = Plan::new();
+        let faults = FaultStore::new(inner, plan.clone());
         let pool = BufferPool::new(faults.clone(), 4);
         {
             let mut g = pool.new_page_write(PageId(1), 0).unwrap();
@@ -1440,24 +1442,22 @@ mod tests {
         pool.crash();
         // The next load hits IO_RETRY_LIMIT-1 consecutive transient
         // failures — still within the retry budget, so the fetch succeeds.
-        faults.schedule(FaultPoint {
-            op: IoOp::Read,
-            index: 0,
-            kind: FaultKind::Transient { times: IO_RETRY_LIMIT - 1 },
-        });
-        faults.arm();
+        plan.add("store.read", Trigger::At(0), Action::Transient(IO_RETRY_LIMIT - 1));
+        plan.arm();
         let g = pool.fetch_read(PageId(1)).unwrap();
         assert_eq!(g.cell(0).unwrap(), b"survives eintr");
-        assert!(faults.has_triggered());
+        assert_eq!(plan.fires("store.read"), 1);
         assert!(!pool.is_poisoned(), "transient errors never poison");
     }
 
     #[test]
     fn persistent_load_error_reaches_every_waiter() {
-        use crate::fault::{FaultKind, FaultPoint, FaultStore, IoOp};
+        use crate::fault::FaultStore;
+        use gist_chaos::{Action, Plan, Trigger};
         let inner = Arc::new(InMemoryStore::new());
         inner.ensure_capacity(8).unwrap();
-        let faults = FaultStore::new(inner);
+        let plan = Plan::new();
+        let faults = FaultStore::new(inner, plan.clone());
         let pool = BufferPool::new(faults.clone(), 4);
         {
             let mut g = pool.new_page_write(PageId(1), 0).unwrap();
@@ -1469,8 +1469,8 @@ mod tests {
         // Reads fail permanently from the very first operation. Several
         // threads race the fetch: exactly one loads (and fails), the rest
         // park on the frame latch — all must get the error, none may spin.
-        faults.schedule(FaultPoint { op: IoOp::Read, index: 0, kind: FaultKind::Permanent });
-        faults.arm();
+        plan.add("store.read", Trigger::At(0), Action::Permanent);
+        plan.arm();
         let mut handles = Vec::new();
         for _ in 0..4 {
             let pool = pool.clone();
@@ -1485,10 +1485,12 @@ mod tests {
 
     #[test]
     fn persistent_write_failure_degrades_to_read_only() {
-        use crate::fault::{FaultKind, FaultPoint, FaultStore, IoOp};
+        use crate::fault::FaultStore;
+        use gist_chaos::{Action, Plan, Trigger};
         let inner = Arc::new(InMemoryStore::new());
         inner.ensure_capacity(8).unwrap();
-        let faults = FaultStore::new(inner);
+        let plan = Plan::new();
+        let faults = FaultStore::new(inner, plan.clone());
         let pool = BufferPool::new(faults.clone(), 4);
         {
             let mut g = pool.new_page_write(PageId(1), 0).unwrap();
@@ -1501,8 +1503,8 @@ mod tests {
             g.insert_cell(b"doomed").unwrap();
             g.mark_dirty_unlogged();
         }
-        faults.schedule(FaultPoint { op: IoOp::Write, index: 0, kind: FaultKind::Permanent });
-        faults.arm();
+        plan.add("store.write", Trigger::At(0), Action::Permanent);
+        plan.arm();
         let err = pool.flush_all().unwrap_err();
         assert!(!is_transient_io(&err));
         assert!(pool.is_poisoned(), "persistent write failure poisons the pool");
@@ -1520,10 +1522,12 @@ mod tests {
 
     #[test]
     fn quarantine_zeroes_torn_pages_for_redo() {
-        use crate::fault::{FaultKind, FaultPoint, FaultStore, IoOp};
+        use crate::fault::FaultStore;
+        use gist_chaos::{Action, Plan, Trigger};
         let inner = Arc::new(InMemoryStore::new());
         inner.ensure_capacity(8).unwrap();
-        let faults = FaultStore::new(inner);
+        let plan = Plan::new();
+        let faults = FaultStore::new(inner, plan.clone());
         let pool = BufferPool::new(faults.clone(), 8);
         for i in 1..=3u32 {
             let mut g = pool.new_page_write(PageId(i), 0).unwrap();
@@ -1531,16 +1535,12 @@ mod tests {
             g.mark_dirty(Lsn(u64::from(10 + i)));
         }
         // Page 2's write-back tears after the first sector.
-        faults.schedule(FaultPoint {
-            op: IoOp::Write,
-            index: 1,
-            kind: FaultKind::TornWrite { keep: 512 },
-        });
-        faults.arm();
+        plan.add("store.write", Trigger::At(1), Action::Torn(512));
+        plan.arm();
         // Whichever of the three write-backs is issued second tears; the
         // scan below finds it without assuming a flush order.
         pool.flush_all().unwrap();
-        faults.disarm();
+        plan.disarm();
         pool.crash();
 
         // Restart-time scan: exactly one page fails its checksum and is

@@ -1,32 +1,33 @@
 //! Deterministic storage fault injection.
 //!
-//! [`FaultStore`] wraps any [`PageStore`] and injects faults from an
-//! explicit schedule addressed by *operation index*: the Nth read, write
-//! or sync issued since the store was [armed](FaultStore::arm). Because
-//! the schedule is data, a harness can enumerate fault points one at a
-//! time and replay the identical workload against each — the
-//! crash-point enumeration used by `tests/fault_recovery.rs`.
+//! [`FaultStore`] wraps any [`PageStore`] and injects faults from a
+//! [`gist_chaos::Plan`] at the sites `store.read`, `store.write` and
+//! `store.sync`: the Nth read, write or sync issued while the plan is
+//! armed. Because the schedule is data, a harness can enumerate fault
+//! points one at a time and replay the identical workload against each —
+//! the crash-point enumeration used by `tests/fault_recovery.rs`.
 //!
-//! Fault classes:
+//! The actions each site acts on:
 //!
-//! - **Transient errors** ([`FaultKind::Transient`]): the next `times`
-//!   operations of the class fail with [`io::ErrorKind::Interrupted`],
-//!   then the device recovers — exercises the bounded retry path.
-//! - **Permanent errors** ([`FaultKind::Permanent`]): every operation of
-//!   the class fails from this point on — exercises read-only
-//!   degradation (pool poisoning).
-//! - **Torn writes** ([`FaultKind::TornWrite`]): only a prefix of the
-//!   page image lands (whole 512-byte sectors); the write *reports
+//! - **Transient errors** ([`Action::Transient`], any site): this and
+//!   the next `n - 1` operations of the class fail with
+//!   [`io::ErrorKind::Interrupted`], then the device recovers — exercises
+//!   the bounded retry path.
+//! - **Permanent errors** ([`Action::Permanent`], any site): every
+//!   operation of the class fails from this point on — exercises
+//!   read-only degradation (pool poisoning).
+//! - **Torn writes** ([`Action::Torn`], `store.write`): only a prefix of
+//!   the page image lands (whole 512-byte sectors); the write *reports
 //!   success*. Detected later by the page checksum.
-//! - **Lost writes** ([`FaultKind::LostWrite`]): the write reports
+//! - **Lost writes** ([`Action::Lost`], `store.write`): the write reports
 //!   success and reads observe it, but it sits in a volatile device
 //!   cache: a [`crash_disk`](FaultStore::crash_disk) before the next
 //!   successful `sync` rolls the page back to its pre-write image.
 //!   Undetectable by checksums (the stale image is internally
 //!   consistent) — survived via the dirty-page-table sync barrier.
-//! - **Failed fsync** ([`FaultKind::FailedSync`]): the sync fails
-//!   *without* draining the device cache, so pending lost writes stay
-//!   lost.
+//! - **Failed fsync** ([`Action::FailedSync`], `store.sync`): the sync
+//!   fails *without* draining the device cache, so pending lost writes
+//!   stay lost.
 //!
 //! `ensure_capacity` and `page_count` pass through unfaulted: capacity
 //! growth is metadata, and the interesting failures are on the data
@@ -34,9 +35,10 @@
 
 use std::collections::HashMap;
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 
+use gist_chaos::{Action, Plan};
 use parking_lot::Mutex;
 
 use crate::page::{Page, PageId, PAGE_SIZE};
@@ -46,228 +48,96 @@ use crate::store::PageStore;
 /// always lands, so a tear is detectable whenever the tail differs.
 const SECTOR: usize = 512;
 
-/// The three faultable operation classes, each with its own op counter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum IoOp {
-    /// Page reads.
-    Read,
-    /// Page writes.
-    Write,
-    /// Store syncs (fsync barriers).
-    Sync,
-}
+/// The three faultable operation classes, indexed as in the state arrays.
+const SITES: [&str; 3] = ["store.read", "store.write", "store.sync"];
 
-impl IoOp {
-    fn idx(self) -> usize {
-        match self {
-            IoOp::Read => 0,
-            IoOp::Write => 1,
-            IoOp::Sync => 2,
-        }
-    }
-}
-
-/// What to inject when a fault point fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    /// The next `times` operations of the class fail with a *transient*
-    /// error (`Interrupted`), then the device recovers.
-    Transient {
-        /// Consecutive failures before recovery.
-        times: u32,
-    },
-    /// Every operation of the class fails from this point on (the error
-    /// is non-transient, so retries do not help).
-    Permanent,
-    /// Write only: the first `keep` bytes (clamped to whole sectors,
-    /// minimum one) of the new image land, the tail keeps the old disk
-    /// content; reported as success.
-    TornWrite {
-        /// Bytes of the new image that land.
-        keep: usize,
-    },
-    /// Write only: reported as success but held in a volatile cache —
-    /// rolled back by [`FaultStore::crash_disk`] unless a successful
-    /// sync intervenes.
-    LostWrite,
-    /// Sync only: the sync fails and the device cache is *not* drained
-    /// (pending lost writes stay lost).
-    FailedSync,
-}
-
-/// One scheduled fault: `kind` fires at the `index`th operation of
-/// class `op` (0-based, counted since [`FaultStore::arm`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultPoint {
-    /// Operation class the point addresses.
-    pub op: IoOp,
-    /// 0-based operation index within the class.
-    pub index: u64,
-    /// The fault to inject.
-    pub kind: FaultKind,
-}
-
-/// Operation / trigger counters (diagnostics and harness bookkeeping).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultStoreStats {
-    /// Reads issued while armed.
-    pub reads: u64,
-    /// Writes issued while armed.
-    pub writes: u64,
-    /// Syncs issued while armed.
-    pub syncs: u64,
-    /// Scheduled fault points that have fired.
-    pub triggered: u64,
-}
-
-/// A [`PageStore`] wrapper injecting faults from a deterministic,
-/// op-index-addressed schedule. See the module docs for the fault model.
+/// A [`PageStore`] wrapper injecting the faults a [`Plan`] schedules.
+/// See the module docs for the fault model.
 pub struct FaultStore {
     inner: Arc<dyn PageStore>,
-    armed: AtomicBool,
-    counters: [AtomicU64; 3],
+    plan: Arc<Plan>,
     /// Remaining forced transient failures per class.
-    active_transient: [AtomicU32; 3],
+    transient: [AtomicU32; 3],
     /// Class has permanently failed.
     permanent: [AtomicBool; 3],
-    schedule: Mutex<HashMap<(IoOp, u64), FaultKind>>, // lint: allow-global-sync-map — test harness
     /// Pre-write disk images of writes sitting in the volatile cache
     /// (oldest pre-image wins if a page is lost-written twice).
     pending_lost: Mutex<HashMap<u32, Page>>, // lint: allow-global-sync-map — test harness
-    triggered: Mutex<Vec<FaultPoint>>,
 }
 
 impl FaultStore {
-    /// Wrap `inner`. The store starts *disarmed*: operations pass
-    /// through and do not advance the op counters, so setup I/O does not
-    /// shift the schedule.
-    pub fn new(inner: Arc<dyn PageStore>) -> Arc<Self> {
+    /// Wrap `inner` under `plan`. Operations pass through uncounted until
+    /// the plan is armed, so set-up I/O does not shift the schedule.
+    pub fn new(inner: Arc<dyn PageStore>, plan: Arc<Plan>) -> Arc<Self> {
         Arc::new(FaultStore {
             inner,
-            armed: AtomicBool::new(false),
-            counters: Default::default(),
-            active_transient: Default::default(),
+            plan,
+            transient: Default::default(),
             permanent: Default::default(),
-            schedule: Mutex::new(HashMap::new()),
             pending_lost: Mutex::new(HashMap::new()),
-            triggered: Mutex::new(Vec::new()),
         })
     }
 
-    /// Add one fault point to the schedule.
-    pub fn schedule(&self, point: FaultPoint) {
-        self.schedule.lock().insert((point.op, point.index), point.kind);
-    }
-
-    /// Start counting operations and firing scheduled faults.
-    pub fn arm(&self) {
-        self.armed.store(true, Ordering::SeqCst);
-    }
-
-    /// Stop firing faults (already-tripped permanent/transient state is
-    /// kept; use [`Self::crash_disk`] for a full reset).
-    pub fn disarm(&self) {
-        self.armed.store(false, Ordering::SeqCst);
-    }
-
-    /// Operation and trigger counts since arming.
-    pub fn stats(&self) -> FaultStoreStats {
-        FaultStoreStats {
-            reads: self.counters[0].load(Ordering::Relaxed),
-            writes: self.counters[1].load(Ordering::Relaxed),
-            syncs: self.counters[2].load(Ordering::Relaxed),
-            triggered: self.triggered.lock().len() as u64,
-        }
-    }
-
-    /// The fault points that have fired so far, in firing order.
-    pub fn triggered(&self) -> Vec<FaultPoint> {
-        self.triggered.lock().clone()
-    }
-
-    /// Whether any scheduled fault has fired yet.
-    pub fn has_triggered(&self) -> bool {
-        !self.triggered.lock().is_empty()
-    }
-
-    /// Simulate a machine crash plus a reboot onto a healthy device:
-    /// pending lost writes are rolled back to their pre-write images,
-    /// and the schedule, counters and tripped error state are cleared so
-    /// recovery runs against a working (but possibly corrupt) disk.
+    /// Simulate a machine crash plus a reboot onto a healthy device: the
+    /// plan is disarmed, pending lost writes are rolled back to their
+    /// pre-write images, and tripped error state is cleared so recovery
+    /// runs against a working (but possibly corrupt) disk.
+    ///
+    /// The plan itself is not reset: its op counters, fired log and
+    /// unfired entries stay, so re-arming it continues the old indices.
+    /// A harness that runs another scenario afterwards builds a fresh
+    /// plan and a `FaultStore` over it.
     pub fn crash_disk(&self) -> io::Result<()> {
-        self.disarm();
+        self.plan.disarm();
         let lost = std::mem::take(&mut *self.pending_lost.lock());
         for (id, img) in lost {
             self.inner.write(PageId(id), &img)?;
         }
-        self.schedule.lock().clear();
-        self.triggered.lock().clear();
-        for c in &self.counters {
-            c.store(0, Ordering::SeqCst);
-        }
-        for a in &self.active_transient {
-            a.store(0, Ordering::SeqCst);
-        }
-        for p in &self.permanent {
-            p.store(false, Ordering::SeqCst);
+        for class in 0..3 {
+            self.transient[class].store(0, Ordering::SeqCst);
+            self.permanent[class].store(false, Ordering::SeqCst);
         }
         Ok(())
     }
 
-    /// Common fault gate: advance the class counter, fire any scheduled
-    /// point, and return either an injected error, a write/sync-special
-    /// kind for the caller to apply, or nothing.
-    fn gate(&self, op: IoOp) -> io::Result<Option<FaultKind>> {
-        let i = op.idx();
-        if self.permanent[i].load(Ordering::SeqCst) {
-            return Err(permanent_error(op));
-        }
-        if !self.armed.load(Ordering::SeqCst) {
+    /// Common fault gate for class `c`: consult the plan, then fail the
+    /// operation or hand the caller the action to apply. A tripped
+    /// permanent failure outlasts a disarm; a transient window, like the
+    /// plan, counts only while armed.
+    fn gate(&self, c: usize) -> io::Result<Option<Action>> {
+        let action = if self.permanent[c].load(Ordering::SeqCst) {
+            Some(Action::Permanent)
+        } else if self.plan.is_armed() {
+            self.plan.hit(SITES[c])
+        } else {
             return Ok(None);
-        }
-        let index = self.counters[i].fetch_add(1, Ordering::SeqCst);
-        let hit = self.schedule.lock().remove(&(op, index));
-        if let Some(kind) = hit {
-            self.triggered.lock().push(FaultPoint { op, index, kind });
-            match kind {
-                FaultKind::Transient { times } => {
-                    self.active_transient[i].fetch_add(times, Ordering::SeqCst);
-                }
-                FaultKind::Permanent => {
-                    self.permanent[i].store(true, Ordering::SeqCst);
-                    return Err(permanent_error(op));
-                }
-                other => return Ok(Some(other)),
+        };
+        match action {
+            Some(Action::Permanent) => {
+                self.permanent[c].store(true, Ordering::SeqCst);
+                let msg = format!("injected permanent {} failure: device gone", SITES[c]);
+                return Err(io::Error::new(io::ErrorKind::BrokenPipe, msg));
             }
+            Some(Action::Transient(n)) => {
+                self.transient[c].fetch_add(n, Ordering::SeqCst);
+            }
+            _ => {}
         }
-        // Counted-down transient window (set by a Transient point above
-        // or on an earlier operation of this class).
-        let remaining = self.active_transient[i].load(Ordering::SeqCst);
-        if remaining > 0
-            && self.active_transient[i]
-                .compare_exchange(remaining, remaining - 1, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-        {
-            return Err(io::Error::new(
-                io::ErrorKind::Interrupted,
-                format!("injected transient {op:?} failure"),
-            ));
+        // Counted-down transient window (opened above or on an earlier
+        // armed operation of this class).
+        let window = self.transient[c]
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1));
+        if window.is_ok() {
+            let msg = format!("injected transient {} failure", SITES[c]);
+            return Err(io::Error::new(io::ErrorKind::Interrupted, msg));
         }
-        Ok(None)
+        Ok(action)
     }
-}
-
-fn permanent_error(op: IoOp) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::BrokenPipe,
-        format!("injected permanent {op:?} failure: device gone"),
-    )
 }
 
 /// The current disk image of `id`, or all-zero bytes if unreadable.
 fn disk_image(inner: &Arc<dyn PageStore>, id: PageId) -> Page {
     let mut img = Page::zeroed();
-    img.as_bytes_mut().fill(0);
     if inner.read(id, &mut img).is_err() {
         img.as_bytes_mut().fill(0);
     }
@@ -276,23 +146,20 @@ fn disk_image(inner: &Arc<dyn PageStore>, id: PageId) -> Page {
 
 impl PageStore for FaultStore {
     fn read(&self, id: PageId, page: &mut Page) -> io::Result<()> {
-        // Write/sync kinds scheduled on the read class degrade to plain
-        // pass-through (a schedule bug, not worth a panic).
-        self.gate(IoOp::Read)?;
+        self.gate(0)?;
         self.inner.read(id, page)
     }
 
     fn write(&self, id: PageId, page: &Page) -> io::Result<()> {
-        match self.gate(IoOp::Write)? {
-            Some(FaultKind::TornWrite { keep }) => {
+        match self.gate(1)? {
+            Some(Action::Torn(keep)) => {
                 // Land whole sectors of the new image, keep the old tail.
                 let keep = keep.clamp(SECTOR, PAGE_SIZE) / SECTOR * SECTOR;
-                let old = disk_image(&self.inner, id);
-                let mut torn = page.clone();
-                torn.as_bytes_mut()[keep..].copy_from_slice(&old.as_bytes()[keep..]);
+                let mut torn = disk_image(&self.inner, id);
+                torn.as_bytes_mut()[..keep].copy_from_slice(&page.as_bytes()[..keep]);
                 self.inner.write(id, &torn)
             }
-            Some(FaultKind::LostWrite) => {
+            Some(Action::Lost) => {
                 let pre = disk_image(&self.inner, id);
                 self.pending_lost.lock().entry(id.0).or_insert(pre);
                 self.inner.write(id, page)
@@ -310,7 +177,7 @@ impl PageStore for FaultStore {
     }
 
     fn sync(&self) -> io::Result<()> {
-        if let Some(FaultKind::FailedSync) = self.gate(IoOp::Sync)? {
+        if let Some(Action::FailedSync) = self.gate(2)? {
             return Err(io::Error::new(
                 io::ErrorKind::BrokenPipe,
                 "injected fsync failure: device cache not drained",
@@ -328,12 +195,21 @@ impl PageStore for FaultStore {
 mod tests {
     use super::*;
     use crate::store::InMemoryStore;
+    use gist_chaos::Trigger;
 
-    fn store_with_pages(n: u32) -> (Arc<InMemoryStore>, Arc<FaultStore>) {
+    /// A store of `n` pages under a fresh plan carrying `schedule`.
+    fn store_with_pages(
+        n: u32,
+        schedule: &[(&'static str, Trigger, Action)],
+    ) -> (Arc<InMemoryStore>, Arc<Plan>, Arc<FaultStore>) {
         let inner = Arc::new(InMemoryStore::new());
         inner.ensure_capacity(n).unwrap();
-        let fs = FaultStore::new(inner.clone());
-        (inner, fs)
+        let plan = Plan::new();
+        for &(site, trigger, action) in schedule {
+            plan.add(site, trigger, action);
+        }
+        let fs = FaultStore::new(inner.clone(), plan.clone());
+        (inner, plan, fs)
     }
 
     fn page_with(byte: u8) -> Page {
@@ -344,24 +220,20 @@ mod tests {
 
     #[test]
     fn disarmed_store_passes_through() {
-        let (_, fs) = store_with_pages(4);
-        fs.schedule(FaultPoint { op: IoOp::Write, index: 0, kind: FaultKind::Permanent });
+        let (_, plan, fs) =
+            store_with_pages(4, &[("store.write", Trigger::At(0), Action::Permanent)]);
         fs.write(PageId(1), &page_with(7)).unwrap();
         let mut back = Page::zeroed();
         fs.read(PageId(1), &mut back).unwrap();
         assert_eq!(back.as_bytes()[0], 7);
-        assert_eq!(fs.stats().triggered, 0, "disarmed: nothing fires");
+        assert!(plan.fired().is_empty(), "disarmed: nothing fires");
     }
 
     #[test]
     fn transient_fails_then_recovers() {
-        let (_, fs) = store_with_pages(4);
-        fs.schedule(FaultPoint {
-            op: IoOp::Read,
-            index: 1,
-            kind: FaultKind::Transient { times: 2 },
-        });
-        fs.arm();
+        let (_, plan, fs) =
+            store_with_pages(4, &[("store.read", Trigger::At(1), Action::Transient(2))]);
+        plan.arm();
         let mut p = Page::zeroed();
         fs.read(PageId(0), &mut p).unwrap(); // index 0: clean
         let e1 = fs.read(PageId(0), &mut p).unwrap_err(); // index 1: fires
@@ -369,14 +241,26 @@ mod tests {
         let e2 = fs.read(PageId(0), &mut p).unwrap_err(); // index 2: still down
         assert_eq!(e2.kind(), io::ErrorKind::Interrupted);
         fs.read(PageId(0), &mut p).unwrap(); // recovered
-        assert!(fs.has_triggered());
+        assert_eq!(plan.fires("store.read"), 1);
+    }
+
+    #[test]
+    fn transient_window_stops_at_disarm() {
+        let (_, plan, fs) =
+            store_with_pages(4, &[("store.read", Trigger::At(0), Action::Transient(3))]);
+        plan.arm();
+        let mut p = Page::zeroed();
+        assert!(fs.read(PageId(0), &mut p).is_err(), "window opened");
+        plan.disarm();
+        fs.read(PageId(0), &mut p).unwrap();
+        fs.read(PageId(0), &mut p).unwrap();
     }
 
     #[test]
     fn permanent_fails_forever() {
-        let (_, fs) = store_with_pages(4);
-        fs.schedule(FaultPoint { op: IoOp::Write, index: 0, kind: FaultKind::Permanent });
-        fs.arm();
+        let (_, plan, fs) =
+            store_with_pages(4, &[("store.write", Trigger::At(0), Action::Permanent)]);
+        plan.arm();
         assert!(fs.write(PageId(1), &page_with(1)).is_err());
         assert!(fs.write(PageId(1), &page_with(1)).is_err());
         assert!(fs.write(PageId(2), &page_with(1)).is_err());
@@ -387,14 +271,10 @@ mod tests {
 
     #[test]
     fn torn_write_keeps_old_tail() {
-        let (inner, fs) = store_with_pages(4);
+        let (inner, plan, fs) =
+            store_with_pages(4, &[("store.write", Trigger::At(0), Action::Torn(1024))]);
         inner.write(PageId(1), &page_with(0xAA)).unwrap();
-        fs.schedule(FaultPoint {
-            op: IoOp::Write,
-            index: 0,
-            kind: FaultKind::TornWrite { keep: 1024 },
-        });
-        fs.arm();
+        plan.arm();
         fs.write(PageId(1), &page_with(0xBB)).unwrap();
         let mut back = Page::zeroed();
         inner.read(PageId(1), &mut back).unwrap();
@@ -404,10 +284,10 @@ mod tests {
 
     #[test]
     fn lost_write_rolls_back_at_crash_unless_synced() {
-        let (inner, fs) = store_with_pages(4);
+        let (inner, plan, fs) =
+            store_with_pages(4, &[("store.write", Trigger::Next(1), Action::Lost)]);
         inner.write(PageId(1), &page_with(0x11)).unwrap();
-        fs.schedule(FaultPoint { op: IoOp::Write, index: 0, kind: FaultKind::LostWrite });
-        fs.arm();
+        plan.arm();
         fs.write(PageId(1), &page_with(0x22)).unwrap();
         // Reads observe the cached write...
         let mut back = Page::zeroed();
@@ -419,22 +299,27 @@ mod tests {
         assert_eq!(back.as_bytes()[0], 0x11, "lost write rolled back");
 
         // Same again with an intervening sync: the write sticks.
-        fs.schedule(FaultPoint { op: IoOp::Write, index: 0, kind: FaultKind::LostWrite });
-        fs.arm();
+        plan.add("store.write", Trigger::Next(1), Action::Lost);
+        plan.arm();
         fs.write(PageId(1), &page_with(0x33)).unwrap();
         fs.sync().unwrap();
         fs.crash_disk().unwrap();
         inner.read(PageId(1), &mut back).unwrap();
         assert_eq!(back.as_bytes()[0], 0x33, "synced write survived the crash");
+        assert_eq!(plan.fires("store.write"), 2);
     }
 
     #[test]
     fn failed_sync_keeps_writes_lost() {
-        let (inner, fs) = store_with_pages(4);
+        let (inner, plan, fs) = store_with_pages(
+            4,
+            &[
+                ("store.write", Trigger::At(0), Action::Lost),
+                ("store.sync", Trigger::At(0), Action::FailedSync),
+            ],
+        );
         inner.write(PageId(1), &page_with(0x11)).unwrap();
-        fs.schedule(FaultPoint { op: IoOp::Write, index: 0, kind: FaultKind::LostWrite });
-        fs.schedule(FaultPoint { op: IoOp::Sync, index: 0, kind: FaultKind::FailedSync });
-        fs.arm();
+        plan.arm();
         fs.write(PageId(1), &page_with(0x44)).unwrap();
         assert!(fs.sync().is_err(), "fsync failure injected");
         fs.crash_disk().unwrap();

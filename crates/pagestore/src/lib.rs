@@ -27,7 +27,7 @@ pub use buffer::{
     is_storage_poisoned, is_transient_io, BufferPool, FrameData, OptimisticReadGuard,
     PageReadGuard, PageWriteGuard, PoolStats, StoragePoisoned, Validation,
 };
-pub use fault::{FaultKind, FaultPoint, FaultStore, FaultStoreStats, IoOp};
+pub use fault::FaultStore;
 pub use heap::HeapFile;
 pub use page::{Page, PageFull, PageId, Rid, SlotId, HEADER_SIZE, PAGE_SIZE, SLOT_SIZE};
 pub use store::{FileStore, InMemoryStore, PageStore, SimulatedLatencyStore};

@@ -206,14 +206,11 @@ impl PredicateManager {
             // a duplicate FIFO entry for one predicate.
             let mut sh = self.nodes.lock(&node);
             let list = sh.entry(node).or_default();
-            // Historical duplicate-FIFO race, compiled in only under the
-            // `mutations` feature and armed at runtime by model-checker
-            // self-tests: pushing without the dedupe check duplicates the
-            // entry when a replicate already copied it here.
-            #[cfg(feature = "mutations")]
-            let skip_dedupe = gist_audit::mutation::armed("predlock.attach-skip-dedupe");
-            #[cfg(not(feature = "mutations"))]
-            let skip_dedupe = false;
+            // Historical duplicate-FIFO race behind a mutation switch
+            // (armed by model-checker self-tests): pushing without the
+            // dedupe check duplicates the entry when a replicate already
+            // copied it here.
+            let skip_dedupe = gist_chaos::armed("predlock.attach-skip-dedupe");
             if skip_dedupe || list.iter().all(|e| e.id != pred) {
                 list.push(entry);
             }

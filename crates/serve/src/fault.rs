@@ -1,176 +1,72 @@
-//! Deterministic wire-fault injection, mirroring `FaultStore` in
-//! `gist-pagestore`: faults are scheduled by **operation index** (the
-//! Nth recv / Nth send on this connection), so a test can say "tear the
-//! third write" and get exactly that, every run.
+//! Deterministic wire-fault injection: a [`Transport`] wrapper driven by
+//! a [`gist_chaos::Plan`] at the sites `wire.recv` and `wire.send` — the
+//! Nth recv / Nth send while the plan is armed — so a test can say
+//! "tear the third write" and get exactly that, every run.
+//!
+//! `wire.recv` acts on [`Action::Short`] (a short read; the frame
+//! decoder must reassemble), [`Action::Reset`] and [`Action::Delay`];
+//! `wire.send` on [`Action::Torn`] (a prefix reaches the peer, then the
+//! connection resets — a torn write mid-frame), [`Action::Reset`] and
+//! [`Action::Delay`]. A delay sleeps, then performs the operation
+//! normally (drives deadline and eviction paths).
 
-use std::collections::HashMap;
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::Mutex;
+use gist_chaos::{Action, Plan};
 
 use crate::io::Transport;
-
-/// Which transport direction an entry addresses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum IoOp {
-    /// The Nth [`Transport::recv`] call.
-    Recv,
-    /// The Nth [`Transport::send`] call.
-    Send,
-}
-
-/// What to do when a scheduled operation index comes up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    /// Recv only: deliver at most this many bytes (a short read; the
-    /// frame decoder must reassemble).
-    ShortRead(usize),
-    /// Send only: put this many prefix bytes on the wire, then fail
-    /// with `ConnectionReset` — a torn write mid-frame.
-    TornWrite(usize),
-    /// Fail immediately with `ConnectionReset`.
-    Reset,
-    /// Sleep this many milliseconds first, then perform the operation
-    /// normally (drives deadline/eviction paths).
-    Stall(u64),
-}
-
-/// Counters for faults actually delivered.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Short reads delivered.
-    pub short_reads: u64,
-    /// Torn writes delivered.
-    pub torn_writes: u64,
-    /// Resets delivered.
-    pub resets: u64,
-    /// Stalls delivered.
-    pub stalls: u64,
-}
-
-/// Shared fault schedule; clone the `Arc` into the test and hand the
-/// transport to the server.
-pub struct FaultPlan {
-    armed: AtomicBool,
-    schedule: Mutex<HashMap<(IoOp, u64), FaultKind>>,
-    short_reads: AtomicU64,
-    torn_writes: AtomicU64,
-    resets: AtomicU64,
-    stalls: AtomicU64,
-}
-
-impl FaultPlan {
-    /// Fresh, disarmed plan.
-    pub fn new() -> Arc<Self> {
-        Arc::new(FaultPlan {
-            armed: AtomicBool::new(false),
-            schedule: Mutex::new(HashMap::new()),
-            short_reads: AtomicU64::new(0),
-            torn_writes: AtomicU64::new(0),
-            resets: AtomicU64::new(0),
-            stalls: AtomicU64::new(0),
-        })
-    }
-
-    /// Schedule `kind` for the `index`-th operation of `op` (0-based,
-    /// counted per transport).
-    pub fn set(&self, op: IoOp, index: u64, kind: FaultKind) {
-        self.schedule.lock().insert((op, index), kind);
-    }
-
-    /// Start delivering scheduled faults.
-    pub fn arm(&self) {
-        self.armed.store(true, Ordering::SeqCst);
-    }
-
-    /// Stop delivering; the remaining schedule is kept.
-    pub fn disarm(&self) {
-        self.armed.store(false, Ordering::SeqCst);
-    }
-
-    /// Faults delivered so far.
-    pub fn stats(&self) -> FaultStats {
-        FaultStats {
-            short_reads: self.short_reads.load(Ordering::SeqCst),
-            torn_writes: self.torn_writes.load(Ordering::SeqCst),
-            resets: self.resets.load(Ordering::SeqCst),
-            stalls: self.stalls.load(Ordering::SeqCst),
-        }
-    }
-
-    fn take(&self, op: IoOp, index: u64) -> Option<FaultKind> {
-        if !self.armed.load(Ordering::SeqCst) {
-            return None;
-        }
-        let kind = self.schedule.lock().remove(&(op, index))?;
-        let counter = match kind {
-            FaultKind::ShortRead(_) => &self.short_reads,
-            FaultKind::TornWrite(_) => &self.torn_writes,
-            FaultKind::Reset => &self.resets,
-            FaultKind::Stall(_) => &self.stalls,
-        };
-        counter.fetch_add(1, Ordering::SeqCst);
-        Some(kind)
-    }
-}
 
 fn reset_err() -> io::Error {
     io::Error::new(io::ErrorKind::ConnectionReset, "injected reset")
 }
 
-/// [`Transport`] wrapper applying a [`FaultPlan`] to an inner transport.
+/// [`Transport`] wrapper applying a [`Plan`] to an inner transport.
 pub struct FaultTransport {
     inner: Box<dyn Transport>,
-    plan: Arc<FaultPlan>,
-    recvs: u64,
-    sends: u64,
+    plan: Arc<Plan>,
 }
 
 impl FaultTransport {
     /// Wrap `inner` under `plan`'s schedule.
-    pub fn new(inner: Box<dyn Transport>, plan: Arc<FaultPlan>) -> Self {
-        FaultTransport { inner, plan, recvs: 0, sends: 0 }
+    pub fn new(inner: Box<dyn Transport>, plan: Arc<Plan>) -> Self {
+        FaultTransport { inner, plan }
+    }
+
+    /// Consult the plan at `site`: a reset fails, a delay sleeps first.
+    fn hit(&self, site: &'static str) -> io::Result<Option<Action>> {
+        match self.plan.hit(site) {
+            Some(Action::Reset) => Err(reset_err()),
+            Some(Action::Delay(ms)) => {
+                std::thread::sleep(Duration::from_millis(ms));
+                Ok(None)
+            }
+            other => Ok(other),
+        }
     }
 }
 
 impl Transport for FaultTransport {
     fn recv(&mut self, buf: &mut [u8], deadline: Duration) -> io::Result<usize> {
-        let idx = self.recvs;
-        self.recvs += 1;
-        match self.plan.take(IoOp::Recv, idx) {
-            Some(FaultKind::Reset) => Err(reset_err()),
-            Some(FaultKind::Stall(ms)) => {
-                std::thread::sleep(Duration::from_millis(ms));
-                self.inner.recv(buf, deadline)
-            }
-            Some(FaultKind::ShortRead(n)) => {
+        match self.hit("wire.recv")? {
+            Some(Action::Short(n)) => {
                 let cap = n.clamp(1, buf.len().max(1)).min(buf.len());
                 self.inner.recv(&mut buf[..cap], deadline)
             }
-            // TornWrite on the recv side is meaningless; ignore it.
-            Some(FaultKind::TornWrite(_)) | None => self.inner.recv(buf, deadline),
+            _ => self.inner.recv(buf, deadline),
         }
     }
 
     fn send(&mut self, bytes: &[u8], deadline: Duration) -> io::Result<()> {
-        let idx = self.sends;
-        self.sends += 1;
-        match self.plan.take(IoOp::Send, idx) {
-            Some(FaultKind::Reset) => Err(reset_err()),
-            Some(FaultKind::Stall(ms)) => {
-                std::thread::sleep(Duration::from_millis(ms));
-                self.inner.send(bytes, deadline)
-            }
-            Some(FaultKind::TornWrite(keep)) => {
+        match self.hit("wire.send")? {
+            Some(Action::Torn(keep)) => {
                 // Prefix bytes reach the peer, then the connection dies:
                 // the peer's frame decoder is left holding a partial frame.
                 self.inner.send(&bytes[..keep.min(bytes.len())], deadline)?;
                 Err(reset_err())
             }
-            Some(FaultKind::ShortRead(_)) | None => self.inner.send(bytes, deadline),
+            _ => self.inner.send(bytes, deadline),
         }
     }
 
@@ -183,13 +79,14 @@ impl Transport for FaultTransport {
 mod tests {
     use super::*;
     use crate::io::pipe_pair;
+    use gist_chaos::Trigger;
 
     #[test]
     fn scheduled_faults_fire_by_op_index() {
         let (server_end, mut client_end) = pipe_pair();
-        let plan = FaultPlan::new();
-        plan.set(IoOp::Send, 1, FaultKind::TornWrite(2));
-        plan.set(IoOp::Recv, 0, FaultKind::ShortRead(1));
+        let plan = Plan::new();
+        plan.add("wire.send", Trigger::At(1), Action::Torn(2));
+        plan.add("wire.recv", Trigger::At(0), Action::Short(1));
         plan.arm();
         let mut t = FaultTransport::new(Box::new(server_end), plan.clone());
         let d = Duration::from_millis(50);
@@ -206,18 +103,33 @@ mod tests {
         assert_eq!(t.recv(&mut buf, d).unwrap(), 1);
         assert_eq!(t.recv(&mut buf, d).unwrap(), 4, "recv 1 unscheduled, sees the rest");
 
-        let s = plan.stats();
-        assert_eq!(s.torn_writes, 1);
-        assert_eq!(s.short_reads, 1);
+        assert_eq!(plan.fires("wire.send"), 1);
+        assert_eq!(plan.fires("wire.recv"), 1);
     }
 
     #[test]
     fn disarmed_plan_is_inert() {
         let (server_end, _client_end) = pipe_pair();
-        let plan = FaultPlan::new();
-        plan.set(IoOp::Send, 0, FaultKind::Reset);
+        let plan = Plan::new();
+        plan.add("wire.send", Trigger::At(0), Action::Reset);
         let mut t = FaultTransport::new(Box::new(server_end), plan.clone());
         t.send(b"ok", Duration::from_millis(50)).unwrap();
-        assert_eq!(plan.stats(), FaultStats::default());
+        assert!(plan.fired().is_empty());
+    }
+
+    #[test]
+    fn stall_delays_then_delivers() {
+        let (server_end, mut client_end) = pipe_pair();
+        let plan = Plan::new();
+        plan.add("wire.send", Trigger::Next(1), Action::Delay(20));
+        plan.arm();
+        let mut t = FaultTransport::new(Box::new(server_end), plan.clone());
+        let d = Duration::from_millis(200);
+        let started = std::time::Instant::now();
+        t.send(b"late", d).unwrap();
+        assert!(started.elapsed() >= Duration::from_millis(20), "the send stalled first");
+        let mut buf = [0u8; 8];
+        let n = client_end.recv(&mut buf, d).unwrap();
+        assert_eq!(&buf[..n], b"late");
     }
 }

@@ -28,19 +28,18 @@
 //!   (counted, via the same exactly-once funnel).
 //!
 //! Verification lives in `tests/serve.rs`: a deterministic
-//! [`FaultTransport`] (torn writes, resets, stalls, short reads by
-//! op-index schedule, mirroring `FaultStore`), chaos points across the
+//! [`FaultTransport`] (torn writes, resets, stalls, short reads from the
+//! same `gist_chaos::Plan` as `FaultStore`), chaos points across the
 //! accept/decode/dispatch/drain path, and a protocol corpus asserting
 //! malformed bytes can never panic the server or leak a transaction.
 
-mod chaos;
 mod client;
 mod fault;
 pub mod io;
 mod session;
 
 pub use client::Client;
-pub use fault::{FaultKind, FaultPlan, FaultStats, FaultTransport, IoOp};
+pub use fault::FaultTransport;
 pub use io::{pipe_pair, PipeConn, TcpConn, Transport};
 
 use std::collections::HashMap;
@@ -286,7 +285,7 @@ impl Server {
             inner.sessions.lock().values().cloned().collect();
         let mut forced = 0u64;
         for s in &stragglers {
-            let _ = chaos::point("serve.drain.before_force_abort");
+            let _ = gist_chaos::point("serve.drain.before_force_abort");
             if let Some(txn) = s.txn.lock().take() {
                 let _ = inner.db.end_session_txn(txn);
                 forced += 1;

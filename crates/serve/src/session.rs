@@ -18,7 +18,6 @@ use gist_wire::{
 };
 use parking_lot::Mutex;
 
-use crate::chaos;
 use crate::io::Transport;
 use crate::ServerInner;
 
@@ -54,6 +53,12 @@ enum SessionEnd {
     Injected,
 }
 
+impl From<gist_chaos::Injected> for SessionEnd {
+    fn from(_: gist_chaos::Injected) -> Self {
+        SessionEnd::Injected
+    }
+}
+
 /// Run one session to completion, then tear it down. This is the only
 /// place a session's resources are released, and it runs no matter how
 /// `serve_loop` ended — EOF, reset, protocol abuse, eviction, chaos.
@@ -87,7 +92,7 @@ pub(crate) fn run(inner: &Arc<ServerInner>, mut conn: Box<dyn Transport>, shared
 }
 
 fn serve_loop(inner: &Arc<ServerInner>, conn: &mut dyn Transport, shared: &SessionShared) -> SessionEnd {
-    if chaos::point("serve.session.after_accept").is_err() {
+    if gist_chaos::point("serve.session.after_accept").is_err() {
         return SessionEnd::Injected;
     }
     let cfg = &inner.cfg;
@@ -118,7 +123,7 @@ fn serve_loop(inner: &Arc<ServerInner>, conn: &mut dyn Transport, shared: &Sessi
                     return SessionEnd::Protocol;
                 }
             };
-            if chaos::point("serve.session.before_dispatch").is_err() {
+            if gist_chaos::point("serve.session.before_dispatch").is_err() {
                 return SessionEnd::Injected;
             }
             let rsp = dispatch(inner, shared, req);
@@ -159,9 +164,7 @@ fn protocol_error(msg: &str) -> Response {
 }
 
 fn reply(inner: &ServerInner, conn: &mut dyn Transport, rsp: &Response) -> Result<(), SessionEnd> {
-    if chaos::point("serve.session.before_reply").is_err() {
-        return Err(SessionEnd::Injected);
-    }
+    gist_chaos::point("serve.session.before_reply")?;
     // Every response encoder bounds its body below MAX_FRAME — `Rows`
     // by the frame byte budget (with its `truncated` flag), the other
     // collections by entry caps — so `None` here would be a server bug

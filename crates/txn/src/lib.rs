@@ -153,7 +153,7 @@ pub enum TxnError {
     /// The transaction is poisoned (an operation panicked mid-flight);
     /// only `abort` is accepted.
     MustAbort(TxnId),
-    /// A chaos crash point injected this failure (`chaos` feature).
+    /// A chaos crash point injected this failure.
     Injected(&'static str),
     /// The commit pipeline's durable horizon never reached this LSN
     /// within the park timeout (flusher dead or fenced). The commit's
@@ -187,6 +187,12 @@ impl std::error::Error for TxnError {}
 impl From<LockError> for TxnError {
     fn from(e: LockError) -> Self {
         TxnError::Lock(e)
+    }
+}
+
+impl From<gist_chaos::Injected> for TxnError {
+    fn from(e: gist_chaos::Injected) -> Self {
+        TxnError::Injected(e.0)
     }
 }
 
@@ -430,9 +436,9 @@ impl TxnManager {
         };
         // Park outside the table lock: a whole batch of committers must
         // be able to reach the pipeline so one fsync covers all of them.
-        chaos::point("commit.before_durable_wait")?;
+        gist_chaos::point("commit.before_durable_wait")?;
         self.pipeline.commit_durable(commit_lsn, durability)?;
-        chaos::point("commit.after_wal_flush")?;
+        gist_chaos::point("commit.after_wal_flush")?;
         self.finish_commit(txn);
         Ok(())
     }
@@ -472,7 +478,7 @@ impl TxnManager {
     /// that rollback finish; and one the watchdog already tore down
     /// returns `Ok`, consuming its tombstone.
     pub fn abort(&self, txn: TxnId, handler: &dyn RecoveryHandler) -> Result<(), TxnError> {
-        chaos::point("abort.before_undo")?;
+        gist_chaos::point("abort.before_undo")?;
         let last_lsn = {
             let mut table = self.table.lock();
             let info = match table.get_mut(&txn) {
@@ -794,24 +800,6 @@ impl Drop for OpGuard<'_> {
         if !self.done {
             self.mgr.op_exit(self.txn, true);
         }
-    }
-}
-
-#[cfg(feature = "chaos")]
-mod chaos {
-    /// Crash point on the transaction paths; injections surface as
-    /// [`TxnError::Injected`](super::TxnError::Injected).
-    pub(crate) fn point(name: &'static str) -> Result<(), super::TxnError> {
-        gist_chaos::point(name).map_err(|e| super::TxnError::Injected(e.0))
-    }
-}
-
-#[cfg(not(feature = "chaos"))]
-mod chaos {
-    /// Crash points compile to nothing without the `chaos` feature.
-    #[inline(always)]
-    pub(crate) fn point(_name: &'static str) -> Result<(), super::TxnError> {
-        Ok(())
     }
 }
 

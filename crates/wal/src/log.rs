@@ -447,8 +447,7 @@ impl LogManager {
     /// `wal-lost-wakeup` model-check scenario pins the no-missed-notify
     /// property across every explored schedule.
     pub fn wait_durable(&self, lsn: Lsn, timeout: Duration) -> bool {
-        #[cfg(feature = "mutations")]
-        if gist_audit::mutation::armed("wal.wait-durable-unguarded-park") {
+        if gist_chaos::armed("wal.wait-durable-unguarded-park") {
             return self.wait_durable_unguarded_park(lsn, timeout);
         }
         let deadline = Instant::now() + timeout;
@@ -469,13 +468,12 @@ impl LogManager {
         }
     }
 
-    /// Historical lost-wakeup bug, compiled in only under the
-    /// `mutations` feature and armed at runtime by model-checker
-    /// self-tests: the horizon check happens *outside* the wait mutex
+    /// Historical lost-wakeup bug behind a mutation switch (compiled
+    /// away unless gist-chaos is `enabled`, armed by model-checker
+    /// self-tests): the horizon check happens *outside* the wait mutex
     /// and the park ignores the generation, so a notify that lands
     /// between the check and the park is lost and the waiter sleeps its
     /// full timeout.
-    #[cfg(feature = "mutations")]
     fn wait_durable_unguarded_park(&self, lsn: Lsn, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         loop {

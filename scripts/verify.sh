@@ -10,8 +10,9 @@
 #
 # Tier 2: zero clippy warnings, zero gist-lint violations, the test
 # suite under the gist-audit dynamic discipline analyzer
-# (`--features latch-audit`), the fault/chaos/overload/serve harnesses,
-# and the bench_e2e package's own tests.
+# (`--features latch-audit`), the fault/chaos/overload/serve harnesses
+# (one of them a cross-layer scenario under one seeded fault plan), and
+# the bench_e2e package's own tests.
 #
 # Tier 3: the crates/mc deterministic schedule explorer — schedule-pinned
 # regression scenarios, mutation-detection proofs, and exhaustive DFS over
@@ -73,6 +74,12 @@ step "tier 2: serve (wire protocol, sessions, drain)" \
     cargo test -q --release --test serve
 step "tier 2: serve chaos teardown sweep" \
     cargo test -q --release --features chaos --test serve
+# One seeded fault plan across store, flusher and wire (tests/serve.rs);
+# FAULT_SEED picks the plan, which the test prints with its fired log.
+step "tier 2: cross-layer fault plan, seeds 1 and 2" \
+    sh -c 'for seed in 1 2; do
+        FAULT_SEED=$seed cargo test -q --release --features chaos --test serve cross_layer || exit 1
+    done'
 step "tier 2: bench_e2e package tests + smoke runs" \
     cargo test --release --offline --manifest-path bench_e2e/Cargo.toml
 

@@ -19,7 +19,7 @@
 //! | `no-unbounded-wait` | no bare `.wait(&mut ...)` condvar parks in non-test crate code — every wait must carry a deadline (`wait_for`/`wait_until`) so a lost wakeup degrades instead of hanging (the `gist-sync` wrappers and the `mc` scheduler are exempt) |
 //! | `no-unbounded-read` | no raw `.read(...)` / `.write_all(...)` socket calls in `crates/serve` outside the deadline-wrapped transport helpers (`io.rs`) — a session parked on a dead peer with no deadline is exactly the leak the serving layer exists to prevent |
 //! | `no-owned-decode-in-traversal` | no `LeafEntry::decode(` / `InternalEntry::decode(` / `node::internal_entries(` / `node::leaf_entries(` under `crates/core/src/ops/` or in `tree.rs` / `maint.rs` / `check.rs` — traversals read entries through the borrowed views (`LeafEntryRef`, `InternalEntryRef`); an owning decode there is one `malloc` per entry looked at |
-//! | `chaos-point-registry` | every `chaos::point("...")` call site names an entry of the chaos crate's `CATALOG`, the catalog is duplicate-free, and every cataloged point is threaded through at least one call site |
+//! | `chaos-point-registry` | every `chaos::point("...")` crash point and `chaos::armed("...")` mutation switch names an entry of the chaos crate's `CATALOG`, the catalog is duplicate-free, and every cataloged name is threaded through at least one call site |
 //!
 //! Scanning is line/AST-lite on purpose: the build must stay offline, so
 //! no syn/proc-macro dependencies. A light sanitizer strips comments and
@@ -729,12 +729,12 @@ fn quote_pairs(clean_line: &str) -> Vec<(usize, usize)> {
 }
 
 /// Rule `chaos-point-registry`: the chaos crate's `CATALOG` is the single
-/// source of truth for crash-point names. Every `chaos::point("...")`
-/// call site must name a cataloged point (a dangling name is a point the
-/// per-point chaos harness would silently never arm), the catalog must be
-/// duplicate-free, and every cataloged name must be threaded through at
-/// least one call site (an unused entry is dead coverage the harness
-/// *thinks* it exercises).
+/// source of truth for crash-point and mutation-switch names. Every
+/// `chaos::point("...")` and `chaos::armed("...")` call site must name a
+/// cataloged entry (a dangling name is a site the harness would silently
+/// never arm), the catalog must be duplicate-free, and every cataloged
+/// name must be threaded through at least one call site (an unused entry
+/// is dead coverage the harness *thinks* it exercises).
 fn rule_chaos_point_registry(files: &[SourceFile], out: &mut Vec<Violation>) {
     let Some(cat_file) = find_file(files, "chaos/src/lib.rs") else {
         out.push(Violation {
@@ -788,41 +788,43 @@ fn rule_chaos_point_registry(files: &[SourceFile], out: &mut Vec<Violation>) {
             });
         }
     }
-    // Call sites: `chaos::point("...")` in non-test code anywhere in the
-    // workspace. Forwarding shims (`gist_chaos::point(name)`) carry no
-    // string literal on the line and are skipped.
+    // Call sites: `chaos::point("...")` / `chaos::armed("...")` in
+    // non-test code anywhere in the workspace. A call forwarding a
+    // variable carries no string literal on the line and is skipped.
     let mut used: std::collections::HashSet<String> = std::collections::HashSet::new();
     for f in files {
         if f.path == cat_file.path {
-            continue; // the registry itself (arm/fire plumbing, unit tests)
+            continue; // the registry itself (plan plumbing, unit tests)
         }
         for (n, clean, raw, test) in f.lines() {
-            if test || !clean.contains("chaos::point(") {
+            if test || !(clean.contains("chaos::point(") || clean.contains("chaos::armed(")) {
                 continue;
             }
             let pairs = quote_pairs(clean);
-            let mut search = 0;
-            while let Some(rel) = clean[search..].find("chaos::point(") {
-                let call_char = clean[..search + rel].chars().count();
-                search += rel + "chaos::point(".len();
-                // The literal belonging to this call is the first quote
-                // pair at/after the call site (a shim forwarding a
-                // variable has none on the line).
-                let Some(&(q1, q2)) = pairs.iter().find(|(q1, _)| *q1 >= call_char) else {
-                    continue;
-                };
-                let name: String = raw.chars().skip(q1 + 1).take(q2 - q1 - 1).collect();
-                used.insert(name.clone());
-                if !seen.contains(name.as_str()) {
-                    out.push(Violation {
-                        rule: "chaos-point-registry",
-                        file: f.path.clone(),
-                        line: n,
-                        msg: format!(
-                            "chaos point {name:?} is not in the chaos crate's CATALOG — \
-                             the per-point harness would never arm it"
-                        ),
-                    });
+            for call in ["chaos::point(", "chaos::armed("] {
+                let mut search = 0;
+                while let Some(rel) = clean[search..].find(call) {
+                    let call_char = clean[..search + rel].chars().count();
+                    search += rel + call.len();
+                    // The literal belonging to this call is the first quote
+                    // pair at/after the call site (a shim forwarding a
+                    // variable has none on the line).
+                    let Some(&(q1, q2)) = pairs.iter().find(|(q1, _)| *q1 >= call_char) else {
+                        continue;
+                    };
+                    let name: String = raw.chars().skip(q1 + 1).take(q2 - q1 - 1).collect();
+                    used.insert(name.clone());
+                    if !seen.contains(name.as_str()) {
+                        out.push(Violation {
+                            rule: "chaos-point-registry",
+                            file: f.path.clone(),
+                            line: n,
+                            msg: format!(
+                                "chaos site {name:?} is not in the chaos crate's CATALOG — \
+                                 the harness would never arm it"
+                            ),
+                        });
+                    }
                 }
             }
         }
@@ -834,8 +836,8 @@ fn rule_chaos_point_registry(files: &[SourceFile], out: &mut Vec<Violation>) {
                 file: cat_file.path.clone(),
                 line: *line,
                 msg: format!(
-                    "catalog entry {name:?} has no `chaos::point({name:?})` call site — \
-                     dead coverage"
+                    "catalog entry {name:?} has no `chaos::point({name:?})` or \
+                     `chaos::armed({name:?})` call site — dead coverage"
                 ),
             });
         }
@@ -1474,6 +1476,21 @@ mod tests {
         let mut v = Vec::new();
         rule_chaos_point_registry(&files, &mut v);
         assert!(v.is_empty(), "{v:?}");
+    }
+
+    #[test]
+    fn chaos_armed_switch_is_checked() {
+        let files = vec![
+            chaos_lib(&["a.one", "m.switch"]),
+            file(
+                "crates/core/src/x.rs",
+                "fn f() { gist_chaos::point(\"a.one\")?; }\nfn g() -> bool { gist_chaos::armed(\"m.switch\") || gist_chaos::armed(\"m.ghost\") }\n",
+            ),
+        ];
+        let mut v = Vec::new();
+        rule_chaos_point_registry(&files, &mut v);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].msg.contains("m.ghost"), "{v:?}");
     }
 
     /// The real repository must be lint-clean: this is the self-scan the

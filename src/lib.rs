@@ -32,6 +32,9 @@
 //!   by the serving layer (fuzz-safe decode, incremental framing).
 //! - [`serve`] — the fault-tolerant serving front-end: session-owned
 //!   transactions, deadline-sliced I/O, `Busy` shedding, graceful drain.
+//! - [`chaos`] — the one fault plan behind every injector: crash points,
+//!   mutation switches, storage and wire faults, scheduled by (site, op
+//!   index); the crash points fire only in `chaos` builds.
 //! - `audit` (behind the `latch-audit` feature) — the dynamic latch/lock
 //!   discipline analyzer asserting the §5 protocol invariants at runtime.
 
@@ -40,7 +43,6 @@
 pub use gist_am as am;
 #[cfg(feature = "latch-audit")]
 pub use gist_audit as audit;
-#[cfg(feature = "chaos")]
 pub use gist_chaos as chaos;
 pub use gist_core as core;
 pub use gist_epoch as epoch;

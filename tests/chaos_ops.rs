@@ -1,6 +1,6 @@
 //! Operation-level chaos harness (`--features chaos`).
 //!
-//! Enumerates the chaos crate's crash-point `CATALOG` and, for every
+//! Enumerates the chaos crate's crash points (`POINTS`) and, for every
 //! point, drives a victim transaction into it with the point armed to
 //! inject an error or a panic. The contract under test is the PR-5
 //! robustness tentpole:
@@ -17,8 +17,8 @@
 //! - a crash + restart right after the chaos recovers to the same
 //!   committed state.
 //!
-//! The chaos registry is process-global, so every test in this binary
-//! serializes on one mutex and disarms on entry/exit.
+//! The installed fault plan is process-global, so every test in this
+//! binary serializes on one mutex and uninstalls on entry/exit.
 
 #![cfg(feature = "chaos")]
 
@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 
 use gist_repro::am::{BtreeExt, I64Query};
-use gist_repro::chaos::{self, ChaosAction};
+use gist_repro::chaos::{self, Action, Plan, Trigger};
 use gist_repro::core::check::check_tree;
 use gist_repro::core::{Db, DbConfig, GistError, GistIndex, IndexOptions};
 use gist_repro::pagestore::{InMemoryStore, PageId, Rid};
@@ -39,8 +39,17 @@ fn serial() -> MutexGuard<'static, ()> {
     // A poisoned mutex only means an earlier chaos test panicked, which
     // some of them legitimately do under test; the guard is still good.
     let g = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
-    chaos::disarm_all();
+    chaos::uninstall();
     g
+}
+
+/// Install a fresh, armed process-wide plan firing `action` at `point`
+/// under `trigger`.
+fn arm(point: &'static str, trigger: Trigger, action: Action) -> Arc<Plan> {
+    let plan = chaos::install(Plan::new());
+    plan.add(point, trigger, action);
+    plan.arm();
+    plan
 }
 
 fn rid(n: u64) -> Rid {
@@ -97,6 +106,7 @@ fn victim_body(
     idx: &Arc<GistIndex<BtreeExt>>,
     txn: TxnId,
     point: &'static str,
+    plan: &Plan,
 ) -> gist_repro::core::Result<()> {
     if point.starts_with("insert.") {
         // Enough sequential inserts to force leaf splits, so the
@@ -105,9 +115,9 @@ fn victim_body(
         for i in 0..2000i64 {
             let k = VICTIM_LO + i;
             idx.insert(txn, &k, rid(k as u64))?;
-            if chaos::fired(point) > 0 {
+            if plan.fires(point) > 0 {
                 // The injection already happened on an *earlier* key
-                // (arm_times may allow successes after the fire); stop so
+                // (a spent trigger lets later keys through); stop so
                 // the test's "rolled back" assertion sees a doomed txn.
                 unreachable!("an armed point always surfaces as an error");
             }
@@ -146,10 +156,11 @@ enum Expect {
 
 /// Drive one `(point, action)` scenario deterministically (no peers) and
 /// assert rollback/commit semantics, tree health, and restart recovery.
-fn run_point_scenario(point: &'static str, action: ChaosAction) {
+fn run_point_scenario(point: &'static str, action: Action) {
     let h = Harness::new(DbConfig::default());
     let (db, idx) = h.open();
 
+    let plan;
     let expect;
     if point.starts_with("commit.") {
         // Victim inserts, then the injection hits inside commit — after
@@ -163,7 +174,7 @@ fn run_point_scenario(point: &'static str, action: ChaosAction) {
         for k in VICTIM_LO..VICTIM_LO + 3 {
             idx.insert(txn, &k, rid(k as u64)).unwrap();
         }
-        chaos::arm_times(point, action, 1);
+        plan = arm(point, Trigger::Next(1), action);
         let r = db.contained(txn, || db.commit(txn));
         assert!(r.is_err(), "armed commit point must surface: {r:?}");
         // The lost-ack protocol: a retrying caller aborts before retry,
@@ -172,7 +183,7 @@ fn run_point_scenario(point: &'static str, action: ChaosAction) {
         // issued that abort internally, so ours may find the transaction
         // gone — also fine, the commit stands either way.
         match action {
-            ChaosAction::Error => db.abort(txn).unwrap(),
+            Action::Error => db.abort(txn).unwrap(),
             _ => {
                 let _ = db.abort(txn);
             }
@@ -183,19 +194,19 @@ fn run_point_scenario(point: &'static str, action: ChaosAction) {
         for k in VICTIM_LO..VICTIM_LO + 3 {
             idx.insert(txn, &k, rid(k as u64)).unwrap();
         }
-        chaos::arm_times(point, action, 1);
+        plan = arm(point, Trigger::Next(1), action);
         let r = db.contained(txn, || db.abort(txn));
         match action {
             // The Error arm fires before any undo: abort fails cleanly
             // and must be retryable as-is.
-            ChaosAction::Error => {
+            Action::Error => {
                 assert!(r.is_err(), "armed abort point must surface");
                 db.abort(txn).unwrap();
             }
             // The Panic arm unwinds out of abort; `contained` catches it
             // and its own internal abort (the point is now disarmed)
             // finishes the rollback.
-            ChaosAction::Panic => {
+            Action::Panic => {
                 assert!(matches!(r, Err(GistError::Panicked(_))), "{r:?}");
                 let _ = db.abort(txn);
             }
@@ -204,11 +215,11 @@ fn run_point_scenario(point: &'static str, action: ChaosAction) {
         expect = Expect::RolledBack;
     } else {
         let txn = db.begin();
-        chaos::arm_times(point, action, 1);
-        let r = db.contained(txn, || victim_body(&idx, txn, point));
+        plan = arm(point, Trigger::Next(1), action);
+        let r = db.contained(txn, || victim_body(&idx, txn, point, &plan));
         assert!(r.is_err(), "armed point {point} must surface an error: {r:?}");
         match action {
-            ChaosAction::Panic => {
+            Action::Panic => {
                 assert!(
                     matches!(r, Err(GistError::Panicked(_))),
                     "panic arm surfaces as Panicked: {r:?}"
@@ -218,15 +229,15 @@ fn run_point_scenario(point: &'static str, action: ChaosAction) {
                 let reuse = idx.insert(txn, &(VICTIM_LO + 5000), rid(5000));
                 assert!(reuse.is_err(), "poisoned txn must refuse new operations");
             }
-            ChaosAction::Error => {
+            Action::Error => {
                 db.abort(txn).unwrap();
             }
             _ => unreachable!("scenario only arms Error/Panic"),
         }
         expect = Expect::RolledBack;
     }
-    assert_eq!(chaos::fired(point), 1, "the armed point fired exactly once");
-    chaos::disarm_all();
+    assert_eq!(plan.fires(point), 1, "the armed point fired exactly once");
+    chaos::uninstall();
 
     // Post-state: baseline intact, victim writes per `expect`.
     let assert_state = |db: &Arc<Db>, idx: &Arc<GistIndex<BtreeExt>>, phase: &str| {
@@ -260,7 +271,7 @@ fn run_point_scenario(point: &'static str, action: ChaosAction) {
 /// layer's accept/dispatch/drain path and are swept by the session-
 /// teardown drill in `tests/serve.rs`.
 fn foreground_points() -> Vec<&'static str> {
-    chaos::CATALOG
+    chaos::POINTS
         .iter()
         .copied()
         .filter(|p| {
@@ -273,7 +284,7 @@ fn foreground_points() -> Vec<&'static str> {
 fn per_point_error_injection_rolls_back_cleanly() {
     let _g = serial();
     for point in foreground_points() {
-        run_point_scenario(point, ChaosAction::Error);
+        run_point_scenario(point, Action::Error);
     }
 }
 
@@ -301,7 +312,7 @@ fn per_point_panic_is_contained_and_rolls_back() {
     let _g = serial();
     quiet_chaos_panics();
     for point in foreground_points() {
-        run_point_scenario(point, ChaosAction::Panic);
+        run_point_scenario(point, Action::Panic);
     }
 }
 
@@ -320,10 +331,10 @@ fn maint_gc_point_retries_and_recovers() {
 
     // The injection surfaces as MaintError::Retry: the daemon backs off
     // and the retry (point disarmed after one fire) succeeds.
-    chaos::arm_times("maint.before_gc", ChaosAction::Error, 1);
+    let plan = arm("maint.before_gc", Trigger::Next(1), Action::Error);
     let processed = db.maint_sync();
-    assert_eq!(chaos::fired("maint.before_gc"), 1);
-    chaos::disarm_all();
+    assert_eq!(plan.fires("maint.before_gc"), 1);
+    chaos::uninstall();
     assert!(processed > 0, "daemon drained its queue");
     let stats = db.maint_stats();
     assert!(stats.retries >= 1, "injected fault took the retry path: {stats:?}");
@@ -390,7 +401,7 @@ fn per_point_peers_survive_concurrent_chaos() {
             let (db, idx) = h.open();
             // Both actions, several fires: whoever trips the point dies
             // and retries; everyone must finish and the tree must hold.
-            chaos::arm_times(point, ChaosAction::Error, 2);
+            arm(point, Trigger::Next(2), Action::Error);
             let mut workers = Vec::new();
             for t in 0..4i64 {
                 let (db, idx) = (db.clone(), idx.clone());
@@ -414,7 +425,7 @@ fn per_point_peers_survive_concurrent_chaos() {
             for w in workers {
                 w.join().unwrap();
             }
-            chaos::disarm_all();
+            chaos::uninstall();
             check_tree(&idx).unwrap().assert_ok();
             let got = keys_in(&db, &idx, VICTIM_LO, VICTIM_LO + 100_000);
             assert_eq!(got.len(), 160, "point {pi} {point}: every peer insert committed");
@@ -547,6 +558,23 @@ fn run_txn_resolves_eight_thread_deadlock_storm() {
     check_tree(&idx).unwrap().assert_ok();
 }
 
+/// The crash points after the commit record is appended: an error there
+/// loses the acknowledgement, not the commit.
+const LOST_ACK_POINTS: [&str; 2] = ["commit.before_durable_wait", "commit.after_wal_flush"];
+
+/// Whether `k` is in the index, retrying searches an injection fails.
+/// The probe ends with `abort` so it cannot trip an armed commit point.
+fn present(db: &Arc<Db>, idx: &Arc<GistIndex<BtreeExt>>, k: i64) -> bool {
+    loop {
+        let probe = db.begin();
+        let hits = db.contained(probe, || idx.search(probe, &I64Query::range(k, k)));
+        let _ = db.abort(probe);
+        if let Ok(hits) = hits {
+            return !hits.is_empty();
+        }
+    }
+}
+
 #[test]
 fn seeded_chaos_soak_stays_consistent_and_recovers() {
     let _g = serial();
@@ -554,14 +582,23 @@ fn seeded_chaos_soak_stays_consistent_and_recovers() {
     let h = Harness::new(DbConfig::default());
     let (db, idx) = h.open();
 
-    let schedule = chaos::schedule_from_seed(seed);
-    assert!(!schedule.is_empty(), "seed {seed} arms a non-trivial schedule");
-    for (point, action) in &schedule {
-        match action {
-            ChaosAction::Error => chaos::arm_times(point, ChaosAction::Error, 3),
-            a => chaos::arm(point, *a),
-        }
-    }
+    // Every crash point draws a perturbation or a one-shot error. A
+    // failed abort is the one error the soak keeps off the menu:
+    // `run_txn` swallows it and would leak the transaction, which the
+    // per-point sweep covers on its own.
+    let menu: Vec<(&'static str, Action)> = chaos::POINTS
+        .iter()
+        .flat_map(|&p| {
+            let error = (p != "abort.before_undo").then_some(Action::Error);
+            [Some(Action::Delay(1)), Some(Action::Yield), error]
+                .into_iter()
+                .flatten()
+                .map(move |a| (p, a))
+        })
+        .collect();
+    let plan = chaos::install(Plan::from_seed(seed, &menu));
+    println!("seed {seed} plan:\n{plan}");
+    plan.arm();
 
     let committed: Arc<Mutex<Vec<i64>>> = Arc::new(Mutex::new(Vec::new()));
     let mut workers = Vec::new();
@@ -580,8 +617,20 @@ fn seeded_chaos_soak_stays_consistent_and_recovers() {
                     Ok(()) => committed.lock().unwrap().push(k),
                     // Injected faults are not retryable by design (they
                     // model faults, not contention); the workload moves
-                    // on, the key stays uncommitted.
-                    Err(GistError::Injected(_)) | Err(GistError::Txn(TxnError::Injected(_))) => {}
+                    // on. An error after the commit record is a lost
+                    // acknowledgement: the commit stands. Any other
+                    // injected error must have rolled the key back.
+                    Err(GistError::Injected(p)) | Err(GistError::Txn(TxnError::Injected(p))) => {
+                        let lost_ack = LOST_ACK_POINTS.contains(&p);
+                        assert_eq!(
+                            present(&db, &idx, k),
+                            lost_ack,
+                            "key {k} after an injected error at {p:?}"
+                        );
+                        if lost_ack {
+                            committed.lock().unwrap().push(k);
+                        }
+                    }
                     Err(e) => panic!("seeded soak hit an unexpected error: {e}"),
                 }
             }
@@ -590,7 +639,7 @@ fn seeded_chaos_soak_stays_consistent_and_recovers() {
     for w in workers {
         w.join().unwrap();
     }
-    chaos::disarm_all();
+    chaos::uninstall();
 
     // Exactly the acknowledged commits are visible — no torn state from
     // any injected abort — and the tree is structurally sound.

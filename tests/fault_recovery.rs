@@ -1,7 +1,8 @@
 //! Crash-point enumeration over injected storage faults.
 //!
-//! Each case wires the database over a [`FaultStore`] with exactly one
-//! (or one pair of) scheduled fault point(s), replays the same mixed
+//! Each case wires the database over a [`FaultStore`] whose fault plan
+//! carries exactly one (or one pair of) scheduled fault point(s) at the
+//! `store.*` sites, replays the same mixed
 //! workload until the point fires, crashes (buffer pool dropped, log
 //! truncated to its durable prefix, the faulted device's volatile cache
 //! rolled back), restarts, and verifies the full contract: the tree
@@ -30,9 +31,8 @@ use std::sync::Arc;
 use gist_repro::am::{BtreeExt, I64Query};
 use gist_repro::core::check::check_tree;
 use gist_repro::core::{Db, DbConfig, GistError, GistIndex, IndexOptions};
-use gist_repro::pagestore::{
-    FaultKind, FaultPoint, FaultStore, InMemoryStore, IoOp, PageId, PageStore, Rid,
-};
+use gist_repro::chaos::{Action, Plan, Trigger};
+use gist_repro::pagestore::{FaultStore, InMemoryStore, PageId, PageStore, Rid};
 use gist_repro::wal::{faults as wal_faults, LogManager, Lsn, RecordBody, TxnId};
 
 fn rid(n: u64) -> Rid {
@@ -73,8 +73,12 @@ struct CaseOutcome {
 /// batches with a flush + checkpoint per round until the schedule
 /// fires, then a loser transaction goes durable-but-uncommitted, the
 /// machine crashes, and restart must restore exactly the committed set.
-fn run_store_fault_case(points: &[FaultPoint], fail_final_sync: bool, label: &str) -> CaseOutcome {
-    let faults = FaultStore::new(Arc::new(InMemoryStore::new()));
+/// One scheduled store fault: `action` at op index `index` of `site`.
+type StorePoint = (&'static str, u64, Action);
+
+fn run_store_fault_case(points: &[StorePoint], fail_final_sync: bool, label: &str) -> CaseOutcome {
+    let plan = Plan::new();
+    let faults = FaultStore::new(Arc::new(InMemoryStore::new()), plan.clone());
     let store: Arc<dyn PageStore> = faults.clone();
     let log = Arc::new(LogManager::new());
     let config = DbConfig::default();
@@ -90,10 +94,10 @@ fn run_store_fault_case(points: &[FaultPoint], fail_final_sync: bool, label: &st
     db.pool().flush_all().unwrap();
     db.pool().sync_store().unwrap();
 
-    for p in points {
-        faults.schedule(*p);
+    for &(site, index, action) in points {
+        plan.add(site, Trigger::At(index), action);
     }
-    faults.arm();
+    plan.arm();
 
     // Mixed workload: one committed batch, a flush (write faults), a
     // checkpoint (sync faults) per round, until the schedule fires.
@@ -102,7 +106,7 @@ fn run_store_fault_case(points: &[FaultPoint], fail_final_sync: bool, label: &st
     let mut expected: Vec<i64> = (0..100).collect();
     let mut next = 1000i64;
     for _ in 0..40 {
-        if faults.has_triggered() {
+        if !plan.fired().is_empty() {
             break;
         }
         let range = next..next + 20;
@@ -121,19 +125,18 @@ fn run_store_fault_case(points: &[FaultPoint], fail_final_sync: bool, label: &st
             let _ = db.abort(txn);
         }
         let _ = db.pool().flush_all();
-        if faults.has_triggered() {
+        if !plan.fired().is_empty() {
             break;
         }
         let _ = db.checkpoint();
     }
-    assert!(faults.has_triggered(), "{label}: schedule {points:?} never fired");
+    assert!(!plan.fired().is_empty(), "{label}: schedule {points:?} never fired");
 
     if fail_final_sync {
         // The device develops an fsync failure *after* the lost write:
         // nothing may drain the volatile cache, and the unsynced
         // write-backs must stay in the dirty-page table.
-        let at = faults.stats().syncs;
-        faults.schedule(FaultPoint { op: IoOp::Sync, index: at, kind: FaultKind::FailedSync });
+        plan.add("store.sync", Trigger::Next(1), Action::FailedSync);
         assert!(db.pool().sync_store().is_err(), "{label}: final sync must fail");
     }
 
@@ -144,7 +147,7 @@ fn run_store_fault_case(points: &[FaultPoint], fail_final_sync: bool, label: &st
     }
     db.log().flush_all();
 
-    let triggered = faults.triggered().len();
+    let triggered = plan.fired().len();
     db.crash();
     faults.crash_disk().unwrap();
 
@@ -171,7 +174,7 @@ fn torn_write_crash_points_recover() {
     for i in 0..TORN_POINTS {
         let keep = 512 * (1 + (i as usize % 8));
         let out = run_store_fault_case(
-            &[FaultPoint { op: IoOp::Write, index: i, kind: FaultKind::TornWrite { keep } }],
+            &[("store.write", i, Action::Torn(keep))],
             false,
             &format!("torn@w{i}/keep{keep}"),
         );
@@ -188,7 +191,7 @@ fn torn_write_crash_points_recover() {
 fn lost_write_crash_points_recover() {
     for i in 0..LOST_POINTS {
         let out = run_store_fault_case(
-            &[FaultPoint { op: IoOp::Write, index: i, kind: FaultKind::LostWrite }],
+            &[("store.write", i, Action::Lost)],
             false,
             &format!("lost@w{i}"),
         );
@@ -200,7 +203,7 @@ fn lost_write_crash_points_recover() {
 fn failed_fsync_crash_points_recover() {
     for j in 0..SYNC_POINTS {
         let out = run_store_fault_case(
-            &[FaultPoint { op: IoOp::Sync, index: j, kind: FaultKind::FailedSync }],
+            &[("store.sync", j, Action::FailedSync)],
             false,
             &format!("fsync@s{j}"),
         );
@@ -212,7 +215,7 @@ fn failed_fsync_crash_points_recover() {
 fn lost_write_with_failed_fsync_crash_points_recover() {
     for i in 0..COMBO_POINTS {
         let out = run_store_fault_case(
-            &[FaultPoint { op: IoOp::Write, index: 2 * i, kind: FaultKind::LostWrite }],
+            &[("store.write", 2 * i, Action::Lost)],
             true,
             &format!("lost+fsync@w{}", 2 * i),
         );
@@ -346,7 +349,8 @@ fn wal_deep_truncation_crash_points_recover() {
 
 #[test]
 fn transient_read_faults_are_retried_invisibly() {
-    let faults = FaultStore::new(Arc::new(InMemoryStore::new()));
+    let plan = Plan::new();
+    let faults = FaultStore::new(Arc::new(InMemoryStore::new()), plan.clone());
     let store: Arc<dyn PageStore> = faults.clone();
     let log = Arc::new(LogManager::new());
     let config = DbConfig::default();
@@ -365,26 +369,23 @@ fn transient_read_faults_are_retried_invisibly() {
     // 2 consecutive failures — within the pool's bounded retry — and
     // the windows are spaced so they never overlap.
     for i in [0, 3] {
-        faults.schedule(FaultPoint {
-            op: IoOp::Read,
-            index: i,
-            kind: FaultKind::Transient { times: 2 },
-        });
+        plan.add("store.read", Trigger::At(i), Action::Transient(2));
     }
-    faults.arm();
+    plan.arm();
     let db = Db::open(store, log, config).unwrap();
     let idx = GistIndex::open(db.clone(), "t", BtreeExt).unwrap();
     let txn = db.begin();
     assert_eq!(idx.search(txn, &I64Query::range(0, 1000)).unwrap().len(), 300);
     db.commit(txn).unwrap();
     assert!(!db.pool().is_poisoned(), "transient faults must not degrade the pool");
-    assert_eq!(faults.stats().triggered, 2, "every scheduled hiccup fired and was absorbed");
+    assert_eq!(plan.fired().len(), 2, "every scheduled hiccup fired and was absorbed");
     check_tree(&idx).unwrap().assert_ok();
 }
 
 #[test]
 fn permanent_write_failure_degrades_to_read_only_database() {
-    let faults = FaultStore::new(Arc::new(InMemoryStore::new()));
+    let plan = Plan::new();
+    let faults = FaultStore::new(Arc::new(InMemoryStore::new()), plan.clone());
     let store: Arc<dyn PageStore> = faults.clone();
     let log = Arc::new(LogManager::new());
     let db = Db::open(store, log, DbConfig::default()).unwrap();
@@ -397,8 +398,8 @@ fn permanent_write_failure_degrades_to_read_only_database() {
     db.pool().flush_all().unwrap();
     db.pool().sync_store().unwrap();
 
-    faults.schedule(FaultPoint { op: IoOp::Write, index: 0, kind: FaultKind::Permanent });
-    faults.arm();
+    plan.add("store.write", Trigger::At(0), Action::Permanent);
+    plan.arm();
     // More committed work, still only in the pool — then the device dies
     // on the first write-back and the pool degrades to read-only.
     let txn = db.begin();
@@ -425,7 +426,8 @@ fn permanent_write_failure_degrades_to_read_only_database() {
 
 #[test]
 fn failed_fsync_aborts_the_checkpoint_and_keeps_the_dpt() {
-    let faults = FaultStore::new(Arc::new(InMemoryStore::new()));
+    let plan = Plan::new();
+    let faults = FaultStore::new(Arc::new(InMemoryStore::new()), plan.clone());
     let store: Arc<dyn PageStore> = faults.clone();
     let log = Arc::new(LogManager::new());
     let db = Db::open(store, log, DbConfig::default()).unwrap();
@@ -439,8 +441,8 @@ fn failed_fsync_aborts_the_checkpoint_and_keeps_the_dpt() {
     db.pool().flush_all().unwrap();
     assert!(!db.pool().dirty_page_table().is_empty(), "unsynced write-backs stay in the DPT");
 
-    faults.schedule(FaultPoint { op: IoOp::Sync, index: 0, kind: FaultKind::FailedSync });
-    faults.arm();
+    plan.add("store.sync", Trigger::At(0), Action::FailedSync);
+    plan.arm();
     assert!(db.checkpoint().is_err(), "the sync barrier failed, so the checkpoint must too");
     assert_eq!(db.log().last_checkpoint(), None, "no checkpoint record was written");
     assert!(
@@ -481,7 +483,7 @@ mod flusher_crash {
     use std::time::Duration;
 
     use gist_repro::am::{BtreeExt, I64Query};
-    use gist_repro::chaos::{self, ChaosAction};
+    use gist_repro::chaos::{self, Action, Plan, Trigger};
     use gist_repro::core::check::check_tree;
     use gist_repro::core::{
         Db, DbConfig, Durability, GistIndex, IndexOptions, TxnOptions,
@@ -491,13 +493,22 @@ mod flusher_crash {
 
     use super::rid;
 
-    /// The chaos registry is process-global; serialize and start clean.
+    /// The installed fault plan is process-global; serialize and start
+    /// clean.
     static SERIAL: Mutex<()> = Mutex::new(());
 
     fn serial() -> MutexGuard<'static, ()> {
         let g = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
-        chaos::disarm_all();
+        chaos::uninstall();
         g
+    }
+
+    /// Install a fresh, armed process-wide plan firing `action` at
+    /// `point` under `trigger`.
+    fn arm(point: &'static str, trigger: Trigger, action: Action) {
+        let plan = chaos::install(Plan::new());
+        plan.add(point, trigger, action);
+        plan.arm();
     }
 
     struct Rig {
@@ -559,7 +570,7 @@ mod flusher_crash {
         /// key set is exactly `self.expected`.
         fn crash_and_verify(self) {
             self.db.crash();
-            chaos::disarm_all();
+            chaos::uninstall();
             let (db2, _report) = Db::restart(self.store, self.log, self.config).unwrap();
             let idx2 = GistIndex::open(db2.clone(), "t", BtreeExt).unwrap();
             check_tree(&idx2).unwrap().assert_ok();
@@ -592,10 +603,10 @@ mod flusher_crash {
             [Durability::Immediate, Durability::Batched { window: Duration::from_millis(1) }]
         {
             let mut rig = Rig::new(50);
-            chaos::arm_times("commitpipe.flusher.post_fsync_pre_wakeup", ChaosAction::Panic, 1);
+            arm("commitpipe.flusher.post_fsync_pre_wakeup", Trigger::Next(1), Action::Panic);
             rig.commit_one(10_000, mode).expect("commit must succeed despite the lost wakeup");
             rig.expected.push(10_000);
-            chaos::disarm_all();
+            chaos::uninstall();
             rig.quiesce();
             let stats = rig.db.robustness_stats();
             assert!(
@@ -617,7 +628,7 @@ mod flusher_crash {
     fn abandoned_reservation_fences_the_durable_horizon() {
         let _g = serial();
         let rig = Rig::new(50);
-        chaos::arm_times("commitpipe.append.post_reserve_pre_fill", ChaosAction::Panic, 1);
+        arm("commitpipe.append.post_reserve_pre_fill", Trigger::Next(1), Action::Panic);
         let db = rig.db.clone();
         let idx = rig.idx.clone();
         let victim = std::thread::spawn(move || {
@@ -626,7 +637,7 @@ mod flusher_crash {
             db.commit(txn)
         });
         assert!(victim.join().is_err(), "the victim must die between reserve and fill");
-        chaos::disarm_all();
+        chaos::uninstall();
 
         // An Async commit past the hole returns (it only needs the fill),
         // but its durability can never arrive: the horizon is fenced.
@@ -660,10 +671,10 @@ mod flusher_crash {
     fn healed_reservation_keeps_the_log_dense() {
         let _g = serial();
         let mut rig = Rig::new(50);
-        chaos::arm_times("commitpipe.append.post_reserve_pre_fill", ChaosAction::Error, 1);
+        arm("commitpipe.append.post_reserve_pre_fill", Trigger::Next(1), Action::Error);
         let err = rig.commit_one(10_000, Durability::Immediate);
         assert!(err.is_err(), "the injected error must surface through commit");
-        chaos::disarm_all();
+        chaos::uninstall();
 
         // The Noop filler keeps the log dense: an Immediate commit right
         // after must park, flush and acknowledge normally.
@@ -686,11 +697,11 @@ mod flusher_crash {
     fn flusher_fsync_error_retries_until_durable() {
         let _g = serial();
         let mut rig = Rig::new(50);
-        chaos::arm_times("commitpipe.flusher.post_fill_pre_fsync", ChaosAction::Error, 2);
+        arm("commitpipe.flusher.post_fill_pre_fsync", Trigger::Next(2), Action::Error);
         rig.commit_one(10_000, Durability::Immediate)
             .expect("commit must outlast two failed flush attempts");
         rig.expected.push(10_000);
-        chaos::disarm_all();
+        chaos::uninstall();
         rig.quiesce();
         rig.crash_and_verify();
     }
@@ -713,7 +724,7 @@ mod flusher_crash {
             let rig = Rig::new(50);
             let txn = rig.db.begin_with(TxnOptions { durability: Durability::Async });
             rig.idx.insert(txn, &10_000, rid(10_000)).unwrap();
-            chaos::arm("commitpipe.flusher.post_fill_pre_fsync", ChaosAction::Error);
+            arm("commitpipe.flusher.post_fill_pre_fsync", Trigger::Always, Action::Error);
             rig.db.commit(txn).expect("async commit returns at fill");
             // `expected` does not include 10_000: that is the documented
             // loss window. The insert's records may well be durable —

@@ -10,14 +10,14 @@
 //!    every schedule must satisfy the post-conditions, and the
 //!    happens-before detector must report zero races.
 //! 2. **Mutation detection** — each historical bug is compiled back in
-//!    behind a `gist_audit::mutation` switch; the explorer must find a
+//!    behind a `gist_chaos::armed` switch; the explorer must find a
 //!    failing schedule within a fixed budget, and replaying the recorded
 //!    trace must reproduce it byte-for-byte.
 //! 3. **Exhaustive invariants** — the WAL watermark ordering
 //!    (`durable ≤ filled ≤ reserved`) and hole-fencing, checked at every
 //!    scheduling point of a bounded-DFS-enumerated scenario.
 //!
-//! Mutation arming is process-global, and the test harness runs tests on
+//! The fault plan is process-global, and the test harness runs tests on
 //! parallel threads, so every test serializes on [`suite_lock`] (the
 //! explorer's own lock only covers a single exploration, not the
 //! arm/explore/disarm span).
@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
-use gist_audit::mutation;
+use gist_chaos::{Action, Plan, Trigger};
 use gist_lockmgr::{LockManager, LockMode, LockName};
 use gist_mc::{Explorer, Failure, Report, Sim};
 use gist_predlock::{NodeKey, PredKind, PredicateManager};
@@ -35,26 +35,29 @@ use gist_wal::{LogManager, Lsn, RecordBody, TxnId};
 use gist_epoch::EpochGc;
 use gist_pagestore::{BufferPool, InMemoryStore, PageId, PageStore};
 
-/// Serializes the whole suite: mutation arming is global state.
+/// Serializes the whole suite: the installed fault plan is global state.
 fn suite_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// Arms a mutation for the guard's lifetime; disarms on drop even if the
-/// test panics, so a failure cannot poison later tests.
-struct Armed(&'static str);
+/// Arms a mutation switch for the guard's lifetime (a process-wide plan
+/// firing at every occurrence); uninstalls on drop even if the test
+/// panics, so a failure cannot poison later tests.
+struct Armed;
 
 impl Armed {
     fn new(name: &'static str) -> Armed {
-        mutation::arm(name);
-        Armed(name)
+        let plan = gist_chaos::install(Plan::new());
+        plan.add(name, Trigger::Always, Action::Error);
+        plan.arm();
+        Armed
     }
 }
 
 impl Drop for Armed {
     fn drop(&mut self) {
-        mutation::disarm(self.0);
+        gist_chaos::uninstall();
     }
 }
 

@@ -192,7 +192,7 @@ fn health_degrades_while_flusher_is_down() {
 #[test]
 fn epoch_stall_degrades_and_recovers() {
     use gist_repro::am::I64Query;
-    use gist_repro::chaos::{self, ChaosAction};
+    use gist_repro::chaos::{self, Action, Plan, Trigger};
     use std::time::Instant;
 
     let config = DbConfig {
@@ -209,8 +209,10 @@ fn epoch_stall_degrades_and_recovers() {
 
     // A slow flusher (every batch crawls) plus one reader that parks
     // 100ms inside the optimistic path, epoch pin held.
-    chaos::arm("commitpipe.flusher.stall", ChaosAction::Delay(5));
-    chaos::arm_times("cursor.optimistic.pinned", ChaosAction::Delay(100), 1);
+    let plan = chaos::install(Plan::new());
+    plan.add("commitpipe.flusher.stall", Trigger::Always, Action::Delay(5));
+    plan.add("cursor.optimistic.pinned", Trigger::Next(1), Action::Delay(100));
+    plan.arm();
     let reader = {
         let (db, idx) = (db.clone(), idx.clone());
         std::thread::spawn(move || {
@@ -243,7 +245,7 @@ fn epoch_stall_degrades_and_recovers() {
     idx.insert(t, &1_000i64, rid(1_000)).unwrap();
     db.commit(t).unwrap();
 
-    chaos::disarm_all();
+    chaos::uninstall();
     assert_eq!(reader.join().unwrap(), 200, "stalled reader still answers exactly");
 
     // Pin released: the stall clears and health self-recovers.

@@ -7,10 +7,11 @@
 //!    oversized bytes must yield typed protocol errors and a torn-down
 //!    session, never a panic, and never a leaked transaction.
 //! 2. **`FaultTransport`** — deterministic torn writes, resets, stalls
-//!    and short reads by op-index schedule (mirroring `FaultStore`).
+//!    and short reads at the `wire.*` sites of a `gist_chaos::Plan`.
 //! 3. **Chaos points** (`--features chaos`) — the session is killed at
 //!    every `serve.*` crash point inside an open transaction; the
-//!    leak sweep must come back empty each time.
+//!    leak sweep must come back empty each time. One seeded plan then
+//!    drives the store, the flusher and the wire in the same run.
 //!
 //! The leak sweep is the contract from ISSUE 10: zero active
 //! transactions, zero held locks, zero predicate entries, zero
@@ -23,9 +24,8 @@ use std::time::Duration;
 use gist_repro::am::BtreeExt;
 use gist_repro::core::{AdmissionConfig, Db, DbConfig, GistIndex, IndexOptions};
 use gist_repro::pagestore::InMemoryStore;
-use gist_repro::serve::{
-    pipe_pair, Client, FaultKind, FaultPlan, FaultTransport, IoOp, ServeConfig, Server, Transport,
-};
+use gist_repro::chaos::{Action, Plan, Trigger};
+use gist_repro::serve::{pipe_pair, Client, FaultTransport, ServeConfig, Server, Transport};
 use gist_repro::wal::{LogManager, TxnId};
 use gist_repro::wire::{
     checksum, encode_frame, ErrorCode, Request, Response, FRAME_HEADER, MAGIC, MAX_FRAME,
@@ -405,11 +405,11 @@ fn malformed_bytes_inside_an_open_transaction_abort_it() {
 #[test]
 fn short_reads_reassemble_and_requests_still_serve() {
     let (db, srv) = server(DbConfig::default(), test_serve_config());
-    let plan = FaultPlan::new();
+    let plan = Plan::new();
     // First six server-side reads deliver at most 3 bytes each: the
     // Ping frame (17 bytes) arrives in shreds.
     for i in 0..6 {
-        plan.set(IoOp::Recv, i, FaultKind::ShortRead(3));
+        plan.add("wire.recv", Trigger::At(i), Action::Short(3));
     }
     plan.arm();
     let (server_end, client_end) = pipe_pair();
@@ -417,7 +417,7 @@ fn short_reads_reassemble_and_requests_still_serve() {
     let mut c = Client::new(Box::new(client_end), CALL_DEADLINE);
 
     assert_eq!(c.call(&Request::Ping).unwrap(), Response::Pong);
-    assert!(plan.stats().short_reads >= 4, "{:?}", plan.stats());
+    assert!(plan.fires("wire.recv") >= 4, "{:?}", plan.fired());
 
     c.close();
     h.join().unwrap();
@@ -430,9 +430,9 @@ fn torn_reply_mid_transaction_tears_down_cleanly() {
     let probe = db.begin();
     db.abort(probe).unwrap();
 
-    let plan = FaultPlan::new();
+    let plan = Plan::new();
     // Reply 0 (Begun) is clean; reply 1 tears after 5 bytes (mid-header).
-    plan.set(IoOp::Send, 1, FaultKind::TornWrite(5));
+    plan.add("wire.send", Trigger::At(1), Action::Torn(5));
     plan.arm();
     let (server_end, client_end) = pipe_pair();
     let h = srv.serve_conn(Box::new(FaultTransport::new(Box::new(server_end), plan.clone())));
@@ -453,7 +453,7 @@ fn torn_reply_mid_transaction_tears_down_cleanly() {
     );
     drop(c);
     h.join().unwrap();
-    assert_eq!(plan.stats().torn_writes, 1);
+    assert_eq!(plan.fires("wire.send"), 1);
     assert_eq!(srv.stats().io_errors, 1, "torn write counted as an I/O session end");
     assert_no_leaks(&db, &[TxnId(probe.0 + 1)]);
 }
@@ -464,7 +464,7 @@ fn injected_reset_mid_transaction_releases_everything() {
     let probe = db.begin();
     db.abort(probe).unwrap();
 
-    let plan = FaultPlan::new();
+    let plan = Plan::new();
     plan.arm();
     let (server_end, client_end) = pipe_pair();
     let h = srv.serve_conn(Box::new(FaultTransport::new(Box::new(server_end), plan.clone())));
@@ -477,13 +477,11 @@ fn injected_reset_mid_transaction_releases_everything() {
     );
     // Now reset the next server read: the connection dies inside the
     // txn with real locks and an admission credit held. Deadline-sliced
-    // polling advances the recv op index continuously, so blanket a
-    // generous range rather than aiming at one index.
+    // polling advances the recv op index continuously, so aim at the
+    // next occurrence rather than at one index.
     assert_eq!(db.txns().active_count(), 1);
     assert_eq!(db.admission().stats().in_flight, 1);
-    for i in 0..10_000u64 {
-        plan.set(IoOp::Recv, i, FaultKind::Reset);
-    }
+    plan.add("wire.recv", Trigger::Next(1), Action::Reset);
     h.join().unwrap();
     drop(c);
     assert_eq!(srv.stats().io_errors, 1);
@@ -574,15 +572,23 @@ fn drain_force_aborts_stragglers_and_counts_them() {
 #[cfg(feature = "chaos")]
 mod chaos_teardown {
     use super::*;
-    use gist_repro::chaos::{self, ChaosAction};
+    use gist_repro::chaos;
     use std::sync::{Mutex, MutexGuard};
 
     static SERIAL: Mutex<()> = Mutex::new(());
 
     fn serial() -> MutexGuard<'static, ()> {
         let g = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
-        chaos::disarm_all();
+        chaos::uninstall();
         g
+    }
+
+    /// Install a fresh, armed process-wide plan that fails `point` once.
+    fn fail_once(point: &'static str) -> Arc<Plan> {
+        let plan = chaos::install(Plan::new());
+        plan.add(point, Trigger::Next(1), Action::Error);
+        plan.arm();
+        plan
     }
 
     /// ISSUE 10 satellite: disconnect at every serve chaos point inside
@@ -592,7 +598,7 @@ mod chaos_teardown {
     fn killed_session_at_each_dispatch_point_leaks_nothing() {
         let _g = serial();
         for point in ["serve.session.before_dispatch", "serve.session.before_reply"] {
-            assert!(chaos::CATALOG.contains(&point), "{point} not cataloged");
+            assert!(chaos::POINTS.contains(&point), "{point} not cataloged");
             let (db, srv) = server(DbConfig::default(), test_serve_config());
             let probe = db.begin();
             db.abort(probe).unwrap();
@@ -605,12 +611,12 @@ mod chaos_teardown {
             );
             assert_eq!(db.txns().active_count(), 1, "{point}: txn open");
 
-            chaos::arm_times(point, ChaosAction::Error, 1);
+            let plan = fail_once(point);
             let err = c.call(&Request::Get { index: "t".into(), key: 1 }).unwrap_err();
             assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{point}: {err:?}");
             h.join().unwrap();
-            assert!(chaos::fired(point) >= 1, "{point} never fired");
-            chaos::disarm_all();
+            assert!(plan.fires(point) >= 1, "{point} never fired");
+            chaos::uninstall();
 
             assert_eq!(srv.stats().injected_ends, 1, "{point}");
             assert_no_leaks(&db, &[TxnId(probe.0 + 1)]);
@@ -621,13 +627,13 @@ mod chaos_teardown {
     fn killed_session_at_accept_leaks_nothing() {
         let _g = serial();
         let (db, srv) = server(DbConfig::default(), test_serve_config());
-        chaos::arm_times("serve.session.after_accept", ChaosAction::Error, 1);
+        let plan = fail_once("serve.session.after_accept");
         let (mut c, h) = connect(&srv);
         // The session died before its first read; any call fails.
         assert!(c.call(&Request::Ping).is_err());
         h.join().unwrap();
-        assert!(chaos::fired("serve.session.after_accept") >= 1);
-        chaos::disarm_all();
+        assert!(plan.fires("serve.session.after_accept") >= 1);
+        chaos::uninstall();
         assert_no_leaks(&db, &[]);
         drop(c);
     }
@@ -643,13 +649,202 @@ mod chaos_teardown {
 
         // Injection at the force-abort point is counted but must not
         // skip the cleanup: drain's contract is unconditional.
-        chaos::arm_times("serve.drain.before_force_abort", ChaosAction::Error, 1);
+        let plan = fail_once("serve.drain.before_force_abort");
         let report = srv.drain();
         assert_eq!(report.forced_aborts, 1, "{report:?}");
-        assert!(chaos::fired("serve.drain.before_force_abort") >= 1);
-        chaos::disarm_all();
+        assert!(plan.fires("serve.drain.before_force_abort") >= 1);
+        chaos::uninstall();
         h.join().unwrap();
         assert_no_leaks(&db, &[TxnId(probe.0 + 1)]);
         drop(c);
+    }
+
+    /// What one wire client saw.
+    #[derive(Default)]
+    struct Seen {
+        /// Keys of transactions whose commit was acknowledged.
+        acked: Vec<i64>,
+        /// Transactions that failed mid-flight: committed entirely or
+        /// not at all (a lost commit reply leaves one committed).
+        in_doubt: Vec<Vec<i64>>,
+        sessions: Vec<JoinHandle<()>>,
+    }
+
+    /// One four-key transaction over the wire; `true` iff its commit was
+    /// acknowledged. A failure leaves the session for the caller to drop.
+    fn wire_txn(c: &mut Client, keys: &[i64]) -> bool {
+        let mut reqs = vec![Request::Begin];
+        reqs.extend(keys.iter().map(|&key| Request::Insert {
+            index: "t".into(),
+            key,
+            payload: key.to_le_bytes().to_vec(),
+        }));
+        reqs.push(Request::Commit);
+        for req in &reqs {
+            match c.call(req) {
+                Ok(Response::Begun | Response::Ok) => {}
+                Ok(_) => {
+                    let _ = c.call(&Request::Abort);
+                    return false;
+                }
+                Err(_) => return false,
+            }
+        }
+        true
+    }
+
+    /// A client over a `FaultTransport` on `plan`: transactions on keys
+    /// from `base` until every scheduled fault has fired, then two more
+    /// (their flushes wake a committer whose wake-up the flusher panic
+    /// swallowed). A failed transaction is in doubt and its session is
+    /// dropped for a fresh one. Each round writes dirty pages back — where
+    /// `store.write` fires — until the tear lands, which then stays on
+    /// disk for restart to find.
+    fn drive(srv: &Server, db: &Arc<Db>, plan: &Arc<Plan>, base: i64) -> Seen {
+        let mut seen = Seen::default();
+        let mut client = None;
+        let mut extra = 2;
+        for n in 0..200i64 {
+            if plan.fired().len() == 3 {
+                if extra == 0 {
+                    break;
+                }
+                extra -= 1;
+            }
+            let c = client.get_or_insert_with(|| {
+                let (server_end, client_end) = pipe_pair();
+                let conn = FaultTransport::new(Box::new(server_end), plan.clone());
+                seen.sessions.push(srv.serve_conn(Box::new(conn)));
+                Client::new(Box::new(client_end), CALL_DEADLINE)
+            });
+            let keys: Vec<i64> = (base + 4 * n..base + 4 * n + 4).collect();
+            if wire_txn(c, &keys) {
+                seen.acked.extend(keys);
+            } else {
+                seen.in_doubt.push(keys);
+                client = None;
+            }
+            if plan.fires("store.write") == 0 {
+                let _ = db.pool().flush_all();
+            }
+        }
+        if let Some(c) = client {
+            c.close();
+        }
+        seen
+    }
+
+    /// One fault plan across three layers (run with `FAULT_SEED=<n>`,
+    /// default 1): `Plan::from_seed` places a torn page write on the
+    /// store, a panic between the flusher's fsync and its wake-up, and a
+    /// reset on a server reply, at seeded op indices. Two wire clients
+    /// run transactions until all three have fired; a third leaves one
+    /// in flight for the drain to force-abort, and an in-process loser
+    /// reaches the log without committing. Then the machine crashes and
+    /// restarts: every acknowledged commit survives, every transaction
+    /// that failed mid-flight is all-or-nothing, the losers are undone,
+    /// the tree checks clean, and nothing leaked before the crash.
+    #[test]
+    fn cross_layer_seeded_plan_keeps_the_recovery_contract() {
+        use gist_repro::am::I64Query;
+        use gist_repro::core::check::check_tree;
+        use gist_repro::pagestore::{FaultStore, PageId, PageStore, Rid};
+        use std::collections::HashSet;
+
+        let _g = serial();
+        let seed: u64 = std::env::var("FAULT_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(1);
+        let plan = Plan::from_seed(
+            seed,
+            &[
+                ("store.write", Action::Torn(512)),
+                ("store.write", Action::Torn(1024)),
+                ("store.write", Action::Torn(4096)),
+                ("commitpipe.flusher.post_fsync_pre_wakeup", Action::Panic),
+                ("wire.send", Action::Reset),
+            ],
+        );
+        println!("FAULT_SEED={seed} plan:\n{plan}");
+
+        let faults = FaultStore::new(Arc::new(InMemoryStore::new()), plan.clone());
+        let store: Arc<dyn PageStore> = faults.clone();
+        let log = Arc::new(LogManager::new());
+        let db = Db::open(store.clone(), log.clone(), DbConfig::default()).unwrap();
+        let idx = GistIndex::create(db.clone(), "t", BtreeExt, IndexOptions::default()).unwrap();
+        let srv = Server::new(db.clone(), test_serve_config());
+        srv.register_index(idx.clone());
+        db.pool().flush_all().unwrap();
+        db.pool().sync_store().unwrap();
+        let first = db.begin();
+        db.abort(first).unwrap();
+
+        chaos::install(plan.clone());
+        plan.arm();
+        let clients: Vec<_> = (1..=2i64)
+            .map(|c| {
+                let (srv, db, plan) = (srv.clone(), db.clone(), plan.clone());
+                std::thread::spawn(move || drive(&srv, &db, &plan, 100_000 * c))
+            })
+            .collect();
+        let (mut acked, mut in_doubt, mut sessions) = (Vec::new(), Vec::new(), Vec::new());
+        for c in clients {
+            let seen = c.join().unwrap();
+            acked.extend(seen.acked);
+            in_doubt.extend(seen.in_doubt);
+            sessions.extend(seen.sessions);
+        }
+        let mut fired = plan.fired();
+        fired.sort_by_key(|f| f.site);
+        println!("FAULT_SEED={seed} fired: {fired:?}");
+        assert_eq!(fired.len(), 3, "every scheduled fault fired");
+
+        // In flight at shutdown: the drain force-aborts it.
+        let (mut c, h) = connect(&srv);
+        assert_eq!(c.call(&Request::Begin).unwrap(), Response::Begun);
+        let rsp = c.call(&Request::Insert { index: "t".into(), key: 7, payload: vec![7] });
+        assert_eq!(rsp.unwrap(), Response::Ok);
+        let report = srv.drain();
+        assert_eq!(report.forced_aborts, 1, "{report:?}");
+        assert!(srv.await_sessions(Duration::from_secs(15)), "a session never exited");
+        for s in sessions.into_iter().chain([h]) {
+            s.join().unwrap();
+        }
+        drop(c);
+        let last = db.begin();
+        db.abort(last).unwrap();
+        assert_no_leaks(&db, &(first.0..=last.0).map(TxnId).collect::<Vec<_>>());
+
+        // A loser whose records are durable but whose commit never is.
+        let loser = db.begin();
+        for k in 8..16i64 {
+            idx.insert(loser, &k, Rid::new(PageId(640_000), k as u16)).unwrap();
+        }
+        db.log().flush_all();
+        chaos::uninstall();
+        db.crash();
+        faults.crash_disk().unwrap();
+
+        let (db2, report) = Db::restart(store, log, DbConfig::default()).unwrap();
+        println!("FAULT_SEED={seed} repaired pages: {:?}", report.repaired_pages);
+        let idx2 = GistIndex::open(db2.clone(), "t", BtreeExt).unwrap();
+        check_tree(&idx2).unwrap().assert_ok();
+        let txn = db2.begin();
+        let got: HashSet<i64> = idx2
+            .search(txn, &I64Query::range(0, i64::MAX))
+            .unwrap()
+            .into_iter()
+            .map(|(k, _)| k)
+            .collect();
+        db2.commit(txn).unwrap();
+        for k in &acked {
+            assert!(got.contains(k), "acknowledged key {k} lost");
+        }
+        let mut known: HashSet<i64> = acked.iter().copied().collect();
+        for keys in &in_doubt {
+            let n = keys.iter().filter(|k| got.contains(k)).count();
+            assert!(n == 0 || n == keys.len(), "half a transaction survived: {keys:?}");
+            known.extend(keys);
+        }
+        assert!(got.is_subset(&known), "a loser survived: {:?}", got.difference(&known));
+        assert_no_leaks(&db2, &[]);
     }
 }
