@@ -28,11 +28,6 @@
 //!    acquisition-order graph; a cycle is a potential deadlock.
 //!    Try-acquisitions (node deletion's deliberate parent→child probe)
 //!    are excluded, exactly because they cannot deadlock.
-//! 6. **Shard-lock ordering** — the striped synchronization tables
-//!    (`gist-striped`) permit holding several shards of one table only
-//!    in strictly ascending index order; a same-or-lower acquisition
-//!    while a shard of the same table is held is deadlock-capable and
-//!    reported by the `shard-order` rule.
 //!
 //! The analyzer keeps a **thread-local shadow state** (held latches,
 //! active allowance scopes) plus small global registries (order graph,
@@ -89,8 +84,6 @@ struct Scope {
 struct ThreadState {
     held: Vec<HeldLatch>,
     scopes: Vec<Scope>,
-    /// Striped-table shard mutexes held: `(layer, shard index)`.
-    shard_locks: Vec<(u64, usize)>,
     /// Open optimistic read sections: `(pool, page)` per live
     /// `OptimisticReadGuard` on this thread.
     optimistic: Vec<(u64, u64)>,
@@ -111,7 +104,6 @@ struct Stats {
     io_events: AtomicU64,
     lock_waits: AtomicU64,
     nsn_draws: AtomicU64,
-    shard_acquires: AtomicU64,
     optimistic_enters: AtomicU64,
     epoch_pins: AtomicU64,
     violations: AtomicU64,
@@ -123,7 +115,6 @@ static STATS: Stats = Stats {
     io_events: AtomicU64::new(0),
     lock_waits: AtomicU64::new(0),
     nsn_draws: AtomicU64::new(0),
-    shard_acquires: AtomicU64::new(0),
     optimistic_enters: AtomicU64::new(0),
     epoch_pins: AtomicU64::new(0),
     violations: AtomicU64::new(0),
@@ -363,76 +354,6 @@ pub fn lock_wait(is_record: bool, desc: &str) {
     });
 }
 
-/// Like [`lock_wait`], for the striped lock manager: `shard` identifies
-/// the queue shard whose condvar the request is about to park on (pure
-/// diagnostics — the discipline checked is the same latch-free-wait rule).
-pub fn lock_wait_sharded(is_record: bool, desc: &str, shard: usize) {
-    mc::on_lock_wait("lock-wait-sharded");
-    STATS.lock_waits.fetch_add(1, Ordering::Relaxed);
-    if !is_record {
-        return;
-    }
-    TS.with(|cell| {
-        let mut ts = cell.borrow_mut();
-        if ts.held.is_empty() {
-            return;
-        }
-        let eff = effective(&ts.scopes);
-        if !eff.lock_wait_ok {
-            let msg = format!(
-                "blocking record-lock wait ({desc}, queue shard {shard}) \
-                 while holding latches {}",
-                held_desc(&ts.held),
-            );
-            report(&mut ts, "latch-during-lock-wait", msg);
-        }
-    });
-}
-
-/// Record acquisition of shard `index` of striped table `layer` (an id
-/// from [`new_instance_id`]). Within one table a thread may hold several
-/// shards only in strictly ascending index order — any same-or-lower
-/// acquisition (including re-entry on the held shard) can deadlock
-/// against a thread locking the same pair the other way around.
-pub fn shard_lock_acquired(layer: u64, index: usize) {
-    mc::on_shard_event(layer, index, "shard-acquire");
-    STATS.shard_acquires.fetch_add(1, Ordering::Relaxed);
-    TS.with(|cell| {
-        let mut ts = cell.borrow_mut();
-        if let Some(&(_, held)) =
-            ts.shard_locks.iter().find(|&&(l, i)| l == layer && i >= index)
-        {
-            let msg = format!(
-                "acquisition of shard {index} in striped table {layer} while \
-                 holding shard {held} of the same table (non-ascending order \
-                 is deadlock-capable)",
-            );
-            report(&mut ts, "shard-order", msg);
-        }
-        ts.shard_locks.push((layer, index));
-    });
-}
-
-/// Record release of shard `index` of striped table `layer`.
-pub fn shard_lock_released(layer: u64, index: usize) {
-    mc::on_shard_event(layer, index, "shard-release");
-    TS.with(|cell| {
-        let mut ts = cell.borrow_mut();
-        match ts.shard_locks.iter().rposition(|&(l, i)| l == layer && i == index) {
-            Some(pos) => {
-                ts.shard_locks.remove(pos);
-            }
-            None => {
-                let msg = format!(
-                    "release of shard {index} in striped table {layer} which \
-                     this thread does not hold",
-                );
-                report(&mut ts, "shard-release-unheld", msg);
-            }
-        }
-    });
-}
-
 /// Record the opening of an optimistic read section on `(pool, page)`
 /// (an `OptimisticReadGuard` was created). Until the matching
 /// [`optimistic_exit`], the thread must not acquire any latch
@@ -596,13 +517,6 @@ pub fn assert_thread_clear(context: &str) {
             let msg = format!("{context}: thread still holds latches {}", held_desc(&ts.held));
             report(&mut ts, "latch-leak", msg);
         }
-        if !ts.shard_locks.is_empty() {
-            let msg = format!(
-                "{context}: thread still holds striped shard locks {:?}",
-                ts.shard_locks,
-            );
-            report(&mut ts, "shard-leak", msg);
-        }
         if !ts.optimistic.is_empty() {
             let msg = format!(
                 "{context}: thread still has open optimistic sections {:?}",
@@ -619,8 +533,8 @@ pub fn assert_thread_clear(context: &str) {
 }
 
 /// After containing a panic (`catch_unwind`), assert the unwind left no
-/// shadow-state residue on this thread: every latch, striped shard lock
-/// and discipline scope must have been released by RAII guards during
+/// shadow-state residue on this thread: every latch and discipline
+/// scope must have been released by RAII guards during
 /// unwinding. Residue is reported under rule `unwind-residue` and then
 /// *cleared*, so a worker thread that contained one dead operation
 /// audits its next operation from a clean slate instead of cascading
@@ -632,14 +546,6 @@ pub fn assert_unwind_clear(context: &str) {
             let msg =
                 format!("{context}: unwind left latches held {}", held_desc(&ts.held));
             ts.held.clear();
-            report(&mut ts, "unwind-residue", msg);
-        }
-        if !ts.shard_locks.is_empty() {
-            let msg = format!(
-                "{context}: unwind left striped shard locks {:?}",
-                ts.shard_locks,
-            );
-            ts.shard_locks.clear();
             report(&mut ts, "unwind-residue", msg);
         }
         if !ts.scopes.is_empty() {
@@ -743,8 +649,6 @@ pub struct AuditSummary {
     pub lock_waits: u64,
     /// NSN draws recorded.
     pub nsn_draws: u64,
-    /// Striped-table shard-mutex acquisitions recorded.
-    pub shard_acquires: u64,
     /// Optimistic read sections opened.
     pub optimistic_enters: u64,
     /// Epoch-reclamation pins recorded.
@@ -763,7 +667,6 @@ impl fmt::Display for AuditSummary {
         writeln!(f, "  store I/O events     {:>10}", self.io_events)?;
         writeln!(f, "  lock waits           {:>10}", self.lock_waits)?;
         writeln!(f, "  NSN draws            {:>10}", self.nsn_draws)?;
-        writeln!(f, "  shard acquisitions   {:>10}", self.shard_acquires)?;
         writeln!(f, "  optimistic sections  {:>10}", self.optimistic_enters)?;
         writeln!(f, "  epoch pins           {:>10}", self.epoch_pins)?;
         writeln!(f, "  order-graph edges    {:>10}", self.order_edges)?;
@@ -779,7 +682,6 @@ pub fn summary() -> AuditSummary {
         io_events: STATS.io_events.load(Ordering::Relaxed),
         lock_waits: STATS.lock_waits.load(Ordering::Relaxed),
         nsn_draws: STATS.nsn_draws.load(Ordering::Relaxed),
-        shard_acquires: STATS.shard_acquires.load(Ordering::Relaxed),
         optimistic_enters: STATS.optimistic_enters.load(Ordering::Relaxed),
         epoch_pins: STATS.epoch_pins.load(Ordering::Relaxed),
         order_edges: order_edge_count() as u64,
@@ -979,103 +881,18 @@ mod tests {
     }
 
     #[test]
-    fn ascending_shard_acquisitions_are_fine() {
-        let layer = new_instance_id();
-        let ((), v) = capture(|| {
-            shard_lock_acquired(layer, 0);
-            shard_lock_acquired(layer, 3);
-            shard_lock_acquired(layer, 7);
-            shard_lock_released(layer, 7);
-            shard_lock_released(layer, 3);
-            shard_lock_released(layer, 0);
-            assert_thread_clear("test");
-        });
-        assert!(v.is_empty(), "unexpected: {v:?}");
-    }
-
-    #[test]
-    fn descending_shard_acquisition_fires() {
-        let layer = new_instance_id();
-        let ((), v) = capture(|| {
-            shard_lock_acquired(layer, 5);
-            shard_lock_acquired(layer, 2); // lower index: violation
-            shard_lock_released(layer, 2);
-            shard_lock_released(layer, 5);
-        });
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, "shard-order");
-    }
-
-    #[test]
-    fn shard_reentry_fires() {
-        let layer = new_instance_id();
-        let ((), v) = capture(|| {
-            shard_lock_acquired(layer, 4);
-            shard_lock_acquired(layer, 4); // re-entry: self-deadlock
-            shard_lock_released(layer, 4);
-            shard_lock_released(layer, 4);
-        });
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, "shard-order");
-    }
-
-    #[test]
-    fn distinct_layers_do_not_interact() {
-        let a = new_instance_id();
-        let b = new_instance_id();
-        let ((), v) = capture(|| {
-            shard_lock_acquired(a, 5);
-            shard_lock_acquired(b, 1); // other table: no ordering rule
-            shard_lock_released(b, 1);
-            shard_lock_released(a, 5);
-        });
-        assert!(v.is_empty(), "unexpected: {v:?}");
-    }
-
-    #[test]
-    fn shard_release_unheld_and_leak_detected() {
-        let layer = new_instance_id();
-        let ((), v) = capture(|| {
-            shard_lock_released(layer, 9); // never acquired
-            shard_lock_acquired(layer, 1);
-            assert_thread_clear("op end"); // leaked
-            shard_lock_released(layer, 1); // clean up for the next test
-        });
-        assert_eq!(v.len(), 2, "{v:?}");
-        assert_eq!(v[0].rule, "shard-release-unheld");
-        assert_eq!(v[1].rule, "shard-leak");
-    }
-
-    #[test]
-    fn sharded_lock_wait_checks_record_waits() {
-        let pool = new_instance_id();
-        let ((), v) = capture(|| {
-            lock_wait_sharded(true, "free-standing", 3); // no latch: fine
-            latch_acquired(pool, 1, false, true);
-            lock_wait_sharded(false, "node signal", 0); // non-record: fine
-            lock_wait_sharded(true, "rid", 2); // violation
-            latch_released(pool, 1);
-        });
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, "latch-during-lock-wait");
-        assert!(v[0].message.contains("queue shard 2"), "{}", v[0].message);
-    }
-
-    #[test]
     fn unwind_residue_detected_and_cleared() {
         let pool = new_instance_id();
-        let layer = new_instance_id();
         let ((), v) = capture(|| {
             // Simulate an unwind that somehow skipped its RAII releases:
-            // a latch, a shard lock, and a scope are still recorded.
+            // a latch and a scope are still recorded.
             latch_acquired(pool, 5, true, true);
-            shard_lock_acquired(layer, 2);
             std::mem::forget(enter_scope("doomed-op", 8, true, true));
             assert_unwind_clear("after contained panic");
             // The residue was cleared: the thread is clean again.
             assert_thread_clear("post-clear");
         });
-        assert_eq!(v.len(), 3, "{v:?}");
+        assert_eq!(v.len(), 2, "{v:?}");
         assert!(v.iter().all(|x| x.rule == "unwind-residue"), "{v:?}");
         assert!(v[0].message.contains("after contained panic"), "{}", v[0].message);
     }

@@ -1,7 +1,7 @@
 //! Model-checker hook layer: the seam between the instrumentation
 //! points and a deterministic scheduler.
 //!
-//! The audit hooks (latch/shard/NSN/IO events) and the `gist-sync`
+//! The audit hooks (latch/NSN/IO events) and the `gist-sync`
 //! wrappers (mutex/rwlock/condvar operations) all report here. When a
 //! [`McScheduler`] is registered — `crates/mc` installs one for the
 //! duration of an exploration — every hook on a *managed* thread becomes
@@ -32,8 +32,6 @@ pub enum ObjKind {
     Condvar,
     /// A buffer-pool page latch, id = `pool ⊕ page` packed.
     Latch,
-    /// A striped-table shard, id = `layer ⊕ index` packed.
-    Shard,
     /// An instrumented atomic cell (e.g. the WAL watermarks).
     Atomic,
     /// A named code region (explicit `yield_now`-style points).
@@ -76,8 +74,6 @@ pub enum McOp {
     AtomicOp,
     /// A latch event forwarded from the buffer-pool hooks.
     Latch,
-    /// A shard-lock event forwarded from the striped-table hooks.
-    Shard,
     /// A store I/O event.
     Io,
     /// An explicit named region / NSN draw / other labelled point.
@@ -202,8 +198,7 @@ pub fn region(what: &'static str) {
     }
 }
 
-/// Pack a `(hi, lo)` pair into one object id (latches: pool/page;
-/// shards: layer/index).
+/// Pack a `(hi, lo)` pair into one object id (latches: pool/page).
 fn pack(hi: u64, lo: u64) -> u64 {
     (hi << 32) ^ (lo & 0xffff_ffff)
 }
@@ -250,15 +245,6 @@ pub(crate) fn on_latch_contended(pool: u64, page: u64) {
     if let Some(s) = scheduler() {
         let obj = McObj::new(ObjKind::Latch, pack(pool, page));
         s.park(obj, Some(Duration::from_millis(1)));
-    }
-}
-
-/// Forward a shard-lock event as a pure yield point (the shard mutex
-/// itself is a `gist-sync` mutex, which already carries the HB edges).
-pub(crate) fn on_shard_event(layer: u64, index: usize, what: &'static str) {
-    if let Some(s) = scheduler() {
-        let obj = McObj::new(ObjKind::Shard, pack(layer, index as u64));
-        s.yield_point(McOp::Shard, obj, what);
     }
 }
 

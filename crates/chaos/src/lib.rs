@@ -82,21 +82,16 @@ pub const CATALOG: &[&str] = &[
     "serve.drain.before_force_abort",
     // Mutation switches, last. Any action arms one. In order: the lost
     // wakeup (`wait_durable` checks the horizon outside the wait mutex,
-    // then parks without a generation check); the orphan grant
-    // (`release_all` takes one held-set snapshot instead of looping); the
-    // duplicate FIFO attach (`attach` pushes without deduping against a
-    // racing `replicate`); §7.2 reclamation without the epoch grace
-    // period (`EpochGc::retire` frees at once, so a drained page can be
-    // reallocated under a pinned optimistic reader).
+    // then parks without a generation check); §7.2 reclamation without
+    // the epoch grace period (`EpochGc::retire` frees at once, so a
+    // drained page can be reallocated under a pinned optimistic reader).
     "wal.wait-durable-unguarded-park",
-    "lockmgr.release-all-single-pass",
-    "predlock.attach-skip-dedupe",
     "epoch.skip-retire",
 ];
 
-/// The crash points: every [`CATALOG`] entry before the four mutation
+/// The crash points: every [`CATALOG`] entry before the two mutation
 /// switches.
-pub const POINTS: &[&str] = CATALOG.split_at(CATALOG.len() - 4).0;
+pub const POINTS: &[&str] = CATALOG.split_at(CATALOG.len() - 2).0;
 
 /// The I/O sites of the storage and wire wrappers.
 pub const IO_SITES: &[&str] =

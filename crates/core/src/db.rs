@@ -91,13 +91,6 @@ pub struct DbConfig {
     pub memorize_parent_lsn: bool,
     /// Maintenance-daemon tuning (deferred GC, drain, checkpoints).
     pub maint: gist_maint::MaintConfig,
-    /// Shard count for the hot-path synchronization tables (buffer-pool
-    /// frame table, lock-manager queues, predicate node tables). Rounded
-    /// up to a power of two; `0` picks `next_pow2(2 × cores)`. `1`
-    /// reproduces the pre-sharding global-mutex behavior. The NSN counter
-    /// stays global regardless — §3's correctness argument needs one
-    /// totally-ordered sequence-number source per tree.
-    pub sync_shards: usize,
     /// Default commit durability for transactions begun via [`Db::begin`]
     /// ([`Db::begin_with`] overrides per transaction).
     pub durability: Durability,
@@ -134,7 +127,6 @@ impl Default for DbConfig {
             predicate_mode: PredicateMode::Hybrid,
             memorize_parent_lsn: true,
             maint: gist_maint::MaintConfig::default(),
-            sync_shards: 0,
             durability: Durability::Immediate,
             admission: AdmissionConfig::default(),
             epoch_stall_age: Duration::from_secs(2),
@@ -361,7 +353,7 @@ impl Db {
         log: Arc<LogManager>,
         config: DbConfig,
     ) -> Result<Arc<Db>> {
-        let pool = BufferPool::with_shards(store.clone(), config.pool_capacity, config.sync_shards);
+        let pool = BufferPool::new(store.clone(), config.pool_capacity);
         pool.set_flusher(log.clone());
         // One reclamation domain per database: §7.2 page frees defer
         // behind the optimistic readers' pins.
@@ -377,9 +369,8 @@ impl Db {
             pool.flush_all()?;
             pool.sync_store()?;
         }
-        let locks =
-            Arc::new(LockManager::with_timeout_and_shards(LOCK_TIMEOUT, config.sync_shards));
-        let preds = Arc::new(PredicateManager::with_shards(config.sync_shards));
+        let locks = Arc::new(LockManager::with_timeout(LOCK_TIMEOUT));
+        let preds = Arc::new(PredicateManager::new());
         let txns = Arc::new(TxnManager::new(log.clone(), locks.clone(), preds.clone()));
         txns.set_default_durability(config.durability);
         // Re-point the WAL-before-data barrier at the pipeline: page
@@ -747,8 +738,8 @@ impl Db {
 
     /// Run `f` with panic containment: a panic unwinding out of `f` is
     /// caught, the unwind's shadow-state hygiene is checked (audit rule
-    /// `unwind-residue` — RAII must have released every latch, shard
-    /// lock and scope), `txn` is aborted (its [`OpGuard`] poisoning
+    /// `unwind-residue` — RAII must have released every latch and
+    /// scope), `txn` is aborted (its [`OpGuard`] poisoning
     /// already marked it must-abort, and every page latch was released
     /// by RAII during the unwind, so logical undo runs cleanly), and the
     /// caller gets [`GistError::Panicked`]. One dead operation therefore

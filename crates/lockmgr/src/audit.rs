@@ -3,8 +3,8 @@
 //! both configurations.
 
 #[cfg(feature = "latch-audit")]
-pub(crate) use gist_audit::lock_wait_sharded;
+pub(crate) use gist_audit::lock_wait;
 
 #[cfg(not(feature = "latch-audit"))]
 #[inline(always)]
-pub(crate) fn lock_wait_sharded(_is_record: bool, _desc: &str, _shard: usize) {}
+pub(crate) fn lock_wait(_is_record: bool, _desc: &str) {}

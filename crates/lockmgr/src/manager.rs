@@ -1,23 +1,11 @@
 //! The lock manager proper: queues, grants, conversions, deadlock
 //! detection.
 //!
-//! Lock queues are **striped** (`gist-striped`): a `LockName` hashes to
-//! one of N shards, each an independent mutex + condvar, so requests on
-//! distinct names never contend on a global manager lock. The §4
-//! two-phase semantics and per-queue FIFO fairness are untouched — a
-//! queue lives entirely inside one shard, and every grant/wait decision
-//! is made under that shard's lock exactly as it was under the old
-//! global one.
-//!
-//! Deadlock detection is **snapshot-based**: every shard keeps a version
-//! counter bumped on each queue mutation, and a detector cache holds the
-//! wait-for edges last computed per shard. A blocked request re-collects
-//! edges only from shards whose version moved — never holding more than
-//! one shard lock at a time — and runs the cycle search on the union.
-//! All wait-for edges are intra-queue (waiter → holder, waiter → earlier
-//! waiter, converter → other holder), so each shard's edge set is exact;
-//! staleness across shards is resolved by re-checking grantability under
-//! the shard lock before declaring the requester a victim.
+//! The whole table — every queue, the per-transaction held sets and the
+//! request sequencer — sits under one mutex with one condvar. A grant
+//! and its held-set entry are therefore one atomic step, `release_all`
+//! and `replicate_shared` each see a single consistent table, and the
+//! deadlock detector searches the exact wait-for graph of that table.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -25,7 +13,6 @@ use std::time::Duration;
 
 use gist_sync::{Condvar, Mutex};
 
-use gist_striped::Striped;
 use gist_wal::TxnId;
 
 use crate::audit;
@@ -66,6 +53,10 @@ struct Entry {
 }
 
 impl Entry {
+    fn new(txn: TxnId, mode: LockMode, granted: bool, seq: u64) -> Entry {
+        Entry { txn, mode, count: 1, granted, convert_to: None, seq }
+    }
+
     /// Mode other requests must be compatible with: the conversion target
     /// is claimed eagerly so converters cannot be starved by new grants.
     fn effective_mode(&self) -> LockMode {
@@ -76,29 +67,14 @@ impl Entry {
     }
 }
 
-/// One stripe of the lock table. A queue (and therefore every FIFO /
-/// grant decision about it) lives entirely inside one shard.
+/// The whole lock table, under the manager's one mutex.
 #[derive(Default)]
-struct Shard {
+struct Table {
     queues: HashMap<LockName, Vec<Entry>>,
-    /// Per-shard request sequencer (FIFO comparisons only ever happen
-    /// within one queue, which never spans shards).
+    /// Names held per transaction (each at most once).
+    held: HashMap<TxnId, Vec<LockName>>,
+    /// Request sequencer (FIFO order within a queue).
     seq: u64,
-    /// Bumped on every queue mutation; the deadlock detector's cache key.
-    version: u64,
-}
-
-impl Shard {
-    fn touch(&mut self) {
-        self.version = self.version.wrapping_add(1);
-    }
-}
-
-/// Per-shard cache of wait-for edges, keyed by the shard version they
-/// were computed at.
-struct EdgeCache {
-    version: u64,
-    edges: Vec<(TxnId, TxnId)>,
 }
 
 /// Lock-manager counters.
@@ -116,19 +92,10 @@ pub struct LockStats {
 
 /// The lock manager.
 pub struct LockManager {
-    shards: Striped<Shard>,
-    /// `cvs[i]` pairs with shard `i`: waiters on any queue in the shard
-    /// park here and are woken by mutations of that shard only.
-    cvs: Box<[Condvar]>,
-    /// Names held per transaction, striped by `TxnId`. Locked only
-    /// *after* a queue shard (grant/unlock paths) or entirely before any
-    /// queue shard is taken (`release_all` drops it first) — a single
-    /// cross-table order, so the tables cannot deadlock against each
-    /// other.
-    held: Striped<HashMap<TxnId, HashSet<LockName>>>,
-    /// Snapshot cache for the deadlock detector; serializes detection
-    /// (which is off the grant fast path — only blocked requests enter).
-    detector: Mutex<Vec<EdgeCache>>,
+    table: Mutex<Table>,
+    /// Waiters on any queue park here; every mutation that can make a
+    /// waiter grantable notifies it after the table lock drops.
+    cv: Condvar,
     timeout: Duration,
     /// Counters (grants/waits/deadlocks/timeouts).
     pub stats: LockStats,
@@ -141,44 +108,19 @@ impl Default for LockManager {
 }
 
 impl LockManager {
-    /// Manager with the default 10 s wait timeout and shard count.
+    /// Manager with the default 10 s wait timeout.
     pub fn new() -> Self {
         Self::with_timeout(Duration::from_secs(10))
     }
 
-    /// Manager with a custom wait timeout and the default shard count.
+    /// Manager with a custom wait timeout.
     pub fn with_timeout(timeout: Duration) -> Self {
-        Self::with_timeout_and_shards(timeout, 0)
-    }
-
-    /// Manager with an explicit queue shard count (rounded up to a power
-    /// of two; `0` = `next_pow2(2×cores)`). Shard count 1 reproduces the
-    /// pre-sharding single-mutex behavior exactly.
-    pub fn with_timeout_and_shards(timeout: Duration, shards: usize) -> Self {
-        let shards: Striped<Shard> = Striped::with_default(shards);
-        let n = shards.shard_count();
-        let cvs: Vec<Condvar> = (0..n).map(|_| Condvar::new()).collect();
-        let detector =
-            (0..n).map(|_| EdgeCache { version: u64::MAX, edges: Vec::new() }).collect();
         LockManager {
-            shards,
-            cvs: cvs.into_boxed_slice(),
-            held: Striped::with_default(n),
-            detector: Mutex::new(detector),
+            table: Mutex::new(Table::default()),
+            cv: Condvar::new(),
             timeout,
             stats: LockStats::default(),
         }
-    }
-
-    /// Number of queue shards (a power of two).
-    pub fn shard_count(&self) -> usize {
-        self.shards.shard_count()
-    }
-
-    /// The queue shard `name` maps to (stable for the manager's lifetime;
-    /// tests use this to build colliding / spread lock-name sets).
-    pub fn shard_of(&self, name: &LockName) -> usize {
-        self.shards.index_of(name)
     }
 
     /// Acquire `name` in `mode` for `txn`, blocking as needed.
@@ -188,178 +130,43 @@ impl LockManager {
     /// priority over new waiters.
     pub fn lock(&self, txn: TxnId, name: LockName, mode: LockMode) -> Result<(), LockError> {
         assert!(!txn.is_none(), "locks must be owned by a transaction");
-        let idx = self.shards.index_of(&name);
-        let mut sh = self.shards.lock_index(idx);
-        // Existing granted entry? Count or convert.
-        if Self::granted_pos(&sh, &name, txn).is_some() {
-            let entry = Self::entry_mut(&mut sh, &name, txn);
-            if entry.mode.covers(mode) {
-                entry.count += 1;
-                self.stats.immediate_grants.fetch_add(1, Ordering::Relaxed);
-                return Ok(());
-            }
-            let target = entry.mode.supremum(mode);
-            entry.convert_to = Some(target);
-            sh.touch();
-            let mut waited = false;
-            loop {
-                if Self::conversion_compatible(&sh, &name, txn, target) {
-                    let entry = Self::entry_mut(&mut sh, &name, txn);
-                    entry.mode = target;
-                    entry.convert_to = None;
-                    entry.count += 1;
-                    sh.touch();
-                    drop(sh);
-                    if waited {
-                        self.cvs[idx].notify_all();
-                    } else {
-                        self.stats.immediate_grants.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return Ok(());
-                }
-                // Cycle-check on a cross-shard snapshot; the shard lock is
-                // dropped first so detection never stacks shard mutexes.
-                drop(sh);
-                let dead = self.cycle_check(txn);
-                sh = self.shards.lock_index(idx);
-                // The world moved while unlocked: prefer granting over
-                // aborting on a stale snapshot.
-                if Self::conversion_compatible(&sh, &name, txn, target) {
-                    continue;
-                }
-                if dead {
-                    Self::entry_mut(&mut sh, &name, txn).convert_to = None;
-                    sh.touch();
-                    drop(sh);
-                    self.stats.deadlocks.fetch_add(1, Ordering::Relaxed);
-                    self.cvs[idx].notify_all();
-                    return Err(LockError::Deadlock);
-                }
-                if !waited {
-                    waited = true;
-                    self.stats.waits.fetch_add(1, Ordering::Relaxed);
-                    // §5 coupling discipline: a blocking record-lock wait
-                    // must happen latch-free.
-                    audit::lock_wait_sharded(
-                        matches!(name, LockName::Rid(_)),
-                        "lock conversion",
-                        idx,
-                    );
-                }
-                if self.cvs[idx].wait_for(sh.inner_mut(), self.timeout).timed_out() {
-                    Self::entry_mut(&mut sh, &name, txn).convert_to = None;
-                    sh.touch();
-                    drop(sh);
-                    self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                    self.cvs[idx].notify_all();
-                    return Err(LockError::Timeout);
-                }
-            }
-        }
-
-        // Fresh request: enqueue, wait until grantable.
-        sh.seq += 1;
-        let seq = sh.seq;
-        sh.queues.entry(name).or_default().push(Entry {
-            txn,
-            mode,
-            count: 1,
-            granted: false,
-            convert_to: None,
-            seq,
-        });
-        sh.touch();
+        let mut t = self.table.lock();
+        let Some(pending) = t.grant_now(txn, name, mode, true) else {
+            self.stats.immediate_grants.fetch_add(1, Ordering::Relaxed);
+            return Ok(());
+        };
         let mut waited = false;
-        loop {
-            if Self::grantable(&sh, &name, txn, seq) {
-                let entry = Self::waiting_entry_mut(&mut sh, &name, txn, seq);
-                entry.granted = true;
-                sh.touch();
-                drop(sh);
-                self.held.lock(&txn).entry(txn).or_default().insert(name);
-                if waited {
-                    self.cvs[idx].notify_all();
-                } else {
-                    self.stats.immediate_grants.fetch_add(1, Ordering::Relaxed);
-                }
-                return Ok(());
-            }
-            drop(sh);
-            let dead = self.cycle_check(txn);
-            sh = self.shards.lock_index(idx);
-            if Self::grantable(&sh, &name, txn, seq) {
-                continue;
-            }
-            if dead {
-                Self::remove_waiting(&mut sh, &name, txn, seq);
-                drop(sh);
+        let failure = loop {
+            if t.on_cycle(txn) {
                 self.stats.deadlocks.fetch_add(1, Ordering::Relaxed);
-                self.cvs[idx].notify_all();
-                return Err(LockError::Deadlock);
+                break LockError::Deadlock;
             }
             if !waited {
                 waited = true;
                 self.stats.waits.fetch_add(1, Ordering::Relaxed);
                 // §5 coupling discipline: a blocking record-lock wait
                 // must happen latch-free.
-                audit::lock_wait_sharded(
-                    matches!(name, LockName::Rid(_)),
-                    "fresh lock request",
-                    idx,
-                );
+                audit::lock_wait(matches!(name, LockName::Rid(_)), "lock request");
             }
-            if self.cvs[idx].wait_for(sh.inner_mut(), self.timeout).timed_out() {
-                Self::remove_waiting(&mut sh, &name, txn, seq);
-                drop(sh);
+            if self.cv.wait_for(&mut t, self.timeout).timed_out() {
                 self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                self.cvs[idx].notify_all();
-                return Err(LockError::Timeout);
+                break LockError::Timeout;
             }
-        }
+            if t.grant_pending(txn, name, pending) {
+                drop(t);
+                self.cv.notify_all();
+                return Ok(());
+            }
+        };
+        t.withdraw(txn, name, pending);
+        drop(t);
+        self.cv.notify_all();
+        Err(failure)
     }
 
-    /// Non-blocking acquire: `Ok(true)` if granted immediately.
+    /// Non-blocking acquire: `true` if granted immediately.
     pub fn try_lock(&self, txn: TxnId, name: LockName, mode: LockMode) -> bool {
-        let mut sh = self.shards.lock(&name);
-        if let Some(pos) = Self::granted_pos(&sh, &name, txn) {
-            let (covers, target) = {
-                let entry = &sh.queues[&name][pos];
-                (entry.mode.covers(mode), entry.mode.supremum(mode))
-            };
-            if covers {
-                Self::entry_mut(&mut sh, &name, txn).count += 1;
-                return true;
-            }
-            if Self::conversion_compatible(&sh, &name, txn, target) {
-                let entry = Self::entry_mut(&mut sh, &name, txn);
-                entry.mode = target;
-                entry.count += 1;
-                sh.touch();
-                return true;
-            }
-            return false;
-        }
-        sh.seq += 1;
-        let seq = sh.seq;
-        sh.queues.entry(name).or_default().push(Entry {
-            txn,
-            mode,
-            count: 1,
-            granted: false,
-            convert_to: None,
-            seq,
-        });
-        if Self::grantable(&sh, &name, txn, seq) {
-            let entry = Self::waiting_entry_mut(&mut sh, &name, txn, seq);
-            entry.granted = true;
-            sh.touch();
-            drop(sh);
-            self.held.lock(&txn).entry(txn).or_default().insert(name);
-            true
-        } else {
-            Self::remove_waiting(&mut sh, &name, txn, seq);
-            false
-        }
+        self.table.lock().grant_now(txn, name, mode, false).is_none()
     }
 
     /// Release one acquisition of `name` by `txn` (used for signaling
@@ -367,9 +174,8 @@ impl LockManager {
     /// visits that node", §7.2). Fully releases when the count drops to
     /// zero. Returns whether the entry was fully released.
     pub fn unlock(&self, txn: TxnId, name: LockName) -> bool {
-        let idx = self.shards.index_of(&name);
-        let mut sh = self.shards.lock_index(idx);
-        let Some(queue) = sh.queues.get_mut(&name) else { return false };
+        let mut t = self.table.lock();
+        let Some(queue) = t.queues.get_mut(&name) else { return false };
         let Some(pos) = queue.iter().position(|e| e.txn == txn && e.granted) else {
             return false;
         };
@@ -380,84 +186,45 @@ impl LockManager {
         }
         queue.remove(pos);
         if queue.is_empty() {
-            sh.queues.remove(&name);
+            t.queues.remove(&name);
         }
-        sh.touch();
-        drop(sh);
-        {
-            let mut held = self.held.lock(&txn);
-            if let Some(set) = held.get_mut(&txn) {
-                set.remove(&name);
-                if set.is_empty() {
-                    held.remove(&txn);
-                }
+        if let Some(names) = t.held.get_mut(&txn) {
+            names.retain(|n| *n != name);
+            if names.is_empty() {
+                t.held.remove(&txn);
             }
         }
-        self.cvs[idx].notify_all();
+        drop(t);
+        self.cv.notify_all();
         true
     }
 
     /// Release every lock held by `txn` (commit/abort).
     pub fn release_all(&self, txn: TxnId) {
-        // Historical orphan-grant race behind a mutation switch (armed by
-        // model-checker self-tests): a single snapshot-and-purge pass
-        // misses a replicated entry added by a concurrent
-        // `replicate_shared`.
-        let single_pass = gist_chaos::armed("lockmgr.release-all-single-pass");
-        // Take the held set first and drop its shard before touching any
-        // queue shard (the one cross-table ordering rule; see `held`).
-        //
-        // Loop until the held set stays empty: a concurrent
-        // [`replicate_shared`](Self::replicate_shared) that still sees
-        // `txn` granted on the split node (its queue not yet purged here)
-        // adds a granted entry on the new node and re-inserts it into the
-        // held set after our snapshot. That insert happens *before*
-        // `replicate_shared` drops the source queue shard — which we must
-        // take to purge the source name — so re-reading the held set
-        // after the purge pass is guaranteed to observe the addition, and
-        // the loop terminates once the source queue no longer shows `txn`
-        // granted (no further replication can name it).
-        loop {
-            let names: Vec<LockName> = {
-                let mut held = self.held.lock(&txn);
-                held.remove(&txn).map(|s| s.into_iter().collect()).unwrap_or_default()
-            };
-            if names.is_empty() {
-                return;
-            }
-            for name in names {
-                let idx = self.shards.index_of(&name);
-                let mut sh = self.shards.lock_index(idx);
-                if let Some(queue) = sh.queues.get_mut(&name) {
-                    queue.retain(|e| e.txn != txn);
-                    if queue.is_empty() {
-                        sh.queues.remove(&name);
-                    }
-                    sh.touch();
+        let mut t = self.table.lock();
+        let Some(names) = t.held.remove(&txn) else { return };
+        for name in names {
+            if let Some(queue) = t.queues.get_mut(&name) {
+                queue.retain(|e| e.txn != txn);
+                if queue.is_empty() {
+                    t.queues.remove(&name);
                 }
-                drop(sh);
-                self.cvs[idx].notify_all();
-            }
-            if single_pass {
-                return;
             }
         }
+        drop(t);
+        self.cv.notify_all();
     }
 
     /// The mode `txn` holds on `name`, if any.
     pub fn holds(&self, txn: TxnId, name: LockName) -> Option<LockMode> {
-        let sh = self.shards.lock(&name);
-        sh.queues
-            .get(&name)?
-            .iter()
-            .find(|e| e.txn == txn && e.granted)
-            .map(|e| e.mode)
+        let t = self.table.lock();
+        t.queues.get(&name)?.iter().find(|e| e.txn == txn && e.granted).map(|e| e.mode)
     }
 
     /// All granted holders of `name`.
     pub fn holders(&self, name: LockName) -> Vec<(TxnId, LockMode)> {
-        let sh = self.shards.lock(&name);
-        sh.queues
+        let t = self.table.lock();
+        t.queues
             .get(&name)
             .map(|q| q.iter().filter(|e| e.granted).map(|e| (e.txn, e.mode)).collect())
             .unwrap_or_default()
@@ -465,14 +232,14 @@ impl LockManager {
 
     /// Number of requests waiting on `name`.
     pub fn waiter_count(&self, name: LockName) -> usize {
-        let sh = self.shards.lock(&name);
-        sh.queues.get(&name).map(|q| q.iter().filter(|e| !e.granted).count()).unwrap_or(0)
+        let t = self.table.lock();
+        t.queues.get(&name).map(|q| q.iter().filter(|e| !e.granted).count()).unwrap_or(0)
     }
 
     /// Names held by `txn` (snapshot).
     pub fn held_by(&self, txn: TxnId) -> Vec<LockName> {
-        let held = self.held.lock(&txn);
-        held.get(&txn).map(|s| s.iter().copied().collect()).unwrap_or_default()
+        let t = self.table.lock();
+        t.held.get(&txn).cloned().unwrap_or_default()
     }
 
     /// Force-add a granted S entry on `to` for every transaction holding
@@ -481,62 +248,127 @@ impl LockManager {
     /// This is the lock-manager extension §10.3 calls for: "it is also
     /// necessary to replicate the signaling locks set on a node" when it
     /// splits. Safe because the new node is not yet reachable, so `to` can
-    /// have no conflicting holders. The two queue shards are taken in
-    /// ascending index order ([`Striped::lock_pair`]), making the
-    /// node-pair update atomic without a global lock.
-    ///
-    /// An owner may be terminating concurrently: replication is legal as
-    /// long as it still appears granted on `from`, and the held-set insert
-    /// below happens *before* the `from` queue shard is dropped, so the
-    /// owner's [`release_all`](Self::release_all) (which loops over the
-    /// held set until it stays empty) is guaranteed to pick up the
-    /// replicated entry and purge it — no orphaned grants.
+    /// have no conflicting holders. One table-lock hold covers reading
+    /// `from`, adding the entries on `to` and recording them in the
+    /// owners' held sets, so an owner's concurrent
+    /// [`release_all`](Self::release_all) runs wholly before (no owner
+    /// left to copy) or wholly after (and purges the copies).
     pub fn replicate_shared(&self, from: LockName, to: LockName) {
-        let (mut ga, mut gb) = self.shards.lock_pair(&from, &to);
-        let owners: Vec<TxnId> = ga
+        let mut guard = self.table.lock();
+        let t = &mut *guard;
+        let owners: Vec<TxnId> = t
             .queues
             .get(&from)
             .map(|q| q.iter().filter(|e| e.granted).map(|e| e.txn).collect())
             .unwrap_or_default();
-        if owners.is_empty() {
-            return;
-        }
-        let to_shard: &mut Shard = match gb.as_mut() {
-            Some(g) => g,
-            None => &mut ga,
-        };
         for txn in owners {
-            let already = to_shard
-                .queues
-                .get(&to)
-                .map(|q| q.iter().any(|e| e.txn == txn && e.granted))
-                .unwrap_or(false);
-            if already {
-                continue;
+            let q = t.queues.entry(to).or_default();
+            if !q.iter().any(|e| e.txn == txn && e.granted) {
+                t.seq += 1;
+                q.push(Entry::new(txn, LockMode::S, true, t.seq));
+                t.held.entry(txn).or_default().push(to);
             }
-            to_shard.seq += 1;
-            let seq = to_shard.seq;
-            to_shard.queues.entry(to).or_default().push(Entry {
-                txn,
-                mode: LockMode::S,
-                count: 1,
-                granted: true,
-                convert_to: None,
-                seq,
-            });
-            to_shard.touch();
-            self.held.lock(&txn).entry(txn).or_default().insert(to);
+        }
+    }
+}
+
+/// A request `lock` parks: a conversion of the held entry to a
+/// stronger mode, or a fresh entry with its sequence number.
+#[derive(Clone, Copy)]
+enum Pending {
+    Convert(LockMode),
+    Fresh(u64),
+}
+
+impl Table {
+    /// Grant `mode` on `name` to `txn` if that needs no wait: a
+    /// re-acquisition the held mode covers, a conversion no other holder
+    /// conflicts with, or a fresh request that conflicts with no other
+    /// entry (a newcomer never overtakes a conflicting waiter). Otherwise
+    /// return what must wait, parked in the queue if `park` is set (a
+    /// conversion claims its target through `convert_to`) and left out
+    /// of it if not.
+    fn grant_now(
+        &mut self,
+        txn: TxnId,
+        name: LockName,
+        mode: LockMode,
+        park: bool,
+    ) -> Option<Pending> {
+        let q = self.queues.entry(name).or_default();
+        if let Some(e) = q.iter().position(|e| e.txn == txn && e.granted) {
+            let target = q[e].mode.supremum(mode);
+            if !q[e].mode.covers(mode) && !grantable(q, txn, target, 0) {
+                if park {
+                    q[e].convert_to = Some(target);
+                }
+                return Some(Pending::Convert(target));
+            }
+            q[e].mode = target;
+            q[e].count += 1;
+            return None;
+        }
+        self.seq += 1;
+        let seq = self.seq;
+        let granted = grantable(q, txn, mode, u64::MAX);
+        if granted || park {
+            q.push(Entry::new(txn, mode, granted, seq));
+        }
+        if !granted {
+            return Some(Pending::Fresh(seq));
+        }
+        self.held.entry(txn).or_default().push(name);
+        None
+    }
+
+    /// Grant the parked request if it can be granted now.
+    fn grant_pending(&mut self, txn: TxnId, name: LockName, pending: Pending) -> bool {
+        let Some(q) = self.queues.get_mut(&name) else {
+            unreachable!("queue of a parked request vanished")
+        };
+        let parked = |e: &Entry| {
+            e.txn == txn
+                && match pending {
+                    Pending::Convert(_) => e.granted,
+                    Pending::Fresh(seq) => e.seq == seq,
+                }
+        };
+        let Some(pos) = q.iter().position(parked) else {
+            unreachable!("parked request vanished")
+        };
+        match pending {
+            Pending::Convert(target) if grantable(q, txn, target, 0) => {
+                let e = &mut q[pos];
+                e.mode = target;
+                e.convert_to = None;
+                e.count += 1;
+            }
+            Pending::Fresh(seq) if grantable(q, txn, q[pos].mode, seq) => {
+                q[pos].granted = true;
+                self.held.entry(txn).or_default().push(name);
+            }
+            _ => return false,
+        }
+        true
+    }
+
+    /// Take back a parked request (deadlock victim or timeout).
+    fn withdraw(&mut self, txn: TxnId, name: LockName, pending: Pending) {
+        match pending {
+            Pending::Convert(_) => self.granted_mut(&name, txn).convert_to = None,
+            Pending::Fresh(seq) => {
+                if let Some(q) = self.queues.get_mut(&name) {
+                    q.retain(|e| !(e.txn == txn && e.seq == seq && !e.granted));
+                    if q.is_empty() {
+                        self.queues.remove(&name);
+                    }
+                }
+            }
         }
     }
 
-    // ---- internals ----
-
-    fn granted_pos(sh: &Shard, name: &LockName, txn: TxnId) -> Option<usize> {
-        sh.queues.get(name)?.iter().position(|e| e.txn == txn && e.granted)
-    }
-
-    fn entry_mut<'a>(sh: &'a mut Shard, name: &LockName, txn: TxnId) -> &'a mut Entry {
-        let found = sh
+    fn granted_mut(&mut self, name: &LockName, txn: TxnId) -> &mut Entry {
+        let found = self
             .queues
             .get_mut(name)
             .and_then(|q| q.iter_mut().find(|e| e.txn == txn && e.granted));
@@ -546,146 +378,61 @@ impl LockManager {
         }
     }
 
-    fn waiting_entry_mut<'a>(
-        sh: &'a mut Shard,
-        name: &LockName,
-        txn: TxnId,
-        seq: u64,
-    ) -> &'a mut Entry {
-        let found = sh
-            .queues
-            .get_mut(name)
-            .and_then(|q| q.iter_mut().find(|e| e.txn == txn && e.seq == seq));
-        match found {
-            Some(e) => e,
-            None => unreachable!("waiting entry vanished"),
-        }
-    }
-
-    fn remove_waiting(sh: &mut Shard, name: &LockName, txn: TxnId, seq: u64) {
-        if let Some(q) = sh.queues.get_mut(name) {
-            q.retain(|e| !(e.txn == txn && e.seq == seq && !e.granted));
-            if q.is_empty() {
-                sh.queues.remove(name);
-            }
-            sh.touch();
-        }
-    }
-
-    /// A conversion to `target` by `txn` can proceed iff `target` is
-    /// compatible with every *other* granted entry.
-    fn conversion_compatible(sh: &Shard, name: &LockName, txn: TxnId, target: LockMode) -> bool {
-        sh.queues
-            .get(name)
-            .map(|q| {
-                q.iter()
-                    .filter(|e| e.granted && e.txn != txn)
-                    .all(|e| e.effective_mode().compatible(target))
-            })
-            .unwrap_or(true)
-    }
-
-    /// A waiting entry is grantable iff compatible with all granted
-    /// entries of other transactions *and* it does not overtake an earlier
-    /// conflicting waiter (fairness / starvation freedom).
-    fn grantable(sh: &Shard, name: &LockName, txn: TxnId, seq: u64) -> bool {
-        let Some(q) = sh.queues.get(name) else { return true };
-        for e in q {
-            if e.txn == txn && e.seq == seq {
-                continue;
-            }
-            if e.granted {
-                if e.txn != txn && !e.effective_mode().compatible(Self::mode_of(q, txn, seq)) {
-                    return false;
-                }
-            } else if e.seq < seq
-                && e.txn != txn
-                && !e.mode.compatible(Self::mode_of(q, txn, seq))
-            {
-                return false;
-            }
-        }
-        true
-    }
-
-    fn mode_of(q: &[Entry], txn: TxnId, seq: u64) -> LockMode {
-        q.iter().find(|e| e.txn == txn && e.seq == seq).map(|e| e.mode).unwrap_or(LockMode::X)
-    }
-
-    /// Wait-for edges contributed by one shard. Every edge is intra-queue
-    /// (waiter → conflicting granted holder, waiter → earlier conflicting
-    /// waiter, converter → other conflicting granted holder), so the set
-    /// is exact for the shard's current state.
-    fn shard_edges(sh: &Shard) -> Vec<(TxnId, TxnId)> {
-        let mut edges = Vec::new();
-        for q in sh.queues.values() {
+    /// Whether `requester` is on a cycle of the wait-for graph. Every
+    /// edge is intra-queue (waiter → conflicting granted holder, waiter →
+    /// earlier conflicting waiter, converter → other conflicting granted
+    /// holder), and the caller holds the table lock, so the graph is
+    /// exact.
+    fn on_cycle(&self, requester: TxnId) -> bool {
+        let mut edges: HashMap<TxnId, Vec<TxnId>> = HashMap::new();
+        for q in self.queues.values() {
             for (i, e) in q.iter().enumerate() {
-                if e.granted {
-                    if let Some(target) = e.convert_to {
-                        for other in q.iter().filter(|o| o.granted && o.txn != e.txn) {
-                            if !other.effective_mode().compatible(target) {
-                                edges.push((e.txn, other.txn));
-                            }
-                        }
-                    }
-                } else {
-                    for (j, other) in q.iter().enumerate() {
-                        if other.txn == e.txn {
-                            continue;
-                        }
-                        let blocks = if other.granted {
-                            !other.effective_mode().compatible(e.mode)
+                let wants = match (e.granted, e.convert_to) {
+                    (true, None) => continue,
+                    (true, Some(target)) => target,
+                    (false, _) => e.mode,
+                };
+                for (j, o) in q.iter().enumerate() {
+                    let blocks = o.txn != e.txn
+                        && if o.granted {
+                            !o.effective_mode().compatible(wants)
                         } else {
-                            j < i && !other.mode.compatible(e.mode)
+                            !e.granted && j < i && !o.mode.compatible(wants)
                         };
-                        if blocks {
-                            edges.push((e.txn, other.txn));
-                        }
+                    if blocks {
+                        edges.entry(e.txn).or_default().push(o.txn);
                     }
                 }
-            }
-        }
-        edges
-    }
-
-    /// Check whether `requester` is on a waits-for cycle, using the
-    /// version-keyed snapshot cache: only shards mutated since the last
-    /// detection recompute their edge set, and at most one shard lock is
-    /// held at any moment (the caller holds none). The union can mix
-    /// shard states observed at slightly different instants; the caller
-    /// guards against the resulting (rare) stale positive by re-checking
-    /// grantability under its shard lock before aborting.
-    fn cycle_check(&self, requester: TxnId) -> bool {
-        let mut det = self.detector.lock();
-        for idx in 0..self.shards.shard_count() {
-            let sh = self.shards.lock_index(idx);
-            let cache = &mut det[idx];
-            if cache.version != sh.version {
-                cache.edges = Self::shard_edges(&sh);
-                cache.version = sh.version;
-            }
-        }
-        let mut edges: HashMap<TxnId, HashSet<TxnId>> = HashMap::new();
-        for cache in det.iter() {
-            for &(a, b) in &cache.edges {
-                edges.entry(a).or_default().insert(b);
             }
         }
         // DFS from the requester looking for a path back to it.
-        let mut stack: Vec<TxnId> =
-            edges.get(&requester).map(|s| s.iter().copied().collect()).unwrap_or_default();
+        let mut stack: Vec<TxnId> = edges.get(&requester).cloned().unwrap_or_default();
         let mut seen: HashSet<TxnId> = HashSet::new();
         while let Some(t) = stack.pop() {
             if t == requester {
                 return true;
             }
-            if !seen.insert(t) {
-                continue;
-            }
-            if let Some(next) = edges.get(&t) {
-                stack.extend(next.iter().copied());
+            if seen.insert(t) {
+                if let Some(next) = edges.get(&t) {
+                    stack.extend(next.iter().copied());
+                }
             }
         }
         false
     }
+}
+
+/// Whether a request by `txn` for `mode` is compatible with every
+/// granted entry of another transaction and overtakes no conflicting
+/// waiter queued before it. `seq` places the request in the FIFO: a
+/// conversion passes 0 (ahead of every waiter — conversion priority), a
+/// newcomer `u64::MAX` (behind every waiter).
+fn grantable(q: &[Entry], txn: TxnId, mode: LockMode, seq: u64) -> bool {
+    q.iter().filter(|e| e.txn != txn).all(|e| {
+        if e.granted {
+            e.effective_mode().compatible(mode)
+        } else {
+            e.seq > seq || e.mode.compatible(mode)
+        }
+    })
 }

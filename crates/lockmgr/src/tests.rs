@@ -296,13 +296,12 @@ fn replicate_shared_copies_signaling_locks() {
 
 #[test]
 fn replicate_shared_racing_release_all_leaves_no_orphans() {
-    // Regression: `release_all` used to snapshot the held set once; a
-    // concurrent `replicate_shared` that still saw the txn granted on the
-    // source node could add a granted S entry on the sibling *after* the
-    // snapshot, orphaning it forever (every later conflicting request on
-    // the sibling waited to timeout). `release_all` now loops until the
-    // held set stays empty.
-    let lm = Arc::new(LockManager::with_timeout_and_shards(Duration::from_secs(10), 8));
+    // Regression: `release_all` once snapshotted the held set apart
+    // from the queues; a concurrent `replicate_shared` that still saw the
+    // txn granted on the source node could add a granted S entry on the
+    // sibling *after* the snapshot, orphaning it forever (every later
+    // conflicting request on the sibling waited to timeout).
+    let lm = Arc::new(LockManager::with_timeout(Duration::from_secs(10)));
     let orig = LockName::Node { index: 1, page: PageId(10) };
     let sibling = LockName::Node { index: 1, page: PageId(11) };
     for round in 0..200u64 {
@@ -435,88 +434,6 @@ fn replicate_shared_is_noop_without_holders() {
 fn unlock_of_unheld_lock_is_harmless() {
     let lm = LockManager::new();
     assert!(!lm.unlock(TxnId(1), rid(7)));
-    lm.release_all(TxnId(1));
-}
-
-#[test]
-fn single_shard_reproduces_preshard_semantics() {
-    // Shard count 1 is exactly the old single-mutex manager: determinism
-    // of the victim choice, FIFO fairness and stats must be unchanged.
-    let lm = Arc::new(LockManager::with_timeout_and_shards(Duration::from_secs(10), 1));
-    assert_eq!(lm.shard_count(), 1);
-    assert_eq!(lm.shard_of(&rid(1)), 0);
-    assert_eq!(lm.shard_of(&rid(999)), 0);
-    // Two-txn deadlock: closing request is the victim, exactly once.
-    lm.lock(TxnId(1), rid(1), LockMode::X).unwrap();
-    lm.lock(TxnId(2), rid(2), LockMode::X).unwrap();
-    let t = {
-        let lm = lm.clone();
-        std::thread::spawn(move || lm.lock(TxnId(1), rid(2), LockMode::X))
-    };
-    std::thread::sleep(Duration::from_millis(50));
-    let res = lm.lock(TxnId(2), rid(1), LockMode::X);
-    assert_eq!(res, Err(LockError::Deadlock), "closing request is the victim");
-    lm.release_all(TxnId(2));
-    assert_eq!(t.join().unwrap(), Ok(()));
-    assert_eq!(lm.stats.deadlocks.load(Ordering::Relaxed), 1);
-    lm.release_all(TxnId(1));
-    // Re-acquisition counting still works through the single shard.
-    lm.lock(TxnId(3), rid(5), LockMode::S).unwrap();
-    lm.lock(TxnId(3), rid(5), LockMode::S).unwrap();
-    assert!(!lm.unlock(TxnId(3), rid(5)));
-    assert!(lm.unlock(TxnId(3), rid(5)));
-}
-
-#[test]
-fn sharded_manager_spreads_names() {
-    let lm = LockManager::with_timeout_and_shards(Duration::from_secs(10), 16);
-    assert_eq!(lm.shard_count(), 16);
-    let mut seen = std::collections::HashSet::new();
-    for i in 0..64u32 {
-        seen.insert(lm.shard_of(&rid(i)));
-    }
-    assert!(seen.len() >= 4, "sequential names collapsed to {} shard(s)", seen.len());
-    // Independent names on (typically) different shards still grant and
-    // release correctly, and held_by spans shards.
-    for i in 0..64u32 {
-        lm.lock(TxnId(1), rid(i), LockMode::S).unwrap();
-    }
-    assert_eq!(lm.held_by(TxnId(1)).len(), 64);
-    lm.release_all(TxnId(1));
-    assert!(lm.held_by(TxnId(1)).is_empty());
-    for i in 0..64u32 {
-        assert!(lm.holders(rid(i)).is_empty());
-    }
-}
-
-#[test]
-fn cross_shard_deadlock_detected() {
-    // Force the two names into *different* shards so the cycle spans
-    // shards and only the snapshot detector can see it.
-    let lm = Arc::new(LockManager::with_timeout_and_shards(Duration::from_secs(10), 8));
-    let mut a = rid(1);
-    let mut b = rid(2);
-    let mut n = 3u32;
-    while lm.shard_of(&a) == lm.shard_of(&b) {
-        b = rid(n);
-        n += 1;
-    }
-    assert_ne!(lm.shard_of(&a), lm.shard_of(&b));
-    // Normalize: the cycle direction must not matter.
-    if lm.shard_of(&a) > lm.shard_of(&b) {
-        std::mem::swap(&mut a, &mut b);
-    }
-    lm.lock(TxnId(1), a, LockMode::X).unwrap();
-    lm.lock(TxnId(2), b, LockMode::X).unwrap();
-    let t = {
-        let (lm, b) = (lm.clone(), b);
-        std::thread::spawn(move || lm.lock(TxnId(1), b, LockMode::X))
-    };
-    std::thread::sleep(Duration::from_millis(50));
-    let res = lm.lock(TxnId(2), a, LockMode::X);
-    assert_eq!(res, Err(LockError::Deadlock), "cross-shard cycle found");
-    lm.release_all(TxnId(2));
-    assert_eq!(t.join().unwrap(), Ok(()));
     lm.release_all(TxnId(1));
 }
 

@@ -11,11 +11,10 @@
 //! back, the registered [`LogFlusher`] is asked to make the log durable up
 //! to the page's LSN.
 //!
-//! The frame table is **partitioned** (`gist-striped`): page ids hash to
-//! one of N independently locked shards, so fetch/pin/evict of distinct
-//! pages never contend on a global map mutex. Per-frame latches, pin
-//! counts and the flusher discipline are unchanged — sharding only
-//! affects how a page id finds its frame.
+//! The frame table is one mutex-guarded map from page id to frame. The
+//! mutex is held only to find, pin, insert or remove a frame — never
+//! across store I/O or a latch wait; those happen under the frame's own
+//! latch.
 //!
 //! ## Optimistic reads
 //!
@@ -53,7 +52,6 @@ use std::time::Duration;
 use parking_lot::lock_api::{ArcRwLockReadGuard, ArcRwLockWriteGuard};
 use parking_lot::{Mutex, RawRwLock, RwLock};
 
-use gist_striped::Striped;
 use gist_wal::{LogFlusher, Lsn};
 
 use crate::audit;
@@ -253,11 +251,9 @@ pub struct BufferPool {
     audit_id: u64,
     flusher: Mutex<Option<Arc<dyn LogFlusher>>>,
     capacity: usize,
-    /// Partitioned frame table: `PageId` hashes to one shard.
-    frames: Striped<HashMap<PageId, Arc<Frame>>>,
-    /// Frames cached across all shards (maintained at insert/remove so
-    /// the capacity check never sums every shard).
-    total: AtomicUsize,
+    /// The frame table. A `gist-sync` mutex, so it is a yield point for
+    /// the model checker's optimistic-reader scenarios.
+    frames: gist_sync::Mutex<HashMap<PageId, Arc<Frame>>>,
     clock: AtomicU64,
     /// Set after a persistent write/sync failure: the pool is read-only.
     poisoned: AtomicBool,
@@ -267,7 +263,7 @@ pub struct BufferPool {
     /// with the recLSN they had when written. Until the store is synced a
     /// write-back may still be *lost* by a crash, so these stay in the
     /// dirty-page table and restart redo re-covers them.
-    unsynced: Mutex<HashMap<u32, u64>>, // lint: allow-global-sync-map — per write-back, not per fetch
+    unsynced: Mutex<HashMap<u32, u64>>,
     /// Store writes issued (incremented before the write starts) and
     /// completed (incremented after it returns, success or not). A
     /// pool-bypassing optimistic read is only valid if no store write
@@ -281,28 +277,15 @@ pub struct BufferPool {
 
 impl BufferPool {
     /// Pool over `store` holding at most `capacity` frames (soft limit:
-    /// if every frame is pinned the pool grows rather than deadlocks),
-    /// with the default frame-table shard count.
+    /// if every frame is pinned the pool grows rather than deadlocks).
     pub fn new(store: Arc<dyn PageStore>, capacity: usize) -> Arc<Self> {
-        BufferPool::with_shards(store, capacity, 0)
-    }
-
-    /// [`BufferPool::new`] with an explicit frame-table shard count
-    /// (rounded up to a power of two; `0` = `next_pow2(2×cores)`). Shard
-    /// count 1 reproduces the pre-sharding single-mutex behavior exactly.
-    pub fn with_shards(
-        store: Arc<dyn PageStore>,
-        capacity: usize,
-        shards: usize,
-    ) -> Arc<Self> {
         assert!(capacity > 0, "capacity must be positive");
         Arc::new(BufferPool {
             store,
             audit_id: audit::new_instance_id(),
             flusher: Mutex::new(None),
             capacity,
-            frames: Striped::new(shards, HashMap::new),
-            total: AtomicUsize::new(0),
+            frames: gist_sync::Mutex::new(HashMap::new()),
             clock: AtomicU64::new(0),
             poisoned: AtomicBool::new(false),
             poison_reason: Mutex::new(String::new()),
@@ -352,17 +335,6 @@ impl BufferPool {
         }
     }
 
-    /// Number of frame-table shards (a power of two).
-    pub fn shard_count(&self) -> usize {
-        self.frames.shard_count()
-    }
-
-    /// The frame-table shard `id` maps to (stable for the pool's
-    /// lifetime; tests use this to build colliding / spread key sets).
-    pub fn shard_of(&self, id: PageId) -> usize {
-        self.frames.index_of(&id)
-    }
-
     /// Register the log flusher used to enforce the WAL rule on
     /// writebacks.
     pub fn set_flusher(&self, f: Arc<dyn LogFlusher>) {
@@ -379,11 +351,11 @@ impl BufferPool {
     }
 
     /// The hit probe every latching fetch shares: pin `id`'s cached
-    /// frame and stamp its LRU tick under the shard lock, so eviction
-    /// (which re-checks pins under the same lock) cannot take it away
+    /// frame and stamp its LRU tick under the table lock, so eviction
+    /// (which checks pins under the same lock) cannot take it away
     /// before the caller reaches the latch.
     fn pin_cached(&self, id: PageId) -> Option<Arc<Frame>> {
-        self.frames.lock(&id).get(&id).map(|f| {
+        self.frames.lock().get(&id).map(|f| {
             f.pins.fetch_add(1, Ordering::Relaxed);
             f.tick.store(self.tick(), Ordering::Relaxed);
             f.clone()
@@ -394,12 +366,11 @@ impl BufferPool {
     /// another thread cached the page first (the caller retries through
     /// the hit path).
     fn install(&self, frame: &Arc<Frame>) -> bool {
-        let mut frames = self.frames.lock(&frame.id);
+        let mut frames = self.frames.lock();
         if frames.contains_key(&frame.id) {
             return false;
         }
         frames.insert(frame.id, frame.clone());
-        self.total.fetch_add(1, Ordering::Relaxed);
         true
     }
 
@@ -443,7 +414,7 @@ impl BufferPool {
         blocking: bool,
     ) -> io::Result<FetchResult> {
         assert!(!id.is_invalid(), "fetch of the invalid page id");
-        // Fast path: hit (only `id`'s shard is locked).
+        // Fast path: hit.
         if let Some(frame) = self.pin_cached(id) {
             self.stats.hits.fetch_add(1, Ordering::Relaxed);
             // Block on the frame latch (no other latch is held here).
@@ -508,8 +479,7 @@ impl BufferPool {
             Err(e) => {
                 g.load_error = Some((e.kind(), e.to_string()));
                 drop(g);
-                if self.frames.lock(&id).remove(&id).is_some() {
-                    self.total.fetch_sub(1, Ordering::Relaxed);
+                if self.frames.lock().remove(&id).is_some() {
                     frame.mark_evicted();
                 }
                 frame.pins.fetch_sub(1, Ordering::Relaxed);
@@ -521,7 +491,7 @@ impl BufferPool {
     /// Optimistic latch-free fetch: a version-stamped handle to page
     /// `id`'s cached frame that pins nothing, takes no latch, and never
     /// touches the LRU clock — the read-path synchronization cost is a
-    /// shard probe plus one atomic load. Copy data out with
+    /// table probe plus one atomic load. Copy data out with
     /// [`OptimisticReadGuard::read_with`], then prove the copies
     /// consistent with [`OptimisticReadGuard::validate`].
     ///
@@ -549,7 +519,7 @@ impl BufferPool {
     ) -> io::Result<Option<OptimisticReadGuard>> {
         assert!(!id.is_invalid(), "fetch of the invalid page id");
         for warmed in [false, true] {
-            let frame = self.frames.lock(&id).get(&id).cloned();
+            let frame = self.frames.lock().get(&id).cloned();
             if let Some(frame) = frame {
                 audit::optimistic_enter(self.audit_id, u64::from(id.0));
                 let seq = frame.seq.load(Ordering::Acquire);
@@ -590,7 +560,7 @@ impl BufferPool {
         if !page.verify_checksum() {
             return None;
         }
-        if self.frames.lock(&id).contains_key(&id) {
+        if self.frames.lock().contains_key(&id) {
             // Cached mid-window: the frame is now authoritative.
             return None;
         }
@@ -684,44 +654,38 @@ impl BufferPool {
 
     /// Evict clean-or-flushable unpinned frames until within capacity.
     ///
-    /// Scans shards in ascending index order holding one shard lock at a
-    /// time; the global minimum-tick unpinned victim is carried between
-    /// shards by its *frame latch* (never a shard lock), so eviction
-    /// stacks no shard mutexes and cannot deadlock with fetchers.
+    /// The victim is the oldest-tick unpinned frame whose latch can be
+    /// taken without waiting, chosen under the table lock (pins only
+    /// rise under that lock, so none can appear mid-scan). The table
+    /// lock is dropped before the write-back; the latch keeps the victim.
     fn evict_excess(self: &Arc<Self>) {
         loop {
-            if self.total.load(Ordering::Relaxed) <= self.capacity {
-                return;
-            }
             // A poisoned pool cannot write dirty frames back; only clean
             // frames are eviction candidates (the pool grows otherwise).
             let poisoned = self.is_poisoned();
-            let mut best: Option<(u64, Arc<Frame>, WriteGuardInner)> = None;
-            for idx in 0..self.frames.shard_count() {
-                let frames = self.frames.lock_index(idx);
+            let (frame, guard) = {
+                let frames = self.frames.lock();
+                if frames.len() <= self.capacity {
+                    return;
+                }
+                let mut best: Option<(u64, Arc<Frame>, WriteGuardInner)> = None;
                 for f in frames.values() {
-                    if f.pins.load(Ordering::Relaxed) != 0 {
-                        continue;
-                    }
-                    if poisoned && f.dirty.load(Ordering::Relaxed) {
+                    let t = f.tick.load(Ordering::Relaxed);
+                    if f.pins.load(Ordering::Relaxed) != 0
+                        || (poisoned && f.dirty.load(Ordering::Relaxed))
+                        || best.as_ref().is_some_and(|(bt, _, _)| *bt <= t)
+                    {
                         continue;
                     }
                     if let Some(g) = f.latch.try_write_arc() {
-                        // Re-check pins under the latch+shard locks.
-                        if f.pins.load(Ordering::Relaxed) != 0 {
-                            continue;
-                        }
-                        let t = f.tick.load(Ordering::Relaxed);
-                        match &best {
-                            Some((bt, _, _)) if *bt <= t => {}
-                            _ => best = Some((t, f.clone(), g)),
-                        }
+                        best = Some((t, f.clone(), g));
                     }
                 }
-            }
-            // Everything pinned or latched: grow rather than deadlock.
-            let Some((_, frame, guard)) = best else { return };
-            // Write back outside any shard lock, latch held. If the
+                // Everything pinned or latched: grow rather than deadlock.
+                let Some((_, frame, guard)) = best else { return };
+                (frame, guard)
+            };
+            // Write back outside the table lock, latch held. If the
             // write-back fails the frame stays dirty and cached (its
             // content must not be dropped); the failure already poisoned
             // the pool, so give up on shrinking this round.
@@ -731,12 +695,11 @@ impl BufferPool {
             // Remove only if still unpinned (a fetcher may be parked on
             // the latch; its pin protects it) and still the mapped frame.
             let removed = {
-                let mut frames = self.frames.lock(&frame.id);
+                let mut frames = self.frames.lock();
                 if frame.pins.load(Ordering::Relaxed) == 0
                     && frames.get(&frame.id).is_some_and(|f| Arc::ptr_eq(f, &frame))
                 {
                     frames.remove(&frame.id);
-                    self.total.fetch_sub(1, Ordering::Relaxed);
                     self.stats.evictions.fetch_add(1, Ordering::Relaxed);
                     true
                 } else {
@@ -796,14 +759,9 @@ impl BufferPool {
         Ok(())
     }
 
-    /// Snapshot every cached frame, locking shards one at a time in
-    /// ascending order (so sweeps never stack shard locks).
+    /// Snapshot every cached frame.
     fn snapshot_frames(&self) -> Vec<Arc<Frame>> {
-        let mut out = Vec::new();
-        for idx in 0..self.frames.shard_count() {
-            out.extend(self.frames.lock_index(idx).values().cloned());
-        }
-        out
+        self.frames.lock().values().cloned().collect()
     }
 
     /// Write every dirty page back to the store (log flushed first).
@@ -854,33 +812,25 @@ impl BufferPool {
     /// Simulate a crash: every cached frame is dropped without write-back,
     /// exactly as if the process died. Outstanding guards must not exist.
     pub fn crash(&self) {
-        // Assert quiescence across every shard before dropping anything,
-        // so a pinned frame in a late shard cannot leave a half-cleared
-        // pool behind the panic.
-        for f in self.snapshot_frames() {
-            assert_eq!(
-                f.pins.load(Ordering::Relaxed),
-                0,
-                "crash() with outstanding guards on {}",
-                f.id
-            );
+        let mut frames = self.frames.lock();
+        // Assert quiescence before dropping anything, so a pinned frame
+        // cannot leave a half-cleared pool behind the panic.
+        if let Some(f) = frames.values().find(|f| f.pins.load(Ordering::Relaxed) != 0) {
+            panic!("crash() with outstanding guards on {}", f.id);
         }
-        for idx in 0..self.frames.shard_count() {
-            let mut frames = self.frames.lock_index(idx);
-            self.total.fetch_sub(frames.len(), Ordering::Relaxed);
-            for f in frames.values() {
-                // Quiescence was asserted above, so no write guard is
-                // live: the word is even and goes permanently odd.
-                f.mark_evicted();
-            }
-            frames.clear();
+        for f in frames.values() {
+            // No write guard is live: the word is even and goes
+            // permanently odd.
+            f.mark_evicted();
         }
+        frames.clear();
+        drop(frames);
         self.unsynced.lock().clear();
     }
 
     /// Number of frames currently cached.
     pub fn cached_frames(&self) -> usize {
-        (0..self.frames.shard_count()).map(|idx| self.frames.lock_index(idx).len()).sum()
+        self.frames.lock().len()
     }
 
     /// Snapshot `(page, recLSN)` for every dirty frame — the dirty-page
@@ -1375,53 +1325,6 @@ mod tests {
         // And a miss loads from the store without blocking.
         let miss = pool.try_fetch_write(PageId(7)).unwrap();
         assert!(miss.is_some());
-    }
-
-    #[test]
-    fn single_shard_reproduces_preshard_semantics() {
-        // Shard count 1 is exactly the old single-mutex frame table: the
-        // capacity-2 eviction behavior, content round-trips and stats
-        // must match the sharded pool bit for bit.
-        let store = Arc::new(InMemoryStore::new());
-        store.ensure_capacity(64).unwrap();
-        let pool = BufferPool::with_shards(store, 2, 1);
-        assert_eq!(pool.shard_count(), 1);
-        for i in 1..=8u32 {
-            assert_eq!(pool.shard_of(PageId(i)), 0, "one shard owns everything");
-            let mut g = pool.new_page_write(PageId(i), 0).unwrap();
-            g.insert_cell(format!("page-{i}").as_bytes()).unwrap();
-            g.mark_dirty_unlogged();
-        }
-        assert!(pool.cached_frames() <= 3, "pool stayed near capacity");
-        for i in 1..=8u32 {
-            let g = pool.fetch_read(PageId(i)).unwrap();
-            assert_eq!(g.cell(0).unwrap(), format!("page-{i}").as_bytes());
-        }
-        assert!(pool.stats.evictions.load(Ordering::Relaxed) > 0);
-        assert!(pool.stats.writebacks.load(Ordering::Relaxed) > 0);
-    }
-
-    #[test]
-    fn sharded_pool_spreads_pages_and_evicts_globally() {
-        let store = Arc::new(InMemoryStore::new());
-        store.ensure_capacity(64).unwrap();
-        let pool = BufferPool::with_shards(store, 4, 8);
-        assert_eq!(pool.shard_count(), 8);
-        let mut seen = std::collections::HashSet::new();
-        for i in 1..=32u32 {
-            seen.insert(pool.shard_of(PageId(i)));
-            let mut g = pool.new_page_write(PageId(i), 0).unwrap();
-            g.insert_cell(&i.to_le_bytes()).unwrap();
-            g.mark_dirty_unlogged();
-        }
-        assert!(seen.len() >= 4, "sequential pages collapsed to {} shard(s)", seen.len());
-        // Eviction is global: the pool stays near capacity even though
-        // each individual shard is far below it.
-        assert!(pool.cached_frames() <= 5, "global capacity respected across shards");
-        for i in 1..=32u32 {
-            let g = pool.fetch_read(PageId(i)).unwrap();
-            assert_eq!(g.cell(0).unwrap(), &i.to_le_bytes());
-        }
     }
 
     #[test]

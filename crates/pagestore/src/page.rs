@@ -281,16 +281,16 @@ impl Page {
     }
 
     /// Compute the checksum of the current page image: FNV-1a + fmix64
-    /// (via [`gist_striped::stable_hash_bytes`]) over every byte except
+    /// (via [`gist_wal::stable_hash_bytes`]) over every byte except
     /// the checksum field itself, with `0` remapped to `1` so that `0`
     /// stays free as the "never stamped" sentinel.
     pub fn compute_checksum(&self) -> u64 {
-        let head = gist_striped::stable_hash_bytes(&self.data[..OFF_CHECKSUM]);
-        let tail = gist_striped::stable_hash_bytes(&self.data[HEADER_SIZE..]);
+        let head = gist_wal::stable_hash_bytes(&self.data[..OFF_CHECKSUM]);
+        let tail = gist_wal::stable_hash_bytes(&self.data[HEADER_SIZE..]);
         let mut combined = [0u8; 16];
         combined[..8].copy_from_slice(&head.to_le_bytes());
         combined[8..].copy_from_slice(&tail.to_le_bytes());
-        let h = gist_striped::stable_hash_bytes(&combined);
+        let h = gist_wal::stable_hash_bytes(&combined);
         if h == 0 { 1 } else { h }
     }
 

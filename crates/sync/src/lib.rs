@@ -4,7 +4,7 @@
 //! # gist-sync — audit-instrumented synchronization wrappers
 //!
 //! Thin wrappers over the `parking_lot` primitives that the hot-path
-//! crates (lockmgr, predlock, commitpipe, wal, striped) are required to
+//! crates (lockmgr, predlock, commitpipe, wal) are required to
 //! use instead of constructing raw mutexes/rwlocks/condvars — the
 //! `no-raw-std-sync` gist-lint rule enforces this statically. The point
 //! of the indirection is the deterministic model checker (`crates/mc`):

@@ -26,6 +26,7 @@
 //! also provided for round-trip realism.
 
 mod audit;
+mod checksum;
 mod lsn;
 mod record;
 pub mod codec;
@@ -33,6 +34,7 @@ pub mod faults;
 pub mod log;
 pub mod recovery;
 
+pub use checksum::stable_hash_bytes;
 pub use lsn::{Lsn, TxnId};
 pub use record::{LogRecord, Payload, RecordBody};
 pub use log::{LogFlusher, LogManager, Reservation, WalBackpressureStats, WalTailReport};

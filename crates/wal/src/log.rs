@@ -623,7 +623,7 @@ impl LogManager {
             };
             let enc = codec::encode_record(&rec);
             buf.extend_from_slice(&(enc.len() as u32).to_le_bytes());
-            buf.extend_from_slice(&gist_striped::stable_hash_bytes(&enc).to_le_bytes());
+            buf.extend_from_slice(&crate::stable_hash_bytes(&enc).to_le_bytes());
             buf.extend_from_slice(&enc);
         }
         let mut f = fs::File::create(path)?;
@@ -690,7 +690,7 @@ impl LogManager {
             let is_final = body_end == bytes.len();
             let body = &bytes[body_start..body_end];
             let recno = records.len() + 1;
-            if gist_striped::stable_hash_bytes(body) != stored_sum {
+            if crate::stable_hash_bytes(body) != stored_sum {
                 if is_final {
                     report.tail_truncated = true;
                     break;

@@ -15,10 +15,11 @@ pub const FRAME_HEADER: usize = 16;
 /// cannot make the decoder allocate unboundedly.
 pub const MAX_FRAME: usize = 1 << 20;
 
-/// FNV-1a over `bytes`, finished with Murmur3's fmix64 avalanche — the
-/// same construction the page checksums and the WAL tail frames use
-/// (`gist-pagestore`, `gist-striped::stable_hash`), applied here to
-/// wire frames so a torn frame is detected, never misparsed.
+/// Byte-at-a-time FNV-1a over `bytes`, finished with Murmur3's fmix64
+/// avalanche, so a torn frame is detected, never misparsed. Not the
+/// page/WAL checksum (`gist_wal::stable_hash_bytes` folds eight bytes
+/// per step and gives different digests); this one is part of the wire
+/// format and stays as it is.
 pub fn checksum(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
     for &b in bytes {

@@ -15,8 +15,11 @@
 # the bench_e2e package's own tests.
 #
 # Tier 3: the crates/mc deterministic schedule explorer — schedule-pinned
-# regression scenarios, mutation-detection proofs, and exhaustive DFS over
-# the WAL watermark invariants (`--features model-check`).
+# regression scenarios (lock replication vs release, predicate attach vs
+# replication, WAL wakeup, epoch reclamation), mutation-detection proofs
+# for the two mutation switches left (the WAL lost wakeup and the skipped
+# epoch grace period), and exhaustive DFS over the WAL watermark
+# invariants (`--features model-check`).
 set -u
 cd "$(dirname "$0")/.."
 
@@ -52,8 +55,8 @@ step "tier 2: gist-lint static rules" \
     cargo run -q --bin gist-lint
 step "tier 2: cargo test -q --features latch-audit" \
     cargo test -q --features latch-audit
-step "tier 2: shard-boundary stress under latch-audit" \
-    cargo test -q --features latch-audit --test stress shard_
+step "tier 2: lock/predicate/pool table stress under latch-audit" \
+    cargo test -q --features latch-audit --test stress table_stress::
 step "tier 2: optimistic equivalence under latch-audit" \
     cargo test -q --features latch-audit --test optimistic
 step "tier 2: optimistic stress under latch-audit" \

@@ -11,10 +11,9 @@
 //! | `record-coverage` | every `GistRecord` variant has an arm in the redo and undo dispatchers, and every `RecordBody` variant is named in the restart driver (no silent wildcard swallowing a new record kind) |
 //! | `latch-outside-buffer` | no direct `write_arc()` / `read_arc()` latch calls outside `pagestore/src/buffer.rs` — every latch must pass through the (audited) buffer-pool API |
 //! | `forbid-unsafe` | every crate without `unsafe` carries `#![forbid(unsafe_code)]` |
-//! | `no-global-sync-map` | no new top-level `Mutex<HashMap<...>>` / `RwLock<HashMap<...>>` in the hot-path sync crates (pagestore, lockmgr, predlock) — shared tables there must go through the striped abstraction (`gist-striped`) so they stay partitioned and shard-order audited |
 //! | `no-ignored-io` | no `let _ = ...` / statement-level `....ok();` in the storage crates (pagestore, wal) — every I/O result must be propagated, retried, or poison the pool; a silently dropped error is exactly how a lost write becomes silent corruption |
 //! | `no-inline-flush` | no direct `log.flush(...)` outside crates/wal and crates/commitpipe — durability goes through the group-commit pipeline, a private fsync re-serializes committers on the device |
-//! | `no-raw-std-sync` | no bare `parking_lot` / `std::sync` mutex, rwlock or condvar in the model-checked hot-path crates (lockmgr, predlock, commitpipe, wal, striped) — synchronization there must go through the `gist-sync` wrappers, or the deterministic scheduler (`crates/mc`) cannot see the operation and its schedules silently lose coverage |
+//! | `no-raw-std-sync` | no bare `parking_lot` / `std::sync` mutex, rwlock or condvar in the model-checked hot-path crates (lockmgr, predlock, commitpipe, wal) — synchronization there must go through the `gist-sync` wrappers, or the deterministic scheduler (`crates/mc`) cannot see the operation and its schedules silently lose coverage |
 //! | `no-latch-in-optimistic` | no `fetch_read` / `fetch_write` / `new_page_write` inside a `read_with(...)` optimistic closure in `crates/core` — the latch-free fast path must not take latches mid-copy (static twin of the dynamic `latch-in-optimistic` audit rule) |
 //! | `no-unbounded-wait` | no bare `.wait(&mut ...)` condvar parks in non-test crate code — every wait must carry a deadline (`wait_for`/`wait_until`) so a lost wakeup degrades instead of hanging (the `gist-sync` wrappers and the `mc` scheduler are exempt) |
 //! | `no-unbounded-read` | no raw `.read(...)` / `.write_all(...)` socket calls in `crates/serve` outside the deadline-wrapped transport helpers (`io.rs`) — a session parked on a dead peer with no deadline is exactly the leak the serving layer exists to prevent |
@@ -259,40 +258,6 @@ fn rule_latch_outside_buffer(f: &SourceFile, out: &mut Vec<Violation>) {
     }
 }
 
-/// Rule `no-global-sync-map`: the hot-path synchronization crates got
-/// their shared tables partitioned (PR 3); a mutex- or rwlock-wrapped
-/// `HashMap` reintroduces a process-global serialization point that the
-/// shard-order audit cannot see. New shared tables in these crates must
-/// be `Striped<...>` (or a named struct with a documented waiver).
-fn rule_no_global_sync_map(f: &SourceFile, out: &mut Vec<Violation>) {
-    let scoped = ["crates/pagestore/", "crates/lockmgr/", "crates/predlock/"]
-        .iter()
-        .any(|p| f.path.starts_with(p));
-    if !scoped {
-        return;
-    }
-    for (n, clean, raw, test) in f.lines() {
-        if test || raw.contains("lint: allow-global-sync-map") {
-            continue;
-        }
-        // Whitespace-insensitive match (`Mutex< HashMap` etc.).
-        let compact: String = clean.chars().filter(|c| !c.is_whitespace()).collect();
-        for needle in ["Mutex<HashMap<", "RwLock<HashMap<"] {
-            if compact.contains(needle) {
-                out.push(Violation {
-                    rule: "no-global-sync-map",
-                    file: f.path.clone(),
-                    line: n,
-                    msg: format!(
-                        "global `{needle}...>` in a hot-path sync crate — \
-                         use `gist_striped::Striped` (shard-order audited) instead"
-                    ),
-                });
-            }
-        }
-    }
-}
-
 /// Rule `no-ignored-io`: in the storage crates every fallible operation
 /// is an I/O operation, and a discarded `Result` there is a fault the
 /// fault-injection layer can never surface — the write "worked" as far
@@ -374,7 +339,6 @@ fn rule_no_raw_std_sync(f: &SourceFile, out: &mut Vec<Violation>) {
         "crates/predlock/",
         "crates/commitpipe/",
         "crates/wal/",
-        "crates/striped/",
     ]
     .iter()
     .any(|p| f.path.starts_with(p));
@@ -879,7 +843,6 @@ fn scan(files: &[SourceFile]) -> Vec<Violation> {
     for f in files {
         rule_no_unwrap(f, &mut out);
         rule_latch_outside_buffer(f, &mut out);
-        rule_no_global_sync_map(f, &mut out);
         rule_no_ignored_io(f, &mut out);
         rule_no_inline_flush(f, &mut out);
         rule_no_raw_std_sync(f, &mut out);
@@ -953,7 +916,6 @@ fn main() {
         "record-coverage",
         "latch-outside-buffer",
         "forbid-unsafe",
-        "no-global-sync-map",
         "no-ignored-io",
         "no-inline-flush",
         "no-raw-std-sync",
@@ -1265,8 +1227,8 @@ mod tests {
         assert!(v.is_empty(), "{v:?}");
         // Waiver and test modules are exempt.
         let f = file(
-            "crates/striped/src/lib.rs",
-            "use parking_lot::Mutex; // lint: allow-raw-sync — shard fast path measured",
+            "crates/lockmgr/src/manager.rs",
+            "use parking_lot::Mutex; // lint: allow-raw-sync — measured fast path",
         );
         let mut v = Vec::new();
         rule_no_raw_std_sync(&f, &mut v);
@@ -1320,51 +1282,6 @@ mod tests {
         let mut v = Vec::new();
         rule_forbid_unsafe(&[unsafe_crate], &mut v);
         assert!(v.is_empty());
-    }
-
-    #[test]
-    fn global_sync_map_in_scoped_crate_is_flagged() {
-        let f = file(
-            "crates/lockmgr/src/manager.rs",
-            "struct M { queues: Mutex<HashMap<LockName, Vec<Entry>>> }",
-        );
-        let mut v = Vec::new();
-        rule_no_global_sync_map(&f, &mut v);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "no-global-sync-map");
-        // RwLock and odd spacing are caught too.
-        let f = file(
-            "crates/predlock/src/lib.rs",
-            "nodes: RwLock< HashMap <NodeKey, Vec<PredId>> >,",
-        );
-        let mut v = Vec::new();
-        rule_no_global_sync_map(&f, &mut v);
-        assert_eq!(v.len(), 1, "{v:?}");
-    }
-
-    #[test]
-    fn global_sync_map_outside_scope_or_waived_is_exempt() {
-        // Other crates may still use a plain mutexed map.
-        let f = file("crates/wal/src/lib.rs", "x: Mutex<HashMap<u64, u64>>,");
-        let mut v = Vec::new();
-        rule_no_global_sync_map(&f, &mut v);
-        assert!(v.is_empty());
-        // An explicit waiver comment is respected.
-        let f = file(
-            "crates/pagestore/src/store.rs",
-            "x: Mutex<HashMap<u64, u64>>, // lint: allow-global-sync-map — cold path",
-        );
-        let mut v = Vec::new();
-        rule_no_global_sync_map(&f, &mut v);
-        assert!(v.is_empty());
-        // Test code in a scoped crate is exempt.
-        let f = file(
-            "crates/lockmgr/src/manager.rs",
-            "#[cfg(test)]\nmod tests {\n    struct T { m: Mutex<HashMap<u8, u8>> }\n}\n",
-        );
-        let mut v = Vec::new();
-        rule_no_global_sync_map(&f, &mut v);
-        assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]

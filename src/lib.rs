@@ -20,9 +20,6 @@
 //!   Table 1 logging/recovery protocol, and baseline protocols.
 //! - [`am`] — example access methods (B-tree, R-tree, RD-tree) realized as
 //!   GiST extensions.
-//! - [`striped`] — the shared sharding utility (`Striped<T>`) behind the
-//!   partitioned buffer-pool frame table, the striped lock-manager
-//!   queues, and the per-node predicate tables.
 //! - [`epoch`] — quiescent-state (epoch) reclamation guarding page reuse
 //!   under the optimistic latch-free read path.
 //! - [`overload`] — admission control and the health-state machine
@@ -52,7 +49,6 @@ pub use gist_overload as overload;
 pub use gist_pagestore as pagestore;
 pub use gist_predlock as predlock;
 pub use gist_serve as serve;
-pub use gist_striped as striped;
 pub use gist_txn as txn;
 pub use gist_wal as wal;
 pub use gist_wire as wire;

@@ -4,15 +4,17 @@
 //! lock-manager / predicate-manager / WAL code, instrumented through the
 //! audit hook layer. Three kinds of test live here:
 //!
-//! 1. **Regression pins** — the PR 3 race fixes (orphan grant in
-//!    `release_all` vs `replicate_shared`; duplicate FIFO attach) and the
-//!    `wait_durable` generation handshake, explored on the *fixed* code:
-//!    every schedule must satisfy the post-conditions, and the
-//!    happens-before detector must report zero races.
-//! 2. **Mutation detection** — each historical bug is compiled back in
-//!    behind a `gist_chaos::armed` switch; the explorer must find a
-//!    failing schedule within a fixed budget, and replaying the recorded
-//!    trace must reproduce it byte-for-byte.
+//! 1. **Regression pins** — two races the lock and predicate managers
+//!    once had (orphan grant in `release_all` vs `replicate_shared`;
+//!    duplicate FIFO attach), which their one-mutex tables now rule out,
+//!    and the `wait_durable` generation handshake, explored on the
+//!    current code: every schedule must satisfy the post-conditions, and
+//!    the happens-before detector must report zero races.
+//! 2. **Mutation detection** — the WAL lost wakeup and the skipped
+//!    epoch grace period are compiled back in behind `gist_chaos::armed`
+//!    switches; the explorer must find a failing schedule within a fixed
+//!    budget, and replaying the recorded trace must reproduce it
+//!    byte-for-byte.
 //! 3. **Exhaustive invariants** — the WAL watermark ordering
 //!    (`durable ≤ filled ≤ reserved`) and hole-fencing, checked at every
 //!    scheduling point of a bounded-DFS-enumerated scenario.
@@ -179,10 +181,10 @@ fn wal_wait_durable_mutation_lost_wakeup_is_found() {
 /// One task terminates it (`release_all`) while another replicates A's
 /// signaling locks to a new split sibling B. In every schedule the
 /// terminated transaction must end up holding nothing: either the
-/// replication happened first and the release loop swept B too, or the
+/// replication happened first and the release swept B too, or the
 /// release purged A first and the replication saw no granted owners.
 fn lockmgr_orphan_scenario(sim: &mut Sim) {
-    let lm = Arc::new(LockManager::with_timeout_and_shards(Duration::from_secs(5), 4));
+    let lm = Arc::new(LockManager::with_timeout(Duration::from_secs(5)));
     let txn = TxnId(7);
     let from = LockName::Custom(1);
     let to = LockName::Custom(2);
@@ -208,30 +210,14 @@ fn lockmgr_orphan_scenario(sim: &mut Sim) {
     });
 }
 
-/// Fixed code: the release loop re-reads the held set, so no schedule
-/// leaves an orphaned grant (and the HB detector sees no races).
+/// Grant, replication and release each run under the one table lock,
+/// so no schedule leaves an orphaned grant (and the HB detector sees no
+/// races).
 #[test]
 fn lockmgr_release_all_never_orphans_replicated_grant() {
     let _serial = suite_lock();
     let report = Explorer::seeded("lockmgr-orphan", 0xA11, 128).run(lockmgr_orphan_scenario);
     report.assert_no_failure();
-}
-
-/// Reintroduce the single-pass `release_all`: some schedule leaves the
-/// replicated grant orphaned on B, and the explorer finds it.
-#[test]
-fn lockmgr_release_all_mutation_orphan_is_found() {
-    let _serial = suite_lock();
-    let _armed = Armed::new("lockmgr.release-all-single-pass");
-    let report = Explorer::seeded("lockmgr-orphan-mut", 0xA11, 256).run(lockmgr_orphan_scenario);
-    let failure = report.failure.as_ref().expect("mutation must be detected within budget");
-    assert!(
-        matches!(failure.failure, Failure::PostCondition { .. }),
-        "expected a post-condition failure, got {}",
-        failure.failure
-    );
-    assert!(failure.failure.to_string().contains("orphaned"), "{}", failure.failure);
-    assert_replays_byte_for_byte(&report, false, lockmgr_orphan_scenario);
 }
 
 // ---------------------------------------------------------------------------
@@ -243,7 +229,7 @@ fn lockmgr_release_all_mutation_orphan_is_found() {
 /// attachments to B (a split). B's FIFO list must never end up with two
 /// entries for the same predicate.
 fn predlock_duplicate_scenario(sim: &mut Sim) {
-    let pm = Arc::new(PredicateManager::with_shards(4));
+    let pm = Arc::new(PredicateManager::new());
     let node_a: NodeKey = (1, PageId(10));
     let node_b: NodeKey = (1, PageId(11));
     let pred = pm.register(TxnId(3), PredKind::Scan, vec![0xAB]);
@@ -272,31 +258,13 @@ fn predlock_duplicate_scenario(sim: &mut Sim) {
     });
 }
 
-/// Fixed code: the attach-side dedupe keeps every schedule duplicate-free.
+/// Attach and replication each run under the one manager lock, so every
+/// schedule stays duplicate-free.
 #[test]
 fn predlock_attach_never_duplicates_fifo_entry() {
     let _serial = suite_lock();
     let report = Explorer::seeded("predlock-dup", 0xF1F0, 128).run(predlock_duplicate_scenario);
     report.assert_no_failure();
-}
-
-/// Reintroduce the unconditional push: the explorer finds a schedule
-/// where a racing replicate already copied the entry and the attach
-/// duplicates it.
-#[test]
-fn predlock_attach_mutation_duplicate_is_found() {
-    let _serial = suite_lock();
-    let _armed = Armed::new("predlock.attach-skip-dedupe");
-    let report =
-        Explorer::seeded("predlock-dup-mut", 0xF1F0, 256).run(predlock_duplicate_scenario);
-    let failure = report.failure.as_ref().expect("mutation must be detected within budget");
-    assert!(
-        matches!(failure.failure, Failure::PostCondition { .. }),
-        "expected a post-condition failure, got {}",
-        failure.failure
-    );
-    assert!(failure.failure.to_string().contains("duplicate"), "{}", failure.failure);
-    assert_replays_byte_for_byte(&report, false, predlock_duplicate_scenario);
 }
 
 // ---------------------------------------------------------------------------

@@ -337,125 +337,59 @@ fn unique_index_under_concurrent_mixed_load() {
 }
 
 // --------------------------------------------------------------------
-// Shard-boundary stress: hammer the striped synchronization layers
-// (partitioned buffer pool, striped lock queues, per-node predicate
-// tables) with key sets that deliberately collide on one shard and key
-// sets spread across shards. Under `--features latch-audit` every
-// shard-lock acquisition is order-checked and any discipline violation
-// panics the offending thread, so a clean join IS the assertion.
+// Table stress: hammer the lock manager, the predicate manager and a
+// small buffer pool (each one mutex-guarded table) from several threads
+// at once. Under `--features latch-audit` every latch and lock wait is
+// discipline-checked and any violation panics the offending thread, so
+// a clean join IS the assertion.
 // --------------------------------------------------------------------
 
-mod shard_stress {
+mod table_stress {
     use super::*;
     use gist_repro::lockmgr::{LockManager, LockMode, LockName};
-    use gist_repro::pagestore::{BufferPool, InMemoryStore as ShardStore};
+    use gist_repro::pagestore::BufferPool;
     use gist_repro::predlock::{NodeKey, PredKind, PredicateManager};
     use gist_repro::wal::TxnId;
 
-    /// RID lock names that all hash to `shard`, plus one name per shard.
-    fn colliding_and_spread_names(
-        lm: &LockManager,
-        shard: usize,
-        want: usize,
-    ) -> (Vec<LockName>, Vec<LockName>) {
-        let mut colliding = Vec::new();
-        let mut spread: Vec<LockName> = Vec::new();
-        let mut seen = vec![false; lm.shard_count()];
-        let mut n = 0u64;
-        while colliding.len() < want || spread.len() < lm.shard_count() {
-            let name = LockName::Rid(rid(900_000 + n));
-            let s = lm.shard_of(&name);
-            if s == shard && colliding.len() < want {
-                colliding.push(name);
-            }
-            if !seen[s] {
-                seen[s] = true;
-                spread.push(name);
-            }
-            n += 1;
-        }
-        (colliding, spread)
-    }
-
-    /// Node keys that all hash to `shard`, plus one per shard.
-    fn colliding_and_spread_nodes(
-        pm: &PredicateManager,
-        shard: usize,
-        want: usize,
-    ) -> (Vec<NodeKey>, Vec<NodeKey>) {
-        let mut colliding = Vec::new();
-        let mut spread: Vec<NodeKey> = Vec::new();
-        let mut seen = vec![false; pm.shard_count()];
-        let mut n = 0u32;
-        while colliding.len() < want || spread.len() < pm.shard_count() {
-            let node: NodeKey = (7, PageId(1_000 + n));
-            let s = pm.node_shard(&node);
-            if s == shard && colliding.len() < want {
-                colliding.push(node);
-            }
-            if !seen[s] {
-                seen[s] = true;
-                spread.push(node);
-            }
-            n += 1;
-        }
-        (colliding, spread)
-    }
-
     #[test]
-    fn shard_colliding_and_spread_keys_zero_violations() {
-        const SHARDS: usize = 8;
+    fn lock_pred_and_pool_tables_zero_violations() {
         const THREADS: u64 = 4;
         const ITERS: u64 = 150;
 
-        let lm = Arc::new(LockManager::with_timeout_and_shards(
-            Duration::from_secs(20),
-            SHARDS,
-        ));
-        let pm = Arc::new(PredicateManager::with_shards(SHARDS));
-        let store = Arc::new(ShardStore::new());
-        let pool = BufferPool::with_shards(store, 6, SHARDS);
-        // Pages spanning every pool shard (capacity 6 << 32 pages keeps
-        // the eviction scan constantly active across shard boundaries).
+        let lm = Arc::new(LockManager::with_timeout(Duration::from_secs(20)));
+        let pm = Arc::new(PredicateManager::new());
+        let store = Arc::new(InMemoryStore::new());
+        let pool = BufferPool::new(store, 6);
+        // Capacity 6 << 32 pages keeps the eviction scan constantly
+        // active.
         for p in 1..=32u32 {
             pool.new_page_write(PageId(p), 0).unwrap().mark_dirty_unlogged();
         }
         pool.flush_all().unwrap();
 
-        let (coll_names, spread_names) = colliding_and_spread_names(&lm, 0, 8);
-        let (coll_nodes, spread_nodes) = colliding_and_spread_nodes(&pm, 0, 8);
-        assert!(coll_names.iter().all(|n| lm.shard_of(n) == 0));
-        assert!(coll_nodes.iter().all(|n| pm.node_shard(n) == 0));
+        let names: Vec<LockName> = (0..8).map(|n| LockName::Rid(rid(900_000 + n))).collect();
+        let nodes: Vec<NodeKey> = (0..8).map(|n| (7, PageId(1_000 + n))).collect();
 
         let mut handles = Vec::new();
         for t in 0..THREADS {
             let (lm, pm, pool) = (lm.clone(), pm.clone(), pool.clone());
-            let (coll_names, spread_names) = (coll_names.clone(), spread_names.clone());
-            let (coll_nodes, spread_nodes) = (coll_nodes.clone(), spread_nodes.clone());
+            let (names, nodes) = (names.clone(), nodes.clone());
             handles.push(std::thread::spawn(move || {
                 for i in 0..ITERS {
                     let txn = TxnId(1 + t * 1_000_000 + i);
-                    let (names, nodes) = if i % 2 == 0 {
-                        (&coll_names, &coll_nodes)
-                    } else {
-                        (&spread_names, &spread_nodes)
-                    };
-                    // Striped lock queues: everyone S-locks the whole
-                    // set (all compatible, heavy same-shard traffic on
-                    // even iterations).
-                    for name in names {
+                    // Everyone S-locks the whole set (all compatible).
+                    for name in &names {
                         lm.lock(txn, *name, LockMode::S).unwrap();
                     }
-                    // Per-node predicate tables: attach, cross-check,
-                    // replicate across a shard boundary.
+                    // Attach, replicate, cross-check.
                     let p = pm.register(txn, PredKind::Scan, vec![t as u8]);
-                    for node in nodes.iter().take(4) {
-                        pm.attach(p, *node);
+                    let first = (i as usize) % nodes.len();
+                    for k in 0..4 {
+                        pm.attach(p, nodes[(first + k) % nodes.len()]);
                     }
-                    pm.replicate(nodes[0], spread_nodes[i as usize % spread_nodes.len()], &|_, _| true);
-                    pm.check_insert(nodes[0], txn, &[t as u8], &|a, b| a == b);
-                    // Partitioned buffer pool: read pages hashed across
-                    // shards while eviction churns.
+                    pm.replicate(nodes[first], nodes[(first + 5) % nodes.len()], &|_, _| true);
+                    pm.check_insert(nodes[first], txn, &[t as u8], &|a, b| a == b);
+                    // Read pages while eviction churns.
                     for p in 0..4u32 {
                         let id = PageId(1 + (t as u32 * 7 + i as u32 + p) % 32);
                         let g = pool.fetch_read(id).unwrap();
@@ -464,29 +398,30 @@ mod shard_stress {
                     pm.release_txn(txn);
                     lm.release_all(txn);
                     #[cfg(feature = "latch-audit")]
-                    gist_repro::audit::assert_thread_clear("shard stress iteration");
+                    gist_repro::audit::assert_thread_clear("table stress iteration");
                 }
             }));
         }
-        // A latch/lock/shard-order violation panics inside the thread
+        // A latch/lock discipline violation panics inside the thread
         // (latch-audit) — the joins below are the zero-violation check.
         for h in handles {
             h.join().unwrap();
         }
         assert_eq!(pm.stats().predicates, 0);
+        assert_eq!(pm.stats().nodes, 0);
+        assert!(names.iter().all(|n| lm.holders(*n).is_empty()));
         #[cfg(feature = "latch-audit")]
         println!("{}", gist_repro::audit::summary());
     }
 
     #[test]
-    fn shard_db_mixed_ops_with_explicit_shards() {
-        // Whole-database run with an explicit shard count: concurrent
-        // inserts and scans through every sharded layer at once, then a
-        // full structural check.
-        let store = Arc::new(ShardStore::new());
+    fn table_db_mixed_ops() {
+        // Whole-database run on the default configuration: concurrent
+        // inserts and scans through every table at once, then a full
+        // structural check.
+        let store = Arc::new(InMemoryStore::new());
         let log = Arc::new(LogManager::new());
-        let config = DbConfig { sync_shards: 16, pool_capacity: 24, ..DbConfig::default() };
-        let db = Db::open(store, log, config).unwrap();
+        let db = Db::open(store, log, DbConfig::default()).unwrap();
         let idx =
             GistIndex::create(db.clone(), "t", BtreeExt, IndexOptions::default()).unwrap();
         let txn = db.begin();
