@@ -24,7 +24,7 @@ use gist_pagestore::{
     BufferPool, HeapFile, PageAllocator, PageId, PageStore, PageWriteGuard, Rid, SlotId,
 };
 use gist_predlock::PredicateManager;
-use gist_txn::{Durability, GcSink, SavepointId, TxnEndObserver, TxnManager, TxnOptions};
+use gist_txn::{GcCandidate, SavepointId, TxnEndObserver, TxnManager, TxnOptions};
 use gist_wal::recovery::{RecoveryError, RecoveryHandler};
 use gist_wal::{LogManager, LogRecord, Lsn, Payload, RecordBody, TxnId};
 
@@ -91,9 +91,6 @@ pub struct DbConfig {
     pub memorize_parent_lsn: bool,
     /// Maintenance-daemon tuning (deferred GC, drain, checkpoints).
     pub maint: gist_maint::MaintConfig,
-    /// Default commit durability for transactions begun via [`Db::begin`]
-    /// ([`Db::begin_with`] overrides per transaction).
-    pub durability: Durability,
     /// Admission control for transaction begins: at most
     /// [`AdmissionConfig::max_in_flight`] transactions run at once;
     /// [`Db::try_begin`] sheds with [`GistError::Overloaded`] after
@@ -127,7 +124,6 @@ impl Default for DbConfig {
             predicate_mode: PredicateMode::Hybrid,
             memorize_parent_lsn: true,
             maint: gist_maint::MaintConfig::default(),
-            durability: Durability::Immediate,
             admission: AdmissionConfig::default(),
             epoch_stall_age: Duration::from_secs(2),
         }
@@ -201,9 +197,9 @@ pub struct Db {
     alloc: Arc<PageAllocator>,
     heap: HeapFile,
     /// The background maintenance daemon. Created with the database and
-    /// wired as the transaction manager's [`GcSink`] immediately, so GC
-    /// candidates accumulate even before any worker thread is started;
-    /// call [`Db::start_maint`] for background processing or
+    /// fed by its end-of-transaction hook immediately, so GC candidates
+    /// accumulate even before the worker thread is started; call
+    /// [`Db::start_maint`] for background processing or
     /// [`Db::maint_sync`] to drain the queue deterministically.
     maint: Arc<MaintDaemon>,
     config: DbConfig,
@@ -372,7 +368,6 @@ impl Db {
         let locks = Arc::new(LockManager::with_timeout(LOCK_TIMEOUT));
         let preds = Arc::new(PredicateManager::new());
         let txns = Arc::new(TxnManager::new(log.clone(), locks.clone(), preds.clone()));
-        txns.set_default_durability(config.durability);
         // Re-point the WAL-before-data barrier at the pipeline: page
         // writeback then batches its log force with pending commits
         // instead of issuing a private fsync (inline when not started).
@@ -382,11 +377,6 @@ impl Db {
         let heap = HeapFile::new(pool.clone(), alloc.clone());
         let maint =
             MaintDaemon::new(txns.clone(), pool.clone(), log.clone(), config.maint.clone());
-        // The daemon is the commit-time GC sink from the start (held
-        // weakly by the transaction manager; the daemon itself holds the
-        // manager strongly for checkpoint capture).
-        let sink: std::sync::Weak<dyn GcSink> = Arc::downgrade(&maint) as _;
-        txns.set_gc_sink(sink);
         let admission = AdmissionController::new(config.admission.clone());
         let db = Arc::new(Db {
             pool,
@@ -414,16 +404,16 @@ impl Db {
             retries_exhausted: AtomicU64::new(0),
         });
         // The database is the daemon's undo handler: the transaction
-        // watchdog needs logical undo to roll idle victims back. Weak for
-        // the same reason as the GC sink — the daemon must not keep the
-        // database alive.
+        // watchdog needs logical undo to roll idle victims back. Weak so
+        // the daemon does not keep the database alive.
         let handler: std::sync::Weak<dyn RecoveryHandler + Send + Sync> =
             Arc::downgrade(&db) as _;
         db.maint.set_undo_handler(handler);
-        // Admission credits ride the transaction's lifetime exactly: the
-        // end observer fires once per transaction-table removal (commit,
-        // owner abort, watchdog teardown), so a credit can never outlive
-        // its transaction or leak on any exit path. Weak, as above.
+        // Admission credits and GC hand-off ride the transaction's
+        // lifetime exactly: the end observer fires once per
+        // transaction-table removal (commit, owner abort, watchdog
+        // teardown), so a credit can never outlive its transaction or
+        // leak on any exit path. Weak, as above.
         let observer: std::sync::Weak<dyn TxnEndObserver> = Arc::downgrade(&db) as _;
         db.txns.set_end_observer(observer);
         Ok(db)
@@ -533,10 +523,10 @@ impl Db {
         self.opt_fallbacks.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Spawn the maintenance daemon's worker threads (idempotent). Until
+    /// Spawn the maintenance daemon's worker thread (idempotent). Until
     /// this is called (or [`Db::maint_sync`] is driven by hand), queued
-    /// work — post-commit GC, drains, checkpoint requests — just
-    /// accumulates.
+    /// work — post-commit GC and drains — just accumulates, one item per
+    /// leaf.
     pub fn start_maint(&self) {
         self.maint.start();
     }
@@ -579,22 +569,20 @@ impl Db {
 
     // ---- transactions ----
 
-    /// Begin a transaction with the configured default durability.
+    /// Begin a transaction with default options
+    /// ([`Durability::Immediate`](gist_txn::Durability::Immediate)).
     ///
     /// Infallible by contract, so under admission pressure it parks up
     /// to the admit timeout and then *barges* past the cap (counted in
     /// [`AdmissionStats::forced`]). Callers that can shed — batch jobs,
     /// retry loops — should prefer [`Db::try_begin`].
     pub fn begin(&self) -> TxnId {
-        self.admission.force_admit();
-        let txn = self.txns.begin();
-        self.admission.bind(txn.0);
-        txn
+        self.begin_with(TxnOptions::default())
     }
 
     /// Begin a transaction with explicit options (e.g. a per-transaction
-    /// [`Durability`] mode). Same forced-admission contract as
-    /// [`Db::begin`].
+    /// [`Durability`](gist_txn::Durability) mode). Same forced-admission
+    /// contract as [`Db::begin`].
     pub fn begin_with(&self, opts: TxnOptions) -> TxnId {
         self.admission.force_admit();
         let txn = self.txns.begin_with(opts);
@@ -866,7 +854,7 @@ impl Db {
     /// Simulate a crash: the buffer pool drops every unflushed page and
     /// the log loses its non-durable suffix. Reopen with [`Db::restart`].
     ///
-    /// The maintenance workers are stopped first — *without* draining
+    /// The maintenance worker is stopped first — *without* draining
     /// the queue (a crash abandons pending work; recovery and later
     /// sweeps make it up) — because the pool's crash asserts that no
     /// page is pinned.
@@ -883,7 +871,7 @@ impl Db {
         self.epoch.try_collect();
     }
 
-    /// Flush everything (clean shutdown). The maintenance daemon is
+    /// Flush everything (clean shutdown). The maintenance queue is
     /// drained first: queued GC/drain work completes and its log records
     /// land before the final flush, so a clean restart owes nothing. The
     /// final store sync is what upgrades "written back" to "durable";
@@ -1158,9 +1146,13 @@ impl TxnEndObserver for Db {
     /// Free the transaction's admission credit the instant it leaves the
     /// transaction table — commit, owner abort, or watchdog teardown all
     /// funnel through here, so a wedged client can delay a credit but
-    /// never leak it (the watchdog's timeout bounds the delay).
-    fn txn_ended(&self, txn: TxnId) {
+    /// never leak it (the watchdog's timeout bounds the delay) — then
+    /// queue a commit's GC candidates with the maintenance daemon.
+    fn txn_ended(&self, txn: TxnId, gc: Vec<GcCandidate>) {
         self.admission.release(txn.0);
+        if !gc.is_empty() {
+            self.maint.enqueue_gc(gc);
+        }
     }
 }
 

@@ -52,10 +52,10 @@ pub use ext::GistExtension;
 // need a direct gist-maint dependency.
 pub use gist_maint::{
     DrainOutcome, GcOutcome, MaintConfig, MaintDaemon, MaintError, MaintIndex,
-    MaintStatsSnapshot, SweepOutcome, WorkItem,
+    MaintStatsSnapshot, WorkItem,
 };
 // The commit pipeline's per-transaction knobs, re-exported for the same
-// reason (`Db::begin_with` and `DbConfig::durability` take them).
+// reason (`Db::begin_with` takes them).
 // The overload-resilience surface (`DbConfig::admission`, `Db::health`,
 // `RobustnessStats::admission`), re-exported for the same reason.
 pub use gist_overload::{AdmissionConfig, AdmissionStats, HealthState};

@@ -3,12 +3,11 @@
 //!
 //! Every method is self-contained — it begins its own short system
 //! transaction, does NTA-wrapped physical work through the existing §7
-//! machinery ([`GistIndex::gc_leaf`], `try_delete_node`, `vacuum_sync`),
-//! and commits. Losing a latch or signaling-lock race to a foreground
+//! machinery ([`GistIndex::gc_leaf`], `try_delete_node`), and commits. Losing a latch or signaling-lock race to a foreground
 //! transaction maps to [`MaintError::Retry`] / [`DrainOutcome::Busy`] so
 //! the daemon backs off instead of blocking anyone.
 
-use gist_maint::{DrainOutcome, GcOutcome, MaintError, MaintIndex, SweepOutcome};
+use gist_maint::{DrainOutcome, GcOutcome, MaintError, MaintIndex};
 use gist_pagestore::PageId;
 
 use crate::ext::GistExtension;
@@ -127,7 +126,7 @@ impl<E: GistExtension> MaintIndex for GistIndex<E> {
         parent_hint: Option<PageId>,
     ) -> Result<DrainOutcome, MaintError> {
         // Without a parent there is nothing to unlink from; the next
-        // full sweep retires the node instead.
+        // `vacuum_sync` retires the node instead.
         let Some(parent) = parent_hint else {
             return Ok(DrainOutcome::Skipped);
         };
@@ -156,25 +155,6 @@ impl<E: GistExtension> MaintIndex for GistIndex<E> {
                     // clear once the foreground operation moves on.
                     Ok(DrainOutcome::Busy)
                 }
-            }
-            Err(e) => {
-                let _ = db.abort(txn);
-                Err(classify(e))
-            }
-        }
-    }
-
-    fn maint_sweep(&self) -> Result<SweepOutcome, MaintError> {
-        let db = self.db().clone();
-        let txn = db.begin();
-        match self.vacuum_sync(txn) {
-            Ok(rep) => {
-                db.commit(txn).map_err(|e| MaintError::Fatal(e.to_string()))?;
-                self.audit_check_structure("sweep")?;
-                Ok(SweepOutcome {
-                    entries_removed: rep.entries_removed,
-                    nodes_deleted: rep.nodes_deleted,
-                })
             }
             Err(e) => {
                 let _ = db.abort(txn);

@@ -308,25 +308,13 @@ impl<E: GistExtension> GistIndex<E> {
         Ok(true)
     }
 
-    /// Hand a whole-index sweep to the maintenance daemon instead of
-    /// blocking the calling transaction on it. Returns whether the sweep
-    /// was newly enqueued (an identical pending sweep coalesces). The
-    /// daemon runs it as its own system transaction — either on a worker
-    /// thread ([`Db::start_maint`](crate::Db::start_maint)) or when the
-    /// caller drives [`Db::maint_sync`](crate::Db::maint_sync).
-    ///
-    /// Deterministic callers (tests, benchmarks, the shell's `vacuum`
-    /// command) that need the report immediately use [`Self::vacuum_sync`].
-    pub fn vacuum(self: &Arc<Self>) -> bool {
-        self.db().maint().enqueue(gist_maint::WorkItem::FullSweep { index: self.id() })
-    }
-
     /// Sweep the whole index: garbage-collect every leaf, shrink BPs,
     /// and retire empty nodes. Runs under the caller's transaction (the
     /// physical work is in atomic units, so it commits as it goes).
     ///
-    /// This is the synchronous escape hatch behind [`Self::vacuum`];
-    /// the daemon's full-sweep work item calls it too.
+    /// The one whole-index sweep: it picks up what per-leaf GC and
+    /// drains left behind (dropped after their retry budget, or drains
+    /// with no parent hint).
     pub fn vacuum_sync(&self, txn: TxnId) -> Result<VacuumReport> {
         let op = self.db().txns().op_enter(txn)?;
         let r = self.vacuum_sync_inner(txn);

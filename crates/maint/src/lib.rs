@@ -9,29 +9,29 @@
 //! structure maintenance — node deletion via the drain technique (§7.2),
 //! checkpoint-bounded recovery (§9) — as separately committed nested top
 //! actions. This crate hosts the component that owns that work: a
-//! [`MaintDaemon`] with a prioritized queue and optional worker threads,
-//! processing three kinds of work:
+//! [`MaintDaemon`] with one FIFO queue of per-leaf work and at most one
+//! worker thread, processing three kinds of work:
 //!
-//! 1. **Deferred GC** — commit in `gist-txn` hands over the leaves a
-//!    transaction delete-marked entries on (via the [`GcSink`] trait);
-//!    the daemon physically reclaims the slots under the Commit_LSN fast
-//!    path, inside a nested top action.
+//! 1. **Deferred GC** — when a transaction commits, the embedder's
+//!    end-of-transaction hook hands the leaves it delete-marked entries
+//!    on to [`MaintDaemon::enqueue_gc`]; the daemon physically reclaims
+//!    the slots under the Commit_LSN fast path, inside a nested top
+//!    action.
 //! 2. **Drain-based node deletion** — leaves that GC emptied are
 //!    scheduled for drain: the daemon probes the paper's signaling locks
 //!    and, once every pointer holder has moved on, unlinks the node and
 //!    returns the page to the allocator.
-//! 3. **Fuzzy checkpointing** — periodically (or on request) captures
-//!    `scan_start`, the buffer pool's dirty-page table and the active
-//!    transaction table into a checkpoint record so restart scans start
-//!    from the checkpoint instead of the log start.
+//! 3. **Fuzzy checkpointing** — with a `checkpoint_interval`, the worker
+//!    calls [`MaintDaemon::checkpoint_now`] itself between items, so a
+//!    GC backlog never starves it.
 //!
 //! The daemon is deliberately decoupled from the core tree crate: tree
 //! work is reached through the object-safe [`MaintIndex`] trait, which
 //! `gist-core` implements for `GistIndex`. Work that loses a latch or
 //! lock race to a foreground transaction reports [`MaintError::Retry`]
-//! and is requeued with backoff, up to a bounded number of attempts.
+//! and is requeued with linear backoff, up to `RETRY_BUDGET` times.
 
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -41,11 +41,17 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 
 use gist_pagestore::{BufferPool, PageId};
-use gist_txn::{GcCandidate, GcSink, TxnManager};
+use gist_txn::{GcCandidate, TxnManager};
 use gist_wal::recovery::RecoveryHandler;
-use gist_wal::{LogManager, Lsn, TxnId};
+use gist_wal::{LogManager, Lsn};
 
 pub(crate) mod audit;
+
+/// Retries a repeatedly contended item gets before it is dropped.
+const RETRY_BUDGET: u32 = 10;
+/// Delay before a contended item is retried, multiplied by the attempt
+/// count: losing repeatedly means foreground traffic is hot.
+const RETRY_BACKOFF: Duration = Duration::from_millis(2);
 
 /// Failure modes of one maintenance work item.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,15 +101,6 @@ pub enum DrainOutcome {
     Skipped,
 }
 
-/// Result of a whole-index sweep.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SweepOutcome {
-    /// Committed-deleted entries physically removed.
-    pub entries_removed: usize,
-    /// Empty nodes retired.
-    pub nodes_deleted: usize,
-}
-
 /// The tree-side surface the daemon drives. Object-safe so the daemon
 /// can hold indexes over any extension type; `gist-core` implements it
 /// for `GistIndex<E>`. Implementations run each call as their own short
@@ -126,17 +123,11 @@ pub trait MaintIndex: Send + Sync {
         leaf: PageId,
         parent_hint: Option<PageId>,
     ) -> Result<DrainOutcome, MaintError>;
-
-    /// Foreground-equivalent whole-index sweep (GC every leaf, retire
-    /// empty nodes).
-    fn maint_sweep(&self) -> Result<SweepOutcome, MaintError>;
 }
 
 /// One unit of queued maintenance work.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum WorkItem {
-    /// Write a fuzzy checkpoint record.
-    Checkpoint,
     /// Try to drain-delete an empty leaf.
     Drain {
         /// Owning index.
@@ -155,34 +146,14 @@ pub enum WorkItem {
         /// Parent seen during the deleting descent.
         parent_hint: Option<PageId>,
     },
-    /// Sweep a whole index (the old foreground `vacuum`, made a work
-    /// item).
-    FullSweep {
-        /// Index to sweep.
-        index: u32,
-    },
 }
 
 impl WorkItem {
-    /// Queue priority: smaller runs first. Checkpoints bound recovery
-    /// time and must not starve behind a GC backlog; drains unblock page
-    /// reuse; per-leaf GC beats whole-index sweeps.
-    fn priority(&self) -> u8 {
+    /// Key for pending-work deduplication: one item per kind and leaf.
+    fn dedup_key(&self) -> (u8, u32, u32) {
         match self {
-            WorkItem::Checkpoint => 0,
-            WorkItem::Drain { .. } => 1,
-            WorkItem::Gc { .. } => 2,
-            WorkItem::FullSweep { .. } => 3,
-        }
-    }
-
-    /// Key for pending-work deduplication (None = never deduplicated).
-    fn dedup_key(&self) -> Option<(u8, u32, u32)> {
-        match self {
-            WorkItem::Gc { index, leaf, .. } => Some((0, *index, leaf.0)),
-            WorkItem::Drain { index, leaf, .. } => Some((1, *index, leaf.0)),
-            WorkItem::FullSweep { index } => Some((2, *index, 0)),
-            WorkItem::Checkpoint => None,
+            WorkItem::Gc { index, leaf, .. } => (0, *index, leaf.0),
+            WorkItem::Drain { index, leaf, .. } => (1, *index, leaf.0),
         }
     }
 }
@@ -191,59 +162,20 @@ impl WorkItem {
 struct Queued {
     item: WorkItem,
     attempts: u32,
-    seq: u64,
-}
-
-impl PartialEq for Queued {
-    fn eq(&self, other: &Self) -> bool {
-        self.item.priority() == other.item.priority() && self.seq == other.seq
-    }
-}
-impl Eq for Queued {}
-impl PartialOrd for Queued {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Queued {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap is a max-heap: invert so the smallest (priority,
-        // seq) — highest priority, FIFO within it — pops first.
-        (other.item.priority(), other.seq).cmp(&(self.item.priority(), self.seq))
-    }
 }
 
 /// Daemon tuning knobs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MaintConfig {
-    /// Period between automatic fuzzy checkpoints (None = only on
-    /// request).
+    /// Period between the worker's fuzzy checkpoints (None = only
+    /// explicit [`MaintDaemon::checkpoint_now`] calls).
     pub checkpoint_interval: Option<Duration>,
-    /// Attempts before a repeatedly-contended item is dropped.
-    pub max_retries: u32,
-    /// Delay before a contended item is retried (multiplied by the
-    /// attempt count).
-    pub retry_backoff: Duration,
-    /// Worker threads spawned by [`MaintDaemon::start`].
-    pub workers: usize,
     /// Transaction-watchdog deadline: an Active transaction with no
     /// operation in flight whose last activity is older than this is
     /// aborted by the daemon, releasing its locks and predicates so
     /// queues blocked behind it (§4 predicate waits, §8/§10.3 FIFO
     /// insert queues) drain. `None` (the default) disables the watchdog.
     pub txn_idle_deadline: Option<Duration>,
-}
-
-impl Default for MaintConfig {
-    fn default() -> Self {
-        MaintConfig {
-            checkpoint_interval: None,
-            max_retries: 10,
-            retry_backoff: Duration::from_millis(2),
-            workers: 1,
-            txn_idle_deadline: None,
-        }
-    }
 }
 
 /// Monotonic daemon counters, readable while it runs.
@@ -253,23 +185,21 @@ pub struct MaintStats {
     pub gc_enqueued: AtomicU64,
     /// GC work items executed.
     pub gc_runs: AtomicU64,
-    /// Entries physically reclaimed (GC + sweeps).
+    /// Entries physically reclaimed by GC items.
     pub entries_reclaimed: AtomicU64,
-    /// Empty leaves drain-deleted (drain items + sweeps).
+    /// Empty leaves drain-deleted.
     pub nodes_drained: AtomicU64,
     /// Drain attempts executed.
     pub drain_attempts: AtomicU64,
     /// Fuzzy checkpoints written.
     pub checkpoints: AtomicU64,
-    /// Whole-index sweeps executed.
-    pub full_sweeps: AtomicU64,
     /// Items requeued after losing a race.
     pub retries: AtomicU64,
     /// Items dropped after exhausting retries.
     pub dropped: AtomicU64,
-    /// Items that failed fatally.
+    /// Items and periodic checkpoints that failed.
     pub failures: AtomicU64,
-    /// Items that panicked (contained; each also counts as a failure).
+    /// Panics contained (each also counts as a failure).
     pub panics: AtomicU64,
     /// Idle transactions aborted by the watchdog.
     pub watchdog_aborts: AtomicU64,
@@ -285,7 +215,6 @@ pub struct MaintStatsSnapshot {
     pub nodes_drained: u64,
     pub drain_attempts: u64,
     pub checkpoints: u64,
-    pub full_sweeps: u64,
     pub retries: u64,
     pub dropped: u64,
     pub failures: u64,
@@ -303,7 +232,6 @@ impl MaintStats {
             nodes_drained: self.nodes_drained.load(Ordering::Relaxed),
             drain_attempts: self.drain_attempts.load(Ordering::Relaxed),
             checkpoints: self.checkpoints.load(Ordering::Relaxed),
-            full_sweeps: self.full_sweeps.load(Ordering::Relaxed),
             retries: self.retries.load(Ordering::Relaxed),
             dropped: self.dropped.load(Ordering::Relaxed),
             failures: self.failures.load(Ordering::Relaxed),
@@ -314,24 +242,23 @@ impl MaintStats {
 }
 
 struct State {
-    heap: BinaryHeap<Queued>,
+    queue: VecDeque<Queued>,
     /// Items waiting out a backoff, with the instant they become ready.
     delayed: Vec<(Instant, Queued)>,
-    /// Dedup keys of everything in `heap` + `delayed` + in flight.
+    /// Dedup keys of everything in `queue` + `delayed` + in flight.
     pending: HashSet<(u8, u32, u32)>,
-    seq: u64,
     in_flight: usize,
     stop: bool,
-    last_checkpoint: Instant,
 }
 
 /// The maintenance daemon.
 ///
-/// Construct with [`MaintDaemon::new`], register it as the transaction
-/// manager's [`GcSink`], register indexes as they are opened, then
-/// either [`start`](MaintDaemon::start) worker threads or drive it
-/// synchronously with [`run_until_idle`](MaintDaemon::run_until_idle)
-/// (the deterministic escape hatch for tests).
+/// Construct with [`MaintDaemon::new`], feed it committed GC candidates
+/// with [`MaintDaemon::enqueue_gc`], register indexes as they are
+/// opened, then either [`start`](MaintDaemon::start) the worker thread
+/// or drive it synchronously with
+/// [`run_until_idle`](MaintDaemon::run_until_idle) (the deterministic
+/// escape hatch for tests).
 pub struct MaintDaemon {
     txns: Arc<TxnManager>,
     pool: Arc<BufferPool>,
@@ -340,18 +267,16 @@ pub struct MaintDaemon {
     state: Mutex<State>,
     cond: Condvar,
     indexes: Mutex<HashMap<u32, Weak<dyn MaintIndex>>>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
+    worker: Mutex<Option<JoinHandle<()>>>,
     /// Logical-undo handler for the transaction watchdog (the database
     /// façade). Weak so the daemon does not keep the database alive.
     undo_handler: Mutex<Option<Weak<dyn RecoveryHandler + Send + Sync>>>,
-    /// Last watchdog pass (rate limit for the worker-loop tick).
-    last_watchdog: Mutex<Instant>,
     /// Counters.
     pub stats: MaintStats,
 }
 
 impl MaintDaemon {
-    /// A daemon over the shared substrates. Does not spawn threads —
+    /// A daemon over the shared substrates. Does not spawn a thread —
     /// call [`MaintDaemon::start`] for that, or drive it with
     /// [`MaintDaemon::run_until_idle`].
     pub fn new(
@@ -366,26 +291,18 @@ impl MaintDaemon {
             log,
             config,
             state: Mutex::new(State {
-                heap: BinaryHeap::new(),
+                queue: VecDeque::new(),
                 delayed: Vec::new(),
                 pending: HashSet::new(),
-                seq: 0,
                 in_flight: 0,
                 stop: false,
-                last_checkpoint: Instant::now(),
             }),
             cond: Condvar::new(),
             indexes: Mutex::new(HashMap::new()),
-            workers: Mutex::new(Vec::new()),
+            worker: Mutex::new(None),
             undo_handler: Mutex::new(None),
-            last_watchdog: Mutex::new(Instant::now()),
             stats: MaintStats::default(),
         })
-    }
-
-    /// The daemon's configuration.
-    pub fn config(&self) -> &MaintConfig {
-        &self.config
     }
 
     /// Install the logical-undo handler the transaction watchdog needs
@@ -419,24 +336,6 @@ impl MaintDaemon {
         n
     }
 
-    /// Worker-loop wrapper around [`Self::watchdog_tick`], rate-limited
-    /// so multiple workers don't redundantly rescan the table.
-    fn maybe_watchdog_tick(&self) {
-        let Some(deadline) = self.config.txn_idle_deadline else {
-            return;
-        };
-        let min_gap = (deadline / 4).max(Duration::from_millis(1));
-        {
-            let mut last = self.last_watchdog.lock();
-            let now = Instant::now();
-            if now.duration_since(*last) < min_gap {
-                return;
-            }
-            *last = now;
-        }
-        self.watchdog_tick();
-    }
-
     /// Make an index's tree work reachable. Held weakly: a dropped index
     /// silently retires its queued work.
     pub fn register_index(&self, idx: Weak<dyn MaintIndex>) {
@@ -452,62 +351,62 @@ impl MaintDaemon {
         if st.stop {
             return false;
         }
-        self.enqueue_locked(&mut st, item, 0)
+        self.enqueue_locked(&mut st, item)
     }
 
-    fn enqueue_locked(&self, st: &mut State, item: WorkItem, attempts: u32) -> bool {
-        if let Some(key) = item.dedup_key() {
-            if !st.pending.insert(key) {
-                return false;
+    /// Queue a GC item for each leaf a committed transaction left
+    /// delete-marked entries on. Called after the transaction released
+    /// every lock, so reclamation can't deadlock against its remains.
+    pub fn enqueue_gc(&self, candidates: Vec<GcCandidate>) {
+        let mut st = self.state.lock();
+        if st.stop {
+            return;
+        }
+        for c in candidates {
+            let item = WorkItem::Gc { index: c.index, leaf: c.leaf, parent_hint: c.parent_hint };
+            if self.enqueue_locked(&mut st, item) {
+                self.stats.gc_enqueued.fetch_add(1, Ordering::Relaxed);
             }
         }
-        st.seq += 1;
-        let seq = st.seq;
-        st.heap.push(Queued { item, attempts, seq });
-        self.cond.notify_one();
-        true
     }
 
-    /// Ask for a fuzzy checkpoint at the next opportunity.
-    pub fn request_checkpoint(&self) {
-        self.enqueue(WorkItem::Checkpoint);
+    fn enqueue_locked(&self, st: &mut State, item: WorkItem) -> bool {
+        if !st.pending.insert(item.dedup_key()) {
+            return false;
+        }
+        st.queue.push_back(Queued { item, attempts: 0 });
+        self.cond.notify_one();
+        true
     }
 
     /// Queued (ready + delayed) plus in-flight item count.
     pub fn backlog(&self) -> usize {
         let st = self.state.lock();
-        st.heap.len() + st.delayed.len() + st.in_flight
+        st.queue.len() + st.delayed.len() + st.in_flight
     }
 
-    /// Spawn the configured number of worker threads (idempotent).
+    /// Spawn the worker thread (idempotent).
     pub fn start(self: &Arc<Self>) {
-        let mut workers = self.workers.lock();
-        if !workers.is_empty() {
+        let mut worker = self.worker.lock();
+        if worker.is_some() {
             return;
         }
-        {
-            // Periodic checkpoints count from "daemon started", not from
-            // construction.
-            self.state.lock().last_checkpoint = Instant::now();
-        }
-        for i in 0..self.config.workers.max(1) {
-            let me = self.clone();
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("gist-maint-{i}"))
-                    .spawn(move || me.worker_loop())
-                    .unwrap_or_else(|e| panic!("failed to spawn maintenance worker: {e}")),
-            );
-        }
+        let me = self.clone();
+        *worker = Some(
+            std::thread::Builder::new()
+                .name("gist-maint".into())
+                .spawn(move || me.worker_loop())
+                .unwrap_or_else(|e| panic!("failed to spawn maintenance worker: {e}")),
+        );
     }
 
-    /// Whether worker threads are running.
+    /// Whether the worker thread is running.
     pub fn is_running(&self) -> bool {
-        !self.workers.lock().is_empty()
+        self.worker.lock().is_some()
     }
 
     /// Stop the daemon. With `drain`, every queued item is processed
-    /// first (on this thread once the workers exit); without, the queue
+    /// first (on this thread once the worker exits); without, the queue
     /// is discarded — used by the crash path, which must not touch pages.
     pub fn stop(&self, drain: bool) {
         {
@@ -518,15 +417,14 @@ impl MaintDaemon {
             st.stop = true;
             self.cond.notify_all();
         }
-        let workers: Vec<JoinHandle<()>> = std::mem::take(&mut *self.workers.lock());
-        for w in workers {
+        if let Some(w) = self.worker.lock().take() {
             let _ = w.join();
         }
         if drain {
-            self.drain_queue(/*ignore_backoff=*/ true);
+            self.run_until_idle();
         } else {
             let mut st = self.state.lock();
-            st.heap.clear();
+            st.queue.clear();
             st.delayed.clear();
             st.pending.clear();
         }
@@ -534,33 +432,22 @@ impl MaintDaemon {
 
     /// Process every currently queued item synchronously on the calling
     /// thread — the `maint_sync` escape hatch that makes tests
-    /// deterministic without worker threads. Backoff delays are
+    /// deterministic without the worker thread. Backoff delays are
     /// collapsed (retries run immediately); periodic checkpoints are not
     /// triggered. Returns the number of items processed.
     pub fn run_until_idle(&self) -> usize {
-        self.drain_queue(/*ignore_backoff=*/ true)
-    }
-
-    fn drain_queue(&self, ignore_backoff: bool) -> usize {
         let mut processed = 0;
         loop {
             let q = {
                 let mut st = self.state.lock();
                 loop {
-                    let now = Instant::now();
-                    if ignore_backoff {
-                        let delayed = std::mem::take(&mut st.delayed);
-                        for (_, q) in delayed {
-                            st.heap.push(q);
-                        }
-                    } else {
-                        Self::promote_ready(&mut st, now);
-                    }
-                    if let Some(q) = st.heap.pop() {
+                    let delayed = std::mem::take(&mut st.delayed);
+                    st.queue.extend(delayed.into_iter().map(|(_, q)| q));
+                    if let Some(q) = st.queue.pop_front() {
                         st.in_flight += 1;
                         break q;
                     }
-                    // An empty queue is not an idle queue: a worker may
+                    // An empty queue is not an idle queue: the worker may
                     // still own an item whose `finish` re-enqueues it
                     // (retry backoff, follow-up work). Returning now
                     // would let "drained" race that re-enqueue, so wait
@@ -587,7 +474,7 @@ impl MaintDaemon {
         while i < st.delayed.len() {
             if st.delayed[i].0 <= now {
                 let (_, q) = st.delayed.swap_remove(i);
-                st.heap.push(q);
+                st.queue.push_back(q);
             } else {
                 i += 1;
             }
@@ -595,59 +482,72 @@ impl MaintDaemon {
     }
 
     fn worker_loop(self: Arc<Self>) {
+        // Periodic checkpoints count from "worker started"; the watchdog
+        // rescans at most four times per deadline.
+        let mut last_checkpoint = Instant::now();
+        let mut last_watchdog = Instant::now();
         loop {
+            // Checkpoints and watchdog passes run between items, outside
+            // the state lock: a checkpoint syncs the store and a watchdog
+            // pass may run a full logical abort.
+            if let Some(interval) = self.config.checkpoint_interval {
+                if last_checkpoint.elapsed() >= interval {
+                    last_checkpoint = Instant::now();
+                    self.periodic_checkpoint();
+                }
+            }
+            if let Some(deadline) = self.config.txn_idle_deadline {
+                if last_watchdog.elapsed() >= (deadline / 4).max(Duration::from_millis(1)) {
+                    last_watchdog = Instant::now();
+                    self.watchdog_tick();
+                }
+            }
             let q = {
                 let mut st = self.state.lock();
-                loop {
-                    if st.stop {
-                        return;
-                    }
-                    let now = Instant::now();
-                    Self::promote_ready(&mut st, now);
-                    // Periodic checkpoint due?
-                    if let Some(interval) = self.config.checkpoint_interval {
-                        if now.duration_since(st.last_checkpoint) >= interval {
-                            st.last_checkpoint = now;
-                            st.seq += 1;
-                            let seq = st.seq;
-                            st.heap.push(Queued { item: WorkItem::Checkpoint, attempts: 0, seq });
+                if st.stop {
+                    return;
+                }
+                let now = Instant::now();
+                Self::promote_ready(&mut st, now);
+                let q = st.queue.pop_front();
+                match q {
+                    Some(_) => st.in_flight += 1,
+                    None => {
+                        // Sleep until the next backoff expiry, checkpoint
+                        // tick, or watchdog pass, whichever comes first.
+                        let mut wait = Duration::from_millis(50);
+                        if let Some(interval) = self.config.checkpoint_interval {
+                            let since = now.duration_since(last_checkpoint);
+                            wait = wait.min(interval.saturating_sub(since));
                         }
-                    }
-                    if let Some(q) = st.heap.pop() {
-                        st.in_flight += 1;
-                        break Some(q);
-                    }
-                    // Sleep until the next backoff expiry, checkpoint
-                    // tick, or watchdog deadline, whichever comes first.
-                    let mut wait = Duration::from_millis(50);
-                    if let Some(interval) = self.config.checkpoint_interval {
-                        let since = now.duration_since(st.last_checkpoint);
-                        wait = wait.min(interval.saturating_sub(since));
-                    }
-                    if let Some(deadline) = self.config.txn_idle_deadline {
-                        wait = wait.min((deadline / 2).max(Duration::from_millis(1)));
-                    }
-                    if let Some(ready) = st.delayed.iter().map(|(t, _)| *t).min() {
-                        wait = wait.min(ready.saturating_duration_since(now));
-                    }
-                    let timed_out = self
-                        .cond
-                        .wait_for(&mut st, wait.max(Duration::from_millis(1)))
-                        .timed_out();
-                    if timed_out {
-                        // Drop the state lock for the watchdog pass: it
-                        // takes the transaction table lock and may run a
-                        // full logical abort.
-                        break None;
+                        if let Some(deadline) = self.config.txn_idle_deadline {
+                            wait = wait.min((deadline / 2).max(Duration::from_millis(1)));
+                        }
+                        if let Some(ready) = st.delayed.iter().map(|(t, _)| *t).min() {
+                            wait = wait.min(ready.saturating_duration_since(now));
+                        }
+                        self.cond.wait_for(&mut st, wait.max(Duration::from_millis(1)));
                     }
                 }
+                q
             };
             if let Some(q) = q {
                 self.process(q);
                 // A work item must never leak a latch past its boundary.
                 audit::assert_thread_clear("maint worker item");
             }
-            self.maybe_watchdog_tick();
+        }
+    }
+
+    /// The worker's timed checkpoint. A failure only counts: the next
+    /// tick is its retry, and until then the previous checkpoint stays
+    /// authoritative.
+    fn periodic_checkpoint(&self) {
+        let r = self.contain("periodic checkpoint", || {
+            self.checkpoint_now().map_err(|e| MaintError::Fatal(format!("checkpoint: {e}")))
+        });
+        if r.is_err() {
+            self.stats.failures.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -666,29 +566,21 @@ impl MaintDaemon {
     fn finish(&self, q: Queued, result: Result<Option<WorkItem>, MaintError>) {
         let mut st = self.state.lock();
         st.in_flight -= 1;
-        if let Some(key) = q.item.dedup_key() {
-            st.pending.remove(&key);
-        }
+        st.pending.remove(&q.item.dedup_key());
         match result {
             Ok(None) => {}
             Ok(Some(follow_up)) => {
-                self.enqueue_locked(&mut st, follow_up, 0);
+                self.enqueue_locked(&mut st, follow_up);
             }
             Err(MaintError::Retry(_)) => {
-                if q.attempts + 1 > self.config.max_retries {
+                if q.attempts + 1 > RETRY_BUDGET {
                     self.stats.dropped.fetch_add(1, Ordering::Relaxed);
                 } else {
                     self.stats.retries.fetch_add(1, Ordering::Relaxed);
                     let attempts = q.attempts + 1;
-                    // Linear backoff: losing repeatedly means foreground
-                    // traffic is hot; stay out of its way longer.
-                    let ready = Instant::now() + self.config.retry_backoff * attempts;
-                    if let Some(key) = q.item.dedup_key() {
-                        st.pending.insert(key);
-                    }
-                    st.seq += 1;
-                    let seq = st.seq;
-                    st.delayed.push((ready, Queued { item: q.item, attempts, seq }));
+                    let ready = Instant::now() + RETRY_BACKOFF * attempts;
+                    st.pending.insert(q.item.dedup_key());
+                    st.delayed.push((ready, Queued { item: q.item, attempts }));
                 }
             }
             Err(MaintError::Fatal(_)) => {
@@ -698,97 +590,64 @@ impl MaintDaemon {
         self.cond.notify_all();
     }
 
-    /// Run one item and report it finished, whatever it did. A panic
-    /// inside the item (an engine bug surfacing on this thread) is
-    /// contained and finishes the item as a fatal failure: an unwinding
-    /// worker would die owning `in_flight`, and `stop(drain)` and
-    /// `run_until_idle` wait for that count to reach zero.
+    /// Run `f`, turning a panic (an engine bug surfacing on this thread)
+    /// into a counted fatal error: an unwinding worker would die owning
+    /// `in_flight`, and `stop(drain)` and `run_until_idle` wait for that
+    /// count to reach zero.
+    fn contain<T>(
+        &self,
+        what: impl std::fmt::Debug,
+        f: impl FnOnce() -> Result<T, MaintError>,
+    ) -> Result<T, MaintError> {
+        panic::catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+            self.stats.panics.fetch_add(1, Ordering::Relaxed);
+            let msg = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".to_string());
+            Err(MaintError::Fatal(format!("{what:?} panicked: {msg}")))
+        })
+    }
+
+    /// Run one item and report it finished, whatever it did; a panic
+    /// finishes the item as a fatal failure.
     fn process(&self, q: Queued) {
-        let result = panic::catch_unwind(AssertUnwindSafe(|| self.run_item(&q.item)))
-            .unwrap_or_else(|payload| {
-                self.stats.panics.fetch_add(1, Ordering::Relaxed);
-                let msg = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
-                Err(MaintError::Fatal(format!("{:?} panicked: {msg}", q.item)))
-            });
+        let result = self.contain(&q.item, || self.run_item(&q.item));
         self.finish(q, result);
     }
 
     /// The work behind one item; the follow-up item, if it produced one.
     fn run_item(&self, item: &WorkItem) -> Result<Option<WorkItem>, MaintError> {
         match item {
-            WorkItem::Checkpoint => match self.checkpoint_now() {
-                Ok(_) => Ok(None),
-                // A poisoned (read-only) store can never checkpoint
-                // again; anything else — a transient hiccup the pool's
-                // own bounded retry did not outlast — may clear.
-                Err(e) if gist_pagestore::is_storage_poisoned(&e) => {
-                    Err(MaintError::Fatal(format!("checkpoint: {e}")))
-                }
-                Err(e) => Err(MaintError::Retry(format!("checkpoint: {e}"))),
-            },
             WorkItem::Gc { index, leaf, parent_hint } => match self.index(*index) {
                 None => Ok(None), // index dropped: work is moot
                 Some(idx) => {
                     self.stats.gc_runs.fetch_add(1, Ordering::Relaxed);
-                    match gist_chaos::point("maint.before_gc")
-                        .map_err(MaintError::from)
-                        .and_then(|()| idx.maint_gc_leaf(*leaf, *parent_hint))
-                    {
-                        Ok(out) => {
-                            self.stats
-                                .entries_reclaimed
-                                .fetch_add(out.reclaimed as u64, Ordering::Relaxed);
-                            if out.leaf_empty {
-                                Ok(Some(WorkItem::Drain {
-                                    index: *index,
-                                    leaf: *leaf,
-                                    parent_hint: *parent_hint,
-                                }))
-                            } else {
-                                Ok(None)
-                            }
-                        }
-                        Err(e) => Err(e),
-                    }
+                    gist_chaos::point("maint.before_gc")?;
+                    let out = idx.maint_gc_leaf(*leaf, *parent_hint)?;
+                    self.stats.entries_reclaimed.fetch_add(out.reclaimed as u64, Ordering::Relaxed);
+                    Ok(out.leaf_empty.then_some(WorkItem::Drain {
+                        index: *index,
+                        leaf: *leaf,
+                        parent_hint: *parent_hint,
+                    }))
                 }
             },
             WorkItem::Drain { index, leaf, parent_hint } => match self.index(*index) {
                 None => Ok(None),
                 Some(idx) => {
                     self.stats.drain_attempts.fetch_add(1, Ordering::Relaxed);
-                    match idx.maint_try_drain(*leaf, *parent_hint) {
-                        Ok(DrainOutcome::Deleted) => {
+                    match idx.maint_try_drain(*leaf, *parent_hint)? {
+                        DrainOutcome::Deleted => {
                             self.stats.nodes_drained.fetch_add(1, Ordering::Relaxed);
                             Ok(None)
                         }
                         // Drain semantics: pointer holders exist right
                         // now; they release on their next visit, so come
                         // back later.
-                        Ok(DrainOutcome::Busy) => Err(MaintError::Retry("drain busy".into())),
-                        Ok(DrainOutcome::Skipped) => Ok(None),
-                        Err(e) => Err(e),
-                    }
-                }
-            },
-            WorkItem::FullSweep { index } => match self.index(*index) {
-                None => Ok(None),
-                Some(idx) => {
-                    self.stats.full_sweeps.fetch_add(1, Ordering::Relaxed);
-                    match idx.maint_sweep() {
-                        Ok(out) => {
-                            self.stats
-                                .entries_reclaimed
-                                .fetch_add(out.entries_removed as u64, Ordering::Relaxed);
-                            self.stats
-                                .nodes_drained
-                                .fetch_add(out.nodes_deleted as u64, Ordering::Relaxed);
-                            Ok(None)
-                        }
-                        Err(e) => Err(e),
+                        DrainOutcome::Busy => Err(MaintError::Retry("drain busy".into())),
+                        DrainOutcome::Skipped => Ok(None),
                     }
                 }
             },
@@ -828,356 +687,13 @@ impl MaintDaemon {
     }
 }
 
-impl GcSink for MaintDaemon {
-    fn committed(&self, _txn: TxnId, candidates: Vec<GcCandidate>) {
-        let mut st = self.state.lock();
-        if st.stop {
-            return;
-        }
-        for c in candidates {
-            let item = WorkItem::Gc { index: c.index, leaf: c.leaf, parent_hint: c.parent_hint };
-            if self.enqueue_locked(&mut st, item, 0) {
-                self.stats.gc_enqueued.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-}
-
 impl Drop for MaintDaemon {
     fn drop(&mut self) {
-        // Workers hold an Arc each, so reaching Drop implies none are
-        // left; nothing to join. Defensive: stop flag for any racer.
+        // The worker holds an Arc, so reaching Drop implies it is gone;
+        // nothing to join. Defensive: stop flag for any racer.
         self.state.lock().stop = true;
     }
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use gist_lockmgr::LockManager;
-    use gist_pagestore::{InMemoryStore, PageStore};
-    use gist_predlock::PredicateManager;
-
-    struct FakeIndex {
-        id: u32,
-        gc_calls: AtomicU64,
-        drain_calls: AtomicU64,
-        /// Busy for the first N drain attempts.
-        busy_until: u64,
-    }
-
-    impl MaintIndex for FakeIndex {
-        fn maint_index_id(&self) -> u32 {
-            self.id
-        }
-        fn maint_gc_leaf(
-            &self,
-            _leaf: PageId,
-            _parent_hint: Option<PageId>,
-        ) -> Result<GcOutcome, MaintError> {
-            self.gc_calls.fetch_add(1, Ordering::Relaxed);
-            Ok(GcOutcome { reclaimed: 3, leaf_empty: true })
-        }
-        fn maint_try_drain(
-            &self,
-            _leaf: PageId,
-            _parent_hint: Option<PageId>,
-        ) -> Result<DrainOutcome, MaintError> {
-            let n = self.drain_calls.fetch_add(1, Ordering::Relaxed);
-            if n < self.busy_until {
-                Ok(DrainOutcome::Busy)
-            } else {
-                Ok(DrainOutcome::Deleted)
-            }
-        }
-        fn maint_sweep(&self) -> Result<SweepOutcome, MaintError> {
-            Ok(SweepOutcome { entries_removed: 1, nodes_deleted: 0 })
-        }
-    }
-
-    fn daemon(config: MaintConfig) -> (Arc<MaintDaemon>, Arc<LogManager>) {
-        let log = Arc::new(LogManager::new());
-        let locks = Arc::new(LockManager::new());
-        let preds = Arc::new(PredicateManager::new());
-        let txns = Arc::new(TxnManager::new(log.clone(), locks, preds));
-        let store = Arc::new(InMemoryStore::new());
-        store.ensure_capacity(4).unwrap();
-        let pool = BufferPool::new(store, 8);
-        (MaintDaemon::new(txns, pool, log.clone(), config), log)
-    }
-
-    #[test]
-    fn queue_orders_by_priority_then_fifo() {
-        let a = Queued { item: WorkItem::FullSweep { index: 1 }, attempts: 0, seq: 1 };
-        let b = Queued {
-            item: WorkItem::Gc { index: 1, leaf: PageId(5), parent_hint: None },
-            attempts: 0,
-            seq: 2,
-        };
-        let c = Queued { item: WorkItem::Checkpoint, attempts: 0, seq: 3 };
-        let mut heap = BinaryHeap::from([a, b, c]);
-        assert!(matches!(heap.pop().unwrap().item, WorkItem::Checkpoint));
-        assert!(matches!(heap.pop().unwrap().item, WorkItem::Gc { .. }));
-        assert!(matches!(heap.pop().unwrap().item, WorkItem::FullSweep { .. }));
-    }
-
-    #[test]
-    fn gc_feeds_drain_with_retry_until_deleted() {
-        let (d, _log) = daemon(MaintConfig::default());
-        let idx = Arc::new(FakeIndex {
-            id: 7,
-            gc_calls: AtomicU64::new(0),
-            drain_calls: AtomicU64::new(0),
-            busy_until: 2,
-        });
-        let weak: Weak<dyn MaintIndex> = {
-            let a: Arc<dyn MaintIndex> = idx.clone();
-            Arc::downgrade(&a)
-        };
-        d.register_index(weak);
-        d.committed(
-            TxnId(1),
-            vec![GcCandidate { index: 7, leaf: PageId(9), parent_hint: Some(PageId(3)) }],
-        );
-        d.run_until_idle();
-        assert_eq!(idx.gc_calls.load(Ordering::Relaxed), 1);
-        assert_eq!(idx.drain_calls.load(Ordering::Relaxed), 3, "two busy, then deleted");
-        let s = d.stats.snapshot();
-        assert_eq!(s.entries_reclaimed, 3);
-        assert_eq!(s.nodes_drained, 1);
-        assert_eq!(s.retries, 2);
-        assert_eq!(d.backlog(), 0);
-    }
-
-    /// A `FakeIndex` whose first GC call parks until released and then
-    /// asks for a retry — holds an item *in flight* on a worker thread
-    /// while the test calls `run_until_idle`.
-    struct ParkedRetryIndex {
-        id: u32,
-        gc_calls: AtomicU64,
-        entered: std::sync::mpsc::Sender<()>,
-        release: std::sync::Mutex<std::sync::mpsc::Receiver<()>>,
-    }
-
-    impl MaintIndex for ParkedRetryIndex {
-        fn maint_index_id(&self) -> u32 {
-            self.id
-        }
-        fn maint_gc_leaf(
-            &self,
-            _leaf: PageId,
-            _parent_hint: Option<PageId>,
-        ) -> Result<GcOutcome, MaintError> {
-            if self.gc_calls.fetch_add(1, Ordering::Relaxed) == 0 {
-                self.entered.send(()).unwrap();
-                self.release.lock().unwrap().recv().unwrap();
-                return Err(MaintError::Retry("parked".into()));
-            }
-            Ok(GcOutcome { reclaimed: 1, leaf_empty: false })
-        }
-        fn maint_try_drain(
-            &self,
-            _leaf: PageId,
-            _parent_hint: Option<PageId>,
-        ) -> Result<DrainOutcome, MaintError> {
-            Ok(DrainOutcome::Deleted)
-        }
-        fn maint_sweep(&self) -> Result<SweepOutcome, MaintError> {
-            Ok(SweepOutcome { entries_removed: 0, nodes_deleted: 0 })
-        }
-    }
-
-    /// Regression: `run_until_idle` must not conclude "drained" while a
-    /// worker still owns an item — the worker's `finish` may re-enqueue
-    /// it (retry backoff), and a caller that returned early would race
-    /// that re-enqueue and observe unreclaimed work after a "sync".
-    #[test]
-    fn run_until_idle_waits_for_in_flight_retries() {
-        let (d, _log) = daemon(MaintConfig::default());
-        let (entered_tx, entered_rx) = std::sync::mpsc::channel();
-        let (release_tx, release_rx) = std::sync::mpsc::channel();
-        let idx = Arc::new(ParkedRetryIndex {
-            id: 4,
-            gc_calls: AtomicU64::new(0),
-            entered: entered_tx,
-            release: std::sync::Mutex::new(release_rx),
-        });
-        let weak: Weak<dyn MaintIndex> = {
-            let a: Arc<dyn MaintIndex> = idx.clone();
-            Arc::downgrade(&a)
-        };
-        d.register_index(weak);
-        d.start();
-        d.enqueue(WorkItem::Gc { index: 4, leaf: PageId(6), parent_hint: None });
-        // The worker owns the item (queue empty, in_flight = 1) ...
-        entered_rx.recv().unwrap();
-        // ... and is released only after the drain is underway.
-        let releaser = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(50));
-            release_tx.send(()).unwrap();
-        });
-        d.run_until_idle();
-        releaser.join().unwrap();
-        assert_eq!(
-            idx.gc_calls.load(Ordering::Relaxed),
-            2,
-            "run_until_idle processed the retry the in-flight worker re-enqueued"
-        );
-        assert_eq!(d.backlog(), 0);
-        d.stop(/*drain=*/ false);
-    }
-
-    #[test]
-    fn duplicate_pending_work_is_coalesced() {
-        let (d, _log) = daemon(MaintConfig::default());
-        let item = WorkItem::Gc { index: 1, leaf: PageId(4), parent_hint: None };
-        assert!(d.enqueue(item.clone()));
-        assert!(!d.enqueue(item.clone()), "identical pending work deduplicated");
-        assert_eq!(d.backlog(), 1);
-    }
-
-    #[test]
-    fn exhausted_retries_drop_the_item() {
-        let (d, _log) =
-            daemon(MaintConfig { max_retries: 1, ..MaintConfig::default() });
-        let idx = Arc::new(FakeIndex {
-            id: 1,
-            gc_calls: AtomicU64::new(0),
-            drain_calls: AtomicU64::new(0),
-            busy_until: u64::MAX,
-        });
-        let weak: Weak<dyn MaintIndex> = {
-            let a: Arc<dyn MaintIndex> = idx.clone();
-            Arc::downgrade(&a)
-        };
-        d.register_index(weak);
-        d.enqueue(WorkItem::Drain { index: 1, leaf: PageId(2), parent_hint: None });
-        d.run_until_idle();
-        let s = d.stats.snapshot();
-        assert_eq!(s.retries, 1);
-        assert_eq!(s.dropped, 1);
-        assert_eq!(d.backlog(), 0);
-    }
-
-    #[test]
-    fn checkpoint_work_writes_a_bounded_checkpoint() {
-        let (d, log) = daemon(MaintConfig::default());
-        let before = log.last_lsn();
-        d.request_checkpoint();
-        d.run_until_idle();
-        let cp = log.last_checkpoint().expect("checkpoint written");
-        match log.get(cp).body {
-            gist_wal::RecordBody::Checkpoint { scan_start, .. } => {
-                assert_eq!(scan_start, before);
-            }
-            other => panic!("expected checkpoint, got {other:?}"),
-        }
-        assert_eq!(d.stats.snapshot().checkpoints, 1);
-    }
-
-    #[test]
-    fn workers_process_in_background_and_stop_cleanly() {
-        let (d, _log) = daemon(MaintConfig {
-            checkpoint_interval: Some(Duration::from_millis(5)),
-            ..MaintConfig::default()
-        });
-        let idx = Arc::new(FakeIndex {
-            id: 2,
-            gc_calls: AtomicU64::new(0),
-            drain_calls: AtomicU64::new(0),
-            busy_until: 0,
-        });
-        let weak: Weak<dyn MaintIndex> = {
-            let a: Arc<dyn MaintIndex> = idx.clone();
-            Arc::downgrade(&a)
-        };
-        d.register_index(weak);
-        d.start();
-        assert!(d.is_running());
-        d.committed(
-            TxnId(1),
-            vec![GcCandidate { index: 2, leaf: PageId(11), parent_hint: None }],
-        );
-        let t0 = Instant::now();
-        while d.backlog() > 0 && t0.elapsed() < Duration::from_secs(5) {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(d.backlog(), 0, "background workers drained the queue");
-        assert!(idx.gc_calls.load(Ordering::Relaxed) >= 1);
-        let t0 = Instant::now();
-        while d.stats.snapshot().checkpoints == 0 && t0.elapsed() < Duration::from_secs(5) {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert!(d.stats.snapshot().checkpoints >= 1, "periodic checkpoint fired");
-        d.stop(true);
-        assert!(!d.is_running());
-        // Post-stop enqueues are refused.
-        assert!(!d.enqueue(WorkItem::Checkpoint));
-    }
-
-    /// An index whose GC panics, as an engine bug surfacing on the
-    /// worker thread would.
-    struct PanickingIndex;
-
-    impl MaintIndex for PanickingIndex {
-        fn maint_index_id(&self) -> u32 {
-            9
-        }
-        fn maint_gc_leaf(
-            &self,
-            leaf: PageId,
-            _parent_hint: Option<PageId>,
-        ) -> Result<GcOutcome, MaintError> {
-            panic!("injected: gc of {leaf} blew up");
-        }
-        fn maint_try_drain(
-            &self,
-            _leaf: PageId,
-            _parent_hint: Option<PageId>,
-        ) -> Result<DrainOutcome, MaintError> {
-            Ok(DrainOutcome::Skipped)
-        }
-        fn maint_sweep(&self) -> Result<SweepOutcome, MaintError> {
-            Ok(SweepOutcome { entries_removed: 1, nodes_deleted: 0 })
-        }
-    }
-
-    #[test]
-    fn worker_survives_a_panicking_item_and_drains() {
-        let (d, _log) = daemon(MaintConfig::default());
-        let idx: Arc<dyn MaintIndex> = Arc::new(PanickingIndex);
-        d.register_index(Arc::downgrade(&idx));
-        // GC outranks the sweep, so the panic comes first and the sweep
-        // proves a worker outlived it.
-        d.enqueue(WorkItem::Gc { index: 9, leaf: PageId(3), parent_hint: None });
-        d.enqueue(WorkItem::FullSweep { index: 9 });
-        d.start();
-        // `stop(drain)` waits for the in-flight count; a worker that died
-        // mid-item would leave it at 1 forever.
-        let (done_tx, done_rx) = std::sync::mpsc::channel();
-        let stopper = {
-            let d = d.clone();
-            std::thread::spawn(move || {
-                d.stop(true);
-                done_tx.send(()).unwrap();
-            })
-        };
-        done_rx
-            .recv_timeout(Duration::from_secs(10))
-            .expect("stop(drain) hung behind the panicked item");
-        stopper.join().unwrap();
-        let stats = d.stats.snapshot();
-        assert_eq!((stats.panics, stats.failures), (1, 1), "contained and counted once");
-        assert_eq!(stats.full_sweeps, 1, "the queue behind the panic was served");
-        assert_eq!(d.backlog(), 0);
-    }
-
-    #[test]
-    fn stop_without_drain_discards_the_queue() {
-        let (d, _log) = daemon(MaintConfig::default());
-        d.enqueue(WorkItem::Gc { index: 1, leaf: PageId(1), parent_hint: None });
-        d.stop(false);
-        assert_eq!(d.backlog(), 0);
-        assert_eq!(d.stats.snapshot().gc_runs, 0, "nothing ran");
-    }
-}
+mod tests;

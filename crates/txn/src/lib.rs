@@ -49,7 +49,7 @@ pub struct TxnOptions {
 
 /// A leaf page that a transaction left delete-marked entries on —
 /// physical reclamation is deferred to the maintenance daemon, which
-/// receives these at commit through the registered [`GcSink`].
+/// receives these at commit through the [`TxnEndObserver`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GcCandidate {
     /// Index the leaf belongs to.
@@ -61,29 +61,21 @@ pub struct GcCandidate {
     pub parent_hint: Option<PageId>,
 }
 
-/// Receiver for garbage-collection candidates handed off at commit.
-///
-/// Implemented by the maintenance daemon. The transaction manager calls
-/// `committed` *after* the commit record is forced and all locks are
-/// released, so the sink may immediately attempt physical reclamation
-/// under the Commit_LSN fast path. Candidates of aborting transactions
-/// are dropped — their delete marks are undone by rollback.
-pub trait GcSink: Send + Sync {
-    /// `txn` committed having delete-marked entries on these leaves.
-    fn committed(&self, txn: TxnId, candidates: Vec<GcCandidate>);
-}
-
 /// Observer fired exactly once when a transaction leaves the table —
-/// after its end record is logged and the entry removed, on *every*
-/// termination path: commit, owner abort, and watchdog teardown.
+/// after its end record is logged, the entry removed and every
+/// predicate and lock released, on *every* termination path: commit,
+/// owner abort, and watchdog teardown.
 ///
 /// Registered by the embedder (`Db`) to release the admission-control
-/// credit bound to the transaction; because abort covers the watchdog
+/// credit bound to the transaction — because abort covers the watchdog
 /// path, a credit can never outlive its transaction no matter how it
-/// dies.
+/// dies — and to hand a commit's GC candidates to the maintenance
+/// daemon, which may reclaim at once under the Commit_LSN fast path.
 pub trait TxnEndObserver: Send + Sync {
-    /// `txn` terminated and was removed from the table.
-    fn txn_ended(&self, txn: TxnId);
+    /// `txn` terminated and was removed from the table. `gc` holds the
+    /// leaves a committed `txn` delete-marked entries on; it is empty on
+    /// abort, whose rollback undid the marks.
+    fn txn_ended(&self, txn: TxnId, gc: Vec<GcCandidate>);
 }
 
 /// State of a transaction in the table.
@@ -116,7 +108,7 @@ struct TxnInfo {
     /// before transaction end.
     pinned_nodes: HashSet<LockName>,
     /// Leaves this transaction delete-marked entries on; handed to the
-    /// [`GcSink`] at commit, dropped at abort.
+    /// [`TxnEndObserver`] at commit, dropped at abort.
     gc_candidates: Vec<GcCandidate>,
     /// Must-abort: an operation panicked mid-flight (its [`OpGuard`]
     /// unwound), so shadow state may be torn. Further operations and
@@ -212,17 +204,13 @@ pub struct TxnManager {
     /// parks on it; the embedder (`Db::build`) starts and stops its
     /// background flusher. Until started, requests are served inline.
     pipeline: Arc<CommitPipeline>,
-    /// Durability mode for transactions begun without explicit options.
-    default_durability: Mutex<Durability>,
     locks: Arc<LockManager>,
     preds: Arc<PredicateManager>,
     table: Mutex<HashMap<TxnId, TxnInfo>>,
     next_txn: Mutex<u64>,
-    /// Weak so the daemon (which holds an `Arc<TxnManager>` for
-    /// checkpointing) and the manager don't keep each other alive.
-    gc_sink: Mutex<Option<std::sync::Weak<dyn GcSink>>>,
-    /// End-of-transaction observer (admission-credit release). Weak for
-    /// the same cycle-breaking reason as `gc_sink`.
+    /// End-of-transaction observer (admission-credit release, GC
+    /// hand-off). Weak so the embedder, which owns this manager, and the
+    /// manager don't keep each other alive.
     end_observer: Mutex<Option<std::sync::Weak<dyn TxnEndObserver>>>,
     /// Transactions the watchdog aborted that left the table before the
     /// victim thread noticed. Consumed by the victim's next call (its
@@ -241,22 +229,14 @@ impl TxnManager {
     ) -> Self {
         TxnManager {
             pipeline: CommitPipeline::new(log.clone()),
-            default_durability: Mutex::new(Durability::Immediate),
             log,
             locks,
             preds,
             table: Mutex::new(HashMap::new()),
             next_txn: Mutex::new(0),
-            gc_sink: Mutex::new(None),
             end_observer: Mutex::new(None),
             watchdog_tombstones: Mutex::new(HashSet::new()),
         }
-    }
-
-    /// Register the receiver for commit-time GC candidates (the
-    /// maintenance daemon). Replaces any previous sink.
-    pub fn set_gc_sink(&self, sink: std::sync::Weak<dyn GcSink>) {
-        *self.gc_sink.lock() = Some(sink);
     }
 
     /// Register the end-of-transaction observer. Replaces any previous
@@ -266,10 +246,10 @@ impl TxnManager {
     }
 
     /// Fire the end observer for a transaction that just left the table.
-    fn notify_ended(&self, txn: TxnId) {
+    fn notify_ended(&self, txn: TxnId, gc: Vec<GcCandidate>) {
         let obs = self.end_observer.lock().as_ref().and_then(|w| w.upgrade());
         if let Some(obs) = obs {
-            obs.txn_ended(txn);
+            obs.txn_ended(txn, gc);
         }
     }
 
@@ -297,11 +277,6 @@ impl TxnManager {
         &self.pipeline
     }
 
-    /// Durability mode for transactions begun via [`TxnManager::begin`].
-    pub fn set_default_durability(&self, mode: Durability) {
-        *self.default_durability.lock() = mode;
-    }
-
     /// The shared lock manager.
     pub fn locks(&self) -> &Arc<LockManager> {
         &self.locks
@@ -312,9 +287,9 @@ impl TxnManager {
         &self.preds
     }
 
-    /// Start a transaction with the manager's default durability.
+    /// Start a transaction with default options ([`Durability::Immediate`]).
     pub fn begin(&self) -> TxnId {
-        self.begin_with(TxnOptions { durability: *self.default_durability.lock() })
+        self.begin_with(TxnOptions::default())
     }
 
     /// Start a transaction with explicit per-transaction options.
@@ -458,15 +433,9 @@ impl TxnManager {
         };
         self.preds.release_txn(txn);
         self.locks.release_all(txn);
-        self.notify_ended(txn);
-        // Hand GC work to the daemon only after every lock is gone, so
-        // reclamation can't deadlock against this transaction's remains.
-        if !gc.is_empty() {
-            let sink = self.gc_sink.lock().as_ref().and_then(|w| w.upgrade());
-            if let Some(sink) = sink {
-                sink.committed(txn, gc);
-            }
-        }
+        // GC work goes out only after every lock is gone, so reclamation
+        // can't deadlock against this transaction's remains.
+        self.notify_ended(txn, gc);
     }
 
     /// Abort: logical undo through `handler`, then end and release.
@@ -526,7 +495,7 @@ impl TxnManager {
         }
         self.preds.release_txn(txn);
         self.locks.release_all(txn);
-        self.notify_ended(txn);
+        self.notify_ended(txn, Vec::new());
         Ok(())
     }
 
@@ -623,11 +592,12 @@ impl TxnManager {
     }
 
     /// Write a fuzzy checkpoint record with a caller-supplied dirty-page
-    /// table (§ ARIES). Capture discipline, enforced by the caller (the
-    /// maintenance daemon):
+    /// table (§ ARIES). Capture discipline, enforced by the caller
+    /// (`MaintDaemon::checkpoint_now`):
     ///
-    /// 1. read `scan_start = log.last_lsn()` **first**;
-    /// 2. then capture `dirty_pages` from the buffer pool;
+    /// 1. read `scan_start = log.filled_lsn()` **first**;
+    /// 2. then sync the store and capture `dirty_pages` from the buffer
+    ///    pool;
     /// 3. then this method captures the transaction table and appends.
     ///
     /// Mutators append their log record and mark the frame dirty under
@@ -647,17 +617,6 @@ impl TxnManager {
         // restart just falls back to the previous durable one.
         let _ = self.pipeline.barrier(lsn);
         lsn
-    }
-
-    /// Write a fuzzy checkpoint record without dirty-page knowledge.
-    ///
-    /// `scan_start` is pinned to the log start: with an empty dirty-page
-    /// table, claiming anything later would let redo skip pages dirtied
-    /// before the checkpoint. Restart still benefits from the transaction
-    /// table; use [`TxnManager::checkpoint_with`] (via the maintenance
-    /// daemon) to actually bound the scans.
-    pub fn checkpoint(&self) -> Lsn {
-        self.checkpoint_with(Lsn(1), Vec::new())
     }
 
     /// Block until `owner` terminates ("blocking on a predicate",

@@ -10,7 +10,7 @@ use gist_predlock::{PredKind, PredicateManager};
 use gist_wal::recovery::{RecoveryError, RecoveryHandler};
 use gist_wal::{LogManager, LogRecord, Lsn, Payload, RecordBody, TxnId};
 
-use crate::{SavepointId, TxnError, TxnManager};
+use crate::{GcCandidate, SavepointId, TxnEndObserver, TxnError, TxnManager};
 
 /// Toy resource manager: an array of u64 cells; payload encodes
 /// `cell(u32), new(u64), old(u64)`.
@@ -272,7 +272,7 @@ fn checkpoint_lists_active_txns() {
     let (mgr, _cells, log, _locks) = setup();
     let t1 = mgr.begin();
     let _t2 = mgr.begin();
-    mgr.checkpoint();
+    mgr.checkpoint_with(Lsn(1), Vec::new());
     let cp = log.last_checkpoint().unwrap();
     match log.get(cp).body {
         RecordBody::Checkpoint { active_txns, .. } => {
@@ -296,4 +296,52 @@ fn is_certainly_committed_semantics() {
     // Aborted txns also leave the table, but their marks were undone, so
     // treating "gone" as committed is safe for delete-mark GC.
     assert!(mgr.is_certainly_committed(t2));
+}
+
+/// End hook that records what it was handed and, for each ending
+/// transaction, whether a name that transaction held is X-lockable
+/// without waiting.
+struct EndProbe {
+    locks: Arc<LockManager>,
+    held: LockName,
+    seen: Mutex<Vec<(TxnId, Vec<GcCandidate>, bool)>>,
+}
+
+impl TxnEndObserver for EndProbe {
+    fn txn_ended(&self, txn: TxnId, gc: Vec<GcCandidate>) {
+        let probe = TxnId(u64::MAX);
+        let free = self.locks.try_lock(probe, self.held, LockMode::X);
+        self.locks.release_all(probe);
+        self.seen.lock().push((txn, gc, free));
+    }
+}
+
+/// The end hook gets a commit's GC candidates exactly once, after the
+/// transaction's locks are gone; an abort hands over none.
+#[test]
+fn end_hook_delivers_commit_candidates_after_release() {
+    let (mgr, cells, _log, locks) = setup();
+    let held = LockName::Node { index: 1, page: PageId(7) };
+    let probe =
+        Arc::new(EndProbe { locks: locks.clone(), held, seen: Mutex::new(Vec::new()) });
+    let obs: Arc<dyn TxnEndObserver> = probe.clone();
+    mgr.set_end_observer(Arc::downgrade(&obs));
+    let cand = GcCandidate { index: 1, leaf: PageId(7), parent_hint: Some(PageId(2)) };
+
+    let t1 = mgr.begin();
+    locks.lock(t1, held, LockMode::S).unwrap();
+    mgr.note_gc_candidate(t1, cand);
+    mgr.note_gc_candidate(t1, cand);
+    mgr.commit(t1).unwrap();
+    // A second commit attempt finds nothing to finish.
+    assert_eq!(mgr.commit(t1), Err(TxnError::NotActive(t1)));
+
+    let t2 = mgr.begin();
+    locks.lock(t2, held, LockMode::S).unwrap();
+    cells.set(&mgr, t2, 0, 1);
+    mgr.note_gc_candidate(t2, cand);
+    mgr.abort(t2, &cells).unwrap();
+
+    let seen = probe.seen.lock();
+    assert_eq!(*seen, vec![(t1, vec![cand], true), (t2, Vec::new(), true)]);
 }

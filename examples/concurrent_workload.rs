@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let db = Db::open(store, log, DbConfig::default())?;
     let idx = GistIndex::create(db.clone(), "hot", BtreeExt, IndexOptions::default())?;
     // Background maintenance: every committed delete below is physically
-    // reclaimed by the daemon's workers, concurrent with the workload.
+    // reclaimed by the daemon's worker, concurrent with the workload.
     db.start_maint();
 
     // Preload.
@@ -140,9 +140,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     db.maint_sync();
     if idx.stats()?.marked_entries > 0 {
         // Items dropped after retry exhaustion under contention, if any,
-        // are picked up by a full sweep through the same queue.
-        idx.vacuum();
-        db.maint_sync();
+        // are picked up by a whole-index sweep.
+        db.run_txn(|t| idx.vacuum_sync(t))?;
     }
     println!("maintenance: {:?}", db.maint_stats());
     assert_eq!(idx.stats()?.marked_entries, 0, "daemon reclaimed every committed delete");

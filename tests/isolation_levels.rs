@@ -8,7 +8,7 @@ use gist_repro::am::{BtreeExt, I64Query};
 use gist_repro::core::check::check_tree;
 use gist_repro::core::{Db, DbConfig, GistIndex, IndexOptions, IsolationLevel};
 use gist_repro::pagestore::{InMemoryStore, PageId, Rid};
-use gist_repro::wal::LogManager;
+use gist_repro::wal::{LogManager, Lsn};
 
 fn setup(isolation: IsolationLevel) -> (Arc<Db>, Arc<GistIndex<BtreeExt>>) {
     let store = Arc::new(InMemoryStore::new());
@@ -164,7 +164,7 @@ fn checkpoint_bounds_analysis_and_recovery_stays_correct() {
     for k in 500..600i64 {
         idx.insert(loser, &k, rid(k as u64 % 60_000)).unwrap();
     }
-    db.txns().checkpoint();
+    db.txns().checkpoint_with(Lsn(1), Vec::new());
     for k in 600..700i64 {
         idx.insert(loser, &k, rid(k as u64 % 60_000)).unwrap();
     }

@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 
 use gist_repro::am::{BtreeExt, I64Query};
 use gist_repro::core::check::check_tree;
-use gist_repro::core::{Db, DbConfig, GistIndex, IndexOptions, WorkItem};
+use gist_repro::core::{Db, DbConfig, GistIndex, IndexOptions};
 use gist_repro::lockmgr::{LockMode, LockName};
 use gist_repro::pagestore::{InMemoryStore, PageId, PageStore, Rid};
 use gist_repro::wal::{LogManager, Lsn, RecordBody};
@@ -98,8 +98,8 @@ fn background_gc_reclaims_without_foreground_sweep() {
     check_tree(&idx).unwrap().assert_ok();
 }
 
-/// Same workload but with real worker threads: start the daemon, let it
-/// drain the queue in the background, then shut down cleanly.
+/// Same workload but with the real worker thread: start the daemon, let
+/// it drain the queue in the background, then shut down cleanly.
 #[test]
 fn worker_threads_reclaim_in_background() {
     let h = Harness::new();
@@ -121,7 +121,7 @@ fn worker_threads_reclaim_in_background() {
     while idx.stats().unwrap().marked_entries > 0 && t0.elapsed() < Duration::from_secs(20) {
         std::thread::sleep(Duration::from_millis(5));
     }
-    assert_eq!(idx.stats().unwrap().marked_entries, 0, "workers reclaimed the marks");
+    assert_eq!(idx.stats().unwrap().marked_entries, 0, "the worker reclaimed the marks");
     assert_eq!(keys_present(&db, &idx, 0, 300).len(), 200);
     db.shutdown().unwrap();
     check_tree(&idx).unwrap().assert_ok();
@@ -193,10 +193,8 @@ fn drain_defers_to_signaling_lock_holders() {
     db.commit(scanner).unwrap(); // releases the signaling locks
 
     // With the pointer holder gone, a sweep retires the empty leaves.
-    assert!(idx.vacuum(), "sweep enqueued with the daemon");
-    db.maint_sync();
-    let stats = db.maint_stats();
-    assert!(stats.nodes_drained > 0, "empty leaves retired after release: {stats:?}");
+    let report = db.run_txn(|t| idx.vacuum_sync(t)).unwrap();
+    assert!(report.nodes_deleted > 0, "empty leaves retired after release: {report:?}");
     assert!(db.alloc().free_count() > 0, "pages returned to the allocator");
     assert!(idx.stats().unwrap().nodes < nodes_before);
     assert_eq!(keys_present(&db, &idx, 0, 800), (400..800).collect::<Vec<i64>>());
@@ -399,8 +397,6 @@ fn queued_work_for_the_same_leaf_coalesces() {
     }
     db.commit(txn).unwrap();
     assert_eq!(db.maint().backlog(), 1, "one leaf, one work item");
-    assert!(db.maint().enqueue(WorkItem::FullSweep { index: idx.id() }));
-    assert!(!db.maint().enqueue(WorkItem::FullSweep { index: idx.id() }), "sweep deduped");
     db.maint_sync();
     assert_eq!(idx.stats().unwrap().marked_entries, 0);
 }
@@ -453,10 +449,10 @@ fn drained_pages_are_unreachable_afterward() {
     }
     db.commit(txn).unwrap();
     db.maint_sync();
-    idx.vacuum();
-    db.maint_sync();
-    let stats = db.maint_stats();
-    assert!(stats.nodes_drained > 0, "workload must actually drain pages: {stats:?}");
+    // The daemon's drains retire most leaves; the sweep takes the rest.
+    let report = db.run_txn(|t| idx.vacuum_sync(t)).unwrap();
+    let drained = db.maint_stats().nodes_drained as usize + report.nodes_deleted;
+    assert!(drained > 0, "workload must actually drain pages: {report:?}");
 
     // Pages that were part of the tree and are now marked available were
     // drained; none of them may still be referenced by an entry.
