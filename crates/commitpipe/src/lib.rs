@@ -12,10 +12,11 @@
 //! - **group commit**: concurrent committers park on their commit LSN
 //!   ([`LogManager::wait_durable`], the once-dormant `flush_cv`) and a
 //!   single device sync makes the whole batch durable;
-//! - per-transaction [`Durability`] modes — `Immediate` (park until the
-//!   commit record is durable), `Batched { window }` (park, but let the
-//!   flusher linger up to `window` to widen the batch) and `Async`
-//!   (return immediately; the idle sweep bounds the loss window).
+//! - force-at-commit: [`CommitPipeline::commit_durable`] parks until the
+//!   commit record is durable, so a committed transaction survives any
+//!   crash; a request cuts a batch at once, without lingering for more;
+//! - an idle sweep that makes unforced records (end, abort and
+//!   NTA-terminator records) durable within a few milliseconds.
 //!
 //! When the flusher is not running (unit tests, a stopped pipeline,
 //! post-shutdown write-back), every durability request degrades to the
@@ -34,52 +35,15 @@ use std::time::{Duration, Instant};
 use gist_wal::{LogFlusher, LogManager, Lsn, RecordBody, TxnId};
 use gist_sync::{Condvar, Mutex};
 
-/// How long a transaction waits for its commit record to become durable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Durability {
-    /// Park until the commit record is durable; the flusher batches
-    /// whatever has accumulated but does not wait for more. This is the
-    /// classic force-at-commit guarantee: a committed transaction
-    /// survives any crash.
-    #[default]
-    Immediate,
-    /// Park until durable, but allow the flusher to linger up to `window`
-    /// after the first commit of a batch so more committers can join it.
-    /// Same crash guarantee as `Immediate`, traded against up to `window`
-    /// of extra commit latency.
-    Batched {
-        /// Maximum extra time a commit may wait for batch-mates.
-        window: Duration,
-    },
-    /// Return as soon as the commit record is *filled*: durability
-    /// arrives with the flusher's next sweep. A crash inside that window
-    /// can lose the transaction (it is cleanly rolled back at restart —
-    /// atomicity holds, only durability is deferred).
-    Async,
-}
+/// Upper bound on one park on the pipeline. Reached only if the flusher
+/// is wedged (e.g. an abandoned reservation fencing the durable horizon);
+/// committers surface [`PipeError::Stalled`].
+const PARK_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Tuning knobs, fixed before [`CommitPipeline::start`].
-#[derive(Debug, Clone, Copy)]
-pub struct PipeConfig {
-    /// Upper bound on one park on the pipeline. Reached only if the
-    /// flusher is wedged (e.g. an abandoned reservation fencing the
-    /// durable horizon); committers surface [`PipeError::Stalled`].
-    pub park_timeout: Duration,
-    /// Idle sweep period: with no commit requests pending, the flusher
-    /// makes the filled prefix durable this often. This is the `Async`
-    /// mode's bounded loss window and the latency bound for unforced
-    /// records (transaction end records, aborts).
-    pub idle_flush: Duration,
-}
-
-impl Default for PipeConfig {
-    fn default() -> Self {
-        PipeConfig {
-            park_timeout: Duration::from_secs(10),
-            idle_flush: Duration::from_millis(2),
-        }
-    }
-}
+/// Idle sweep period: with no durability request pending, the flusher
+/// makes the filled prefix durable this often — the latency bound for
+/// unforced records (transaction end records, aborts).
+const IDLE_FLUSH: Duration = Duration::from_millis(2);
 
 /// Failure surfaced by the pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -201,11 +165,9 @@ pub struct PipeStats {
 }
 
 struct PipeState {
-    /// Highest LSN any committer wants durable.
-    requested: Lsn,
-    /// When the flusher must act for the current batch ([`None`]: no
-    /// batch forming; the idle sweep governs).
-    deadline: Option<Instant>,
+    /// A durability request is waiting for the flusher to cut a batch
+    /// (`false`: the idle sweep governs).
+    due: bool,
     /// Commits submitted since the last batch was cut (batch-size stats).
     pending_commits: u64,
     /// Flusher thread liveness (set by start/stop).
@@ -218,28 +180,20 @@ struct PipeState {
 /// The group-commit pipeline over one [`LogManager`].
 pub struct CommitPipeline {
     log: Arc<LogManager>,
-    cfg: PipeConfig,
     state: Mutex<PipeState>,
-    /// Kicks the flusher when a batch deadline is set or shutdown begins.
+    /// Kicks the flusher when a batch is due or shutdown begins.
     work_cv: Condvar,
     handle: Mutex<Option<JoinHandle<()>>>,
     stats: Stats,
 }
 
 impl CommitPipeline {
-    /// Pipeline over `log` with default tuning, flusher not yet running.
+    /// Pipeline over `log`, flusher not yet running.
     pub fn new(log: Arc<LogManager>) -> Arc<CommitPipeline> {
-        Self::with_config(log, PipeConfig::default())
-    }
-
-    /// Pipeline with explicit tuning, flusher not yet running.
-    pub fn with_config(log: Arc<LogManager>, cfg: PipeConfig) -> Arc<CommitPipeline> {
         Arc::new(CommitPipeline {
             log,
-            cfg,
             state: Mutex::new(PipeState {
-                requested: Lsn::NULL,
-                deadline: None,
+                due: false,
                 pending_commits: 0,
                 running: false,
                 stop: false,
@@ -329,18 +283,11 @@ impl CommitPipeline {
         Ok(self.log.fill(res, RecordBody::TxnCommit))
     }
 
-    /// Make `lsn` durable under `mode`; the commit path calls this with
-    /// no page latch held (asserted under `latch-audit`).
-    pub fn commit_durable(&self, lsn: Lsn, mode: Durability) -> Result<(), PipeError> {
+    /// Park until the commit record at `lsn` is durable; the commit path
+    /// calls this with no page latch held (asserted under `latch-audit`).
+    pub fn commit_durable(&self, lsn: Lsn) -> Result<(), PipeError> {
         audit::assert_thread_clear("parked on commit pipeline");
-        match mode {
-            Durability::Async => {
-                self.request(lsn, Instant::now() + self.cfg.idle_flush, true);
-                Ok(())
-            }
-            Durability::Immediate => self.park(lsn, Instant::now(), true),
-            Durability::Batched { window } => self.park(lsn, Instant::now() + window, true),
-        }
+        self.park(lsn, true)
     }
 
     /// Durability barrier: park until `lsn` is durable (non-commit
@@ -350,35 +297,29 @@ impl CommitPipeline {
         if self.log.flushed_lsn() >= lsn {
             return Ok(());
         }
-        self.park(lsn, Instant::now(), false)
+        self.park(lsn, false)
     }
 
-    /// Register a durability request; returns whether a flusher thread
-    /// will serve it.
-    fn request(&self, lsn: Lsn, deadline: Instant, is_commit: bool) -> bool {
+    /// Register a durability request (the batch it cuts covers the whole
+    /// filled prefix); returns whether a flusher thread will serve it.
+    fn request(&self, is_commit: bool) -> bool {
         let mut st = self.state.lock();
-        if lsn > st.requested {
-            st.requested = lsn;
-        }
         if is_commit {
             st.pending_commits += 1;
         }
-        st.deadline = Some(match st.deadline {
-            Some(d) => d.min(deadline),
-            None => deadline,
-        });
+        st.due = true;
         let running = st.running;
         drop(st);
         self.work_cv.notify_all();
         running
     }
 
-    fn park(&self, lsn: Lsn, deadline: Instant, is_commit: bool) -> Result<(), PipeError> {
+    fn park(&self, lsn: Lsn, is_commit: bool) -> Result<(), PipeError> {
         let started = Instant::now();
-        if !self.request(lsn, deadline, is_commit) {
+        if !self.request(is_commit) {
             // No flusher: the old synchronous path, one device sync per
-            // caller — which also covers every commit still pending
-            // behind it (Async requests nobody has flushed yet).
+            // caller — which also counts every commit still pending
+            // behind it (a batch the stopped flusher never cut).
             let commits = std::mem::take(&mut self.state.lock().pending_commits);
             self.log.flush(lsn);
             self.stats.record_sync(commits);
@@ -387,7 +328,7 @@ impl CommitPipeline {
             }
             return Ok(());
         }
-        if self.log.wait_durable(lsn, self.cfg.park_timeout) {
+        if self.log.wait_durable(lsn, PARK_TIMEOUT) {
             if is_commit {
                 self.stats.record_wait(started.elapsed());
             }
@@ -412,6 +353,10 @@ impl CommitPipeline {
             let run = panic::catch_unwind(AssertUnwindSafe(|| self.flush_batch(&mut uncounted)));
             if run.is_err() {
                 self.stats.flusher_panics.fetch_add(1, Ordering::Relaxed);
+                // The batch may have died after its sync but before the
+                // wakeup; with nothing left to flush, no later sweep would
+                // notify the committers it already made durable.
+                self.log.notify_durable();
             }
             if uncounted > 0 {
                 // The batch died before its sync: its commits ride the
@@ -424,7 +369,7 @@ impl CommitPipeline {
         }
     }
 
-    /// Block until a batch is due (deadline reached, idle sweep found
+    /// Block until a batch is due (a durability request, idle sweep found
     /// unflushed records, or shutdown). Returns `(pending_commits, drain,
     /// stop)` with the batch state consumed.
     fn next_batch(&self) -> (u64, bool, bool) {
@@ -434,28 +379,17 @@ impl CommitPipeline {
                 let commits = std::mem::take(&mut st.pending_commits);
                 return (commits, st.drain, true);
             }
-            match st.deadline {
-                Some(d) => {
-                    if Instant::now() >= d {
-                        st.deadline = None;
-                        let commits = std::mem::take(&mut st.pending_commits);
-                        return (commits, false, false);
-                    }
-                    self.work_cv.wait_until(&mut st, d);
-                }
-                None => {
-                    self.work_cv.wait_for(&mut st, self.cfg.idle_flush);
-                    // Idle sweep: pick up unforced records (end records,
-                    // Async commits whose deadline was consumed by a
-                    // failed batch).
-                    if st.deadline.is_none()
-                        && !st.stop
-                        && self.log.filled_lsn() > self.log.flushed_lsn()
-                    {
-                        let commits = std::mem::take(&mut st.pending_commits);
-                        return (commits, false, false);
-                    }
-                }
+            if st.due {
+                st.due = false;
+                let commits = std::mem::take(&mut st.pending_commits);
+                return (commits, false, false);
+            }
+            self.work_cv.wait_for(&mut st, IDLE_FLUSH);
+            // Idle sweep: pick up unforced records (end, abort and
+            // NTA-terminator records) and the retry of a failed batch.
+            if !st.due && !st.stop && self.log.filled_lsn() > self.log.flushed_lsn() {
+                let commits = std::mem::take(&mut st.pending_commits);
+                return (commits, false, false);
             }
         }
     }
@@ -504,21 +438,6 @@ impl CommitPipeline {
             durable_lsn: self.log.flushed_lsn().0,
             append_lsn: self.log.last_lsn().0,
             running: self.is_running(),
-        }
-    }
-}
-
-impl Drop for CommitPipeline {
-    fn drop(&mut self) {
-        // The worker holds an `Arc<Self>`, so by the time `drop` runs the
-        // thread has exited; this only covers the never-started case.
-        if let Some(h) = self.handle.lock().take() {
-            {
-                let mut st = self.state.lock();
-                st.stop = true;
-            }
-            self.work_cv.notify_all();
-            let _ = h.join();
         }
     }
 }

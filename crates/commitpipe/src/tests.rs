@@ -1,12 +1,12 @@
-//! Pipeline unit tests: inline fallback, group commit batching,
-//! durability modes, drain semantics and stats.
+//! Pipeline unit tests: inline fallback, group commit batching, the
+//! idle sweep, drain semantics and stats.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gist_wal::{LogManager, Lsn, RecordBody, TxnId};
 
-use crate::{CommitPipeline, Durability, PipeConfig};
+use crate::CommitPipeline;
 
 fn log_with_commits(n: u64) -> (Arc<LogManager>, Vec<Lsn>) {
     let log = Arc::new(LogManager::new());
@@ -21,7 +21,7 @@ fn inline_fallback_is_synchronous() {
     let (log, lsns) = log_with_commits(3);
     let pipe = CommitPipeline::new(log.clone());
     // Not started: commit_durable must flush before returning.
-    pipe.commit_durable(lsns[2], Durability::Immediate).unwrap();
+    pipe.commit_durable(lsns[2]).unwrap();
     assert!(log.flushed_lsn() >= lsns[2]);
     let s = pipe.stats();
     assert_eq!(s.commits_flushed, 1);
@@ -33,7 +33,7 @@ fn flusher_serves_immediate_commit() {
     let (log, lsns) = log_with_commits(1);
     let pipe = CommitPipeline::new(log.clone());
     pipe.start();
-    pipe.commit_durable(lsns[0], Durability::Immediate).unwrap();
+    pipe.commit_durable(lsns[0]).unwrap();
     assert!(log.flushed_lsn() >= lsns[0]);
     assert!(pipe.stats().running);
     pipe.stop(true);
@@ -44,7 +44,8 @@ fn flusher_serves_immediate_commit() {
 fn batched_commits_share_fsyncs() {
     let log = Arc::new(LogManager::new());
     // A slow device makes batching observable: 8 committers against a
-    // 3 ms sync can't each get a private fsync inside the window.
+    // 3 ms sync can't each get a private fsync — whoever arrives while
+    // one is in flight rides the next.
     log.set_sync_latency(Duration::from_millis(3));
     let pipe = CommitPipeline::new(log.clone());
     pipe.start();
@@ -54,7 +55,7 @@ fn batched_commits_share_fsyncs() {
             let log = log.clone();
             std::thread::spawn(move || {
                 let lsn = log.append(TxnId(i + 1), Lsn::NULL, RecordBody::TxnCommit);
-                pipe.commit_durable(lsn, Durability::Batched { window: Duration::from_millis(10) })
+                pipe.commit_durable(lsn)
             })
         })
         .collect();
@@ -94,7 +95,7 @@ fn mean_batch_size_ignores_syncs_that_carried_no_commit() {
             let (pipe, log) = (pipe.clone(), log.clone());
             std::thread::spawn(move || {
                 let lsn = log.append(TxnId(i + 1), Lsn::NULL, RecordBody::TxnCommit);
-                pipe.commit_durable(lsn, Durability::Batched { window: Duration::from_millis(10) })
+                pipe.commit_durable(lsn)
             })
         })
         .collect();
@@ -106,37 +107,6 @@ fn mean_batch_size_ignores_syncs_that_carried_no_commit() {
     let commit_syncs = s.batches_flushed - barrier_syncs;
     assert!(commit_syncs >= 1);
     assert_eq!(s.mean_batch_size, 8.0 / commit_syncs as f64, "{s:?}");
-    pipe.stop(true);
-}
-
-#[test]
-fn inline_sync_counts_the_async_commits_it_covers() {
-    let (log, lsns) = log_with_commits(3);
-    let pipe = CommitPipeline::new(log.clone());
-    // No flusher: the Async requests stay pending until someone syncs.
-    pipe.commit_durable(lsns[0], Durability::Async).unwrap();
-    pipe.commit_durable(lsns[1], Durability::Async).unwrap();
-    pipe.commit_durable(lsns[2], Durability::Immediate).unwrap();
-    let s = pipe.stats();
-    assert_eq!((s.batches_flushed, s.commits_flushed), (1, 3));
-    assert_eq!(s.mean_batch_size, 3.0);
-}
-
-#[test]
-fn async_commit_returns_before_durable_and_converges() {
-    let (log, lsns) = log_with_commits(1);
-    let pipe = CommitPipeline::with_config(
-        log.clone(),
-        PipeConfig { idle_flush: Duration::from_millis(5), ..PipeConfig::default() },
-    );
-    pipe.start();
-    pipe.commit_durable(lsns[0], Durability::Async).unwrap();
-    // Converges within the documented loss window (plus scheduling slop).
-    let deadline = Instant::now() + Duration::from_secs(2);
-    while log.flushed_lsn() < lsns[0] {
-        assert!(Instant::now() < deadline, "async commit never became durable");
-        std::thread::sleep(Duration::from_millis(1));
-    }
     pipe.stop(true);
 }
 
@@ -167,15 +137,25 @@ fn stop_with_drain_flushes_everything() {
 #[test]
 fn stop_without_drain_can_lose_the_tail() {
     let log = Arc::new(LogManager::new());
-    let pipe = CommitPipeline::with_config(
-        log.clone(),
-        // Long idle sweep so the record is still in flight when we stop.
-        PipeConfig { idle_flush: Duration::from_secs(30), ..PipeConfig::default() },
-    );
+    // A slow device holds the flusher inside the first record's sync
+    // while the second is appended behind it.
+    log.set_sync_latency(Duration::from_millis(200));
+    let first = log.append(TxnId(1), Lsn::NULL, RecordBody::TxnCommit);
+    let pipe = CommitPipeline::new(log.clone());
+    // Requested before the flusher runs, so its first act is that batch.
+    pipe.request(false);
     pipe.start();
-    let lsn = log.append(TxnId(1), Lsn::NULL, RecordBody::TxnCommit);
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while pipe.state.lock().due {
+        assert!(Instant::now() < deadline, "the flusher never cut the batch");
+        std::thread::sleep(Duration::from_micros(100));
+    }
+    // Time to read the batch's target and enter the 200 ms sync.
+    std::thread::sleep(Duration::from_millis(20));
+    let second = log.append(TxnId(2), Lsn::NULL, RecordBody::TxnCommit);
     pipe.stop(false);
-    assert!(log.flushed_lsn() < lsn, "no drain: the tail stays volatile");
+    assert!(log.flushed_lsn() >= first, "the sync in flight completes");
+    assert!(log.flushed_lsn() < second, "no drain: the tail stays volatile");
 }
 
 #[test]

@@ -24,7 +24,7 @@ use gist_pagestore::{
     BufferPool, HeapFile, PageAllocator, PageId, PageStore, PageWriteGuard, Rid, SlotId,
 };
 use gist_predlock::PredicateManager;
-use gist_txn::{GcCandidate, SavepointId, TxnEndObserver, TxnManager, TxnOptions};
+use gist_txn::{GcCandidate, SavepointId, TxnEndObserver, TxnManager};
 use gist_wal::recovery::{RecoveryError, RecoveryHandler};
 use gist_wal::{LogManager, LogRecord, Lsn, Payload, RecordBody, TxnId};
 
@@ -569,23 +569,15 @@ impl Db {
 
     // ---- transactions ----
 
-    /// Begin a transaction with default options
-    /// ([`Durability::Immediate`](gist_txn::Durability::Immediate)).
+    /// Begin a transaction; its commit will be forced.
     ///
     /// Infallible by contract, so under admission pressure it parks up
     /// to the admit timeout and then *barges* past the cap (counted in
     /// [`AdmissionStats::forced`]). Callers that can shed — batch jobs,
     /// retry loops — should prefer [`Db::try_begin`].
     pub fn begin(&self) -> TxnId {
-        self.begin_with(TxnOptions::default())
-    }
-
-    /// Begin a transaction with explicit options (e.g. a per-transaction
-    /// [`Durability`](gist_txn::Durability) mode). Same forced-admission
-    /// contract as [`Db::begin`].
-    pub fn begin_with(&self, opts: TxnOptions) -> TxnId {
         self.admission.force_admit();
-        let txn = self.txns.begin_with(opts);
+        let txn = self.txns.begin();
         self.admission.bind(txn.0);
         txn
     }

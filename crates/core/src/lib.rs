@@ -54,12 +54,9 @@ pub use gist_maint::{
     DrainOutcome, GcOutcome, MaintConfig, MaintDaemon, MaintError, MaintIndex,
     MaintStatsSnapshot, WorkItem,
 };
-// The commit pipeline's per-transaction knobs, re-exported for the same
-// reason (`Db::begin_with` takes them).
 // The overload-resilience surface (`DbConfig::admission`, `Db::health`,
 // `RobustnessStats::admission`), re-exported for the same reason.
 pub use gist_overload::{AdmissionConfig, AdmissionStats, HealthState};
-pub use gist_txn::{Durability, TxnOptions};
 pub use logrec::GistRecord;
 pub use ops::cursor::{Cursor, CursorSnapshot};
 pub use ops::delete::VacuumReport;

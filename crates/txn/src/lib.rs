@@ -37,16 +37,6 @@ use gist_predlock::PredicateManager;
 use gist_wal::recovery::{rollback, RecoveryHandler, RollbackKind};
 use gist_wal::{LogManager, Lsn, NestedTopAction, Payload, RecordBody, TxnId};
 
-pub use gist_commitpipe::Durability;
-
-/// Per-transaction options ([`TxnManager::begin_with`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TxnOptions {
-    /// How long commit waits for the commit record to become durable
-    /// (see [`Durability`]).
-    pub durability: Durability,
-}
-
 /// A leaf page that a transaction left delete-marked entries on —
 /// physical reclamation is deferred to the maintenance daemon, which
 /// receives these at commit through the [`TxnEndObserver`].
@@ -124,8 +114,6 @@ struct TxnInfo {
     ops_in_flight: u32,
     /// Last time an operation entered or left. Watchdog idle clock.
     last_activity: Instant,
-    /// How long commit waits on the pipeline's durable horizon.
-    durability: Durability,
 }
 
 /// Errors from transaction operations.
@@ -287,13 +275,8 @@ impl TxnManager {
         &self.preds
     }
 
-    /// Start a transaction with default options ([`Durability::Immediate`]).
+    /// Start a transaction.
     pub fn begin(&self) -> TxnId {
-        self.begin_with(TxnOptions::default())
-    }
-
-    /// Start a transaction with explicit per-transaction options.
-    pub fn begin_with(&self, opts: TxnOptions) -> TxnId {
         let id = {
             let mut n = self.next_txn.lock();
             *n += 1;
@@ -314,7 +297,6 @@ impl TxnManager {
                 doomed: false,
                 ops_in_flight: 0,
                 last_activity: Instant::now(),
-                durability: opts.durability,
             },
         );
         // §10.3: X lock on the own id, so others can block on this txn.
@@ -384,15 +366,15 @@ impl TxnManager {
     }
 
     /// Commit: append the commit record through the group-commit
-    /// pipeline, park until it is durable per the transaction's
-    /// [`Durability`] mode (the point of no return), then write the end
+    /// pipeline, park until it is durable (the point of no return —
+    /// every commit is forced), then write the end
     /// record and release predicates and locks. The force and the
     /// completion are separate steps so that a caller dying *after* the
     /// commit record is durable (the `"commit.after_wal_flush"` crash
     /// point) leaves a transaction that any later `abort` or watchdog
     /// pass completes rather than undoes.
     pub fn commit(&self, txn: TxnId) -> Result<(), TxnError> {
-        let (commit_lsn, durability) = {
+        let commit_lsn = {
             let mut table = self.table.lock();
             let info = match table.get_mut(&txn) {
                 Some(info) => info,
@@ -407,12 +389,12 @@ impl TxnManager {
             let commit_lsn = self.pipeline.append_commit(txn, info.last_lsn)?;
             info.last_lsn = commit_lsn;
             info.status = TxnStatus::Committed;
-            (commit_lsn, info.durability)
+            commit_lsn
         };
         // Park outside the table lock: a whole batch of committers must
         // be able to reach the pipeline so one fsync covers all of them.
         gist_chaos::point("commit.before_durable_wait")?;
-        self.pipeline.commit_durable(commit_lsn, durability)?;
+        self.pipeline.commit_durable(commit_lsn)?;
         gist_chaos::point("commit.after_wal_flush")?;
         self.finish_commit(txn);
         Ok(())
@@ -462,14 +444,14 @@ impl TxnManager {
             };
             match info.status {
                 TxnStatus::Committed => {
-                    let (commit_lsn, durability) = (info.last_lsn, info.durability);
+                    let commit_lsn = info.last_lsn;
                     drop(table);
                     // Lost ack: the commit record is already in the log,
                     // but the dying caller may not have reached its
                     // durability wait — honor the promise before
                     // completing, so "abort finishes the commit" means a
                     // commit that survives a crash right after this call.
-                    self.pipeline.commit_durable(commit_lsn, durability)?;
+                    self.pipeline.commit_durable(commit_lsn)?;
                     self.finish_commit(txn);
                     return Ok(());
                 }

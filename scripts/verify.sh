@@ -83,8 +83,16 @@ step "tier 2: cross-layer fault plan, seeds 1 and 2" \
     sh -c 'for seed in 1 2; do
         FAULT_SEED=$seed cargo test -q --release --features chaos --test serve cross_layer || exit 1
     done'
+# bench_e2e/ is frozen, but cargo rewrites its lock file whenever an
+# engine crate's dependencies drift from it; restore the file byte for
+# byte so the step never edits the benchmark, and keep cargo's exit code.
 step "tier 2: bench_e2e package tests + smoke runs" \
-    cargo test --release --offline --manifest-path bench_e2e/Cargo.toml
+    sh -c 'saved=$(mktemp) && cp bench_e2e/Cargo.lock "$saved" || exit 1
+        cargo test --release --offline --manifest-path bench_e2e/Cargo.toml
+        rc=$?
+        cp "$saved" bench_e2e/Cargo.lock || rc=1
+        rm -f "$saved"
+        exit $rc'
 
 # Fixed per-scenario budgets and two schedule-generation seeds per
 # scenario are compiled into tests/mc_scenarios.rs (seeded-random +

@@ -461,9 +461,9 @@ fn failed_fsync_aborts_the_checkpoint_and_keeps_the_dpt() {
 ///
 /// Contract under test (PR 6 tentpole):
 ///
-/// - `Immediate` / `Batched` committers survive a flusher crash *after*
-///   the batch fsync even if the wakeup is lost — the commit record is
-///   already durable, the parked committer self-heals off the horizon;
+/// - committers survive a flusher crash *after* the batch fsync even if
+///   the wakeup is lost — the commit record is already durable, and the
+///   flusher's panic containment wakes the parked committer at once;
 /// - a reserved-but-never-filled slot (committer dies between reserve
 ///   and fill) leaves a hole that fences the durable horizon: nothing
 ///   past it ever becomes durable, so a crash discards exactly the
@@ -472,22 +472,16 @@ fn failed_fsync_aborts_the_checkpoint_and_keeps_the_dpt() {
 /// - a *graceful* failure between reserve and fill heals the hole with
 ///   a `Noop` filler: the log stays dense and later commits proceed;
 /// - an fsync-path error makes the flusher retry the batch; parked
-///   committers just wait one idle sweep longer;
-/// - `Async` loss is bounded and clean: a crash inside the window loses
-///   the transaction entirely (atomicity holds trivially — its records
-///   never reached the durable prefix), and once the idle sweep has run
-///   the transaction is as durable as an `Immediate` one.
+///   committers just wait one idle sweep longer.
 #[cfg(feature = "chaos")]
 mod flusher_crash {
     use std::sync::{Arc, Mutex, MutexGuard};
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     use gist_repro::am::{BtreeExt, I64Query};
     use gist_repro::chaos::{self, Action, Plan, Trigger};
     use gist_repro::core::check::check_tree;
-    use gist_repro::core::{
-        Db, DbConfig, Durability, GistIndex, IndexOptions, TxnOptions,
-    };
+    use gist_repro::core::{Db, DbConfig, GistIndex, IndexOptions};
     use gist_repro::pagestore::{InMemoryStore, PageStore};
     use gist_repro::wal::LogManager;
 
@@ -522,8 +516,8 @@ mod flusher_crash {
     }
 
     impl Rig {
-        /// Group-commit database with `baseline` keys committed
-        /// `Immediate` and the pipeline quiesced (everything filled is
+        /// Group-commit database with `baseline` keys committed and the
+        /// pipeline quiesced (everything filled is
         /// durable, so the next armed trigger hits our victim's batch).
         fn new(baseline: i64) -> Rig {
             let store: Arc<dyn PageStore> = Arc::new(InMemoryStore::new());
@@ -555,9 +549,9 @@ mod flusher_crash {
             panic!("pipeline did not quiesce");
         }
 
-        /// One single-key transaction under `mode`; returns commit result.
-        fn commit_one(&self, k: i64, mode: Durability) -> Result<(), gist_repro::core::GistError> {
-            let txn = self.db.begin_with(TxnOptions { durability: mode });
+        /// One single-key transaction; returns commit result.
+        fn commit_one(&self, k: i64) -> Result<(), gist_repro::core::GistError> {
+            let txn = self.db.begin();
             self.idx.insert(txn, &k, rid(k as u64)).unwrap();
             let out = self.db.commit(txn);
             if out.is_err() {
@@ -593,35 +587,35 @@ mod flusher_crash {
     /// Crash point between the batch fsync and the waiter wakeup: the
     /// flusher dies *after* the device sync. The parked committer must
     /// still get its acknowledgement (it self-heals by rechecking the
-    /// durable horizon — the dormant-`flush_cv` wakeup is an
-    /// optimization, not a correctness dependency), and the commit must
-    /// survive a subsequent crash. Exercised for both parking modes.
+    /// durable horizon, woken by the flusher's panic containment rather
+    /// than the park timeout), and the commit must survive a subsequent
+    /// crash.
     #[test]
     fn flusher_crash_after_fsync_before_wakeup_keeps_commits() {
         let _g = serial();
-        for mode in
-            [Durability::Immediate, Durability::Batched { window: Duration::from_millis(1) }]
-        {
-            let mut rig = Rig::new(50);
-            arm("commitpipe.flusher.post_fsync_pre_wakeup", Trigger::Next(1), Action::Panic);
-            rig.commit_one(10_000, mode).expect("commit must succeed despite the lost wakeup");
-            rig.expected.push(10_000);
-            chaos::uninstall();
-            rig.quiesce();
-            let stats = rig.db.robustness_stats();
-            assert!(
-                stats.wal_flusher_panics >= 1,
-                "the armed panic must have fired on the flusher thread"
-            );
-            assert!(stats.wal_flusher_running, "a contained panic must not kill the flusher");
-            rig.crash_and_verify();
-        }
+        let mut rig = Rig::new(50);
+        arm("commitpipe.flusher.post_fsync_pre_wakeup", Trigger::Next(1), Action::Panic);
+        let started = Instant::now();
+        rig.commit_one(10_000).expect("commit must succeed despite the lost wakeup");
+        let elapsed = started.elapsed();
+        assert!(elapsed < Duration::from_secs(1), "committer stranded for {elapsed:?}");
+        rig.expected.push(10_000);
+        chaos::uninstall();
+        rig.quiesce();
+        let stats = rig.db.robustness_stats();
+        assert!(
+            stats.wal_flusher_panics >= 1,
+            "the armed panic must have fired on the flusher thread"
+        );
+        assert!(stats.wal_flusher_running, "a contained panic must not kill the flusher");
+        rig.crash_and_verify();
     }
 
     /// Crash point between LSN reservation and record fill, armed to
     /// panic: the committing thread dies holding a reservation it never
     /// fills. The hole must fence the durable horizon — later appends
-    /// (an `Async` commit here) can never become durable — and a crash
+    /// (an open transaction's insert here) can never become durable —
+    /// and a crash
     /// discards the whole fenced suffix while everything committed
     /// before the hole survives.
     #[test]
@@ -639,14 +633,14 @@ mod flusher_crash {
         assert!(victim.join().is_err(), "the victim must die between reserve and fill");
         chaos::uninstall();
 
-        // An Async commit past the hole returns (it only needs the fill),
-        // but its durability can never arrive: the horizon is fenced.
-        // The key sits inside the already-widened bounding predicate so
-        // the insert itself runs no nested top action (an NTA terminator
-        // barriers on the pipeline, which the hole has wedged — that
-        // stall is the *correct* behavior, but not what this test is
-        // about).
-        rig.commit_one(9_999, Durability::Async).expect("async commit returns at fill");
+        // An open transaction's insert past the hole is filled, but its
+        // durability can never arrive: the horizon is fenced. The key
+        // sits inside the already-widened bounding predicate so the
+        // insert runs no nested top action (an NTA terminator barriers on
+        // the pipeline, which the hole has wedged — that stall is the
+        // *correct* behavior, but not what this test is about).
+        let txn = rig.db.begin();
+        rig.idx.insert(txn, &9_999, rid(9_999)).unwrap();
         std::thread::sleep(Duration::from_millis(20));
         let fence = rig.log.flushed_lsn();
         assert!(
@@ -658,8 +652,8 @@ mod flusher_crash {
         let stats = rig.db.robustness_stats();
         assert!(stats.wal_append_lsn > stats.wal_durable_lsn, "pipeline lag is observable");
 
-        // Neither the victim (no commit record) nor the async commit
-        // (record behind the fence) survives the crash.
+        // Neither the victim (no commit record) nor the open insert
+        // (uncommitted, and behind the fence) survives the crash.
         rig.crash_and_verify();
     }
 
@@ -672,13 +666,13 @@ mod flusher_crash {
         let _g = serial();
         let mut rig = Rig::new(50);
         arm("commitpipe.append.post_reserve_pre_fill", Trigger::Next(1), Action::Error);
-        let err = rig.commit_one(10_000, Durability::Immediate);
+        let err = rig.commit_one(10_000);
         assert!(err.is_err(), "the injected error must surface through commit");
         chaos::uninstall();
 
-        // The Noop filler keeps the log dense: an Immediate commit right
-        // after must park, flush and acknowledge normally.
-        rig.commit_one(10_001, Durability::Immediate).expect("the healed log must stay usable");
+        // The Noop filler keeps the log dense: a commit right after must
+        // park, flush and acknowledge normally.
+        rig.commit_one(10_001).expect("the healed log must stay usable");
         rig.expected.push(10_001);
         rig.quiesce();
         assert_eq!(
@@ -698,49 +692,11 @@ mod flusher_crash {
         let _g = serial();
         let mut rig = Rig::new(50);
         arm("commitpipe.flusher.post_fill_pre_fsync", Trigger::Next(2), Action::Error);
-        rig.commit_one(10_000, Durability::Immediate)
-            .expect("commit must outlast two failed flush attempts");
+        rig.commit_one(10_000).expect("commit must outlast two failed flush attempts");
         rig.expected.push(10_000);
         chaos::uninstall();
         rig.quiesce();
         rig.crash_and_verify();
-    }
-
-    /// `Async` durability: with every flush attempt failing, a crash
-    /// inside the loss window drops the acknowledged-but-unflushed
-    /// transaction entirely — bounded, documented loss, and clean (its
-    /// records never reached the durable prefix, so restart owes no
-    /// undo). Without interference the idle sweep closes the window and
-    /// the same transaction survives.
-    #[test]
-    fn async_commit_loss_window_is_bounded_by_the_idle_sweep() {
-        // Lost half: flusher errors on every batch from the moment the
-        // insert's records (and its structure-modification terminator)
-        // are down, so the commit record itself never becomes durable.
-        // The point stays armed until after the crash — one successful
-        // sweep would close the window.
-        {
-            let _g = serial();
-            let rig = Rig::new(50);
-            let txn = rig.db.begin_with(TxnOptions { durability: Durability::Async });
-            rig.idx.insert(txn, &10_000, rid(10_000)).unwrap();
-            arm("commitpipe.flusher.post_fill_pre_fsync", Trigger::Always, Action::Error);
-            rig.db.commit(txn).expect("async commit returns at fill");
-            // `expected` does not include 10_000: that is the documented
-            // loss window. The insert's records may well be durable —
-            // restart sees a transaction with no commit record and rolls
-            // it back cleanly.
-            rig.crash_and_verify();
-        }
-        // Durable half: one idle sweep later the window is closed.
-        {
-            let _g = serial();
-            let mut rig = Rig::new(50);
-            rig.commit_one(10_000, Durability::Async).expect("async commit returns at fill");
-            rig.expected.push(10_000);
-            rig.quiesce();
-            rig.crash_and_verify();
-        }
     }
 
     /// Under `latch-audit`, `commit_durable` asserts the committing
@@ -760,7 +716,7 @@ mod flusher_crash {
             workers.push(std::thread::spawn(move || {
                 for i in 0..25i64 {
                     let k = 20_000 + t * 1_000 + i;
-                    let txn = db.begin_with(TxnOptions { durability: Durability::Immediate });
+                    let txn = db.begin();
                     idx.insert(txn, &k, rid(k as u64)).unwrap();
                     db.commit(txn).unwrap();
                 }
