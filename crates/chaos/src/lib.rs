@@ -58,10 +58,10 @@ pub const CATALOG: &[&str] = &[
     "abort.before_undo",
     "maint.before_gc",
     // Group-commit pipeline (crates/commitpipe). The first fires on the
-    // committer's thread between LSN reservation and record fill (Error
-    // heals the hole with a Noop filler; Panic leaves it for the durable
-    // horizon to fence). The other two bracket the flusher's fsync.
-    "commitpipe.append.post_reserve_pre_fill",
+    // committer's thread just before its commit record is appended
+    // (Error fails the commit; Panic kills the committer, leaving its
+    // transaction a loser). The other two bracket the flusher's fsync.
+    "commitpipe.append.pre_append",
     "commitpipe.flusher.post_fill_pre_fsync",
     "commitpipe.flusher.post_fsync_pre_wakeup",
     // Overload resilience. `Delay` actions model the three stall shapes

@@ -1,14 +1,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-//! Group-commit WAL pipeline (PR 6).
+//! Group-commit WAL pipeline.
 //!
-//! Decouples log *append* from *durability*. Appenders reserve-then-fill
-//! slots in the [`LogManager`]'s buffer without any global mutex; this
-//! crate adds the durability half:
+//! Decouples log *append* from *durability*. Appenders push records onto
+//! the [`LogManager`] under its one mutex and never wait for a sync
+//! there; this crate adds the durability half:
 //!
-//! - a dedicated background **flusher** thread that drains the filled
-//!   prefix to the durable horizon with one (simulated) `fsync` per batch;
+//! - a dedicated background **flusher** thread that drains the log to
+//!   the durable horizon with one (simulated) `fsync` per batch;
 //! - **group commit**: concurrent committers park on their commit LSN
 //!   ([`LogManager::wait_durable`], the once-dormant `flush_cv`) and a
 //!   single device sync makes the whole batch durable;
@@ -36,12 +36,12 @@ use gist_wal::{LogFlusher, LogManager, Lsn, RecordBody, TxnId};
 use gist_sync::{Condvar, Mutex};
 
 /// Upper bound on one park on the pipeline. Reached only if the flusher
-/// is wedged (e.g. an abandoned reservation fencing the durable horizon);
-/// committers surface [`PipeError::Stalled`].
+/// is wedged (e.g. stalled by a chaos `Delay`); committers surface
+/// [`PipeError::Stalled`].
 const PARK_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Idle sweep period: with no durability request pending, the flusher
-/// makes the filled prefix durable this often — the latency bound for
+/// makes the whole log durable this often — the latency bound for
 /// unforced records (transaction end records, aborts).
 const IDLE_FLUSH: Duration = Duration::from_millis(2);
 
@@ -51,7 +51,7 @@ pub enum PipeError {
     /// A chaos crash point injected this failure.
     Injected(&'static str),
     /// The durable horizon did not reach the LSN within the park timeout
-    /// (the flusher is dead or fenced by an abandoned reservation).
+    /// (the flusher is dead or stalled).
     Stalled(Lsn),
 }
 
@@ -158,7 +158,7 @@ pub struct PipeStats {
     pub flusher_panics: u64,
     /// Current durable horizon.
     pub durable_lsn: u64,
-    /// Last reserved LSN; `append_lsn - durable_lsn` is the pipeline lag.
+    /// Last appended LSN; `append_lsn - durable_lsn` is the pipeline lag.
     pub append_lsn: u64,
     /// Whether the background flusher thread is running.
     pub running: bool,
@@ -172,7 +172,7 @@ struct PipeState {
     pending_commits: u64,
     /// Flusher thread liveness (set by start/stop).
     running: bool,
-    /// Shutdown request and whether to drain the filled prefix first.
+    /// Shutdown request and whether to drain the log first.
     stop: bool,
     drain: bool,
 }
@@ -237,7 +237,7 @@ impl CommitPipeline {
         }
     }
 
-    /// Stop the flusher and join it. `drain` makes the filled prefix
+    /// Stop the flusher and join it. `drain` makes the whole log
     /// durable on the way out (graceful shutdown); without it the thread
     /// exits where it stands (crash simulation).
     pub fn stop(&self, drain: bool) {
@@ -268,19 +268,13 @@ impl CommitPipeline {
         self.state.lock().running
     }
 
-    /// Append `txn`'s commit record through the pipeline's reserve/fill
-    /// seam. A graceful chaos injection between the two phases heals the
-    /// reservation with a [`RecordBody::Noop`] filler (the log stays
-    /// dense); a chaos *panic* unwinds in between and leaves a real hole
-    /// that fences the durable horizon — the crash the fault-recovery
-    /// tests exercise.
+    /// Append `txn`'s commit record. The chaos point before the append
+    /// fails the commit (`Error`) or kills the committer before its
+    /// commit record exists (`Panic`), which leaves the transaction a
+    /// loser — the crash the fault-recovery tests exercise.
     pub fn append_commit(&self, txn: TxnId, prev_lsn: Lsn) -> Result<Lsn, PipeError> {
-        let res = self.log.reserve(txn, prev_lsn);
-        if let Err(e) = gist_chaos::point("commitpipe.append.post_reserve_pre_fill") {
-            self.log.fill_noop(res);
-            return Err(e.into());
-        }
-        Ok(self.log.fill(res, RecordBody::TxnCommit))
+        gist_chaos::point("commitpipe.append.pre_append")?;
+        Ok(self.log.append(txn, prev_lsn, RecordBody::TxnCommit))
     }
 
     /// Park until the commit record at `lsn` is durable; the commit path
@@ -301,7 +295,7 @@ impl CommitPipeline {
     }
 
     /// Register a durability request (the batch it cuts covers the whole
-    /// filled prefix); returns whether a flusher thread will serve it.
+    /// log); returns whether a flusher thread will serve it.
     fn request(&self, is_commit: bool) -> bool {
         let mut st = self.state.lock();
         if is_commit {
@@ -387,14 +381,14 @@ impl CommitPipeline {
             self.work_cv.wait_for(&mut st, IDLE_FLUSH);
             // Idle sweep: pick up unforced records (end, abort and
             // NTA-terminator records) and the retry of a failed batch.
-            if !st.due && !st.stop && self.log.filled_lsn() > self.log.flushed_lsn() {
+            if !st.due && !st.stop && self.log.last_lsn() > self.log.flushed_lsn() {
                 let commits = std::mem::take(&mut st.pending_commits);
                 return (commits, false, false);
             }
         }
     }
 
-    /// One batch: everything filled becomes durable with a single device
+    /// One batch: everything appended becomes durable with a single device
     /// sync, then waiters wake. The two chaos points bracket the sync so
     /// fault tests can crash a batch on either side of it. `commits` is
     /// zeroed once the batch's commits are counted.
@@ -404,7 +398,7 @@ impl CommitPipeline {
         // flusher), which is what drives committers into `Stalled` /
         // inline-flush degradation in the stall-chaos harness.
         gist_chaos::point("commitpipe.flusher.stall")?;
-        let target = self.log.filled_lsn();
+        let target = self.log.last_lsn();
         gist_chaos::point("commitpipe.flusher.post_fill_pre_fsync")?;
         let commits = std::mem::take(commits);
         if target > self.log.flushed_lsn() {
@@ -447,14 +441,14 @@ impl CommitPipeline {
 impl LogFlusher for CommitPipeline {
     fn flush_until(&self, lsn: Lsn) {
         if self.barrier(lsn).is_err() {
-            // The flusher is wedged (dead thread or an abandoned
-            // reservation fencing the horizon). Last resort: advance the
-            // horizon inline; if the fence holds below `lsn`, writing the
-            // page back would break the WAL rule — refuse loudly.
+            // The flusher is wedged (dead or stalled thread). Last
+            // resort: advance the horizon inline; if it still stops below
+            // `lsn`, writing the page back would break the WAL rule —
+            // refuse loudly.
             self.log.flush(lsn);
             assert!(
-                self.log.flushed_lsn() >= lsn.min(self.log.filled_lsn()),
-                "WAL-before-data violated: durable horizon fenced below {lsn}"
+                self.log.flushed_lsn() >= lsn.min(self.log.last_lsn()),
+                "WAL-before-data violated: durable horizon below {lsn}"
             );
         }
     }

@@ -131,7 +131,7 @@ fn stop_with_drain_flushes_everything() {
     let pipe = CommitPipeline::new(log.clone());
     pipe.start();
     pipe.stop(true);
-    assert!(log.flushed_lsn() >= lsns[4], "drain made the filled prefix durable");
+    assert!(log.flushed_lsn() >= lsns[4], "drain made the log durable");
 }
 
 #[test]
@@ -171,13 +171,13 @@ fn barrier_blocks_until_durable() {
 }
 
 #[test]
-fn append_commit_reserves_and_fills() {
+fn append_commit_appends_the_commit_record() {
     let (log, _) = log_with_commits(0);
     let pipe = CommitPipeline::new(log.clone());
     let c = pipe.append_commit(TxnId(7), Lsn::NULL).unwrap();
     assert_eq!(log.get(c).body.kind_name(), "TxnCommit");
     assert_eq!(log.get(c).txn, TxnId(7));
-    assert_eq!(log.filled_lsn(), c);
+    assert_eq!(log.last_lsn(), c);
 }
 
 #[test]

@@ -107,12 +107,12 @@ pub struct DbConfig {
 
 /// Lock-wait timeout (safety net behind deadlock detection).
 const LOCK_TIMEOUT: Duration = Duration::from_secs(10);
-/// WAL backpressure: when the volatile log tail (`reserved − durable`)
-/// exceeds this many records, `LogManager::reserve` parks the appender
+/// WAL backpressure: when the volatile log tail (`last − durable`)
+/// exceeds this many records, `LogManager::append` parks the appender
 /// until the flusher catches up.
 const WAL_BACKPRESSURE_LIMIT: u64 = 1 << 16;
 /// How long a backpressured appender parks before escalating to an
-/// inline flush of the filled prefix (stalled-flusher degradation).
+/// inline flush of the log (stalled-flusher degradation).
 const WAL_BACKPRESSURE_TIMEOUT: Duration = Duration::from_millis(100);
 
 impl Default for DbConfig {
@@ -277,7 +277,7 @@ pub struct RobustnessStats {
     pub commit_wait_p50_us: u64,
     /// 99th-percentile commit wait on the pipeline, in microseconds.
     pub commit_wait_p99_us: u64,
-    /// Log append watermark (reserved LSN).
+    /// Log append watermark (last LSN).
     pub wal_append_lsn: u64,
     /// Log durable watermark; `wal_append_lsn - wal_durable_lsn` is the
     /// volatile tail a crash right now would lose.
@@ -314,7 +314,7 @@ pub struct RobustnessStats {
     /// Backpressure parks that timed out and escalated to an inline
     /// flush (stalled-flusher degradation).
     pub wal_bp_stalls: u64,
-    /// Volatile log tail (`reserved − durable`) the backpressure gate
+    /// Volatile log tail (`last − durable`) the backpressure gate
     /// currently sees.
     pub wal_bp_backlog: u64,
     /// Whether a live epoch pin is older than

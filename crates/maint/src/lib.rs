@@ -668,13 +668,10 @@ impl MaintDaemon {
     /// failed sync fails the checkpoint — the previous checkpoint, whose
     /// DPT still covers those pages, stays authoritative.
     pub fn checkpoint_now(&self) -> std::io::Result<Lsn> {
-        // The *filled* watermark, not `last_lsn()`: with the reserve-
-        // then-fill log buffer the reserved counter can run ahead of
-        // published records, and a scan_start beyond an in-flight
-        // reservation would let analysis skip it. Every record that is
-        // not yet published here has an LSN > filled and is re-observed
-        // by the scan (which is inclusive of scan_start).
-        let scan_start = self.log.filled_lsn();
+        // Every record appended after this read has an LSN > scan_start
+        // and is re-observed by the scan (which is inclusive of
+        // scan_start).
+        let scan_start = self.log.last_lsn();
         self.pool.sync_store()?;
         let dpt = self.pool.dirty_page_table();
         // Count before publishing: `checkpoint_with` parks on the commit

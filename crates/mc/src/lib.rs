@@ -392,7 +392,7 @@ fn run_iteration(
                     sched::set_task(Some(i));
                     sched.wait_initial(i);
                     let result = catch_unwind(AssertUnwindSafe(f));
-                    let panic_msg = result.err().map(|p| sched::panic_message(&p));
+                    let panic_msg = result.err().map(|p| sched::panic_message(p.as_ref()));
                     sched.finish_task(i, panic_msg);
                     sched::set_task(None);
                 })

@@ -574,7 +574,7 @@ impl McScheduler for McSched {
             let message = match verdict {
                 Ok(Ok(())) => continue,
                 Ok(Err(m)) => m,
-                Err(p) => panic_message(&p),
+                Err(p) => panic_message(p.as_ref()),
             };
             self.fail(&mut st, Failure::Invariant { message });
             return;

@@ -577,7 +577,7 @@ impl TxnManager {
     /// table (§ ARIES). Capture discipline, enforced by the caller
     /// (`MaintDaemon::checkpoint_now`):
     ///
-    /// 1. read `scan_start = log.filled_lsn()` **first**;
+    /// 1. read `scan_start = log.last_lsn()` **first**;
     /// 2. then sync the store and capture `dirty_pages` from the buffer
     ///    pool;
     /// 3. then this method captures the transaction table and appends.

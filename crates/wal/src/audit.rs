@@ -3,14 +3,13 @@
 //! to nothing otherwise (the no-op twins keep `log.rs` free of
 //! feature gates).
 //!
-//! Each `LogManager` watermark (`reserved`, `filled`, `durable`) gets a
-//! shadow-state *cell id*; the hooks report every atomic transition on
-//! those cells as a scheduling point plus a happens-before edge, so the
-//! explorer can interleave watermark movements and the race detector
-//! can prove `durable ≤ filled ≤ reserved` transitions are ordered.
+//! Each `LogManager` watermark (`last`, `durable`) gets a shadow-state
+//! *cell id*; the hooks report every atomic transition on those cells as
+//! a scheduling point plus a happens-before edge, so the explorer can
+//! interleave watermark movements with the appends that publish them.
 
 #[cfg(feature = "latch-audit")]
-pub(crate) use gist_audit::mc::{atomic_load, atomic_rmw, atomic_store};
+pub(crate) use gist_audit::mc::{atomic_load, atomic_store};
 
 /// Fresh shadow-cell id for a watermark (0 when auditing is off: the
 /// hooks that would consume it are no-ops).
@@ -25,9 +24,6 @@ mod noop {
 
     #[inline(always)]
     pub(crate) fn atomic_load(_cell: u64, _what: &'static str) {}
-
-    #[inline(always)]
-    pub(crate) fn atomic_rmw(_cell: u64, _what: &'static str) {}
 
     #[inline(always)]
     pub(crate) fn atomic_store(_cell: u64, _what: &'static str) {}

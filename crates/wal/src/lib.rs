@@ -17,9 +17,10 @@
 //!   page-oriented redo, and undo with *logical undo* delegated to a
 //!   resource-manager callback ([`RecoveryHandler`]).
 //!
-//! The log itself is kept in memory with an explicit *durable prefix*
-//! (`flushed_lsn`): [`LogManager::crash`] discards everything past the
-//! prefix, which is exactly what a real system loses when it crashes after
+//! The log itself is kept in memory behind one mutex, with an explicit
+//! *durable prefix* (`flushed_lsn`): an append takes its LSN and stores
+//! its record in one critical section, and [`LogManager::crash`]
+//! discards everything past the prefix, which is exactly what a real system loses when it crashes after
 //! its last `fsync`. This makes crash-injection tests deterministic without
 //! giving up any of the protocol's structure. A byte-level codec
 //! ([`codec`]) and file persistence ([`LogManager::persist_file`]) are
@@ -37,7 +38,7 @@ pub mod recovery;
 pub use checksum::stable_hash_bytes;
 pub use lsn::{Lsn, TxnId};
 pub use record::{LogRecord, Payload, RecordBody};
-pub use log::{LogFlusher, LogManager, Reservation, WalBackpressureStats, WalTailReport};
+pub use log::{LogFlusher, LogManager, WalBackpressureStats, WalTailReport};
 pub use recovery::{
     restart, restart_with_floor, rollback, AnalysisResult, RecoveryError, RecoveryHandler,
     RestartOutcome, RollbackKind,

@@ -1,24 +1,18 @@
-//! The log manager: reserve-then-fill append, durability, scan, and
-//! crash simulation.
+//! The log manager: append, durability, scan, and crash simulation.
 //!
-//! Appends are two-phase (PR 6): a *reservation* draws the next LSN from
-//! an atomic counter and pins a slot in a segmented buffer; the *fill*
-//! publishes the record into that slot. No mutex is held across record
-//! construction, so the log is no longer the global serialization point
-//! it was when every append pushed onto a `Vec` under one lock. A
-//! contiguous *filled* watermark trails the reservation counter; only the
-//! filled prefix can become durable, so a reservation abandoned mid-fill
-//! (a crash between reserve and fill) fences durability exactly like a
-//! torn tail in the on-disk format.
+//! The records sit behind one mutex. An append takes the next LSN and
+//! pushes its record in the same critical section, so every LSN a reader
+//! can see already names a readable record. Two watermarks order the
+//! log, `durable ≤ last`: an append moves `last`, and an fsync
+//! (simulated by [`LogManager::fsync_to`]) moves `durable`.
 
 use std::fs;
 use std::io::{self, Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use gist_sync::{Condvar, Mutex, RwLock};
+use gist_sync::{Condvar, Mutex};
 
 use crate::codec;
 use crate::{audit, LogRecord, Lsn, NestedTopAction, RecordBody, TxnId};
@@ -33,39 +27,52 @@ pub trait LogFlusher: Send + Sync {
     fn flush_until(&self, lsn: Lsn);
 }
 
-/// Slots per segment (power of two so slot lookup is a mask).
-const SEGMENT_BITS: u32 = 9;
-const SEGMENT_SIZE: usize = 1 << SEGMENT_BITS;
+/// Records per chunk. Each chunk is allocated at full capacity once and
+/// never moves, so the log grows without copying the records it holds.
+const CHUNK: usize = 512;
 
-/// One fixed-size run of record slots. A slot is written exactly once
-/// (by the reservation's owner) and read many times.
-struct Segment {
-    cells: Vec<OnceLock<LogRecord>>,
+/// The records, dense from LSN 1: LSN `l` sits at
+/// `chunks[(l - 1) / CHUNK][(l - 1) % CHUNK]`.
+#[derive(Default)]
+struct Records {
+    chunks: Vec<Vec<LogRecord>>,
 }
 
-impl Segment {
-    fn new() -> Arc<Segment> {
-        Arc::new(Segment { cells: (0..SEGMENT_SIZE).map(|_| OnceLock::new()).collect() })
+impl Records {
+    fn len(&self) -> u64 {
+        self.chunks.last().map_or(0, |c| ((self.chunks.len() - 1) * CHUNK + c.len()) as u64)
     }
-}
 
-/// A reserved LSN whose slot has not been filled yet.
-///
-/// Dropping a reservation without [`LogManager::fill`]ing it leaves a
-/// hole that permanently fences the durable horizon — callers must fill
-/// every reservation on all non-crash paths (see
-/// [`LogManager::fill_noop`] for the graceful abandonment path).
-#[must_use = "an unfilled reservation fences the durable horizon forever"]
-pub struct Reservation {
-    lsn: Lsn,
-    txn: TxnId,
-    prev_lsn: Lsn,
-}
+    fn get(&self, lsn: u64) -> Option<&LogRecord> {
+        let i = lsn.checked_sub(1)? as usize;
+        self.chunks.get(i / CHUNK)?.get(i % CHUNK)
+    }
 
-impl Reservation {
-    /// The LSN this reservation pinned.
-    pub fn lsn(&self) -> Lsn {
-        self.lsn
+    fn push(&mut self, rec: LogRecord) {
+        match self.chunks.last_mut() {
+            Some(c) if c.len() < CHUNK => c.push(rec),
+            _ => {
+                let mut c = Vec::with_capacity(CHUNK);
+                c.push(rec);
+                self.chunks.push(c);
+            }
+        }
+    }
+
+    /// Keep the first `len` records.
+    fn truncate(&mut self, len: u64) {
+        let len = len as usize;
+        self.chunks.truncate(len.div_ceil(CHUNK));
+        let full = self.chunks.len().saturating_sub(1) * CHUNK;
+        if let Some(c) = self.chunks.last_mut() {
+            c.truncate(len - full);
+        }
+    }
+
+    /// Records with LSN ≥ `from`, in LSN order.
+    fn iter_from(&self, from: u64) -> impl Iterator<Item = &LogRecord> {
+        let skip = from.saturating_sub(1) as usize;
+        self.chunks.iter().skip(skip / CHUNK).flatten().skip(skip % CHUNK)
     }
 }
 
@@ -74,21 +81,13 @@ impl Reservation {
 /// LSNs are dense (`1, 2, 3, …`), which keeps them strictly monotonically
 /// increasing as §10.1 requires for NSN generation. [`LogManager::crash`]
 /// models a system failure by discarding the non-durable suffix.
-///
-/// Three watermarks order the pipeline:
-/// `durable ≤ filled ≤ reserved`. Reservation moves `reserved`, a fill at
-/// the frontier moves `filled`, and an fsync (simulated by
-/// [`LogManager::fsync_to`]) moves `durable`.
 pub struct LogManager {
-    /// Segment directory: `segments[i]` holds LSNs
-    /// `[i·SEGMENT_SIZE + 1, (i+1)·SEGMENT_SIZE]`. The write lock is taken
-    /// only to extend the directory or to rebuild after a crash.
-    segments: RwLock<Vec<Arc<Segment>>>,
-    /// Last reserved LSN (the paper's global NSN counter, §10.1).
-    reserved: AtomicU64,
-    /// Contiguous filled prefix: every LSN ≤ `filled` has its record
-    /// published.
-    filled: AtomicU64,
+    /// Every record appended and not lost to a crash.
+    records: Mutex<Records>,
+    /// LSN of the last record (the paper's global NSN counter, §10.1).
+    /// Stored under `records` once the record is in place, read without
+    /// the lock.
+    last: AtomicU64,
     /// Durable prefix: everything with LSN ≤ `durable` survives a crash.
     /// Advances only under `sync_mutex`.
     durable: AtomicU64,
@@ -109,21 +108,20 @@ pub struct LogManager {
     /// fsync and then calls [`LogManager::notify_durable`]).
     flush_cv: Condvar,
     /// Backpressure high-watermark on the in-flight backlog
-    /// (`reserved − durable`); `0` disables the gate.
+    /// (`last − durable`); `0` disables the gate.
     bp_limit: AtomicU64,
-    /// How long a gated reservation parks (microseconds) before
-    /// escalating to an inline flush and proceeding anyway.
+    /// How long a gated append parks (microseconds) before escalating to
+    /// an inline flush and proceeding anyway.
     bp_timeout_micros: AtomicU64,
-    /// Reservations that parked on the backpressure gate.
+    /// Appends that parked on the backpressure gate.
     bp_parks: AtomicU64,
     /// Parks that expired with the backlog still over the limit — the
-    /// flusher was stalled or absent, and the reservation escalated to
-    /// an inline flush.
+    /// flusher was stalled or absent, and the append escalated to an
+    /// inline flush.
     bp_stalls: AtomicU64,
-    /// Model-checker shadow cells for the three watermarks (see
+    /// Model-checker shadow cells for the two watermarks (see
     /// `crate::audit`); zero when the `latch-audit` feature is off.
-    hb_reserved: u64,
-    hb_filled: u64,
+    hb_last: u64,
     hb_durable: u64,
 }
 
@@ -134,17 +132,18 @@ impl Default for LogManager {
 }
 
 impl LogManager {
-    /// Records per segment of the in-memory directory: appends whose LSNs
-    /// straddle a multiple of this are the ones that extend it.
-    pub const SEGMENT_RECORDS: u64 = SEGMENT_SIZE as u64;
-
     /// Empty log.
     pub fn new() -> Self {
+        Self::from_records(Records::default())
+    }
+
+    /// A log holding `records`, all of them durable.
+    fn from_records(records: Records) -> LogManager {
+        let n = records.len();
         LogManager {
-            segments: RwLock::new(Vec::new()),
-            reserved: AtomicU64::new(0),
-            filled: AtomicU64::new(0),
-            durable: AtomicU64::new(0),
+            records: Mutex::new(records),
+            last: AtomicU64::new(n),
+            durable: AtomicU64::new(n),
             sync_micros: AtomicU64::new(0),
             sync_mutex: Mutex::new(()),
             wait_mutex: Mutex::new(0),
@@ -153,86 +152,15 @@ impl LogManager {
             bp_timeout_micros: AtomicU64::new(100_000),
             bp_parks: AtomicU64::new(0),
             bp_stalls: AtomicU64::new(0),
-            hb_reserved: audit::new_cell_id(),
-            hb_filled: audit::new_cell_id(),
+            hb_last: audit::new_cell_id(),
             hb_durable: audit::new_cell_id(),
         }
     }
 
-    fn from_records(records: Vec<LogRecord>) -> LogManager {
-        let log = LogManager::new();
-        let n = records.len() as u64;
-        log.install_records(records);
-        log.reserved.store(n, Ordering::SeqCst);
-        log.filled.store(n, Ordering::SeqCst);
-        log.durable.store(n, Ordering::SeqCst);
-        log
-    }
-
-    /// Replace the segment directory with exactly `records` (dense from
-    /// LSN 1). Caller updates the watermarks.
-    fn install_records(&self, records: Vec<LogRecord>) {
-        let mut segs = self.segments.write();
-        segs.clear();
-        for rec in records {
-            let idx = ((rec.lsn.0 - 1) >> SEGMENT_BITS) as usize;
-            while segs.len() <= idx {
-                segs.push(Segment::new());
-            }
-            let cell = &segs[idx].cells[((rec.lsn.0 - 1) as usize) & (SEGMENT_SIZE - 1)];
-            // OnceLock::set into cells just cleared above can only
-            // succeed; not an I/O result.
-            let _ = cell.set(rec); // lint: allow-ignored-io
-        }
-    }
-
-    /// The segment holding `lsn`, or `None` when the directory does not
-    /// reach that far yet. `reserved` is bumped before the reserver
-    /// extends the directory, so a reader that has seen the new
-    /// `reserved` may ask for a segment that is a moment from existing;
-    /// its cells are then, by definition, not set.
-    fn segment_for(&self, lsn: u64) -> Option<Arc<Segment>> {
-        let idx = ((lsn - 1) >> SEGMENT_BITS) as usize;
-        self.segments.read().get(idx).cloned()
-    }
-
-    fn cell_get(&self, lsn: u64) -> Option<LogRecord> {
-        let seg = self.segment_for(lsn)?;
-        seg.cells[((lsn - 1) as usize) & (SEGMENT_SIZE - 1)].get().cloned()
-    }
-
-    fn cell_is_set(&self, lsn: u64) -> bool {
-        self.segment_for(lsn)
-            .is_some_and(|seg| seg.cells[((lsn - 1) as usize) & (SEGMENT_SIZE - 1)].get().is_some())
-    }
-
-    /// Reserve the next LSN for `txn` (backchain `prev_lsn`). The slot is
-    /// pinned; [`LogManager::fill`] publishes the record. The two-phase
-    /// split exists so the commit pipeline can inject crash points between
-    /// reservation and publication; ordinary appenders use
-    /// [`LogManager::append`].
-    pub fn reserve(&self, txn: TxnId, prev_lsn: Lsn) -> Reservation {
-        self.backpressure_gate();
-        audit::atomic_rmw(self.hb_reserved, "wal-reserve");
-        let lsn = self.reserved.fetch_add(1, Ordering::SeqCst) + 1;
-        // Make sure the slot's segment exists before returning: the fill
-        // of this reservation relies on it. Other threads' readers can
-        // run between the bump above and the push below; they treat the
-        // missing segment as an unset cell (`segment_for`).
-        let idx = ((lsn - 1) >> SEGMENT_BITS) as usize;
-        if self.segments.read().len() <= idx {
-            let mut segs = self.segments.write();
-            while segs.len() <= idx {
-                segs.push(Segment::new());
-            }
-        }
-        Reservation { lsn: Lsn(lsn), txn, prev_lsn }
-    }
-
-    /// Configure reservation backpressure: once the in-flight backlog
-    /// (`reserved − durable`) reaches `limit` records, new reservations
-    /// park until the durable horizon advances or `timeout` elapses.
-    /// `limit == 0` disables the gate (the default).
+    /// Configure append backpressure: once the in-flight backlog
+    /// (`last − durable`) reaches `limit` records, new appends park until
+    /// the durable horizon advances or `timeout` elapses. `limit == 0`
+    /// disables the gate (the default).
     pub fn set_backpressure(&self, limit: u64, timeout: Duration) {
         self.bp_limit.store(limit, Ordering::Relaxed);
         self.bp_timeout_micros.store(timeout.as_micros() as u64, Ordering::Relaxed);
@@ -240,42 +168,34 @@ impl LogManager {
 
     /// Snapshot of the backpressure gate for `robustness_stats()`.
     pub fn backpressure_stats(&self) -> WalBackpressureStats {
-        audit::atomic_load(self.hb_reserved, "wal-reserved-read");
-        let reserved = self.reserved.load(Ordering::Acquire);
-        audit::atomic_load(self.hb_durable, "wal-durable-read");
-        let durable = self.durable.load(Ordering::Acquire);
         WalBackpressureStats {
             limit: self.bp_limit.load(Ordering::Relaxed),
-            backlog: reserved.saturating_sub(durable),
+            backlog: self.backlog(),
             parks: self.bp_parks.load(Ordering::Relaxed),
             stalls: self.bp_stalls.load(Ordering::Relaxed),
         }
     }
 
-    /// Reservation-side backpressure: park (deadline-bounded, on the
-    /// same generation handshake group-commit waiters use, so every
+    /// Records appended but not yet durable.
+    fn backlog(&self) -> u64 {
+        self.last_lsn().0.saturating_sub(self.flushed_lsn().0)
+    }
+
+    /// Append-side backpressure: park (deadline-bounded, on the same
+    /// generation handshake group-commit waiters use, so every
     /// [`LogManager::notify_durable`] releases parked writers too) while
     /// the backlog sits at its high-watermark. A park that expires with
     /// the backlog still full means the flusher is stalled or absent;
-    /// the writer then *escalates to an inline flush* of the filled
-    /// prefix — the same degradation the commit pipeline uses — and
-    /// proceeds regardless. Reservations therefore never fail and never
-    /// wait unboundedly: shedding is the admission controller's job, and
-    /// the bounded park is what makes the parking provably
-    /// deadlock-free against the flusher (the `wal-backpressure`
-    /// model-check scenario pins this).
+    /// the writer then *escalates to an inline flush* of the log — the
+    /// same degradation the commit pipeline uses — and proceeds
+    /// regardless. Appends therefore never fail and never wait
+    /// unboundedly: shedding is the admission controller's job, and the
+    /// bounded park is what makes the parking provably deadlock-free
+    /// against the flusher (the `wal-backpressure` model-check scenario
+    /// pins this).
     fn backpressure_gate(&self) {
         let limit = self.bp_limit.load(Ordering::Relaxed);
-        if limit == 0 {
-            return;
-        }
-        let backlog = || {
-            audit::atomic_load(self.hb_reserved, "wal-reserved-read");
-            let reserved = self.reserved.load(Ordering::Acquire);
-            audit::atomic_load(self.hb_durable, "wal-durable-read");
-            reserved.saturating_sub(self.durable.load(Ordering::Acquire))
-        };
-        if backlog() < limit {
+        if limit == 0 || self.backlog() < limit {
             return;
         }
         self.bp_parks.fetch_add(1, Ordering::Relaxed);
@@ -283,7 +203,7 @@ impl LogManager {
         let deadline = Instant::now() + timeout;
         let mut gen = self.wait_mutex.lock();
         loop {
-            if backlog() < limit {
+            if self.backlog() < limit {
                 return;
             }
             let now = Instant::now();
@@ -297,84 +217,39 @@ impl LogManager {
             }
         }
         drop(gen);
-        if backlog() < limit {
+        if self.backlog() < limit {
             return;
         }
-        // Stalled flusher (or a durable horizon fenced by a hole):
-        // degrade to an inline flush and let the reservation through.
-        // Over-cap excursions are bounded by the number of concurrently
-        // escalating writers, never unbounded growth.
+        // Stalled flusher: degrade to an inline flush and let the append
+        // through. Over-cap excursions are bounded by the number of
+        // concurrently escalating writers, never unbounded growth.
         self.bp_stalls.fetch_add(1, Ordering::Relaxed);
-        self.flush(self.filled_lsn());
-    }
-
-    /// Publish the record for a reservation and advance the filled
-    /// watermark over any newly contiguous prefix.
-    pub fn fill(&self, res: Reservation, body: RecordBody) -> Lsn {
-        let lsn = res.lsn;
-        let rec = LogRecord { lsn, prev_lsn: res.prev_lsn, txn: res.txn, body };
-        let seg = self
-            .segment_for(lsn.0)
-            .unwrap_or_else(|| unreachable!("reserve() created the segment of {lsn}"));
-        let set = seg.cells[((lsn.0 - 1) as usize) & (SEGMENT_SIZE - 1)].set(rec);
-        debug_assert!(set.is_ok(), "slot {lsn} filled twice");
-        self.advance_filled();
-        lsn
-    }
-
-    /// Publish a no-op filler for a reservation that is being abandoned
-    /// gracefully (e.g. a chaos *error* injection between reserve and
-    /// fill). Keeps the log dense so the durable horizon is not fenced; a
-    /// *panic* between reserve and fill skips this and leaves a real hole.
-    pub fn fill_noop(&self, res: Reservation) -> Lsn {
-        let lsn = res.lsn;
-        self.fill(Reservation { lsn, txn: TxnId::NONE, prev_lsn: Lsn::NULL }, RecordBody::Noop)
-    }
-
-    /// Cooperatively advance `filled` while the next slot is published.
-    fn advance_filled(&self) {
-        loop {
-            audit::atomic_rmw(self.hb_filled, "wal-filled-advance");
-            audit::atomic_load(self.hb_reserved, "wal-reserved-read");
-            let f = self.filled.load(Ordering::Acquire);
-            if f >= self.reserved.load(Ordering::Acquire) || !self.cell_is_set(f + 1) {
-                return;
-            }
-            // Lost races just mean another filler advanced it; retry from
-            // the new frontier either way (not an I/O result).
-            let _ = self.filled.compare_exchange( // lint: allow-ignored-io
-                f,
-                f + 1,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            );
-        }
+        self.flush(self.last_lsn());
     }
 
     /// Append a record; returns its LSN.
     ///
     /// `prev_lsn` is the transaction's backchain pointer (the caller —
     /// normally the transaction manager — tracks each transaction's last
-    /// LSN).
+    /// LSN). The LSN is taken, the record stored and `last` published in
+    /// one critical section.
     pub fn append(&self, txn: TxnId, prev_lsn: Lsn, body: RecordBody) -> Lsn {
-        let res = self.reserve(txn, prev_lsn);
-        self.fill(res, body)
+        self.backpressure_gate();
+        let mut records = self.records.lock();
+        let lsn = Lsn(records.len() + 1);
+        records.push(LogRecord { lsn, prev_lsn, txn, body });
+        audit::atomic_store(self.hb_last, "wal-last-store");
+        self.last.store(lsn.0, Ordering::Release);
+        lsn
     }
 
-    /// LSN of the most recently reserved record ([`Lsn::NULL`] if empty).
+    /// LSN of the most recently appended record ([`Lsn::NULL`] if empty).
     ///
     /// This is the paper's "global NSN" counter when NSNs are sourced from
     /// the log (§10.1).
     pub fn last_lsn(&self) -> Lsn {
-        audit::atomic_load(self.hb_reserved, "wal-reserved-read");
-        Lsn(self.reserved.load(Ordering::Acquire))
-    }
-
-    /// Contiguous published prefix: every record with LSN ≤ this has been
-    /// filled. Only this prefix can become durable.
-    pub fn filled_lsn(&self) -> Lsn {
-        audit::atomic_load(self.hb_filled, "wal-filled-read");
-        Lsn(self.filled.load(Ordering::Acquire))
+        audit::atomic_load(self.hb_last, "wal-last-read");
+        Lsn(self.last.load(Ordering::Acquire))
     }
 
     /// Durable prefix of the log.
@@ -389,7 +264,7 @@ impl LogManager {
         self.sync_micros.store(latency.as_micros() as u64, Ordering::Relaxed);
     }
 
-    /// Advance the durable horizon to `min(lsn, filled)` *without* waking
+    /// Advance the durable horizon to `min(lsn, last)` *without* waking
     /// waiters — the commit pipeline's flusher separates the fsync from
     /// the wakeup so a crash between them is testable. Returns the new
     /// durable horizon.
@@ -401,8 +276,7 @@ impl LogManager {
     /// the device: each sync is its own device barrier, which is exactly
     /// the per-commit cost a group-commit flusher amortizes away.
     pub fn fsync_to(&self, lsn: Lsn) -> Lsn {
-        audit::atomic_load(self.hb_filled, "wal-filled-read");
-        let target = lsn.0.min(self.filled.load(Ordering::Acquire));
+        let target = lsn.0.min(self.last_lsn().0);
         audit::atomic_load(self.hb_durable, "wal-durable-read");
         if target <= self.durable.load(Ordering::Acquire) {
             return self.flushed_lsn();
@@ -501,7 +375,7 @@ impl LogManager {
         self.notify_durable();
     }
 
-    /// Force the entire filled prefix durable.
+    /// Force the entire log durable.
     pub fn flush_all(&self) {
         self.fsync_to(Lsn::MAX);
         self.notify_durable();
@@ -521,33 +395,20 @@ impl LogManager {
         }
     }
 
-    /// Fetch the record with the given LSN, or `None` when `lsn` is null,
-    /// beyond the end of the log (a corrupt backchain pointer), or a
-    /// reserved-but-unfilled hole.
+    /// Fetch the record with the given LSN, or `None` when `lsn` is null
+    /// or beyond the end of the log (a corrupt backchain pointer).
     pub fn try_get(&self, lsn: Lsn) -> Option<LogRecord> {
-        if lsn.is_null() || lsn.0 > self.reserved.load(Ordering::Acquire) {
-            return None;
-        }
-        self.cell_get(lsn.0)
+        self.records.lock().get(lsn.0).cloned()
     }
 
-    /// Clone of every record with LSN ≥ `from` in LSN order, up to the
-    /// filled watermark.
+    /// Clone of every record with LSN ≥ `from`, in LSN order.
     pub fn scan_from(&self, from: Lsn) -> Vec<LogRecord> {
-        let upto = self.filled.load(Ordering::Acquire);
-        let start = from.0.max(1);
-        let mut out = Vec::with_capacity(upto.saturating_sub(start - 1) as usize);
-        for lsn in start..=upto {
-            if let Some(rec) = self.cell_get(lsn) {
-                out.push(rec);
-            }
-        }
-        out
+        self.records.lock().iter_from(from.0).cloned().collect()
     }
 
-    /// Number of contiguously published records currently in the log.
+    /// Number of records currently in the log.
     pub fn len(&self) -> usize {
-        self.filled.load(Ordering::Acquire) as usize
+        self.last_lsn().0 as usize
     }
 
     /// Whether the log is empty.
@@ -556,34 +417,24 @@ impl LogManager {
     }
 
     /// Simulate a system crash: every record past the durable prefix is
-    /// lost (including reserved-but-unfilled holes), exactly as if the
-    /// machine died after its last `fsync`.
+    /// lost, exactly as if the machine died after its last `fsync`.
     ///
-    /// Returns the number of reservations discarded.
+    /// Returns the number of records discarded.
     pub fn crash(&self) -> usize {
-        let durable = self.durable.load(Ordering::Acquire);
-        let lost = self.reserved.load(Ordering::Acquire).saturating_sub(durable);
-        let keep: Vec<LogRecord> =
-            (1..=durable).filter_map(|l| self.cell_get(l)).collect();
-        debug_assert_eq!(keep.len() as u64, durable, "durable prefix must be contiguous");
-        self.install_records(keep);
-        self.filled.store(durable, Ordering::SeqCst);
-        self.reserved.store(durable, Ordering::SeqCst);
+        let mut records = self.records.lock();
+        let durable = self.flushed_lsn().0;
+        let lost = records.len() - durable;
+        records.truncate(durable);
+        audit::atomic_store(self.hb_last, "wal-last-store");
+        self.last.store(durable, Ordering::Release);
         lost as usize
     }
 
     /// LSN of the most recent checkpoint record, if any.
     pub fn last_checkpoint(&self) -> Option<Lsn> {
-        let upto = self.filled.load(Ordering::Acquire);
-        (1..=upto)
-            .rev()
-            .find(|&l| {
-                matches!(
-                    self.cell_get(l).map(|r| r.body),
-                    Some(RecordBody::Checkpoint { .. })
-                )
-            })
-            .map(Lsn)
+        let records = self.records.lock();
+        let mut newest_first = records.chunks.iter().rev().flat_map(|c| c.iter().rev());
+        newest_first.find(|r| matches!(r.body, RecordBody::Checkpoint { .. })).map(|r| r.lsn)
     }
 
     /// Begin a nested top action for `txn` whose backchain currently ends
@@ -611,21 +462,17 @@ impl LogManager {
     /// [`LogManager::load_file`] tell a torn tail from interior
     /// corruption.
     pub fn persist_file(&self, path: &Path) -> io::Result<()> {
-        let durable = self.durable.load(Ordering::Acquire);
-        let mut buf = Vec::with_capacity(16 + durable as usize * 64);
+        let records = self.records.lock();
+        let durable = self.flushed_lsn().0 as usize;
+        let mut buf = Vec::with_capacity(16 + durable * 64);
         buf.extend_from_slice(WAL_MAGIC);
-        for lsn in 1..=durable {
-            let Some(rec) = self.cell_get(lsn) else {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("durable prefix has a hole at lsn {lsn}"),
-                ));
-            };
-            let enc = codec::encode_record(&rec);
+        for rec in records.iter_from(1).take(durable) {
+            let enc = codec::encode_record(rec);
             buf.extend_from_slice(&(enc.len() as u32).to_le_bytes());
             buf.extend_from_slice(&crate::stable_hash_bytes(&enc).to_le_bytes());
             buf.extend_from_slice(&enc);
         }
+        drop(records);
         let mut f = fs::File::create(path)?;
         f.write_all(&buf)?;
         f.sync_all()
@@ -662,7 +509,7 @@ impl LogManager {
                 "log file magic missing or wrong (not a WAL file)",
             ));
         }
-        let mut records = Vec::new();
+        let mut records = Records::default();
         let mut off = WAL_MAGIC.len();
         let mut report = WalTailReport::default();
         while off < bytes.len() {
@@ -689,7 +536,7 @@ impl LogManager {
             }
             let is_final = body_end == bytes.len();
             let body = &bytes[body_start..body_end];
-            let recno = records.len() + 1;
+            let recno = records.len() as usize + 1;
             if crate::stable_hash_bytes(body) != stored_sum {
                 if is_final {
                     report.tail_truncated = true;
@@ -707,7 +554,7 @@ impl LogManager {
                     return Err(interior_corruption(recno, &format!("decode: {e}")));
                 }
             };
-            let expect = Lsn(records.len() as u64 + 1);
+            let expect = Lsn(records.len() + 1);
             if rec.lsn != expect {
                 if is_final {
                     report.tail_truncated = true;
@@ -724,7 +571,7 @@ impl LogManager {
         if report.tail_truncated {
             report.dropped_bytes = bytes.len() - off;
         }
-        report.loaded = records.len();
+        report.loaded = records.len() as usize;
         Ok((LogManager::from_records(records), report))
     }
 }
@@ -739,14 +586,14 @@ fn interior_corruption(recno: usize, what: &str) -> io::Error {
     )
 }
 
-/// Snapshot of the reservation backpressure gate.
+/// Snapshot of the append backpressure gate.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WalBackpressureStats {
     /// Configured backlog high-watermark (`0` = gate disabled).
     pub limit: u64,
-    /// Current in-flight backlog (`reserved − durable`).
+    /// Current in-flight backlog (`last − durable`).
     pub backlog: u64,
-    /// Reservations that parked on the gate.
+    /// Appends that parked on the gate.
     pub parks: u64,
     /// Parks that expired and escalated to an inline flush.
     pub stalls: u64,

@@ -73,9 +73,8 @@ pub enum RecordBody {
     },
     /// Resource-manager content record (redo/undo via handler).
     Payload(Payload),
-    /// Filler for a gracefully abandoned log reservation (PR 6 commit
-    /// pipeline): keeps LSNs dense when an append is cancelled between
-    /// reserve and fill. No transaction, no redo, no undo.
+    /// A record with no effect: no redo, no undo (the end-to-end
+    /// benchmark's append probe writes these).
     Noop,
 }
 

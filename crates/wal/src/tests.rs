@@ -483,88 +483,27 @@ fn rollback_with_corrupt_backchain_errors_instead_of_panicking() {
     assert!(err.0.contains("beyond end of log"), "{err}");
 }
 
+/// Records live in fixed chunks: a crash that cuts the log at, just
+/// past, or well inside a chunk boundary keeps exactly the durable
+/// prefix, and the log stays dense and readable on both sides of the cut.
 #[test]
-fn hole_fences_durable_horizon_until_filled() {
-    let log = LogManager::new();
-    let a = log.append(TxnId(1), Lsn::NULL, RecordBody::TxnBegin);
-    // Reserve but do not fill: the filled watermark stops at `a`.
-    let hole = log.reserve(TxnId(1), a);
-    let after = log.append(TxnId(1), a, RecordBody::TxnCommit);
-    assert_eq!(log.filled_lsn(), a, "fill past a hole must not publish");
-    log.flush_all();
-    assert_eq!(log.flushed_lsn(), a, "durability is fenced by the hole");
-    // Filling the hole unblocks everything behind it.
-    log.fill(hole, RecordBody::Noop);
-    assert_eq!(log.filled_lsn(), after);
-    log.flush_all();
-    assert_eq!(log.flushed_lsn(), after);
-}
-
-/// The segment-directory race: `reserve` bumps `reserved` before it
-/// extends the directory, so another appender's `advance_filled` can ask
-/// for the cell of an LSN whose segment is not there yet. That must read
-/// as "not filled", not index past the directory. Needs two CPUs to fire
-/// here; `tests/mc_scenarios.rs` pins the interleaving deterministically.
-#[test]
-fn concurrent_appends_across_segment_boundaries_never_index_past_the_directory() {
-    const THREADS: u64 = 4;
-    const BOUNDARIES: u64 = 64;
-    let per_thread = (BOUNDARIES + 1) * LogManager::SEGMENT_RECORDS / THREADS;
-    let log = std::sync::Arc::new(LogManager::new());
-    let start = std::sync::Arc::new(std::sync::Barrier::new(THREADS as usize));
-    let appenders: Vec<_> = (0..THREADS)
-        .map(|t| {
-            let (log, start) = (log.clone(), start.clone());
-            std::thread::spawn(move || {
-                start.wait();
-                for _ in 0..per_thread {
-                    log.append(TxnId(t + 1), Lsn::NULL, RecordBody::Noop);
-                }
-            })
-        })
-        .collect();
-    for a in appenders {
-        a.join().expect("an appender panicked");
+fn crash_truncates_across_chunk_boundaries() {
+    for durable in [512u64, 700, 1_024] {
+        let log = LogManager::new();
+        for i in 1..=1_500u64 {
+            log.append(TxnId(i), Lsn::NULL, RecordBody::TxnBegin);
+        }
+        log.flush(Lsn(durable));
+        assert_eq!(log.crash(), (1_500 - durable) as usize);
+        assert_eq!(log.last_lsn(), Lsn(durable));
+        assert_eq!(log.try_get(Lsn(durable)).map(|r| r.txn), Some(TxnId(durable)));
+        assert!(log.try_get(Lsn(durable + 1)).is_none(), "the volatile suffix is gone");
+        let next = log.append(TxnId(9_999), Lsn::NULL, RecordBody::TxnCommit);
+        assert_eq!(next, Lsn(durable + 1), "the next append stays dense");
+        assert_eq!(log.get(next).txn, TxnId(9_999));
+        let lsns: Vec<u64> = log.scan_from(Lsn(500)).iter().map(|r| r.lsn.0).collect();
+        assert_eq!(lsns, (500..=durable + 1).collect::<Vec<_>>());
     }
-    let total = THREADS * per_thread;
-    assert!(total / LogManager::SEGMENT_RECORDS >= BOUNDARIES);
-    assert_eq!(log.last_lsn(), Lsn(total));
-    assert_eq!(log.filled_lsn(), log.last_lsn(), "every reservation was filled and published");
-}
-
-#[test]
-fn crash_discards_reserved_but_unfilled_hole() {
-    let log = LogManager::new();
-    let a = log.append(TxnId(1), Lsn::NULL, RecordBody::TxnBegin);
-    log.flush(a);
-    let _hole = log.reserve(TxnId(1), a);
-    let _after = log.append(TxnId(1), a, RecordBody::TxnCommit);
-    let lost = log.crash();
-    assert_eq!(lost, 2, "the hole and the record behind it are both lost");
-    assert_eq!(log.last_lsn(), a);
-    assert_eq!(log.filled_lsn(), a);
-    // The log accepts appends again and stays dense.
-    let b = log.append(TxnId(2), Lsn::NULL, RecordBody::TxnBegin);
-    assert_eq!(b, Lsn(a.0 + 1));
-}
-
-#[test]
-fn fill_noop_keeps_log_dense_and_invisible_to_restart() {
-    let (log, rm) = setup(2);
-    let t = TxnId(1);
-    let b = log.append(t, Lsn::NULL, RecordBody::TxnBegin);
-    let res = log.reserve(t, b);
-    let noop = log.fill_noop(res);
-    let u = rm.set(t, b, 0, 7);
-    let c = log.append(t, u, RecordBody::TxnCommit);
-    log.flush(c);
-    log.crash();
-    rm.wipe();
-    let out = restart(&log, &rm).unwrap();
-    assert!(out.completed_winners.contains(&t));
-    assert_eq!(rm.get(0), 7);
-    assert_eq!(log.get(noop).body.kind_name(), "Noop");
-    assert_eq!(log.get(noop).txn, TxnId::NONE, "noop filler carries no transaction");
 }
 
 #[test]

@@ -18,8 +18,8 @@
 # regression scenarios (lock replication vs release, predicate attach vs
 # replication, WAL wakeup, epoch reclamation), mutation-detection proofs
 # for the two mutation switches left (the WAL lost wakeup and the skipped
-# epoch grace period), and exhaustive DFS over the WAL watermark
-# invariants (`--features model-check`).
+# epoch grace period), and exhaustive DFS over WAL append visibility
+# (`--features model-check`).
 set -u
 cd "$(dirname "$0")/.."
 
@@ -96,7 +96,7 @@ step "tier 2: bench_e2e package tests + smoke runs" \
 
 # Fixed per-scenario budgets and two schedule-generation seeds per
 # scenario are compiled into tests/mc_scenarios.rs (seeded-random +
-# PCT; exhaustive DFS for the small WAL watermark state space). Any
+# PCT; exhaustive DFS over WAL append visibility). Any
 # failing exploration writes its minimized, byte-replayable schedule
 # trace to $MC_TRACE_DIR/<scenario>.trace for offline replay.
 step "tier 3: model checker (mc scenarios)" \

@@ -464,13 +464,11 @@ fn failed_fsync_aborts_the_checkpoint_and_keeps_the_dpt() {
 /// - committers survive a flusher crash *after* the batch fsync even if
 ///   the wakeup is lost — the commit record is already durable, and the
 ///   flusher's panic containment wakes the parked committer at once;
-/// - a reserved-but-never-filled slot (committer dies between reserve
-///   and fill) leaves a hole that fences the durable horizon: nothing
-///   past it ever becomes durable, so a crash discards exactly the
-///   suffix the hole poisoned, and everything committed before the hole
-///   survives;
-/// - a *graceful* failure between reserve and fill heals the hole with
-///   a `Noop` filler: the log stays dense and later commits proceed;
+/// - a committer that dies just before appending its commit record
+///   leaves a loser and a usable log: later commits are acknowledged at
+///   once, and a crash keeps exactly the acknowledged keys;
+/// - a *graceful* failure at the same point fails that one commit, and
+///   later commits proceed;
 /// - an fsync-path error makes the flusher retry the batch; parked
 ///   committers just wait one idle sweep longer.
 #[cfg(feature = "chaos")]
@@ -517,8 +515,8 @@ mod flusher_crash {
 
     impl Rig {
         /// Group-commit database with `baseline` keys committed and the
-        /// pipeline quiesced (everything filled is
-        /// durable, so the next armed trigger hits our victim's batch).
+        /// pipeline quiesced (the whole log is durable, so the next
+        /// armed trigger hits our victim's batch).
         fn new(baseline: i64) -> Rig {
             let store: Arc<dyn PageStore> = Arc::new(InMemoryStore::new());
             let log = Arc::new(LogManager::new());
@@ -538,10 +536,10 @@ mod flusher_crash {
         }
 
         /// Wait for the idle sweep to drain unforced records (end
-        /// records) so the filled prefix is fully durable.
+        /// records) so the whole log is durable.
         fn quiesce(&mut self) {
             for _ in 0..200 {
-                if self.log.flushed_lsn() >= self.log.filled_lsn() {
+                if self.log.flushed_lsn() >= self.log.last_lsn() {
                     return;
                 }
                 std::thread::sleep(Duration::from_millis(2));
@@ -611,18 +609,17 @@ mod flusher_crash {
         rig.crash_and_verify();
     }
 
-    /// Crash point between LSN reservation and record fill, armed to
-    /// panic: the committing thread dies holding a reservation it never
-    /// fills. The hole must fence the durable horizon — later appends
-    /// (an open transaction's insert here) can never become durable —
-    /// and a crash
-    /// discards the whole fenced suffix while everything committed
-    /// before the hole survives.
+    /// Crash point just before the commit record is appended, armed to
+    /// panic: the committing thread dies before its commit record
+    /// exists, so its transaction is a loser. Nothing is left half
+    /// written in the log: a later commit is acknowledged at once, the
+    /// durable horizon catches up with the whole log, and a crash keeps
+    /// exactly the acknowledged keys.
     #[test]
-    fn abandoned_reservation_fences_the_durable_horizon() {
+    fn panic_before_commit_append_leaves_a_loser_and_the_log_usable() {
         let _g = serial();
-        let rig = Rig::new(50);
-        arm("commitpipe.append.post_reserve_pre_fill", Trigger::Next(1), Action::Panic);
+        let mut rig = Rig::new(50);
+        arm("commitpipe.append.pre_append", Trigger::Next(1), Action::Panic);
         let db = rig.db.clone();
         let idx = rig.idx.clone();
         let victim = std::thread::spawn(move || {
@@ -630,55 +627,40 @@ mod flusher_crash {
             idx.insert(txn, &10_000, rid(10_000)).unwrap();
             db.commit(txn)
         });
-        assert!(victim.join().is_err(), "the victim must die between reserve and fill");
+        assert!(victim.join().is_err(), "the victim must die before its commit append");
         chaos::uninstall();
 
-        // An open transaction's insert past the hole is filled, but its
-        // durability can never arrive: the horizon is fenced. The key
-        // sits inside the already-widened bounding predicate so the
-        // insert runs no nested top action (an NTA terminator barriers on
-        // the pipeline, which the hole has wedged — that stall is the
-        // *correct* behavior, but not what this test is about).
-        let txn = rig.db.begin();
-        rig.idx.insert(txn, &9_999, rid(9_999)).unwrap();
-        std::thread::sleep(Duration::from_millis(20));
-        let fence = rig.log.flushed_lsn();
-        assert!(
-            fence < rig.log.last_lsn(),
-            "the durable horizon must be fenced below the reserved hole"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(rig.log.flushed_lsn(), fence, "no idle sweep may move past the hole");
-        let stats = rig.db.robustness_stats();
-        assert!(stats.wal_append_lsn > stats.wal_durable_lsn, "pipeline lag is observable");
+        let started = Instant::now();
+        rig.commit_one(10_001).expect("the log must stay usable after the victim died");
+        let elapsed = started.elapsed();
+        assert!(elapsed < Duration::from_secs(1), "committer stalled for {elapsed:?}");
+        rig.expected.push(10_001);
+        rig.quiesce();
+        assert_eq!(rig.log.flushed_lsn(), rig.log.last_lsn(), "the whole log becomes durable");
 
-        // Neither the victim (no commit record) nor the open insert
-        // (uncommitted, and behind the fence) survives the crash.
+        // The victim wrote no commit record: restart undoes its insert.
         rig.crash_and_verify();
     }
 
-    /// Same crash point armed to *error* instead of panic: the graceful
-    /// path heals the reservation with a `Noop` filler, the commit call
-    /// fails, the transaction aborts cleanly, and — because the log
-    /// stayed dense — later commits are completely unaffected.
+    /// Same crash point armed to *error* instead of panic: the commit
+    /// call fails, the transaction aborts cleanly, and later commits are
+    /// completely unaffected.
     #[test]
-    fn healed_reservation_keeps_the_log_dense() {
+    fn error_before_commit_append_aborts_cleanly() {
         let _g = serial();
         let mut rig = Rig::new(50);
-        arm("commitpipe.append.post_reserve_pre_fill", Trigger::Next(1), Action::Error);
+        arm("commitpipe.append.pre_append", Trigger::Next(1), Action::Error);
         let err = rig.commit_one(10_000);
         assert!(err.is_err(), "the injected error must surface through commit");
         chaos::uninstall();
 
-        // The Noop filler keeps the log dense: a commit right after must
-        // park, flush and acknowledge normally.
-        rig.commit_one(10_001).expect("the healed log must stay usable");
+        rig.commit_one(10_001).expect("the log must stay usable");
         rig.expected.push(10_001);
         rig.quiesce();
         assert_eq!(
             rig.log.flushed_lsn(),
-            rig.log.filled_lsn(),
-            "after healing, the durable horizon catches the filled prefix"
+            rig.log.last_lsn(),
+            "the durable horizon catches up with the whole log"
         );
         rig.crash_and_verify();
     }

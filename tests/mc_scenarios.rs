@@ -15,9 +15,10 @@
 //!    switches; the explorer must find a failing schedule within a fixed
 //!    budget, and replaying the recorded trace must reproduce it
 //!    byte-for-byte.
-//! 3. **Exhaustive invariants** — the WAL watermark ordering
-//!    (`durable ≤ filled ≤ reserved`) and hole-fencing, checked at every
-//!    scheduling point of a bounded-DFS-enumerated scenario.
+//! 3. **Exhaustive invariants** — WAL append visibility (every LSN a
+//!    reader sees is readable) and the watermark ordering
+//!    (`durable ≤ last`), checked at every scheduling point of a
+//!    bounded-DFS-enumerated scenario.
 //!
 //! The fault plan is process-global, and the test harness runs tests on
 //! parallel threads, so every test serializes on [`suite_lock`] (the
@@ -268,105 +269,65 @@ fn predlock_attach_never_duplicates_fifo_entry() {
 }
 
 // ---------------------------------------------------------------------------
-// Satellite 3: WAL watermark invariants, exhaustively.
+// Satellite 3: WAL append visibility, exhaustively.
 // ---------------------------------------------------------------------------
 
-/// Attach the `durable ≤ filled ≤ reserved` ordering invariant, checked
-/// at every scheduling point of the iteration.
-fn watermark_invariant(sim: &mut Sim, log: &Arc<LogManager>) {
-    let l = log.clone();
-    sim.invariant(move || {
-        // Lock-free: three atomic loads (hooks are suppressed while an
-        // invariant runs, so these do not re-enter the scheduler).
-        let durable = l.flushed_lsn().0;
-        let filled = l.filled_lsn().0;
-        let reserved = l.last_lsn().0;
-        if durable <= filled && filled <= reserved {
-            Ok(())
-        } else {
-            Err(format!(
-                "watermark order violated: durable={durable} filled={filled} reserved={reserved}"
-            ))
-        }
-    });
-}
-
-/// LSN 1 is reserved on the driver thread but *not yet filled* — a hole.
-/// One task fills it late; the other tries to sync to it. At every
-/// scheduling point `durable ≤ filled ≤ reserved` must hold, which is
-/// exactly the hole-fencing property: the sync may not publish LSN 1 as
-/// durable while it is still a hole. Kept to two short tasks so bounded
-/// DFS can enumerate *every* schedule.
-fn wal_hole_fence_scenario(sim: &mut Sim) {
+/// LSN 1 is appended on the driver thread. One task appends LSN 2; the
+/// other reads `last_lsn()`, requires the record it names to be readable,
+/// and syncs to it. At every scheduling point `durable ≤ last` must
+/// hold, and no schedule may show the syncer an LSN whose record is not
+/// in the log yet — an append takes its LSN and stores its record in one
+/// critical section. Kept to two short tasks so bounded DFS can
+/// enumerate *every* schedule.
+fn wal_append_visibility_scenario(sim: &mut Sim) {
     let log = Arc::new(LogManager::new());
-    let hole = log.reserve(TxnId(1), Lsn::NULL);
-    assert_eq!(hole.lsn(), Lsn(1));
+    assert_eq!(log.append(TxnId(1), Lsn::NULL, RecordBody::TxnBegin), Lsn(1));
 
     let l = log.clone();
-    sim.spawn("late-filler", move || {
-        l.fill(hole, RecordBody::TxnBegin);
+    sim.spawn("appender", move || {
+        l.append(TxnId(2), Lsn::NULL, RecordBody::TxnBegin);
     });
     let l = log.clone();
     sim.spawn("syncer", move || {
-        l.fsync_to(Lsn(1));
+        let last = l.last_lsn();
+        assert!(l.try_get(last).is_some(), "an LSN was visible before its record: {last:?}");
+        l.fsync_to(last);
     });
 
-    watermark_invariant(sim, &log);
-    sim.check(move || {
-        let filled = log.filled_lsn();
-        if filled != Lsn(1) {
-            return Err(format!("record filled but filled watermark is {filled:?}"));
-        }
-        // The hole is plugged; a final sync must now reach LSN 1.
-        let durable = log.fsync_to(Lsn(1));
-        if durable == Lsn(1) {
+    let l = log.clone();
+    sim.invariant(move || {
+        // Two atomic loads (hooks are suppressed while an invariant runs,
+        // so these do not re-enter the scheduler).
+        let (durable, last) = (l.flushed_lsn().0, l.last_lsn().0);
+        if durable <= last {
             Ok(())
         } else {
-            Err(format!("hole fence never lifted: durable={durable:?} after final sync"))
+            Err(format!("watermark order violated: durable={durable} last={last}"))
         }
     });
-}
-
-/// Wider variant for randomized exploration: a second appender races the
-/// late fill and the sync targets the *second* record, so the fence must
-/// hold across an out-of-order fill pair.
-fn wal_watermark_scenario(sim: &mut Sim) {
-    let log = Arc::new(LogManager::new());
-    let hole = log.reserve(TxnId(1), Lsn::NULL);
-    assert_eq!(hole.lsn(), Lsn(1));
-
-    let l = log.clone();
-    sim.spawn("late-filler", move || {
-        l.fill(hole, RecordBody::TxnBegin);
-    });
-    let l = log.clone();
-    sim.spawn("sync-appender", move || {
-        let lsn = l.append(TxnId(2), Lsn::NULL, RecordBody::TxnCommit);
-        l.fsync_to(lsn);
-    });
-
-    watermark_invariant(sim, &log);
     sim.check(move || {
-        let filled = log.filled_lsn();
-        if filled != Lsn(2) {
-            return Err(format!("both records filled but filled watermark is {filled:?}"));
+        if log.last_lsn() != Lsn(2) {
+            return Err(format!("two appends but last is {:?}", log.last_lsn()));
+        }
+        if log.get(Lsn(1)).txn == log.get(Lsn(2)).txn {
+            return Err("both LSNs hold the same record".to_string());
         }
         let durable = log.fsync_to(Lsn(2));
         if durable == Lsn(2) {
             Ok(())
         } else {
-            Err(format!("hole fence never lifted: durable={durable:?} after final sync"))
+            Err(format!("final sync stopped short: durable={durable:?}"))
         }
     });
 }
 
-/// Bounded DFS enumerates *every* schedule of the hole-fencing scenario;
-/// the watermark ordering invariant holds at each scheduling point and
-/// the happens-before detector reports zero races.
+/// Bounded DFS enumerates *every* schedule of the append/sync race; the
+/// watermark invariant holds at each scheduling point, every visible LSN
+/// is readable, and the happens-before detector reports zero races.
 #[test]
-fn wal_watermark_invariants_hold_exhaustively() {
+fn wal_appends_publish_atomically_exhaustively() {
     let _serial = suite_lock();
-    let report = Explorer::dfs("wal-watermarks", 200_000).run(wal_hole_fence_scenario);
+    let report = Explorer::dfs("wal-append-visibility", 200_000).run(wal_append_visibility_scenario);
     report.assert_no_failure();
     assert!(
         report.exhausted,
@@ -374,65 +335,6 @@ fn wal_watermark_invariants_hold_exhaustively() {
         report.iterations
     );
     assert!(report.iterations > 10, "scenario too small to mean anything");
-}
-
-/// Randomized sweep of the wider out-of-order-fill scenario (too many
-/// interleavings for exhaustive enumeration).
-#[test]
-fn wal_watermark_invariants_hold_under_random_schedules() {
-    let _serial = suite_lock();
-    let report = Explorer::seeded("wal-watermarks-wide", 0xD00F, 128).run(wal_watermark_scenario);
-    report.assert_no_failure();
-}
-
-/// The segment-directory race (found by `bench_e2e` on two CPUs): the
-/// log holds one record less than a segment, so the two racing appends
-/// take the last slot of segment 0 and the first slot of segment 1.
-/// `reserve` bumps `reserved` *before* it extends the directory; the
-/// other appender's `advance_filled`, scheduled into that window, sees
-/// the new `reserved` and asks whether a cell of the not-yet-existing
-/// segment is set. The answer must be "no" (it used to be an
-/// out-of-bounds index), and both records must end up published.
-fn wal_segment_boundary_scenario(sim: &mut Sim) {
-    let log = Arc::new(LogManager::new());
-    for _ in 0..LogManager::SEGMENT_RECORDS - 1 {
-        log.append(TxnId(1), Lsn::NULL, RecordBody::Noop);
-    }
-    for name in ["appender-a", "appender-b"] {
-        let l = log.clone();
-        sim.spawn(name, move || {
-            l.append(TxnId(2), Lsn::NULL, RecordBody::Noop);
-        });
-    }
-
-    watermark_invariant(sim, &log);
-    sim.check(move || {
-        let want = Lsn(LogManager::SEGMENT_RECORDS + 1);
-        if log.last_lsn() == want && log.filled_lsn() == want {
-            Ok(())
-        } else {
-            Err(format!(
-                "appends across the boundary: reserved={:?} filled={:?}, want {want:?}",
-                log.last_lsn(),
-                log.filled_lsn()
-            ))
-        }
-    });
-}
-
-/// Seeded random + PCT schedules of the boundary-straddling appends: no
-/// interleaving panics, breaks the watermark order, or strands a record
-/// behind the filled watermark.
-#[test]
-fn wal_segment_directory_extension_never_strands_a_reader() {
-    let _serial = suite_lock();
-    for explorer in [
-        Explorer::seeded("wal-segment-seeded", 0x5E6, 128),
-        Explorer::pct("wal-segment-pct", 0x5E7, 3, 128),
-    ] {
-        let report = explorer.run(wal_segment_boundary_scenario);
-        report.assert_no_failure();
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -647,7 +549,7 @@ fn epoch_skip_retire_mutation_is_found() {
 /// interleaving (flusher runs first, last, or interleaved; notify races
 /// the park; the flusher finishes while a writer is still parked), the
 /// writer must complete all six appends and the watermarks must close
-/// ranked `durable ≤ filled`. A schedule in which the parked writer can
+/// ranked `durable ≤ last`. A schedule in which the parked writer can
 /// never proceed would surface as a deadlock or an unfinished thread.
 fn wal_backpressure_scenario(sim: &mut Sim) {
     let log = Arc::new(LogManager::new());
@@ -669,7 +571,7 @@ fn wal_backpressure_scenario(sim: &mut Sim) {
     let l = log.clone();
     sim.spawn("flusher", move || {
         for _ in 0..3 {
-            l.fsync_to(l.filled_lsn());
+            l.fsync_to(l.last_lsn());
             l.notify_durable();
         }
     });
@@ -678,11 +580,8 @@ fn wal_backpressure_scenario(sim: &mut Sim) {
         if !appended.load(Ordering::SeqCst) {
             return Err("writer never completed its appends past the gate".to_string());
         }
-        if log.filled_lsn() != Lsn(6) {
-            return Err(format!(
-                "six appends but filled watermark is {:?}",
-                log.filled_lsn()
-            ));
+        if log.last_lsn() != Lsn(6) {
+            return Err(format!("six appends but last is {:?}", log.last_lsn()));
         }
         let bs = log.backpressure_stats();
         if bs.backlog > 6 {

@@ -133,7 +133,7 @@ fn run_txn_exhausted_budget_returns_last_error() {
     assert_eq!(db.admission().stats().in_flight, 0);
 }
 
-/// The backpressure gate with *no flusher at all*: reservations park,
+/// The backpressure gate with *no flusher at all*: appends park,
 /// the park expires, and the writer escalates to an inline flush — the
 /// log keeps accepting appends and the tail stays bounded. This is the
 /// degradation path the `wal-backpressure` mc scenario explores for
@@ -153,7 +153,7 @@ fn wal_backpressure_escalates_to_inline_flush_without_flusher() {
     assert!(s.parks > 0, "gate never engaged: {s:?}");
     assert!(s.stalls > 0, "no flusher: every park must escalate: {s:?}");
     // Inline flushes kept the volatile tail at (or under) the gate —
-    // the last reservation lands after its escalating flush, so the
+    // the last append lands after its escalating flush, so the
     // backlog is small but not necessarily zero.
     assert!(s.backlog <= LIMIT, "tail unbounded despite escalation: {s:?}");
 }
