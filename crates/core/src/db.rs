@@ -9,9 +9,13 @@
 //! rightward (§9.2) — needs nothing but RID comparison and link walking.
 
 use std::collections::HashSet;
+use std::fmt;
+use std::fs::{File, OpenOptions, TryLockError};
+use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use parking_lot::Mutex;
@@ -21,12 +25,13 @@ use gist_lockmgr::LockManager;
 use gist_overload::{AdmissionConfig, AdmissionController, AdmissionStats, HealthReport, HealthState};
 use gist_maint::{MaintDaemon, MaintStatsSnapshot};
 use gist_pagestore::{
-    BufferPool, HeapFile, PageAllocator, PageId, PageStore, PageWriteGuard, Rid, SlotId,
+    BufferPool, FileStore, HeapFile, PageAllocator, PageId, PageStore, PageWriteGuard, Rid,
+    SlotId,
 };
 use gist_predlock::PredicateManager;
 use gist_txn::{GcCandidate, SavepointId, TxnEndObserver, TxnManager};
 use gist_wal::recovery::{RecoveryError, RecoveryHandler};
-use gist_wal::{LogManager, LogRecord, Lsn, Payload, RecordBody, TxnId};
+use gist_wal::{LogManager, LogRecord, Lsn, Payload, RecordBody, TxnId, WalTailReport};
 
 use crate::entry::LeafEntry;
 use crate::logrec::GistRecord;
@@ -185,6 +190,48 @@ pub struct RestartReport {
     /// rebuilt by forcing the redo pass to repeat history from the log
     /// start.
     pub repaired_pages: Vec<PageId>,
+    /// What loading the log file found at its end ([`Db::open_path`]
+    /// only; `None` when the caller handed [`Db::restart`] a log).
+    pub log_tail: Option<WalTailReport>,
+}
+
+/// The restart banner: `recovered: N indexes, N losers undone, N records
+/// redone`, plus a second line when the log file's torn tail was dropped.
+impl fmt::Display for RestartReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "recovered: {} indexes, {} losers undone, {} records redone",
+            self.indexes,
+            self.outcome.losers.len(),
+            self.outcome.redo_applied
+        )?;
+        match self.log_tail {
+            Some(t) if t.tail_truncated => write!(
+                f,
+                "\nlog tail: dropped {} bytes of a torn final record after record {}",
+                t.dropped_bytes, t.loaded
+            ),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// The files behind a database opened with [`Db::open_path`].
+struct DbFiles {
+    /// `<base>.wal`: [`Db::shutdown`] and [`Db::crash`] write the log's
+    /// durable prefix here.
+    wal: PathBuf,
+    /// `<base>.pages`, opened once more to hold an exclusive lock for the
+    /// database's lifetime (the lock goes with the handle).
+    _lock: File,
+}
+
+fn with_ext(base: &Path, ext: &str) -> PathBuf {
+    let mut path = base.as_os_str().to_owned();
+    path.push(".");
+    path.push(ext);
+    PathBuf::from(path)
 }
 
 /// The database: all substrates plus the catalog.
@@ -239,6 +286,8 @@ pub struct Db {
     /// [`Db::run_txn`] calls that exhausted their retry budget on a
     /// retryable error and surfaced it to the caller.
     retries_exhausted: AtomicU64,
+    /// Set by [`Db::open_path`]: the log file and the page-file lock.
+    files: OnceLock<DbFiles>,
 }
 
 /// Point-in-time snapshot of the database's degradation and self-healing
@@ -349,8 +398,14 @@ impl Db {
         log: Arc<LogManager>,
         config: DbConfig,
     ) -> Result<Arc<Db>> {
+        let locks = Arc::new(LockManager::with_timeout(LOCK_TIMEOUT));
+        let preds = Arc::new(PredicateManager::new());
+        let txns = Arc::new(TxnManager::new(log.clone(), locks.clone(), preds.clone()));
         let pool = BufferPool::new(store.clone(), config.pool_capacity);
-        pool.set_flusher(log.clone());
+        // The WAL-before-data barrier goes through the pipeline: page
+        // writeback batches its log force with pending commits instead of
+        // issuing a private fsync (inline when the flusher is stopped).
+        pool.set_flusher(txns.pipeline().clone());
         // One reclamation domain per database: §7.2 page frees defer
         // behind the optimistic readers' pins.
         let epoch = Arc::new(EpochGc::new());
@@ -365,13 +420,6 @@ impl Db {
             pool.flush_all()?;
             pool.sync_store()?;
         }
-        let locks = Arc::new(LockManager::with_timeout(LOCK_TIMEOUT));
-        let preds = Arc::new(PredicateManager::new());
-        let txns = Arc::new(TxnManager::new(log.clone(), locks.clone(), preds.clone()));
-        // Re-point the WAL-before-data barrier at the pipeline: page
-        // writeback then batches its log force with pending commits
-        // instead of issuing a private fsync (inline when not started).
-        pool.set_flusher(txns.pipeline().clone());
         txns.pipeline().start();
         let alloc = Arc::new(PageAllocator::new(1));
         let heap = HeapFile::new(pool.clone(), alloc.clone());
@@ -402,6 +450,7 @@ impl Db {
             opt_fallbacks: AtomicU64::new(0),
             admission,
             retries_exhausted: AtomicU64::new(0),
+            files: OnceLock::new(),
         });
         // The database is the daemon's undo handler: the transaction
         // watchdog needs logical undo to roll idle victims back. Weak so
@@ -419,8 +468,62 @@ impl Db {
         Ok(db)
     }
 
+    /// Open the database stored at `base`: pages in `<base>.pages`, the
+    /// log in `<base>.wal`. Until the log is written as it grows, the log
+    /// file is the durable prefix written by [`Db::shutdown`] or
+    /// [`Db::crash`].
+    ///
+    /// - A log file exists: load it and [`Db::restart`]; the report is
+    ///   returned.
+    /// - No log, and the page file is missing or empty: a new database.
+    /// - No log, but the page file has pages: refused. A session died
+    ///   without writing its log, and opening its pages as a new
+    ///   database would lose what they hold.
+    ///
+    /// The page file stays exclusively locked while the database lives;
+    /// a second opener, in this process or another, is refused.
+    pub fn open_path(
+        base: impl AsRef<Path>,
+        config: DbConfig,
+    ) -> Result<(Arc<Db>, Option<RestartReport>)> {
+        let base = base.as_ref();
+        let pages = with_ext(base, "pages");
+        let wal = with_ext(base, "wal");
+        let lock =
+            OpenOptions::new().read(true).write(true).create(true).truncate(false).open(&pages)?;
+        lock.try_lock().map_err(|e| match e {
+            TryLockError::WouldBlock => io::Error::new(
+                io::ErrorKind::WouldBlock,
+                format!("{} is locked: the database is open elsewhere", pages.display()),
+            ),
+            TryLockError::Error(e) => e,
+        })?;
+        let store = Arc::new(FileStore::open(&pages)?);
+        let (db, report) = if wal.exists() {
+            let (log, tail) = LogManager::load_file_report(&wal)?;
+            let (db, mut report) = Db::restart(store, Arc::new(log), config)?;
+            report.log_tail = Some(tail);
+            (db, Some(report))
+        } else if store.page_count() == 0 {
+            (Db::open(store, Arc::new(LogManager::new()), config)?, None)
+        } else {
+            return Err(GistError::Recovery(format!(
+                "{} holds {} pages but {} is missing: the last session ended \
+                 without writing its log; refusing to open it as a new database",
+                pages.display(),
+                store.page_count(),
+                wal.display()
+            )));
+        };
+        // Unset until now: `db` was built just above.
+        let _ = db.files.set(DbFiles { wal, _lock: lock });
+        Ok((db, report))
+    }
+
     /// Restart after a crash: run analysis/redo/undo over the durable
-    /// log, then rebuild the free list and catalog.
+    /// log, then rebuild the free list and catalog. Refused when a page
+    /// on disk carries an LSN past the log's end (the log is older than
+    /// the pages, so recovering with it would corrupt them).
     pub fn restart(
         store: Arc<dyn PageStore>,
         log: Arc<LogManager>,
@@ -433,8 +536,9 @@ impl Db {
         // zeroed dirty frame with page LSN 0. Since the log is never
         // truncated, redo can rebuild them from scratch; the floor forces
         // the pass to repeat all of history, and page-LSN idempotence
-        // keeps the wider scan free for every healthy page.
-        let repaired_pages = db.pool.quarantine_torn_pages()?;
+        // keeps the wider scan free for every healthy page. The same pass
+        // refuses a page that is ahead of the log.
+        let repaired_pages = db.pool.quarantine_torn_pages(db.log.last_lsn())?;
         let floor = if repaired_pages.is_empty() { Lsn(u64::MAX) } else { Lsn(1) };
         let outcome = gist_wal::recovery::restart_with_floor(&db.log, db.as_ref(), floor)
             .map_err(|e| GistError::Recovery(e.0))?;
@@ -450,6 +554,7 @@ impl Db {
             indexes: db.catalog.lock().len(),
             free_pages: db.alloc.free_count(),
             repaired_pages,
+            log_tail: None,
         };
         Ok((db, report))
     }
@@ -844,7 +949,9 @@ impl Db {
     }
 
     /// Simulate a crash: the buffer pool drops every unflushed page and
-    /// the log loses its non-durable suffix. Reopen with [`Db::restart`].
+    /// the log loses its non-durable suffix. Reopen with [`Db::restart`]
+    /// (or [`Db::open_path`], after which the durable prefix is written to
+    /// the log file here).
     ///
     /// The maintenance worker is stopped first — *without* draining
     /// the queue (a crash abandons pending work; recovery and later
@@ -857,6 +964,11 @@ impl Db {
         self.txns.pipeline().stop(false);
         self.pool.crash();
         self.log.crash();
+        if let Err(e) = self.persist_log() {
+            // A crash has no caller to fail; what the file lacks now is
+            // what restart will not find.
+            eprintln!("crash: writing the log file failed: {e}");
+        }
         // A crash implies quiescence (the pool just asserted it), so the
         // epoch bin can drain — deferred page frees are moot (the
         // allocator is rebuilt at restart anyway).
@@ -867,17 +979,30 @@ impl Db {
     /// drained first: queued GC/drain work completes and its log records
     /// land before the final flush, so a clean restart owes nothing. The
     /// final store sync is what upgrades "written back" to "durable";
-    /// its failure is reported rather than swallowed.
+    /// its failure is reported rather than swallowed. A database opened
+    /// with [`Db::open_path`] writes its log file first.
     pub fn shutdown(&self) -> Result<()> {
         self.maint.stop(true);
         // Drain the pipeline (joins the flusher after a final sweep),
         // then belt-and-suspenders force for the inline path.
         self.txns.pipeline().stop(true);
         self.log.flush_all();
+        // The log file before the pages: WAL-before-data on disk.
+        self.persist_log()?;
         self.pool.flush_all()?;
         self.pool.sync_store()?;
         self.epoch.try_collect();
         Ok(())
+    }
+
+    /// Write the log's durable prefix to the log file, if there is one.
+    /// Segment files will take this over: they make each prefix durable
+    /// as the flusher syncs it.
+    fn persist_log(&self) -> Result<()> {
+        match self.files.get() {
+            Some(files) => Ok(self.log.persist_file(&files.wal)?),
+            None => Ok(()),
+        }
     }
 
     // ---- NSN management (§10.1) ----

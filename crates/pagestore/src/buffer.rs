@@ -870,26 +870,41 @@ impl BufferPool {
     /// flush. Returns the quarantined page ids; the caller (restart)
     /// must widen its redo window to the log start when any page was
     /// quarantined. Must run on a quiescent pool before recovery fetches.
-    pub fn quarantine_torn_pages(self: &Arc<Self>) -> io::Result<Vec<PageId>> {
+    ///
+    /// The same pass enforces WAL-before-data across restarts: a healthy
+    /// page whose LSN is past `log_end` was written under a log this one
+    /// does not contain, so redo and undo over it would corrupt the
+    /// tree. The scan then fails with `InvalidData` naming the page and
+    /// both LSNs, before any frame is seeded.
+    pub fn quarantine_torn_pages(self: &Arc<Self>, log_end: Lsn) -> io::Result<Vec<PageId>> {
         let mut quarantined = Vec::new();
         let mut scratch = Page::zeroed();
         for raw in 0..self.store.page_count() {
             let id = PageId(raw);
             audit::io_event(self.audit_id, u64::from(raw), "torn-scan");
-            let bad = match with_io_retry(|| self.store.read(id, &mut scratch)) {
-                Ok(()) => !scratch.verify_checksum(),
+            match with_io_retry(|| self.store.read(id, &mut scratch)) {
+                Ok(()) if !scratch.verify_checksum() => quarantined.push(id),
+                Ok(()) if scratch.page_lsn() > log_end => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!(
+                            "page {id} has LSN {} but the log ends at LSN {log_end}: \
+                             the page file is ahead of its log",
+                            scratch.page_lsn()
+                        ),
+                    ));
+                }
+                Ok(()) => {}
                 // Persistently unreadable during recovery: treat like a
                 // torn image — redo can rebuild it from the log anyway.
-                Err(_) => true,
-            };
-            if bad {
-                let mut g = self.fetch_write_or_fresh(id)?;
-                g.data_mut().page = Page::zeroed();
-                g.frame.dirty.store(true, Ordering::Relaxed);
-                g.frame.rec_lsn.store(0, Ordering::Relaxed);
-                drop(g);
-                quarantined.push(id);
+                Err(_) => quarantined.push(id),
             }
+        }
+        for &id in &quarantined {
+            let mut g = self.fetch_write_or_fresh(id)?;
+            g.data_mut().page = Page::zeroed();
+            g.frame.dirty.store(true, Ordering::Relaxed);
+            g.frame.rec_lsn.store(0, Ordering::Relaxed);
         }
         Ok(quarantined)
     }
@@ -1449,7 +1464,7 @@ mod tests {
         // Restart-time scan: exactly one page fails its checksum and is
         // quarantined as a zeroed dirty frame with page LSN 0.
         let pool2 = BufferPool::new(faults.clone(), 8);
-        let torn = pool2.quarantine_torn_pages().unwrap();
+        let torn = pool2.quarantine_torn_pages(Lsn(13)).unwrap();
         assert_eq!(torn.len(), 1, "exactly one torn page: {torn:?}");
         let id = torn[0];
         let g = pool2.fetch_read(id).unwrap();
@@ -1467,7 +1482,26 @@ mod tests {
         pool2.flush_all().unwrap();
         pool2.crash();
         let pool3 = BufferPool::new(faults, 8);
-        assert!(pool3.quarantine_torn_pages().unwrap().is_empty(), "repair stuck");
+        assert!(pool3.quarantine_torn_pages(Lsn(13)).unwrap().is_empty(), "repair stuck");
+    }
+
+    #[test]
+    fn torn_scan_refuses_a_page_ahead_of_the_log() {
+        let store = Arc::new(InMemoryStore::new());
+        let pool = BufferPool::new(store.clone(), 8);
+        for i in 1..=2u32 {
+            let mut g = pool.new_page_write(PageId(i), 0).unwrap();
+            g.insert_cell(b"x").unwrap();
+            g.mark_dirty(Lsn(u64::from(40 + i)));
+        }
+        pool.flush_all().unwrap();
+        pool.crash();
+        let pool2 = BufferPool::new(store, 8);
+        let err = pool2.quarantine_torn_pages(Lsn(41)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(msg.contains("P2") && msg.contains("42") && msg.contains("41"), "{msg}");
+        assert!(pool2.quarantine_torn_pages(Lsn(42)).unwrap().is_empty());
     }
 
     #[test]

@@ -609,9 +609,3 @@ pub struct WalTailReport {
     /// Bytes dropped with the tail.
     pub dropped_bytes: usize,
 }
-
-impl LogFlusher for LogManager {
-    fn flush_until(&self, lsn: Lsn) {
-        self.flush(lsn);
-    }
-}

@@ -11,8 +11,9 @@
 # Tier 2: zero clippy warnings, zero gist-lint violations, the test
 # suite under the gist-audit dynamic discipline analyzer
 # (`--features latch-audit`), the fault/chaos/overload/serve harnesses
-# (one of them a cross-layer scenario under one seeded fault plan), and
-# the bench_e2e package's own tests.
+# (one of them a cross-layer scenario under one seeded fault plan), the
+# process-kill tests on the release binaries, and the bench_e2e
+# package's own tests.
 #
 # Tier 3: the crates/mc deterministic schedule explorer — schedule-pinned
 # regression scenarios (lock replication vs release, predicate attach vs
@@ -63,6 +64,10 @@ step "tier 2: optimistic stress under latch-audit" \
     cargo test -q --features latch-audit --test stress optimistic_
 step "tier 2: storage fault-injection crash harness" \
     cargo test -q --release --test fault_recovery
+# Real process exits and SIGKILLs of the release gist-shell: which
+# reopens Db::open_path recovers and which it refuses.
+step "tier 2: process-kill durability (release gist-shell)" \
+    cargo test -q --release --test durability_files
 step "tier 2: operation chaos harness, seed 1 (audited)" \
     env CHAOS_SEED=1 cargo test -q --release --features chaos,latch-audit --test chaos_ops
 step "tier 2: operation chaos harness, seed 2 (audited)" \

@@ -17,19 +17,18 @@
 //! stop accepting, give in-flight sessions the drain deadline, then
 //! force-abort stragglers — followed by a clean engine shutdown.
 //!
-//! The page file is `<path>.pages`, the WAL `<path>.wal`; on startup
-//! with both present the server runs restart recovery and re-registers
-//! every cataloged index.
+//! The database at `<db-path>` is opened with `Db::open_path`, which
+//! owns its files: it runs restart recovery when the path has a log
+//! (printing the `recovered: ...` banner on stderr), refuses a path whose
+//! pages outran its log or whose log is missing, and refuses a path
+//! another process has open. Every cataloged index is re-registered.
+//! The clean shutdown writes the log for the next start.
 
 use std::io::BufRead;
-use std::path::PathBuf;
-use std::sync::Arc;
 
 use gist_repro::am::BtreeExt;
 use gist_repro::core::{Db, DbConfig, GistIndex};
-use gist_repro::pagestore::{FileStore, PageStore};
 use gist_repro::serve::{ServeConfig, Server};
-use gist_repro::wal::LogManager;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -44,27 +43,10 @@ fn main() {
 }
 
 fn run(base: &str, addr: &str) -> Result<(), Box<dyn std::error::Error>> {
-    let pages = PathBuf::from(format!("{base}.pages"));
-    let wal_path = PathBuf::from(format!("{base}.wal"));
-    let store = Arc::new(FileStore::open(&pages)?);
-    let fresh = store.page_count() == 0 || !wal_path.exists();
-    let log = if fresh {
-        Arc::new(LogManager::new())
-    } else {
-        Arc::new(LogManager::load_file(&wal_path)?)
-    };
-    let db = if fresh {
-        Db::open(store, log, DbConfig::default())?
-    } else {
-        let (db, report) = Db::restart(store, log, DbConfig::default())?;
-        eprintln!(
-            "recovered: {} indexes, {} losers undone, {} records redone",
-            report.indexes,
-            report.outcome.losers.len(),
-            report.outcome.redo_applied
-        );
-        db
-    };
+    let (db, report) = Db::open_path(base, DbConfig::default())?;
+    if let Some(report) = report {
+        eprintln!("{report}");
+    }
 
     let server = Server::new(
         db.clone(),
@@ -112,8 +94,8 @@ fn run(base: &str, addr: &str) -> Result<(), Box<dyn std::error::Error>> {
     let _ = acceptor.join();
     // Drain force-aborted straggler transactions but their session
     // threads may still be mid-dispatch; wait for them to finish
-    // teardown so none touches the engine during shutdown or after the
-    // WAL snapshot below.
+    // teardown so none touches the engine during shutdown, which ends
+    // by writing the log.
     if !server.await_sessions(std::time::Duration::from_secs(5)) {
         eprintln!(
             "warning: {} session(s) still live at shutdown",
@@ -130,6 +112,5 @@ fn run(base: &str, addr: &str) -> Result<(), Box<dyn std::error::Error>> {
         stats.evicted_slow
     );
     db.shutdown()?;
-    db.log().persist_file(&wal_path)?;
     Ok(())
 }

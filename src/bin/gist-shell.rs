@@ -27,24 +27,25 @@
 //! help | exit
 //! ```
 //!
-//! The page file is `<path>.pages`, the WAL `<path>.wal`. On startup, if
-//! both exist, the shell runs restart recovery.
+//! The database at `<path>` is opened with `Db::open_path`: restart
+//! recovery runs when the path has a log and prints the `recovered: ...`
+//! banner. A path whose pages outran its log, whose log is missing, or
+//! that another process has open is refused, and the shell exits
+//! non-zero. `exit`, `flush` and `crash` write the log for the next
+//! session; a killed session writes none.
 
 use std::collections::HashMap;
 use std::io::{BufRead, Write as _};
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use gist_repro::am::{BtreeExt, I64Query};
 use gist_repro::core::check::check_tree;
 use gist_repro::core::{Db, DbConfig, GistError, GistIndex, IndexOptions};
-use gist_repro::pagestore::{FileStore, PageStore};
 use gist_repro::txn::SavepointId;
-use gist_repro::wal::{LogManager, TxnId};
+use gist_repro::wal::TxnId;
 
 struct Shell {
     db: Arc<Db>,
-    wal_path: PathBuf,
     indexes: HashMap<String, Arc<GistIndex<BtreeExt>>>,
     txn: Option<TxnId>,
     savepoints: Vec<SavepointId>,
@@ -52,31 +53,13 @@ struct Shell {
 }
 
 impl Shell {
-    fn open(base: &str) -> Result<Shell, Box<dyn std::error::Error>> {
-        let pages = PathBuf::from(format!("{base}.pages"));
-        let wal_path = PathBuf::from(format!("{base}.wal"));
-        let store = Arc::new(FileStore::open(&pages)?);
-        let fresh = store.page_count() == 0 || !wal_path.exists();
-        let log = if fresh {
-            Arc::new(LogManager::new())
-        } else {
-            Arc::new(LogManager::load_file(&wal_path)?)
-        };
-        let db = if fresh {
-            Db::open(store, log, DbConfig::default())?
-        } else {
-            let (db, report) = Db::restart(store, log, DbConfig::default())?;
-            println!(
-                "recovered: {} indexes, {} losers undone, {} records redone",
-                report.indexes,
-                report.outcome.losers.len(),
-                report.outcome.redo_applied
-            );
-            db
-        };
+    fn open(base: &str) -> Result<Shell, GistError> {
+        let (db, report) = Db::open_path(base, DbConfig::default())?;
+        if let Some(report) = report {
+            println!("{report}");
+        }
         Ok(Shell {
             db,
-            wal_path,
             indexes: HashMap::new(),
             txn: None,
             savepoints: Vec::new(),
@@ -109,12 +92,6 @@ impl Shell {
         Ok(())
     }
 
-    fn persist(&self) -> Result<(), Box<dyn std::error::Error>> {
-        self.db.shutdown()?;
-        self.db.log().persist_file(&self.wal_path)?;
-        Ok(())
-    }
-
     fn run_line(&mut self, line: &str) -> Result<bool, Box<dyn std::error::Error>> {
         let parts: Vec<&str> = line.split_whitespace().collect();
         let Some(&cmd) = parts.first() else { return Ok(true) };
@@ -130,7 +107,7 @@ impl Shell {
                         println!("(aborting open transaction)");
                         self.db.abort(t)?;
                     }
-                    self.persist()?;
+                    self.db.shutdown()?;
                 }
                 return Ok(false);
             }
@@ -350,13 +327,12 @@ impl Shell {
             }
             "crash" => {
                 self.txn = None;
-                self.db.log().persist_file(&self.wal_path)?;
                 self.db.crash();
                 self.crashed = true;
                 println!("crashed (durable prefix persisted); exit and reopen to recover");
             }
             "flush" => {
-                self.persist()?;
+                self.db.shutdown()?;
                 println!("flushed");
             }
             other => println!("unknown command {other:?} (try `help`)"),
@@ -375,8 +351,11 @@ crash | flush | exit";
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let base = std::env::args().nth(1).unwrap_or_else(|| "/tmp/gist-shell-db".to_string());
-    println!("gist-shell over {base}.pages / {base}.wal  (`help` for commands)");
-    let mut shell = Shell::open(&base)?;
+    println!("gist-shell over {base}  (`help` for commands)");
+    let mut shell = Shell::open(&base).unwrap_or_else(|e| {
+        eprintln!("gist-shell: {e}");
+        std::process::exit(1);
+    });
     let stdin = std::io::stdin();
     loop {
         print!("gist> ");
