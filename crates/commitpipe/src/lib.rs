@@ -405,8 +405,8 @@ impl CommitPipeline {
             self.log.fsync_to(target);
             self.stats.record_sync(commits);
         } else {
-            // Someone else's sync (an inline barrier, a backpressure
-            // escalation) already covered these commits.
+            // Someone else's sync (an inline barrier, `flush_until`'s
+            // last resort) already covered these commits.
             self.stats.commits.fetch_add(commits, Ordering::Relaxed);
         }
         gist_chaos::point("commitpipe.flusher.post_fsync_pre_wakeup")?;

@@ -112,13 +112,6 @@ pub struct DbConfig {
 
 /// Lock-wait timeout (safety net behind deadlock detection).
 const LOCK_TIMEOUT: Duration = Duration::from_secs(10);
-/// WAL backpressure: when the volatile log tail (`last − durable`)
-/// exceeds this many records, `LogManager::append` parks the appender
-/// until the flusher catches up.
-const WAL_BACKPRESSURE_LIMIT: u64 = 1 << 16;
-/// How long a backpressured appender parks before escalating to an
-/// inline flush of the log (stalled-flusher degradation).
-const WAL_BACKPRESSURE_TIMEOUT: Duration = Duration::from_millis(100);
 
 impl Default for DbConfig {
     fn default() -> Self {
@@ -358,14 +351,12 @@ pub struct RobustnessStats {
     /// Admission-controller counters ([`Db::try_begin`] sheds,
     /// [`Db::begin`] forced admissions, parked begins).
     pub admission: AdmissionStats,
-    /// WAL appends that parked on the backpressure gate.
+    /// Always 0: WAL appends never park. Kept only because the
+    /// benchmark's `wal.backpressure_parks` row reads it.
     pub wal_bp_parks: u64,
-    /// Backpressure parks that timed out and escalated to an inline
-    /// flush (stalled-flusher degradation).
+    /// Always 0: WAL appends never sync. Kept only because the
+    /// benchmark's `wal.backpressure_stalls` row reads it.
     pub wal_bp_stalls: u64,
-    /// Volatile log tail (`last − durable`) the backpressure gate
-    /// currently sees.
-    pub wal_bp_backlog: u64,
     /// Whether a live epoch pin is older than
     /// [`DbConfig::epoch_stall_age`].
     pub epoch_stalled: bool,
@@ -410,7 +401,6 @@ impl Db {
         // behind the optimistic readers' pins.
         let epoch = Arc::new(EpochGc::new());
         epoch.set_stall_age(config.epoch_stall_age);
-        log.set_backpressure(WAL_BACKPRESSURE_LIMIT, WAL_BACKPRESSURE_TIMEOUT);
         if store.page_count() == 0 {
             // Bootstrap the catalog page and make it durable immediately
             // so redo can always assume a formatted page 0.
@@ -857,7 +847,6 @@ impl Db {
     pub fn robustness_stats(&self) -> RobustnessStats {
         let ls = &self.locks.stats;
         let ps = self.txns.pipeline().stats();
-        let bs = self.log.backpressure_stats();
         let es = self.epoch.stats();
         RobustnessStats {
             txn_retries: self.retries.load(Ordering::Relaxed),
@@ -886,9 +875,8 @@ impl Db {
             epoch_pending: es.pending,
             retries_exhausted: self.retries_exhausted.load(Ordering::Relaxed),
             admission: self.admission.stats(),
-            wal_bp_parks: bs.parks,
-            wal_bp_stalls: bs.stalls,
-            wal_bp_backlog: bs.backlog,
+            wal_bp_parks: 0,
+            wal_bp_stalls: 0,
             epoch_stalled: es.stalled,
             epoch_stalls: es.stalls,
             epoch_forced_advances: es.forced_advances,
@@ -899,10 +887,10 @@ impl Db {
     /// The database's aggregate health verdict, computed from current
     /// conditions (no latched state — safe to poll): `ReadOnly` when the
     /// buffer pool is poisoned, `Degraded` while any overload defense is
-    /// engaged (group-commit flusher not running, WAL backlog at the
-    /// backpressure limit, an epoch pin past its age budget, admission
-    /// at capacity), `Healthy` otherwise. Degradations clear themselves, so
-    /// the verdict recovers as soon as the underlying pressure does.
+    /// engaged (group-commit flusher not running, an epoch pin past its
+    /// age budget, admission at capacity), `Healthy` otherwise.
+    /// Degradations clear themselves, so the verdict recovers as soon as
+    /// the underlying pressure does.
     pub fn health(&self) -> HealthState {
         let mut r = HealthReport::healthy();
         if self.pool.is_poisoned() {
@@ -916,13 +904,6 @@ impl Db {
         let ps = self.txns.pipeline().stats();
         if !ps.running {
             r.degrade("group-commit flusher not running; durability served inline");
-        }
-        let bs = self.log.backpressure_stats();
-        if bs.limit > 0 && bs.backlog >= bs.limit {
-            r.degrade(format!(
-                "wal backlog {} records at/over backpressure limit {}",
-                bs.backlog, bs.limit
-            ));
         }
         let es = self.epoch.stats();
         if es.stalled {

@@ -29,8 +29,8 @@
 //!
 //! The crate also owns the unified [`HealthReport`] vocabulary
 //! (`Healthy` / `Degraded { reasons }` / `ReadOnly { reasons }`) that
-//! `Db::health()` assembles from the flusher, maint, epoch, WAL
-//! backpressure, and admission heartbeats.
+//! `Db::health()` assembles from the buffer pool, flusher, epoch and
+//! admission heartbeats.
 
 use gist_sync::{Condvar, Mutex};
 use std::collections::HashSet;
@@ -213,9 +213,9 @@ impl AdmissionController {
 
 /// Aggregate engine condition, escalating `Healthy` → `Degraded` →
 /// `ReadOnly`. The verdict reflects *current* subsystem state (is the
-/// flusher alive? is the epoch advancing? is the WAL backlog under its
-/// cap?), not lifetime counters, so an engine that weathered a past
-/// stall reports `Healthy` again once conditions clear.
+/// flusher alive? is the epoch advancing? is admission saturated?), not
+/// lifetime counters, so an engine that weathered a past stall reports
+/// `Healthy` again once conditions clear.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum HealthState {
     /// Every subsystem heartbeat is nominal.

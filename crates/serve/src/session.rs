@@ -392,8 +392,6 @@ fn stats_entries(inner: &ServerInner) -> Vec<(String, i64)> {
         ("admission_capacity".to_string(), clamp(rs.admission.capacity)),
         ("admission_shed".to_string(), clamp(rs.admission.shed)),
         ("admission_forced".to_string(), clamp(rs.admission.forced)),
-        ("wal_bp_backlog".to_string(), clamp(rs.wal_bp_backlog)),
-        ("wal_bp_stalls".to_string(), clamp(rs.wal_bp_stalls)),
         ("txn_retries".to_string(), clamp(rs.txn_retries)),
         ("watchdog_aborts".to_string(), clamp(rs.watchdog_aborts)),
         ("lock_deadlocks".to_string(), clamp(rs.lock_deadlocks)),

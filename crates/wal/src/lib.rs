@@ -38,7 +38,7 @@ pub mod recovery;
 pub use checksum::stable_hash_bytes;
 pub use lsn::{Lsn, TxnId};
 pub use record::{LogRecord, Payload, RecordBody};
-pub use log::{LogFlusher, LogManager, WalBackpressureStats, WalTailReport};
+pub use log::{LogFlusher, LogManager, WalTailReport};
 pub use recovery::{
     restart, restart_with_floor, rollback, AnalysisResult, RecoveryError, RecoveryHandler,
     RestartOutcome, RollbackKind,

@@ -107,18 +107,6 @@ pub struct LogManager {
     /// on their commit LSN wake here (the commit pipeline batches the
     /// fsync and then calls [`LogManager::notify_durable`]).
     flush_cv: Condvar,
-    /// Backpressure high-watermark on the in-flight backlog
-    /// (`last − durable`); `0` disables the gate.
-    bp_limit: AtomicU64,
-    /// How long a gated append parks (microseconds) before escalating to
-    /// an inline flush and proceeding anyway.
-    bp_timeout_micros: AtomicU64,
-    /// Appends that parked on the backpressure gate.
-    bp_parks: AtomicU64,
-    /// Parks that expired with the backlog still over the limit — the
-    /// flusher was stalled or absent, and the append escalated to an
-    /// inline flush.
-    bp_stalls: AtomicU64,
     /// Model-checker shadow cells for the two watermarks (see
     /// `crate::audit`); zero when the `latch-audit` feature is off.
     hb_last: u64,
@@ -148,83 +136,9 @@ impl LogManager {
             sync_mutex: Mutex::new(()),
             wait_mutex: Mutex::new(0),
             flush_cv: Condvar::new(),
-            bp_limit: AtomicU64::new(0),
-            bp_timeout_micros: AtomicU64::new(100_000),
-            bp_parks: AtomicU64::new(0),
-            bp_stalls: AtomicU64::new(0),
             hb_last: audit::new_cell_id(),
             hb_durable: audit::new_cell_id(),
         }
-    }
-
-    /// Configure append backpressure: once the in-flight backlog
-    /// (`last − durable`) reaches `limit` records, new appends park until
-    /// the durable horizon advances or `timeout` elapses. `limit == 0`
-    /// disables the gate (the default).
-    pub fn set_backpressure(&self, limit: u64, timeout: Duration) {
-        self.bp_limit.store(limit, Ordering::Relaxed);
-        self.bp_timeout_micros.store(timeout.as_micros() as u64, Ordering::Relaxed);
-    }
-
-    /// Snapshot of the backpressure gate for `robustness_stats()`.
-    pub fn backpressure_stats(&self) -> WalBackpressureStats {
-        WalBackpressureStats {
-            limit: self.bp_limit.load(Ordering::Relaxed),
-            backlog: self.backlog(),
-            parks: self.bp_parks.load(Ordering::Relaxed),
-            stalls: self.bp_stalls.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Records appended but not yet durable.
-    fn backlog(&self) -> u64 {
-        self.last_lsn().0.saturating_sub(self.flushed_lsn().0)
-    }
-
-    /// Append-side backpressure: park (deadline-bounded, on the same
-    /// generation handshake group-commit waiters use, so every
-    /// [`LogManager::notify_durable`] releases parked writers too) while
-    /// the backlog sits at its high-watermark. A park that expires with
-    /// the backlog still full means the flusher is stalled or absent;
-    /// the writer then *escalates to an inline flush* of the log — the
-    /// same degradation the commit pipeline uses — and proceeds
-    /// regardless. Appends therefore never fail and never wait
-    /// unboundedly: shedding is the admission controller's job, and the
-    /// bounded park is what makes the parking provably deadlock-free
-    /// against the flusher (the `wal-backpressure` model-check scenario
-    /// pins this).
-    fn backpressure_gate(&self) {
-        let limit = self.bp_limit.load(Ordering::Relaxed);
-        if limit == 0 || self.backlog() < limit {
-            return;
-        }
-        self.bp_parks.fetch_add(1, Ordering::Relaxed);
-        let timeout = Duration::from_micros(self.bp_timeout_micros.load(Ordering::Relaxed));
-        let deadline = Instant::now() + timeout;
-        let mut gen = self.wait_mutex.lock();
-        loop {
-            if self.backlog() < limit {
-                return;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let seen = *gen;
-            let timed_out = self.flush_cv.wait_for(&mut gen, deadline - now).timed_out();
-            if timed_out && *gen == seen {
-                break;
-            }
-        }
-        drop(gen);
-        if self.backlog() < limit {
-            return;
-        }
-        // Stalled flusher: degrade to an inline flush and let the append
-        // through. Over-cap excursions are bounded by the number of
-        // concurrently escalating writers, never unbounded growth.
-        self.bp_stalls.fetch_add(1, Ordering::Relaxed);
-        self.flush(self.last_lsn());
     }
 
     /// Append a record; returns its LSN.
@@ -232,9 +146,10 @@ impl LogManager {
     /// `prev_lsn` is the transaction's backchain pointer (the caller —
     /// normally the transaction manager — tracks each transaction's last
     /// LSN). The LSN is taken, the record stored and `last` published in
-    /// one critical section.
+    /// one critical section. An append never waits for or forces the
+    /// durable horizon: making records durable is the commit pipeline's
+    /// job.
     pub fn append(&self, txn: TxnId, prev_lsn: Lsn, body: RecordBody) -> Lsn {
-        self.backpressure_gate();
         let mut records = self.records.lock();
         let lsn = Lsn(records.len() + 1);
         records.push(LogRecord { lsn, prev_lsn, txn, body });
@@ -584,19 +499,6 @@ fn interior_corruption(recno: usize, what: &str) -> io::Error {
         io::ErrorKind::InvalidData,
         format!("log corrupt before the durable tail (record {recno}): {what}"),
     )
-}
-
-/// Snapshot of the append backpressure gate.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WalBackpressureStats {
-    /// Configured backlog high-watermark (`0` = gate disabled).
-    pub limit: u64,
-    /// Current in-flight backlog (`last − durable`).
-    pub backlog: u64,
-    /// Appends that parked on the gate.
-    pub parks: u64,
-    /// Parks that expired and escalated to an inline flush.
-    pub stalls: u64,
 }
 
 /// What [`LogManager::load_file_report`] found at the end of the file.

@@ -74,7 +74,7 @@ step "tier 2: operation chaos harness, seed 2 (audited)" \
     env CHAOS_SEED=2 cargo test -q --release --features chaos,latch-audit --test chaos_ops
 step "tier 2: flusher crash points (chaos, audited)" \
     cargo test -q --release --features chaos,latch-audit --test fault_recovery flusher_crash
-step "tier 2: overload (admission, backpressure, health)" \
+step "tier 2: overload (admission, health)" \
     cargo test -q --release --test overload
 step "tier 2: epoch-stall degradation drill (chaos, audited)" \
     cargo test -q --release --features chaos,latch-audit --test overload epoch_stall

@@ -296,8 +296,7 @@ impl Shell {
                     println!("    - {reason}");
                 }
                 // Surface the counters driving the verdict next to it:
-                // credit occupancy (degrades at 100%) and WAL backlog
-                // against its backpressure limit.
+                // credit occupancy (degrades at 100%).
                 let occupancy = match (s.admission.in_flight * 100).checked_div(s.admission.capacity)
                 {
                     None => "unlimited credits".to_string(),
@@ -308,15 +307,6 @@ impl Shell {
                     s.admission.in_flight, s.admission.parked, s.admission.shed, s.admission.forced
                 );
                 println!("  retry budget:   {} exhausted", s.retries_exhausted);
-                let bp = self.db.log().backpressure_stats();
-                let backlog = match (bp.backlog * 100).checked_div(bp.limit) {
-                    None => format!("backlog {} rec (gate off)", bp.backlog),
-                    Some(pct) => format!("backlog {}/{} rec ({pct}%)", bp.backlog, bp.limit),
-                };
-                println!(
-                    "  wal gate:       {backlog}, {} parks, {} inline-flush stalls",
-                    s.wal_bp_parks, s.wal_bp_stalls
-                );
                 println!(
                     "  epoch bin:      {} page frees pending, stalled: {} ({} stalls, {} forced advances)",
                     s.epoch_pending,

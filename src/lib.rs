@@ -23,7 +23,7 @@
 //! - [`epoch`] — quiescent-state (epoch) reclamation guarding page reuse
 //!   under the optimistic latch-free read path.
 //! - [`overload`] — admission control and the health-state machine
-//!   behind the overload defenses (WAL backpressure, epoch-stall
+//!   behind the overload defenses (admission shedding, epoch-stall
 //!   degradation).
 //! - [`wire`] — the length-prefixed, checksummed binary protocol spoken
 //!   by the serving layer (fuzz-safe decode, incremental framing).

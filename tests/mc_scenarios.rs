@@ -537,74 +537,3 @@ fn epoch_skip_retire_mutation_is_found() {
     assert!(failure.failure.to_string().contains("reused"), "{}", failure.failure);
     assert_replays_byte_for_byte(&report, false, optimistic_reader_vs_drain_scenario);
 }
-
-// ---------------------------------------------------------------------------
-// Overload PR: WAL backpressure parking vs the flusher.
-// ---------------------------------------------------------------------------
-
-/// One writer appends six records through a backpressure gate with a
-/// two-record limit while a flusher syncs and signals three times. The
-/// gate parks on the same generation handshake as `wait_durable`, with
-/// a *bounded* park that escalates to an inline flush — so whatever the
-/// interleaving (flusher runs first, last, or interleaved; notify races
-/// the park; the flusher finishes while a writer is still parked), the
-/// writer must complete all six appends and the watermarks must close
-/// ranked `durable ≤ last`. A schedule in which the parked writer can
-/// never proceed would surface as a deadlock or an unfinished thread.
-fn wal_backpressure_scenario(sim: &mut Sim) {
-    let log = Arc::new(LogManager::new());
-    // Virtual time: the park budget is "real" here only as a number —
-    // the mc clock jumps when every thread is blocked, so an expiring
-    // park costs nothing and models the stalled-flusher escalation.
-    log.set_backpressure(2, Duration::from_millis(10));
-    let appended = Arc::new(AtomicBool::new(false));
-
-    let (l, done) = (log.clone(), appended.clone());
-    sim.spawn("writer", move || {
-        let mut prev = Lsn::NULL;
-        for _ in 0..6 {
-            prev = l.append(TxnId(1), prev, RecordBody::TxnCommit);
-        }
-        done.store(true, Ordering::SeqCst);
-    });
-
-    let l = log.clone();
-    sim.spawn("flusher", move || {
-        for _ in 0..3 {
-            l.fsync_to(l.last_lsn());
-            l.notify_durable();
-        }
-    });
-
-    sim.check(move || {
-        if !appended.load(Ordering::SeqCst) {
-            return Err("writer never completed its appends past the gate".to_string());
-        }
-        if log.last_lsn() != Lsn(6) {
-            return Err(format!("six appends but last is {:?}", log.last_lsn()));
-        }
-        let bs = log.backpressure_stats();
-        if bs.backlog > 6 {
-            return Err(format!("volatile tail ran away: {bs:?}"));
-        }
-        Ok(())
-    });
-}
-
-/// Fixed code, seeded random + PCT schedules: no interleaving of the
-/// parked writer and the flusher deadlocks, drops an append, or breaks
-/// the watermark ordering. `deadline_is_failure` is deliberately *not*
-/// set: the expiring park is the designed degradation path (inline
-/// flush), not a lost wakeup — the assertion is that every schedule
-/// terminates with full progress.
-#[test]
-fn wal_backpressure_parking_never_deadlocks_flusher() {
-    let _serial = suite_lock();
-    for explorer in [
-        Explorer::seeded("wal-bp-seeded", 0xBACC, 128),
-        Explorer::pct("wal-bp-pct", 0xBACD, 3, 128),
-    ] {
-        let report = explorer.run(wal_backpressure_scenario);
-        report.assert_no_failure();
-    }
-}

@@ -1,5 +1,5 @@
 //! Overload resilience: admission control (shed and barge), the
-//! `run_txn` retry budget, WAL backpressure escalation, and the
+//! `run_txn` retry budget, appends that never sync, and the
 //! health-state machine — including the chaos-driven epoch-stall
 //! degradation drill (`--features chaos`).
 
@@ -133,29 +133,31 @@ fn run_txn_exhausted_budget_returns_last_error() {
     assert_eq!(db.admission().stats().in_flight, 0);
 }
 
-/// The backpressure gate with *no flusher at all*: appends park,
-/// the park expires, and the writer escalates to an inline flush — the
-/// log keeps accepting appends and the tail stays bounded. This is the
-/// degradation path the `wal-backpressure` mc scenario explores for
-/// deadlocks; here we pin its single-threaded semantics.
+/// An append never waits for or forces the durable horizon, however
+/// long the volatile tail grows: with the flusher stopped, 70,000
+/// appends leave `flushed_lsn()` where it was and health names only the
+/// stopped flusher. Durability comes from the commit pipeline, here an
+/// inline barrier.
 #[test]
-fn wal_backpressure_escalates_to_inline_flush_without_flusher() {
-    let log = LogManager::new();
-    const LIMIT: u64 = 4;
-    log.set_backpressure(LIMIT, Duration::from_millis(1));
+fn appends_never_sync_the_log() {
+    let store = Arc::new(InMemoryStore::new());
+    let db = Db::open(store, Arc::new(LogManager::new()), DbConfig::default()).unwrap();
+    db.txns().pipeline().stop(false);
+    let log = db.log();
+    let durable = log.flushed_lsn();
 
-    let mut prev = Lsn::NULL;
-    for _ in 0..100 {
-        prev = log.append(TxnId(1), prev, RecordBody::TxnCommit);
+    let mut last = Lsn::NULL;
+    for _ in 0..70_000 {
+        last = log.append(TxnId(1), last, RecordBody::Noop);
     }
 
-    let s = log.backpressure_stats();
-    assert!(s.parks > 0, "gate never engaged: {s:?}");
-    assert!(s.stalls > 0, "no flusher: every park must escalate: {s:?}");
-    // Inline flushes kept the volatile tail at (or under) the gate —
-    // the last append lands after its escalating flush, so the
-    // backlog is small but not necessarily zero.
-    assert!(s.backlog <= LIMIT, "tail unbounded despite escalation: {s:?}");
+    assert_eq!(log.flushed_lsn(), durable, "an append synced the log");
+    let health = db.health();
+    assert_eq!(health.reasons().len(), 1, "{health:?}");
+    assert!(reasons(&health).contains("flusher"), "{health:?}");
+
+    db.txns().pipeline().barrier(last).unwrap();
+    assert_eq!(log.flushed_lsn(), last, "the barrier made the whole tail durable");
 }
 
 /// Health surfaces a stopped group-commit flusher as degraded (inline
