@@ -81,11 +81,11 @@ pub const CATALOG: &[&str] = &[
     "serve.session.before_reply",
     "serve.drain.before_force_abort",
     // Mutation switches, last. Any action arms one. In order: the lost
-    // wakeup (`wait_durable` checks the horizon outside the wait mutex,
-    // then parks without a generation check); §7.2 reclamation without
+    // wakeup (the commit pipeline's park checks the durable horizon
+    // before taking the state mutex it parks on); §7.2 reclamation without
     // the epoch grace period (`EpochGc::retire` frees at once, so a
     // drained page can be reallocated under a pinned optimistic reader).
-    "wal.wait-durable-unguarded-park",
+    "commitpipe.park-unguarded",
     "epoch.skip-retire",
 ];
 

@@ -5,27 +5,29 @@
 //!
 //! Decouples log *append* from *durability*. Appenders push records onto
 //! the [`LogManager`] under its one mutex and never wait for a sync
-//! there; this crate adds the durability half:
+//! there; every durability wait lives in this crate:
 //!
-//! - a dedicated background **flusher** thread that drains the log to
-//!   the durable horizon with one (simulated) `fsync` per batch;
-//! - **group commit**: concurrent committers park on their commit LSN
-//!   ([`LogManager::wait_durable`], the once-dormant `flush_cv`) and a
-//!   single device sync makes the whole batch durable;
+//! - a dedicated background **flusher** thread makes the whole log
+//!   durable with one [`LogManager::fsync_to`] (the log's one durability
+//!   primitive) per batch, then wakes the parked callers;
+//! - **group commit**: a caller whose LSN is not yet durable records it
+//!   in the pipeline's state, kicks the flusher and parks on a condvar of
+//!   that same state mutex, so one device sync releases the whole batch;
 //! - force-at-commit: [`CommitPipeline::commit_durable`] parks until the
 //!   commit record is durable, so a committed transaction survives any
-//!   crash; a request cuts a batch at once, without lingering for more;
-//! - an idle sweep that makes unforced records (end, abort and
-//!   NTA-terminator records) durable within a few milliseconds.
+//!   crash; a request cuts a batch at once, without lingering for more.
 //!
-//! When the flusher is not running (unit tests, a stopped pipeline,
-//! post-shutdown write-back), every durability request degrades to the
-//! old synchronous inline flush, so the pipeline is always safe to call.
+//! Nothing syncs unasked: end, abort and NTA-terminator records ride the
+//! next sync a commit, barrier, checkpoint or drain asks for. The flusher
+//! runs from [`CommitPipeline::start`] until [`CommitPipeline::stop`];
+//! after `stop`, a request the horizon does not already cover fails at
+//! once with [`PipeError::Stalled`].
 //!
 //! The WAL-before-data invariant is preserved by implementing
 //! [`LogFlusher`]: the buffer pool's `flush_until` becomes a durability
 //! barrier on the pipeline rather than a direct log flush.
 
+use std::io;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -40,10 +42,9 @@ use gist_sync::{Condvar, Mutex};
 /// [`PipeError::Stalled`].
 const PARK_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Idle sweep period: with no durability request pending, the flusher
-/// makes the whole log durable this often — the latency bound for
-/// unforced records (transaction end records, aborts).
-const IDLE_FLUSH: Duration = Duration::from_millis(2);
+/// Pause before the flusher retries a failed batch, so a persistent
+/// failure costs a retry every few milliseconds rather than a hot spin.
+const RETRY_PAUSE: Duration = Duration::from_millis(2);
 
 /// Failure surfaced by the pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,7 +75,7 @@ impl From<gist_chaos::Injected> for PipeError {
     }
 }
 
-/// Wait-time histogram: bucket `i` counts parks whose wall time in
+/// Commit-wait histogram: bucket `i` counts commits whose wall time in
 /// microseconds fell in `[2^i, 2^(i+1))` (bucket 0 covers 0–1 µs).
 const WAIT_BUCKETS: usize = 32;
 
@@ -83,45 +84,33 @@ fn bucket_of(micros: u64) -> usize {
 }
 
 struct Stats {
-    batches: AtomicU64,
-    /// The subset of `batches` that made at least one commit durable.
-    commit_batches: AtomicU64,
-    commits: AtomicU64,
+    syncs: AtomicU64,
     flusher_panics: AtomicU64,
-    waits: AtomicU64,
+    /// One entry per commit acknowledged; its total is the commit count.
     wait_hist: [AtomicU64; WAIT_BUCKETS],
 }
 
 impl Stats {
     fn new() -> Stats {
         Stats {
-            batches: AtomicU64::new(0),
-            commit_batches: AtomicU64::new(0),
-            commits: AtomicU64::new(0),
+            syncs: AtomicU64::new(0),
             flusher_panics: AtomicU64::new(0),
-            waits: AtomicU64::new(0),
             wait_hist: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
 
-    /// One device sync that covered `commits` pending commit requests.
-    fn record_sync(&self, commits: u64) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        if commits > 0 {
-            self.commit_batches.fetch_add(1, Ordering::Relaxed);
-            self.commits.fetch_add(commits, Ordering::Relaxed);
-        }
+    fn record_commit(&self, waited: Duration) {
+        self.wait_hist[bucket_of(waited.as_micros() as u64)].fetch_add(1, Ordering::Relaxed);
     }
 
-    fn record_wait(&self, waited: Duration) {
-        self.waits.fetch_add(1, Ordering::Relaxed);
-        self.wait_hist[bucket_of(waited.as_micros() as u64)].fetch_add(1, Ordering::Relaxed);
+    fn commits(&self) -> u64 {
+        self.wait_hist.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
     /// Approximate percentile: the upper bound of the first bucket whose
     /// cumulative count reaches `q` of the total.
     fn percentile_us(&self, q: f64) -> u64 {
-        let total: u64 = self.wait_hist.iter().map(|b| b.load(Ordering::Relaxed)).sum();
+        let total = self.commits();
         if total == 0 {
             return 0;
         }
@@ -141,37 +130,24 @@ impl Stats {
 /// these).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PipeStats {
-    /// Device syncs performed by the flusher (or inline fallbacks),
-    /// whoever asked: commits, barriers, idle sweeps.
+    /// Device syncs performed by the flusher, whoever asked: commits,
+    /// barriers, the shutdown drain.
     pub batches_flushed: u64,
-    /// Commit requests made durable through the pipeline.
+    /// Commits acknowledged: [`CommitPipeline::commit_durable`] calls
+    /// that returned `Ok`.
     pub commits_flushed: u64,
-    /// Mean commits per *commit-carrying* device sync (the group-commit
-    /// win); syncs that served only barriers or idle sweeps do not
-    /// dilute it.
-    pub mean_batch_size: f64,
-    /// Median commit park time, microseconds (bucketed, upper bound).
+    /// Median commit wait, microseconds (bucketed, upper bound).
     pub commit_wait_p50_us: u64,
-    /// 99th-percentile commit park time, microseconds.
+    /// 99th-percentile commit wait, microseconds.
     pub commit_wait_p99_us: u64,
     /// Flusher batches that panicked and were contained.
     pub flusher_panics: u64,
-    /// Current durable horizon.
-    pub durable_lsn: u64,
-    /// Last appended LSN; `append_lsn - durable_lsn` is the pipeline lag.
-    pub append_lsn: u64,
-    /// Whether the background flusher thread is running.
-    pub running: bool,
 }
 
 struct PipeState {
-    /// A durability request is waiting for the flusher to cut a batch
-    /// (`false`: the idle sweep governs).
-    due: bool,
-    /// Commits submitted since the last batch was cut (batch-size stats).
-    pending_commits: u64,
-    /// Flusher thread liveness (set by start/stop).
-    running: bool,
+    /// Highest LSN a parked caller needs durable; a batch is due while
+    /// it is above the durable horizon.
+    wanted: Lsn,
     /// Shutdown request and whether to drain the log first.
     stop: bool,
     drain: bool,
@@ -183,6 +159,8 @@ pub struct CommitPipeline {
     state: Mutex<PipeState>,
     /// Kicks the flusher when a batch is due or shutdown begins.
     work_cv: Condvar,
+    /// Wakes parked callers after every batch and at shutdown.
+    durable_cv: Condvar,
     handle: Mutex<Option<JoinHandle<()>>>,
     stats: Stats,
 }
@@ -192,14 +170,9 @@ impl CommitPipeline {
     pub fn new(log: Arc<LogManager>) -> Arc<CommitPipeline> {
         Arc::new(CommitPipeline {
             log,
-            state: Mutex::new(PipeState {
-                due: false,
-                pending_commits: 0,
-                running: false,
-                stop: false,
-                drain: false,
-            }),
+            state: Mutex::new(PipeState { wanted: Lsn::NULL, stop: false, drain: false }),
             work_cv: Condvar::new(),
+            durable_cv: Condvar::new(),
             handle: Mutex::new(None),
             stats: Stats::new(),
         })
@@ -210,62 +183,38 @@ impl CommitPipeline {
         &self.log
     }
 
-    /// Spawn the background flusher (idempotent). Until this is called —
-    /// or after [`CommitPipeline::stop`] — every durability request is
-    /// served inline by the caller.
-    pub fn start(self: &Arc<Self>) {
+    /// Spawn the background flusher; it runs until
+    /// [`CommitPipeline::stop`]. A second call while it runs is a no-op.
+    pub fn start(self: &Arc<Self>) -> io::Result<()> {
         let mut handle = self.handle.lock();
-        if handle.is_some() {
-            return;
+        if handle.is_none() {
+            let me = self.clone();
+            *handle = Some(
+                std::thread::Builder::new()
+                    .name("gist-commitpipe".to_string())
+                    .spawn(move || while me.flush_step() {})?,
+            );
         }
-        {
-            let mut st = self.state.lock();
-            st.stop = false;
-            st.drain = false;
-            st.running = true;
-        }
-        let me = self.clone();
-        match std::thread::Builder::new()
-            .name("gist-commitpipe".to_string())
-            .spawn(move || me.worker())
-        {
-            Ok(h) => *handle = Some(h),
-            Err(_) => {
-                // Thread spawn failed: stay in inline mode.
-                self.state.lock().running = false;
-            }
-        }
+        Ok(())
     }
 
     /// Stop the flusher and join it. `drain` makes the whole log
     /// durable on the way out (graceful shutdown); without it the thread
-    /// exits where it stands (crash simulation).
+    /// exits where it stands (crash simulation). From here on a request
+    /// the horizon does not cover fails at once.
     pub fn stop(&self, drain: bool) {
-        let joined = {
-            let taken = self.handle.lock().take();
-            match taken {
-                Some(h) => {
-                    {
-                        let mut st = self.state.lock();
-                        st.stop = true;
-                        st.drain = drain;
-                    }
-                    self.work_cv.notify_all();
-                    let _ = h.join();
-                    true
-                }
-                None => false,
-            }
-        };
-        self.state.lock().running = false;
-        if !joined && drain {
-            self.log.flush_all();
+        {
+            let mut st = self.state.lock();
+            st.stop = true;
+            st.drain = drain;
         }
-    }
-
-    /// Whether the background flusher is running.
-    pub fn is_running(&self) -> bool {
-        self.state.lock().running
+        self.work_cv.notify_all();
+        let taken = self.handle.lock().take();
+        if let Some(h) = taken {
+            let _ = h.join();
+        }
+        // Callers still parked fail now rather than at their timeout.
+        self.durable_cv.notify_all();
     }
 
     /// Append `txn`'s commit record. The chaos point before the append
@@ -281,157 +230,124 @@ impl CommitPipeline {
     /// calls this with no page latch held (asserted under `latch-audit`).
     pub fn commit_durable(&self, lsn: Lsn) -> Result<(), PipeError> {
         audit::assert_thread_clear("parked on commit pipeline");
-        self.park(lsn, true)
+        let started = Instant::now();
+        self.barrier(lsn)?;
+        self.stats.record_commit(started.elapsed());
+        Ok(())
     }
 
     /// Durability barrier: park until `lsn` is durable (non-commit
-    /// callers — checkpoints, page write-back). Does not count toward
-    /// batch-size statistics.
+    /// callers — checkpoints, page write-back). Not counted as a commit.
     pub fn barrier(&self, lsn: Lsn) -> Result<(), PipeError> {
         if self.log.flushed_lsn() >= lsn {
             return Ok(());
         }
-        self.park(lsn, false)
-    }
-
-    /// Register a durability request (the batch it cuts covers the whole
-    /// log); returns whether a flusher thread will serve it.
-    fn request(&self, is_commit: bool) -> bool {
+        let deadline = Instant::now() + PARK_TIMEOUT;
+        {
+            let mut st = self.state.lock();
+            st.wanted = st.wanted.max(lsn);
+        }
+        // Kick outside the mutex, so the woken flusher does not block on
+        // it (here and for every notify below).
+        self.work_cv.notify_one();
         let mut st = self.state.lock();
-        if is_commit {
-            st.pending_commits += 1;
-        }
-        st.due = true;
-        let running = st.running;
-        drop(st);
-        self.work_cv.notify_all();
-        running
-    }
-
-    fn park(&self, lsn: Lsn, is_commit: bool) -> Result<(), PipeError> {
-        let started = Instant::now();
-        if !self.request(is_commit) {
-            // No flusher: the old synchronous path, one device sync per
-            // caller — which also counts every commit still pending
-            // behind it (a batch the stopped flusher never cut).
-            let commits = std::mem::take(&mut self.state.lock().pending_commits);
-            self.log.flush(lsn);
-            self.stats.record_sync(commits);
-            if is_commit {
-                self.stats.record_wait(started.elapsed());
-            }
-            return Ok(());
-        }
-        if self.log.wait_durable(lsn, PARK_TIMEOUT) {
-            if is_commit {
-                self.stats.record_wait(started.elapsed());
-            }
-            Ok(())
-        } else {
-            Err(PipeError::Stalled(lsn))
-        }
-    }
-
-    /// Flusher thread body.
-    fn worker(self: Arc<Self>) {
         loop {
-            let (commits, drain, stop) = self.next_batch();
-            if stop && !drain {
-                return;
+            // The flusher stores the horizon, then takes this mutex, then
+            // notifies, so a check under the mutex cannot miss a wakeup.
+            if gist_chaos::armed("commitpipe.park-unguarded") {
+                // Mutation switch (model-checker self-tests): the check
+                // moves out from under the mutex, and a wakeup that lands
+                // between it and the park is lost.
+                drop(st);
+                let durable = self.log.flushed_lsn() >= lsn;
+                st = self.state.lock();
+                if durable {
+                    return Ok(());
+                }
+            } else if self.log.flushed_lsn() >= lsn {
+                return Ok(());
             }
-            // Contain a panicking batch (chaos `Panic` actions): count it
-            // and keep the flusher alive — parked committers self-heal by
-            // re-checking the horizon, and the idle sweep retries the
-            // batch.
-            let mut uncounted = commits;
-            let run = panic::catch_unwind(AssertUnwindSafe(|| self.flush_batch(&mut uncounted)));
-            if run.is_err() {
-                self.stats.flusher_panics.fetch_add(1, Ordering::Relaxed);
-                // The batch may have died after its sync but before the
-                // wakeup; with nothing left to flush, no later sweep would
-                // notify the committers it already made durable.
-                self.log.notify_durable();
+            if st.stop || Instant::now() >= deadline {
+                return Err(PipeError::Stalled(lsn));
             }
-            if uncounted > 0 {
-                // The batch died before its sync: its commits ride the
-                // retry.
-                self.state.lock().pending_commits += uncounted;
-            }
-            if stop {
-                return;
-            }
+            self.durable_cv.wait_until(&mut st, deadline);
         }
     }
 
-    /// Block until a batch is due (a durability request, idle sweep found
-    /// unflushed records, or shutdown). Returns `(pending_commits, drain,
-    /// stop)` with the batch state consumed.
-    fn next_batch(&self) -> (u64, bool, bool) {
+    /// One turn of the flusher thread, whose body is `while
+    /// flush_step() {}`: wait for a due batch (or shutdown), run it, wake
+    /// every parked caller. Returns whether the flusher carries on.
+    /// Public so a model-checker scenario can run a turn on a simulated
+    /// thread.
+    pub fn flush_step(&self) -> bool {
+        let Some(final_turn) = self.next_batch() else { return false };
+        // Contain a panicking batch (chaos `Panic` actions): count it and
+        // keep the flusher alive.
+        let ok = match panic::catch_unwind(AssertUnwindSafe(|| self.flush_batch())) {
+            Ok(res) => res.is_ok(),
+            Err(_) => {
+                self.stats.flusher_panics.fetch_add(1, Ordering::Relaxed);
+                false
+            }
+        };
+        // Wake every parked caller whatever became of the batch: one that
+        // failed after its sync has made its waiters durable, and the rest
+        // re-check the horizon and park again. Taking the mutex orders the
+        // horizon store before any waiter's check-and-park.
+        drop(self.state.lock());
+        self.durable_cv.notify_all();
+        if !ok && !final_turn {
+            // A failed batch stays pending (`wanted` is still above the
+            // horizon); retry it after a pause.
+            self.work_cv.wait_for(&mut self.state.lock(), RETRY_PAUSE);
+        }
+        !final_turn
+    }
+
+    /// Block until a batch is due or shutdown begins. `None`: exit now;
+    /// `Some(final_turn)`: run a batch, the final one when draining.
+    fn next_batch(&self) -> Option<bool> {
         let mut st = self.state.lock();
         loop {
             if st.stop {
-                let commits = std::mem::take(&mut st.pending_commits);
-                return (commits, st.drain, true);
+                return if st.drain { Some(true) } else { None };
             }
-            if st.due {
-                st.due = false;
-                let commits = std::mem::take(&mut st.pending_commits);
-                return (commits, false, false);
+            // A barrier past the end of the log waits for records that do
+            // not exist yet; it must not keep the flusher spinning.
+            if st.wanted.min(self.log.last_lsn()) > self.log.flushed_lsn() {
+                return Some(false);
             }
-            self.work_cv.wait_for(&mut st, IDLE_FLUSH);
-            // Idle sweep: pick up unforced records (end, abort and
-            // NTA-terminator records) and the retry of a failed batch.
-            if !st.due && !st.stop && self.log.last_lsn() > self.log.flushed_lsn() {
-                let commits = std::mem::take(&mut st.pending_commits);
-                return (commits, false, false);
-            }
+            self.work_cv.wait_for(&mut st, PARK_TIMEOUT);
         }
     }
 
-    /// One batch: everything appended becomes durable with a single device
-    /// sync, then waiters wake. The two chaos points bracket the sync so
-    /// fault tests can crash a batch on either side of it. `commits` is
-    /// zeroed once the batch's commits are counted.
-    fn flush_batch(&self, commits: &mut u64) -> Result<(), PipeError> {
+    /// One batch: everything appended becomes durable with a single
+    /// device sync. The two chaos points bracket the sync so fault tests
+    /// can crash a batch on either side of it.
+    fn flush_batch(&self) -> Result<(), PipeError> {
         // Overload-resilience chaos point: armed with a `Delay` it makes
         // the flusher linger at the top of every batch (a stalled
-        // flusher), which is what drives committers into `Stalled` /
-        // inline-flush degradation in the stall-chaos harness.
+        // flusher), which is what drives committers into `Stalled` in the
+        // stall-chaos harness.
         gist_chaos::point("commitpipe.flusher.stall")?;
         let target = self.log.last_lsn();
         gist_chaos::point("commitpipe.flusher.post_fill_pre_fsync")?;
-        let commits = std::mem::take(commits);
         if target > self.log.flushed_lsn() {
             self.log.fsync_to(target);
-            self.stats.record_sync(commits);
-        } else {
-            // Someone else's sync (an inline barrier, `flush_until`'s
-            // last resort) already covered these commits.
-            self.stats.commits.fetch_add(commits, Ordering::Relaxed);
+            self.stats.syncs.fetch_add(1, Ordering::Relaxed);
         }
         gist_chaos::point("commitpipe.flusher.post_fsync_pre_wakeup")?;
-        self.log.notify_durable();
         Ok(())
     }
 
     /// Observability snapshot.
     pub fn stats(&self) -> PipeStats {
-        let commit_batches = self.stats.commit_batches.load(Ordering::Relaxed);
-        let commits = self.stats.commits.load(Ordering::Relaxed);
         PipeStats {
-            batches_flushed: self.stats.batches.load(Ordering::Relaxed),
-            commits_flushed: commits,
-            mean_batch_size: if commit_batches == 0 {
-                0.0
-            } else {
-                commits as f64 / commit_batches as f64
-            },
+            batches_flushed: self.stats.syncs.load(Ordering::Relaxed),
+            commits_flushed: self.stats.commits(),
             commit_wait_p50_us: self.stats.percentile_us(0.50),
             commit_wait_p99_us: self.stats.percentile_us(0.99),
             flusher_panics: self.stats.flusher_panics.load(Ordering::Relaxed),
-            durable_lsn: self.log.flushed_lsn().0,
-            append_lsn: self.log.last_lsn().0,
-            running: self.is_running(),
         }
     }
 }
@@ -441,11 +357,10 @@ impl CommitPipeline {
 impl LogFlusher for CommitPipeline {
     fn flush_until(&self, lsn: Lsn) {
         if self.barrier(lsn).is_err() {
-            // The flusher is wedged (dead or stalled thread). Last
-            // resort: advance the horizon inline; if it still stops below
-            // `lsn`, writing the page back would break the WAL rule —
-            // refuse loudly.
-            self.log.flush(lsn);
+            // The flusher is wedged or stopped. Last resort: advance the
+            // horizon inline; if it still stops below `lsn`, writing the
+            // page back would break the WAL rule — refuse loudly.
+            self.log.fsync_to(lsn);
             assert!(
                 self.log.flushed_lsn() >= lsn.min(self.log.last_lsn()),
                 "WAL-before-data violated: durable horizon below {lsn}"

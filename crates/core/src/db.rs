@@ -313,8 +313,6 @@ pub struct RobustnessStats {
     pub pool_poison_reason: Option<String>,
     /// Group-commit batches the WAL flusher has fsynced.
     pub wal_batches_flushed: u64,
-    /// Mean committers released per batch (0 when no batch ran).
-    pub wal_mean_batch_size: f64,
     /// Median commit wait on the pipeline, in microseconds.
     pub commit_wait_p50_us: u64,
     /// 99th-percentile commit wait on the pipeline, in microseconds.
@@ -324,9 +322,7 @@ pub struct RobustnessStats {
     /// Log durable watermark; `wal_append_lsn - wal_durable_lsn` is the
     /// volatile tail a crash right now would lose.
     pub wal_durable_lsn: u64,
-    /// Whether the background flusher thread is running.
-    pub wal_flusher_running: bool,
-    /// Flusher panics contained (batch retried by the next wakeup).
+    /// Flusher panics contained (the failed batch is retried).
     pub wal_flusher_panics: u64,
     /// Nodes served by a validated optimistic copy-out.
     pub opt_read_hits: u64,
@@ -395,7 +391,7 @@ impl Db {
         let pool = BufferPool::new(store.clone(), config.pool_capacity);
         // The WAL-before-data barrier goes through the pipeline: page
         // writeback batches its log force with pending commits instead of
-        // issuing a private fsync (inline when the flusher is stopped).
+        // issuing a private fsync.
         pool.set_flusher(txns.pipeline().clone());
         // One reclamation domain per database: §7.2 page frees defer
         // behind the optimistic readers' pins.
@@ -410,7 +406,7 @@ impl Db {
             pool.flush_all()?;
             pool.sync_store()?;
         }
-        txns.pipeline().start();
+        txns.pipeline().start()?;
         let alloc = Arc::new(PageAllocator::new(1));
         let heap = HeapFile::new(pool.clone(), alloc.clone());
         let maint =
@@ -860,12 +856,10 @@ impl Db {
             pool_poisoned: self.pool.is_poisoned(),
             pool_poison_reason: self.pool.poison_error().map(|e| e.to_string()),
             wal_batches_flushed: ps.batches_flushed,
-            wal_mean_batch_size: ps.mean_batch_size,
             commit_wait_p50_us: ps.commit_wait_p50_us,
             commit_wait_p99_us: ps.commit_wait_p99_us,
-            wal_append_lsn: ps.append_lsn,
-            wal_durable_lsn: ps.durable_lsn,
-            wal_flusher_running: ps.running,
+            wal_append_lsn: self.log.last_lsn().0,
+            wal_durable_lsn: self.log.flushed_lsn().0,
             wal_flusher_panics: ps.flusher_panics,
             opt_read_hits: self.opt_hits.load(Ordering::Relaxed),
             opt_read_retries: self.opt_retries.load(Ordering::Relaxed),
@@ -887,8 +881,8 @@ impl Db {
     /// The database's aggregate health verdict, computed from current
     /// conditions (no latched state — safe to poll): `ReadOnly` when the
     /// buffer pool is poisoned, `Degraded` while any overload defense is
-    /// engaged (group-commit flusher not running, an epoch pin past its
-    /// age budget, admission at capacity), `Healthy` otherwise.
+    /// engaged (an epoch pin past its age budget, admission at capacity),
+    /// `Healthy` otherwise.
     /// Degradations clear themselves, so the verdict recovers as soon as
     /// the underlying pressure does.
     pub fn health(&self) -> HealthState {
@@ -900,10 +894,6 @@ impl Db {
                 .map(|e| e.to_string())
                 .unwrap_or_else(|| "unknown storage failure".into());
             r.read_only(format!("buffer pool poisoned: {why}"));
-        }
-        let ps = self.txns.pipeline().stats();
-        if !ps.running {
-            r.degrade("group-commit flusher not running; durability served inline");
         }
         let es = self.epoch.stats();
         if es.stalled {
@@ -960,18 +950,20 @@ impl Db {
     /// drained first: queued GC/drain work completes and its log records
     /// land before the final flush, so a clean restart owes nothing. The
     /// final store sync is what upgrades "written back" to "durable";
-    /// its failure is reported rather than swallowed. A database opened
-    /// with [`Db::open_path`] writes its log file first.
+    /// its failure is reported rather than swallowed, and the database
+    /// stays up. A database opened with [`Db::open_path`] writes its log
+    /// file first.
     pub fn shutdown(&self) -> Result<()> {
         self.maint.stop(true);
-        // Drain the pipeline (joins the flusher after a final sweep),
-        // then belt-and-suspenders force for the inline path.
-        self.txns.pipeline().stop(true);
-        self.log.flush_all();
-        // The log file before the pages: WAL-before-data on disk.
+        // The whole log durable through the pipeline, then the log file
+        // before the pages: WAL-before-data on disk.
+        self.txns.pipeline().barrier(self.log.last_lsn()).map_err(gist_txn::TxnError::from)?;
         self.persist_log()?;
         self.pool.flush_all()?;
         self.pool.sync_store()?;
+        // Only a shutdown that succeeded stops the flusher: one that
+        // failed leaves a database that still commits.
+        self.txns.pipeline().stop(true);
         self.epoch.try_collect();
         Ok(())
     }

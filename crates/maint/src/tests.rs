@@ -61,6 +61,7 @@ fn daemon(config: MaintConfig) -> (Arc<MaintDaemon>, Arc<LogManager>) {
     let locks = Arc::new(LockManager::new());
     let preds = Arc::new(PredicateManager::new());
     let txns = Arc::new(TxnManager::new(log.clone(), locks, preds));
+    txns.pipeline().start().unwrap();
     let store = Arc::new(InMemoryStore::new());
     store.ensure_capacity(4).unwrap();
     let pool = BufferPool::new(store, 8);

@@ -190,7 +190,7 @@ pub struct TxnManager {
     log: Arc<LogManager>,
     /// Group-commit pipeline over `log`. Owned here so every commit path
     /// parks on it; the embedder (`Db::build`) starts and stops its
-    /// background flusher. Until started, requests are served inline.
+    /// background flusher.
     pipeline: Arc<CommitPipeline>,
     locks: Arc<LockManager>,
     preds: Arc<PredicateManager>,
@@ -408,8 +408,8 @@ impl TxnManager {
             let mut table = self.table.lock();
             let Some(info) = table.get(&txn) else { return };
             // The end record is not forced: it only saves restart an undo
-            // it would skip anyway, so the pipeline's idle sweep (or the
-            // next commit's fsync) carrying it out is soon enough.
+            // it would skip anyway, so riding the next sync that a commit,
+            // barrier or checkpoint asks for is soon enough.
             self.log.append(txn, info.last_lsn, RecordBody::TxnEnd);
             table.remove(&txn).map(|i| i.gc_candidates).unwrap_or_default()
         };

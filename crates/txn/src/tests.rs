@@ -88,6 +88,7 @@ fn setup() -> (Arc<TxnManager>, Cells, Arc<LogManager>, Arc<LockManager>) {
     let locks = Arc::new(LockManager::new());
     let preds = Arc::new(PredicateManager::new());
     let mgr = Arc::new(TxnManager::new(log.clone(), locks.clone(), preds));
+    mgr.pipeline().start().unwrap();
     (mgr, Cells::new(8), log, locks)
 }
 

@@ -3,16 +3,18 @@
 //! The records sit behind one mutex. An append takes the next LSN and
 //! pushes its record in the same critical section, so every LSN a reader
 //! can see already names a readable record. Two watermarks order the
-//! log, `durable ≤ last`: an append moves `last`, and an fsync
-//! (simulated by [`LogManager::fsync_to`]) moves `durable`.
+//! log, `durable ≤ last`: an append moves `last`, and
+//! [`LogManager::fsync_to`] (a simulated device sync, the log's one
+//! durability primitive) moves `durable`. Waiting for the horizon is the
+//! commit pipeline's job (`crates/commitpipe`), not the log's.
 
 use std::fs;
 use std::io::{self, Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use gist_sync::{Condvar, Mutex};
+use gist_sync::Mutex;
 
 use crate::codec;
 use crate::{audit, LogRecord, Lsn, NestedTopAction, RecordBody, TxnId};
@@ -97,16 +99,6 @@ pub struct LogManager {
     sync_micros: AtomicU64,
     /// Serializes durability advances (one fsync in flight at a time).
     sync_mutex: Mutex<()>,
-    /// Wakeup generation for group-commit waiters: [`LogManager::notify_durable`]
-    /// bumps it under this mutex before signalling, and
-    /// [`LogManager::wait_durable`] checks the horizon and snapshots the
-    /// generation under the same mutex before parking — so a notify can
-    /// never land unseen between a waiter's check and its park.
-    wait_mutex: Mutex<u64>,
-    /// Signalled whenever the durable prefix advances; committers parked
-    /// on their commit LSN wake here (the commit pipeline batches the
-    /// fsync and then calls [`LogManager::notify_durable`]).
-    flush_cv: Condvar,
     /// Model-checker shadow cells for the two watermarks (see
     /// `crate::audit`); zero when the `latch-audit` feature is off.
     hb_last: u64,
@@ -134,8 +126,6 @@ impl LogManager {
             durable: AtomicU64::new(n),
             sync_micros: AtomicU64::new(0),
             sync_mutex: Mutex::new(()),
-            wait_mutex: Mutex::new(0),
-            flush_cv: Condvar::new(),
             hb_last: audit::new_cell_id(),
             hb_durable: audit::new_cell_id(),
         }
@@ -179,121 +169,36 @@ impl LogManager {
         self.sync_micros.store(latency.as_micros() as u64, Ordering::Relaxed);
     }
 
-    /// Advance the durable horizon to `min(lsn, last)` *without* waking
-    /// waiters — the commit pipeline's flusher separates the fsync from
-    /// the wakeup so a crash between them is testable. Returns the new
-    /// durable horizon.
+    /// Make every record with LSN ≤ `min(lsn, last)` durable; returns the
+    /// new durable horizon. The only code that moves the horizon.
     ///
-    /// A caller that finds its target already durable returns for free
-    /// (real code checks the horizon before issuing a sync). A caller
-    /// that decided to sync pays the full simulated device latency even
-    /// when a concurrent sync covered its target while it was queued for
-    /// the device: each sync is its own device barrier, which is exactly
-    /// the per-commit cost a group-commit flusher amortizes away.
+    /// A target already durable returns at once, and so does one that a
+    /// concurrent sync covered while this caller queued for the device:
+    /// the horizon is re-checked under the device lock, so a covered
+    /// sync is never paid twice.
     pub fn fsync_to(&self, lsn: Lsn) -> Lsn {
         let target = lsn.0.min(self.last_lsn().0);
-        audit::atomic_load(self.hb_durable, "wal-durable-read");
-        if target <= self.durable.load(Ordering::Acquire) {
+        if target <= self.flushed_lsn().0 {
             return self.flushed_lsn();
         }
         let _device = self.sync_mutex.lock();
+        if target <= self.flushed_lsn().0 {
+            return self.flushed_lsn();
+        }
         let micros = self.sync_micros.load(Ordering::Relaxed);
         if micros > 0 {
             std::thread::sleep(Duration::from_micros(micros));
         }
         // Only fsync_to moves the horizon, always under the device lock,
-        // so a monotonicity check suffices.
-        if target > self.durable.load(Ordering::Acquire) {
-            audit::atomic_store(self.hb_durable, "wal-durable-store");
-            self.durable.store(target, Ordering::Release);
-        }
+        // and the check above saw it below `target`.
+        audit::atomic_store(self.hb_durable, "wal-durable-store");
+        self.durable.store(target, Ordering::Release);
         self.flushed_lsn()
-    }
-
-    /// Wake everyone parked in [`LogManager::wait_durable`]: bump the
-    /// wakeup generation under the wait mutex, then signal. A waiter
-    /// checks the horizon and snapshots the generation under the same
-    /// mutex before parking, so this bump is impossible to miss — the
-    /// waiter either sees the new horizon, sees the new generation, or
-    /// is already parked and receives the signal.
-    pub fn notify_durable(&self) {
-        let mut gen = self.wait_mutex.lock();
-        *gen = gen.wrapping_add(1);
-        drop(gen);
-        self.flush_cv.notify_all();
-    }
-
-    /// Park until the durable horizon reaches `lsn` or `timeout` elapses;
-    /// returns whether the horizon was reached.
-    ///
-    /// The wait is a generation handshake with [`LogManager::notify_durable`]
-    /// (no polling): each loop checks the horizon under the wait mutex,
-    /// then parks for the full remaining time. A timed-out wait whose
-    /// generation is unchanged means no durability advance was
-    /// announced while parked, so one final horizon check decides
-    /// (covering [`LogManager::fsync_to`] callers that advance the
-    /// horizon without a notify, which is that method's contract). The
-    /// `wal-lost-wakeup` model-check scenario pins the no-missed-notify
-    /// property across every explored schedule.
-    pub fn wait_durable(&self, lsn: Lsn, timeout: Duration) -> bool {
-        if gist_chaos::armed("wal.wait-durable-unguarded-park") {
-            return self.wait_durable_unguarded_park(lsn, timeout);
-        }
-        let deadline = Instant::now() + timeout;
-        let mut gen = self.wait_mutex.lock();
-        loop {
-            if self.flushed_lsn() >= lsn {
-                return true;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let seen = *gen;
-            let timed_out = self.flush_cv.wait_for(&mut gen, deadline - now).timed_out();
-            if timed_out && *gen == seen {
-                return self.flushed_lsn() >= lsn;
-            }
-        }
-    }
-
-    /// Historical lost-wakeup bug behind a mutation switch (compiled
-    /// away unless gist-chaos is `enabled`, armed by model-checker
-    /// self-tests): the horizon check happens *outside* the wait mutex
-    /// and the park ignores the generation, so a notify that lands
-    /// between the check and the park is lost and the waiter sleeps its
-    /// full timeout.
-    fn wait_durable_unguarded_park(&self, lsn: Lsn, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if self.flushed_lsn() >= lsn {
-                return true;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let mut gen = self.wait_mutex.lock();
-            // The buggy wait ignores the result on purpose: this body
-            // reproduces the historical race verbatim.
-            let _ = self.flush_cv.wait_for(&mut gen, deadline - now); // lint: allow-ignored-io
-            drop(gen);
-        }
-    }
-
-    /// Force everything up to (and including) `lsn` durable and wake
-    /// waiters. (Internal to the WAL/commit-pipeline layers; everything
-    /// above them requests durability through the pipeline — the
-    /// `no-inline-flush` lint enforces this.)
-    pub fn flush(&self, lsn: Lsn) {
-        self.fsync_to(lsn);
-        self.notify_durable();
     }
 
     /// Force the entire log durable.
     pub fn flush_all(&self) {
         self.fsync_to(Lsn::MAX);
-        self.notify_durable();
     }
 
     /// Fetch the record with the given LSN.

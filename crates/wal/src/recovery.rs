@@ -308,7 +308,7 @@ pub fn restart_with_floor(
         match status {
             TxnStatus::Committed => {
                 let end = log.append(*txn, *last, RecordBody::TxnEnd);
-                log.flush(end);
+                log.fsync_to(end);
                 outcome.completed_winners.push(*txn);
             }
             TxnStatus::Active | TxnStatus::Aborting => losers.push((*txn, *last)),
@@ -321,7 +321,7 @@ pub fn restart_with_floor(
         let chain_end = rollback(log, handler, txn, last, Lsn::NULL, RollbackKind::Restart)?;
         outcome.clrs_written += log.len() - before;
         let end = log.append(txn, chain_end, RecordBody::TxnEnd);
-        log.flush(end);
+        log.fsync_to(end);
         outcome.losers.push(txn);
     }
     log.flush_all();

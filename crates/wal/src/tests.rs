@@ -114,7 +114,7 @@ fn flush_and_crash_truncate_unflushed_suffix() {
     let log = LogManager::new();
     let a = log.append(TxnId(1), Lsn::NULL, RecordBody::TxnBegin);
     let _b = log.append(TxnId(1), a, RecordBody::TxnCommit);
-    log.flush(a);
+    log.fsync_to(a);
     assert_eq!(log.flushed_lsn(), a);
     let lost = log.crash();
     assert_eq!(lost, 1);
@@ -125,9 +125,9 @@ fn flush_and_crash_truncate_unflushed_suffix() {
 fn flush_is_monotone_and_bounded() {
     let log = LogManager::new();
     let a = log.append(TxnId(1), Lsn::NULL, RecordBody::TxnBegin);
-    log.flush(Lsn(100)); // beyond end: clamps
+    log.fsync_to(Lsn(100)); // beyond end: clamps
     assert_eq!(log.flushed_lsn(), a);
-    log.flush(Lsn::NULL); // never regresses
+    log.fsync_to(Lsn::NULL); // never regresses
     assert_eq!(log.flushed_lsn(), a);
 }
 
@@ -216,7 +216,7 @@ fn restart_redoes_committed_and_undoes_losers() {
     let u1 = rm.set(t1, b1, 0, 10);
     let u2 = rm.set(t2, b2, 1, 20);
     let c1 = log.append(t1, u1, RecordBody::TxnCommit);
-    log.flush(c1);
+    log.fsync_to(c1);
     let _u2b = rm.set(t2, u2, 2, 30);
     // Crash: t1 committed (flushed), t2 in flight; t2's second update was
     // never flushed and is lost entirely.
@@ -238,7 +238,7 @@ fn restart_is_idempotent() {
     let b = log.append(t, Lsn::NULL, RecordBody::TxnBegin);
     let u = rm.set(t, b, 0, 42);
     let c = log.append(t, u, RecordBody::TxnCommit);
-    log.flush(c);
+    log.fsync_to(c);
     log.crash();
     rm.wipe();
 
@@ -311,7 +311,7 @@ fn analysis_tracks_statuses_and_checkpoint() {
     let e1 = log.append(t1, c1, RecordBody::TxnEnd);
     let _a2 = log.append(t2, b2, RecordBody::TxnAbort);
     let u3 = rm.set(t3, b3, 1, 2);
-    log.flush(e1);
+    log.fsync_to(e1);
 
     let res = analysis(&log);
     assert_eq!(res.start_lsn, b2, "scan resumes at the checkpoint's scan_start");
@@ -374,7 +374,7 @@ fn file_persist_and_load_roundtrip() {
     let b = log.append(t, Lsn::NULL, RecordBody::TxnBegin);
     let u = rm.set(t, b, 0, 5);
     let c = log.append(t, u, RecordBody::TxnCommit);
-    log.flush(c);
+    log.fsync_to(c);
     let _unflushed = log.append(t, c, RecordBody::TxnEnd);
 
     let dir = std::env::temp_dir().join(format!("gist-wal-test-{}", std::process::id()));
@@ -398,7 +398,7 @@ fn persisted_log(tag: &str) -> (std::path::PathBuf, std::path::PathBuf, u64) {
     let u2 = rm.set(t, u1, 1, 9);
     let c = log.append(t, u2, RecordBody::TxnCommit);
     let e = log.append(t, c, RecordBody::TxnEnd);
-    log.flush(e);
+    log.fsync_to(e);
     let dir = std::env::temp_dir().join(format!("gist-wal-fault-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("wal.log");
@@ -493,7 +493,7 @@ fn crash_truncates_across_chunk_boundaries() {
         for i in 1..=1_500u64 {
             log.append(TxnId(i), Lsn::NULL, RecordBody::TxnBegin);
         }
-        log.flush(Lsn(durable));
+        log.fsync_to(Lsn(durable));
         assert_eq!(log.crash(), (1_500 - durable) as usize);
         assert_eq!(log.last_lsn(), Lsn(durable));
         assert_eq!(log.try_get(Lsn(durable)).map(|r| r.txn), Some(TxnId(durable)));
@@ -507,24 +507,6 @@ fn crash_truncates_across_chunk_boundaries() {
 }
 
 #[test]
-fn wait_durable_wakes_parked_waiter() {
-    let log = std::sync::Arc::new(LogManager::new());
-    let c = log.append(TxnId(1), Lsn::NULL, RecordBody::TxnCommit);
-    let waiter = {
-        let log = log.clone();
-        std::thread::spawn(move || log.wait_durable(c, std::time::Duration::from_secs(5)))
-    };
-    // Advance silently, then wake: the waiter must observe the horizon.
-    log.fsync_to(c);
-    log.notify_durable();
-    assert!(waiter.join().unwrap(), "waiter saw the durable horizon");
-    assert!(
-        !log.wait_durable(Lsn(c.0 + 1), std::time::Duration::from_millis(10)),
-        "waiting for a non-existent LSN times out"
-    );
-}
-
-#[test]
 fn fsync_pays_serialized_device_latency_once_per_advance() {
     let log = LogManager::new();
     log.set_sync_latency(std::time::Duration::from_millis(5));
@@ -533,7 +515,7 @@ fn fsync_pays_serialized_device_latency_once_per_advance() {
         last = log.append(TxnId(i + 1), Lsn::NULL, RecordBody::TxnBegin);
     }
     let t0 = std::time::Instant::now();
-    log.flush(last); // one batch: one device sync
+    log.fsync_to(last); // one batch: one device sync
     let one_batch = t0.elapsed();
     assert!(one_batch >= std::time::Duration::from_millis(5));
     assert!(
@@ -542,8 +524,28 @@ fn fsync_pays_serialized_device_latency_once_per_advance() {
     );
     // Already durable: free.
     let t1 = std::time::Instant::now();
-    log.flush(last);
+    log.fsync_to(last);
     assert!(t1.elapsed() < std::time::Duration::from_millis(5));
+}
+
+#[test]
+fn fsync_covered_while_queued_is_not_paid_again() {
+    use std::time::{Duration, Instant};
+    let log = std::sync::Arc::new(LogManager::new());
+    log.set_sync_latency(Duration::from_millis(20));
+    let last = log.append(TxnId(1), Lsn::NULL, RecordBody::TxnCommit);
+    let started = Instant::now();
+    let a = {
+        let log = log.clone();
+        std::thread::spawn(move || log.fsync_to(last))
+    };
+    // B asks for the same target while A is inside its 20 ms sync; A's
+    // sync covers it, so B must not sleep a second device latency.
+    std::thread::sleep(Duration::from_millis(5));
+    assert_eq!(log.fsync_to(last), last);
+    let b_done = started.elapsed();
+    assert_eq!(a.join().unwrap(), last);
+    assert!(b_done < Duration::from_millis(35), "a covered sync was paid again: {b_done:?}");
 }
 
 #[test]

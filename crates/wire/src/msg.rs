@@ -479,7 +479,7 @@ mod tests {
             Response::Rows { rows: vec![(7, vec![3; 8])], truncated: true },
             Response::Busy { retry_after_ms: 25 },
             Response::Error { code: ErrorCode::Retry, message: "deadlock victim".into() },
-            Response::Health { label: "degraded".into(), reasons: vec!["flusher not running".into()] },
+            Response::Health { label: "degraded".into(), reasons: vec!["admission controller saturated".into()] },
             Response::Stats(vec![("txns_active".into(), 3), ("evicted_slow".into(), -1)]),
         ]
     }

@@ -17,9 +17,10 @@
 #
 # Tier 3: the crates/mc deterministic schedule explorer — schedule-pinned
 # regression scenarios (lock replication vs release, predicate attach vs
-# replication, WAL wakeup, epoch reclamation), mutation-detection proofs
-# for the two mutation switches left (the WAL lost wakeup and the skipped
-# epoch grace period), and exhaustive DFS over WAL append visibility
+# replication, the commit pipeline's park, epoch reclamation),
+# mutation-detection proofs for the two mutation switches left (the
+# commit park's lost wakeup and the skipped epoch grace period), and
+# exhaustive DFS over WAL append visibility
 # (`--features model-check`).
 set -u
 cd "$(dirname "$0")/.."

@@ -12,7 +12,7 @@
 //! | `latch-outside-buffer` | no direct `write_arc()` / `read_arc()` latch calls outside `pagestore/src/buffer.rs` — every latch must pass through the (audited) buffer-pool API |
 //! | `forbid-unsafe` | every crate without `unsafe` carries `#![forbid(unsafe_code)]` |
 //! | `no-ignored-io` | no `let _ = ...` / statement-level `....ok();` in the storage crates (pagestore, wal) — every I/O result must be propagated, retried, or poison the pool; a silently dropped error is exactly how a lost write becomes silent corruption |
-//! | `no-inline-flush` | no direct `log.flush(...)` outside crates/wal and crates/commitpipe — durability goes through the group-commit pipeline, a private fsync re-serializes committers on the device |
+//! | `no-inline-flush` | no direct `log.fsync_to(...)` outside crates/wal and crates/commitpipe — durability goes through the group-commit pipeline, a private fsync re-serializes committers on the device |
 //! | `no-raw-std-sync` | no bare `parking_lot` / `std::sync` mutex, rwlock or condvar in the model-checked hot-path crates (lockmgr, predlock, commitpipe, wal) — synchronization there must go through the `gist-sync` wrappers, or the deterministic scheduler (`crates/mc`) cannot see the operation and its schedules silently lose coverage |
 //! | `no-latch-in-optimistic` | no `fetch_read` / `fetch_write` / `new_page_write` inside a `read_with(...)` optimistic closure in `crates/core` — the latch-free fast path must not take latches mid-copy (static twin of the dynamic `latch-in-optimistic` audit rule) |
 //! | `no-unbounded-wait` | no bare `.wait(&mut ...)` condvar parks in non-test crate code — every wait must carry a deadline (`wait_for`/`wait_until`) so a lost wakeup degrades instead of hanging (the `gist-sync` wrappers and the `mc` scheduler are exempt) |
@@ -292,7 +292,7 @@ fn rule_no_ignored_io(f: &SourceFile, out: &mut Vec<Violation>) {
     }
 }
 
-/// Rule `no-inline-flush`: a direct `log.flush(...)` outside the WAL
+/// Rule `no-inline-flush`: a direct `fsync_to(...)` outside the WAL
 /// crate and the commit pipeline is a private fsync — it bypasses group
 /// commit and re-serializes every committer on the log device, exactly
 /// the cost the pipeline exists to amortize. Durability requests must go
@@ -309,7 +309,7 @@ fn rule_no_inline_flush(f: &SourceFile, out: &mut Vec<Violation>) {
             continue;
         }
         let compact: String = clean.chars().filter(|c| !c.is_whitespace()).collect();
-        if compact.contains("log.flush(") || compact.contains("log().flush(") {
+        if compact.contains("fsync_to(") {
             out.push(Violation {
                 rule: "no-inline-flush",
                 file: f.path.clone(),
@@ -440,8 +440,8 @@ fn rule_no_latch_in_optimistic(f: &SourceFile, out: &mut Vec<Violation>) {
 /// must carry a timeout (`wait_for` / `wait_until`). A bare
 /// `.wait(&mut ...)` parks forever on a notification that a dead or
 /// wedged peer may never send — the overload-resilience work requires
-/// every park to have a deadline so degradation (inline flush, forced
-/// advance, shed) can engage instead of a hang. The `gist-sync` wrapper
+/// every park to have a deadline so degradation (a stalled commit,
+/// forced advance, shed) can engage instead of a hang. The `gist-sync` wrapper
 /// crate itself and the `mc` scheduler (which virtualizes time) are out
 /// of scope; a deliberate forever-wait takes a same-line
 /// `lint: allow-unbounded-wait` waiver.
@@ -1144,23 +1144,32 @@ mod tests {
 
     #[test]
     fn inline_flush_outside_wal_is_flagged() {
-        let f = file("crates/txn/src/lib.rs", "fn c(&self) { self.log.flush(lsn); }");
+        let f = file("crates/txn/src/lib.rs", "fn c(&self) { self.log.fsync_to(lsn); }");
         let mut v = Vec::new();
         rule_no_inline_flush(&f, &mut v);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, "no-inline-flush");
         // Accessor form is the same bypass.
-        let f = file("crates/maint/src/lib.rs", "fn c(&self) { self.log().flush(lsn); }");
+        let f = file("crates/maint/src/lib.rs", "fn c(&self) { self.log().fsync_to(lsn); }");
         let mut v = Vec::new();
         rule_no_inline_flush(&f, &mut v);
         assert_eq!(v.len(), 1, "{v:?}");
     }
 
     #[test]
+    fn fsync_to_in_core_is_flagged() {
+        let f = file("crates/core/src/db.rs", "fn s(&self) { self.log.fsync_to(lsn); }");
+        let mut v = Vec::new();
+        rule_no_inline_flush(&f, &mut v);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, "no-inline-flush");
+    }
+
+    #[test]
     fn inline_flush_exemptions_hold() {
-        // The WAL crate and the pipeline own the flush internals.
+        // The WAL crate and the pipeline own the durability primitive.
         for path in ["crates/wal/src/recovery.rs", "crates/commitpipe/src/lib.rs"] {
-            let f = file(path, "fn c(&self) { self.log.flush(lsn); }");
+            let f = file(path, "fn c(&self) { self.log.fsync_to(lsn); }");
             let mut v = Vec::new();
             rule_no_inline_flush(&f, &mut v);
             assert!(v.is_empty(), "{path}: {v:?}");
@@ -1173,14 +1182,14 @@ mod tests {
         // Waiver and test modules are exempt.
         let f = file(
             "crates/core/src/db.rs",
-            "fn s(&self) { self.log.flush(lsn); } // lint: allow-inline-flush — bootstrap",
+            "fn s(&self) { self.log.fsync_to(lsn); } // lint: allow-inline-flush — bootstrap",
         );
         let mut v = Vec::new();
         rule_no_inline_flush(&f, &mut v);
         assert!(v.is_empty(), "{v:?}");
         let f = file(
             "crates/core/src/db.rs",
-            "#[cfg(test)]\nmod tests {\n    fn t(log: &L) { log.flush(lsn); }\n}\n",
+            "#[cfg(test)]\nmod tests {\n    fn t(log: &L) { log.fsync_to(lsn); }\n}\n",
         );
         let mut v = Vec::new();
         rule_no_inline_flush(&f, &mut v);

@@ -268,12 +268,13 @@ impl Shell {
                     Some(reason) => println!("  pool POISONED:           {reason}"),
                     None => println!("  pool poisoned:           no"),
                 }
-                println!(
-                    "  wal flusher:             {}",
-                    if s.wal_flusher_running { "running" } else { "inline" }
-                );
+                let pipe = self.db.txns().pipeline().stats();
                 println!("  wal batches flushed:     {}", s.wal_batches_flushed);
-                println!("  wal mean batch size:     {:.2}", s.wal_mean_batch_size);
+                let per_sync = match pipe.batches_flushed {
+                    0 => 0.0,
+                    n => pipe.commits_flushed as f64 / n as f64,
+                };
+                println!("  commits per sync:        {per_sync:.2}");
                 println!("  commit wait p50 (us):    {}", s.commit_wait_p50_us);
                 println!("  commit wait p99 (us):    {}", s.commit_wait_p99_us);
                 println!(

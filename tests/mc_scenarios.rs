@@ -1,17 +1,18 @@
 //! Model-checker scenario suite (`--features model-check`).
 //!
 //! Drives the `gist-mc` deterministic schedule explorer against the real
-//! lock-manager / predicate-manager / WAL code, instrumented through the
-//! audit hook layer. Three kinds of test live here:
+//! lock-manager / predicate-manager / WAL / commit-pipeline code,
+//! instrumented through the audit hook layer. Three kinds of test live
+//! here:
 //!
 //! 1. **Regression pins** — two races the lock and predicate managers
 //!    once had (orphan grant in `release_all` vs `replicate_shared`;
 //!    duplicate FIFO attach), which their one-mutex tables now rule out,
-//!    and the `wait_durable` generation handshake, explored on the
-//!    current code: every schedule must satisfy the post-conditions, and
-//!    the happens-before detector must report zero races.
-//! 2. **Mutation detection** — the WAL lost wakeup and the skipped
-//!    epoch grace period are compiled back in behind `gist_chaos::armed`
+//!    and the commit pipeline's park, explored on the current code: every
+//!    schedule must satisfy the post-conditions, and the happens-before
+//!    detector must report zero races.
+//! 2. **Mutation detection** — the commit park's lost wakeup and the
+//!    skipped epoch grace period are compiled back in behind `gist_chaos::armed`
 //!    switches; the explorer must find a failing schedule within a fixed
 //!    budget, and replaying the recorded trace must reproduce it
 //!    byte-for-byte.
@@ -30,6 +31,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use gist_chaos::{Action, Plan, Trigger};
+use gist_commitpipe::CommitPipeline;
 use gist_lockmgr::{LockManager, LockMode, LockName};
 use gist_mc::{Explorer, Failure, Report, Sim};
 use gist_predlock::{NodeKey, PredKind, PredicateManager};
@@ -98,80 +100,80 @@ fn assert_replays_byte_for_byte(
 }
 
 // ---------------------------------------------------------------------------
-// Satellite 1: wait_durable generation handshake (lost wakeup).
+// Satellite 1: the commit pipeline's park (lost wakeup).
 // ---------------------------------------------------------------------------
 
-/// One committer waiting for LSN 1 to become durable; one flusher that
-/// appends the record, syncs it, and signals. The waiter's park timeout
-/// is an hour of *virtual* time: in a correct implementation it never
-/// fires, because the generation handshake makes the notify impossible
-/// to miss. `woke` records whether the waiter saw the horizon.
-fn wal_wait_scenario(sim: &mut Sim) {
+/// One committer parks on LSN 1 through the production
+/// `commit_durable`; one flusher runs the production flusher turn
+/// (`flush_step`, the whole body of the real flusher thread's loop). The
+/// park's timeout is real time, far longer than any exploration, so in a
+/// correct implementation its *virtual* timeout never fires: the
+/// committer checks the horizon under the state mutex the flusher takes
+/// to notify, so the notify cannot be missed. `woke` records whether the
+/// commit was acknowledged.
+fn commit_park_scenario(sim: &mut Sim) {
     let log = Arc::new(LogManager::new());
+    let lsn = log.append(TxnId(1), Lsn::NULL, RecordBody::TxnCommit);
+    let pipe = CommitPipeline::new(log);
     let woke = Arc::new(AtomicBool::new(false));
 
-    let (l, w) = (log.clone(), woke.clone());
-    sim.spawn("waiter", move || {
-        let ok = l.wait_durable(Lsn(1), Duration::from_secs(3600));
-        w.store(ok, Ordering::SeqCst);
+    let (p, w) = (pipe.clone(), woke.clone());
+    sim.spawn("committer", move || {
+        w.store(p.commit_durable(lsn).is_ok(), Ordering::SeqCst);
     });
-
-    let l = log.clone();
     sim.spawn("flusher", move || {
-        l.append(TxnId(1), Lsn::NULL, RecordBody::TxnCommit);
-        l.fsync_to(Lsn(1));
-        l.notify_durable();
+        pipe.flush_step();
     });
 
     sim.check(move || {
         if woke.load(Ordering::SeqCst) {
             Ok(())
         } else {
-            Err("waiter missed the durability notification".to_string())
+            Err("committer missed the durability notification".to_string())
         }
     });
 }
 
-/// Fixed code: no schedule may lose the wakeup — the waiter's virtual
+/// Fixed code: no schedule may lose the wakeup — the committer's virtual
 /// timeout never fires (`deadline_is_failure` turns any firing into a
-/// [`Failure::LostWakeup`]) and every schedule sees the horizon.
+/// [`Failure::LostWakeup`]) and every schedule acknowledges the commit.
 #[test]
-fn wal_wait_durable_never_loses_wakeup() {
+fn commit_park_never_loses_wakeup() {
     let _serial = suite_lock();
     for (name, explorer) in [
-        ("wal-wakeup-seeded", Explorer::seeded("wal-wakeup-seeded", 0x5EED, 64)),
-        ("wal-wakeup-pct", Explorer::pct("wal-wakeup-pct", 0x9C7, 3, 64)),
+        ("commit-park-seeded", Explorer::seeded("commit-park-seeded", 0x5EED, 64)),
+        ("commit-park-pct", Explorer::pct("commit-park-pct", 0x9C7, 3, 64)),
     ] {
-        let report = explorer.deadline_is_failure().run(wal_wait_scenario);
+        let report = explorer.deadline_is_failure().run(commit_park_scenario);
         report.assert_no_failure();
         assert_eq!(report.timeouts_fired, 0, "{name}: a virtual timeout fired");
     }
 }
 
-/// Reintroduce the pre-handshake bug (horizon checked outside the wait
-/// mutex, park ignores the generation): the explorer must find a
-/// schedule that loses the wakeup, and the trace must replay.
+/// Reintroduce the lost wakeup (the park checks the horizon before
+/// taking the state mutex): the explorer must find a schedule that loses
+/// the wakeup, and the trace must replay.
 ///
-/// This is a textbook depth-2 bug — the flusher must run to completion
-/// inside the two-step window between the waiter's unguarded horizon
+/// This is a textbook depth-2 bug — the flusher's sync and notify must
+/// land inside the window between the committer's unguarded horizon
 /// check and its park — so PCT (one priority-change point) finds it
-/// where uniform random choice would need ~2^15 luck. The small
-/// `max_steps` keeps the change-point sampling dense.
+/// where uniform random choice would need luck. The small `max_steps`
+/// keeps the change-point sampling dense.
 #[test]
-fn wal_wait_durable_mutation_lost_wakeup_is_found() {
+fn commit_park_mutation_lost_wakeup_is_found() {
     let _serial = suite_lock();
-    let _armed = Armed::new("wal.wait-durable-unguarded-park");
-    let report = Explorer::pct("wal-lost-wakeup", 0x5EED, 2, 2048)
+    let _armed = Armed::new("commitpipe.park-unguarded");
+    let report = Explorer::pct("commit-park-lost-wakeup", 0x5EED, 2, 2048)
         .max_steps(128)
         .deadline_is_failure()
-        .run(wal_wait_scenario);
+        .run(commit_park_scenario);
     let failure = report.failure.as_ref().expect("mutation must be detected within budget");
     assert!(
         matches!(failure.failure, Failure::LostWakeup { .. }),
         "expected a lost wakeup, got {}",
         failure.failure
     );
-    assert_replays_byte_for_byte(&report, true, wal_wait_scenario);
+    assert_replays_byte_for_byte(&report, true, commit_park_scenario);
 }
 
 // ---------------------------------------------------------------------------

@@ -199,7 +199,7 @@ fn incomplete_split_nta_is_rolled_back() {
         assert!(k < 3000, "no split happened");
     };
     // Truncate durability to just before the NtaEnd.
-    h.log.flush(gist_repro::wal::Lsn(nta_end_lsn.0 - 1));
+    h.log.fsync_to(gist_repro::wal::Lsn(nta_end_lsn.0 - 1));
     // Crash without the in-memory suffix (commit never happened).
     db.pool().crash();
     let lost = h.log.crash();
@@ -218,14 +218,13 @@ fn unforced_split_terminator_lost_in_crash_is_rolled_back() {
     // allows: a split ran to completion — every record of the unit
     // durable, latches released, the transaction carried on — but the
     // terminator itself never left the volatile tail. Restart must treat
-    // that as a crash inside the unit. No flusher thread here, so nothing
-    // but this test's own `flush` moves the durable horizon.
+    // that as a crash inside the unit. Nothing syncs unasked, so between
+    // commits only this test's own `fsync_to` moves the durable horizon.
     use gist_repro::core::GistRecord;
     use gist_repro::wal::{Lsn, RecordBody};
 
     let h = Harness::new();
     let (db, idx) = h.open();
-    db.txns().pipeline().stop(true);
     let txn = db.begin();
     for k in 0..100i64 {
         idx.insert(txn, &k, rid(k as u64)).unwrap();
@@ -264,7 +263,7 @@ fn unforced_split_terminator_lost_in_crash_is_rolled_back() {
         h.log.flushed_lsn()
     );
 
-    h.log.flush(Lsn(nta_end_lsn.0 - 1));
+    h.log.fsync_to(Lsn(nta_end_lsn.0 - 1));
     db.crash();
 
     let (db2, idx2) = h.restart();
@@ -455,7 +454,6 @@ fn split_with_healed_rightlink_redoes_and_undoes() {
     for crash_inside_unit in [false, true] {
         let h = Harness::new();
         let (db, idx) = h.open();
-        db.txns().pipeline().stop(true);
         let txn = db.begin();
         for k in 0..3_000i64 {
             idx.insert(txn, &(k * 1000), rid(k as u64)).unwrap();
@@ -509,7 +507,7 @@ fn split_with_healed_rightlink_redoes_and_undoes() {
             db.commit(txn).unwrap();
         };
         if crash_inside_unit {
-            h.log.flush(Lsn(nta_end.0 - 1));
+            h.log.fsync_to(Lsn(nta_end.0 - 1));
         } else {
             db.commit(txn).unwrap();
         }

@@ -187,7 +187,7 @@ fn crash_at_any_durable_point_recovers() {
         // crash: everything after the cut is lost.
         let cut_offset = g.below(400);
         let cut = Lsn((commit_point.0 + cut_offset).min(log.last_lsn().0));
-        log.flush(cut);
+        log.fsync_to(cut);
         db.pool().crash();
         log.crash();
 
