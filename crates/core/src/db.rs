@@ -286,8 +286,8 @@ pub struct Db {
 /// Point-in-time snapshot of the database's degradation and self-healing
 /// counters ([`Db::robustness_stats`]): how often operations had to be
 /// retried, how long they backed off, how many worker panics were
-/// contained, what the watchdog killed, the lock manager's contention
-/// tallies, and whether the buffer pool has degraded to read-only.
+/// contained, the lock manager's contention tallies, and whether the
+/// buffer pool has degraded to read-only.
 #[derive(Debug, Clone)]
 pub struct RobustnessStats {
     /// [`Db::run_txn`] retry attempts (beyond each call's first try).
@@ -297,8 +297,6 @@ pub struct RobustnessStats {
     /// Operation panics contained (transaction aborted, caller got
     /// [`GistError::Panicked`] instead of a dead thread).
     pub panics_contained: u64,
-    /// Idle transactions aborted by the maintenance watchdog.
-    pub watchdog_aborts: u64,
     /// Lock requests granted without waiting.
     pub lock_immediate_grants: u64,
     /// Lock requests that had to wait.
@@ -438,17 +436,11 @@ impl Db {
             retries_exhausted: AtomicU64::new(0),
             files: OnceLock::new(),
         });
-        // The database is the daemon's undo handler: the transaction
-        // watchdog needs logical undo to roll idle victims back. Weak so
-        // the daemon does not keep the database alive.
-        let handler: std::sync::Weak<dyn RecoveryHandler + Send + Sync> =
-            Arc::downgrade(&db) as _;
-        db.maint.set_undo_handler(handler);
         // Admission credits and GC hand-off ride the transaction's
         // lifetime exactly: the end observer fires once per
-        // transaction-table removal (commit, owner abort, watchdog
-        // teardown), so a credit can never outlive its transaction or
-        // leak on any exit path. Weak, as above.
+        // transaction-table removal (commit or abort), so a credit can
+        // never outlive its transaction or leak on any exit path. Weak
+        // so the manager does not keep the database alive.
         let observer: std::sync::Weak<dyn TxnEndObserver> = Arc::downgrade(&db) as _;
         db.txns.set_end_observer(observer);
         Ok(db)
@@ -617,9 +609,10 @@ impl Db {
     /// Spawn the maintenance daemon's worker thread (idempotent). Until
     /// this is called (or [`Db::maint_sync`] is driven by hand), queued
     /// work — post-commit GC and drains — just accumulates, one item per
-    /// leaf.
-    pub fn start_maint(&self) {
-        self.maint.start();
+    /// leaf. Fails only if the worker thread cannot be spawned.
+    pub fn start_maint(&self) -> Result<()> {
+        self.maint.start()?;
+        Ok(())
     }
 
     /// Synchronously process every queued maintenance item on the
@@ -708,11 +701,10 @@ impl Db {
 
     /// Abort a *session-owned* transaction during connection teardown
     /// (the serving layer's funnel). Identical to [`Db::abort`] except
-    /// that the already-gone shape — the watchdog reaped it, a racing
-    /// commit completed, the drain sweep got there first — is absorbed
-    /// as success: teardown must be idempotent because the session
-    /// thread and the drain sweep can both observe the same dying
-    /// connection. Resources still release exactly once regardless of
+    /// that the already-gone shape — a racing commit completed, the
+    /// drain sweep got there first — is absorbed as success: teardown
+    /// must be idempotent because the session thread and the drain sweep
+    /// can both observe the same dying connection. Resources still release exactly once regardless of
     /// who wins: every ending funnels through the transaction table's
     /// single removal and its [`TxnEndObserver`] notification.
     pub fn end_session_txn(&self, txn: TxnId) -> Result<()> {
@@ -724,7 +716,7 @@ impl Db {
 
     /// Run `f` against its own transaction, retrying on retryable
     /// failures ([`GistError::is_retryable`]: deadlock victim, lock
-    /// timeout, watchdog abort) with bounded exponential backoff plus
+    /// timeout, admission shed) with bounded exponential backoff plus
     /// jitter. Each attempt gets a fresh transaction; the previous one is
     /// aborted before the retry, so no hand-written retry loop is ever
     /// needed at call sites. Panics inside `f` are contained (see
@@ -762,9 +754,8 @@ impl Db {
                     Ok(()) => return Ok(v),
                     Err(e) => {
                         // A failed commit leaves the transaction for us
-                        // to clean up — unless it was already torn down
-                        // (watchdog) or is actually committed (lost ack),
-                        // both of which `abort` absorbs.
+                        // to clean up — unless it is actually committed
+                        // (lost ack), which `abort` completes instead.
                         let _ = self.abort(txn);
                         e
                     }
@@ -838,8 +829,8 @@ impl Db {
     }
 
     /// Snapshot the robustness counters: retry/backoff behavior of
-    /// [`Db::run_txn`], contained panics, watchdog aborts, lock-manager
-    /// contention, and buffer-pool poison state.
+    /// [`Db::run_txn`], contained panics, lock-manager contention, and
+    /// buffer-pool poison state.
     pub fn robustness_stats(&self) -> RobustnessStats {
         let ls = &self.locks.stats;
         let ps = self.txns.pipeline().stats();
@@ -848,7 +839,6 @@ impl Db {
             txn_retries: self.retries.load(Ordering::Relaxed),
             backoff_micros: self.backoff_micros.load(Ordering::Relaxed),
             panics_contained: self.panics_contained.load(Ordering::Relaxed),
-            watchdog_aborts: self.maint.stats.snapshot().watchdog_aborts,
             lock_immediate_grants: ls.immediate_grants.load(Ordering::Relaxed),
             lock_waits: ls.waits.load(Ordering::Relaxed),
             lock_deadlocks: ls.deadlocks.load(Ordering::Relaxed),
@@ -1234,10 +1224,10 @@ impl Db {
 
 impl TxnEndObserver for Db {
     /// Free the transaction's admission credit the instant it leaves the
-    /// transaction table — commit, owner abort, or watchdog teardown all
-    /// funnel through here, so a wedged client can delay a credit but
-    /// never leak it (the watchdog's timeout bounds the delay) — then
-    /// queue a commit's GC candidates with the maintenance daemon.
+    /// transaction table — commit, owner abort, or the serving layer's
+    /// session teardown all funnel through here, so a credit never
+    /// outlives its transaction — then queue a commit's GC candidates
+    /// with the maintenance daemon.
     fn txn_ended(&self, txn: TxnId, gc: Vec<GcCandidate>) {
         self.admission.release(txn.0);
         if !gc.is_empty() {

@@ -121,16 +121,14 @@ impl GistError {
     /// Whether this error means "abort and retry the transaction":
     /// deadlock victims (per §8's resolution of unique-insert races),
     /// lock timeouts (documented as a deadlock-detector safety net, so
-    /// they get the same treatment), and watchdog aborts (the
-    /// transaction was torn down for idling; a fresh attempt starts with
-    /// a clean idle clock). [`Db::run_txn`](crate::Db::run_txn)
-    /// automates the abort-and-retry loop for exactly this set.
+    /// they get the same treatment), and admission sheds.
+    /// [`Db::run_txn`](crate::Db::run_txn) automates the abort-and-retry
+    /// loop for exactly this set.
     pub fn is_retryable(&self) -> bool {
         match self {
             GistError::Lock(e) | GistError::Txn(TxnError::Lock(e)) => {
                 matches!(e, LockError::Deadlock | LockError::Timeout)
             }
-            GistError::Txn(TxnError::AbortedByWatchdog(_)) => true,
             // A shed admission never started a transaction, so a backed-
             // off retry is trivially safe — that is the whole shed path.
             GistError::Overloaded => true,
@@ -151,8 +149,6 @@ mod tests {
         // Timeouts are the deadlock detector's safety net: same verdict.
         assert!(GistError::Lock(LockError::Timeout).is_retryable());
         assert!(GistError::Txn(TxnError::Lock(LockError::Timeout)).is_retryable());
-        // A watchdog abort tore down an idle transaction; retry is safe.
-        assert!(GistError::Txn(TxnError::AbortedByWatchdog(TxnId(7))).is_retryable());
         // A shed admission started nothing; retry through the backoff.
         assert!(GistError::Overloaded.is_retryable());
         // Poisoned and injected failures must reach the caller as-is.

@@ -51,10 +51,8 @@ impl<E: GistExtension> Cursor<E> {
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<Option<(E::Key, Rid)>> {
         let db = self.walk.db().clone();
-        let op = db.txns().op_enter(self.walk.txn())?;
-        let r = self.next_inner();
-        op.complete();
-        r
+        let _op = db.txns().op_enter(self.walk.txn())?;
+        self.next_inner()
     }
 
     fn next_inner(&mut self) -> Result<Option<(E::Key, Rid)>> {
@@ -113,18 +111,15 @@ impl<E: GistExtension> Cursor<E> {
 impl<E: GistExtension> GistIndex<E> {
     /// Open an incremental cursor over `query`.
     pub fn cursor(self: &Arc<Self>, txn: TxnId, query: E::Query) -> Result<Cursor<E>> {
-        let op = self.db().txns().op_enter(txn)?;
-        let r = Walk::new(self.clone(), txn, query, Access::Latched, true);
-        op.complete();
-        Ok(Cursor { walk: r?, pending: VecDeque::new(), finished: false })
+        let _op = self.db().txns().op_enter(txn)?;
+        let walk = Walk::new(self.clone(), txn, query, Access::Latched, true)?;
+        Ok(Cursor { walk, pending: VecDeque::new(), finished: false })
     }
 
     /// SEARCH: all `(key, RID)` pairs satisfying `query`.
     pub fn search(self: &Arc<Self>, txn: TxnId, query: &E::Query) -> Result<Vec<(E::Key, Rid)>> {
-        let op = self.db().txns().op_enter(txn)?;
-        let r = self.search_inner(txn, query);
-        op.complete();
-        r
+        let _op = self.db().txns().op_enter(txn)?;
+        self.search_inner(txn, query)
     }
 
     fn search_inner(self: &Arc<Self>, txn: TxnId, query: &E::Query) -> Result<Vec<(E::Key, Rid)>> {

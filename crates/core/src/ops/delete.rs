@@ -37,10 +37,8 @@ impl<E: GistExtension> GistIndex<E> {
     /// parent BPs must not shrink yet, or the path to the key would
     /// vanish for concurrent searches.
     pub fn delete(self: &Arc<Self>, txn: TxnId, key: &E::Key, rid: gist_pagestore::Rid) -> Result<()> {
-        let op = self.db().txns().op_enter(txn)?;
-        let r = self.delete_inner(txn, key, rid);
-        op.complete();
-        r
+        let _op = self.db().txns().op_enter(txn)?;
+        self.delete_inner(txn, key, rid)
     }
 
     fn delete_inner(
@@ -316,10 +314,8 @@ impl<E: GistExtension> GistIndex<E> {
     /// drains left behind (dropped after their retry budget, or drains
     /// with no parent hint).
     pub fn vacuum_sync(&self, txn: TxnId) -> Result<VacuumReport> {
-        let op = self.db().txns().op_enter(txn)?;
-        let r = self.vacuum_sync_inner(txn);
-        op.complete();
-        r
+        let _op = self.db().txns().op_enter(txn)?;
+        self.vacuum_sync_inner(txn)
     }
 
     fn vacuum_sync_inner(&self, txn: TxnId) -> Result<VacuumReport> {

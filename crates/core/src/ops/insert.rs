@@ -36,17 +36,14 @@ impl<E: GistExtension> GistIndex<E> {
     /// performs the §8 combined search+insert. A deadlock error means
     /// the caller must abort (and may retry) the transaction.
     pub fn insert(self: &Arc<Self>, txn: TxnId, key: &E::Key, rid: Rid) -> Result<()> {
-        // Operation scope: registers the in-flight op with the
-        // transaction (watchdog exemption); a panic inside the scope
-        // poisons the transaction (must-abort) via the guard's Drop.
-        let op = self.db().txns().op_enter(txn)?;
-        let r = if self.is_unique() {
+        // Operation scope: a panic inside it poisons the transaction
+        // (must-abort) via the guard's Drop.
+        let _op = self.db().txns().op_enter(txn)?;
+        if self.is_unique() {
             self.insert_unique(txn, key, rid)
         } else {
             self.insert_nonunique(txn, key, rid)
-        };
-        op.complete();
-        r
+        }
     }
 
     /// §8: probe with an "`= key`" search (leaving probe predicates on

@@ -42,7 +42,6 @@ use parking_lot::{Condvar, Mutex};
 
 use gist_pagestore::{BufferPool, PageId};
 use gist_txn::{GcCandidate, TxnManager};
-use gist_wal::recovery::RecoveryHandler;
 use gist_wal::{LogManager, Lsn};
 
 pub(crate) mod audit;
@@ -170,12 +169,6 @@ pub struct MaintConfig {
     /// Period between the worker's fuzzy checkpoints (None = only
     /// explicit [`MaintDaemon::checkpoint_now`] calls).
     pub checkpoint_interval: Option<Duration>,
-    /// Transaction-watchdog deadline: an Active transaction with no
-    /// operation in flight whose last activity is older than this is
-    /// aborted by the daemon, releasing its locks and predicates so
-    /// queues blocked behind it (§4 predicate waits, §8/§10.3 FIFO
-    /// insert queues) drain. `None` (the default) disables the watchdog.
-    pub txn_idle_deadline: Option<Duration>,
 }
 
 /// Monotonic daemon counters, readable while it runs.
@@ -201,8 +194,6 @@ pub struct MaintStats {
     pub failures: AtomicU64,
     /// Panics contained (each also counts as a failure).
     pub panics: AtomicU64,
-    /// Idle transactions aborted by the watchdog.
-    pub watchdog_aborts: AtomicU64,
 }
 
 /// A point-in-time copy of [`MaintStats`].
@@ -219,7 +210,6 @@ pub struct MaintStatsSnapshot {
     pub dropped: u64,
     pub failures: u64,
     pub panics: u64,
-    pub watchdog_aborts: u64,
 }
 
 impl MaintStats {
@@ -236,7 +226,6 @@ impl MaintStats {
             dropped: self.dropped.load(Ordering::Relaxed),
             failures: self.failures.load(Ordering::Relaxed),
             panics: self.panics.load(Ordering::Relaxed),
-            watchdog_aborts: self.watchdog_aborts.load(Ordering::Relaxed),
         }
     }
 }
@@ -268,9 +257,6 @@ pub struct MaintDaemon {
     cond: Condvar,
     indexes: Mutex<HashMap<u32, Weak<dyn MaintIndex>>>,
     worker: Mutex<Option<JoinHandle<()>>>,
-    /// Logical-undo handler for the transaction watchdog (the database
-    /// façade). Weak so the daemon does not keep the database alive.
-    undo_handler: Mutex<Option<Weak<dyn RecoveryHandler + Send + Sync>>>,
     /// Counters.
     pub stats: MaintStats,
 }
@@ -300,40 +286,8 @@ impl MaintDaemon {
             cond: Condvar::new(),
             indexes: Mutex::new(HashMap::new()),
             worker: Mutex::new(None),
-            undo_handler: Mutex::new(None),
             stats: MaintStats::default(),
         })
-    }
-
-    /// Install the logical-undo handler the transaction watchdog needs
-    /// to abort victims (rollback replays undo through the index). Held
-    /// weakly so the daemon never keeps the database alive.
-    pub fn set_undo_handler(&self, h: Weak<dyn RecoveryHandler + Send + Sync>) {
-        *self.undo_handler.lock() = Some(h);
-    }
-
-    /// Run one watchdog pass right now: abort every Active transaction
-    /// with no operation in flight that has been idle longer than
-    /// [`MaintConfig::txn_idle_deadline`]. Returns the number of
-    /// transactions aborted. A no-op when the deadline is unset or no
-    /// undo handler is installed.
-    pub fn watchdog_tick(&self) -> usize {
-        let Some(deadline) = self.config.txn_idle_deadline else {
-            return 0;
-        };
-        let handler = match self.undo_handler.lock().clone() {
-            Some(w) => match w.upgrade() {
-                Some(h) => h,
-                None => return 0,
-            },
-            None => return 0,
-        };
-        let aborted = self.txns.watchdog_scan(deadline, handler.as_ref());
-        let n = aborted.len();
-        if n > 0 {
-            self.stats.watchdog_aborts.fetch_add(n as u64, Ordering::Relaxed);
-        }
-        n
     }
 
     /// Make an index's tree work reachable. Held weakly: a dropped index
@@ -385,19 +339,19 @@ impl MaintDaemon {
         st.queue.len() + st.delayed.len() + st.in_flight
     }
 
-    /// Spawn the worker thread (idempotent).
-    pub fn start(self: &Arc<Self>) {
+    /// Spawn the worker thread (idempotent). Fails only if the thread
+    /// cannot be spawned.
+    pub fn start(self: &Arc<Self>) -> std::io::Result<()> {
         let mut worker = self.worker.lock();
-        if worker.is_some() {
-            return;
+        if worker.is_none() {
+            let me = self.clone();
+            *worker = Some(
+                std::thread::Builder::new()
+                    .name("gist-maint".into())
+                    .spawn(move || me.worker_loop())?,
+            );
         }
-        let me = self.clone();
-        *worker = Some(
-            std::thread::Builder::new()
-                .name("gist-maint".into())
-                .spawn(move || me.worker_loop())
-                .unwrap_or_else(|e| panic!("failed to spawn maintenance worker: {e}")),
-        );
+        Ok(())
     }
 
     /// Whether the worker thread is running.
@@ -482,24 +436,15 @@ impl MaintDaemon {
     }
 
     fn worker_loop(self: Arc<Self>) {
-        // Periodic checkpoints count from "worker started"; the watchdog
-        // rescans at most four times per deadline.
+        // Periodic checkpoints count from "worker started".
         let mut last_checkpoint = Instant::now();
-        let mut last_watchdog = Instant::now();
         loop {
-            // Checkpoints and watchdog passes run between items, outside
-            // the state lock: a checkpoint syncs the store and a watchdog
-            // pass may run a full logical abort.
+            // Checkpoints run between items, outside the state lock: a
+            // checkpoint syncs the store.
             if let Some(interval) = self.config.checkpoint_interval {
                 if last_checkpoint.elapsed() >= interval {
                     last_checkpoint = Instant::now();
                     self.periodic_checkpoint();
-                }
-            }
-            if let Some(deadline) = self.config.txn_idle_deadline {
-                if last_watchdog.elapsed() >= (deadline / 4).max(Duration::from_millis(1)) {
-                    last_watchdog = Instant::now();
-                    self.watchdog_tick();
                 }
             }
             let q = {
@@ -513,15 +458,12 @@ impl MaintDaemon {
                 match q {
                     Some(_) => st.in_flight += 1,
                     None => {
-                        // Sleep until the next backoff expiry, checkpoint
-                        // tick, or watchdog pass, whichever comes first.
+                        // Sleep until the next backoff expiry or checkpoint
+                        // tick, whichever comes first.
                         let mut wait = Duration::from_millis(50);
                         if let Some(interval) = self.config.checkpoint_interval {
                             let since = now.duration_since(last_checkpoint);
                             wait = wait.min(interval.saturating_sub(since));
-                        }
-                        if let Some(deadline) = self.config.txn_idle_deadline {
-                            wait = wait.min((deadline / 2).max(Duration::from_millis(1)));
                         }
                         if let Some(ready) = st.delayed.iter().map(|(t, _)| *t).min() {
                             wait = wait.min(ready.saturating_duration_since(now));

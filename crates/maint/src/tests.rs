@@ -146,7 +146,7 @@ fn run_until_idle_waits_for_in_flight_retries() {
         Arc::downgrade(&a)
     };
     d.register_index(weak);
-    d.start();
+    d.start().unwrap();
     d.enqueue(WorkItem::Gc { index: 4, leaf: PageId(6), parent_hint: None });
     // The worker owns the item (queue empty, in_flight = 1) ...
     entered_rx.recv().unwrap();
@@ -239,10 +239,7 @@ impl MaintIndex for StuckDrainIndex {
 /// checkpoint: the worker checkpoints between attempts.
 #[test]
 fn periodic_checkpoint_not_starved_by_retrying_drain() {
-    let (d, log) = daemon(MaintConfig {
-        checkpoint_interval: Some(Duration::from_millis(5)),
-        ..MaintConfig::default()
-    });
+    let (d, log) = daemon(MaintConfig { checkpoint_interval: Some(Duration::from_millis(5)) });
     let idx = Arc::new(StuckDrainIndex {
         log: log.clone(),
         drain_calls: AtomicU64::new(0),
@@ -251,7 +248,7 @@ fn periodic_checkpoint_not_starved_by_retrying_drain() {
     let a: Arc<dyn MaintIndex> = idx.clone();
     d.register_index(Arc::downgrade(&a));
     d.enqueue(WorkItem::Drain { index: 5, leaf: PageId(2), parent_hint: Some(PageId(1)) });
-    d.start();
+    d.start().unwrap();
     wait_until(|| d.stats.snapshot().dropped == 1);
     d.stop(/*drain=*/ false);
     let s = d.stats.snapshot();
@@ -265,12 +262,9 @@ fn periodic_checkpoint_not_starved_by_retrying_drain() {
 
 #[test]
 fn workers_process_in_background_and_stop_cleanly() {
-    let (d, _log) = daemon(MaintConfig {
-        checkpoint_interval: Some(Duration::from_millis(5)),
-        ..MaintConfig::default()
-    });
+    let (d, _log) = daemon(MaintConfig { checkpoint_interval: Some(Duration::from_millis(5)) });
     let idx = FakeIndex::registered(&d, 2, 0);
-    d.start();
+    d.start().unwrap();
     assert!(d.is_running());
     d.enqueue_gc(vec![GcCandidate { index: 2, leaf: PageId(11), parent_hint: None }]);
     wait_until(|| d.backlog() == 0);
@@ -317,7 +311,7 @@ fn worker_survives_a_panicking_item_and_drains() {
     // the worker outlived it.
     d.enqueue(WorkItem::Gc { index: 9, leaf: PageId(3), parent_hint: None });
     d.enqueue(WorkItem::Drain { index: 9, leaf: PageId(4), parent_hint: None });
-    d.start();
+    d.start().unwrap();
     // `stop(drain)` waits for the in-flight count; a worker that died
     // mid-item would leave it at 1 forever.
     let (done_tx, done_rx) = std::sync::mpsc::channel();

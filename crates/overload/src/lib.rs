@@ -21,11 +21,12 @@
 //! admissions are counted and degrade the health verdict instead).
 //!
 //! Credits are released through the transaction-end observer hook in
-//! `gist-txn`, which fires on commit *and* abort (including watchdog
-//! teardown), so a credit can never outlive its transaction. Tokens
-//! are bound explicitly ([`AdmissionController::bind`]) so transactions
-//! begun behind the controller's back (internal maintenance, recovery,
-//! raw `TxnManager::begin` in tests) release as a no-op.
+//! `gist-txn`, which fires on commit *and* abort (including the serving
+//! layer's session teardown), so a credit can never outlive its
+//! transaction. Tokens are bound explicitly
+//! ([`AdmissionController::bind`]) so transactions begun behind the
+//! controller's back (internal maintenance, recovery, raw
+//! `TxnManager::begin` in tests) release as a no-op.
 //!
 //! The crate also owns the unified [`HealthReport`] vocabulary
 //! (`Healthy` / `Degraded { reasons }` / `ReadOnly { reasons }`) that

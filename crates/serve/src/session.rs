@@ -183,7 +183,6 @@ fn map_code(e: &GistError) -> ErrorCode {
         // Deadlock victim or lock timeout: transaction must be aborted
         // and retried — dispatch aborts it before replying.
         GistError::Lock(_) => ErrorCode::Retry,
-        GistError::Txn(TxnError::AbortedByWatchdog(_)) => ErrorCode::Retry,
         // The transaction vanished under us: drain or eviction
         // force-aborted it between dispatch taking the id and the
         // engine looking it up.
@@ -393,7 +392,6 @@ fn stats_entries(inner: &ServerInner) -> Vec<(String, i64)> {
         ("admission_shed".to_string(), clamp(rs.admission.shed)),
         ("admission_forced".to_string(), clamp(rs.admission.forced)),
         ("txn_retries".to_string(), clamp(rs.txn_retries)),
-        ("watchdog_aborts".to_string(), clamp(rs.watchdog_aborts)),
         ("lock_deadlocks".to_string(), clamp(rs.lock_deadlocks)),
         ("epoch_pending".to_string(), clamp(rs.epoch_pending)),
         ("pool_poisoned".to_string(), i64::from(rs.pool_poisoned)),

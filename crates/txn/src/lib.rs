@@ -26,7 +26,6 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
@@ -53,14 +52,14 @@ pub struct GcCandidate {
 
 /// Observer fired exactly once when a transaction leaves the table —
 /// after its end record is logged, the entry removed and every
-/// predicate and lock released, on *every* termination path: commit,
-/// owner abort, and watchdog teardown.
+/// predicate and lock released, on *every* termination path: commit
+/// and abort (the owner's, or the serving layer's session teardown).
 ///
 /// Registered by the embedder (`Db`) to release the admission-control
-/// credit bound to the transaction — because abort covers the watchdog
-/// path, a credit can never outlive its transaction no matter how it
-/// dies — and to hand a commit's GC candidates to the maintenance
-/// daemon, which may reclaim at once under the Commit_LSN fast path.
+/// credit bound to the transaction — so a credit can never outlive its
+/// transaction no matter how it ends — and to hand a commit's GC
+/// candidates to the maintenance daemon, which may reclaim at once
+/// under the Commit_LSN fast path.
 pub trait TxnEndObserver: Send + Sync {
     /// `txn` terminated and was removed from the table. `gc` holds the
     /// leaves a committed `txn` delete-marked entries on; it is empty on
@@ -104,16 +103,6 @@ struct TxnInfo {
     /// unwound), so shadow state may be torn. Further operations and
     /// commit are refused; `abort` still works and clears everything.
     poisoned: bool,
-    /// The watchdog selected this transaction for abort. Set under the
-    /// table lock so no new operation can slip in while the watchdog is
-    /// rolling the victim back outside the lock.
-    doomed: bool,
-    /// Operations currently inside an [`OpGuard`] scope. The watchdog
-    /// never dooms a transaction with in-flight operations — "idle"
-    /// means *between* operations, not parked inside one.
-    ops_in_flight: u32,
-    /// Last time an operation entered or left. Watchdog idle clock.
-    last_activity: Instant,
 }
 
 /// Errors from transaction operations.
@@ -127,9 +116,6 @@ pub enum TxnError {
     Undo(String),
     /// Lock acquisition failed (deadlock victim or timeout).
     Lock(LockError),
-    /// The maintenance watchdog aborted this transaction for idling past
-    /// the configured deadline. Retryable: begin a fresh transaction.
-    AbortedByWatchdog(TxnId),
     /// The transaction is poisoned (an operation panicked mid-flight);
     /// only `abort` is accepted.
     MustAbort(TxnId),
@@ -148,9 +134,6 @@ impl fmt::Display for TxnError {
             TxnError::NoSuchSavepoint(s) => write!(f, "no such savepoint {s:?}"),
             TxnError::Undo(e) => write!(f, "undo failed: {e}"),
             TxnError::Lock(e) => write!(f, "{e}"),
-            TxnError::AbortedByWatchdog(t) => {
-                write!(f, "transaction {t} was aborted by the idle-transaction watchdog")
-            }
             TxnError::MustAbort(t) => {
                 write!(f, "transaction {t} is poisoned by a mid-operation panic; abort it")
             }
@@ -200,12 +183,6 @@ pub struct TxnManager {
     /// hand-off). Weak so the embedder, which owns this manager, and the
     /// manager don't keep each other alive.
     end_observer: Mutex<Option<std::sync::Weak<dyn TxnEndObserver>>>,
-    /// Transactions the watchdog aborted that left the table before the
-    /// victim thread noticed. Consumed by the victim's next call (its
-    /// operations report [`TxnError::AbortedByWatchdog`]; its own
-    /// `abort` succeeds as a no-op). A victim that never returns leaks
-    /// one id here — bounded by the watchdog's own abort count.
-    watchdog_tombstones: Mutex<HashSet<TxnId>>,
 }
 
 impl TxnManager {
@@ -223,7 +200,6 @@ impl TxnManager {
             table: Mutex::new(HashMap::new()),
             next_txn: Mutex::new(0),
             end_observer: Mutex::new(None),
-            watchdog_tombstones: Mutex::new(HashSet::new()),
         }
     }
 
@@ -294,9 +270,6 @@ impl TxnManager {
                 pinned_nodes: HashSet::new(),
                 gc_candidates: Vec::new(),
                 poisoned: false,
-                doomed: false,
-                ops_in_flight: 0,
-                last_activity: Instant::now(),
             },
         );
         // §10.3: X lock on the own id, so others can block on this txn.
@@ -371,20 +344,14 @@ impl TxnManager {
     /// record and release predicates and locks. The force and the
     /// completion are separate steps so that a caller dying *after* the
     /// commit record is durable (the `"commit.after_wal_flush"` crash
-    /// point) leaves a transaction that any later `abort` or watchdog
-    /// pass completes rather than undoes.
+    /// point) leaves a transaction that any later `abort` completes
+    /// rather than undoes.
     pub fn commit(&self, txn: TxnId) -> Result<(), TxnError> {
         let commit_lsn = {
             let mut table = self.table.lock();
-            let info = match table.get_mut(&txn) {
-                Some(info) => info,
-                None => return Err(self.terminated_error(txn)),
-            };
+            let info = table.get_mut(&txn).ok_or(TxnError::NotActive(txn))?;
             if info.poisoned {
                 return Err(TxnError::MustAbort(txn));
-            }
-            if info.doomed {
-                return Err(TxnError::AbortedByWatchdog(txn));
             }
             let commit_lsn = self.pipeline.append_commit(txn, info.last_lsn)?;
             info.last_lsn = commit_lsn;
@@ -422,26 +389,16 @@ impl TxnManager {
 
     /// Abort: logical undo through `handler`, then end and release.
     ///
-    /// Absorbs three racy shapes instead of erroring: a transaction whose
+    /// Absorbs two racy shapes instead of erroring: a transaction whose
     /// commit record is already durable is *completed* (the caller lost
     /// the acknowledgement, not the commit); one that is already rolling
-    /// back elsewhere (watchdog vs. owner race) returns `Ok` and lets
-    /// that rollback finish; and one the watchdog already tore down
-    /// returns `Ok`, consuming its tombstone.
+    /// back elsewhere (the serving layer's drain sweep racing a session's
+    /// own teardown) returns `Ok` and lets that rollback finish.
     pub fn abort(&self, txn: TxnId, handler: &dyn RecoveryHandler) -> Result<(), TxnError> {
         gist_chaos::point("abort.before_undo")?;
         let last_lsn = {
             let mut table = self.table.lock();
-            let info = match table.get_mut(&txn) {
-                Some(info) => info,
-                None => {
-                    return if self.watchdog_tombstones.lock().remove(&txn) {
-                        Ok(())
-                    } else {
-                        Err(TxnError::NotActive(txn))
-                    };
-                }
-            };
+            let info = table.get_mut(&txn).ok_or(TxnError::NotActive(txn))?;
             match info.status {
                 TxnStatus::Committed => {
                     let commit_lsn = info.last_lsn;
@@ -614,132 +571,43 @@ impl TxnManager {
         self.table.lock().len()
     }
 
-    /// The error for a transaction that is no longer in the table:
-    /// [`TxnError::AbortedByWatchdog`] if the watchdog tore it down
-    /// (tombstone present, left for the owner's `abort` to consume),
-    /// plain [`TxnError::NotActive`] otherwise.
-    fn terminated_error(&self, txn: TxnId) -> TxnError {
-        if self.watchdog_tombstones.lock().contains(&txn) {
-            TxnError::AbortedByWatchdog(txn)
-        } else {
-            TxnError::NotActive(txn)
-        }
-    }
-
-    /// Enter an operation scope for `txn`. Refuses poisoned (must-abort)
-    /// and watchdog-doomed transactions. While the returned [`OpGuard`]
-    /// is live the watchdog will not select `txn` (it is not idle), and
-    /// if the operation panics the guard's unwind path marks `txn`
-    /// poisoned so further work is refused until `abort`.
+    /// Enter an operation scope for `txn`, refusing a poisoned
+    /// (must-abort) or no-longer-active transaction. If the operation
+    /// panics, the returned [`OpGuard`]'s unwind marks `txn` poisoned so
+    /// further work is refused until `abort`.
     pub fn op_enter(&self, txn: TxnId) -> Result<OpGuard<'_>, TxnError> {
-        let mut table = self.table.lock();
-        let info = match table.get_mut(&txn) {
-            Some(info) => info,
-            None => return Err(self.terminated_error(txn)),
-        };
+        let table = self.table.lock();
+        let info = table.get(&txn).ok_or(TxnError::NotActive(txn))?;
         if info.poisoned {
             return Err(TxnError::MustAbort(txn));
-        }
-        if info.doomed {
-            return Err(TxnError::AbortedByWatchdog(txn));
         }
         if info.status != TxnStatus::Active {
             return Err(TxnError::NotActive(txn));
         }
-        info.ops_in_flight += 1;
-        info.last_activity = Instant::now();
-        Ok(OpGuard { mgr: self, txn, done: false })
-    }
-
-    /// Leave an operation scope: `poison` marks the transaction
-    /// must-abort (the unwind path).
-    fn op_exit(&self, txn: TxnId, poison: bool) {
-        let mut table = self.table.lock();
-        if let Some(info) = table.get_mut(&txn) {
-            info.ops_in_flight = info.ops_in_flight.saturating_sub(1);
-            info.last_activity = Instant::now();
-            if poison {
-                info.poisoned = true;
-            }
-        }
+        Ok(OpGuard { mgr: self, txn })
     }
 
     /// Whether `txn` is poisoned (must-abort).
     pub fn is_poisoned(&self, txn: TxnId) -> bool {
         self.table.lock().get(&txn).map(|i| i.poisoned).unwrap_or(false)
     }
-
-    /// One watchdog pass: abort every Active transaction with no
-    /// operation in flight whose last activity is at least
-    /// `idle_deadline` ago. Victims are marked *doomed* under the table
-    /// lock — from that point their own operations are refused with
-    /// [`TxnError::AbortedByWatchdog`] — then rolled back outside it
-    /// through `handler`, releasing their locks, FIFO insert predicates
-    /// and attached scan predicates so blocked queues drain. Returns the
-    /// aborted ids.
-    pub fn watchdog_scan(
-        &self,
-        idle_deadline: Duration,
-        handler: &dyn RecoveryHandler,
-    ) -> Vec<TxnId> {
-        let now = Instant::now();
-        let victims: Vec<TxnId> = {
-            let mut table = self.table.lock();
-            table
-                .iter_mut()
-                .filter(|(_, i)| {
-                    i.status == TxnStatus::Active
-                        && !i.doomed
-                        && i.ops_in_flight == 0
-                        && now.duration_since(i.last_activity) >= idle_deadline
-                })
-                .map(|(t, i)| {
-                    i.doomed = true;
-                    *t
-                })
-                .collect()
-        };
-        let mut aborted = Vec::new();
-        for t in victims {
-            // Tombstone first so the owner sees AbortedByWatchdog (not a
-            // bare NotActive) the moment the table entry disappears.
-            self.watchdog_tombstones.lock().insert(t);
-            match self.abort(t, handler) {
-                Ok(()) => aborted.push(t),
-                Err(_) => {
-                    // Rollback failed; leave the tombstone so the owner
-                    // still learns why, but don't count the victim.
-                    // (The transaction stays doomed: nothing new starts.)
-                }
-            }
-        }
-        aborted
-    }
 }
 
-/// RAII operation scope from [`TxnManager::op_enter`]. Call
-/// [`OpGuard::complete`] on every normal exit (success *or* clean
-/// error); dropping the guard without completing it — i.e. a panic
-/// unwinding through the operation — poisons the transaction.
+/// RAII operation scope from [`TxnManager::op_enter`]. Dropped by a
+/// panic unwinding through the operation, it poisons the transaction
+/// (shadow state may be torn); any other exit — success or a clean
+/// error — leaves the transaction as the operation left it.
 pub struct OpGuard<'a> {
     mgr: &'a TxnManager,
     txn: TxnId,
-    done: bool,
-}
-
-impl OpGuard<'_> {
-    /// Normal exit: the operation either succeeded or failed cleanly
-    /// (its error path released everything it took).
-    pub fn complete(mut self) {
-        self.done = true;
-        self.mgr.op_exit(self.txn, false);
-    }
 }
 
 impl Drop for OpGuard<'_> {
     fn drop(&mut self) {
-        if !self.done {
-            self.mgr.op_exit(self.txn, true);
+        if std::thread::panicking() {
+            if let Some(info) = self.mgr.table.lock().get_mut(&self.txn) {
+                info.poisoned = true;
+            }
         }
     }
 }

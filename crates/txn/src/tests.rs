@@ -346,3 +346,42 @@ fn end_hook_delivers_commit_candidates_after_release() {
     let seen = probe.seen.lock();
     assert_eq!(*seen, vec![(t1, vec![cand], true), (t2, Vec::new(), true)]);
 }
+
+/// An operation scope poisons its transaction only when a panic unwinds
+/// through it: a scope left normally, or by an early `Err` return,
+/// leaves the transaction committable.
+#[test]
+fn op_guard_poisons_only_on_panic() {
+    let (mgr, cells, _log, _locks) = setup();
+
+    // Panic inside the scope: commit is refused, abort still works.
+    let t = mgr.begin();
+    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let _op = mgr.op_enter(t).unwrap();
+        cells.set(&mgr, t, 0, 5);
+        panic!("operation bug");
+    }));
+    assert!(unwound.is_err());
+    assert!(mgr.is_poisoned(t));
+    assert_eq!(mgr.op_enter(t).err(), Some(TxnError::MustAbort(t)));
+    assert_eq!(mgr.commit(t), Err(TxnError::MustAbort(t)));
+    mgr.abort(t, &cells).unwrap();
+    assert_eq!(cells.get(0), 0);
+    assert!(!mgr.is_active(t));
+
+    // Normal exit and an early error return both leave it committable.
+    let t = mgr.begin();
+    {
+        let _op = mgr.op_enter(t).unwrap();
+        cells.set(&mgr, t, 1, 7);
+    }
+    let early = || -> Result<(), TxnError> {
+        let _op = mgr.op_enter(t)?;
+        Err(TxnError::Undo("clean failure".into()))
+    };
+    assert!(early().is_err());
+    assert!(!mgr.is_poisoned(t));
+    mgr.commit(t).unwrap();
+    assert_eq!(cells.get(1), 7);
+    assert_eq!(mgr.op_enter(t).err(), Some(TxnError::NotActive(t)));
+}

@@ -411,8 +411,8 @@ pub enum ErrorCode {
     UniqueViolation = 6,
     /// Point lookup matched nothing.
     NotFound = 7,
-    /// Transient engine conflict (deadlock victim, lock timeout,
-    /// watchdog abort). Transaction is gone; begin a new one and retry.
+    /// Transient engine conflict (deadlock victim, lock timeout).
+    /// Transaction is gone; begin a new one and retry.
     Retry = 8,
     /// Engine is read-only (e.g. poisoned pool); writes are refused.
     ReadOnly = 9,

@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let idx = GistIndex::create(db.clone(), "hot", BtreeExt, IndexOptions::default())?;
     // Background maintenance: every committed delete below is physically
     // reclaimed by the daemon's worker, concurrent with the workload.
-    db.start_maint();
+    db.start_maint()?;
 
     // Preload.
     let txn = db.begin();

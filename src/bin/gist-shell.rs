@@ -259,7 +259,6 @@ impl Shell {
                 println!("  txn retries (run_txn):   {}", s.txn_retries);
                 println!("  backoff slept (micros):  {}", s.backoff_micros);
                 println!("  panics contained:        {}", s.panics_contained);
-                println!("  watchdog aborts:         {}", s.watchdog_aborts);
                 println!("  lock immediate grants:   {}", s.lock_immediate_grants);
                 println!("  lock waits:              {}", s.lock_waits);
                 println!("  lock deadlocks:          {}", s.lock_deadlocks);

@@ -434,65 +434,6 @@ fn per_point_peers_survive_concurrent_chaos() {
 }
 
 #[test]
-fn watchdog_unsticks_fifo_insert_queue() {
-    let _g = serial();
-    let mut config = DbConfig::default();
-    config.maint.txn_idle_deadline = Some(std::time::Duration::from_millis(150));
-    let h = Harness::new(config);
-    let (db, idx) = h.open();
-
-    // Blocker: a repeatable-read scan leaves its predicate attached to
-    // every visited leaf, then the transaction goes idle forever — the
-    // §10.3 nightmare tenant: every insert into its range queues up
-    // behind the predicate wait.
-    let blocker = db.begin();
-    let hits = idx.search(blocker, &I64Query::range(0, BASELINE)).unwrap();
-    assert_eq!(hits.len(), BASELINE as usize);
-
-    // Victim inserter: conflicts with the scan predicate, parks in the
-    // FIFO queue waiting on the blocker's transaction lock.
-    let inserted = Arc::new(AtomicBool::new(false));
-    let waiter = {
-        let (db, idx, inserted) = (db.clone(), idx.clone(), inserted.clone());
-        std::thread::spawn(move || {
-            let txn = db.begin();
-            // Key 55 lands inside the blocker's scanned range, so the
-            // insert predicate conflicts and the waiter parks.
-            idx.insert(txn, &55i64, rid(500_055)).unwrap();
-            inserted.store(true, Ordering::SeqCst);
-            db.commit(txn).unwrap();
-        })
-    };
-    std::thread::sleep(std::time::Duration::from_millis(60));
-    assert!(!inserted.load(Ordering::SeqCst), "insert is parked behind the idle scan");
-
-    // The maintenance daemon's watchdog notices the idle blocker, aborts
-    // it, and the release of its locks + predicates drains the queue.
-    db.start_maint();
-    waiter.join().unwrap();
-    assert!(inserted.load(Ordering::SeqCst));
-
-    // The blocker's owner finds out the way the paper intends: its next
-    // action reports the watchdog abort, and acknowledging it is clean.
-    let e = db.commit(blocker).unwrap_err();
-    assert!(
-        matches!(e, GistError::Txn(TxnError::AbortedByWatchdog(t)) if t == blocker),
-        "owner sees AbortedByWatchdog, got {e}"
-    );
-    db.abort(blocker).unwrap();
-
-    // Both the baseline key 55 and the waiter's duplicate are present.
-    assert_eq!(keys_in(&db, &idx, 55, 55), vec![55, 55]);
-    check_tree(&idx).unwrap().assert_ok();
-    db.shutdown().unwrap();
-    // Read after the shutdown has joined the maintenance workers: the
-    // watchdog counts a pass's aborts when the pass returns, and the
-    // abort itself is what unparked the waiter above.
-    let stats = db.robustness_stats();
-    assert!(stats.watchdog_aborts >= 1, "{stats:?}");
-}
-
-#[test]
 fn run_txn_resolves_eight_thread_deadlock_storm() {
     let _g = serial();
     let h = Harness::new(DbConfig::default());

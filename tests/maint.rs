@@ -110,7 +110,7 @@ fn worker_threads_reclaim_in_background() {
     }
     db.commit(txn).unwrap();
 
-    db.start_maint();
+    db.start_maint().unwrap();
     let txn = db.begin();
     for k in (0..300i64).step_by(3) {
         idx.delete(txn, &k, rid(k as u64)).unwrap();
@@ -361,7 +361,7 @@ fn periodic_checkpoints_fire_while_workers_run() {
     let log = Arc::new(LogManager::new());
     let db = Db::open(store, log.clone(), config).unwrap();
     let idx = GistIndex::create(db.clone(), "t", BtreeExt, IndexOptions::default()).unwrap();
-    db.start_maint();
+    db.start_maint().unwrap();
 
     let t0 = Instant::now();
     let mut k = 0i64;

@@ -17,7 +17,7 @@
 //! transactions, zero held locks, zero predicate entries, zero
 //! admission credits after every disconnect, no matter how rude.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -32,6 +32,17 @@ use gist_repro::wire::{
 };
 
 const CALL_DEADLINE: Duration = Duration::from_secs(2);
+
+/// Every test that opens a session holds this lock. The chaos tests
+/// install a process-wide fail-once plan, and any session running
+/// beside one could consume its single fire.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    let g = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
+    gist_repro::chaos::uninstall();
+    g
+}
 
 fn open_db(config: DbConfig) -> Arc<Db> {
     let store = Arc::new(InMemoryStore::new());
@@ -105,6 +116,7 @@ fn expect_error(rsp: Response, code: ErrorCode) {
 
 #[test]
 fn full_crud_roundtrip_over_the_wire() {
+    let _g = serial();
     let (db, srv) = server(DbConfig::default(), test_serve_config());
     let (mut c, h) = connect(&srv);
 
@@ -142,6 +154,7 @@ fn full_crud_roundtrip_over_the_wire() {
 
 #[test]
 fn txn_state_machine_is_enforced() {
+    let _g = serial();
     let (db, srv) = server(DbConfig::default(), test_serve_config());
     let (mut c, h) = connect(&srv);
 
@@ -181,6 +194,7 @@ fn txn_state_machine_is_enforced() {
 
 #[test]
 fn health_and_stats_endpoints_serialize_engine_state() {
+    let _g = serial();
     let (db, srv) = server(DbConfig::default(), test_serve_config());
     let (mut c, h) = connect(&srv);
 
@@ -215,6 +229,7 @@ fn health_and_stats_endpoints_serialize_engine_state() {
 
 #[test]
 fn oversized_result_set_truncates_with_flag_instead_of_killing_session() {
+    let _g = serial();
     let (db, srv) = server(DbConfig::default(), test_serve_config());
     let (mut c, h) = connect(&srv);
 
@@ -256,6 +271,7 @@ fn oversized_result_set_truncates_with_flag_instead_of_killing_session() {
 
 #[test]
 fn saturated_admission_surfaces_as_retryable_busy() {
+    let _g = serial();
     let config = DbConfig {
         admission: AdmissionConfig {
             max_in_flight: 1,
@@ -344,6 +360,7 @@ fn protocol_corpus() -> Vec<Vec<u8>> {
 
 #[test]
 fn protocol_corpus_never_panics_and_never_leaks() {
+    let _g = serial();
     let (db, srv) = server(DbConfig::default(), test_serve_config());
     let corpus = protocol_corpus();
     assert!(corpus.len() > 100, "corpus unexpectedly small: {}", corpus.len());
@@ -372,6 +389,7 @@ fn protocol_corpus_never_panics_and_never_leaks() {
 
 #[test]
 fn malformed_bytes_inside_an_open_transaction_abort_it() {
+    let _g = serial();
     let (db, srv) = server(DbConfig::default(), test_serve_config());
     // Garbage arriving while the session owns a transaction: the session
     // dies a protocol death and teardown must abort the transaction.
@@ -404,6 +422,7 @@ fn malformed_bytes_inside_an_open_transaction_abort_it() {
 
 #[test]
 fn short_reads_reassemble_and_requests_still_serve() {
+    let _g = serial();
     let (db, srv) = server(DbConfig::default(), test_serve_config());
     let plan = Plan::new();
     // First six server-side reads deliver at most 3 bytes each: the
@@ -426,6 +445,7 @@ fn short_reads_reassemble_and_requests_still_serve() {
 
 #[test]
 fn torn_reply_mid_transaction_tears_down_cleanly() {
+    let _g = serial();
     let (db, srv) = server(DbConfig::default(), test_serve_config());
     let probe = db.begin();
     db.abort(probe).unwrap();
@@ -460,6 +480,7 @@ fn torn_reply_mid_transaction_tears_down_cleanly() {
 
 #[test]
 fn injected_reset_mid_transaction_releases_everything() {
+    let _g = serial();
     let (db, srv) = server(DbConfig::default(), test_serve_config());
     let probe = db.begin();
     db.abort(probe).unwrap();
@@ -490,6 +511,7 @@ fn injected_reset_mid_transaction_releases_everything() {
 
 #[test]
 fn stalled_client_is_evicted_on_deadline() {
+    let _g = serial();
     let serve_cfg = ServeConfig {
         idle_deadline: Duration::from_millis(120),
         ..test_serve_config()
@@ -508,12 +530,82 @@ fn stalled_client_is_evicted_on_deadline() {
     drop(c);
 }
 
+/// The §10.3 FIFO queue behind an idle scan drains through the serving
+/// layer's own idle teardown: a silent session holding a scan predicate
+/// is evicted, its transaction aborted, and the insert parked behind it
+/// goes through.
+#[test]
+fn idle_scan_session_is_evicted_and_the_insert_queue_drains() {
+    let _g = serial();
+    let serve_cfg = ServeConfig {
+        idle_deadline: Duration::from_millis(150),
+        ..test_serve_config()
+    };
+    let (db, srv) = server(DbConfig::default(), serve_cfg);
+    let probe = db.begin();
+    db.abort(probe).unwrap();
+
+    let (mut seed, h) = connect(&srv);
+    assert_eq!(seed.call(&Request::Begin).unwrap(), Response::Begun);
+    for k in [10, 50, 90] {
+        let rsp = seed.call(&Request::Insert { index: "t".into(), key: k, payload: vec![1] });
+        assert_eq!(rsp.unwrap(), Response::Ok);
+    }
+    assert_eq!(seed.call(&Request::Commit).unwrap(), Response::Ok);
+    seed.close();
+    h.join().unwrap();
+
+    // Session A scans [0, 100], keeping its scan predicate attached
+    // until its transaction ends, then goes silent.
+    let (mut a, ha) = connect(&srv);
+    assert_eq!(a.call(&Request::Begin).unwrap(), Response::Begun);
+    let rows = expect_rows(a.call(&Request::Range { index: "t".into(), lo: 0, hi: 100 }).unwrap());
+    assert_eq!(rows.len(), 3);
+
+    // Session B's insert into that range parks behind A.
+    let waits_before = db.robustness_stats().lock_waits;
+    let (mut b, hb) = connect(&srv);
+    let inserter = std::thread::spawn(move || {
+        assert_eq!(b.call(&Request::Begin).unwrap(), Response::Begun);
+        let rsp = b.call(&Request::Insert { index: "t".into(), key: 55, payload: vec![2] });
+        assert_eq!(rsp.unwrap(), Response::Ok);
+        assert_eq!(b.call(&Request::Commit).unwrap(), Response::Ok);
+        b
+    });
+    let t0 = std::time::Instant::now();
+    while db.robustness_stats().lock_waits == waits_before {
+        assert!(t0.elapsed() < CALL_DEADLINE, "insert never parked behind the scan");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(db.txns().active_count(), 2, "A's and B's transactions are both open");
+
+    // A is evicted at the idle deadline; its abort releases the
+    // predicate and B's insert and commit go through.
+    ha.join().unwrap();
+    inserter.join().unwrap().close();
+    hb.join().unwrap();
+    drop(a);
+    assert_eq!(srv.stats().evicted_slow, 1);
+    assert_no_leaks(&db, &[TxnId(probe.0 + 2), TxnId(probe.0 + 3)]);
+
+    let (mut c, h) = connect(&srv);
+    assert_eq!(c.call(&Request::Begin).unwrap(), Response::Begun);
+    let rows = expect_rows(c.call(&Request::Range { index: "t".into(), lo: 0, hi: 100 }).unwrap());
+    let mut keys: Vec<i64> = rows.iter().map(|r| r.0).collect();
+    keys.sort_unstable();
+    assert_eq!(keys, vec![10, 50, 55, 90]);
+    assert_eq!(c.call(&Request::Commit).unwrap(), Response::Ok);
+    c.close();
+    h.join().unwrap();
+}
+
 // ---------------------------------------------------------------------
 // Drain
 // ---------------------------------------------------------------------
 
 #[test]
 fn drain_lets_idle_sessions_finish_and_rejects_new_begins() {
+    let _g = serial();
     let (db, srv) = server(DbConfig::default(), test_serve_config());
     let (mut c, h) = connect(&srv);
     assert_eq!(c.call(&Request::Ping).unwrap(), Response::Pong);
@@ -538,6 +630,7 @@ fn drain_lets_idle_sessions_finish_and_rejects_new_begins() {
 
 #[test]
 fn drain_force_aborts_stragglers_and_counts_them() {
+    let _g = serial();
     let (db, srv) = server(DbConfig::default(), test_serve_config());
     let probe = db.begin();
     db.abort(probe).unwrap();
@@ -573,15 +666,6 @@ fn drain_force_aborts_stragglers_and_counts_them() {
 mod chaos_teardown {
     use super::*;
     use gist_repro::chaos;
-    use std::sync::{Mutex, MutexGuard};
-
-    static SERIAL: Mutex<()> = Mutex::new(());
-
-    fn serial() -> MutexGuard<'static, ()> {
-        let g = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
-        chaos::uninstall();
-        g
-    }
 
     /// Install a fresh, armed process-wide plan that fails `point` once.
     fn fail_once(point: &'static str) -> Arc<Plan> {
