@@ -22,7 +22,7 @@ use parking_lot::Mutex;
 
 use gist_epoch::EpochGc;
 use gist_lockmgr::LockManager;
-use gist_overload::{AdmissionConfig, AdmissionController, AdmissionStats, HealthReport, HealthState};
+use gist_overload::{AdmissionConfig, AdmissionController, AdmissionStats, HealthState};
 use gist_maint::{MaintDaemon, MaintStatsSnapshot};
 use gist_pagestore::{
     BufferPool, FileStore, HeapFile, PageAllocator, PageId, PageStore, PageWriteGuard, Rid,
@@ -103,11 +103,6 @@ pub struct DbConfig {
     /// barges past the cap after the same park (it cannot fail).
     /// `max_in_flight: 0` disables admission entirely.
     pub admission: AdmissionConfig,
-    /// Oldest-pin age budget: a pin older than this marks the epoch
-    /// domain stalled — [`Db::health`] reports it and retire forces
-    /// epoch advances; how nodes are read does not change. Zero
-    /// disables the age check.
-    pub epoch_stall_age: Duration,
 }
 
 /// Lock-wait timeout (safety net behind deadlock detection).
@@ -123,7 +118,6 @@ impl Default for DbConfig {
             memorize_parent_lsn: true,
             maint: gist_maint::MaintConfig::default(),
             admission: AdmissionConfig::default(),
-            epoch_stall_age: Duration::from_secs(2),
         }
     }
 }
@@ -351,12 +345,11 @@ pub struct RobustnessStats {
     /// Always 0: WAL appends never sync. Kept only because the
     /// benchmark's `wal.backpressure_stalls` row reads it.
     pub wal_bp_stalls: u64,
-    /// Whether a live epoch pin is older than
-    /// [`DbConfig::epoch_stall_age`].
-    pub epoch_stalled: bool,
-    /// Healthy→stalled transitions of the epoch domain.
+    /// Always 0: the epoch domain has no stall detector. Kept only
+    /// because the benchmark's `epoch.stalls` row reads it.
     pub epoch_stalls: u64,
-    /// Forced epoch advances issued while stalled.
+    /// Always 0: the epoch is never forced forward. Kept only because
+    /// the benchmark's `epoch.forced_advances` row reads it.
     pub epoch_forced_advances: u64,
     /// The aggregate health verdict ([`Db::health`]).
     pub health: HealthState,
@@ -394,7 +387,6 @@ impl Db {
         // One reclamation domain per database: §7.2 page frees defer
         // behind the optimistic readers' pins.
         let epoch = Arc::new(EpochGc::new());
-        epoch.set_stall_age(config.epoch_stall_age);
         if store.page_count() == 0 {
             // Bootstrap the catalog page and make it durable immediately
             // so redo can always assume a formatted page 0.
@@ -861,41 +853,32 @@ impl Db {
             admission: self.admission.stats(),
             wal_bp_parks: 0,
             wal_bp_stalls: 0,
-            epoch_stalled: es.stalled,
-            epoch_stalls: es.stalls,
-            epoch_forced_advances: es.forced_advances,
+            epoch_stalls: 0,
+            epoch_forced_advances: 0,
             health: self.health(),
         }
     }
 
     /// The database's aggregate health verdict, computed from current
     /// conditions (no latched state — safe to poll): `ReadOnly` when the
-    /// buffer pool is poisoned, `Degraded` while any overload defense is
-    /// engaged (an epoch pin past its age budget, admission at capacity),
-    /// `Healthy` otherwise.
-    /// Degradations clear themselves, so the verdict recovers as soon as
-    /// the underlying pressure does.
+    /// buffer pool is poisoned, otherwise `Degraded` while admission is
+    /// at capacity, otherwise `Healthy`. Saturation clears itself, so the
+    /// verdict recovers as soon as the load does.
     pub fn health(&self) -> HealthState {
-        let mut r = HealthReport::healthy();
         if self.pool.is_poisoned() {
             let why = self
                 .pool
                 .poison_error()
                 .map(|e| e.to_string())
                 .unwrap_or_else(|| "unknown storage failure".into());
-            r.read_only(format!("buffer pool poisoned: {why}"));
+            HealthState::ReadOnly { reasons: vec![format!("buffer pool poisoned: {why}")] }
+        } else if self.admission.is_saturated() {
+            HealthState::Degraded {
+                reasons: vec!["admission controller saturated; begins park or shed".into()],
+            }
+        } else {
+            HealthState::Healthy
         }
-        let es = self.epoch.stats();
-        if es.stalled {
-            r.degrade(format!(
-                "epoch reclamation stalled (oldest pin {}µs, {} page frees pending)",
-                es.oldest_pin_micros, es.pending
-            ));
-        }
-        if self.admission.is_saturated() {
-            r.degrade("admission controller saturated; begins park or shed");
-        }
-        r.state()
     }
 
     /// Establish a savepoint (§10.2).
@@ -936,21 +919,27 @@ impl Db {
         self.epoch.try_collect();
     }
 
-    /// Flush everything (clean shutdown). The maintenance queue is
-    /// drained first: queued GC/drain work completes and its log records
-    /// land before the final flush, so a clean restart owes nothing. The
+    /// Make everything logged so far durable and write every dirty page
+    /// back, leaving the database running: the whole log through the
+    /// commit pipeline, then the log file (a database opened with
+    /// [`Db::open_path`]) before the pages, WAL-before-data on disk. The
     /// final store sync is what upgrades "written back" to "durable";
-    /// its failure is reported rather than swallowed, and the database
-    /// stays up. A database opened with [`Db::open_path`] writes its log
-    /// file first.
-    pub fn shutdown(&self) -> Result<()> {
-        self.maint.stop(true);
-        // The whole log durable through the pipeline, then the log file
-        // before the pages: WAL-before-data on disk.
+    /// its failure is reported rather than swallowed.
+    pub fn flush(&self) -> Result<()> {
         self.txns.pipeline().barrier(self.log.last_lsn()).map_err(gist_txn::TxnError::from)?;
         self.persist_log()?;
         self.pool.flush_all()?;
         self.pool.sync_store()?;
+        Ok(())
+    }
+
+    /// Clean shutdown: drain the maintenance queue (queued GC/drain work
+    /// completes and its log records land, so a clean restart owes
+    /// nothing), [`Db::flush`], then stop the commit flusher. A failed
+    /// flush is returned and the database stays up.
+    pub fn shutdown(&self) -> Result<()> {
+        self.maint.stop(true);
+        self.flush()?;
         // Only a shutdown that succeeded stops the flusher: one that
         // failed leaves a database that still commits.
         self.txns.pipeline().stop(true);

@@ -237,9 +237,9 @@ impl<E: GistExtension, Q: Borrow<E::Query>> Walk<E, Q> {
         if let Access::Optimistic { pin, .. } = &mut self.access {
             *pin = Some(db.epoch().pin());
             // Chaos: the traversal holds its epoch pin here. A Delay
-            // models the stalled-reader shape (the pin ages while the bin
-            // fills); an Error/Panic dies pinned and must release via
-            // RAII.
+            // models a slow reader (page frees retired meanwhile wait in
+            // the bin; nothing else waits on it); an Error/Panic dies
+            // pinned and must release via RAII.
             gist_chaos::point("cursor.optimistic.pinned")?;
         }
         let mem = db.global_nsn();

@@ -156,25 +156,6 @@ impl<E: GistExtension> GistIndex<E> {
         }
     }
 
-    /// Whether an optional BP covers a predicate.
-    #[allow(dead_code)]
-    pub(crate) fn bp_covers(&self, bp: &Option<E::Pred>, inner: &E::Pred) -> bool {
-        match bp {
-            None => false,
-            Some(b) => self.ext.pred_covers(b, inner),
-        }
-    }
-
-    /// Whether an optional BP is consistent with a query (empty BP is
-    /// consistent with nothing).
-    #[allow(dead_code)]
-    pub(crate) fn bp_consistent(&self, bp: &Option<E::Pred>, q: &E::Query) -> bool {
-        match bp {
-            None => false,
-            Some(b) => self.ext.consistent_pred(b, q),
-        }
-    }
-
     /// Compute tree statistics with a full sweep (no isolation — a
     /// diagnostic snapshot). Each node is copied out latch-free under a
     /// seqlock check, falling back to a latched read per node when its

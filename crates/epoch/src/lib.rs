@@ -34,13 +34,11 @@
 //! blocking wait — the audit layer's `optimistic-unpinned` /
 //! `latch-in-optimistic` rules enforce the discipline); the bin is
 //! collected opportunistically on every retire and by the maintenance
-//! daemon's sync sweeps. A pin older than the configured stall age is a
-//! health observation ([`EpochGc::is_stalled`]), not a change of how
-//! anything is read.
+//! daemon's sync sweeps. A long pin holds back only the page frees
+//! retired during it; nothing else waits on the epoch.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
@@ -50,13 +48,6 @@ use gist_audit as audit_crate;
 /// A deferred reclamation callback.
 type Retired = Box<dyn FnOnce() + Send>;
 
-/// Microseconds since a process-wide base instant, offset by 1 so the
-/// value is never 0 (0 is the "unpinned" sentinel in pin timestamps).
-fn now_micros() -> u64 {
-    static BASE: OnceLock<Instant> = OnceLock::new();
-    (BASE.get_or_init(Instant::now).elapsed().as_micros() as u64).saturating_add(1)
-}
-
 /// Per-thread pin slot: 0 = quiescent, otherwise the global epoch the
 /// thread pinned at (nested pins share the outermost stamp).
 struct Slot {
@@ -64,9 +55,6 @@ struct Slot {
     /// Nesting depth of live guards on the owning thread (only that
     /// thread writes it, so a plain atomic is enough bookkeeping).
     depth: AtomicU64,
-    /// [`now_micros`] at the outermost pin, 0 when quiescent. The stall
-    /// detector reads it to age the oldest live pin.
-    pinned_at: AtomicU64,
 }
 
 /// Point-in-time reclamation counters ([`EpochGc::stats`]).
@@ -85,14 +73,6 @@ pub struct EpochStats {
     /// `global_epoch - min(pinned epoch)` — how far the slowest live
     /// reader lags the present (0 with no reader pinned).
     pub epoch_lag: u64,
-    /// Age of the oldest live pin in microseconds (0 with none pinned).
-    pub oldest_pin_micros: u64,
-    /// Whether the oldest live pin is past its age budget.
-    pub stalled: bool,
-    /// Healthy→stalled transitions observed (lifetime total).
-    pub stalls: u64,
-    /// Forced epoch advances performed by the stall defense.
-    pub forced_advances: u64,
 }
 
 /// One reclamation domain (one per [`Db`-like] owner). Cheap to clone
@@ -108,14 +88,6 @@ pub struct EpochGc {
     bin: Mutex<Vec<(u64, Retired)>>,
     retired: AtomicU64,
     reclaimed: AtomicU64,
-    /// Pin-age budget in microseconds; an older live pin marks the
-    /// domain stalled. `0` (default) disables the budget.
-    stall_age_micros: AtomicU64,
-    /// Whether the last stall evaluation was positive (edge detector for
-    /// the `stalls` counter).
-    stalled_flag: AtomicBool,
-    stalls: AtomicU64,
-    forced_advances: AtomicU64,
     /// gist-audit instance id (0 when auditing is off).
     #[cfg_attr(not(feature = "latch-audit"), allow(dead_code))]
     audit_id: u64,
@@ -150,10 +122,6 @@ impl EpochGc {
             bin: Mutex::new(Vec::new()),
             retired: AtomicU64::new(0),
             reclaimed: AtomicU64::new(0),
-            stall_age_micros: AtomicU64::new(0),
-            stalled_flag: AtomicBool::new(false),
-            stalls: AtomicU64::new(0),
-            forced_advances: AtomicU64::new(0),
             audit_id: {
                 #[cfg(feature = "latch-audit")]
                 {
@@ -180,7 +148,6 @@ impl EpochGc {
             let slot = Arc::new(Slot {
                 epoch: AtomicU64::new(0),
                 depth: AtomicU64::new(0),
-                pinned_at: AtomicU64::new(0),
             });
             self.slots.lock().push(slot.clone());
             local.push((key, slot.clone()));
@@ -201,7 +168,6 @@ impl EpochGc {
             // older than every pin) already tolerates.
             let e = self.global.load(Ordering::SeqCst);
             slot.epoch.store(e, Ordering::SeqCst);
-            slot.pinned_at.store(now_micros(), Ordering::Relaxed);
         }
         slot.depth.fetch_add(1, Ordering::Relaxed);
         #[cfg(feature = "latch-audit")]
@@ -225,13 +191,6 @@ impl EpochGc {
         let e = self.global.load(Ordering::SeqCst);
         self.bin.lock().push((e, Box::new(free)));
         self.try_collect();
-        // A pin past its age budget holds the bin hostage. Force the
-        // epoch forward so everything retired from here on is stamped
-        // past that pin and frees the moment it unpins, instead of
-        // queueing behind the stalled generation.
-        if self.is_stalled() {
-            self.force_advance();
-        }
     }
 
     /// Advance the global epoch if possible and run every callback whose
@@ -279,55 +238,6 @@ impl EpochGc {
         n
     }
 
-    /// Configure the stall detector: a live pin older than `stall_age`
-    /// marks the domain stalled ([`EpochGc::is_stalled`]). Zero (the
-    /// default) disables it.
-    pub fn set_stall_age(&self, stall_age: Duration) {
-        self.stall_age_micros.store(stall_age.as_micros() as u64, Ordering::Relaxed);
-    }
-
-    /// Age of the oldest live pin, if any thread is pinned.
-    pub fn oldest_pin_age(&self) -> Option<Duration> {
-        let oldest = self
-            .slots
-            .lock()
-            .iter()
-            .map(|s| s.pinned_at.load(Ordering::Relaxed))
-            .filter(|&t| t != 0)
-            .min()?;
-        Some(Duration::from_micros(now_micros().saturating_sub(oldest)))
-    }
-
-    /// Whether the domain is stalled: the oldest live pin has outlived
-    /// its age budget. Retire then forces the epoch forward (it never
-    /// frees under a live pin, so safety is untouched), and the embedder
-    /// reports the stall in its health verdict. Transitions into the
-    /// stall are counted for `stats().stalls`.
-    pub fn is_stalled(&self) -> bool {
-        let budget = self.stall_age_micros.load(Ordering::Relaxed);
-        let stalled = budget != 0
-            && self
-                .oldest_pin_age()
-                .map(|age| age.as_micros() as u64 >= budget)
-                .unwrap_or(false);
-        if stalled != self.stalled_flag.swap(stalled, Ordering::Relaxed) && stalled {
-            self.stalls.fetch_add(1, Ordering::Relaxed);
-        }
-        stalled
-    }
-
-    /// Quiescence-assisted advance for the stall defense: push the
-    /// global epoch forward unconditionally, then collect. A live pin
-    /// still fences everything it could reference (the collection
-    /// horizon stays `min(pinned)`), but new retirees land in a fresh
-    /// generation and the advance condition cannot wedge behind a
-    /// reader that will never re-observe the current epoch.
-    pub fn force_advance(self: &Arc<Self>) -> usize {
-        self.forced_advances.fetch_add(1, Ordering::Relaxed);
-        self.global.fetch_add(1, Ordering::SeqCst);
-        self.try_collect()
-    }
-
     /// The smallest epoch any thread is currently pinned at.
     fn min_pinned(&self) -> Option<u64> {
         self.slots
@@ -359,13 +269,6 @@ impl EpochGc {
             pending: self.bin.lock().len() as u64,
             pinned_threads: pinned,
             epoch_lag: min.map(|m| global.saturating_sub(m)).unwrap_or(0),
-            oldest_pin_micros: self
-                .oldest_pin_age()
-                .map(|d| d.as_micros() as u64)
-                .unwrap_or(0),
-            stalled: self.is_stalled(),
-            stalls: self.stalls.load(Ordering::Relaxed),
-            forced_advances: self.forced_advances.load(Ordering::Relaxed),
         }
     }
 }
@@ -385,7 +288,6 @@ impl Drop for Guard {
     fn drop(&mut self) {
         if self.slot.depth.fetch_sub(1, Ordering::Relaxed) == 1 {
             self.slot.epoch.store(0, Ordering::SeqCst);
-            self.slot.pinned_at.store(0, Ordering::Relaxed);
         }
         #[cfg(feature = "latch-audit")]
         audit_crate::epoch_unpinned(self.gc.audit_id);
@@ -455,37 +357,6 @@ mod tests {
         gc.try_collect();
         gc.try_collect();
         assert!(ran.load(Ordering::SeqCst), "old garbage freed under a late pin");
-    }
-
-    #[test]
-    fn pin_age_budget_marks_stall() {
-        let gc = Arc::new(EpochGc::new());
-        gc.set_stall_age(Duration::from_millis(5));
-        assert!(gc.oldest_pin_age().is_none());
-        let guard = gc.pin();
-        assert!(!gc.is_stalled(), "fresh pin is within budget");
-        std::thread::sleep(Duration::from_millis(10));
-        assert!(gc.oldest_pin_age().unwrap() >= Duration::from_millis(5));
-        assert!(gc.is_stalled(), "pin outlived its age budget");
-        drop(guard);
-        assert!(!gc.is_stalled());
-        assert_eq!(gc.stats().stalls, 1);
-    }
-
-    #[test]
-    fn forced_advance_keeps_the_horizon_safe() {
-        let gc = Arc::new(EpochGc::new());
-        let guard = gc.pin();
-        let ran = Arc::new(AtomicBool::new(false));
-        let r = ran.clone();
-        gc.retire(move || r.store(true, Ordering::SeqCst));
-        let before = gc.stats().global_epoch;
-        gc.force_advance();
-        assert!(gc.stats().global_epoch > before, "advance is unconditional");
-        assert!(!ran.load(Ordering::SeqCst), "live pin still fences its garbage");
-        drop(guard);
-        gc.try_collect();
-        assert!(ran.load(Ordering::SeqCst));
     }
 
     #[test]

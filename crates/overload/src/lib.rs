@@ -28,10 +28,10 @@
 //! controller's back (internal maintenance, recovery, raw
 //! `TxnManager::begin` in tests) release as a no-op.
 //!
-//! The crate also owns the unified [`HealthReport`] vocabulary
-//! (`Healthy` / `Degraded { reasons }` / `ReadOnly { reasons }`) that
-//! `Db::health()` assembles from the buffer pool, flusher, epoch and
-//! admission heartbeats.
+//! The crate also owns the [`HealthState`] vocabulary (`Healthy` /
+//! `Degraded { reasons }` / `ReadOnly { reasons }`) in which
+//! `Db::health()` reports a poisoned buffer pool or a saturated
+//! admission gate.
 
 use gist_sync::{Condvar, Mutex};
 use std::collections::HashSet;
@@ -213,16 +213,16 @@ impl AdmissionController {
 // ---------------------------------------------------------------------
 
 /// Aggregate engine condition, escalating `Healthy` → `Degraded` →
-/// `ReadOnly`. The verdict reflects *current* subsystem state (is the
-/// flusher alive? is the epoch advancing? is admission saturated?), not
-/// lifetime counters, so an engine that weathered a past stall reports
-/// `Healthy` again once conditions clear.
+/// `ReadOnly`. The verdict reflects *current* state (is the buffer pool
+/// poisoned? is admission saturated?), not lifetime counters, so an
+/// engine that weathered a past overload reports `Healthy` again once
+/// the load clears.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum HealthState {
-    /// Every subsystem heartbeat is nominal.
+    /// Nothing is refused and admission has room.
     Healthy,
-    /// Still serving reads and writes, but in a degraded regime (inline
-    /// flushes, latched-fallback reads, forced admissions, ...).
+    /// Still serving reads and writes, but admission is at capacity:
+    /// new begins park, then shed or force-admit.
     Degraded {
         /// One human-readable line per degraded subsystem.
         reasons: Vec<String>,
@@ -251,49 +251,6 @@ impl HealthState {
         match self {
             HealthState::Healthy => &[],
             HealthState::Degraded { reasons } | HealthState::ReadOnly { reasons } => reasons,
-        }
-    }
-}
-
-/// Builder-style aggregate of subsystem heartbeats: start `Healthy`,
-/// let each subsystem [`degrade`](Self::degrade) or
-/// [`read_only`](Self::read_only) the verdict, and read the final
-/// [`state`](Self::state). Escalation is monotone — a `ReadOnly` reason
-/// is never downgraded by a later `Degraded` one.
-#[derive(Clone, Debug, Default)]
-pub struct HealthReport {
-    degraded: Vec<String>,
-    read_only: Vec<String>,
-}
-
-impl HealthReport {
-    /// Report with no findings (verdict `Healthy`).
-    pub fn healthy() -> Self {
-        HealthReport::default()
-    }
-
-    /// Record a degraded-regime finding.
-    pub fn degrade(&mut self, reason: impl Into<String>) -> &mut Self {
-        self.degraded.push(reason.into());
-        self
-    }
-
-    /// Record a read-only trigger (dominates any degraded finding).
-    pub fn read_only(&mut self, reason: impl Into<String>) -> &mut Self {
-        self.read_only.push(reason.into());
-        self
-    }
-
-    /// Final verdict. `ReadOnly` reasons dominate; `Degraded` carries
-    /// every finding (including the read-only ones would be confusing,
-    /// so each tier lists only its own).
-    pub fn state(&self) -> HealthState {
-        if !self.read_only.is_empty() {
-            HealthState::ReadOnly { reasons: self.read_only.clone() }
-        } else if !self.degraded.is_empty() {
-            HealthState::Degraded { reasons: self.degraded.clone() }
-        } else {
-            HealthState::Healthy
         }
     }
 }
@@ -373,20 +330,5 @@ mod tests {
         let s = ac.stats();
         assert_eq!((s.in_flight, s.parked, s.shed, s.forced), (64, 0, 0, 0));
         assert!(!ac.is_saturated());
-    }
-
-    #[test]
-    fn health_report_escalates_monotonically() {
-        let mut r = HealthReport::healthy();
-        assert_eq!(r.state(), HealthState::Healthy);
-        assert_eq!(r.state().label(), "healthy");
-        r.degrade("flusher stalled");
-        assert_eq!(r.state().label(), "degraded");
-        assert_eq!(r.state().reasons(), ["flusher stalled".to_string()]);
-        r.read_only("pool poisoned");
-        r.degrade("epoch stalled");
-        let s = r.state();
-        assert_eq!(s.label(), "read-only");
-        assert_eq!(s.reasons(), ["pool poisoned".to_string()]);
     }
 }

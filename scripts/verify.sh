@@ -77,8 +77,8 @@ step "tier 2: flusher crash points (chaos, audited)" \
     cargo test -q --release --features chaos,latch-audit --test fault_recovery flusher_crash
 step "tier 2: overload (admission, health)" \
     cargo test -q --release --test overload
-step "tier 2: epoch-stall degradation drill (chaos, audited)" \
-    cargo test -q --release --features chaos,latch-audit --test overload epoch_stall
+step "tier 2: pinned-reader drill (chaos, audited)" \
+    cargo test -q --release --features chaos,latch-audit --test overload pinned_reader_blocks_no_reads_or_writes
 step "tier 2: serve (wire protocol, sessions, drain)" \
     cargo test -q --release --test serve
 step "tier 2: serve chaos teardown sweep" \

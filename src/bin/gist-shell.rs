@@ -23,7 +23,7 @@
 //! vacuum <index>            garbage-collect committed deletes
 //! catalog                   list indexes
 //! crash                     simulate a crash (then `exit` and reopen)
-//! flush                     flush log + pages (clean shutdown state)
+//! flush                     make log + pages durable; the session goes on
 //! help | exit
 //! ```
 //!
@@ -307,13 +307,7 @@ impl Shell {
                     s.admission.in_flight, s.admission.parked, s.admission.shed, s.admission.forced
                 );
                 println!("  retry budget:   {} exhausted", s.retries_exhausted);
-                println!(
-                    "  epoch bin:      {} page frees pending, stalled: {} ({} stalls, {} forced advances)",
-                    s.epoch_pending,
-                    if s.epoch_stalled { "YES" } else { "no" },
-                    s.epoch_stalls,
-                    s.epoch_forced_advances
-                );
+                println!("  epoch bin:      {} page frees pending", s.epoch_pending);
             }
             "crash" => {
                 self.txn = None;
@@ -322,7 +316,7 @@ impl Shell {
                 println!("crashed (durable prefix persisted); exit and reopen to recover");
             }
             "flush" => {
-                self.db.shutdown()?;
+                self.db.flush()?;
                 println!("flushed");
             }
             other => println!("unknown command {other:?} (try `help`)"),

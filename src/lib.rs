@@ -22,9 +22,8 @@
 //!   GiST extensions.
 //! - [`epoch`] — quiescent-state (epoch) reclamation guarding page reuse
 //!   under the optimistic latch-free read path.
-//! - [`overload`] — admission control and the health-state machine
-//!   behind the overload defenses (admission shedding, epoch-stall
-//!   degradation).
+//! - [`overload`] — admission control (shedding and barging) and the
+//!   health-state vocabulary (healthy, degraded, read-only).
 //! - [`wire`] — the length-prefixed, checksummed binary protocol spoken
 //!   by the serving layer (fuzz-safe decode, incremental framing).
 //! - [`serve`] — the fault-tolerant serving front-end: session-owned

@@ -222,6 +222,25 @@ fn shell_crash_reopen_keeps_committed_rows_and_undoes_the_loser() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `flush` persists and leaves the database running: a transaction
+/// begun after it commits, the session exits cleanly, and the row is
+/// there on reopen.
+#[test]
+fn shell_commits_after_flush_survive_exit() {
+    let dir = process_dir("flush");
+    let base = dir.join("db");
+    let out = session(&base, "create t\nflush\nbegin\ninsert t 1 one\ncommit\nexit\n");
+    let (stdout, stderr) = text(&out);
+    assert!(out.status.success(), "{stdout}\n{stderr}");
+    assert!(!stdout.contains("error"), "{stdout}");
+
+    let out = session(&base, "get t 1\n");
+    let (stdout, stderr) = text(&out);
+    assert!(out.status.success(), "{stdout}\n{stderr}");
+    assert!(stdout.contains("(1 rows)"), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Session 2 writes pages its log never reaches disk for (the log is
 /// written at exit, and SIGKILL skips exit). Recovering session 1's log
 /// over those pages would corrupt the tree, so the reopen is refused and
