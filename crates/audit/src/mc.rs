@@ -6,11 +6,8 @@
 //! [`McScheduler`] is registered — `crates/mc` installs one for the
 //! duration of an exploration — every hook on a *managed* thread becomes
 //! a cooperative yield point: the scheduler serializes the managed
-//! threads, picks which one runs next at each point, virtualizes
-//! condvar parking (including timeouts, so no real time passes), and
-//! feeds a vector-clock happens-before race detector with the
-//! acquire/release edges and shadow-state accesses reported through
-//! this module.
+//! threads, picks which one runs next at each point, and virtualizes
+//! condvar parking (including timeouts, so no real time passes).
 //!
 //! With no scheduler registered (every production and ordinary-test
 //! configuration) the fast path is one relaxed atomic load.
@@ -32,13 +29,11 @@ pub enum ObjKind {
     Condvar,
     /// A buffer-pool page latch, id = `pool ⊕ page` packed.
     Latch,
-    /// An instrumented atomic cell (e.g. the WAL watermarks).
-    Atomic,
     /// A named code region (explicit `yield_now`-style points).
     Region,
 }
 
-/// Identity of a synchronization object or shadow-state cell.
+/// Identity of a synchronization object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct McObj {
     /// Object kind (namespaces the id).
@@ -70,13 +65,11 @@ pub enum McOp {
     RwUnlock,
     /// About to notify a condition variable.
     CvNotify,
-    /// About to perform an instrumented atomic operation.
-    AtomicOp,
     /// A latch event forwarded from the buffer-pool hooks.
     Latch,
     /// A store I/O event.
     Io,
-    /// An explicit named region / NSN draw / other labelled point.
+    /// An explicit named region or epoch transition.
     Region,
 }
 
@@ -93,17 +86,6 @@ pub trait McScheduler: Send + Sync {
     /// perform `op` on `obj`. Blocks until the scheduler picks this
     /// task to run again.
     fn yield_point(&self, op: McOp, obj: McObj, what: &'static str);
-
-    /// Happens-before *acquire* edge: join `obj`'s clock into the
-    /// calling task's clock.
-    fn acquire(&self, obj: McObj);
-
-    /// Happens-before *release* edge: join the calling task's clock
-    /// into `obj`'s clock.
-    fn release(&self, obj: McObj);
-
-    /// A shadow-state access to `cell` for the race detector.
-    fn access(&self, cell: McObj, write: bool, what: &'static str);
 
     /// Park the calling task until [`McScheduler::unpark`] on `obj` or
     /// the *virtual* timeout elapses; returns whether it was notified
@@ -142,54 +124,6 @@ pub fn scheduler() -> Option<Arc<dyn McScheduler>> {
     }
 }
 
-/// Fresh id for an instrumented atomic cell (shared with the audit
-/// instance-id space, so values never repeat within a process).
-pub fn fresh_cell_id() -> u64 {
-    crate::new_instance_id()
-}
-
-/// Instrumented atomic read-modify-write on `cell`: a yield point, an
-/// acquire+release edge pair (RMWs totally order themselves on the
-/// cell) and a write access.
-pub fn atomic_rmw(cell: u64, what: &'static str) {
-    if let Some(s) = scheduler() {
-        let obj = McObj::new(ObjKind::Atomic, cell);
-        s.yield_point(McOp::AtomicOp, obj, what);
-        s.acquire(obj);
-        s.access(obj, true, what);
-        s.release(obj);
-    }
-}
-
-/// Instrumented acquire-load of `cell`: a yield point, a read access,
-/// and an acquire+release edge pair on the cell object. The release on
-/// a load over-approximates real hardware ordering slightly, but it
-/// keeps every pair of same-cell atomic operations HB-ordered —
-/// atomics never data-race by definition, so the detector must never
-/// flag two instrumented atomic ops against each other.
-pub fn atomic_load(cell: u64, what: &'static str) {
-    if let Some(s) = scheduler() {
-        let obj = McObj::new(ObjKind::Atomic, cell);
-        s.yield_point(McOp::AtomicOp, obj, what);
-        s.acquire(obj);
-        s.access(obj, false, what);
-        s.release(obj);
-    }
-}
-
-/// Instrumented release-store to `cell`: a yield point, a write access,
-/// and an acquire+release edge pair (see [`atomic_load`] for why the
-/// store also acquires).
-pub fn atomic_store(cell: u64, what: &'static str) {
-    if let Some(s) = scheduler() {
-        let obj = McObj::new(ObjKind::Atomic, cell);
-        s.yield_point(McOp::AtomicOp, obj, what);
-        s.acquire(obj);
-        s.access(obj, true, what);
-        s.release(obj);
-    }
-}
-
 /// Explicit named yield point (scenario code uses this to widen the
 /// interleaving surface around un-instrumented steps).
 pub fn region(what: &'static str) {
@@ -203,24 +137,22 @@ fn pack(hi: u64, lo: u64) -> u64 {
     (hi << 32) ^ (lo & 0xffff_ffff)
 }
 
-/// Forward a latch acquisition from the buffer-pool hooks: yield point
-/// plus an HB acquire edge on the latch object.
+/// Forward a latch acquisition from the buffer-pool hooks as a yield
+/// point on the latch object.
 pub(crate) fn on_latch_acquired(pool: u64, page: u64) {
     if let Some(s) = scheduler() {
         let obj = McObj::new(ObjKind::Latch, pack(pool, page));
         s.yield_point(McOp::Latch, obj, "latch-acquire");
-        s.acquire(obj);
     }
 }
 
-/// Forward a latch release (or X→S downgrade, which publishes writes
-/// exactly like a release) from the buffer-pool hooks. Waiters spinning
-/// virtually in [`on_latch_contended`] are unparked so the token
-/// handoff reaches them promptly.
+/// Forward a latch release (or X→S downgrade, which lets shared waiters
+/// in) from the buffer-pool hooks. Waiters spinning virtually in
+/// [`on_latch_contended`] are unparked so the token handoff reaches
+/// them promptly.
 pub(crate) fn on_latch_released(pool: u64, page: u64) {
     if let Some(s) = scheduler() {
         let obj = McObj::new(ObjKind::Latch, pack(pool, page));
-        s.release(obj);
         s.unpark(obj, true);
         s.yield_point(McOp::Latch, obj, "latch-release");
     }
@@ -248,12 +180,6 @@ pub(crate) fn on_latch_contended(pool: u64, page: u64) {
     }
 }
 
-/// Forward an NSN draw: the counter is an atomic RMW, so order draws on
-/// the same counter and record the access.
-pub(crate) fn on_nsn_drawn(counter: u64) {
-    atomic_rmw(counter, "nsn-counter");
-}
-
 /// Forward a store I/O event as a yield point.
 pub(crate) fn on_io_event(pool: u64, page: u64, what: &'static str) {
     if let Some(s) = scheduler() {
@@ -261,16 +187,8 @@ pub(crate) fn on_io_event(pool: u64, page: u64, what: &'static str) {
     }
 }
 
-/// Forward a lock-manager wait announcement as a yield point (the wait
-/// itself is virtualized through the `gist-sync` condvar).
-pub(crate) fn on_lock_wait(what: &'static str) {
-    region(what);
-}
-
 /// Forward an optimistic read-path event (section enter/exit, each
-/// dereference) as a pure yield point on the page's latch object. No HB
-/// edge: the optimistic read is racy by design and synchronizes only
-/// through its seqlock validation.
+/// dereference) as a pure yield point on the page's latch object.
 pub(crate) fn on_optimistic(pool: u64, page: u64, what: &'static str) {
     if let Some(s) = scheduler() {
         s.yield_point(McOp::Latch, McObj::new(ObjKind::Latch, pack(pool, page)), what);

@@ -1,7 +1,7 @@
 #![forbid(unsafe_code)]
 
-//! Experiment harness: workload generators and runners shared by the
-//! Criterion benches and the `experiments` binary.
+//! Experiment harness: workload generators and the runners behind the
+//! `experiments` binary.
 //!
 //! Every experiment from DESIGN.md (E1–E12) has a runner here that
 //! returns structured rows; the binary formats them as the tables

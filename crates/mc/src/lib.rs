@@ -13,34 +13,23 @@
 //! - **Seeded** — uniform random choice at every scheduling point.
 //! - **PCT** — probabilistic concurrency testing (random priorities +
 //!   `d − 1` priority-change points) for depth-bounded bug finding.
-//! - **DFS** — exhaustive bounded enumeration for small scenarios
-//!   (e.g. the WAL watermark invariants).
 //! - **Replay** — byte-for-byte re-execution of a recorded trace.
 //!
-//! Failures (deadlock, invariant violation, panic, data race, failed
-//! post-condition) come back as a [`Report`] carrying the serialized
-//! [`Trace`] that reproduces them, a greedily minimized variant, and —
-//! for races — both stack traces captured on a replay pass. Set
+//! Failures (deadlock, lost wakeup, panic, failed post-condition) come
+//! back as a [`Report`] carrying the serialized [`Trace`] that
+//! reproduces them and a greedily minimized variant. Set
 //! `MC_TRACE_DIR` to also dump failing traces as artifact files.
-//!
-//! Alongside the explorer runs a vector-clock happens-before race
-//! detector: release→acquire edges from every instrumented primitive
-//! order the shadow-state accesses reported by the hot paths (WAL
-//! watermarks, NSN draws, scenario-declared cells); conflicting
-//! unordered accesses fail the schedule.
 
-mod hb;
 mod sched;
 mod trace;
 
-pub use hb::{AccessInfo, Race};
 pub use sched::{Failure, Policy};
 pub use trace::{Decision, Trace};
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 
-use sched::{DfsStack, McSched, PolicyRt, XorShift};
+use sched::{McSched, PolicyRt, XorShift};
 
 /// Explorations mutate process-global state (the registered scheduler,
 /// armed mutations), so only one may run at a time even under a
@@ -49,14 +38,12 @@ static EXPLORE_LOCK: Mutex<()> = Mutex::new(());
 
 type TaskFn = Box<dyn FnOnce() + Send>;
 type CheckFn = Box<dyn FnOnce() -> Result<(), String> + Send>;
-type InvariantFn = Box<dyn Fn() -> Result<(), String> + Send + Sync>;
 
 /// Handle passed to the scenario closure once per iteration; declares
-/// the tasks, invariants, and post-conditions of one schedule.
+/// the tasks and post-conditions of one schedule.
 #[derive(Default)]
 pub struct Sim {
     tasks: Vec<(String, TaskFn)>,
-    invariants: Vec<InvariantFn>,
     checks: Vec<CheckFn>,
 }
 
@@ -65,13 +52,6 @@ impl Sim {
     /// traces, so keep it deterministic.
     pub fn spawn(&mut self, name: &str, f: impl FnOnce() + Send + 'static) {
         self.tasks.push((name.to_string(), Box::new(f)));
-    }
-
-    /// Add an invariant evaluated at *every* scheduling point. Must be
-    /// lock-free (read atomics / snapshots only): it runs on the
-    /// yielding task with scheduler hooks suppressed.
-    pub fn invariant(&mut self, f: impl Fn() -> Result<(), String> + Send + Sync + 'static) {
-        self.invariants.push(Box::new(f));
     }
 
     /// Add a post-condition checked by the driver after every task of
@@ -105,8 +85,6 @@ pub struct Report {
     pub iterations: usize,
     /// Virtual timeouts fired across all executed schedules.
     pub timeouts_fired: usize,
-    /// DFS only: the bounded schedule tree was fully enumerated.
-    pub exhausted: bool,
     /// The first failure found, if any.
     pub failure: Option<FailureReport>,
 }
@@ -154,17 +132,6 @@ impl Explorer {
             name: name.to_string(),
             policy: Policy::Pct { seed, depth: depth.max(1) },
             iterations,
-            max_steps: 20_000,
-            deadline_is_failure: false,
-        }
-    }
-
-    /// Exhaustive bounded DFS, capped at `max_iterations` schedules.
-    pub fn dfs(name: &str, max_iterations: usize) -> Explorer {
-        Explorer {
-            name: name.to_string(),
-            policy: Policy::Dfs,
-            iterations: max_iterations,
             max_steps: 20_000,
             deadline_is_failure: false,
         }
@@ -219,7 +186,6 @@ impl Explorer {
                     format!("pct seed={seed} depth={depth} iter={iteration}"),
                 )
             }
-            Policy::Dfs => (PolicyRt::Dfs, format!("dfs iter={iteration}")),
             Policy::Replay(trace) => (
                 PolicyRt::Replay { decisions: trace.decisions.clone(), pos: 0, diverged: false },
                 format!("replay of [{}]", trace.policy),
@@ -235,12 +201,7 @@ impl Explorer {
             scenario: self.name.clone(),
             iterations: 0,
             timeouts_fired: 0,
-            exhausted: false,
             failure: None,
-        };
-        let mut dfs = match self.policy {
-            Policy::Dfs => Some(DfsStack::default()),
-            _ => None,
         };
 
         for iteration in 0..self.iterations {
@@ -248,135 +209,76 @@ impl Explorer {
             let outcome = run_iteration(
                 &scenario,
                 policy_rt,
-                dfs.take(),
                 self.max_steps,
-                false,
                 self.deadline_is_failure,
                 &desc,
             );
             report.iterations += 1;
             report.timeouts_fired += outcome.timeouts_fired;
-            dfs = outcome.dfs;
 
             if let Some(failure) = outcome.failure {
                 let trace = outcome.trace;
-                let replaying = matches!(self.policy, Policy::Replay(_));
-                let minimized = if replaying {
+                let minimized = if matches!(self.policy, Policy::Replay(_)) {
                     trace.clone()
                 } else {
                     minimize(&scenario, &trace, &failure, self.max_steps, self.deadline_is_failure)
-                };
-                // For races, one replay pass with stack capture turns
-                // the report into a both-stacks report.
-                let failure = if matches!(failure, Failure::Race(_)) && !replaying {
-                    let rerun = run_iteration(
-                        &scenario,
-                        PolicyRt::Replay {
-                            decisions: minimized.decisions.clone(),
-                            pos: 0,
-                            diverged: false,
-                        },
-                        None,
-                        self.max_steps,
-                        true,
-                        self.deadline_is_failure,
-                        "race stack capture",
-                    );
-                    match rerun.failure {
-                        Some(f @ Failure::Race(_)) => f,
-                        _ => failure,
-                    }
-                } else {
-                    failure
                 };
                 let fr = FailureReport { failure, iteration, trace, minimized };
                 dump_artifact(&self.name, &fr);
                 report.failure = Some(fr);
                 return report;
             }
-
-            if let Some(d) = dfs.as_mut() {
-                d.advance();
-                if d.exhausted {
-                    report.exhausted = true;
-                    return report;
-                }
-            }
         }
         report
     }
-}
 
-/// Replay `trace` against `scenario` and report whether the recorded
-/// schedule reproduced without divergence, plus the re-recorded trace
-/// (byte-for-byte identical to the input when it did).
-pub fn replay_verbatim(
-    name: &str,
-    trace: &Trace,
-    scenario: impl Fn(&mut Sim),
-) -> (Report, Trace) {
-    Explorer::replay(name, trace.clone()).run_verbatim(scenario)
-}
-
-impl Explorer {
-    /// Like [`replay_verbatim`] but honoring this explorer's settings
-    /// (step budget, `deadline_is_failure`). The policy must be
+    /// Replay this explorer's trace against `scenario` (honoring its
+    /// step budget and `deadline_is_failure`) and return the report plus
+    /// the re-recorded trace, byte-for-byte identical to the input when
+    /// the schedule reproduced without divergence. The policy must be
     /// [`Policy::Replay`].
     pub fn run_verbatim(&self, scenario: impl Fn(&mut Sim)) -> (Report, Trace) {
         let trace = match &self.policy {
             Policy::Replay(t) => t.clone(),
             _ => panic!("run_verbatim requires a replay explorer"),
         };
-    let _serial = EXPLORE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    let (policy_rt, _) = self.policy_rt(0);
-    let outcome = run_iteration(
-        &scenario,
-        policy_rt,
-        None,
-        self.max_steps,
-        false,
-        self.deadline_is_failure,
-        &trace.policy,
-    );
-    let mut replayed = outcome.trace;
-    replayed.policy = trace.policy.clone();
-    let report = Report {
-        scenario: self.name.clone(),
-        iterations: 1,
-        timeouts_fired: outcome.timeouts_fired,
-        exhausted: false,
-        failure: outcome.failure.map(|failure| FailureReport {
-            failure,
-            iteration: 0,
-            trace: replayed.clone(),
-            minimized: replayed.clone(),
-        }),
-    };
-    (report, replayed)
+        let _serial = EXPLORE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let (policy_rt, _) = self.policy_rt(0);
+        let outcome = run_iteration(
+            &scenario,
+            policy_rt,
+            self.max_steps,
+            self.deadline_is_failure,
+            &trace.policy,
+        );
+        let mut replayed = outcome.trace;
+        replayed.policy = trace.policy.clone();
+        let report = Report {
+            scenario: self.name.clone(),
+            iterations: 1,
+            timeouts_fired: outcome.timeouts_fired,
+            failure: outcome.failure.map(|failure| FailureReport {
+                failure,
+                iteration: 0,
+                trace: replayed.clone(),
+                minimized: replayed.clone(),
+            }),
+        };
+        (report, replayed)
     }
 }
 
 fn run_iteration(
     scenario: &impl Fn(&mut Sim),
     policy_rt: PolicyRt,
-    dfs: Option<DfsStack>,
     max_steps: usize,
-    capture_stacks: bool,
     deadline_is_failure: bool,
     desc: &str,
 ) -> sched::IterationOutcome {
     let mut sim = Sim::default();
     scenario(&mut sim);
     let names: Vec<String> = sim.tasks.iter().map(|(n, _)| n.clone()).collect();
-    let sched = Arc::new(McSched::new(
-        names,
-        policy_rt,
-        dfs,
-        max_steps,
-        capture_stacks,
-        deadline_is_failure,
-        sim.invariants,
-    ));
+    let sched = Arc::new(McSched::new(names, policy_rt, max_steps, deadline_is_failure));
 
     gist_audit::mc::set_scheduler(Some(sched.clone()));
 
@@ -448,9 +350,7 @@ fn minimize(
             let outcome = run_iteration(
                 scenario,
                 PolicyRt::Replay { decisions: candidate.decisions.clone(), pos: 0, diverged: false },
-                None,
                 max_steps,
-                false,
                 deadline_is_failure,
                 &best.policy,
             );
@@ -499,56 +399,34 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
-    /// Two tasks incrementing a shared counter through an instrumented
-    /// atomic: every interleaving is correct; DFS must terminate and
-    /// explore more than one schedule.
-    #[test]
-    fn dfs_enumerates_and_exhausts() {
-        let report = Explorer::dfs("dfs-exhausts", 10_000).run(|sim| {
-            let counter = Arc::new(AtomicU64::new(0));
-            let cell = mc::fresh_cell_id();
-            for name in ["a", "b"] {
-                let counter = counter.clone();
-                sim.spawn(name, move || {
-                    mc::atomic_rmw(cell, "incr");
-                    counter.fetch_add(1, Ordering::SeqCst);
-                    mc::atomic_rmw(cell, "incr");
-                    counter.fetch_add(1, Ordering::SeqCst);
-                });
-            }
+    /// Two tasks each read a shared counter, yield, and write back the
+    /// value plus one: a schedule that runs both reads before either
+    /// write loses an increment, and the post-condition catches it.
+    fn lost_update(sim: &mut Sim) {
+        let counter = Arc::new(AtomicU64::new(0));
+        for name in ["a", "b"] {
             let counter = counter.clone();
-            sim.check(move || {
-                if counter.load(Ordering::SeqCst) == 4 {
-                    Ok(())
-                } else {
-                    Err("lost increment".into())
-                }
+            sim.spawn(name, move || {
+                let seen = counter.load(Ordering::SeqCst);
+                mc::region("between-read-and-write");
+                counter.store(seen + 1, Ordering::SeqCst);
             });
+        }
+        sim.check(move || match counter.load(Ordering::SeqCst) {
+            2 => Ok(()),
+            n => Err(format!("lost increment: counter is {n}")),
         });
-        report.assert_no_failure();
-        assert!(report.exhausted, "bounded DFS should exhaust this scenario");
-        assert!(report.iterations > 1, "must explore more than one schedule");
     }
 
-    /// Same seed → same schedules: two full explorations of a racy
+    /// Same seed → same schedules: two full explorations of the racy
     /// scenario find the identical failing trace (decisions + events
     /// hash), even though raw object ids differ between runs.
     #[test]
     fn seeded_exploration_is_deterministic() {
-        let scenario = |sim: &mut Sim| {
-            let cell = mc::fresh_cell_id();
-            for name in ["a", "b", "c"] {
-                sim.spawn(name, move || {
-                    mc::region("warmup");
-                    if let Some(s) = mc::scheduler() {
-                        s.access(McObj::new(ObjKind::Atomic, cell), true, "scribble");
-                    }
-                });
-            }
-        };
         let run = || {
-            let report = Explorer::seeded("det", 7, 16).run(scenario);
-            let failure = report.failure.expect("unsynchronized writes race");
+            let report = Explorer::seeded("det", 7, 16).run(lost_update);
+            let failure = report.failure.expect("some schedule loses an increment");
+            assert!(matches!(failure.failure, Failure::PostCondition { .. }), "{}", failure.failure);
             (failure.iteration, failure.trace.serialize(), failure.minimized.serialize())
         };
         assert_eq!(run(), run());
@@ -571,7 +449,8 @@ mod tests {
         let failure = report.failure.expect("orphan park must deadlock");
         assert!(matches!(failure.failure, Failure::Deadlock { .. }), "{}", failure.failure);
         // The minimized trace still replays to the same deadlock.
-        let (replay, _) = replay_verbatim("orphan-park-replay", &failure.minimized, |sim| {
+        let replay = Explorer::replay("orphan-park-replay", failure.minimized.clone());
+        let (replay, _) = replay.run_verbatim(|sim| {
             sim.spawn("sleeper", || {
                 if let Some(s) = mc::scheduler() {
                     s.park(McObj::new(ObjKind::Region, 77), None);
@@ -607,90 +486,14 @@ mod tests {
         );
     }
 
-    /// Unsynchronized write/write on a shared cell is reported as a
-    /// race, with both stacks captured on the replay pass.
-    #[test]
-    fn race_detector_flags_unsynchronized_writes() {
-        let scenario = |sim: &mut Sim| {
-            let cell = mc::fresh_cell_id();
-            for name in ["w1", "w2"] {
-                sim.spawn(name, move || {
-                    if let Some(s) = mc::scheduler() {
-                        s.yield_point(
-                            gist_audit::mc::McOp::Region,
-                            McObj::new(ObjKind::Region, 0),
-                            "pre",
-                        );
-                        s.access(McObj::new(ObjKind::Atomic, cell), true, "unsync-write");
-                    }
-                });
-            }
-        };
-        let report = Explorer::seeded("race-ww", 3, 8).run(scenario);
-        let failure = report.failure.expect("race must be found");
-        match &failure.failure {
-            Failure::Race(race) => {
-                assert_eq!(race.prior.what, "unsync-write");
-                assert_eq!(race.current.what, "unsync-write");
-                assert!(race.prior.stack.is_some(), "replay pass captures the prior stack");
-                assert!(race.current.stack.is_some(), "replay pass captures the racing stack");
-            }
-            other => panic!("expected race, got {other}"),
-        }
-    }
-
-    /// Release→acquire through an instrumented atomic RMW pair orders
-    /// the two tasks: no race on the cell they hand off.
-    #[test]
-    fn rmw_handoff_establishes_order() {
-        let report = Explorer::dfs("rmw-order", 10_000).run(|sim| {
-            let flag = Arc::new(AtomicU64::new(0));
-            let sync_cell = mc::fresh_cell_id();
-            let data_cell = mc::fresh_cell_id();
-            let producer_flag = flag.clone();
-            sim.spawn("producer", move || {
-                if let Some(s) = mc::scheduler() {
-                    s.access(McObj::new(ObjKind::Atomic, data_cell), true, "produce");
-                }
-                mc::atomic_rmw(sync_cell, "publish");
-                producer_flag.store(1, Ordering::SeqCst);
-            });
-            sim.spawn("consumer", move || {
-                mc::atomic_rmw(sync_cell, "observe");
-                if flag.load(Ordering::SeqCst) == 1 {
-                    if let Some(s) = mc::scheduler() {
-                        s.access(McObj::new(ObjKind::Atomic, data_cell), false, "consume");
-                    }
-                }
-            });
-        });
-        report.assert_no_failure();
-        assert!(report.exhausted);
-    }
-
     /// Replay of a failing trace reproduces the identical serialized
     /// trace (decisions and events hash).
     #[test]
     fn replay_is_byte_for_byte() {
-        let scenario = |sim: &mut Sim| {
-            let cell = mc::fresh_cell_id();
-            for name in ["w1", "w2"] {
-                sim.spawn(name, move || {
-                    if let Some(s) = mc::scheduler() {
-                        s.yield_point(
-                            gist_audit::mc::McOp::Region,
-                            McObj::new(ObjKind::Region, 0),
-                            "pre",
-                        );
-                        s.access(McObj::new(ObjKind::Atomic, cell), true, "unsync-write");
-                    }
-                });
-            }
-        };
-        let report = Explorer::seeded("replay-bfb", 11, 8).run(scenario);
-        let failure = report.failure.expect("race must be found");
+        let report = Explorer::seeded("replay-bfb", 11, 16).run(lost_update);
+        let failure = report.failure.expect("some schedule loses an increment");
         let (replayed_report, replayed_trace) =
-            replay_verbatim("replay-bfb", &failure.minimized, scenario);
+            Explorer::replay("replay-bfb", failure.minimized.clone()).run_verbatim(lost_update);
         assert!(replayed_report.failure.is_some(), "replay reproduces the failure");
         assert_eq!(
             replayed_trace.serialize(),

@@ -21,20 +21,17 @@
 
 use std::cell::Cell;
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use gist_audit::mc::{McObj, McOp, McScheduler};
 
-use crate::hb::{HbState, Race};
 use crate::trace::{Decision, EventHasher, Trace};
 
 const NO_TASK: usize = usize::MAX;
 
 thread_local! {
     static TASK: Cell<Option<usize>> = const { Cell::new(None) };
-    static SUPPRESS: Cell<bool> = const { Cell::new(false) };
 }
 
 pub(crate) fn set_task(id: Option<usize>) {
@@ -43,16 +40,6 @@ pub(crate) fn set_task(id: Option<usize>) {
 
 fn current_task() -> Option<usize> {
     TASK.with(|t| t.get())
-}
-
-/// Run `f` with scheduler hooks suppressed on this thread (used for
-/// invariant closures so their own reads don't recurse into the
-/// scheduler that is currently calling them).
-fn with_suppressed<R>(f: impl FnOnce() -> R) -> R {
-    SUPPRESS.with(|s| s.set(true));
-    let r = f();
-    SUPPRESS.with(|s| s.set(false));
-    r
 }
 
 /// Simple xorshift64* PRNG (deterministic, seedable, no deps).
@@ -96,11 +83,6 @@ pub enum Failure {
         /// The budget that was exhausted.
         steps: usize,
     },
-    /// A registered invariant returned an error at a yield point.
-    Invariant {
-        /// The invariant's message.
-        message: String,
-    },
     /// A task panicked (includes audit-discipline panics).
     Panic {
         /// The panicking task's name.
@@ -108,8 +90,6 @@ pub enum Failure {
         /// The panic payload, if it was a string.
         message: String,
     },
-    /// The happens-before detector found a data race.
-    Race(Box<Race>),
     /// A virtual timeout fired while the exploration declared that
     /// every wakeup must arrive before quiescence (lost-wakeup pinning
     /// scenarios, see `Explorer::deadline_is_failure`).
@@ -133,11 +113,9 @@ impl std::fmt::Display for Failure {
             Failure::StepBudget { steps } => {
                 write!(f, "step budget exceeded ({steps} steps)")
             }
-            Failure::Invariant { message } => write!(f, "invariant violated: {message}"),
             Failure::Panic { task, message } => {
                 write!(f, "task `{task}` panicked: {message}")
             }
-            Failure::Race(race) => write!(f, "{}", race.render()),
             Failure::LostWakeup { task } => {
                 write!(f, "lost wakeup: task `{task}` quiesced into its virtual timeout")
             }
@@ -165,8 +143,6 @@ pub enum Policy {
         /// Bug depth `d` (number of ordering constraints targeted).
         depth: usize,
     },
-    /// Exhaustive bounded depth-first enumeration of all schedules.
-    Dfs,
     /// Follow a recorded trace decision-for-decision.
     Replay(
         /// The trace to follow.
@@ -185,44 +161,11 @@ pub(crate) enum PolicyRt {
         next_low: u64,
         picks: usize,
     },
-    Dfs,
     Replay {
         decisions: Vec<Decision>,
         pos: usize,
         diverged: bool,
     },
-}
-
-/// One DFS choice frame: the sorted runnable set at that depth and
-/// which branch the current iteration takes.
-#[derive(Debug, Clone)]
-pub(crate) struct DfsFrame {
-    options: Vec<usize>,
-    chosen: usize,
-}
-
-/// Persistent DFS stack shared across iterations of one exploration.
-#[derive(Debug, Default)]
-pub(crate) struct DfsStack {
-    frames: Vec<DfsFrame>,
-    pos: usize,
-    pub(crate) exhausted: bool,
-}
-
-impl DfsStack {
-    /// Advance to the next unexplored schedule; call between
-    /// iterations. Sets `exhausted` when the tree is fully enumerated.
-    pub(crate) fn advance(&mut self) {
-        self.pos = 0;
-        while let Some(last) = self.frames.last_mut() {
-            if last.chosen + 1 < last.options.len() {
-                last.chosen += 1;
-                return;
-            }
-            self.frames.pop();
-        }
-        self.exhausted = true;
-    }
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -252,16 +195,13 @@ pub(crate) struct SchedState {
     max_steps: usize,
     decisions: Vec<Decision>,
     policy: PolicyRt,
-    dfs: Option<DfsStack>,
     /// Virtual clock, nanoseconds. Advances only when nothing runs.
     vtime: u64,
     park_seq: u64,
     hasher: EventHasher,
     obj_norm: HashMap<McObj, u64>,
-    hb: HbState,
     failure: Option<Failure>,
     abort: bool,
-    capture_stacks: bool,
     deadline_is_failure: bool,
     timeouts_fired: usize,
 }
@@ -271,30 +211,22 @@ pub(crate) struct IterationOutcome {
     pub(crate) failure: Option<Failure>,
     pub(crate) trace: Trace,
     pub(crate) timeouts_fired: usize,
-    pub(crate) dfs: Option<DfsStack>,
 }
-
-type Invariant = dyn Fn() -> Result<(), String> + Send + Sync;
 
 /// The scheduler object registered with `gist_audit::mc` for the
 /// duration of one iteration.
 pub(crate) struct McSched {
     state: Mutex<SchedState>,
     cv: Condvar,
-    invariants: Vec<Box<Invariant>>,
 }
 
 impl McSched {
     pub(crate) fn new(
         task_names: Vec<String>,
         policy: PolicyRt,
-        dfs: Option<DfsStack>,
         max_steps: usize,
-        capture_stacks: bool,
         deadline_is_failure: bool,
-        invariants: Vec<Box<Invariant>>,
     ) -> McSched {
-        let n = task_names.len();
         let tasks = task_names
             .into_iter()
             .map(|name| TaskState { name, status: Status::Ready, wake: None })
@@ -308,20 +240,16 @@ impl McSched {
                 max_steps,
                 decisions: Vec::new(),
                 policy,
-                dfs,
                 vtime: 0,
                 park_seq: 0,
                 hasher: EventHasher::new(),
                 obj_norm: HashMap::new(),
-                hb: HbState::new(n),
                 failure: None,
                 abort: false,
-                capture_stacks,
                 deadline_is_failure,
                 timeouts_fired: 0,
             }),
             cv: Condvar::new(),
-            invariants,
         }
     }
 
@@ -438,29 +366,6 @@ impl McSched {
                     None => unreachable!("policy consulted with no runnable task"),
                 }
             }
-            PolicyRt::Dfs => {
-                let Some(dfs) = st.dfs.as_mut() else {
-                    // The explorer pairs PolicyRt::Dfs with a DfsStack at
-                    // construction; no other policy touches it.
-                    unreachable!("dfs policy without a dfs stack")
-                };
-                if dfs.pos < dfs.frames.len() {
-                    let frame = &dfs.frames[dfs.pos];
-                    let chosen = frame.chosen.min(frame.options.len().saturating_sub(1));
-                    let pick = frame
-                        .options
-                        .get(chosen)
-                        .copied()
-                        .filter(|p| runnable.contains(p))
-                        .unwrap_or(runnable[0]);
-                    dfs.pos += 1;
-                    pick
-                } else {
-                    dfs.frames.push(DfsFrame { options: runnable.clone(), chosen: 0 });
-                    dfs.pos += 1;
-                    runnable[0]
-                }
-            }
             PolicyRt::Replay { decisions, pos, diverged } => {
                 let recorded = decisions.get(*pos).copied();
                 *pos += 1;
@@ -538,14 +443,13 @@ impl McSched {
                 events_hash: st.hasher.finish(),
             },
             timeouts_fired: st.timeouts_fired,
-            dfs: st.dfs.take(),
         }
     }
 }
 
 impl McScheduler for McSched {
     fn managed(&self) -> bool {
-        current_task().is_some() && !SUPPRESS.with(|s| s.get())
+        current_task().is_some()
     }
 
     fn yield_point(&self, op: McOp, obj: McObj, what: &'static str) {
@@ -569,62 +473,8 @@ impl McScheduler for McSched {
             self.fail(&mut st, Failure::StepBudget { steps });
             return;
         }
-        for inv in &self.invariants {
-            let verdict = with_suppressed(|| catch_unwind(AssertUnwindSafe(&**inv)));
-            let message = match verdict {
-                Ok(Ok(())) => continue,
-                Ok(Err(m)) => m,
-                Err(p) => panic_message(p.as_ref()),
-            };
-            self.fail(&mut st, Failure::Invariant { message });
-            return;
-        }
         self.pick_next(&mut st);
         let _st = self.wait_for_token(st, me);
-    }
-
-    fn acquire(&self, obj: McObj) {
-        let me = match current_task() {
-            Some(m) => m,
-            None => return,
-        };
-        let mut st = self.lock();
-        if st.abort {
-            return;
-        }
-        st.hb.acquire(me, obj);
-    }
-
-    fn release(&self, obj: McObj) {
-        let me = match current_task() {
-            Some(m) => m,
-            None => return,
-        };
-        let mut st = self.lock();
-        if st.abort {
-            return;
-        }
-        st.hb.release(me, obj);
-    }
-
-    fn access(&self, cell: McObj, write: bool, what: &'static str) {
-        let me = match current_task() {
-            Some(m) => m,
-            None => return,
-        };
-        let mut st = self.lock();
-        if st.abort {
-            return;
-        }
-        let stack = if st.capture_stacks {
-            Some(with_suppressed(|| std::backtrace::Backtrace::force_capture().to_string()))
-        } else {
-            None
-        };
-        let name = st.tasks[me].name.clone();
-        if let Some(race) = st.hb.access(me, &name, cell, write, what, stack) {
-            self.fail(&mut st, Failure::Race(Box::new(race)));
-        }
     }
 
     fn park(&self, obj: McObj, timeout: Option<Duration>) -> bool {

@@ -18,11 +18,10 @@
 //!   between attempts, and condvar waits park on the scheduler with
 //!   *virtual* timeouts — no OS-level blocking, no real time, so the
 //!   scheduler fully controls the interleaving and can replay a
-//!   recorded schedule byte-for-byte. Acquire/release operations also
-//!   feed the vector-clock happens-before race detector.
+//!   recorded schedule byte-for-byte.
 //!
-//! Each object carries a process-unique id so the schedule trace and
-//! the race reports can name the exact mutex/condvar involved.
+//! Each object carries a process-unique id so the schedule trace can
+//! name the exact mutex/condvar involved.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -79,7 +78,6 @@ impl<T: ?Sized> Mutex<T> {
             let obj = McObj::new(ObjKind::Mutex, self.id);
             s.yield_point(McOp::MutexLock, obj, "mutex-try-lock");
             let g = self.inner.try_lock()?;
-            s.acquire(obj);
             return Some(MutexGuard { lock: self, inner: Some(g) });
         }
         let g = self.inner.try_lock()?;
@@ -101,7 +99,6 @@ impl<T: ?Sized> Mutex<T> {
         loop {
             s.yield_point(McOp::MutexLock, obj, "mutex-lock");
             if let Some(g) = self.inner.try_lock() {
-                s.acquire(obj);
                 return g;
             }
             s.park(obj, None);
@@ -145,7 +142,6 @@ impl<T: ?Sized> Drop for MutexGuard<'_, T> {
         if self.inner.is_some() {
             if let Some(s) = mc::scheduler() {
                 let obj = McObj::new(ObjKind::Mutex, self.lock.id);
-                s.release(obj);
                 self.inner = None;
                 s.unpark(obj, true);
                 s.yield_point(McOp::MutexUnlock, obj, "mutex-unlock");
@@ -237,7 +233,6 @@ impl Condvar {
         if let Some(s) = mc::scheduler() {
             let obj = McObj::new(ObjKind::Condvar, self.id);
             s.yield_point(McOp::CvNotify, obj, "cv-notify-one");
-            s.release(obj);
             s.unpark(obj, false);
         }
         self.inner.notify_one();
@@ -249,7 +244,6 @@ impl Condvar {
         if let Some(s) = mc::scheduler() {
             let obj = McObj::new(ObjKind::Condvar, self.id);
             s.yield_point(McOp::CvNotify, obj, "cv-notify-all");
-            s.release(obj);
             s.unpark(obj, true);
         }
         self.inner.notify_all();
@@ -269,14 +263,9 @@ impl Condvar {
     ) -> bool {
         let mobj = McObj::new(ObjKind::Mutex, guard.lock.id);
         let cobj = McObj::new(ObjKind::Condvar, self.id);
-        s.release(mobj);
         guard.inner = None;
         s.unpark(mobj, true);
         let notified = s.park(cobj, timeout);
-        if notified {
-            // Happens-before edge from the notifier to the wakeup.
-            s.acquire(cobj);
-        }
         guard.inner = Some(guard.lock.lock_virtual(s));
         notified
     }
@@ -317,7 +306,6 @@ impl<T: ?Sized> RwLock<T> {
             loop {
                 s.yield_point(McOp::RwRead, obj, "rwlock-read");
                 if let Some(g) = self.inner.try_read() {
-                    s.acquire(obj);
                     return RwLockReadGuard { lock: self, inner: Some(g) };
                 }
                 s.park(obj, None);
@@ -334,7 +322,6 @@ impl<T: ?Sized> RwLock<T> {
             loop {
                 s.yield_point(McOp::RwWrite, obj, "rwlock-write");
                 if let Some(g) = self.inner.try_write() {
-                    s.acquire(obj);
                     return RwLockWriteGuard { lock: self, inner: Some(g) };
                 }
                 s.park(obj, None);
@@ -368,10 +355,6 @@ impl<T: ?Sized> Drop for RwLockReadGuard<'_, T> {
         if self.inner.is_some() {
             if let Some(s) = mc::scheduler() {
                 let obj = McObj::new(ObjKind::RwLock, self.lock.id);
-                // A read-release also joins into the object clock, so a
-                // later writer is ordered after every reader it excludes
-                // (conservative over-ordering, never a false race).
-                s.release(obj);
                 self.inner = None;
                 s.unpark(obj, true);
                 s.yield_point(McOp::RwUnlock, obj, "rwlock-read-unlock");
@@ -412,7 +395,6 @@ impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
         if self.inner.is_some() {
             if let Some(s) = mc::scheduler() {
                 let obj = McObj::new(ObjKind::RwLock, self.lock.id);
-                s.release(obj);
                 self.inner = None;
                 s.unpark(obj, true);
                 s.yield_point(McOp::RwUnlock, obj, "rwlock-write-unlock");

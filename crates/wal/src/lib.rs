@@ -26,7 +26,6 @@
 //! ([`codec`]) and file persistence ([`LogManager::persist_file`]) are
 //! also provided for round-trip realism.
 
-mod audit;
 mod checksum;
 mod lsn;
 mod record;

@@ -17,7 +17,7 @@ use std::time::Duration;
 use gist_sync::Mutex;
 
 use crate::codec;
-use crate::{audit, LogRecord, Lsn, NestedTopAction, RecordBody, TxnId};
+use crate::{LogRecord, Lsn, NestedTopAction, RecordBody, TxnId};
 
 /// Anything that can force the log durable up to an LSN.
 ///
@@ -99,10 +99,6 @@ pub struct LogManager {
     sync_micros: AtomicU64,
     /// Serializes durability advances (one fsync in flight at a time).
     sync_mutex: Mutex<()>,
-    /// Model-checker shadow cells for the two watermarks (see
-    /// `crate::audit`); zero when the `latch-audit` feature is off.
-    hb_last: u64,
-    hb_durable: u64,
 }
 
 impl Default for LogManager {
@@ -126,8 +122,6 @@ impl LogManager {
             durable: AtomicU64::new(n),
             sync_micros: AtomicU64::new(0),
             sync_mutex: Mutex::new(()),
-            hb_last: audit::new_cell_id(),
-            hb_durable: audit::new_cell_id(),
         }
     }
 
@@ -143,7 +137,6 @@ impl LogManager {
         let mut records = self.records.lock();
         let lsn = Lsn(records.len() + 1);
         records.push(LogRecord { lsn, prev_lsn, txn, body });
-        audit::atomic_store(self.hb_last, "wal-last-store");
         self.last.store(lsn.0, Ordering::Release);
         lsn
     }
@@ -153,13 +146,11 @@ impl LogManager {
     /// This is the paper's "global NSN" counter when NSNs are sourced from
     /// the log (§10.1).
     pub fn last_lsn(&self) -> Lsn {
-        audit::atomic_load(self.hb_last, "wal-last-read");
         Lsn(self.last.load(Ordering::Acquire))
     }
 
     /// Durable prefix of the log.
     pub fn flushed_lsn(&self) -> Lsn {
-        audit::atomic_load(self.hb_durable, "wal-durable-read");
         Lsn(self.durable.load(Ordering::Acquire))
     }
 
@@ -191,7 +182,6 @@ impl LogManager {
         }
         // Only fsync_to moves the horizon, always under the device lock,
         // and the check above saw it below `target`.
-        audit::atomic_store(self.hb_durable, "wal-durable-store");
         self.durable.store(target, Ordering::Release);
         self.flushed_lsn()
     }
@@ -245,7 +235,6 @@ impl LogManager {
         let durable = self.flushed_lsn().0;
         let lost = records.len() - durable;
         records.truncate(durable);
-        audit::atomic_store(self.hb_last, "wal-last-store");
         self.last.store(durable, Ordering::Release);
         lost as usize
     }

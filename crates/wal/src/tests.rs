@@ -550,7 +550,33 @@ fn fsync_covered_while_queued_is_not_paid_again() {
 
 #[test]
 fn concurrent_appends_get_unique_lsns() {
+    use std::sync::atomic::{AtomicBool, Ordering};
     let log = std::sync::Arc::new(LogManager::new());
+    // A syncer races the appenders: after every sync, the horizon is
+    // at most `last`, and the record `last` names is already readable
+    // (an append takes its LSN and stores its record in one critical
+    // section, so no LSN is visible before its record).
+    let done = std::sync::Arc::new(AtomicBool::new(false));
+    let syncer = {
+        let (log, done) = (log.clone(), done.clone());
+        std::thread::spawn(move || {
+            let mut syncs = 0u64;
+            while syncs == 0 || !done.load(Ordering::Acquire) {
+                for target in [log.last_lsn(), Lsn::MAX] {
+                    log.fsync_to(target);
+                    let durable = log.flushed_lsn();
+                    let last = log.last_lsn();
+                    assert!(durable <= last, "durable {durable} is beyond last {last}");
+                    if last != Lsn::NULL {
+                        let seen = log.try_get(last).map(|r| r.lsn);
+                        assert_eq!(seen, Some(last), "LSN {last} visible before its record");
+                    }
+                    syncs += 1;
+                }
+            }
+            syncs
+        })
+    };
     let mut handles = Vec::new();
     for i in 0..8u64 {
         let log = log.clone();
@@ -563,10 +589,13 @@ fn concurrent_appends_get_unique_lsns() {
         }));
     }
     let mut all: Vec<Lsn> = handles.into_iter().flat_map(|h| h.join().unwrap()).collect();
+    done.store(true, Ordering::Release);
+    assert!(syncer.join().unwrap() > 0);
     all.sort();
     all.dedup();
     assert_eq!(all.len(), 8 * 500);
     assert_eq!(log.last_lsn(), Lsn(4000));
+    assert_eq!(log.fsync_to(Lsn::MAX), Lsn(4000));
 }
 
 #[test]

@@ -15,13 +15,16 @@
 # process-kill tests on the release binaries, and the bench_e2e
 # package's own tests.
 #
-# Tier 3: the crates/mc deterministic schedule explorer — schedule-pinned
-# regression scenarios (lock replication vs release, predicate attach vs
-# replication, the commit pipeline's park, epoch reclamation),
-# mutation-detection proofs for the two mutation switches left (the
-# commit park's lost wakeup and the skipped epoch grace period), and
-# exhaustive DFS over WAL append visibility
+# Tier 3: the crates/mc deterministic schedule explorer over its two
+# scenarios, the commit pipeline's park and epoch pin vs §7.2
+# drain-free-reuse, each explored on the current code and with its
+# mutation switch armed (the commit park's lost wakeup, the skipped
+# epoch grace period), which must be found and replay byte for byte
 # (`--features model-check`).
+#
+# A filtered `cargo test` whose filter matches no test fails its step
+# (see `filtered`), so a renamed or deleted test cannot turn a step
+# into a silent pass.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -42,6 +45,22 @@ step() {
 "
 }
 
+# filtered <command...>: run a filtered `cargo test`, echoing its
+# output; fail if it fails or if no test ran at all.
+filtered() {
+    out=$(mktemp) && rcfile=$(mktemp) || return 1
+    { "$@"; echo $? > "$rcfile"; } 2>&1 | tee "$out"
+    rc=$(cat "$rcfile")
+    ran=$(sed -n 's/^test result: [A-Za-z]*\. \([0-9]*\) passed; \([0-9]*\) failed.*/\1 \2/p' "$out" |
+        awk '{ n += $1 + $2 } END { print n + 0 }')
+    rm -f "$out" "$rcfile"
+    if [ "$ran" -eq 0 ]; then
+        echo "filtered: no test matched: $*"
+        [ "$rc" -ne 0 ] || rc=1
+    fi
+    return "$rc"
+}
+
 step "tier 1: cargo build --release" \
     cargo build --release
 step "tier 1: cargo test -q" \
@@ -58,11 +77,11 @@ step "tier 2: gist-lint static rules" \
 step "tier 2: cargo test -q --features latch-audit" \
     cargo test -q --features latch-audit
 step "tier 2: lock/predicate/pool table stress under latch-audit" \
-    cargo test -q --features latch-audit --test stress table_stress::
+    filtered cargo test -q --features latch-audit --test stress table_stress::
 step "tier 2: optimistic equivalence under latch-audit" \
     cargo test -q --features latch-audit --test optimistic
 step "tier 2: optimistic stress under latch-audit" \
-    cargo test -q --features latch-audit --test stress optimistic_
+    filtered cargo test -q --features latch-audit --test stress optimistic_
 step "tier 2: storage fault-injection crash harness" \
     cargo test -q --release --test fault_recovery
 # Real process exits and SIGKILLs of the release gist-shell: which
@@ -74,21 +93,25 @@ step "tier 2: operation chaos harness, seed 1 (audited)" \
 step "tier 2: operation chaos harness, seed 2 (audited)" \
     env CHAOS_SEED=2 cargo test -q --release --features chaos,latch-audit --test chaos_ops
 step "tier 2: flusher crash points (chaos, audited)" \
-    cargo test -q --release --features chaos,latch-audit --test fault_recovery flusher_crash
+    filtered cargo test -q --release --features chaos,latch-audit --test fault_recovery flusher_crash
 step "tier 2: overload (admission, health)" \
     cargo test -q --release --test overload
 step "tier 2: pinned-reader drill (chaos, audited)" \
-    cargo test -q --release --features chaos,latch-audit --test overload pinned_reader_blocks_no_reads_or_writes
+    filtered cargo test -q --release --features chaos,latch-audit --test overload pinned_reader_blocks_no_reads_or_writes
 step "tier 2: serve (wire protocol, sessions, drain)" \
     cargo test -q --release --test serve
 step "tier 2: serve chaos teardown sweep" \
     cargo test -q --release --features chaos --test serve
 # One seeded fault plan across store, flusher and wire (tests/serve.rs);
 # FAULT_SEED picks the plan, which the test prints with its fired log.
+cross_layer_seeds() {
+    for seed in 1 2; do
+        filtered env FAULT_SEED=$seed \
+            cargo test -q --release --features chaos --test serve cross_layer || return 1
+    done
+}
 step "tier 2: cross-layer fault plan, seeds 1 and 2" \
-    sh -c 'for seed in 1 2; do
-        FAULT_SEED=$seed cargo test -q --release --features chaos --test serve cross_layer || exit 1
-    done'
+    cross_layer_seeds
 # bench_e2e/ is frozen, but cargo rewrites its lock file whenever an
 # engine crate's dependencies drift from it; restore the file byte for
 # byte so the step never edits the benchmark, and keep cargo's exit code.
@@ -100,13 +123,12 @@ step "tier 2: bench_e2e package tests + smoke runs" \
         rm -f "$saved"
         exit $rc'
 
-# Fixed per-scenario budgets and two schedule-generation seeds per
-# scenario are compiled into tests/mc_scenarios.rs (seeded-random +
-# PCT; exhaustive DFS over WAL append visibility). Any
-# failing exploration writes its minimized, byte-replayable schedule
-# trace to $MC_TRACE_DIR/<scenario>.trace for offline replay.
-step "tier 3: model checker (mc scenarios)" \
-    env MC_TRACE_DIR=target/mc-traces \
+# Fixed per-scenario budgets and schedule-generation seeds are compiled
+# into tests/mc_scenarios.rs (seeded-random + PCT). Any failing
+# exploration writes its minimized, byte-replayable schedule trace to
+# $MC_TRACE_DIR/<scenario>.trace for offline replay.
+step "tier 3: mc scenarios (commit park, epoch reuse)" \
+    filtered env MC_TRACE_DIR=target/mc-traces \
     cargo test -q --release --features model-check --test mc_scenarios
 
 echo ""
