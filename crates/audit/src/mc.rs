@@ -2,7 +2,7 @@
 //! points and a deterministic scheduler.
 //!
 //! The audit hooks (latch/NSN/IO events) and the `gist-sync`
-//! wrappers (mutex/rwlock/condvar operations) all report here. When a
+//! wrappers (mutex/condvar operations) all report here. When a
 //! [`McScheduler`] is registered — `crates/mc` installs one for the
 //! duration of an exploration — every hook on a *managed* thread becomes
 //! a cooperative yield point: the scheduler serializes the managed
@@ -23,8 +23,6 @@ use std::time::Duration;
 pub enum ObjKind {
     /// A `gist-sync` mutex.
     Mutex,
-    /// A `gist-sync` reader/writer lock.
-    RwLock,
     /// A `gist-sync` condition variable.
     Condvar,
     /// A buffer-pool page latch, id = `pool ⊕ page` packed.
@@ -57,12 +55,6 @@ pub enum McOp {
     MutexLock,
     /// Just released a mutex.
     MutexUnlock,
-    /// About to acquire a rwlock in shared mode.
-    RwRead,
-    /// About to acquire a rwlock in exclusive mode.
-    RwWrite,
-    /// Just released a rwlock (either mode).
-    RwUnlock,
     /// About to notify a condition variable.
     CvNotify,
     /// A latch event forwarded from the buffer-pool hooks.

@@ -64,11 +64,13 @@ pub const CATALOG: &[&str] = &[
     "commitpipe.append.pre_append",
     "commitpipe.flusher.post_fill_pre_fsync",
     "commitpipe.flusher.post_fsync_pre_wakeup",
-    // Overload resilience. `Delay` actions model the three stall shapes
-    // the degradation layer must absorb: a flusher that stops draining
-    // batches, an optimistic reader that holds its epoch pin far past a
-    // traversal's natural length, and a committer that dawdles between
-    // appending its commit record and parking on the durable horizon.
+    // Plain delays: a flusher that lingers at the top of every batch and
+    // an optimistic reader that holds its epoch pin far past a
+    // traversal's natural length. Only the pinned-reader drill
+    // (`tests/overload.rs::pinned_reader_blocks_no_reads_or_writes`)
+    // arms them. The third sits between a committer's commit append and
+    // its durability park; `tests/chaos_ops.rs` arms it as a lost-ack
+    // crash point.
     "commitpipe.flusher.stall",
     "cursor.optimistic.pinned",
     "commit.before_durable_wait",

@@ -325,10 +325,10 @@ impl CommitPipeline {
     /// device sync. The two chaos points bracket the sync so fault tests
     /// can crash a batch on either side of it.
     fn flush_batch(&self) -> Result<(), PipeError> {
-        // Overload-resilience chaos point: armed with a `Delay` it makes
-        // the flusher linger at the top of every batch (a stalled
-        // flusher), which is what drives committers into `Stalled` in the
-        // stall-chaos harness.
+        // A plain delay point: armed with a `Delay`, the flusher lingers
+        // at the top of every batch. Only the pinned-reader drill
+        // (`tests/overload.rs::pinned_reader_blocks_no_reads_or_writes`)
+        // arms it.
         gist_chaos::point("commitpipe.flusher.stall")?;
         let target = self.log.last_lsn();
         gist_chaos::point("commitpipe.flusher.post_fill_pre_fsync")?;

@@ -176,7 +176,7 @@ fn append_commit_appends_the_commit_record() {
     let (log, _) = log_with_commits(0);
     let pipe = CommitPipeline::new(log.clone());
     let c = pipe.append_commit(TxnId(7), Lsn::NULL).unwrap();
-    assert_eq!(log.get(c).body.kind_name(), "TxnCommit");
+    assert_eq!(log.get(c).body, RecordBody::TxnCommit);
     assert_eq!(log.get(c).txn, TxnId(7));
     assert_eq!(log.last_lsn(), c);
 }

@@ -20,7 +20,7 @@ use crate::ops::{ParentLoc, StackEntry};
 use crate::tree::GistIndex;
 use crate::{GistError, Result};
 
-/// Outcome of a [`GistIndex::vacuum`] pass.
+/// Outcome of a [`GistIndex::vacuum_sync`] pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VacuumReport {
     /// Committed-deleted entries physically removed.

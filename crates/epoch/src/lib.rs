@@ -75,7 +75,7 @@ pub struct EpochStats {
     pub epoch_lag: u64,
 }
 
-/// One reclamation domain (one per [`Db`-like] owner). Cheap to clone
+/// One reclamation domain (one per `Db`-like owner). Cheap to clone
 /// through an `Arc`; all methods take `&self`.
 pub struct EpochGc {
     /// Global epoch, advanced by [`EpochGc::try_collect`] whenever no

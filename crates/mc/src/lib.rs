@@ -5,7 +5,7 @@
 //!
 //! A loom/shuttle-style schedule explorer built on the repo's existing
 //! audit instrumentation. The hot-path crates already report every
-//! latch, and (through `gist-sync`) every mutex / rwlock /
+//! latch, and (through `gist-sync`) every mutex /
 //! condvar operation into `gist_audit::mc`; this crate registers a
 //! scheduler there, serializes a scenario's tasks onto a single token,
 //! and explores interleavings:

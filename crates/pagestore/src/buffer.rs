@@ -1064,8 +1064,8 @@ impl Drop for PageReadGuard {
 
 /// X-mode latch on a page.
 ///
-/// The inner guard lives in an `Option` solely so [`downgrade`]
-/// (`PageWriteGuard::downgrade`) can move it out without `unsafe`; it is
+/// The inner guard lives in an `Option` solely so
+/// [`PageWriteGuard::downgrade`] can move it out without `unsafe`; it is
 /// `Some` for the guard's entire observable life.
 pub struct PageWriteGuard {
     frame: Arc<Frame>,

@@ -3,7 +3,7 @@
 
 //! # gist-serve — the fault-tolerant serving front-end
 //!
-//! A threaded server exposing a [`Db`](gist_core::Db) over the
+//! A threaded server exposing a [`gist_core::Db`] over the
 //! `gist-wire` protocol, built so the **process boundary fails the
 //! same way the engine does**: designed, counted, self-clearing.
 //!

@@ -3,15 +3,18 @@
 
 //! # gist-sync — audit-instrumented synchronization wrappers
 //!
-//! Thin wrappers over the `parking_lot` primitives that the hot-path
-//! crates (lockmgr, predlock, commitpipe, wal) are required to
-//! use instead of constructing raw mutexes/rwlocks/condvars — the
-//! `no-raw-std-sync` gist-lint rule enforces this statically. The point
-//! of the indirection is the deterministic model checker (`crates/mc`):
+//! Thin wrappers over the `parking_lot` mutex and condition variable
+//! that the hot-path crates (lockmgr, predlock, commitpipe, wal) are
+//! required to use instead of constructing raw ones — the
+//! `no-raw-std-sync` gist-lint rule enforces this statically. There is
+//! no reader/writer lock wrapper: none of those crates takes one, and
+//! the buffer pool's frame latches stay on `parking_lot`, covered by
+//! the audit latch hooks instead. The point of the indirection is the
+//! deterministic model checker (`crates/mc`):
 //!
 //! - **Normally** (no scheduler registered, or the `latch-audit` feature
 //!   off) every operation is a direct passthrough to `parking_lot`.
-//! - **Under an exploration** (a [`gist_audit::mc::McScheduler`] is
+//! - **Under an exploration** (a `gist_audit::mc::McScheduler` is
 //!   registered and the calling thread is one of its managed tasks)
 //!   every operation becomes a cooperative yield point and all blocking
 //!   is *virtualized*: `lock` spins on `try_lock` with virtual parking
@@ -277,132 +280,6 @@ impl Default for Condvar {
     }
 }
 
-// ---------------------------------------------------------------------
-// RwLock
-// ---------------------------------------------------------------------
-
-/// Instrumented reader/writer lock (plain guards only; the buffer
-/// pool's Arc-owned frame latches stay on `parking_lot` directly and
-/// are covered by the audit latch hooks instead).
-pub struct RwLock<T: ?Sized> {
-    #[cfg_attr(not(feature = "latch-audit"), allow(dead_code))]
-    id: u64,
-    inner: parking_lot::RwLock<T>,
-}
-
-impl<T> RwLock<T> {
-    /// New lock holding `value`.
-    pub fn new(value: T) -> Self {
-        RwLock { id: next_id(), inner: parking_lot::RwLock::new(value) }
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquire in shared mode.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        #[cfg(feature = "latch-audit")]
-        if let Some(s) = mc::scheduler() {
-            let obj = McObj::new(ObjKind::RwLock, self.id);
-            loop {
-                s.yield_point(McOp::RwRead, obj, "rwlock-read");
-                if let Some(g) = self.inner.try_read() {
-                    return RwLockReadGuard { lock: self, inner: Some(g) };
-                }
-                s.park(obj, None);
-            }
-        }
-        RwLockReadGuard { lock: self, inner: Some(self.inner.read()) }
-    }
-
-    /// Acquire in exclusive mode.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        #[cfg(feature = "latch-audit")]
-        if let Some(s) = mc::scheduler() {
-            let obj = McObj::new(ObjKind::RwLock, self.id);
-            loop {
-                s.yield_point(McOp::RwWrite, obj, "rwlock-write");
-                if let Some(g) = self.inner.try_write() {
-                    return RwLockWriteGuard { lock: self, inner: Some(g) };
-                }
-                s.park(obj, None);
-            }
-        }
-        RwLockWriteGuard { lock: self, inner: Some(self.inner.write()) }
-    }
-}
-
-/// Shared guard borrowed from an [`RwLock`].
-pub struct RwLockReadGuard<'a, T: ?Sized> {
-    #[cfg_attr(not(feature = "latch-audit"), allow(dead_code))]
-    lock: &'a RwLock<T>,
-    inner: Option<parking_lot::RwLockReadGuard<'a, T>>,
-}
-
-impl<T: ?Sized> std::ops::Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        match self.inner.as_ref() {
-            Some(g) => g,
-            // `inner` is only taken in Drop; no deref can follow it.
-            None => unreachable!("rwlock read guard dereferenced after drop"),
-        }
-    }
-}
-
-impl<T: ?Sized> Drop for RwLockReadGuard<'_, T> {
-    fn drop(&mut self) {
-        #[cfg(feature = "latch-audit")]
-        if self.inner.is_some() {
-            if let Some(s) = mc::scheduler() {
-                let obj = McObj::new(ObjKind::RwLock, self.lock.id);
-                self.inner = None;
-                s.unpark(obj, true);
-                s.yield_point(McOp::RwUnlock, obj, "rwlock-read-unlock");
-            }
-        }
-    }
-}
-
-/// Exclusive guard borrowed from an [`RwLock`].
-pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    #[cfg_attr(not(feature = "latch-audit"), allow(dead_code))]
-    lock: &'a RwLock<T>,
-    inner: Option<parking_lot::RwLockWriteGuard<'a, T>>,
-}
-
-impl<T: ?Sized> std::ops::Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        match self.inner.as_ref() {
-            Some(g) => g,
-            None => unreachable!("rwlock write guard dereferenced after drop"),
-        }
-    }
-}
-
-impl<T: ?Sized> std::ops::DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        match self.inner.as_mut() {
-            Some(g) => g,
-            None => unreachable!("rwlock write guard dereferenced after drop"),
-        }
-    }
-}
-
-impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        #[cfg(feature = "latch-audit")]
-        if self.inner.is_some() {
-            if let Some(s) = mc::scheduler() {
-                let obj = McObj::new(ObjKind::RwLock, self.lock.id);
-                self.inner = None;
-                s.unpark(obj, true);
-                s.yield_point(McOp::RwUnlock, obj, "rwlock-write-unlock");
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -440,17 +317,5 @@ mod tests {
         }
         drop(g);
         h.join().unwrap();
-    }
-
-    #[test]
-    fn rwlock_passthrough_shares_and_excludes() {
-        let l = RwLock::new(5);
-        {
-            let r1 = l.read();
-            let r2 = l.read();
-            assert_eq!(*r1 + *r2, 10);
-        }
-        *l.write() = 7;
-        assert_eq!(*l.read(), 7);
     }
 }

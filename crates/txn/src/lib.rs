@@ -14,14 +14,20 @@
 //!   then releases predicate locks and record/signaling locks — strict
 //!   two-phase locking with predicate attachments held to transaction end
 //!   (§4.3).
-//! - **abort** writes `TxnAbort`, performs *logical undo* through the
-//!   caller-supplied [`RecoveryHandler`] (the GiST layer), writes
-//!   `TxnEnd`, then releases everything.
-//! - **savepoints** (§10.2): partial rollback to a recorded LSN keeps the
-//!   transaction (and its locks) alive; signaling locks existing at the
-//!   savepoint are *pinned* so they are not released when the node is
-//!   later visited — the restored cursor stacks still reference those
-//!   nodes.
+//! - **abort** performs *logical undo* through the caller-supplied
+//!   [`RecoveryHandler`] (the GiST layer), one CLR per undone record,
+//!   writes `TxnEnd`, then releases everything. No abort record precedes
+//!   the CLRs: restart undoes a transaction without an end record the
+//!   same way whether or not its abort had begun.
+//! - **savepoints** (§10.2): a savepoint is the transaction's last LSN
+//!   when it is taken, kept in the table and never logged; partial
+//!   rollback to it keeps the transaction (and its locks) alive, and
+//!   signaling locks existing at the savepoint are *pinned* so they are
+//!   not released when the node is later visited — the restored cursor
+//!   stacks still reference those nodes.
+//! - **nested top actions** (§9.1): [`TxnManager::begin_nta`] remembers
+//!   the transaction's last LSN and [`TxnManager::end_nta`] appends the
+//!   `NtaEnd` dummy CLR pointing back to it, so rollback skips the unit.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -34,7 +40,7 @@ use gist_lockmgr::{LockError, LockManager, LockMode, LockName};
 use gist_pagestore::PageId;
 use gist_predlock::PredicateManager;
 use gist_wal::recovery::{rollback, RecoveryHandler, RollbackKind};
-use gist_wal::{LogManager, Lsn, NestedTopAction, Payload, RecordBody, TxnId};
+use gist_wal::{LogManager, Lsn, Payload, RecordBody, TxnId};
 
 /// A leaf page that a transaction left delete-marked entries on —
 /// physical reclamation is deferred to the maintenance daemon, which
@@ -80,6 +86,19 @@ pub enum TxnStatus {
     Committed,
     /// Abort decided; rollback in progress.
     Aborting,
+}
+
+/// Token bracketing a nested top action (§9.1).
+///
+/// Created when the atomic unit of work starts; carries the transaction's
+/// backchain position at that point. When the unit finishes,
+/// [`TxnManager::end_nta`] writes a dummy CLR whose `undo_next` points to
+/// that position, so a later rollback of the surrounding transaction skips
+/// every record the unit wrote.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NestedTopAction {
+    /// The transaction's `last_lsn` before the unit's first record.
+    pub undo_next: Lsn,
 }
 
 /// Savepoint handle (transaction-local, monotonically increasing).
@@ -316,7 +335,7 @@ impl TxnManager {
     pub fn begin_nta(&self, txn: TxnId) -> Result<NestedTopAction, TxnError> {
         let table = self.table.lock();
         let info = table.get(&txn).ok_or(TxnError::NotActive(txn))?;
-        Ok(self.log.begin_nta(info.last_lsn))
+        Ok(NestedTopAction { undo_next: info.last_lsn })
     }
 
     /// Finish a nested top action for `txn`: writes the dummy CLR that
@@ -333,7 +352,8 @@ impl TxnManager {
     pub fn end_nta(&self, txn: TxnId, nta: NestedTopAction) -> Result<Lsn, TxnError> {
         let mut table = self.table.lock();
         let info = table.get_mut(&txn).ok_or(TxnError::NotActive(txn))?;
-        let lsn = self.log.end_nta(txn, info.last_lsn, nta);
+        let body = RecordBody::NtaEnd { undo_next: nta.undo_next };
+        let lsn = self.log.append(txn, info.last_lsn, body);
         info.last_lsn = lsn;
         Ok(lsn)
     }
@@ -416,13 +436,11 @@ impl TxnManager {
                 TxnStatus::Active => {}
             }
             info.status = TxnStatus::Aborting;
-            let abort_lsn = self.log.append(txn, info.last_lsn, RecordBody::TxnAbort);
-            info.last_lsn = abort_lsn;
-            abort_lsn
+            info.last_lsn
         };
         // Undo outside the table lock: logical undo latches pages and may
         // take time.
-        let chain_end = rollback(&self.log, handler, txn, last_lsn, Lsn::NULL, RollbackKind::Abort)
+        let chain_end = rollback(&self.log, handler, txn, last_lsn, Lsn::NULL, RollbackKind::Live)
             .map_err(|e| TxnError::Undo(e.0))?;
         {
             let mut table = self.table.lock();
@@ -438,16 +456,15 @@ impl TxnManager {
         Ok(())
     }
 
-    /// Establish a savepoint (§10.2). The caller (cursor layer) snapshots
-    /// its stacks alongside.
+    /// Establish a savepoint (§10.2): remember the transaction's current
+    /// last LSN, logging nothing. The caller (cursor layer) snapshots its
+    /// stacks alongside.
     pub fn savepoint(&self, txn: TxnId) -> Result<SavepointId, TxnError> {
         let mut table = self.table.lock();
         let info = table.get_mut(&txn).ok_or(TxnError::NotActive(txn))?;
         info.next_savepoint += 1;
         let id = SavepointId(info.next_savepoint);
-        let lsn = self.log.append(txn, info.last_lsn, RecordBody::Savepoint { id: id.0 });
-        info.last_lsn = lsn;
-        info.savepoints.push((id, lsn));
+        info.savepoints.push((id, info.last_lsn));
         // Pin the signaling locks existing now: they must survive later
         // visits so a restored cursor's stacked pointers stay protected.
         for name in self.locks.held_by(txn) {
@@ -479,9 +496,8 @@ impl TxnManager {
                 .ok_or(TxnError::NoSuchSavepoint(sp))?;
             (info.last_lsn, sp_lsn)
         };
-        let chain_end =
-            rollback(&self.log, handler, txn, last_lsn, sp_lsn, RollbackKind::Savepoint)
-                .map_err(|e| TxnError::Undo(e.0))?;
+        let chain_end = rollback(&self.log, handler, txn, last_lsn, sp_lsn, RollbackKind::Live)
+            .map_err(|e| TxnError::Undo(e.0))?;
         let mut table = self.table.lock();
         let info = table.get_mut(&txn).ok_or(TxnError::NotActive(txn))?;
         info.last_lsn = chain_end;

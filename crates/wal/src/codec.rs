@@ -21,9 +21,9 @@ impl std::error::Error for CodecError {}
 
 const TAG_BEGIN: u8 = 1;
 const TAG_COMMIT: u8 = 2;
-const TAG_ABORT: u8 = 3;
+// Tags 3 and 5 stay unassigned: `GISTWAL1` logs used them for the abort
+// and savepoint records.
 const TAG_END: u8 = 4;
-const TAG_SAVEPOINT: u8 = 5;
 const TAG_CLR: u8 = 6;
 const TAG_NTA_END: u8 = 7;
 const TAG_CHECKPOINT: u8 = 8;
@@ -141,12 +141,7 @@ pub fn encode_record(rec: &LogRecord) -> Vec<u8> {
     match &rec.body {
         RecordBody::TxnBegin => out.push(TAG_BEGIN),
         RecordBody::TxnCommit => out.push(TAG_COMMIT),
-        RecordBody::TxnAbort => out.push(TAG_ABORT),
         RecordBody::TxnEnd => out.push(TAG_END),
-        RecordBody::Savepoint { id } => {
-            out.push(TAG_SAVEPOINT);
-            put_u32(&mut out, *id);
-        }
         RecordBody::Clr { undo_next, redo } => {
             out.push(TAG_CLR);
             put_u64(&mut out, undo_next.0);
@@ -189,9 +184,7 @@ pub fn decode_record(buf: &[u8]) -> Result<LogRecord, CodecError> {
     let body = match tag {
         TAG_BEGIN => RecordBody::TxnBegin,
         TAG_COMMIT => RecordBody::TxnCommit,
-        TAG_ABORT => RecordBody::TxnAbort,
         TAG_END => RecordBody::TxnEnd,
-        TAG_SAVEPOINT => RecordBody::Savepoint { id: r.u32()? },
         TAG_CLR => {
             let undo_next = Lsn(r.u64()?);
             let redo = read_payload(&mut r)?;

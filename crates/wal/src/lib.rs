@@ -9,10 +9,10 @@
 //!
 //! - log sequence numbers ([`Lsn`]) and per-transaction backchains,
 //! - compensation log records (CLRs) with `undo_next` pointers,
-//! - **nested top actions** ("atomic units of work", §9.1 footnote 12):
-//!   a sequence of page updates whose log records are skipped during
-//!   transaction rollback by a dummy CLR, so that structure modifications
-//!   commit independently of the surrounding transaction,
+//! - the dummy CLR that closes a **nested top action** ("atomic unit of
+//!   work", §9.1 footnote 12): rollback jumps over every record the unit
+//!   wrote, so structure modifications commit independently of the
+//!   surrounding transaction (the transaction layer brackets the unit),
 //! - a restart driver with the classic three passes — analysis,
 //!   page-oriented redo, and undo with *logical undo* delegated to a
 //!   resource-manager callback ([`RecoveryHandler`]).
@@ -39,22 +39,9 @@ pub use lsn::{Lsn, TxnId};
 pub use record::{LogRecord, Payload, RecordBody};
 pub use log::{LogFlusher, LogManager, WalTailReport};
 pub use recovery::{
-    restart, restart_with_floor, rollback, AnalysisResult, RecoveryError, RecoveryHandler,
+    restart_with_floor, rollback, AnalysisResult, RecoveryError, RecoveryHandler,
     RestartOutcome, RollbackKind,
 };
-
-/// Token bracketing a nested top action (§9.1).
-///
-/// Created when the atomic unit of work starts; carries the transaction's
-/// backchain position at that point. When the unit finishes,
-/// [`LogManager::end_nta`] writes a dummy CLR whose `undo_next` points to
-/// that position, so a later rollback of the surrounding transaction skips
-/// every record the unit wrote.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NestedTopAction {
-    /// The transaction's `last_lsn` before the unit's first record.
-    pub undo_next: Lsn,
-}
 
 #[cfg(test)]
 mod tests;

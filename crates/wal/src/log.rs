@@ -17,7 +17,7 @@ use std::time::Duration;
 use gist_sync::Mutex;
 
 use crate::codec;
-use crate::{LogRecord, Lsn, NestedTopAction, RecordBody, TxnId};
+use crate::{LogRecord, Lsn, RecordBody, TxnId};
 
 /// Anything that can force the log durable up to an LSN.
 ///
@@ -246,23 +246,6 @@ impl LogManager {
         newest_first.find(|r| matches!(r.body, RecordBody::Checkpoint { .. })).map(|r| r.lsn)
     }
 
-    /// Begin a nested top action for `txn` whose backchain currently ends
-    /// at `txn_last_lsn`.
-    pub fn begin_nta(&self, txn_last_lsn: Lsn) -> NestedTopAction {
-        NestedTopAction { undo_next: txn_last_lsn }
-    }
-
-    /// Finish a nested top action: writes the dummy CLR that makes the
-    /// whole unit of work invisible to rollback. Returns the new last LSN
-    /// for the transaction's backchain.
-    ///
-    /// The terminator is not forced, here or by the transaction layer:
-    /// prefix durability makes a lost terminator indistinguishable from
-    /// a crash inside the unit (`TxnManager::end_nta`).
-    pub fn end_nta(&self, txn: TxnId, txn_last_lsn: Lsn, nta: NestedTopAction) -> Lsn {
-        self.append(txn, txn_last_lsn, RecordBody::NtaEnd { undo_next: nta.undo_next })
-    }
-
     /// Persist the durable prefix to a file (see [`LogManager::load_file`]).
     ///
     /// Format: an 8-byte magic, then one frame per record —
@@ -305,17 +288,25 @@ impl LogManager {
     ///   further bytes) cannot be explained by a crash mid-append and
     ///   stays a hard `InvalidData` error.
     ///
-    /// A missing or wrong magic is always a hard error. One inherent
-    /// ambiguity: interior corruption *of a length field* that makes the
-    /// frame overshoot EOF is indistinguishable from a tear and is
-    /// truncated.
+    /// A missing or wrong magic is always a hard error naming the file;
+    /// a `GISTWAL1` file (the format before this one) is refused as
+    /// such. One inherent ambiguity: interior corruption *of a length
+    /// field* that makes the frame overshoot EOF is indistinguishable
+    /// from a tear and is truncated.
     pub fn load_file_report(path: &Path) -> io::Result<(LogManager, WalTailReport)> {
         let mut bytes = Vec::new();
         fs::File::open(path)?.read_to_end(&mut bytes)?;
-        if bytes.len() < WAL_MAGIC.len() || &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
+        let magic = bytes.get(..WAL_MAGIC.len());
+        if magic != Some(WAL_MAGIC.as_slice()) {
+            let what = if magic == Some(OLD_WAL_MAGIC.as_slice()) {
+                "was written by an older log format (GISTWAL1, with abort and savepoint \
+                 records); this build reads only GISTWAL2"
+            } else {
+                "has no WAL magic (not a log file)"
+            };
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
-                "log file magic missing or wrong (not a WAL file)",
+                format!("{}: {what}", path.display()),
             ));
         }
         let mut records = Records::default();
@@ -386,7 +377,12 @@ impl LogManager {
 }
 
 /// Magic prefix of a persisted WAL file.
-const WAL_MAGIC: &[u8; 8] = b"GISTWAL1";
+const WAL_MAGIC: &[u8; 8] = b"GISTWAL2";
+
+/// Magic of the format before the abort and savepoint records were
+/// dropped. Refused by name: its tags 3 and 5 would otherwise read as a
+/// torn tail or as interior corruption.
+const OLD_WAL_MAGIC: &[u8; 8] = b"GISTWAL1";
 
 fn interior_corruption(recno: usize, what: &str) -> io::Error {
     io::Error::new(

@@ -31,15 +31,8 @@ pub enum RecordBody {
     TxnBegin,
     /// Transaction commit (forces the log).
     TxnCommit,
-    /// Transaction abort decided; undo follows, then [`RecordBody::TxnEnd`].
-    TxnAbort,
     /// Transaction fully finished (committed or rolled back).
     TxnEnd,
-    /// A savepoint was established (§10.2).
-    Savepoint {
-        /// Transaction-local savepoint number.
-        id: u32,
-    },
     /// Compensation log record: describes (redo-only) an undo that was
     /// performed, and points the rollback past the undone record.
     Clr {
@@ -79,22 +72,6 @@ pub enum RecordBody {
 }
 
 impl RecordBody {
-    /// Short tag for diagnostics.
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            RecordBody::TxnBegin => "TxnBegin",
-            RecordBody::TxnCommit => "TxnCommit",
-            RecordBody::TxnAbort => "TxnAbort",
-            RecordBody::TxnEnd => "TxnEnd",
-            RecordBody::Savepoint { .. } => "Savepoint",
-            RecordBody::Clr { .. } => "Clr",
-            RecordBody::NtaEnd { .. } => "NtaEnd",
-            RecordBody::Checkpoint { .. } => "Checkpoint",
-            RecordBody::Payload(_) => "Payload",
-            RecordBody::Noop => "Noop",
-        }
-    }
-
     /// Whether rollback must invoke the resource-manager undo for this
     /// record. Only content records are undone; CLRs and NTA terminators
     /// only redirect the chain.

@@ -56,12 +56,11 @@ pub trait RecoveryHandler {
 /// Why a rollback is being performed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RollbackKind {
-    /// Live transaction abort: logical undo may perform structure
+    /// Live rollback, a transaction abort or a partial rollback to a
+    /// savepoint (§10.2): logical undo may perform structure
     /// modifications (e.g. immediate garbage collection, Table 1
     /// Add-Leaf-Entry undo).
-    Abort,
-    /// Partial rollback to a savepoint (§10.2).
-    Savepoint,
+    Live,
     /// Restart undo after a crash: structure modifications forbidden.
     Restart,
 }
@@ -132,8 +131,6 @@ pub enum TxnStatus {
     /// Commit record found but no end record: a winner, just needs its end
     /// record written.
     Committed,
-    /// Abort record found but rollback unfinished: still a loser.
-    Aborting,
 }
 
 /// Output of the analysis pass.
@@ -188,15 +185,11 @@ pub fn analysis(log: &LogManager) -> AnalysisResult {
                 RecordBody::TxnCommit => {
                     res.txn_table.insert(rec.txn, (rec.lsn, TxnStatus::Committed));
                 }
-                RecordBody::TxnAbort => {
-                    res.txn_table.insert(rec.txn, (rec.lsn, TxnStatus::Aborting));
-                }
                 // Every other record only advances the transaction's last
                 // LSN. Named exhaustively (no wildcard) so that a new
                 // record kind forces a decision about its analysis
                 // treatment — gist-lint checks this coverage.
                 RecordBody::TxnBegin
-                | RecordBody::Savepoint { .. }
                 | RecordBody::NtaEnd { .. }
                 | RecordBody::Clr { .. }
                 | RecordBody::Checkpoint { .. }
@@ -251,21 +244,17 @@ pub struct RestartOutcome {
 /// idempotence in the handler), then undo of losers with logical undo and
 /// no structure modifications (§9.2).
 ///
-/// On return the log has been flushed; the caller is responsible for
-/// flushing data pages (or leaving them to the buffer pool).
-pub fn restart(
-    log: &LogManager,
-    handler: &dyn RecoveryHandler,
-) -> Result<RestartOutcome, RecoveryError> {
-    restart_with_floor(log, handler, Lsn(u64::MAX))
-}
-
-/// [`restart`] with a *redo floor*: the redo pass starts no later than
-/// `floor`. Used by torn-page repair — a quarantined (zeroed) page has
-/// page LSN 0 and its content exists only in the log, so redo must
-/// repeat history from the log start (`floor = Lsn(1)`) regardless of
-/// what the dirty-page table claims. Page-LSN idempotence makes the
-/// wider scan safe for every healthy page.
+/// `floor` caps where the redo pass starts. Used by torn-page repair — a
+/// quarantined (zeroed) page has page LSN 0 and its content exists only
+/// in the log, so redo must repeat history from the log start
+/// (`floor = Lsn(1)`) regardless of what the dirty-page table claims.
+/// Page-LSN idempotence makes the wider scan safe for every healthy page;
+/// `Lsn(u64::MAX)` leaves the start to the dirty-page table.
+///
+/// The end records restart writes are appended unforced and the log is
+/// synced once, after the undo pass; on return the whole log is durable.
+/// The caller is responsible for flushing data pages (or leaving them to
+/// the buffer pool).
 pub fn restart_with_floor(
     log: &LogManager,
     handler: &dyn RecoveryHandler,
@@ -303,15 +292,18 @@ pub fn restart_with_floor(
     }
 
     // Undo pass: roll back losers; finish winners that lack an end record.
+    // The end records are what keep a resolved transaction from being
+    // resolved again: transaction ids restart at 1 in every incarnation,
+    // so a later incarnation's transaction with the same id would
+    // otherwise inherit this one's backchain at the next restart.
     let mut losers: Vec<(TxnId, Lsn)> = Vec::new();
     for (txn, (last, status)) in &analysis_res.txn_table {
         match status {
             TxnStatus::Committed => {
-                let end = log.append(*txn, *last, RecordBody::TxnEnd);
-                log.fsync_to(end);
+                log.append(*txn, *last, RecordBody::TxnEnd);
                 outcome.completed_winners.push(*txn);
             }
-            TxnStatus::Active | TxnStatus::Aborting => losers.push((*txn, *last)),
+            TxnStatus::Active => losers.push((*txn, *last)),
         }
     }
     // Deterministic order (oldest first) for reproducible tests.
@@ -320,10 +312,11 @@ pub fn restart_with_floor(
         let before = log.len();
         let chain_end = rollback(log, handler, txn, last, Lsn::NULL, RollbackKind::Restart)?;
         outcome.clrs_written += log.len() - before;
-        let end = log.append(txn, chain_end, RecordBody::TxnEnd);
-        log.fsync_to(end);
+        log.append(txn, chain_end, RecordBody::TxnEnd);
         outcome.losers.push(txn);
     }
+    // One sync for every CLR and end record above. A crash before it
+    // loses them all, and the next restart simply redoes this one.
     log.flush_all();
     Ok(outcome)
 }

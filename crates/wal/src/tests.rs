@@ -4,7 +4,7 @@
 use std::sync::Mutex;
 
 use crate::codec::{decode_record, encode_record};
-use crate::recovery::{analysis, restart, rollback, RollbackKind, TxnStatus};
+use crate::recovery::{analysis, restart_with_floor, rollback, RollbackKind, TxnStatus};
 use crate::{
     LogManager, LogRecord, Lsn, Payload, RecordBody, RecoveryError, RecoveryHandler, TxnId,
 };
@@ -98,6 +98,11 @@ fn setup(cells: usize) -> (std::sync::Arc<LogManager>, Cells) {
     (log, rm)
 }
 
+/// Restart with the redo start left to the dirty-page table.
+fn restart(log: &LogManager, rm: &Cells) -> Result<crate::RestartOutcome, RecoveryError> {
+    restart_with_floor(log, rm, Lsn(u64::MAX))
+}
+
 #[test]
 fn lsns_are_dense_and_monotonic() {
     let log = LogManager::new();
@@ -106,7 +111,7 @@ fn lsns_are_dense_and_monotonic() {
     assert_eq!(a, Lsn(1));
     assert_eq!(b, Lsn(2));
     assert_eq!(log.last_lsn(), Lsn(2));
-    assert_eq!(log.get(a).body.kind_name(), "TxnBegin");
+    assert_eq!(log.get(a).body, RecordBody::TxnBegin);
 }
 
 #[test]
@@ -141,7 +146,7 @@ fn rollback_undoes_in_reverse_and_writes_clrs() {
     let l3 = rm.set(t, l2, 0, 30);
     assert_eq!(rm.get(0), 30);
 
-    let end = rollback(&log, &rm, t, l3, Lsn::NULL, RollbackKind::Abort).unwrap();
+    let end = rollback(&log, &rm, t, l3, Lsn::NULL, RollbackKind::Live).unwrap();
     assert_eq!(rm.get(0), 0);
     assert_eq!(rm.get(1), 0);
     // Three CLRs were written and the chain end moved forward.
@@ -156,11 +161,12 @@ fn partial_rollback_stops_at_savepoint() {
     let t = TxnId(1);
     let l0 = log.append(t, Lsn::NULL, RecordBody::TxnBegin);
     let l1 = rm.set(t, l0, 0, 10);
-    let sp = log.append(t, l1, RecordBody::Savepoint { id: 1 });
+    // A savepoint is the transaction's last LSN when it was taken.
+    let sp = l1;
     let l2 = rm.set(t, sp, 1, 20);
     let l3 = rm.set(t, l2, 0, 30);
 
-    rollback(&log, &rm, t, l3, sp, RollbackKind::Savepoint).unwrap();
+    rollback(&log, &rm, t, l3, sp, RollbackKind::Live).unwrap();
     // Updates after the savepoint are gone; the one before survives.
     assert_eq!(rm.get(1), 0);
     assert_eq!(rm.get(0), 10);
@@ -172,14 +178,14 @@ fn nta_records_are_skipped_by_rollback() {
     let t = TxnId(1);
     let l0 = log.append(t, Lsn::NULL, RecordBody::TxnBegin);
     let l1 = rm.set(t, l0, 0, 10);
-    // Structure modification: cells 2 and 3 updated inside an NTA.
-    let nta = log.begin_nta(l1);
+    // Structure modification: cells 2 and 3 updated inside an NTA, whose
+    // dummy CLR points back to the last LSN before the unit.
     let s1 = rm.set(t, l1, 2, 111);
     let s2 = rm.set(t, s1, 3, 222);
-    let l2 = log.end_nta(t, s2, nta);
+    let l2 = log.append(t, s2, RecordBody::NtaEnd { undo_next: l1 });
     let l3 = rm.set(t, l2, 1, 20);
 
-    rollback(&log, &rm, t, l3, Lsn::NULL, RollbackKind::Abort).unwrap();
+    rollback(&log, &rm, t, l3, Lsn::NULL, RollbackKind::Live).unwrap();
     // Content updates are undone, the NTA's updates survive.
     assert_eq!(rm.get(0), 0);
     assert_eq!(rm.get(1), 0);
@@ -192,10 +198,10 @@ fn incomplete_nta_is_undone_at_restart() {
     let (log, rm) = setup(4);
     let t = TxnId(1);
     let l0 = log.append(t, Lsn::NULL, RecordBody::TxnBegin);
-    let _nta = log.begin_nta(l0);
     let s1 = rm.set(t, l0, 2, 111);
     let _s2 = rm.set(t, s1, 3, 222);
-    // Crash before end_nta: the NTA is incomplete and must be rolled back.
+    // Crash before the NtaEnd: the NTA is incomplete and must be rolled
+    // back.
     log.flush_all();
     log.crash();
     rm.wipe();
@@ -309,14 +315,13 @@ fn analysis_tracks_statuses_and_checkpoint() {
     let u1 = rm.set(t1, b1, 0, 1);
     let c1 = log.append(t1, u1, RecordBody::TxnCommit);
     let e1 = log.append(t1, c1, RecordBody::TxnEnd);
-    let _a2 = log.append(t2, b2, RecordBody::TxnAbort);
     let u3 = rm.set(t3, b3, 1, 2);
     log.fsync_to(e1);
 
     let res = analysis(&log);
     assert_eq!(res.start_lsn, b2, "scan resumes at the checkpoint's scan_start");
     assert!(!res.txn_table.contains_key(&t1), "ended txn dropped");
-    assert_eq!(res.txn_table[&t2].1, TxnStatus::Aborting);
+    assert_eq!(res.txn_table[&t2], (b2, TxnStatus::Active), "seeded by the checkpoint");
     assert_eq!(res.txn_table[&t3], (u3, TxnStatus::Active));
     assert!(res.dirty_pages.contains_key(&1));
 }
@@ -326,9 +331,7 @@ fn codec_roundtrips_all_record_kinds() {
     let bodies = vec![
         RecordBody::TxnBegin,
         RecordBody::TxnCommit,
-        RecordBody::TxnAbort,
         RecordBody::TxnEnd,
-        RecordBody::Savepoint { id: 7 },
         RecordBody::Clr {
             undo_next: Lsn(3),
             redo: Payload::new(vec![1, 2], vec![9, 8, 7]),
@@ -341,6 +344,7 @@ fn codec_roundtrips_all_record_kinds() {
         },
         RecordBody::Payload(Payload::new(vec![], vec![])),
         RecordBody::Payload(Payload::new(vec![42], (0..255u8).collect())),
+        RecordBody::Noop,
     ];
     for (i, body) in bodies.into_iter().enumerate() {
         let rec = LogRecord { lsn: Lsn(i as u64 + 1), prev_lsn: Lsn(i as u64), txn: TxnId(9), body };
@@ -365,6 +369,13 @@ fn codec_rejects_truncation_and_junk() {
     let mut junk = enc.clone();
     junk[24] = 200; // invalid tag
     assert!(decode_record(&junk).is_err());
+    // The abort and savepoint records' old tags stay unassigned.
+    let end = encode_record(&LogRecord { body: RecordBody::TxnEnd, ..rec });
+    for retired in [3u8, 5] {
+        let mut old = end.clone();
+        old[24] = retired;
+        assert!(decode_record(&old).is_err(), "tag {retired} must not decode");
+    }
 }
 
 #[test]
@@ -466,9 +477,64 @@ fn wrong_magic_is_a_hard_error() {
     let dir = std::env::temp_dir().join(format!("gist-wal-fault-magic-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("wal.log");
-    std::fs::write(&path, b"NOTAWAL!rest of garbage").unwrap();
-    assert!(LogManager::load_file(&path).is_err());
+    // No magic at all, and the previous format's, which is named.
+    let cases: [(&[u8], &str); 2] =
+        [(b"NOTAWAL!rest of garbage", "not a log file"), (b"GISTWAL1", "GISTWAL1")];
+    for (bytes, named) in cases {
+        std::fs::write(&path, bytes).unwrap();
+        let Err(err) = LogManager::load_file(&path).map(|_| ()) else {
+            panic!("{named}: must not load");
+        };
+        let msg = err.to_string();
+        assert!(msg.contains(&path.display().to_string()) && msg.contains(named), "{msg}");
+    }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Restart resolves two winners and two losers without syncing in
+/// between: its end records are unforced, and the one sync follows the
+/// undo pass. A handler that watches the durable horizon at every undo
+/// sees it where the crash left it.
+#[test]
+fn restart_syncs_once_after_its_undo_pass() {
+    struct Watch<'a> {
+        rm: &'a Cells,
+        durable_at_undo: Mutex<Vec<Lsn>>,
+    }
+    impl RecoveryHandler for Watch<'_> {
+        fn redo(&self, lsn: Lsn, payload: &Payload) -> Result<bool, RecoveryError> {
+            self.rm.redo(lsn, payload)
+        }
+        fn undo(
+            &self,
+            rec: &LogRecord,
+            payload: &Payload,
+            restart: bool,
+            log_clr: &mut dyn FnMut(Payload) -> Lsn,
+        ) -> Result<(), RecoveryError> {
+            self.durable_at_undo.lock().unwrap().push(self.rm.log.flushed_lsn());
+            self.rm.undo(rec, payload, restart, log_clr)
+        }
+    }
+    let (log, rm) = setup(4);
+    for t in 1..=4u64 {
+        let b = log.append(TxnId(t), Lsn::NULL, RecordBody::TxnBegin);
+        let u = rm.set(TxnId(t), b, t as u32 - 1, t);
+        if t <= 2 {
+            log.append(TxnId(t), u, RecordBody::TxnCommit);
+        }
+    }
+    log.flush_all();
+    log.crash();
+    rm.wipe();
+    let crashed_at = log.flushed_lsn();
+
+    let watch = Watch { rm: &rm, durable_at_undo: Mutex::new(Vec::new()) };
+    let out = restart_with_floor(&log, &watch, Lsn(u64::MAX)).unwrap();
+    assert_eq!((out.completed_winners.len(), out.losers.len()), (2, 2));
+    let seen = watch.durable_at_undo.into_inner().unwrap();
+    assert_eq!(seen, vec![crashed_at; 2], "restart synced before its undo pass ended");
+    assert_eq!(log.flushed_lsn(), log.last_lsn(), "restart ends with the log durable");
 }
 
 #[test]
@@ -479,7 +545,7 @@ fn rollback_with_corrupt_backchain_errors_instead_of_panicking() {
     let _u = rm.set(t, b, 0, 5);
     // A backchain pointer beyond the end of the log (corrupt chain).
     let bogus = Lsn(999);
-    let err = rollback(&log, &rm, t, bogus, Lsn::NULL, RollbackKind::Abort).unwrap_err();
+    let err = rollback(&log, &rm, t, bogus, Lsn::NULL, RollbackKind::Live).unwrap_err();
     assert!(err.0.contains("beyond end of log"), "{err}");
 }
 

@@ -40,15 +40,14 @@ impl Gen {
     }
 
     fn body(&mut self) -> RecordBody {
-        match self.below(9) {
+        match self.below(8) {
             0 => RecordBody::TxnBegin,
             1 => RecordBody::TxnCommit,
-            2 => RecordBody::TxnAbort,
-            3 => RecordBody::TxnEnd,
-            4 => RecordBody::Savepoint { id: self.next() as u32 },
-            5 => RecordBody::Clr { undo_next: Lsn(self.next()), redo: self.payload() },
-            6 => RecordBody::NtaEnd { undo_next: Lsn(self.next()) },
-            7 => {
+            2 => RecordBody::TxnEnd,
+            3 => RecordBody::Clr { undo_next: Lsn(self.next()), redo: self.payload() },
+            4 => RecordBody::NtaEnd { undo_next: Lsn(self.next()) },
+            5 => RecordBody::Noop,
+            6 => {
                 let ntxn = self.below(6) as usize;
                 let active_txns =
                     (0..ntxn).map(|_| (TxnId(self.next()), Lsn(self.next()))).collect();

@@ -16,7 +16,7 @@
 //! Inside a frame, [`Request`] and [`Response`] serialize with a 1-byte
 //! tag followed by fixed-width little-endian fields and length-prefixed
 //! byte strings. Decoding is **fuzz-safe by contract**: every read is
-//! bounds-checked through the [`Reader`] cursor, every length is capped
+//! bounds-checked through the `Reader` cursor, every length is capped
 //! before any allocation, and malformed input of any shape yields a
 //! typed [`WireError`] — never a panic, never an out-of-bounds slice.
 //! `tests/serve.rs` holds the protocol corpus that drives arbitrary and

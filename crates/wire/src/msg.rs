@@ -90,7 +90,7 @@ pub enum Request {
         /// Upper bound (inclusive).
         hi: i64,
     },
-    /// Engine health verdict (serialized [`Db::health`]).
+    /// Engine health verdict (serialized `Db::health`).
     Health,
     /// Robustness counters (serialized `robustness_stats()` + serve stats).
     Stats,

@@ -8,8 +8,8 @@
 # crate), with the maintenance-subsystem integration tests called out so
 # a filtered run can't silently skip them.
 #
-# Tier 2: zero clippy warnings, zero gist-lint violations, the test
-# suite under the gist-audit dynamic discipline analyzer
+# Tier 2: zero clippy warnings, zero gist-lint violations, zero rustdoc
+# warnings, the test suite under the gist-audit dynamic discipline analyzer
 # (`--features latch-audit`), the fault/chaos/overload/serve harnesses
 # (one of them a cross-layer scenario under one seeded fault plan), the
 # process-kill tests on the release binaries, and the bench_e2e
@@ -74,6 +74,10 @@ step "tier 2: clippy (chaos,latch-audit,model-check)" \
     cargo clippy --workspace --all-targets --features chaos,latch-audit,model-check -- -D warnings
 step "tier 2: gist-lint static rules" \
     cargo run -q --bin gist-lint
+# `--lib`: the gist-serve binary's docs would collide with the gist-serve
+# crate's. Fails on broken or private intra-doc links.
+step "tier 2: rustdoc (no warnings)" \
+    env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib --offline
 step "tier 2: cargo test -q --features latch-audit" \
     cargo test -q --features latch-audit
 step "tier 2: lock/predicate/pool table stress under latch-audit" \

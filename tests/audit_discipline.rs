@@ -98,6 +98,25 @@ fn duplicate_nsn_is_flagged() {
     );
 }
 
+/// Mutation through the real draw path: in `WalLsn` mode a split's NSN
+/// is its split record's LSN, so handing `Db::split_nsn` the same LSN
+/// twice reissues an NSN. A draw path that stopped reporting to the
+/// auditor would let this pass silently.
+#[test]
+fn split_nsn_reissued_through_db_is_flagged() {
+    use gist_repro::core::NsnSource;
+    use gist_repro::wal::Lsn;
+    let config = DbConfig { nsn_source: NsnSource::WalLsn, ..DbConfig::default() };
+    let db =
+        Db::open(Arc::new(InMemoryStore::new()), Arc::new(LogManager::new()), config).unwrap();
+    let (nsns, violations) = audit::capture(|| (db.split_nsn(Lsn(7)), db.split_nsn(Lsn(7))));
+    assert_eq!(nsns, (7, 7), "WalLsn mode hands out the split record's LSN");
+    assert!(
+        violations.iter().any(|v| v.rule == "nsn-duplicate"),
+        "a reissued split NSN must trip nsn-duplicate, got: {violations:#?}"
+    );
+}
+
 /// Control: a real mixed workload through the public API produces zero
 /// violations — the disciplines hold on the happy path, so everything
 /// the mutations above caught is signal, not noise.

@@ -107,6 +107,37 @@ fn file_backed_crash_restart_with_loser() {
 // ---- process tests: the shipped `gist-shell` ----
 
 /// Start `gist-shell` on `base` with piped stdio.
+/// A log file in the format before this one (magic `GISTWAL1`, which
+/// still carried abort and savepoint records) is refused by name: the
+/// error names the log file, and the file is left as it was.
+#[test]
+fn open_path_refuses_a_previous_format_log_by_name() {
+    let dir = temp_dir("old-magic");
+    let base = dir.join("db");
+    {
+        let (db, _) = Db::open_path(&base, DbConfig::default()).unwrap();
+        let idx = GistIndex::create(db.clone(), "t", BtreeExt, IndexOptions::default()).unwrap();
+        let txn = db.begin();
+        idx.insert(txn, &1, rid(1)).unwrap();
+        db.commit(txn).unwrap();
+        db.shutdown().unwrap();
+    }
+    let wal = dir.join("db.wal");
+    let mut bytes = std::fs::read(&wal).unwrap();
+    assert_eq!(&bytes[..8], b"GISTWAL2");
+    bytes[..8].copy_from_slice(b"GISTWAL1");
+    std::fs::write(&wal, &bytes).unwrap();
+
+    let Err(err) = Db::open_path(&base, DbConfig::default()) else {
+        panic!("a GISTWAL1 log must be refused");
+    };
+    let msg = err.to_string();
+    assert!(msg.contains(&wal.display().to_string()), "the log file is named: {msg}");
+    assert!(msg.contains("GISTWAL1"), "the old format is named: {msg}");
+    assert_eq!(std::fs::read(&wal).unwrap(), bytes, "the refused log is left unchanged");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 fn spawn_shell(base: &Path) -> Child {
     Command::new(env!("CARGO_BIN_EXE_gist-shell"))
         .arg(base)

@@ -271,6 +271,46 @@ fn unforced_split_terminator_lost_in_crash_is_rolled_back() {
     check_tree(&idx2).unwrap().assert_ok();
 }
 
+/// Transaction ids restart at 1 in every incarnation, so the only thing
+/// that keeps a later transaction from inheriting an earlier one's fate
+/// at restart is the end record restart writes for every transaction it
+/// resolves. Here the first incarnation's T2 commits but loses its end
+/// record in the crash; the second incarnation's T2 never commits and
+/// must be undone, not finished as the first T2's winner.
+#[test]
+fn reused_txn_id_after_restart_is_a_fresh_transaction() {
+    use gist_repro::wal::{RecordBody, TxnId};
+
+    let h = Harness::new();
+    let (db, idx) = h.open(); // `GistIndex::create` runs as T1
+    let t2 = db.begin();
+    assert_eq!(t2, TxnId(2));
+    for k in 0..50i64 {
+        idx.insert(t2, &k, rid(k as u64)).unwrap();
+    }
+    db.commit(t2).unwrap();
+    let end = h.log.get(h.log.last_lsn());
+    assert_eq!((end.txn, &end.body), (t2, &RecordBody::TxnEnd));
+    assert!(h.log.flushed_lsn() < end.lsn, "T2's end record is still volatile");
+    db.crash();
+
+    let (db2, idx2) = h.restart();
+    let filler = db2.begin();
+    assert_eq!(filler, TxnId(1), "ids restart at 1");
+    db2.commit(filler).unwrap();
+    let t2_again = db2.begin();
+    assert_eq!(t2_again, TxnId(2));
+    for k in 100..150i64 {
+        idx2.insert(t2_again, &k, rid(k as u64)).unwrap();
+    }
+    db2.log().flush_all();
+    db2.crash();
+
+    let (db3, idx3) = h.restart();
+    assert_eq!(keys_present(&db3, &idx3, 0, 1000), (0..50).collect::<Vec<i64>>());
+    check_tree(&idx3).unwrap().assert_ok();
+}
+
 #[test]
 fn garbage_collection_redo_survives() {
     let h = Harness::new();
