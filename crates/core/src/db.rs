@@ -206,8 +206,8 @@ impl fmt::Display for RestartReport {
 
 /// The files behind a database opened with [`Db::open_path`].
 struct DbFiles {
-    /// `<base>.wal`: [`Db::shutdown`] and [`Db::crash`] write the log's
-    /// durable prefix here.
+    /// `<base>.wal`: [`Db::flush`] (which [`Db::shutdown`] calls) and
+    /// [`Db::crash`] write the log's durable prefix here.
     wal: PathBuf,
     /// `<base>.pages`, opened once more to hold an exclusive lock for the
     /// database's lifetime (the lock goes with the handle).
@@ -319,15 +319,13 @@ pub struct RobustnessStats {
     /// Nodes served by a validated optimistic copy-out.
     pub opt_read_hits: u64,
     /// Seqlock validation failures that re-read the same node
-    /// optimistically (a concurrent writer touched the frame mid-copy).
+    /// optimistically (a concurrent writer touched the frame mid-copy,
+    /// or evicted it).
     pub opt_read_retries: u64,
-    /// Optimistic traversals that gave up on the fast path — eviction
-    /// under the reader, retry budget exhausted, or an uncachable page —
-    /// and restarted from the root latched (delivered rows kept).
+    /// Optimistic traversals whose node kept moving past the retry
+    /// budget and that restarted from the root latched (delivered rows
+    /// kept).
     pub opt_read_fallbacks: u64,
-    /// Optimistic pool misses served by a direct (pool-bypassing)
-    /// store read: no frame, no pin, no eviction pressure.
-    pub opt_read_direct: u64,
     /// Epochs the oldest live pin trails the global epoch by (0 =
     /// nothing is holding reclamation back).
     pub epoch_lag: u64,
@@ -440,8 +438,8 @@ impl Db {
 
     /// Open the database stored at `base`: pages in `<base>.pages`, the
     /// log in `<base>.wal`. Until the log is written as it grows, the log
-    /// file is the durable prefix written by [`Db::shutdown`] or
-    /// [`Db::crash`].
+    /// file is the durable prefix written by [`Db::flush`] (which
+    /// [`Db::shutdown`] calls) or [`Db::crash`].
     ///
     /// - A log file exists: load it and [`Db::restart`]; the report is
     ///   returned.
@@ -846,7 +844,6 @@ impl Db {
             opt_read_hits: self.opt_hits.load(Ordering::Relaxed),
             opt_read_retries: self.opt_retries.load(Ordering::Relaxed),
             opt_read_fallbacks: self.opt_fallbacks.load(Ordering::Relaxed),
-            opt_read_direct: self.pool.stats.direct_reads.load(Ordering::Relaxed),
             epoch_lag: es.epoch_lag,
             epoch_pending: es.pending,
             retries_exhausted: self.retries_exhausted.load(Ordering::Relaxed),
@@ -948,8 +945,9 @@ impl Db {
     }
 
     /// Write the log's durable prefix to the log file, if there is one.
-    /// Segment files will take this over: they make each prefix durable
-    /// as the flusher syncs it.
+    /// ROADMAP item 1(b) takes this over with one append-only file that
+    /// `fsync_to` writes and syncs as the flusher makes each prefix
+    /// durable.
     fn persist_log(&self) -> Result<()> {
         match self.files.get() {
             Some(files) => Ok(self.log.persist_file(&files.wal)?),

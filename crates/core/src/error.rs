@@ -4,6 +4,7 @@ use std::fmt;
 use std::io;
 
 use gist_lockmgr::LockError;
+use gist_pagestore::Rid;
 use gist_txn::TxnError;
 
 /// Errors surfaced by index operations.
@@ -48,6 +49,18 @@ pub enum GistError {
     /// retrying (as [`Db::run_txn`](crate::Db::run_txn) does) is always
     /// safe.
     Overloaded,
+}
+
+impl GistError {
+    /// A row whose index entry names a heap record that is gone. The heap
+    /// file is unlogged, so a crash can lose a committed row's record
+    /// while restart recovers its index entry.
+    pub fn lost_heap_record(key: impl fmt::Display, rid: Rid) -> GistError {
+        GistError::Corrupt(format!(
+            "key {key} points at heap record {rid:?}, which is missing \
+             (the heap file is unlogged, so a crash can lose it)"
+        ))
+    }
 }
 
 impl fmt::Display for GistError {

@@ -27,24 +27,25 @@
 //!   (`Cursor`, the unique-insert probe) and the delete descent walk
 //!   this way.
 //! * **Optimistic** — `BufferPool::fetch_optimistic`: no latch, no frame
-//!   pin, no signaling locks. A cached node is copied under a seqlock
-//!   version check, an uncached one is read straight from the store into
-//!   a private copy; record locks are `try_lock`ed only after the copy,
-//!   and the copy is re-validated with the locks held, so a lock is never
-//!   trusted for an entry that changed mid-read. One epoch pin covers one
-//!   uninterrupted stretch of the traversal (§7.2 page frees defer until
-//!   every pin drains, so a stacked pointer is never re-typed under the
-//!   reader). A wait drops the pin, and with it every guarantee about the
-//!   stacked pointers: a stacked page may be drained *and reallocated*
-//!   before the wait ends, and on a recycled page the NSN check proves
-//!   nothing. So after a wait the walk clears its stack and starts again
-//!   at the root under a fresh pin, keeping its predicate, `seen` and
-//!   `attached`. One-shot `GistIndex::search` starts here.
+//!   pin, no signaling locks. A node is copied under a seqlock version
+//!   check (an uncached one is loaded into the pool first); record locks
+//!   are `try_lock`ed only after the copy, and the copy is re-validated
+//!   with the locks held, so a lock is never trusted for an entry that
+//!   changed mid-read. One epoch pin covers one uninterrupted stretch of
+//!   the traversal (§7.2 page frees defer until every pin drains, so a
+//!   stacked pointer is never re-typed under the reader). A wait drops
+//!   the pin, and with it every guarantee about the stacked pointers: a
+//!   stacked page may be drained *and reallocated* before the wait ends,
+//!   and on a recycled page the NSN check proves nothing. So after a
+//!   wait the walk clears its stack and starts again at the root under
+//!   a fresh pin, keeping its predicate, `seen` and `attached`. One-shot
+//!   `GistIndex::search` starts here.
 //!
-//! When a page leaves the pool under an optimistic reader, cannot be
-//! cached, or keeps moving past the retry budget, the *same* walk flips
-//! to Latched and restarts from the root, keeping its predicate, `seen`,
-//! `attached` and whatever it already delivered.
+//! A page that leaves the pool under an optimistic reader reads as a
+//! moved copy and is re-read. When a node keeps moving past the retry
+//! budget, the *same* walk flips to Latched and restarts from the root,
+//! keeping its predicate, `seen`, `attached` and whatever it already
+//! delivered.
 //!
 //! [`Cursor`]: super::cursor::Cursor
 
@@ -53,7 +54,7 @@ use std::sync::Arc;
 
 use gist_lockmgr::{LockMode, LockName};
 use gist_pagestore::{
-    OptimisticReadGuard, Page, PageId, PageReadGuard, PageWriteGuard, Rid, Validation,
+    OptimisticReadGuard, Page, PageId, PageReadGuard, PageWriteGuard, Rid,
 };
 use gist_predlock::{PredId, PredKind, GLOBAL_NODE};
 use gist_wal::TxnId;
@@ -119,9 +120,9 @@ impl NodeRead {
     }
 
     /// Whether everything read through this handle is still current.
-    fn validate(&self) -> Validation {
+    fn validate(&self) -> bool {
         match self {
-            NodeRead::Latched(_) => Validation::Ok,
+            NodeRead::Latched(_) => true,
             NodeRead::Optimistic(og) => og.validate(),
         }
     }
@@ -282,14 +283,7 @@ impl<E: GistExtension, Q: Borrow<E::Query>> Walk<E, Q> {
             }
             let node = match self.access {
                 Access::Latched => NodeRead::Latched(db.pool().fetch_read(pid)?),
-                Access::Optimistic { .. } => match db.pool().fetch_optimistic(pid)? {
-                    Some(og) => NodeRead::Optimistic(og),
-                    // Neither cached, directly readable, nor warmable.
-                    None => {
-                        self.fall_back()?;
-                        continue;
-                    }
-                },
+                Access::Optimistic { .. } => NodeRead::Optimistic(db.pool().fetch_optimistic(pid)?),
             };
             let expanded = node.read_with(|p| {
                 (!p.is_leaf()).then(|| {
@@ -305,9 +299,8 @@ impl<E: GistExtension, Q: Borrow<E::Query>> Walk<E, Q> {
             });
             match expanded {
                 None => {
-                    let moved = node.validate();
                     drop(node);
-                    self.reread(moved, (pid, mem, parent))?;
+                    self.reread((pid, mem, parent))?;
                 }
                 Some(None) => return Ok(Some(Leaf { page: pid, parent, mem, node })),
                 Some(Some((split, children))) => {
@@ -349,9 +342,8 @@ impl<E: GistExtension, Q: Borrow<E::Query>> Walk<E, Q> {
             ((p.nsn() > mem).then(|| p.rightlink()), candidates)
         });
         let Some((split, candidates)) = copy else {
-            let moved = node.validate();
             drop(node);
-            return self.reread(moved, (pid, mem, parent));
+            return self.reread((pid, mem, parent));
         };
         // Lock, then validate: a lock taken against a stale copy proves
         // nothing about the entry.
@@ -367,9 +359,9 @@ impl<E: GistExtension, Q: Borrow<E::Query>> Walk<E, Q> {
                 }
             }
         }
-        let moved = node.validate();
+        let current = node.validate();
         drop(node);
-        if blocker.is_some() || moved != Validation::Ok {
+        if blocker.is_some() || !current {
             // Degree 3 keeps what it locked — extra S locks are 2PL-legal
             // and regrant instantly on the revisit; Degree 2 retains
             // nothing.
@@ -379,7 +371,7 @@ impl<E: GistExtension, Q: Borrow<E::Query>> Walk<E, Q> {
                 }
             }
             let Some(rid) = blocker else {
-                return self.reread(moved, (pid, mem, parent));
+                return self.reread((pid, mem, parent));
             };
             // Block with nothing held (§5), then revisit the node.
             self.at.stack.push((pid, mem, parent));
@@ -451,33 +443,24 @@ impl<E: GistExtension, Q: Borrow<E::Query>> Walk<E, Q> {
         }
     }
 
-    /// An optimistic copy of `ptr`'s node did not validate: read it
-    /// again, or give up on the optimistic access.
-    fn reread(&mut self, moved: Validation, ptr: Pointer) -> Result<()> {
-        let Access::Optimistic { retries, .. } = &mut self.access else {
+    /// An optimistic copy of `ptr`'s node did not validate (a writer
+    /// moved it, or its frame was evicted): read it again, or — past the
+    /// retry budget — flip to Latched and restart from the root. The
+    /// stack is simply dropped (no signaling locks protect optimistic
+    /// pointers); the predicate, `seen`, `attached` and the rows already
+    /// delivered stay.
+    fn reread(&mut self, ptr: Pointer) -> Result<()> {
+        let Access::Optimistic { hits, retries, .. } = &mut self.access else {
             unreachable!("a latched read always validates")
         };
-        if moved == Validation::Evicted {
-            return self.fall_back();
-        }
-        *retries += 1;
-        let exhausted = *retries > MAX_OPT_RETRIES;
-        self.index.db().note_opt_retry();
-        if exhausted {
-            return self.fall_back();
-        }
-        self.at.stack.push(ptr);
-        Ok(())
-    }
-
-    /// Flip to Latched and restart from the root. The stack is simply
-    /// dropped (no signaling locks protect optimistic pointers); the
-    /// predicate, `seen`, `attached` and the rows already delivered stay.
-    fn fall_back(&mut self) -> Result<()> {
         let db = self.index.db();
-        if let Access::Optimistic { hits, .. } = self.access {
-            db.note_opt_hits(hits);
+        db.note_opt_retry();
+        *retries += 1;
+        if *retries <= MAX_OPT_RETRIES {
+            self.at.stack.push(ptr);
+            return Ok(());
         }
+        db.note_opt_hits(*hits);
         db.note_opt_fallback();
         self.access = Access::Latched;
         self.at.stack = NodeStack::new();

@@ -209,11 +209,11 @@ impl<E: GistExtension> GistIndex<E> {
             if pid.is_invalid() || !visited.insert(pid) {
                 continue;
             }
-            let copy = self.db.pool().fetch_optimistic(pid)?.and_then(|og| og.read_with(read_node));
+            let copy = self.db.pool().fetch_optimistic(pid)?.read_with(read_node);
             let ns = match copy {
                 Some(ns) => ns,
                 None => {
-                    // Version word moved (or the page is uncachable):
+                    // Version word moved (or the frame was evicted):
                     // one latched read settles this node.
                     let g = self.db.pool().fetch_read(pid)?;
                     read_node(&g)

@@ -23,13 +23,14 @@
 //! [`BufferPool::fetch_optimistic`] returns an [`OptimisticReadGuard`]
 //! that pins nothing and takes no latch — readers copy what they need
 //! out via [`OptimisticReadGuard::read_with`] and then prove the copy
-//! consistent with [`OptimisticReadGuard::validate`]. Eviction marks a
-//! frame dead under its X latch — `evicted` set, version word odd
-//! permanently — and drops the table's `Arc`; a guard that still holds
-//! the frame keeps the dead incarnation alive by itself and can never
-//! validate against a reloaded incarnation of the same page id. The
-//! frame's lifetime is its `Arc`'s alone: the pool knows nothing of the
-//! epoch domain that defers §7.2 page frees.
+//! consistent with [`OptimisticReadGuard::validate`]. A miss loads the
+//! page through the ordinary latched path first, so every page enters
+//! memory one way. Eviction marks a frame dead under its X latch — the
+//! version word odd permanently — and drops the table's `Arc`; a guard
+//! that still holds the frame keeps the dead incarnation alive by itself
+//! and reads it as a moved copy, never as a reloaded incarnation of the
+//! same page id. The frame's lifetime is its `Arc`'s alone: the pool
+//! knows nothing of the epoch domain that defers §7.2 page frees.
 //!
 //! ## Fault handling
 //!
@@ -58,8 +59,8 @@ use crate::audit;
 use crate::page::{Page, PageId};
 use crate::store::PageStore;
 
-type ReadGuardInner = ArcRwLockReadGuard<RawRwLock, FrameData>;
-type WriteGuardInner = ArcRwLockWriteGuard<RawRwLock, FrameData>;
+type ReadLatch = ArcRwLockReadGuard<RawRwLock, FrameData>;
+type WriteLatch = ArcRwLockWriteGuard<RawRwLock, FrameData>;
 
 /// Transient-I/O retry cap: a load/write/sync is attempted at most
 /// `1 + IO_RETRY_LIMIT` times before the error is treated as persistent.
@@ -152,13 +153,11 @@ struct Frame {
     /// Sequence-lock version word for the optimistic read path. Even =
     /// stable; odd = a [`PageWriteGuard`] is live (bumped odd at guard
     /// construction, even again at drop/downgrade) or the frame is dead
-    /// (eviction/crash/failed load bump it odd *forever*). Optimistic
-    /// guards snapshot it at fetch and fail validation on any change.
+    /// (eviction/crash/failed load bump it odd *forever*). It moves only
+    /// while the X latch is held (or the pool is quiescent, at a crash).
+    /// Optimistic guards snapshot it at fetch and fail validation on any
+    /// change.
     seq: AtomicU64,
-    /// Set when the frame leaves the table (eviction, crash, failed
-    /// load): optimistic guards report [`Validation::Evicted`] and the
-    /// caller must go back through the latched path.
-    evicted: AtomicBool,
 }
 
 impl Frame {
@@ -179,16 +178,14 @@ impl Frame {
             rec_lsn: AtomicU64::new(0),
             tick: AtomicU64::new(tick),
             seq: AtomicU64::new(0),
-            evicted: AtomicBool::new(false),
         })
     }
 
-    /// Kill the frame for optimistic readers: `evicted` plus a permanent
-    /// odd version word. Callers hold the frame's write latch raw (or
-    /// have proven quiescence), so the word is even on entry — no
-    /// `PageWriteGuard` can exist.
+    /// Kill the frame for optimistic readers: a permanently odd version
+    /// word. Callers hold the frame's write latch raw (or have proven
+    /// quiescence), so the word is even on entry — no `PageWriteGuard`
+    /// can exist.
     fn mark_evicted(&self) {
-        self.evicted.store(true, Ordering::Release);
         self.seq.fetch_add(1, Ordering::AcqRel);
     }
 
@@ -198,7 +195,7 @@ impl Frame {
     /// cannot see and freeze the whole exploration — so it spins on the
     /// `try_` variant with each miss parked virtually instead. Outside
     /// model checking this is exactly `write_arc()`.
-    fn latch_write_blocking(&self) -> WriteGuardInner {
+    fn latch_write_blocking(&self) -> WriteLatch {
         if audit::latch_managed() {
             loop {
                 if let Some(g) = self.latch.try_write_arc() {
@@ -213,7 +210,7 @@ impl Frame {
 
     /// Blocking S acquisition of the frame latch; see
     /// [`Frame::latch_write_blocking`] for the model-check virtualization.
-    fn latch_read_blocking(&self) -> ReadGuardInner {
+    fn latch_read_blocking(&self) -> ReadLatch {
         if audit::latch_managed() {
             loop {
                 if let Some(g) = self.latch.try_read_arc() {
@@ -238,8 +235,8 @@ pub struct PoolStats {
     pub evictions: AtomicU64,
     /// Dirty pages written back.
     pub writebacks: AtomicU64,
-    /// Optimistic misses served by a pool-bypassing direct store read
-    /// (no frame, no pin, no eviction pressure).
+    /// Always 0: every miss loads through the pool. Kept only while the
+    /// benchmark's layer table reads it (ROADMAP 2(a) drops both).
     pub direct_reads: AtomicU64,
 }
 
@@ -264,13 +261,6 @@ pub struct BufferPool {
     /// write-back may still be *lost* by a crash, so these stay in the
     /// dirty-page table and restart redo re-covers them.
     unsynced: Mutex<HashMap<u32, u64>>,
-    /// Store writes issued (incremented before the write starts) and
-    /// completed (incremented after it returns, success or not). A
-    /// pool-bypassing optimistic read is only valid if no store write
-    /// overlapped its window: `begun == done` at capture and `begun`
-    /// unchanged at re-check — see [`Self::fetch_optimistic`].
-    store_writes_begun: AtomicU64,
-    store_writes_done: AtomicU64,
     /// Counters (hits/misses/evictions/writebacks).
     pub stats: PoolStats,
 }
@@ -290,8 +280,6 @@ impl BufferPool {
             poisoned: AtomicBool::new(false),
             poison_reason: Mutex::new(String::new()),
             unsynced: Mutex::new(HashMap::new()),
-            store_writes_begun: AtomicU64::new(0),
-            store_writes_done: AtomicU64::new(0),
             stats: PoolStats::default(),
         })
     }
@@ -478,10 +466,10 @@ impl BufferPool {
             }
             Err(e) => {
                 g.load_error = Some((e.kind(), e.to_string()));
-                drop(g);
                 if self.frames.lock().remove(&id).is_some() {
                     frame.mark_evicted();
                 }
+                drop(g);
                 frame.pins.fetch_sub(1, Ordering::Relaxed);
                 Err(e)
             }
@@ -489,89 +477,32 @@ impl BufferPool {
     }
 
     /// Optimistic latch-free fetch: a version-stamped handle to page
-    /// `id`'s cached frame that pins nothing, takes no latch, and never
-    /// touches the LRU clock — the read-path synchronization cost is a
+    /// `id`'s frame that pins nothing, takes no latch, and never touches
+    /// the LRU clock — on a hit the read-path synchronization cost is a
     /// table probe plus one atomic load. Copy data out with
     /// [`OptimisticReadGuard::read_with`], then prove the copies
     /// consistent with [`OptimisticReadGuard::validate`].
     ///
-    /// A miss *bypasses the pool*: the page image is read from the store
-    /// into a private buffer — no frame, no pin, no eviction pressure —
-    /// and validated against the store-write counters. The validation
-    /// argument: every modification happens in a cached frame, and a
-    /// frame never leaves the frame table without its dirty image being
-    /// written back first (drained pages stay cached, dirty and marked
-    /// available, until ordinary eviction), so *absent from the table ⇒
-    /// the store holds the newest version*. The direct copy is therefore
-    /// current provided (a) no store write was in flight or began during
-    /// the read window (`begun == done` at capture, `begun` unchanged at
-    /// re-check) and (b) the page is still absent at re-probe (a
-    /// concurrent fetch would make the cached frame authoritative). A
-    /// window that cannot validate falls back to warming the cache with
-    /// one ordinary latched read (acquired and released *before* the
-    /// optimistic section opens, so the no-latch-inside-section
-    /// discipline holds) and re-probing; `Ok(None)` means the page would
-    /// not stay cached even then and the caller should use the latched
-    /// path for this node.
-    pub fn fetch_optimistic(
-        self: &Arc<Self>,
-        id: PageId,
-    ) -> io::Result<Option<OptimisticReadGuard>> {
+    /// A miss loads the page through [`Self::fetch_read`]: the version
+    /// word is read while that S latch is held (so it is even), and the
+    /// optimistic section opens only after the latch drops, so the
+    /// no-latch-inside-section discipline holds. A page that cannot be
+    /// loaded surfaces the loader's error.
+    pub fn fetch_optimistic(self: &Arc<Self>, id: PageId) -> io::Result<OptimisticReadGuard> {
         assert!(!id.is_invalid(), "fetch of the invalid page id");
-        for warmed in [false, true] {
-            let frame = self.frames.lock().get(&id).cloned();
-            if let Some(frame) = frame {
-                audit::optimistic_enter(self.audit_id, u64::from(id.0));
+        let cached = self.frames.lock().get(&id).cloned();
+        let (frame, seq) = match cached {
+            Some(frame) => {
                 let seq = frame.seq.load(Ordering::Acquire);
-                return Ok(Some(OptimisticReadGuard {
-                    inner: GuardInner::Cached { frame, seq },
-                }));
+                (frame, seq)
             }
-            if warmed {
-                break;
+            None => {
+                let g = self.fetch_read(id)?;
+                (g.frame.clone(), g.frame.seq.load(Ordering::Acquire))
             }
-            if let Some(g) = self.read_direct(id) {
-                return Ok(Some(g));
-            }
-            // Bypass could not validate (store write in flight, image
-            // unreadable, or the page got cached mid-window): warm the
-            // cache with one latched read and re-probe. An unreadable
-            // page surfaces its error through the latched path, keeping
-            // error reporting identical to the baseline.
-            drop(self.fetch_read(id)?);
-        }
-        Ok(None)
-    }
-
-    /// Pool-bypassing direct read for [`Self::fetch_optimistic`]: read
-    /// the store image of `id` into a private page and validate that no
-    /// store write overlapped the window and the page stayed uncached.
-    /// `None` means the caller must take the warm-and-re-probe path.
-    fn read_direct(self: &Arc<Self>, id: PageId) -> Option<OptimisticReadGuard> {
-        let begun = self.store_writes_begun.load(Ordering::SeqCst);
-        if self.store_writes_done.load(Ordering::SeqCst) != begun {
-            return None; // a write-back is in flight somewhere
-        }
-        audit::io_event(self.audit_id, u64::from(id.0), "direct-read");
-        let mut page = Box::new(Page::zeroed());
-        if with_io_retry(|| self.store.read(id, &mut page)).is_err() {
-            return None;
-        }
-        if !page.verify_checksum() {
-            return None;
-        }
-        if self.frames.lock().contains_key(&id) {
-            // Cached mid-window: the frame is now authoritative.
-            return None;
-        }
-        if self.store_writes_begun.load(Ordering::SeqCst) != begun {
-            return None; // a write began during the window
-        }
-        self.stats.direct_reads.fetch_add(1, Ordering::Relaxed);
+        };
         audit::optimistic_enter(self.audit_id, u64::from(id.0));
-        Some(OptimisticReadGuard {
-            inner: GuardInner::Direct { audit_id: self.audit_id, id, page },
-        })
+        Ok(OptimisticReadGuard { frame, seq })
     }
 
     /// Latch page `id` in X mode without blocking on the latch. Returns
@@ -668,7 +599,7 @@ impl BufferPool {
                 if frames.len() <= self.capacity {
                     return;
                 }
-                let mut best: Option<(u64, Arc<Frame>, WriteGuardInner)> = None;
+                let mut best: Option<(u64, Arc<Frame>, WriteLatch)> = None;
                 for f in frames.values() {
                     let t = f.tick.load(Ordering::Relaxed);
                     if f.pins.load(Ordering::Relaxed) != 0
@@ -739,15 +670,7 @@ impl BufferPool {
         // store is synced this write may still be lost by a crash, so the
         // page stays in the dirty-page table under its old recLSN.
         let rl = frame.rec_lsn.load(Ordering::Relaxed);
-        // Bracket the store write for pool-bypassing optimistic reads: a
-        // bypass whose window overlaps any part of this write (including
-        // a failed one, which may have torn the image) must discard its
-        // copy. `begun` moves before the first byte can land, `done` only
-        // after the write call has returned.
-        self.store_writes_begun.fetch_add(1, Ordering::SeqCst);
-        let wrote = self.retry_write_op(|| self.store.write(frame.id, &img));
-        self.store_writes_done.fetch_add(1, Ordering::SeqCst);
-        wrote?;
+        self.retry_write_op(|| self.store.write(frame.id, &img))?;
         {
             let mut unsynced = self.unsynced.lock();
             let entry = unsynced.entry(frame.id.0).or_insert(u64::MAX);
@@ -916,129 +839,66 @@ enum FetchResult {
     Retry,
 }
 
-/// Outcome of [`OptimisticReadGuard::validate`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Validation {
-    /// The version word never moved: every `read_with` copy taken
-    /// through this guard is a consistent snapshot of the page.
-    Ok,
-    /// A writer touched (or is touching) the frame since the guard was
-    /// taken: discard the copies, re-fetch, re-read.
-    Retry,
-    /// The frame left the pool (eviction, crash, failed load): the page
-    /// must be re-fetched through the latched path.
-    Evicted,
-}
-
-/// Latch-free, pin-free handle to a page image.
+/// Latch-free, pin-free handle to a page image: one frame and the
+/// seqlock version word observed at fetch.
 ///
-/// Two shapes, invisible to callers. A *cached* guard holds an `Arc` to
-/// the frame (memory safety is never at stake — Rust keeps the
-/// allocation alive) and the seqlock version word it observed at fetch;
-/// *logical* safety — the page id still mapping to this frame, the
-/// image not mutating under the reader — is exactly what
-/// [`Self::read_with`] + [`Self::validate`] prove. A *direct* guard
-/// owns a private copy read straight from the store on a pool miss,
-/// fully validated at construction (see
-/// [`BufferPool::fetch_optimistic`]), so its reads always succeed and
-/// `validate` is always [`Validation::Ok`] — following its pointers is
-/// exactly as safe as the latched path following pointers from a
-/// released page, which is what the link protocol (NSNs, right-links,
-/// empty-and-available markers) exists to permit. Callers must not act
-/// on copied data until `validate` returns [`Validation::Ok`], and must
-/// hold an epoch pin for the guard's whole life so drained pages cannot
-/// be reallocated mid-traversal (enforced by the `optimistic-unpinned`
-/// audit rule). A cached guard that outlives its frame's eviction keeps
-/// the dead frame alive itself and reads [`Validation::Evicted`].
+/// The guard holds an `Arc` to the frame, so memory safety is never at
+/// stake — Rust keeps the allocation alive. *Logical* safety — the page
+/// id still mapping to this frame, the image not mutating under the
+/// reader — is exactly what [`Self::read_with`] + [`Self::validate`]
+/// prove. Callers must not act on copied data until `validate` returns
+/// `true`, and must hold an epoch pin for the guard's whole life so
+/// drained pages cannot be reallocated mid-traversal (enforced by the
+/// `optimistic-unpinned` audit rule). A guard that outlives its frame's
+/// eviction keeps the dead frame alive itself; the frame's permanently
+/// odd word fails every later read and validation, like a moved copy.
 pub struct OptimisticReadGuard {
-    inner: GuardInner,
-}
-
-enum GuardInner {
-    Cached { frame: Arc<Frame>, seq: u64 },
-    Direct { audit_id: u64, id: PageId, page: Box<Page> },
+    frame: Arc<Frame>,
+    seq: u64,
 }
 
 impl OptimisticReadGuard {
     /// Id of the observed page.
     pub fn page_id(&self) -> PageId {
-        match &self.inner {
-            GuardInner::Cached { frame, .. } => frame.id,
-            GuardInner::Direct { id, .. } => *id,
-        }
+        self.frame.id
     }
 
-    /// Whether this guard bypassed the pool (private store-read copy).
-    pub fn is_direct(&self) -> bool {
-        matches!(self.inner, GuardInner::Direct { .. })
-    }
-
-    /// Run `f` over the page image if the frame is momentarily stable,
-    /// returning `None` when a writer is active (odd/moved version word,
-    /// or the latch is exclusively held or wanted) — the caller treats
-    /// that like [`Validation::Retry`]. The internal `try_read` is
+    /// Run `f` over the page image if the frame still holds the version
+    /// the guard recorded, returning `None` when it does not (a writer is
+    /// active or was, or the frame died) or when the latch is exclusively
+    /// held or wanted — the caller re-reads. The word is checked once,
+    /// under the shared `try_read`: writers move it only while they hold
+    /// X, so it cannot move while `f` runs. That `try_read` is
     /// writer-preferring (it fails the moment a writer waits), so the
     /// optimistic path can never starve mutators, and it is deliberately
     /// *not* reported as a latch acquisition: the audit section stays
-    /// latch-free. A direct guard's copy is private and already
-    /// validated, so `f` always runs.
+    /// latch-free.
     pub fn read_with<T>(&self, f: impl FnOnce(&Page) -> T) -> Option<T> {
-        let (frame, seq) = match &self.inner {
-            GuardInner::Direct { audit_id, id, page } => {
-                audit::optimistic_read(*audit_id, u64::from(id.0));
-                return Some(f(page));
-            }
-            GuardInner::Cached { frame, seq } => (frame, *seq),
-        };
-        if seq & 1 == 1 || frame.seq.load(Ordering::Acquire) != seq {
+        let g = self.frame.latch.try_read()?;
+        if !self.validate() {
             return None;
         }
-        let g = frame.latch.try_read()?;
-        if !g.loaded || g.load_error.is_some() {
-            return None;
-        }
-        audit::optimistic_read(frame.audit_id, u64::from(frame.id.0));
-        let out = f(&g.page);
-        drop(g);
-        if frame.seq.load(Ordering::Acquire) != seq {
-            return None;
-        }
-        Some(out)
+        audit::optimistic_read(self.frame.audit_id, u64::from(self.frame.id.0));
+        Some(f(&g.page))
     }
 
-    /// Whether the guard's snapshot is still current (a direct guard was
-    /// proven current at construction and its copy is private).
-    pub fn validate(&self) -> Validation {
-        let (frame, seq) = match &self.inner {
-            GuardInner::Direct { .. } => return Validation::Ok,
-            GuardInner::Cached { frame, seq } => (frame, *seq),
-        };
-        if frame.evicted.load(Ordering::Acquire) {
-            return Validation::Evicted;
-        }
-        let now = frame.seq.load(Ordering::Acquire);
-        if now != seq || now & 1 == 1 {
-            Validation::Retry
-        } else {
-            Validation::Ok
-        }
+    /// Whether every copy taken through this guard is still current: the
+    /// version word was even at fetch and has not moved since.
+    pub fn validate(&self) -> bool {
+        self.seq & 1 == 0 && self.frame.seq.load(Ordering::Acquire) == self.seq
     }
 }
 
 impl Drop for OptimisticReadGuard {
     fn drop(&mut self) {
-        let (aid, pid) = match &self.inner {
-            GuardInner::Cached { frame, .. } => (frame.audit_id, frame.id),
-            GuardInner::Direct { audit_id, id, .. } => (*audit_id, *id),
-        };
-        audit::optimistic_exit(aid, u64::from(pid.0));
+        audit::optimistic_exit(self.frame.audit_id, u64::from(self.frame.id.0));
     }
 }
 
 /// S-mode latch on a page.
 pub struct PageReadGuard {
     frame: Arc<Frame>,
-    guard: ReadGuardInner,
+    guard: ReadLatch,
 }
 
 impl PageReadGuard {
@@ -1069,14 +929,14 @@ impl Drop for PageReadGuard {
 /// `Some` for the guard's entire observable life.
 pub struct PageWriteGuard {
     frame: Arc<Frame>,
-    guard: Option<WriteGuardInner>,
+    guard: Option<WriteLatch>,
 }
 
 impl PageWriteGuard {
     /// Wrap a freshly acquired X latch: the seqlock word goes odd for
     /// the guard's whole life, so optimistic readers refuse to copy (and
     /// any copy already taken fails validation).
-    fn new(frame: Arc<Frame>, guard: WriteGuardInner) -> PageWriteGuard {
+    fn new(frame: Arc<Frame>, guard: WriteLatch) -> PageWriteGuard {
         frame.seq.fetch_add(1, Ordering::AcqRel);
         PageWriteGuard { frame, guard: Some(guard) }
     }
@@ -1576,40 +1436,39 @@ mod tests {
             g.mark_dirty_unlogged();
         }
         let _pin = pin();
-        let og = pool.fetch_optimistic(PageId(1)).unwrap().expect("cached");
+        let og = pool.fetch_optimistic(PageId(1)).unwrap();
         assert_eq!(og.page_id(), PageId(1));
         let copy = og.read_with(|p| p.cell(0).map(<[u8]>::to_vec)).expect("no writer active");
         assert_eq!(copy.unwrap(), b"stable");
-        assert_eq!(og.validate(), Validation::Ok);
+        assert!(og.validate());
     }
 
     #[test]
-    fn optimistic_miss_bypasses_the_pool() {
+    fn optimistic_miss_loads_through_the_pool() {
         let pool = pool(8);
         {
             let mut g = pool.new_page_write(PageId(1), 0).unwrap();
-            g.insert_cell(b"direct").unwrap();
+            g.insert_cell(b"loaded").unwrap();
             g.mark_dirty_unlogged();
         }
         pool.flush_all().unwrap();
         pool.crash();
         let _pin = pin();
-        // Not cached: the miss is served by a direct store read into a
-        // private copy — the pool stays empty (no frame, no pin, no
-        // eviction pressure) and the copy validates unconditionally.
-        let og = pool.fetch_optimistic(PageId(1)).unwrap().expect("direct read");
-        assert!(og.is_direct());
+        // Not cached: the miss is loaded into a frame like any latched
+        // fetch, and the guard reads that frame.
+        let og = pool.fetch_optimistic(PageId(1)).unwrap();
         let copy = og.read_with(|p| p.cell(0).map(<[u8]>::to_vec)).unwrap();
-        assert_eq!(copy.unwrap(), b"direct");
-        assert_eq!(og.validate(), Validation::Ok);
-        assert_eq!(pool.cached_frames(), 0, "bypass must not populate the pool");
-        assert_eq!(pool.stats.direct_reads.load(Ordering::Relaxed), 1);
+        assert_eq!(copy.unwrap(), b"loaded");
+        assert!(og.validate());
+        assert_eq!(pool.cached_frames(), 1, "the miss is cached");
+        assert_eq!(pool.stats.misses.load(Ordering::Relaxed), 1);
+        assert_eq!(pool.stats.direct_reads.load(Ordering::Relaxed), 0);
     }
 
     #[test]
-    fn direct_read_falls_back_when_page_unreadable() {
-        // A page id beyond the store cannot be read directly; the miss
-        // path then warms the cache, whose loader reports the error.
+    fn optimistic_miss_surfaces_the_loader_error() {
+        // A page id beyond the store cannot be loaded; the optimistic
+        // fetch reports the loader's error.
         let pool = pool(8);
         let _pin = pin();
         assert!(pool.fetch_optimistic(PageId(100)).is_err(), "loader surfaces the error");
@@ -1624,14 +1483,14 @@ mod tests {
         }
         let _pin = pin();
         let g = pool.fetch_write(PageId(1)).unwrap();
-        let og = pool.fetch_optimistic(PageId(1)).unwrap().unwrap();
+        let og = pool.fetch_optimistic(PageId(1)).unwrap();
         assert!(og.read_with(|p| p.page_lsn()).is_none(), "seq odd while writer live");
-        assert_eq!(og.validate(), Validation::Retry);
+        assert!(!og.validate());
         drop(g);
         // A guard taken after the writer finishes is stable again.
-        let og2 = pool.fetch_optimistic(PageId(1)).unwrap().unwrap();
+        let og2 = pool.fetch_optimistic(PageId(1)).unwrap();
         assert!(og2.read_with(|p| p.page_lsn()).is_some());
-        assert_eq!(og2.validate(), Validation::Ok);
+        assert!(og2.validate());
     }
 
     #[test]
@@ -1643,7 +1502,7 @@ mod tests {
             g.mark_dirty_unlogged();
         }
         let _pin = pin();
-        let og = pool.fetch_optimistic(PageId(1)).unwrap().unwrap();
+        let og = pool.fetch_optimistic(PageId(1)).unwrap();
         let copy = og.read_with(|p| p.cell(0).map(<[u8]>::to_vec)).unwrap();
         assert_eq!(copy.unwrap(), b"v0");
         // The write runs on another thread: latching on a thread with an
@@ -1656,7 +1515,7 @@ mod tests {
         })
         .join()
         .unwrap();
-        assert_eq!(og.validate(), Validation::Retry, "copy is stale");
+        assert!(!og.validate(), "copy is stale");
         assert!(og.read_with(|p| p.page_lsn()).is_none(), "stale guard refuses to copy");
     }
 
@@ -1665,13 +1524,13 @@ mod tests {
         let _pin = pin();
         let pool = pool(8);
         let g = pool.new_page_write(PageId(1), 0).unwrap();
-        let og = pool.fetch_optimistic(PageId(1)).unwrap().unwrap();
+        let og = pool.fetch_optimistic(PageId(1)).unwrap();
         assert!(og.read_with(|p| p.page_lsn()).is_none(), "writer live");
         let r = g.downgrade();
-        assert_eq!(og.validate(), Validation::Retry, "word moved while odd-snapshotted");
-        let og2 = pool.fetch_optimistic(PageId(1)).unwrap().unwrap();
+        assert!(!og.validate(), "word moved while odd-snapshotted");
+        let og2 = pool.fetch_optimistic(PageId(1)).unwrap();
         assert!(og2.read_with(|p| p.page_lsn()).is_some(), "shares with the S latch");
-        assert_eq!(og2.validate(), Validation::Ok);
+        assert!(og2.validate());
         drop(r);
     }
 
@@ -1684,9 +1543,8 @@ mod tests {
             g.mark_dirty_unlogged();
         }
         let pin = pin();
-        let og = pool.fetch_optimistic(PageId(1)).unwrap().unwrap();
-        let GuardInner::Cached { frame, .. } = &og.inner else { panic!("page 1 is cached") };
-        let dead = Arc::downgrade(frame);
+        let og = pool.fetch_optimistic(PageId(1)).unwrap();
+        let dead = Arc::downgrade(&og.frame);
         // Flood the pool from another thread (this thread's optimistic
         // section must stay latch-free): page 1 is the unpinned
         // minimum-tick victim — the optimistic guard holds no pin.
@@ -1701,7 +1559,7 @@ mod tests {
         .join()
         .unwrap();
         assert!(pool.stats.evictions.load(Ordering::Relaxed) > 0);
-        assert_eq!(og.validate(), Validation::Evicted);
+        assert!(!og.validate(), "an evicted frame reads as a moved copy");
         assert!(og.read_with(|p| p.page_lsn()).is_none(), "dead frame refuses to copy");
         // The guard is the dead incarnation's only owner now: the page id
         // may be reloaded, but this frame is freed with the guard.
@@ -1719,9 +1577,9 @@ mod tests {
             g.insert_cell(b"gone").unwrap();
         }
         let _pin = pin();
-        let og = pool.fetch_optimistic(PageId(1)).unwrap().unwrap();
+        let og = pool.fetch_optimistic(PageId(1)).unwrap();
         pool.crash();
-        assert_eq!(og.validate(), Validation::Evicted);
+        assert!(!og.validate());
         assert!(og.read_with(|p| p.page_lsn()).is_none());
     }
 }

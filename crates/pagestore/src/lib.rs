@@ -25,7 +25,7 @@ mod fault;
 pub use alloc::PageAllocator;
 pub use buffer::{
     is_storage_poisoned, is_transient_io, BufferPool, FrameData, OptimisticReadGuard,
-    PageReadGuard, PageWriteGuard, PoolStats, StoragePoisoned, Validation,
+    PageReadGuard, PageWriteGuard, PoolStats, StoragePoisoned,
 };
 pub use fault::FaultStore;
 pub use heap::HeapFile;

@@ -367,7 +367,9 @@ fn rows_rsp(db: &gist_core::Db, hits: Vec<(i64, Rid)>) -> Result<Response, GistE
     let mut used = 0usize;
     let mut truncated = false;
     for (key, rid) in hits {
-        let payload = db.heap().get(rid).map_err(GistError::from)?.unwrap_or_default();
+        let Some(payload) = db.heap().get(rid).map_err(GistError::from)? else {
+            return Err(GistError::lost_heap_record(key, rid));
+        };
         let sz = encoded_row_size(payload.len());
         if rows.len() >= MAX_ROWS || used + sz > ROWS_BYTE_BUDGET {
             truncated = true;

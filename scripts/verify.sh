@@ -8,12 +8,12 @@
 # crate), with the maintenance-subsystem integration tests called out so
 # a filtered run can't silently skip them.
 #
-# Tier 2: zero clippy warnings, zero gist-lint violations, zero rustdoc
-# warnings, the test suite under the gist-audit dynamic discipline analyzer
-# (`--features latch-audit`), the fault/chaos/overload/serve harnesses
-# (one of them a cross-layer scenario under one seeded fault plan), the
-# process-kill tests on the release binaries, and the bench_e2e
-# package's own tests.
+# Tier 2: zero clippy warnings, zero gist-lint violations, shell scripts
+# that parse, zero rustdoc warnings, the test suite under the gist-audit
+# dynamic discipline analyzer (`--features latch-audit`), the
+# fault/chaos/overload/serve harnesses (one of them a cross-layer
+# scenario under one seeded fault plan), the process-kill tests on the
+# release binaries, and the bench_e2e package's own tests.
 #
 # Tier 3: the crates/mc deterministic schedule explorer over its two
 # scenarios, the commit pipeline's park and epoch pin vs §7.2
@@ -74,6 +74,8 @@ step "tier 2: clippy (chaos,latch-audit,model-check)" \
     cargo clippy --workspace --all-targets --features chaos,latch-audit,model-check -- -D warnings
 step "tier 2: gist-lint static rules" \
     cargo run -q --bin gist-lint
+step "tier 2: shell scripts parse (sh -n)" \
+    sh -c 'for f in scripts/*.sh; do sh -n "$f" || exit 1; done'
 # `--lib`: the gist-serve binary's docs would collide with the gist-serve
 # crate's. Fails on broken or private intra-doc links.
 step "tier 2: rustdoc (no warnings)" \

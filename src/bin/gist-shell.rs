@@ -214,17 +214,28 @@ impl Shell {
                 let idx = self.index(name)?;
                 let (t, auto) = self.txn();
                 let hits = idx.search(t, &I64Query::range(lo, hi))?;
-                for (k, rid) in &hits {
-                    let payload = self
-                        .db
-                        .heap()
-                        .get(*rid)?
-                        .map(|b| String::from_utf8_lossy(&b).into_owned())
-                        .unwrap_or_default();
-                    println!("  {k} -> {payload}");
+                let rows: Result<Vec<String>, GistError> = hits
+                    .iter()
+                    .map(|(k, rid)| match self.db.heap().get(*rid)? {
+                        Some(b) => Ok(format!("  {k} -> {}", String::from_utf8_lossy(&b))),
+                        None => Err(GistError::lost_heap_record(k, *rid)),
+                    })
+                    .collect();
+                match rows {
+                    Ok(rows) => {
+                        for row in &rows {
+                            println!("{row}");
+                        }
+                        println!("({} rows)", rows.len());
+                        self.finish_auto(t, auto)?;
+                    }
+                    Err(e) => {
+                        if auto {
+                            self.db.abort(t)?;
+                        }
+                        println!("error: {e}");
+                    }
                 }
-                println!("({} rows)", hits.len());
-                self.finish_auto(t, auto)?;
             }
             "stats" => {
                 let name = parts.get(1).ok_or("usage: stats <index>")?;
@@ -284,7 +295,6 @@ impl Shell {
                 println!("  opt-read node hits:      {}", s.opt_read_hits);
                 println!("  opt-read retries:        {}", s.opt_read_retries);
                 println!("  opt-read fallbacks:      {}", s.opt_read_fallbacks);
-                println!("  opt-read direct reads:   {}", s.opt_read_direct);
                 println!("  epoch lag:               {}", s.epoch_lag);
                 println!("  epoch pending frees:     {}", s.epoch_pending);
             }

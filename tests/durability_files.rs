@@ -309,10 +309,30 @@ fn shell_page_file_without_log_is_refused() {
     session_killed_after(&base, script, "committed");
     assert!(!dir.join("db.wal").exists());
 
-    // Once the log is written as it grows (segment files, ROADMAP item
+    // Once `fsync_to` appends to the log file as it syncs (ROADMAP item
     // 1(b)), this reopen succeeds and all 3,000 committed rows are present.
     let stderr = assert_refused(&session(&base, "range t 0 10000\n"));
     assert!(stderr.contains("missing"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The heap file is unlogged, so a crash loses a committed row's payload
+/// while restart recovers its index entry. The shell reports the loss
+/// and ends the statement's transaction; it does not print the row empty.
+#[test]
+fn shell_reports_a_lost_heap_payload() {
+    let dir = process_dir("heap");
+    let base = dir.join("db");
+    let out = session(&base, "create t btree\nbegin\ninsert t 1 one\ncommit\ncrash\nexit\n");
+    assert!(out.status.success(), "{:?}", text(&out));
+
+    let out = session(&base, "range t 0 10\ncheck t\n");
+    let (stdout, stderr) = text(&out);
+    assert!(out.status.success(), "{stdout}\n{stderr}");
+    assert!(!stdout.contains("1 -> "), "a lost payload was served:\n{stdout}");
+    let err = stdout.lines().find(|l| l.contains("error: ")).unwrap_or_else(|| panic!("{stdout}"));
+    assert!(err.contains("key 1") && err.contains("unlogged"), "{err}");
+    assert!(stdout.contains("OK: "), "check must pass:\n{stdout}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -204,13 +204,13 @@ fn optimistic_reader_vs_drain_scenario(sim: &mut Sim) {
     let (p, g2, saw) = (pool.clone(), gc.clone(), saw_reused.clone());
     sim.spawn("reader", move || {
         let _pin = g2.pin();
-        let Some(og) = p.fetch_optimistic(PageId(1)).unwrap() else { return };
+        let og = p.fetch_optimistic(PageId(1)).unwrap();
         let Some(ptr) = og.read_with(|pg| pg.cell(0).map(|c| c[0])) else { return };
         drop(og);
         if ptr.is_none() {
             return; // validated copy says the drain already detached it
         }
-        let Some(og) = p.fetch_optimistic(PageId(2)).unwrap() else { return };
+        let og = p.fetch_optimistic(PageId(2)).unwrap();
         if let Some(Some(marker)) = og.read_with(|pg| pg.cell(0).map(<[u8]>::to_vec)) {
             if marker == b"reused" {
                 saw.store(true, Ordering::SeqCst);

@@ -21,7 +21,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use gist_repro::am::BtreeExt;
+use gist_repro::am::{BtreeExt, I64Query};
 use gist_repro::core::{AdmissionConfig, Db, DbConfig, GistIndex, IndexOptions};
 use gist_repro::pagestore::InMemoryStore;
 use gist_repro::chaos::{Action, Plan, Trigger};
@@ -147,6 +147,44 @@ fn full_crud_roundtrip_over_the_wire() {
         ErrorCode::IndexExists,
     );
 
+    c.close();
+    h.join().unwrap();
+    assert_no_leaks(&db, &[]);
+}
+
+/// A committed row whose heap record is gone (the heap file is unlogged,
+/// so a crash can lose it) is reported as an internal error, never
+/// served with an empty payload.
+#[test]
+fn lost_heap_payload_is_an_internal_error() {
+    let _g = serial();
+    let (db, srv) = server(DbConfig::default(), test_serve_config());
+    let (mut c, h) = connect(&srv);
+    assert_eq!(c.call(&Request::Begin).unwrap(), Response::Begun);
+    let insert = Request::Insert { index: "t".into(), key: 3, payload: b"three".to_vec() };
+    assert_eq!(c.call(&insert).unwrap(), Response::Ok);
+    assert_eq!(c.call(&Request::Commit).unwrap(), Response::Ok);
+
+    let idx = GistIndex::open(db.clone(), "t", BtreeExt).unwrap();
+    let txn = db.begin();
+    let hits = idx.search(txn, &I64Query::eq(3)).unwrap();
+    db.commit(txn).unwrap();
+    assert_eq!(hits.len(), 1);
+    assert!(db.heap().delete(hits[0].1).unwrap(), "the heap record existed");
+
+    let reads = [
+        Request::Get { index: "t".into(), key: 3 },
+        Request::Range { index: "t".into(), lo: 0, hi: 9 },
+    ];
+    for req in reads {
+        assert_eq!(c.call(&Request::Begin).unwrap(), Response::Begun);
+        match c.call(&req).unwrap() {
+            Response::Error { code: ErrorCode::Internal, message } => {
+                assert!(message.contains("key 3") && message.contains("unlogged"), "{message}");
+            }
+            other => panic!("{req:?}: expected an Internal error, got {other:?}"),
+        }
+    }
     c.close();
     h.join().unwrap();
     assert_no_leaks(&db, &[]);

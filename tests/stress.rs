@@ -189,8 +189,9 @@ fn repeated_crash_cycles_with_work_between() {
 
 /// Optimistic scans racing vacuum-driven node drains and heavy buffer
 /// eviction. A tiny pool keeps knocking pages out from under the
-/// latch-free readers (`Validation::Evicted` → seeded latched
-/// fallback), while drains push §7.2 frees through the epoch bin; the
+/// latch-free readers (an evicted frame fails validation like a moved
+/// copy and is re-read; past the retry budget the walk falls back to
+/// latched), while drains push §7.2 frees through the epoch bin; the
 /// scanners must still see the stable baseline exactly. Under
 /// `--features latch-audit` this also proves the no-latch and
 /// pin-coverage rules hold on the fast path at stress volume.
