@@ -1,4 +1,7 @@
 #![forbid(unsafe_code)]
+// The experiment harness drives the engine from outside: a panic aborts
+// an experiment run, never a database operation.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
 
 //! Experiment harness: workload generators and the runners behind the
 //! `experiments` binary.

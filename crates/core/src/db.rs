@@ -1225,10 +1225,12 @@ impl TxnEndObserver for Db {
 
 impl Drop for Db {
     fn drop(&mut self) {
-        // The flusher thread keeps the pipeline alive on its own; a Db
-        // dropped without `shutdown`/`crash` must still join it or every
-        // short-lived database leaks a thread. No drain: a drop without
-        // shutdown carries no durability promise.
+        // The maintenance worker (which holds the pool, the log and the
+        // transaction manager) and the flusher thread keep the engine
+        // alive on their own; a Db dropped without `shutdown`/`crash`
+        // must still stop both or every short-lived database leaks them.
+        // No drain: a drop without shutdown carries no durability promise.
+        self.maint.stop(false);
         self.txns.pipeline().stop(false);
     }
 }
@@ -1258,6 +1260,8 @@ impl RecoveryHandler for Db {
     ) -> std::result::Result<(), RecoveryError> {
         let gr = GistRecord::decode(&payload.bytes)
             .map_err(|e| RecoveryError(format!("undo decode: {e}")))?;
+        // Every record kind by name: a new variant must get an arm here.
+        #[deny(clippy::wildcard_enum_match_arm)]
         match gr {
             GistRecord::AddLeafEntry { page, cell, .. } => {
                 // Logical undo: locate the entry (it may have moved right)

@@ -542,6 +542,8 @@ impl GistRecord {
         let max_page = self.pages().into_iter().max().unwrap_or(0);
         pool.store().ensure_capacity(max_page + 1)?;
         let mut applied = false;
+        // Every record kind by name: a new variant must get an arm here.
+        #[deny(clippy::wildcard_enum_match_arm)]
         match self {
             GistRecord::ParentEntryUpdate { child, parent, parent_slot, new_bp } => {
                 {

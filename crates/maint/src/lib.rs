@@ -362,6 +362,10 @@ impl MaintDaemon {
     /// Stop the daemon. With `drain`, every queued item is processed
     /// first (on this thread once the worker exits); without, the queue
     /// is discarded — used by the crash path, which must not touch pages.
+    ///
+    /// Called on the worker thread itself (a `Db` whose last handle the
+    /// worker's index upgrade held is dropped there), the worker is not
+    /// joined: it exits at the top of its loop once the item returns.
     pub fn stop(&self, drain: bool) {
         {
             let mut st = self.state.lock();
@@ -372,7 +376,9 @@ impl MaintDaemon {
             self.cond.notify_all();
         }
         if let Some(w) = self.worker.lock().take() {
-            let _ = w.join();
+            if w.thread().id() != std::thread::current().id() {
+                let _ = w.join();
+            }
         }
         if drain {
             self.run_until_idle();
@@ -409,7 +415,7 @@ impl MaintDaemon {
                     if st.in_flight == 0 {
                         return processed;
                     }
-                    // Bounded wait (lint: no-unbounded-wait): the wakeup
+                    // Bounded wait (clippy.toml disallows `wait`): the wakeup
                     // comes from `finish`, but a worker that died without
                     // it must not wedge the drain — the timeout re-checks
                     // the in-flight count and delayed backoffs.

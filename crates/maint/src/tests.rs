@@ -278,20 +278,22 @@ fn workers_process_in_background_and_stop_cleanly() {
     assert!(!d.enqueue(WorkItem::Gc { index: 2, leaf: PageId(12), parent_hint: None }));
 }
 
-/// An index whose GC panics, as an engine bug surfacing on the worker
-/// thread would.
-struct PanickingIndex;
+/// An index (id `.0`) whose GC runs a hook on the worker thread: a
+/// panic, as an engine bug surfacing there would, or a stop, as a `Db`
+/// dropped there does.
+struct HookIndex(u32, Box<dyn Fn(PageId) + Send + Sync>);
 
-impl MaintIndex for PanickingIndex {
+impl MaintIndex for HookIndex {
     fn maint_index_id(&self) -> u32 {
-        9
+        self.0
     }
     fn maint_gc_leaf(
         &self,
         leaf: PageId,
         _parent_hint: Option<PageId>,
     ) -> Result<GcOutcome, MaintError> {
-        panic!("injected: gc of {leaf} blew up");
+        (self.1)(leaf);
+        Ok(GcOutcome { reclaimed: 0, leaf_empty: false })
     }
     fn maint_try_drain(
         &self,
@@ -305,7 +307,8 @@ impl MaintIndex for PanickingIndex {
 #[test]
 fn worker_survives_a_panicking_item_and_drains() {
     let (d, _log) = daemon(MaintConfig::default());
-    let idx: Arc<dyn MaintIndex> = Arc::new(PanickingIndex);
+    let idx: Arc<dyn MaintIndex> =
+        Arc::new(HookIndex(9, Box::new(|leaf| panic!("injected: gc of {leaf} blew up"))));
     d.register_index(Arc::downgrade(&idx));
     // FIFO: the panic comes first, and the second leaf's drain proves
     // the worker outlived it.
@@ -330,6 +333,32 @@ fn worker_survives_a_panicking_item_and_drains() {
     assert_eq!((stats.panics, stats.failures), (1, 1), "contained and counted once");
     assert_eq!(stats.drain_attempts, 1, "the queue behind the panic was served");
     assert_eq!(d.backlog(), 0);
+}
+
+#[test]
+fn stop_on_the_worker_thread_skips_the_join_and_the_worker_exits() {
+    let (d, _log) = daemon(MaintConfig::default());
+    let returned = Arc::new(AtomicBool::new(false));
+    let (daemon, flag) = (Arc::downgrade(&d), returned.clone());
+    let idx: Arc<dyn MaintIndex> = Arc::new(HookIndex(
+        5,
+        Box::new(move |_| {
+            if let Some(d) = daemon.upgrade() {
+                d.stop(false);
+            }
+            flag.store(true, Ordering::Release);
+        }),
+    ));
+    d.register_index(Arc::downgrade(&idx));
+    d.enqueue(WorkItem::Gc { index: 5, leaf: PageId(1), parent_hint: None });
+    d.start().unwrap();
+    wait_until(|| returned.load(Ordering::Acquire));
+    assert!(returned.load(Ordering::Acquire), "stop on the worker thread returned");
+    // The worker drops its handle on the daemon once it leaves its loop.
+    let weak = Arc::downgrade(&d);
+    drop(d);
+    wait_until(|| weak.upgrade().is_none());
+    assert!(weak.upgrade().is_none(), "the worker exited");
 }
 
 #[test]

@@ -1,5 +1,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// The scheduler's token hand-off parks on std condvars whose wakeups it
+// pairs itself: an unbounded wait here is the mechanism, not a hang.
+#![allow(clippy::disallowed_methods)]
 
 //! # gist-mc — deterministic concurrency model checker
 //!

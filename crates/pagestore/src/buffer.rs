@@ -195,6 +195,7 @@ impl Frame {
     /// cannot see and freeze the whole exploration — so it spins on the
     /// `try_` variant with each miss parked virtually instead. Outside
     /// model checking this is exactly `write_arc()`.
+    #[allow(clippy::disallowed_methods)] // the pool takes its own frame latches
     fn latch_write_blocking(&self) -> WriteLatch {
         if audit::latch_managed() {
             loop {
@@ -210,6 +211,7 @@ impl Frame {
 
     /// Blocking S acquisition of the frame latch; see
     /// [`Frame::latch_write_blocking`] for the model-check virtualization.
+    #[allow(clippy::disallowed_methods)] // the pool takes its own frame latches
     fn latch_read_blocking(&self) -> ReadLatch {
         if audit::latch_managed() {
             loop {
@@ -395,6 +397,7 @@ impl BufferPool {
         }
     }
 
+    #[allow(clippy::disallowed_methods)] // the pool takes its own frame latches
     fn fetch_inner(
         self: &Arc<Self>,
         id: PageId,
@@ -510,6 +513,7 @@ impl BufferPool {
     /// operations — e.g. node deletion — whose latch order would
     /// otherwise risk deadlock). May still perform I/O on a miss (the
     /// fresh frame's latch is uncontended).
+    #[allow(clippy::disallowed_methods)] // the pool takes its own frame latches
     pub fn try_fetch_write(self: &Arc<Self>, id: PageId) -> io::Result<Option<PageWriteGuard>> {
         self.check_writable()?;
         if let Some(frame) = self.pin_cached(id) {
@@ -552,6 +556,7 @@ impl BufferPool {
 
     /// Fetch for write, but if the page is not cached, produce a fresh
     /// zeroed frame without a store read (content will be overwritten).
+    #[allow(clippy::disallowed_methods)] // the pool takes its own frame latches
     fn fetch_write_or_fresh(self: &Arc<Self>, id: PageId) -> io::Result<PageWriteGuard> {
         loop {
             if let Some(frame) = self.pin_cached(id) {
@@ -589,6 +594,7 @@ impl BufferPool {
     /// taken without waiting, chosen under the table lock (pins only
     /// rise under that lock, so none can appear mid-scan). The table
     /// lock is dropped before the write-back; the latch keeps the victim.
+    #[allow(clippy::disallowed_methods)] // the pool takes its own frame latches
     fn evict_excess(self: &Arc<Self>) {
         loop {
             // A poisoned pool cannot write dirty frames back; only clean

@@ -62,7 +62,7 @@ pub struct FaultStore {
     permanent: [AtomicBool; 3],
     /// Pre-write disk images of writes sitting in the volatile cache
     /// (oldest pre-image wins if a page is lost-written twice).
-    pending_lost: Mutex<HashMap<u32, Page>>, // lint: allow-global-sync-map — test harness
+    pending_lost: Mutex<HashMap<u32, Page>>,
 }
 
 impl FaultStore {

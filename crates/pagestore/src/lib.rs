@@ -1,5 +1,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+// Outside tests, no discarded I/O result: a lost write must not pass silently.
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use, clippy::unused_result_ok))]
 
 //! Page, slotted-page, buffer-pool and page-store substrate.
 //!

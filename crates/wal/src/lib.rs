@@ -1,5 +1,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Outside tests, no discarded I/O result: a lost write must not pass silently.
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use, clippy::unused_result_ok))]
 
 //! ARIES-style write-ahead logging for the GiST reproduction.
 //!
@@ -43,5 +45,7 @@ pub use recovery::{
     RestartOutcome, RollbackKind,
 };
 
+// The unit tests move the durable horizon by hand.
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests;

@@ -187,6 +187,9 @@ impl LogManager {
     }
 
     /// Force the entire log durable.
+    // The log's own whole-log force (shutdown, drain, tests): the one
+    // sanctioned `fsync_to` caller outside the commit pipeline.
+    #[allow(clippy::disallowed_methods)]
     pub fn flush_all(&self) {
         self.fsync_to(Lsn::MAX);
     }
@@ -253,6 +256,11 @@ impl LogManager {
     /// fmix64) over the encoded body. The framing is what lets
     /// [`LogManager::load_file`] tell a torn tail from interior
     /// corruption.
+    ///
+    /// The image is written to `<path>.tmp` beside `path`, synced, and
+    /// renamed over `path`, and the directory is synced: a crash at any
+    /// point leaves either the old file or the new one, never a
+    /// truncated log beside pages that are ahead of it.
     pub fn persist_file(&self, path: &Path) -> io::Result<()> {
         let records = self.records.lock();
         let durable = self.flushed_lsn().0 as usize;
@@ -265,9 +273,14 @@ impl LogManager {
             buf.extend_from_slice(&enc);
         }
         drop(records);
-        let mut f = fs::File::create(path)?;
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        let mut f = fs::File::create(&tmp)?;
         f.write_all(&buf)?;
-        f.sync_all()
+        f.sync_all()?;
+        fs::rename(&tmp, path)?;
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+        fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()
     }
 
     /// Load a log persisted by [`LogManager::persist_file`]; the loaded

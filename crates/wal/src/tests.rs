@@ -399,6 +399,35 @@ fn file_persist_and_load_roundtrip() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A second persist replaces the file instead of rewriting it in place:
+/// a reader of the first image (or a crash mid-write) never sees it
+/// truncated or half-overwritten.
+#[test]
+fn persist_replaces_the_file_instead_of_truncating_it() {
+    let (log, rm) = setup(2);
+    let t = TxnId(1);
+    let b = log.append(t, Lsn::NULL, RecordBody::TxnBegin);
+    let u = rm.set(t, b, 0, 5);
+    log.fsync_to(u);
+    let dir = std::env::temp_dir().join(format!("gist-wal-replace-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("db.wal");
+    log.persist_file(&path).unwrap();
+    let first = std::fs::read(&path).unwrap();
+    let mut old = std::fs::File::open(&path).unwrap();
+
+    let c = log.append(t, u, RecordBody::TxnCommit);
+    log.fsync_to(c);
+    log.persist_file(&path).unwrap();
+
+    let mut seen = Vec::new();
+    std::io::Read::read_to_end(&mut old, &mut seen).unwrap();
+    assert_eq!(seen, first, "the old handle still reads exactly the first image");
+    assert_eq!(LogManager::load_file(&path).unwrap().last_lsn(), c);
+    assert!(!dir.join("db.wal.tmp").exists(), "the temporary image was renamed away");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Persist a small committed log to a temp file and return
 /// `(dir, path, durable_lsn_count)`. The caller removes `dir`.
 fn persisted_log(tag: &str) -> (std::path::PathBuf, std::path::PathBuf, u64) {

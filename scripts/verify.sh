@@ -8,7 +8,8 @@
 # crate), with the maintenance-subsystem integration tests called out so
 # a filtered run can't silently skip them.
 #
-# Tier 2: zero clippy warnings, zero gist-lint violations, shell scripts
+# Tier 2: zero clippy warnings (no unwrap or unsafe outside tests), a lint
+# plant each toolchain check fires on, zero gist-lint violations, scripts
 # that parse, zero rustdoc warnings, the test suite under the gist-audit
 # dynamic discipline analyzer (`--features latch-audit`), the
 # fault/chaos/overload/serve harnesses (one of them a cross-layer
@@ -61,6 +62,20 @@ filtered() {
     return "$rc"
 }
 
+# clippy <args...>: `cargo clippy`, failing also on a clippy.toml path that
+# no longer resolves (only a warning, even under `-D warnings`).
+clippy() {
+    out=$(mktemp) && rcfile=$(mktemp) || return 1
+    { cargo clippy "$@"; echo $? > "$rcfile"; } 2>&1 | tee "$out"
+    rc=$(cat "$rcfile")
+    if grep -q "does not refer to a reachable" "$out"; then
+        echo "clippy: a clippy.toml path does not resolve"
+        [ "$rc" -ne 0 ] || rc=1
+    fi
+    rm -f "$out" "$rcfile"
+    return "$rc"
+}
+
 step "tier 1: cargo build --release" \
     cargo build --release
 step "tier 1: cargo test -q" \
@@ -69,9 +84,14 @@ step "tier 1: maint integration tests (release)" \
     cargo test --release --test maint
 
 step "tier 2: clippy (default features)" \
-    cargo clippy --workspace --all-targets -- -D warnings
+    clippy --workspace --all-targets -- -D warnings
 step "tier 2: clippy (chaos,latch-audit,model-check)" \
-    cargo clippy --workspace --all-targets --features chaos,latch-audit,model-check -- -D warnings
+    clippy --workspace --all-targets --features chaos,latch-audit,model-check -- -D warnings
+# Library and binary code only: `#[cfg(test)]` code may unwrap.
+step "tier 2: clippy lib/bin (no unwrap/expect, no unsafe)" \
+    clippy --workspace --lib --bins -- -D warnings -D clippy::unwrap_used -D clippy::expect_used -D unsafe_code
+step "tier 2: lint plant (every toolchain check fires)" \
+    sh scripts/lint_plant.sh
 step "tier 2: gist-lint static rules" \
     cargo run -q --bin gist-lint
 step "tier 2: shell scripts parse (sh -n)" \

@@ -3,19 +3,15 @@
 //! The dynamic analyzer (`crates/audit`, behind the `latch-audit`
 //! feature) asserts the §5 latch/lock protocol at runtime; this binary
 //! enforces the complementary *source-level* rules that keep the
-//! protocol auditable at all:
+//! protocol auditable at all. Only rules that need a path scope or a
+//! closure's extent live here; what the compiler can see by type is the
+//! toolchain's job (`clippy.toml` and the lint flags in
+//! `scripts/verify.sh`, DESIGN.md §10.2):
 //!
 //! | rule | what it enforces |
 //! |------|------------------|
-//! | `no-unwrap` | no `.unwrap()` / `.expect(...)` in non-test crate code — recoverable paths must surface errors, invariants must say why they hold (`unreachable!`) |
-//! | `record-coverage` | every `GistRecord` variant has an arm in the redo and undo dispatchers, and every `RecordBody` variant is named in the restart driver (no silent wildcard swallowing a new record kind) |
-//! | `latch-outside-buffer` | no direct `write_arc()` / `read_arc()` latch calls outside `pagestore/src/buffer.rs` — every latch must pass through the (audited) buffer-pool API |
-//! | `forbid-unsafe` | every crate without `unsafe` carries `#![forbid(unsafe_code)]` |
-//! | `no-ignored-io` | no `let _ = ...` / statement-level `....ok();` in the storage crates (pagestore, wal) — every I/O result must be propagated, retried, or poison the pool; a silently dropped error is exactly how a lost write becomes silent corruption |
-//! | `no-inline-flush` | no direct `log.fsync_to(...)` outside crates/wal and crates/commitpipe — durability goes through the group-commit pipeline, a private fsync re-serializes committers on the device |
 //! | `no-raw-std-sync` | no bare `parking_lot` / `std::sync` mutex, rwlock or condvar in the model-checked crates (commitpipe, wal) — synchronization there must go through the `gist-sync` wrappers, or the deterministic scheduler (`crates/mc`) cannot see the operation and its schedules silently lose coverage |
 //! | `no-latch-in-optimistic` | no `fetch_read` / `fetch_write` / `new_page_write` inside a `read_with(...)` optimistic closure in `crates/core` — the latch-free fast path must not take latches mid-copy (static twin of the dynamic `latch-in-optimistic` audit rule) |
-//! | `no-unbounded-wait` | no bare `.wait(&mut ...)` condvar parks in non-test crate code — every wait must carry a deadline (`wait_for`/`wait_until`) so a lost wakeup degrades instead of hanging (the `gist-sync` wrappers and the `mc` scheduler are exempt) |
 //! | `no-unbounded-read` | no raw `.read(...)` / `.write_all(...)` socket calls in `crates/serve` outside the deadline-wrapped transport helpers (`io.rs`) — a session parked on a dead peer with no deadline is exactly the leak the serving layer exists to prevent |
 //! | `no-owned-decode-in-traversal` | no `LeafEntry::decode(` / `InternalEntry::decode(` / `node::internal_entries(` / `node::leaf_entries(` under `crates/core/src/ops/` or in `tree.rs` / `maint.rs` / `check.rs` — traversals read entries through the borrowed views (`LeafEntryRef`, `InternalEntryRef`); an owning decode there is one `malloc` per entry looked at |
 //! | `chaos-point-registry` | every `chaos::point("...")` crash point and `chaos::armed("...")` mutation switch names an entry of the chaos crate's `CATALOG`, the catalog is duplicate-free, and every cataloged name is threaded through at least one call site |
@@ -209,117 +205,22 @@ fn test_lines(clean: &str) -> Vec<bool> {
     flags
 }
 
-/// Rule `no-unwrap`: `.unwrap()` / `.expect(` in non-test code. A raw-line
-/// marker comment `lint: allow-unwrap` waives a line (used nowhere today;
-/// exists so a future genuine need is greppable).
-fn rule_no_unwrap(f: &SourceFile, out: &mut Vec<Violation>) {
-    // The bench crate is the experiment harness — dev-tooling driving the
-    // tree from outside, not protocol code. Its panics abort an
-    // experiment run, never a database operation.
-    if f.path.starts_with("crates/bench/") {
-        return;
-    }
+/// Push a `rule` violation for every non-test line of `f` without the
+/// same-line `waiver` on which `hit` (given the sanitized line) returns
+/// a message.
+fn flag_lines(
+    f: &SourceFile,
+    rule: &'static str,
+    waiver: &str,
+    out: &mut Vec<Violation>,
+    hit: impl Fn(&str) -> Option<String>,
+) {
     for (n, clean, raw, test) in f.lines() {
-        if test || raw.contains("lint: allow-unwrap") {
+        if test || raw.contains(waiver) {
             continue;
         }
-        for needle in [".unwrap()", ".expect("] {
-            if clean.contains(needle) {
-                out.push(Violation {
-                    rule: "no-unwrap",
-                    file: f.path.clone(),
-                    line: n,
-                    msg: format!(
-                        "`{needle}` in non-test code — return an error or \
-                         state the invariant with `unreachable!`"
-                    ),
-                });
-            }
-        }
-    }
-}
-
-/// Rule `latch-outside-buffer`: direct parking_lot arc-latch calls are the
-/// buffer pool's private business; everyone else goes through the audited
-/// fetch/guard API.
-fn rule_latch_outside_buffer(f: &SourceFile, out: &mut Vec<Violation>) {
-    if f.path.ends_with("pagestore/src/buffer.rs") {
-        return;
-    }
-    for (n, clean, _raw, _test) in f.lines() {
-        if clean.contains("write_arc(") || clean.contains("read_arc(") {
-            out.push(Violation {
-                rule: "latch-outside-buffer",
-                file: f.path.clone(),
-                line: n,
-                msg: "direct latch acquisition outside pagestore/src/buffer.rs".into(),
-            });
-        }
-    }
-}
-
-/// Rule `no-ignored-io`: in the storage crates every fallible operation
-/// is an I/O operation, and a discarded `Result` there is a fault the
-/// fault-injection layer can never surface — the write "worked" as far
-/// as anyone can tell. `let _ = ...` and statement-level `....ok();`
-/// are the two discard idioms; both are forbidden outside tests. A
-/// result that is *genuinely* ignorable (best-effort cleanup on an
-/// already-failing path) takes a same-line `lint: allow-ignored-io`
-/// waiver stating why.
-fn rule_no_ignored_io(f: &SourceFile, out: &mut Vec<Violation>) {
-    let scoped = ["crates/pagestore/", "crates/wal/"].iter().any(|p| f.path.starts_with(p));
-    if !scoped {
-        return;
-    }
-    for (n, clean, raw, test) in f.lines() {
-        if test || raw.contains("lint: allow-ignored-io") {
-            continue;
-        }
-        // Whitespace-insensitive (`let _=`, `.ok() ;`).
-        let compact: String = clean.chars().filter(|c| !c.is_whitespace()).collect();
-        // `.ok()` in expression position (e.g. `parse().ok()?`) is a
-        // conversion, not a discard — only the statement form is flagged.
-        if compact.contains("let_=") || compact.contains(".ok();") {
-            out.push(Violation {
-                rule: "no-ignored-io",
-                file: f.path.clone(),
-                line: n,
-                msg: "discarded result in a storage crate — propagate it, retry it, \
-                      or poison the pool; waive with `lint: allow-ignored-io` if truly moot"
-                    .into(),
-            });
-        }
-    }
-}
-
-/// Rule `no-inline-flush`: a direct `fsync_to(...)` outside the WAL
-/// crate and the commit pipeline is a private fsync — it bypasses group
-/// commit and re-serializes every committer on the log device, exactly
-/// the cost the pipeline exists to amortize. Durability requests must go
-/// through the pipeline (`commit_durable`, `barrier`, or the pool's
-/// registered flusher). `flush_all` (shutdown/drain) is not matched, and
-/// tests are exempt; a deliberate private force takes a same-line
-/// `lint: allow-inline-flush` waiver stating why.
-fn rule_no_inline_flush(f: &SourceFile, out: &mut Vec<Violation>) {
-    if ["crates/wal/", "crates/commitpipe/"].iter().any(|p| f.path.starts_with(p)) {
-        return;
-    }
-    for (n, clean, raw, test) in f.lines() {
-        if test || raw.contains("lint: allow-inline-flush") {
-            continue;
-        }
-        let compact: String = clean.chars().filter(|c| !c.is_whitespace()).collect();
-        if compact.contains("fsync_to(") {
-            out.push(Violation {
-                rule: "no-inline-flush",
-                file: f.path.clone(),
-                line: n,
-                msg: "direct log flush outside crates/wal and crates/commitpipe — route \
-                      durability through the commit pipeline so group commit can batch \
-                      the fsync; waive with `lint: allow-inline-flush` if a private \
-                      force is really intended"
-                    .into(),
-            });
+        if let Some(msg) = hit(clean) {
+            out.push(Violation { rule, file: f.path.clone(), line: n, msg });
         }
     }
 }
@@ -338,33 +239,23 @@ fn rule_no_raw_std_sync(f: &SourceFile, out: &mut Vec<Violation>) {
     if !scoped {
         return;
     }
-    for (n, clean, raw, test) in f.lines() {
-        if test || raw.contains("lint: allow-raw-sync") {
-            continue;
-        }
-        let offender = if clean.contains("parking_lot") {
-            Some("parking_lot")
+    flag_lines(f, "no-raw-std-sync", "lint: allow-raw-sync", out, |clean| {
+        let source = if clean.contains("parking_lot") {
+            "parking_lot"
         } else if clean.contains("std::sync")
             && ["Mutex", "RwLock", "Condvar"].iter().any(|t| clean.contains(t))
         {
-            Some("std::sync")
+            "std::sync"
         } else {
-            None
+            return None;
         };
-        if let Some(source) = offender {
-            out.push(Violation {
-                rule: "no-raw-std-sync",
-                file: f.path.clone(),
-                line: n,
-                msg: format!(
-                    "bare `{source}` synchronization in a model-checked crate — use the \
-                     `gist-sync` wrappers so the deterministic scheduler sees the \
-                     operation; waive with `lint: allow-raw-sync` if it must stay \
-                     invisible"
-                ),
-            });
-        }
-    }
+        Some(format!(
+            "bare `{source}` synchronization in a model-checked crate — use the \
+             `gist-sync` wrappers so the deterministic scheduler sees the \
+             operation; waive with `lint: allow-raw-sync` if it must stay \
+             invisible"
+        ))
+    });
 }
 
 /// Rule `no-latch-in-optimistic`: the optimistic fast path must stay
@@ -429,37 +320,6 @@ fn rule_no_latch_in_optimistic(f: &SourceFile, out: &mut Vec<Violation>) {
     }
 }
 
-/// Rule `no-unbounded-wait`: every condvar wait in non-test crate code
-/// must carry a timeout (`wait_for` / `wait_until`). A bare
-/// `.wait(&mut ...)` parks forever on a notification that a dead or
-/// wedged peer may never send — the overload-resilience work requires
-/// every park to have a deadline so degradation (a stalled commit,
-/// forced advance, shed) can engage instead of a hang. The `gist-sync` wrapper
-/// crate itself and the `mc` scheduler (which virtualizes time) are out
-/// of scope; a deliberate forever-wait takes a same-line
-/// `lint: allow-unbounded-wait` waiver.
-fn rule_no_unbounded_wait(f: &SourceFile, out: &mut Vec<Violation>) {
-    if f.path.starts_with("crates/sync/") || f.path.starts_with("crates/mc/") {
-        return;
-    }
-    for (n, clean, raw, test) in f.lines() {
-        if test || raw.contains("lint: allow-unbounded-wait") {
-            continue;
-        }
-        if clean.contains(".wait(&mut") {
-            out.push(Violation {
-                rule: "no-unbounded-wait",
-                file: f.path.clone(),
-                line: n,
-                msg: "unbounded condvar wait — park with `wait_for`/`wait_until` so a \
-                      missing wakeup degrades instead of hanging; waive with \
-                      `lint: allow-unbounded-wait` if the wait is provably paired"
-                    .to_string(),
-            });
-        }
-    }
-}
-
 /// Rule `no-unbounded-read`: inside `crates/serve`, every socket read
 /// or write must go through the deadline-wrapped helpers in
 /// `crates/serve/src/io.rs` (the `Transport` trait's `recv`/`send`). A
@@ -481,22 +341,14 @@ fn rule_no_unbounded_read(f: &SourceFile, out: &mut Vec<Violation>) {
         ".write_all(",
         ".peek(",
     ];
-    for (n, clean, raw, test) in f.lines() {
-        if test || raw.contains("lint: allow-raw-io") {
-            continue;
-        }
-        if RAW_IO.iter().any(|p| clean.contains(p)) {
-            out.push(Violation {
-                rule: "no-unbounded-read",
-                file: f.path.clone(),
-                line: n,
-                msg: "raw socket I/O outside the deadline-wrapped helpers — go through \
-                      `Transport::recv`/`Transport::send` (crates/serve/src/io.rs) so \
-                      every park is bounded; waive with `lint: allow-raw-io`"
-                    .to_string(),
-            });
-        }
-    }
+    flag_lines(f, "no-unbounded-read", "lint: allow-raw-io", out, |clean| {
+        RAW_IO.iter().any(|p| clean.contains(p)).then(|| {
+            "raw socket I/O outside the deadline-wrapped helpers — go through \
+             `Transport::recv`/`Transport::send` (crates/serve/src/io.rs) so \
+             every park is bounded; waive with `lint: allow-raw-io`"
+                .to_string()
+        })
+    });
 }
 
 /// Rule `no-owned-decode-in-traversal`: the traversal code of
@@ -522,149 +374,15 @@ fn rule_no_owned_decode_in_traversal(f: &SourceFile, out: &mut Vec<Violation>) {
     if !f.path.starts_with("crates/core/src/ops/") && !TRAVERSAL_FILES.contains(&f.path.as_str()) {
         return;
     }
-    for (n, clean, raw, test) in f.lines() {
-        if test || raw.contains("lint: allow-owned-decode") {
-            continue;
-        }
+    flag_lines(f, "no-owned-decode-in-traversal", "lint: allow-owned-decode", out, |clean| {
         let compact: String = clean.chars().filter(|c| !c.is_whitespace()).collect();
-        if let Some(call) = OWNING.iter().find(|pat| compact.contains(**pat)) {
-            out.push(Violation {
-                rule: "no-owned-decode-in-traversal",
-                file: f.path.clone(),
-                line: n,
-                msg: format!(
-                    "`{call}…)` on a traversal path allocates per entry — read the cell \
-                     through `LeafEntryRef`/`InternalEntryRef`; waive with \
-                     `lint: allow-owned-decode` where an owned entry is really kept"
-                ),
-            });
-        }
-    }
-}
-
-/// Extract the variant names of `pub enum <name>` from sanitized source.
-fn enum_variants(clean: &str, name: &str) -> Vec<String> {
-    let mut variants = Vec::new();
-    let Some(start) = clean.find(&format!("pub enum {name}")) else {
-        return variants;
-    };
-    let body = &clean[start..];
-    let Some(open) = body.find('{') else { return variants };
-    let mut depth = 0i64;
-    let mut end = body.len();
-    for (i, ch) in body[open..].char_indices() {
-        match ch {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    end = open + i;
-                    break;
-                }
-            }
-            _ => {}
-        }
-    }
-    let mut rel_depth = 0i64;
-    for line in body[open + 1..end].lines() {
-        let t = line.trim();
-        if rel_depth == 0 {
-            let ident: String =
-                t.chars().take_while(|c| c.is_ascii_alphanumeric() || *c == '_').collect();
-            if !ident.is_empty() && ident.chars().next().is_some_and(|c| c.is_ascii_uppercase()) {
-                let rest = t[ident.len()..].trim_start();
-                if rest.is_empty()
-                    || rest.starts_with(',')
-                    || rest.starts_with('{')
-                    || rest.starts_with('(')
-                {
-                    variants.push(ident);
-                }
-            }
-        }
-        for ch in line.chars() {
-            match ch {
-                '{' | '(' => rel_depth += 1,
-                '}' | ')' => rel_depth -= 1,
-                _ => {}
-            }
-        }
-    }
-    variants
-}
-
-/// The sanitized body text of the first `fn <name>` in the file, or `None`.
-fn fn_body<'a>(clean: &'a str, name: &str) -> Option<&'a str> {
-    let start = clean.find(&format!("fn {name}("))?;
-    let open = start + clean[start..].find('{')?;
-    let mut depth = 0i64;
-    for (i, ch) in clean[open..].char_indices() {
-        match ch {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&clean[open..open + i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-fn find_file<'a>(files: &'a [SourceFile], suffix: &str) -> Option<&'a SourceFile> {
-    files.iter().find(|f| f.path.ends_with(suffix))
-}
-
-/// Rule `record-coverage`: the recovery protocol's record sets must be
-/// dispatched exhaustively *by name* — a new record kind has to show up
-/// in redo, in undo, and in the restart analysis, or this rule fails the
-/// build instead of a wildcard arm silently ignoring it.
-fn rule_record_coverage(files: &[SourceFile], out: &mut Vec<Violation>) {
-    let mut push = |file: &str, msg: String| {
-        out.push(Violation { rule: "record-coverage", file: file.into(), line: 1, msg });
-    };
-    // GiST content records: redo dispatcher lives in logrec.rs, undo in db.rs.
-    match (find_file(files, "core/src/logrec.rs"), find_file(files, "core/src/db.rs")) {
-        (Some(logrec), Some(db)) => {
-            let variants = enum_variants(&logrec.clean, "GistRecord");
-            if variants.is_empty() {
-                push(&logrec.path, "could not parse `pub enum GistRecord`".into());
-            }
-            let redo = fn_body(&logrec.clean, "redo").unwrap_or("");
-            let undo = fn_body(&db.clean, "undo").unwrap_or("");
-            for v in &variants {
-                let pat = format!("GistRecord::{v}");
-                if !redo.contains(&pat) {
-                    push(&logrec.path, format!("{pat} has no arm in the redo dispatcher"));
-                }
-                if !undo.contains(&pat) {
-                    push(&db.path, format!("{pat} has no arm in the undo dispatcher"));
-                }
-            }
-        }
-        _ => push("crates/core", "logrec.rs / db.rs not found for coverage check".into()),
-    }
-    // Log-manager records: the restart driver must name every variant.
-    match (find_file(files, "wal/src/record.rs"), find_file(files, "wal/src/recovery.rs")) {
-        (Some(record), Some(recovery)) => {
-            let variants = enum_variants(&record.clean, "RecordBody");
-            if variants.is_empty() {
-                push(&record.path, "could not parse `pub enum RecordBody`".into());
-            }
-            for v in &variants {
-                let pat = format!("RecordBody::{v}");
-                if !recovery.clean.contains(&pat) {
-                    push(
-                        &recovery.path,
-                        format!("{pat} is not named anywhere in the restart driver"),
-                    );
-                }
-            }
-        }
-        _ => push("crates/wal", "record.rs / recovery.rs not found for coverage check".into()),
-    }
+        let call = OWNING.iter().find(|pat| compact.contains(**pat))?;
+        Some(format!(
+            "`{call}…)` on a traversal path allocates per entry — read the cell \
+             through `LeafEntryRef`/`InternalEntryRef`; waive with \
+             `lint: allow-owned-decode` where an owned entry is really kept"
+        ))
+    });
 }
 
 /// Character positions of `"` pairs in a sanitized line. Comment content
@@ -693,7 +411,7 @@ fn quote_pairs(clean_line: &str) -> Vec<(usize, usize)> {
 /// name must be threaded through at least one call site (an unused entry
 /// is dead coverage the harness *thinks* it exercises).
 fn rule_chaos_point_registry(files: &[SourceFile], out: &mut Vec<Violation>) {
-    let Some(cat_file) = find_file(files, "chaos/src/lib.rs") else {
+    let Some(cat_file) = files.iter().find(|f| f.path.ends_with("chaos/src/lib.rs")) else {
         out.push(Violation {
             rule: "chaos-point-registry",
             file: "crates/chaos/src/lib.rs".into(),
@@ -801,51 +519,15 @@ fn rule_chaos_point_registry(files: &[SourceFile], out: &mut Vec<Violation>) {
     }
 }
 
-/// Rule `forbid-unsafe`: group files by crate root; a crate whose sources
-/// contain no `unsafe` must carry `#![forbid(unsafe_code)]` in its root.
-fn rule_forbid_unsafe(files: &[SourceFile], out: &mut Vec<Violation>) {
-    let mut roots: Vec<&SourceFile> = files
-        .iter()
-        .filter(|f| f.path.ends_with("src/lib.rs") && !f.path.contains("vendor/"))
-        .collect();
-    roots.sort_by(|a, b| a.path.cmp(&b.path));
-    for root in roots {
-        let crate_dir = root.path.trim_end_matches("lib.rs");
-        let has_unsafe = files.iter().filter(|f| f.path.starts_with(crate_dir)).any(|f| {
-            // `unsafe` as a keyword use (fn/block/impl), not the
-            // `unsafe_code` lint name inside the forbid attribute.
-            f.clean
-                .split("unsafe")
-                .skip(1)
-                .any(|rest| !rest.starts_with("_code"))
-        });
-        if !has_unsafe && !root.clean.contains("#![forbid(unsafe_code)]") {
-            out.push(Violation {
-                rule: "forbid-unsafe",
-                file: root.path.clone(),
-                line: 1,
-                msg: "crate has no unsafe code but lacks #![forbid(unsafe_code)]".into(),
-            });
-        }
-    }
-}
-
 /// Run every rule over an in-memory file set (testable entry point).
 fn scan(files: &[SourceFile]) -> Vec<Violation> {
     let mut out = Vec::new();
     for f in files {
-        rule_no_unwrap(f, &mut out);
-        rule_latch_outside_buffer(f, &mut out);
-        rule_no_ignored_io(f, &mut out);
-        rule_no_inline_flush(f, &mut out);
         rule_no_raw_std_sync(f, &mut out);
         rule_no_latch_in_optimistic(f, &mut out);
-        rule_no_unbounded_wait(f, &mut out);
         rule_no_unbounded_read(f, &mut out);
         rule_no_owned_decode_in_traversal(f, &mut out);
     }
-    rule_record_coverage(files, &mut out);
-    rule_forbid_unsafe(files, &mut out);
     rule_chaos_point_registry(files, &mut out);
     out
 }
@@ -905,15 +587,8 @@ fn main() {
     println!("gist-lint summary ({} files scanned)", files.len());
     println!("  {:<28} violations", "rule");
     for rule in [
-        "no-unwrap",
-        "record-coverage",
-        "latch-outside-buffer",
-        "forbid-unsafe",
-        "no-ignored-io",
-        "no-inline-flush",
         "no-raw-std-sync",
         "no-latch-in-optimistic",
-        "no-unbounded-wait",
         "no-unbounded-read",
         "no-owned-decode-in-traversal",
         "chaos-point-registry",
@@ -936,6 +611,13 @@ mod tests {
         SourceFile::new(path.into(), src.into())
     }
 
+    /// Run one per-file rule over a synthetic file.
+    fn check(rule: fn(&SourceFile, &mut Vec<Violation>), path: &str, src: &str) -> Vec<Violation> {
+        let mut v = Vec::new();
+        rule(&file(path, src), &mut v);
+        v
+    }
+
     #[test]
     fn sanitizer_strips_comments_and_strings() {
         let s = sanitize("let x = \"a.unwrap()\"; // .unwrap()\nlet y = 1; /* .expect( */");
@@ -951,54 +633,22 @@ mod tests {
     }
 
     #[test]
-    fn unbounded_wait_is_flagged_and_bounded_wait_is_not() {
-        let f = file(
-            "crates/x/src/lib.rs",
-            "fn a(c: &Condvar, m: &Mutex<u8>) {\n    let mut g = m.lock();\n    c.wait(&mut g);\n    c.wait_for(&mut g, Duration::from_millis(50));\n}",
-        );
-        let mut v = Vec::new();
-        rule_no_unbounded_wait(&f, &mut v);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, "no-unbounded-wait");
-        assert_eq!(v[0].line, 3);
-    }
-
-    #[test]
-    fn unbounded_wait_exemptions_hold() {
-        let src = "fn a(c: &Condvar, m: &Mutex<u8>) {\n    c.wait(&mut m.lock()); // lint: allow-unbounded-wait\n}\n#[cfg(test)]\nmod tests {\n    fn t(c: &Condvar, m: &Mutex<u8>) { c.wait(&mut m.lock()); }\n}\n";
-        let mut v = Vec::new();
-        rule_no_unbounded_wait(&file("crates/x/src/lib.rs", src), &mut v);
-        assert!(v.is_empty(), "waiver + test region exempt: {v:?}");
-        rule_no_unbounded_wait(
-            &file("crates/sync/src/lib.rs", "fn w(c: &C, g: &mut G) { c.wait(&mut *g); }"),
-            &mut v,
-        );
-        rule_no_unbounded_wait(
-            &file("crates/mc/src/lib.rs", "fn w(c: &C, g: &mut G) { c.wait(&mut *g); }"),
-            &mut v,
-        );
-        assert!(v.is_empty(), "wrapper + scheduler crates exempt: {v:?}");
-    }
-
-    #[test]
     fn unbounded_read_flagged_only_in_serve_outside_io_helpers() {
         let src = "fn pump(s: &mut TcpStream, buf: &mut [u8]) {\n    let n = s.read(buf);\n    s.write_all(buf);\n}";
-        let mut v = Vec::new();
-        rule_no_unbounded_read(&file("crates/serve/src/session.rs", src), &mut v);
+        let v = check(rule_no_unbounded_read, "crates/serve/src/session.rs", src);
         assert_eq!(v.len(), 2, "{v:?}");
         assert!(v.iter().all(|x| x.rule == "no-unbounded-read"));
         // The deadline-helper module itself is exempt, as is any other crate.
-        let mut v = Vec::new();
-        rule_no_unbounded_read(&file("crates/serve/src/io.rs", src), &mut v);
-        rule_no_unbounded_read(&file("crates/wal/src/lib.rs", src), &mut v);
-        assert!(v.is_empty(), "{v:?}");
+        for path in ["crates/serve/src/io.rs", "crates/wal/src/lib.rs"] {
+            let v = check(rule_no_unbounded_read, path, src);
+            assert!(v.is_empty(), "{path}: {v:?}");
+        }
     }
 
     #[test]
     fn unbounded_read_exemptions_hold() {
         let src = "fn pump(s: &mut TcpStream, buf: &mut [u8]) {\n    let n = s.read(buf); // lint: allow-raw-io\n}\n#[cfg(test)]\nmod tests {\n    fn t(s: &mut TcpStream, b: &mut [u8]) { s.read(b).unwrap(); }\n}\n";
-        let mut v = Vec::new();
-        rule_no_unbounded_read(&file("crates/serve/src/session.rs", src), &mut v);
+        let v = check(rule_no_unbounded_read, "crates/serve/src/session.rs", src);
         assert!(v.is_empty(), "waiver + test region exempt: {v:?}");
     }
 
@@ -1006,74 +656,49 @@ mod tests {
     fn owned_decode_is_flagged_on_traversal_paths_only() {
         let src = "fn f(p: &Page) {\n    for (_, c) in node::entry_cells(p) {\n        let e = LeafEntry::decode(c);\n        let i = InternalEntry :: decode(c);\n    }\n    let all = node::internal_entries(p);\n    let rid = LeafEntry::decode_rid(c);\n    let v = LeafEntryRef::new(c);\n}";
         for path in ["crates/core/src/ops/cursor.rs", "crates/core/src/check.rs"] {
-            let mut v = Vec::new();
-            rule_no_owned_decode_in_traversal(&file(path, src), &mut v);
+            let v = check(rule_no_owned_decode_in_traversal, path, src);
             assert_eq!(v.iter().map(|x| x.line).collect::<Vec<_>>(), vec![3, 4, 6], "{path}: {v:?}");
             assert!(v.iter().all(|x| x.rule == "no-owned-decode-in-traversal"));
         }
         // Out of scope: the baseline protocols, the entry module itself,
         // other crates.
-        let mut v = Vec::new();
         for path in ["crates/core/src/baseline.rs", "crates/core/src/entry.rs", "crates/bench/src/experiments.rs"] {
-            rule_no_owned_decode_in_traversal(&file(path, src), &mut v);
+            let v = check(rule_no_owned_decode_in_traversal, path, src);
+            assert!(v.is_empty(), "{path}: {v:?}");
         }
-        assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]
     fn owned_decode_exemptions_hold() {
         let src = "fn split(c: &[u8]) {\n    let kept = LeafEntry::decode(c); // lint: allow-owned-decode (moved to the sibling)\n}\n#[cfg(test)]\nmod tests {\n    fn t(c: &[u8]) { LeafEntry::decode(c); }\n}\n";
-        let mut v = Vec::new();
-        rule_no_owned_decode_in_traversal(&file("crates/core/src/ops/insert.rs", src), &mut v);
+        let v = check(rule_no_owned_decode_in_traversal, "crates/core/src/ops/insert.rs", src);
         assert!(v.is_empty(), "waiver + test region exempt: {v:?}");
     }
 
-    #[test]
-    fn seeded_unwrap_is_flagged() {
-        let f = file("crates/x/src/lib.rs", "fn f(o: Option<u8>) -> u8 { o.unwrap() }");
-        let mut v = Vec::new();
-        rule_no_unwrap(&f, &mut v);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "no-unwrap");
-        assert_eq!(v[0].line, 1);
-    }
-
-    #[test]
-    fn seeded_expect_is_flagged() {
-        let f = file("crates/x/src/lib.rs", "fn f(o: Option<u8>) -> u8 {\n    o.expect(\"x\")\n}");
-        let mut v = Vec::new();
-        rule_no_unwrap(&f, &mut v);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].line, 2);
-    }
-
+    // The machinery every rule shares (the `#[cfg(test)]` tracker and the
+    // same-line waiver), exercised through `no-raw-std-sync`.
     #[test]
     fn test_module_unwrap_is_exempt() {
-        let src = "fn prod() {}\n#[cfg(test)]\nmod tests {\n    fn t(o: Option<u8>) { o.unwrap(); }\n}\n";
-        let f = file("crates/x/src/lib.rs", src);
-        let mut v = Vec::new();
-        rule_no_unwrap(&f, &mut v);
+        let src = "fn prod() {}\n#[cfg(test)]\nmod tests {\n    fn t() { std::sync::Mutex::new(0).lock().unwrap(); }\n}\n";
+        let v = check(rule_no_raw_std_sync, "crates/wal/src/log.rs", src);
         assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]
     fn code_after_test_module_is_checked_again() {
-        let src = "#[cfg(test)]\nmod tests { fn t() {} }\nfn prod(o: Option<u8>) { o.unwrap(); }\n";
-        let f = file("crates/x/src/lib.rs", src);
-        let mut v = Vec::new();
-        rule_no_unwrap(&f, &mut v);
+        let src = "#[cfg(test)]\nmod tests { fn t() {} }\nfn prod() { std::sync::Mutex::new(0).lock().unwrap(); }\n";
+        let v = check(rule_no_raw_std_sync, "crates/wal/src/log.rs", src);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].line, 3);
     }
 
     #[test]
     fn waiver_comment_is_respected() {
-        let f = file(
-            "crates/x/src/lib.rs",
-            "fn f(o: Option<u8>) { o.unwrap(); } // lint: allow-unwrap — test scaffold",
+        let v = check(
+            rule_no_raw_std_sync,
+            "crates/wal/src/log.rs",
+            "fn f() { std::sync::Mutex::new(0).lock(); } // lint: allow-raw-sync — test scaffold",
         );
-        let mut v = Vec::new();
-        rule_no_unwrap(&f, &mut v);
         assert!(v.is_empty());
     }
 
@@ -1083,9 +708,7 @@ mod tests {
                    let x = og.read_with(|p| {\n        \
                    let g = pool.fetch_read(p.rightlink())?;\n        \
                    g.nsn()\n    });\n}\n";
-        let f = file("crates/core/src/ops/cursor.rs", src);
-        let mut v = Vec::new();
-        rule_no_latch_in_optimistic(&f, &mut v);
+        let v = check(rule_no_latch_in_optimistic, "crates/core/src/ops/cursor.rs", src);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, "no-latch-in-optimistic");
         assert_eq!(v[0].line, 3);
@@ -1096,18 +719,14 @@ mod tests {
         let src = "fn f(pool: &Pool, og: &Og) {\n    \
                    let copy = og.read_with(|p| p.nsn());\n    \
                    let g = pool.fetch_read(PageId(1));\n}\n";
-        let f = file("crates/core/src/tree.rs", src);
-        let mut v = Vec::new();
-        rule_no_latch_in_optimistic(&f, &mut v);
+        let v = check(rule_no_latch_in_optimistic, "crates/core/src/tree.rs", src);
         assert!(v.is_empty(), "region must close with the call: {v:?}");
     }
 
     #[test]
     fn latch_in_optimistic_scopes_to_core_only() {
         let src = "fn f(og: &Og) { og.read_with(|p| self.fetch_read(p.id())); }\n";
-        let f = file("crates/pagestore/src/buffer.rs", src);
-        let mut v = Vec::new();
-        rule_no_latch_in_optimistic(&f, &mut v);
+        let v = check(rule_no_latch_in_optimistic, "crates/pagestore/src/buffer.rs", src);
         assert!(v.is_empty(), "rule applies to crates/core only: {v:?}");
     }
 
@@ -1116,94 +735,19 @@ mod tests {
         let src = "fn f(pool: &Pool, og: &Og) {\n    \
                    og.read_with(|p| pool.fetch_read(p.id())); \
                    // lint: allow-latch-in-optimistic — measured, cold path\n}\n";
-        let f = file("crates/core/src/tree.rs", src);
-        let mut v = Vec::new();
-        rule_no_latch_in_optimistic(&f, &mut v);
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn latch_call_outside_buffer_is_flagged() {
-        let f = file("crates/core/src/tree.rs", "let g = frame.latch.write_arc();");
-        let mut v = Vec::new();
-        rule_latch_outside_buffer(&f, &mut v);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "latch-outside-buffer");
-        let f = file("crates/pagestore/src/buffer.rs", "let g = frame.latch.write_arc();");
-        let mut v = Vec::new();
-        rule_latch_outside_buffer(&f, &mut v);
-        assert!(v.is_empty(), "buffer.rs itself is the blessed site");
-    }
-
-    #[test]
-    fn inline_flush_outside_wal_is_flagged() {
-        let f = file("crates/txn/src/lib.rs", "fn c(&self) { self.log.fsync_to(lsn); }");
-        let mut v = Vec::new();
-        rule_no_inline_flush(&f, &mut v);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "no-inline-flush");
-        // Accessor form is the same bypass.
-        let f = file("crates/maint/src/lib.rs", "fn c(&self) { self.log().fsync_to(lsn); }");
-        let mut v = Vec::new();
-        rule_no_inline_flush(&f, &mut v);
-        assert_eq!(v.len(), 1, "{v:?}");
-    }
-
-    #[test]
-    fn fsync_to_in_core_is_flagged() {
-        let f = file("crates/core/src/db.rs", "fn s(&self) { self.log.fsync_to(lsn); }");
-        let mut v = Vec::new();
-        rule_no_inline_flush(&f, &mut v);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, "no-inline-flush");
-    }
-
-    #[test]
-    fn inline_flush_exemptions_hold() {
-        // The WAL crate and the pipeline own the durability primitive.
-        for path in ["crates/wal/src/recovery.rs", "crates/commitpipe/src/lib.rs"] {
-            let f = file(path, "fn c(&self) { self.log.fsync_to(lsn); }");
-            let mut v = Vec::new();
-            rule_no_inline_flush(&f, &mut v);
-            assert!(v.is_empty(), "{path}: {v:?}");
-        }
-        // flush_all (shutdown drain) is not an inline per-record force.
-        let f = file("crates/core/src/db.rs", "fn s(&self) { self.log.flush_all(); }");
-        let mut v = Vec::new();
-        rule_no_inline_flush(&f, &mut v);
-        assert!(v.is_empty(), "{v:?}");
-        // Waiver and test modules are exempt.
-        let f = file(
-            "crates/core/src/db.rs",
-            "fn s(&self) { self.log.fsync_to(lsn); } // lint: allow-inline-flush — bootstrap",
-        );
-        let mut v = Vec::new();
-        rule_no_inline_flush(&f, &mut v);
-        assert!(v.is_empty(), "{v:?}");
-        let f = file(
-            "crates/core/src/db.rs",
-            "#[cfg(test)]\nmod tests {\n    fn t(log: &L) { log.fsync_to(lsn); }\n}\n",
-        );
-        let mut v = Vec::new();
-        rule_no_inline_flush(&f, &mut v);
+        let v = check(rule_no_latch_in_optimistic, "crates/core/src/tree.rs", src);
         assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]
     fn raw_sync_in_model_checked_crate_is_flagged() {
         // Imports and qualified construction are both caught.
-        let f = file("crates/commitpipe/src/lib.rs", "use parking_lot::{Condvar, Mutex};");
-        let mut v = Vec::new();
-        rule_no_raw_std_sync(&f, &mut v);
+        let v = check(rule_no_raw_std_sync, "crates/commitpipe/src/lib.rs", "use parking_lot::{Condvar, Mutex};");
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, "no-raw-std-sync");
-        let f = file("crates/wal/src/log.rs", "use std::sync::{Arc, Mutex};");
-        let mut v = Vec::new();
-        rule_no_raw_std_sync(&f, &mut v);
+        let v = check(rule_no_raw_std_sync, "crates/wal/src/log.rs", "use std::sync::{Arc, Mutex};");
         assert_eq!(v.len(), 1, "{v:?}");
-        let f = file("crates/commitpipe/src/lib.rs", "let m = std::sync::Condvar::new();");
-        let mut v = Vec::new();
-        rule_no_raw_std_sync(&f, &mut v);
+        let v = check(rule_no_raw_std_sync, "crates/commitpipe/src/lib.rs", "let m = std::sync::Condvar::new();");
         assert_eq!(v.len(), 1, "{v:?}");
     }
 
@@ -1216,121 +760,17 @@ mod tests {
             "crates/pagestore/src/buffer.rs",
             "crates/lockmgr/src/manager.rs",
         ] {
-            let f = file(path, "inner: parking_lot::Mutex<T>,");
-            let mut v = Vec::new();
-            rule_no_raw_std_sync(&f, &mut v);
+            let v = check(rule_no_raw_std_sync, path, "inner: parking_lot::Mutex<T>,");
             assert!(v.is_empty(), "{path}: {v:?}");
         }
         // Non-lock std::sync imports (Arc, atomics, OnceLock) are fine.
-        let f = file("crates/wal/src/log.rs", "use std::sync::{Arc, OnceLock};\nuse std::sync::atomic::{AtomicU64, Ordering};");
-        let mut v = Vec::new();
-        rule_no_raw_std_sync(&f, &mut v);
+        let v = check(rule_no_raw_std_sync, "crates/wal/src/log.rs", "use std::sync::{Arc, OnceLock};\nuse std::sync::atomic::{AtomicU64, Ordering};");
         assert!(v.is_empty(), "{v:?}");
         // gist-sync imports are the blessed path.
-        let f = file("crates/commitpipe/src/lib.rs", "use gist_sync::{Condvar, Mutex};");
-        let mut v = Vec::new();
-        rule_no_raw_std_sync(&f, &mut v);
+        let v = check(rule_no_raw_std_sync, "crates/commitpipe/src/lib.rs", "use gist_sync::{Condvar, Mutex};");
         assert!(v.is_empty(), "{v:?}");
-        // Waiver and test modules are exempt.
-        let f = file(
-            "crates/commitpipe/src/lib.rs",
-            "use parking_lot::Mutex; // lint: allow-raw-sync — measured fast path",
-        );
-        let mut v = Vec::new();
-        rule_no_raw_std_sync(&f, &mut v);
-        assert!(v.is_empty(), "{v:?}");
-        let f = file(
-            "crates/wal/src/log.rs",
-            "#[cfg(test)]\nmod tests {\n    use std::sync::Mutex;\n}\n",
-        );
-        let mut v = Vec::new();
-        rule_no_raw_std_sync(&f, &mut v);
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn enum_variants_parse_struct_tuple_and_unit() {
-        let clean = sanitize(
-            "pub enum E {\n    Unit,\n    Tup(u8, Vec<u8>),\n    Struct {\n        a: u8,\n    },\n}\n",
-        );
-        assert_eq!(enum_variants(&clean, "E"), vec!["Unit", "Tup", "Struct"]);
-    }
-
-    #[test]
-    fn missing_redo_arm_is_flagged() {
-        let logrec = file(
-            "crates/core/src/logrec.rs",
-            "pub enum GistRecord {\n    A,\n    B,\n}\nimpl GistRecord {\n  pub fn redo(&self) { match self { GistRecord::A => {} GistRecord::B => {} } }\n}\n",
-        );
-        let db = file(
-            "crates/core/src/db.rs",
-            "fn undo(&self) { match gr { GistRecord::A => {} } }\n",
-        );
-        let record = file("crates/wal/src/record.rs", "pub enum RecordBody { X }\n");
-        let recovery = file("crates/wal/src/recovery.rs", "fn a() { RecordBody::X; }\n");
-        let files = vec![logrec, db, record, recovery];
-        let mut v = Vec::new();
-        rule_record_coverage(&files, &mut v);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].msg.contains("GistRecord::B"));
-        assert!(v[0].msg.contains("undo"));
-    }
-
-    #[test]
-    fn missing_forbid_unsafe_is_flagged() {
-        let clean_crate = file("crates/x/src/lib.rs", "pub fn f() {}\n");
-        let mut v = Vec::new();
-        rule_forbid_unsafe(&[clean_crate], &mut v);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "forbid-unsafe");
-        // A crate that really uses unsafe is exempt.
-        let unsafe_crate = file("crates/y/src/lib.rs", "pub fn f() { unsafe { std::hint::unreachable_unchecked() } }\n");
-        let mut v = Vec::new();
-        rule_forbid_unsafe(&[unsafe_crate], &mut v);
-        assert!(v.is_empty());
-    }
-
-    #[test]
-    fn ignored_io_in_storage_crate_is_flagged() {
-        let f = file("crates/pagestore/src/buffer.rs", "fn f(&self) { let _ = self.store.sync(); }");
-        let mut v = Vec::new();
-        rule_no_ignored_io(&f, &mut v);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "no-ignored-io");
-        // The statement-level `.ok()` discard is caught, spacing and all.
-        let f = file("crates/wal/src/log.rs", "fn f(w: &mut W) { w.flush().ok() ; }");
-        let mut v = Vec::new();
-        rule_no_ignored_io(&f, &mut v);
-        assert_eq!(v.len(), 1, "{v:?}");
-    }
-
-    #[test]
-    fn ignored_io_outside_scope_waived_or_expression_ok_is_exempt() {
-        // Other crates are out of scope for this rule.
-        let f = file("crates/core/src/db.rs", "let _ = self.maint.stop(false);");
-        let mut v = Vec::new();
-        rule_no_ignored_io(&f, &mut v);
-        assert!(v.is_empty());
-        // `.ok()` as a Result->Option conversion is not a discard.
-        let f = file("crates/wal/src/log.rs", "let n = s.parse::<u64>().ok()?;");
-        let mut v = Vec::new();
-        rule_no_ignored_io(&f, &mut v);
-        assert!(v.is_empty(), "{v:?}");
-        // Waiver comment and test modules are exempt.
-        let f = file(
-            "crates/pagestore/src/store.rs",
-            "let _ = fs::remove_file(&p); // lint: allow-ignored-io — cleanup on error path",
-        );
-        let mut v = Vec::new();
-        rule_no_ignored_io(&f, &mut v);
-        assert!(v.is_empty());
-        let f = file(
-            "crates/wal/src/log.rs",
-            "#[cfg(test)]\nmod tests {\n    fn t() { let _ = helper(); }\n}\n",
-        );
-        let mut v = Vec::new();
-        rule_no_ignored_io(&f, &mut v);
-        assert!(v.is_empty(), "{v:?}");
+        // Its waiver and test-module exemptions are the three fixtures
+        // of the shared machinery above.
     }
 
     fn chaos_lib(names: &[&str]) -> SourceFile {

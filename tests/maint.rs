@@ -127,6 +127,23 @@ fn worker_threads_reclaim_in_background() {
     check_tree(&idx).unwrap().assert_ok();
 }
 
+/// Dropping the last handle of a database with a started worker stops
+/// the worker, which otherwise keeps the daemon (and through it the
+/// pool, the log and the transaction manager) alive forever.
+#[test]
+fn dropping_the_db_stops_a_started_worker() {
+    let h = Harness::new();
+    let (db, idx) = h.open();
+    db.start_maint().unwrap();
+    let txn = db.begin();
+    idx.insert(txn, &1, rid(1)).unwrap();
+    db.commit(txn).unwrap();
+    let daemon = Arc::downgrade(db.maint());
+    drop(idx);
+    drop(db);
+    assert!(daemon.upgrade().is_none(), "the maintenance daemon outlived its database");
+}
+
 /// An aborted deleting transaction hands nothing to the daemon: its
 /// marks are undone, so there is nothing to collect.
 #[test]

@@ -168,6 +168,8 @@ fn split_redo_rebuilds_multi_node_tree() {
 }
 
 #[test]
+// Moves the durable horizon by hand to cut the log at a chosen record.
+#[allow(clippy::disallowed_methods)]
 fn incomplete_split_nta_is_rolled_back() {
     // Crash with a split's records durable but its NtaEnd missing: the
     // restart must undo the partial structure modification (Table 1
@@ -213,6 +215,8 @@ fn incomplete_split_nta_is_rolled_back() {
 }
 
 #[test]
+// Moves the durable horizon by hand to cut the log at a chosen record.
+#[allow(clippy::disallowed_methods)]
 fn unforced_split_terminator_lost_in_crash_is_rolled_back() {
     // `end_nta` does not force the NtaEnd record. The worst crash that
     // allows: a split ran to completion — every record of the unit
@@ -487,6 +491,8 @@ fn store_only_durability_without_log_is_ignored() {
 /// after the commit) and unwinding the unit (crash before its NtaEnd)
 /// must both leave the chain pointing past the freed pages.
 #[test]
+// Moves the durable horizon by hand to cut the log at a chosen record.
+#[allow(clippy::disallowed_methods)]
 fn split_with_healed_rightlink_redoes_and_undoes() {
     use gist_repro::core::GistRecord;
     use gist_repro::wal::{Lsn, RecordBody};
