@@ -5,7 +5,7 @@
 //! named site since the plan was [armed](Plan::arm). The sites are:
 //!
 //! - the crash points of [`POINTS`], threaded through the insert, delete,
-//!   cursor, transaction, commit-pipeline, maintenance and serving paths
+//!   cursor, transaction, log-sync, maintenance and serving paths
 //!   as one call, `gist_chaos::point("insert.split.after_sibling_write")?`;
 //! - the mutation switches at the end of [`CATALOG`], each
 //!   reintroducing one historical concurrency bug behind
@@ -19,8 +19,8 @@
 //! any other as a no-op. Crash points and mutation switches consult the
 //! process-wide plan ([`install`]); the I/O wrappers hold the `Arc<Plan>`
 //! they were built with. Handing one plan to all three is how one seed
-//! replays a scenario that crosses layers — a torn page write, a flusher
-//! panic and a client reset in the same run.
+//! replays a scenario that crosses layers — a torn page write, a failed
+//! log sync and a client reset in the same run.
 //!
 //! Operations are counted only while the plan is armed, so set-up I/O
 //! never shifts a schedule. Without the `enabled` feature [`point`] and
@@ -57,21 +57,21 @@ pub const CATALOG: &[&str] = &[
     "commit.after_wal_flush",
     "abort.before_undo",
     "maint.before_gc",
-    // Group-commit pipeline (crates/commitpipe). The first fires on the
-    // committer's thread just before its commit record is appended
-    // (Error fails the commit; Panic kills the committer, leaving its
-    // transaction a loser). The other two bracket the flusher's fsync.
-    "commitpipe.append.pre_append",
-    "commitpipe.flusher.post_fill_pre_fsync",
-    "commitpipe.flusher.post_fsync_pre_wakeup",
-    // Plain delays: a flusher that lingers at the top of every batch and
-    // an optimistic reader that holds its epoch pin far past a
-    // traversal's natural length. Only the pinned-reader drill
-    // (`tests/overload.rs::pinned_reader_blocks_no_reads_or_writes`)
-    // arms them. The third sits between a committer's commit append and
-    // its durability park; `tests/chaos_ops.rs` arms it as a lost-ack
-    // crash point.
-    "commitpipe.flusher.stall",
+    // Fires on the committer's thread just before its commit record is
+    // appended (Error fails the commit; Panic kills the committer,
+    // leaving its transaction a loser).
+    "commit.pre_append",
+    // The log's device sync (`LogManager::sync_to`), one point on each
+    // side, on whichever thread syncs: a committer, a page write-back, a
+    // checkpoint. Error after the sync leaves the records durable; the
+    // pinned-reader drill (`tests/overload.rs`) arms the first with a
+    // `Delay` to make every sync crawl.
+    "log.sync.before",
+    "log.sync.after",
+    // Plain delays: an optimistic reader that holds its epoch pin far
+    // past a traversal's natural length (the pinned-reader drill), and
+    // the step between a committer's commit append and its sync, which
+    // `tests/chaos_ops.rs` arms as a lost-ack crash point.
     "cursor.optimistic.pinned",
     "commit.before_durable_wait",
     // Serving layer: kill a session right after accept, between decode
@@ -82,12 +82,12 @@ pub const CATALOG: &[&str] = &[
     "serve.session.before_dispatch",
     "serve.session.before_reply",
     "serve.drain.before_force_abort",
-    // Mutation switches, last. Any action arms one. In order: the lost
-    // wakeup (the commit pipeline's park checks the durable horizon
-    // before taking the state mutex it parks on); §7.2 reclamation without
+    // Mutation switches, last. Any action arms one. In order: a sync
+    // follower that finds the device busy returns as if the leader's
+    // sync covered it (`LogManager::sync_to`); §7.2 reclamation without
     // the epoch grace period (`EpochGc::retire` frees at once, so a
     // drained page can be reallocated under a pinned optimistic reader).
-    "commitpipe.park-unguarded",
+    "log.sync-follower-early",
     "epoch.skip-retire",
 ];
 

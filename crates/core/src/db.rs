@@ -303,19 +303,18 @@ pub struct RobustnessStats {
     pub pool_poisoned: bool,
     /// The poison reason, when poisoned.
     pub pool_poison_reason: Option<String>,
-    /// Group-commit batches the WAL flusher has fsynced.
+    /// Device syncs of the log (one sync covers every commit queued
+    /// behind it).
     pub wal_batches_flushed: u64,
-    /// Median commit wait on the pipeline, in microseconds.
+    /// Median commit wait for durability, in microseconds.
     pub commit_wait_p50_us: u64,
-    /// 99th-percentile commit wait on the pipeline, in microseconds.
+    /// 99th-percentile commit wait for durability, in microseconds.
     pub commit_wait_p99_us: u64,
     /// Log append watermark (last LSN).
     pub wal_append_lsn: u64,
     /// Log durable watermark; `wal_append_lsn - wal_durable_lsn` is the
     /// volatile tail a crash right now would lose.
     pub wal_durable_lsn: u64,
-    /// Flusher panics contained (the failed batch is retried).
-    pub wal_flusher_panics: u64,
     /// Nodes served by a validated optimistic copy-out.
     pub opt_read_hits: u64,
     /// Seqlock validation failures that re-read the same node
@@ -378,10 +377,10 @@ impl Db {
         let preds = Arc::new(PredicateManager::new());
         let txns = Arc::new(TxnManager::new(log.clone(), locks.clone(), preds.clone()));
         let pool = BufferPool::new(store.clone(), config.pool_capacity);
-        // The WAL-before-data barrier goes through the pipeline: page
-        // writeback batches its log force with pending commits instead of
-        // issuing a private fsync.
-        pool.set_flusher(txns.pipeline().clone());
+        // WAL-before-data: a page write-back syncs the log through its
+        // page LSN first, riding any sync a committer already has in
+        // flight.
+        pool.set_log(log.clone());
         // One reclamation domain per database: §7.2 page frees defer
         // behind the optimistic readers' pins.
         let epoch = Arc::new(EpochGc::new());
@@ -394,7 +393,6 @@ impl Db {
             pool.flush_all()?;
             pool.sync_store()?;
         }
-        txns.pipeline().start()?;
         let alloc = Arc::new(PageAllocator::new(1));
         let heap = HeapFile::new(pool.clone(), alloc.clone());
         let maint =
@@ -840,7 +838,6 @@ impl Db {
             commit_wait_p99_us: ps.commit_wait_p99_us,
             wal_append_lsn: self.log.last_lsn().0,
             wal_durable_lsn: self.log.flushed_lsn().0,
-            wal_flusher_panics: ps.flusher_panics,
             opt_read_hits: self.opt_hits.load(Ordering::Relaxed),
             opt_read_retries: self.opt_retries.load(Ordering::Relaxed),
             opt_read_fallbacks: self.opt_fallbacks.load(Ordering::Relaxed),
@@ -890,7 +887,9 @@ impl Db {
     }
 
     /// Simulate a crash: the buffer pool drops every unflushed page and
-    /// the log loses its non-durable suffix. Reopen with [`Db::restart`]
+    /// the log loses its non-durable suffix and refuses to sync until
+    /// restart, so a thread of this incarnation still committing makes
+    /// nothing durable. Reopen with [`Db::restart`]
     /// (or [`Db::open_path`], after which the durable prefix is written to
     /// the log file here).
     ///
@@ -900,9 +899,6 @@ impl Db {
     /// page is pinned.
     pub fn crash(&self) {
         self.maint.stop(false);
-        // Kill the flusher without draining: whatever it had not fsynced
-        // is exactly what the crash loses.
-        self.txns.pipeline().stop(false);
         self.pool.crash();
         self.log.crash();
         if let Err(e) = self.persist_log() {
@@ -917,13 +913,13 @@ impl Db {
     }
 
     /// Make everything logged so far durable and write every dirty page
-    /// back, leaving the database running: the whole log through the
-    /// commit pipeline, then the log file (a database opened with
+    /// back, leaving the database running: the whole log with one sync,
+    /// then the log file (a database opened with
     /// [`Db::open_path`]) before the pages, WAL-before-data on disk. The
     /// final store sync is what upgrades "written back" to "durable";
     /// its failure is reported rather than swallowed.
     pub fn flush(&self) -> Result<()> {
-        self.txns.pipeline().barrier(self.log.last_lsn()).map_err(gist_txn::TxnError::from)?;
+        self.log.sync_to(self.log.last_lsn()).map_err(gist_txn::TxnError::from)?;
         self.persist_log()?;
         self.pool.flush_all()?;
         self.pool.sync_store()?;
@@ -932,21 +928,18 @@ impl Db {
 
     /// Clean shutdown: drain the maintenance queue (queued GC/drain work
     /// completes and its log records land, so a clean restart owes
-    /// nothing), [`Db::flush`], then stop the commit flusher. A failed
-    /// flush is returned and the database stays up.
+    /// nothing), then [`Db::flush`]. A failed flush is returned and the
+    /// database stays up.
     pub fn shutdown(&self) -> Result<()> {
         self.maint.stop(true);
         self.flush()?;
-        // Only a shutdown that succeeded stops the flusher: one that
-        // failed leaves a database that still commits.
-        self.txns.pipeline().stop(true);
         self.epoch.try_collect();
         Ok(())
     }
 
     /// Write the log's durable prefix to the log file, if there is one.
     /// ROADMAP item 1(b) takes this over with one append-only file that
-    /// `fsync_to` writes and syncs as the flusher makes each prefix
+    /// `LogManager::sync_to` writes and syncs as it makes each prefix
     /// durable.
     fn persist_log(&self) -> Result<()> {
         match self.files.get() {
@@ -1226,12 +1219,11 @@ impl TxnEndObserver for Db {
 impl Drop for Db {
     fn drop(&mut self) {
         // The maintenance worker (which holds the pool, the log and the
-        // transaction manager) and the flusher thread keep the engine
-        // alive on their own; a Db dropped without `shutdown`/`crash`
-        // must still stop both or every short-lived database leaks them.
-        // No drain: a drop without shutdown carries no durability promise.
+        // transaction manager) keeps the engine alive on its own; a Db
+        // dropped without `shutdown`/`crash` must still stop it or every
+        // short-lived database leaks it. No drain: a drop without
+        // shutdown carries no durability promise.
         self.maint.stop(false);
-        self.txns.pipeline().stop(false);
     }
 }
 

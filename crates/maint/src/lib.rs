@@ -622,8 +622,8 @@ impl MaintDaemon {
         let scan_start = self.log.last_lsn();
         self.pool.sync_store()?;
         let dpt = self.pool.dirty_page_table();
-        // Count before publishing: `checkpoint_with` parks on the commit
-        // pipeline after appending, so an observer who polls
+        // Count before publishing: `checkpoint_with` syncs the log after
+        // appending, so an observer who polls
         // `last_checkpoint()` can see the record milliseconds before the
         // daemon returns — the counter must already cover it by then.
         // The fallible part (the sync barrier) is behind us.

@@ -18,7 +18,7 @@
 //!   `d − 1` priority-change points) for depth-bounded bug finding.
 //! - **Replay** — byte-for-byte re-execution of a recorded trace.
 //!
-//! Failures (deadlock, lost wakeup, panic, failed post-condition) come
+//! Failures (deadlock, step budget, panic, failed post-condition) come
 //! back as a [`Report`] carrying the serialized [`Trace`] that
 //! reproduces them and a greedily minimized variant. Set
 //! `MC_TRACE_DIR` to also dump failing traces as artifact files.
@@ -113,7 +113,6 @@ pub struct Explorer {
     policy: Policy,
     iterations: usize,
     max_steps: usize,
-    deadline_is_failure: bool,
 }
 
 impl Explorer {
@@ -124,7 +123,6 @@ impl Explorer {
             policy: Policy::Seeded { seed },
             iterations,
             max_steps: 20_000,
-            deadline_is_failure: false,
         }
     }
 
@@ -136,7 +134,6 @@ impl Explorer {
             policy: Policy::Pct { seed, depth: depth.max(1) },
             iterations,
             max_steps: 20_000,
-            deadline_is_failure: false,
         }
     }
 
@@ -147,21 +144,12 @@ impl Explorer {
             policy: Policy::Replay(trace),
             iterations: 1,
             max_steps: 20_000,
-            deadline_is_failure: false,
         }
     }
 
     /// Override the per-schedule step budget (default 20 000).
     pub fn max_steps(mut self, max_steps: usize) -> Explorer {
         self.max_steps = max_steps;
-        self
-    }
-
-    /// Treat any fired virtual timeout as a [`Failure::LostWakeup`]:
-    /// for scenarios pinning that a parked waiter is always notified
-    /// before the system quiesces.
-    pub fn deadline_is_failure(mut self) -> Explorer {
-        self.deadline_is_failure = true;
         self
     }
 
@@ -213,7 +201,6 @@ impl Explorer {
                 &scenario,
                 policy_rt,
                 self.max_steps,
-                self.deadline_is_failure,
                 &desc,
             );
             report.iterations += 1;
@@ -224,7 +211,7 @@ impl Explorer {
                 let minimized = if matches!(self.policy, Policy::Replay(_)) {
                     trace.clone()
                 } else {
-                    minimize(&scenario, &trace, &failure, self.max_steps, self.deadline_is_failure)
+                    minimize(&scenario, &trace, &failure, self.max_steps)
                 };
                 let fr = FailureReport { failure, iteration, trace, minimized };
                 dump_artifact(&self.name, &fr);
@@ -236,7 +223,7 @@ impl Explorer {
     }
 
     /// Replay this explorer's trace against `scenario` (honoring its
-    /// step budget and `deadline_is_failure`) and return the report plus
+    /// step budget) and return the report plus
     /// the re-recorded trace, byte-for-byte identical to the input when
     /// the schedule reproduced without divergence. The policy must be
     /// [`Policy::Replay`].
@@ -251,7 +238,6 @@ impl Explorer {
             &scenario,
             policy_rt,
             self.max_steps,
-            self.deadline_is_failure,
             &trace.policy,
         );
         let mut replayed = outcome.trace;
@@ -275,13 +261,12 @@ fn run_iteration(
     scenario: &impl Fn(&mut Sim),
     policy_rt: PolicyRt,
     max_steps: usize,
-    deadline_is_failure: bool,
     desc: &str,
 ) -> sched::IterationOutcome {
     let mut sim = Sim::default();
     scenario(&mut sim);
     let names: Vec<String> = sim.tasks.iter().map(|(n, _)| n.clone()).collect();
-    let sched = Arc::new(McSched::new(names, policy_rt, max_steps, deadline_is_failure));
+    let sched = Arc::new(McSched::new(names, policy_rt, max_steps));
 
     gist_audit::mc::set_scheduler(Some(sched.clone()));
 
@@ -337,7 +322,6 @@ fn minimize(
     trace: &Trace,
     failure: &Failure,
     max_steps: usize,
-    deadline_is_failure: bool,
 ) -> Trace {
     let target = std::mem::discriminant(failure);
     let mut best = trace.clone();
@@ -354,7 +338,6 @@ fn minimize(
                 scenario,
                 PolicyRt::Replay { decisions: candidate.decisions.clone(), pos: 0, diverged: false },
                 max_steps,
-                deadline_is_failure,
                 &best.policy,
             );
             match outcome.failure {

@@ -90,13 +90,6 @@ pub enum Failure {
         /// The panic payload, if it was a string.
         message: String,
     },
-    /// A virtual timeout fired while the exploration declared that
-    /// every wakeup must arrive before quiescence (lost-wakeup pinning
-    /// scenarios, see `Explorer::deadline_is_failure`).
-    LostWakeup {
-        /// The task whose virtual deadline fired.
-        task: String,
-    },
     /// A post-condition check failed after all tasks joined.
     PostCondition {
         /// The check's message.
@@ -115,9 +108,6 @@ impl std::fmt::Display for Failure {
             }
             Failure::Panic { task, message } => {
                 write!(f, "task `{task}` panicked: {message}")
-            }
-            Failure::LostWakeup { task } => {
-                write!(f, "lost wakeup: task `{task}` quiesced into its virtual timeout")
             }
             Failure::PostCondition { message } => {
                 write!(f, "post-condition failed: {message}")
@@ -202,7 +192,6 @@ pub(crate) struct SchedState {
     obj_norm: HashMap<McObj, u64>,
     failure: Option<Failure>,
     abort: bool,
-    deadline_is_failure: bool,
     timeouts_fired: usize,
 }
 
@@ -221,12 +210,7 @@ pub(crate) struct McSched {
 }
 
 impl McSched {
-    pub(crate) fn new(
-        task_names: Vec<String>,
-        policy: PolicyRt,
-        max_steps: usize,
-        deadline_is_failure: bool,
-    ) -> McSched {
+    pub(crate) fn new(task_names: Vec<String>, policy: PolicyRt, max_steps: usize) -> McSched {
         let tasks = task_names
             .into_iter()
             .map(|name| TaskState { name, status: Status::Ready, wake: None })
@@ -246,7 +230,6 @@ impl McSched {
                 obj_norm: HashMap::new(),
                 failure: None,
                 abort: false,
-                deadline_is_failure,
                 timeouts_fired: 0,
             }),
             cv: Condvar::new(),
@@ -303,10 +286,6 @@ impl McSched {
                 })
                 .min();
             match victim {
-                Some((_, t)) if st.deadline_is_failure => {
-                    let task = st.tasks[t].name.clone();
-                    self.fail(st, Failure::LostWakeup { task });
-                }
                 Some((deadline, t)) => {
                     // Keep replay positions aligned: a forced timeout
                     // consumes one recorded decision too.

@@ -8,8 +8,9 @@
 //! [`BufferPool::fetch_read`] / [`BufferPool::fetch_write`] guards.
 //!
 //! The pool enforces the write-ahead rule: before a dirty page is written
-//! back, the registered [`LogFlusher`] is asked to make the log durable up
-//! to the page's LSN.
+//! back, the registered log ([`BufferPool::set_log`]) is synced through
+//! the page's LSN with [`LogManager::sync_to`]; if that fails, the page
+//! stays dirty in the pool.
 //!
 //! The frame table is one mutex-guarded map from page id to frame. The
 //! mutex is held only to find, pin, insert or remove a frame — never
@@ -53,7 +54,7 @@ use std::time::Duration;
 use parking_lot::lock_api::{ArcRwLockReadGuard, ArcRwLockWriteGuard};
 use parking_lot::{Mutex, RawRwLock, RwLock};
 
-use gist_wal::{LogFlusher, Lsn};
+use gist_wal::{LogManager, Lsn};
 
 use crate::audit;
 use crate::page::{Page, PageId};
@@ -248,7 +249,9 @@ pub struct BufferPool {
     /// gist-audit instance id isolating this pool's latch events from
     /// other pools in the same process (0 when auditing is off).
     audit_id: u64,
-    flusher: Mutex<Option<Arc<dyn LogFlusher>>>,
+    /// The log synced before each write-back (WAL-before-data); none in
+    /// tests of the pool alone.
+    log: Mutex<Option<Arc<LogManager>>>,
     capacity: usize,
     /// The frame table. A `gist-sync` mutex, so it is a yield point for
     /// the model checker's optimistic-reader scenarios.
@@ -275,7 +278,7 @@ impl BufferPool {
         Arc::new(BufferPool {
             store,
             audit_id: audit::new_instance_id(),
-            flusher: Mutex::new(None),
+            log: Mutex::new(None),
             capacity,
             frames: gist_sync::Mutex::new(HashMap::new()),
             clock: AtomicU64::new(0),
@@ -325,10 +328,9 @@ impl BufferPool {
         }
     }
 
-    /// Register the log flusher used to enforce the WAL rule on
-    /// writebacks.
-    pub fn set_flusher(&self, f: Arc<dyn LogFlusher>) {
-        *self.flusher.lock() = Some(f);
+    /// Register the log whose records a write-back must not overtake.
+    pub fn set_log(&self, log: Arc<LogManager>) {
+        *self.log.lock() = Some(log);
     }
 
     /// The underlying page store.
@@ -624,8 +626,9 @@ impl BufferPool {
             };
             // Write back outside the table lock, latch held. If the
             // write-back fails the frame stays dirty and cached (its
-            // content must not be dropped); the failure already poisoned
-            // the pool, so give up on shrinking this round.
+            // content must not be dropped): a store failure already
+            // poisoned the pool, and a log that cannot sync will refuse
+            // the next victim too, so give up on shrinking this round.
             if frame.dirty.load(Ordering::Relaxed) && self.write_back(&frame, &guard.page).is_err() {
                 return;
             }
@@ -659,13 +662,15 @@ impl BufferPool {
     /// Write one frame back: flush the log to the page LSN (WAL rule),
     /// stamp the checksum on a copy of the image, and write with
     /// transient retry. On persistent failure the frame stays dirty and
-    /// the pool is poisoned.
+    /// the pool is poisoned; a log that cannot sync (a crashed log, an
+    /// injected fault) fails the write-back before it starts, frame
+    /// dirty, pool healthy.
     fn write_back(&self, frame: &Frame, page: &Page) -> io::Result<()> {
         audit::io_event(self.audit_id, u64::from(frame.id.0), "writeback");
         let lsn = page.page_lsn();
         if !lsn.is_null() {
-            if let Some(f) = self.flusher.lock().clone() {
-                f.flush_until(lsn);
+            if let Some(log) = self.log.lock().clone() {
+                log.sync_to(lsn).map_err(io::Error::other)?;
             }
         }
         // Stamp a copy: the in-pool image must not carry a checksum that
@@ -1112,24 +1117,30 @@ mod tests {
 
     #[test]
     fn wal_rule_flushes_log_before_writeback() {
-        struct RecordingFlusher(AtomicU64);
-        impl LogFlusher for RecordingFlusher {
-            fn flush_until(&self, lsn: Lsn) {
-                self.0.fetch_max(lsn.0, Ordering::Relaxed);
-            }
+        let log = Arc::new(LogManager::new());
+        let mut page_lsn = Lsn::NULL;
+        for _ in 0..77 {
+            page_lsn = log.append(gist_wal::TxnId(1), page_lsn, gist_wal::RecordBody::Noop);
         }
         let store = Arc::new(InMemoryStore::new());
         store.ensure_capacity(8).unwrap();
         let pool = BufferPool::new(store, 8);
-        let flusher = Arc::new(RecordingFlusher(AtomicU64::new(0)));
-        pool.set_flusher(flusher.clone());
+        pool.set_log(log.clone());
         {
             let mut g = pool.new_page_write(PageId(1), 0).unwrap();
             g.insert_cell(b"x").unwrap();
-            g.mark_dirty(Lsn(77));
+            g.mark_dirty(page_lsn);
         }
+        assert_eq!(log.flushed_lsn(), Lsn::NULL);
         pool.flush_all().unwrap();
-        assert_eq!(flusher.0.load(Ordering::Relaxed), 77, "log forced to page LSN");
+        assert_eq!(log.flushed_lsn(), Lsn(77), "log forced to page LSN");
+        log.crash();
+        {
+            let mut g = pool.fetch_write(PageId(1)).unwrap();
+            g.mark_dirty(log.append(gist_wal::TxnId(2), Lsn::NULL, gist_wal::RecordBody::Noop));
+        }
+        assert!(pool.flush_all().is_err(), "a log that cannot sync refuses the write-back");
+        assert!(!pool.is_poisoned(), "a refused sync is not a storage failure");
     }
 
     #[test]

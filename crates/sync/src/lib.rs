@@ -4,7 +4,7 @@
 //! # gist-sync — audit-instrumented synchronization wrappers
 //!
 //! Thin wrappers over the `parking_lot` mutex and condition variable
-//! that the hot-path crates (lockmgr, predlock, commitpipe, wal) are
+//! that the hot-path crates (lockmgr, predlock, wal) are
 //! required to use instead of constructing raw ones — the
 //! `no-raw-std-sync` gist-lint rule enforces this statically. There is
 //! no reader/writer lock wrapper: none of those crates takes one, and
@@ -187,24 +187,6 @@ impl Condvar {
         Condvar { id: next_id(), inner: parking_lot::Condvar::new() }
     }
 
-    /// Block until notified.
-    // The wrapper's own unbounded wait forwards to the shim's; callers
-    // of this one are what clippy.toml checks.
-    #[allow(clippy::disallowed_methods)]
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        #[cfg(feature = "latch-audit")]
-        if let Some(s) = mc::scheduler() {
-            self.wait_virtual(&*s, guard, None);
-            return;
-        }
-        match guard.inner.as_mut() {
-            Some(g) => self.inner.wait(g),
-            // A wait borrows the guard mutably, so it cannot overlap the
-            // other emptier of `inner` (another wait on the same guard).
-            None => unreachable!("condvar wait on an emptied guard"),
-        }
-    }
-
     /// Block until notified or `timeout` elapses.
     pub fn wait_for<T>(
         &self,
@@ -213,7 +195,7 @@ impl Condvar {
     ) -> WaitTimeoutResult {
         #[cfg(feature = "latch-audit")]
         if let Some(s) = mc::scheduler() {
-            let notified = self.wait_virtual(&*s, guard, Some(timeout));
+            let notified = self.wait_virtual(&*s, guard, timeout);
             return WaitTimeoutResult(!notified);
         }
         let res = match guard.inner.as_mut() {
@@ -265,13 +247,13 @@ impl Condvar {
         &self,
         s: &dyn McScheduler,
         guard: &mut MutexGuard<'_, T>,
-        timeout: Option<Duration>,
+        timeout: Duration,
     ) -> bool {
         let mobj = McObj::new(ObjKind::Mutex, guard.lock.id);
         let cobj = McObj::new(ObjKind::Condvar, self.id);
         guard.inner = None;
         s.unpark(mobj, true);
-        let notified = s.park(cobj, timeout);
+        let notified = s.park(cobj, Some(timeout));
         guard.inner = Some(guard.lock.lock_virtual(s));
         notified
     }
@@ -281,6 +263,22 @@ impl Default for Condvar {
     fn default() -> Self {
         Condvar::new()
     }
+}
+
+// ---------------------------------------------------------------------
+// Device I/O
+// ---------------------------------------------------------------------
+
+/// Mark a device I/O about to run (the log's sync): a yield point under
+/// the model checker, so an exploration can schedule other tasks while
+/// the device is busy; nothing otherwise.
+pub fn device_io(what: &'static str) {
+    #[cfg(feature = "latch-audit")]
+    if let Some(s) = mc::scheduler() {
+        s.yield_point(McOp::Io, McObj::new(ObjKind::Region, 0), what);
+    }
+    #[cfg(not(feature = "latch-audit"))]
+    let _ = what;
 }
 
 #[cfg(test)]

@@ -10,10 +10,11 @@
 //!   transaction acquires an X-mode lock on its own ID when it starts
 //!   up") — this is what lets other operations "block on a predicate" by
 //!   S-locking that id.
-//! - **commit** forces the log (`TxnCommit` + flush), writes `TxnEnd`,
-//!   then releases predicate locks and record/signaling locks — strict
-//!   two-phase locking with predicate attachments held to transaction end
-//!   (§4.3).
+//! - **commit** forces the log (`TxnCommit`, then
+//!   [`LogManager::sync_to`] on the committer's own thread), writes
+//!   `TxnEnd`, then releases predicate locks and record/signaling locks —
+//!   strict two-phase locking with predicate attachments held to
+//!   transaction end (§4.3) — and yields the CPU once.
 //! - **abort** performs *logical undo* through the caller-supplied
 //!   [`RecoveryHandler`] (the GiST layer), one CLR per undone record,
 //!   writes `TxnEnd`, then releases everything. No abort record precedes
@@ -31,16 +32,17 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use gist_commitpipe::{CommitPipeline, PipeError};
 use gist_lockmgr::{LockError, LockManager, LockMode, LockName};
 use gist_pagestore::PageId;
 use gist_predlock::PredicateManager;
 use gist_wal::recovery::{rollback, RecoveryHandler, RollbackKind};
-use gist_wal::{LogManager, Lsn, Payload, RecordBody, TxnId};
+use gist_wal::{LogManager, Lsn, Payload, RecordBody, SyncError, TxnId};
 
 /// A leaf page that a transaction left delete-marked entries on —
 /// physical reclamation is deferred to the maintenance daemon, which
@@ -140,10 +142,8 @@ pub enum TxnError {
     MustAbort(TxnId),
     /// A chaos crash point injected this failure.
     Injected(&'static str),
-    /// The commit pipeline's durable horizon never reached this LSN
-    /// within the park timeout (flusher dead or fenced). The commit's
-    /// outcome is unknown — like a lost acknowledgement.
-    PipelineStalled(Lsn),
+    /// The log crashed and refuses to sync ([`SyncError::Crashed`]).
+    LogCrashed,
 }
 
 impl fmt::Display for TxnError {
@@ -157,9 +157,7 @@ impl fmt::Display for TxnError {
                 write!(f, "transaction {t} is poisoned by a mid-operation panic; abort it")
             }
             TxnError::Injected(p) => write!(f, "chaos injection at crash point {p:?}"),
-            TxnError::PipelineStalled(lsn) => {
-                write!(f, "commit pipeline stalled before lsn {lsn} became durable")
-            }
+            TxnError::LogCrashed => write!(f, "{}", SyncError::Crashed),
         }
     }
 }
@@ -178,11 +176,89 @@ impl From<gist_chaos::Injected> for TxnError {
     }
 }
 
-impl From<PipeError> for TxnError {
-    fn from(e: PipeError) -> Self {
+impl From<SyncError> for TxnError {
+    fn from(e: SyncError) -> Self {
         match e {
-            PipeError::Injected(p) => TxnError::Injected(p),
-            PipeError::Stalled(lsn) => TxnError::PipelineStalled(lsn),
+            SyncError::Injected(p) => TxnError::Injected(p),
+            SyncError::Crashed => TxnError::LogCrashed,
+        }
+    }
+}
+
+/// Commit-wait histogram: bucket `i` counts commits whose wait in
+/// microseconds fell in `[2^i, 2^(i+1))` (bucket 0 covers 0–1 µs).
+const WAIT_BUCKETS: usize = 32;
+
+fn bucket_of(micros: u64) -> usize {
+    (64 - micros.leading_zeros() as usize).min(WAIT_BUCKETS - 1)
+}
+
+/// Commit durability counters: the commit-wait histogram and the log's
+/// device syncs. Read through [`TxnManager::pipeline`].
+pub struct CommitMeter {
+    log: Arc<LogManager>,
+    /// One entry per commit made durable; its total is the commit count.
+    wait_hist: [AtomicU64; WAIT_BUCKETS],
+}
+
+/// Snapshot of a [`CommitMeter`].
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct CommitStats {
+    /// Device syncs of the log, whoever asked: commits, write-backs,
+    /// checkpoints, shutdown.
+    pub batches_flushed: u64,
+    /// Commits made durable: successful commits plus lost-ack
+    /// completions by `abort`.
+    pub commits_flushed: u64,
+    /// Median commit wait in `sync_to`, microseconds (bucketed, upper
+    /// bound).
+    pub commit_wait_p50_us: u64,
+    /// 99th-percentile commit wait in `sync_to`, microseconds.
+    pub commit_wait_p99_us: u64,
+    /// Always 0: there is no flusher thread to panic. Kept only because
+    /// the benchmark's `commitpipe.flusher_panics` row reads it.
+    pub flusher_panics: u64,
+}
+
+impl CommitMeter {
+    fn new(log: Arc<LogManager>) -> CommitMeter {
+        CommitMeter { log, wait_hist: std::array::from_fn(|_| AtomicU64::new(0)) }
+    }
+
+    fn record_commit(&self, waited: Duration) {
+        self.wait_hist[bucket_of(waited.as_micros() as u64)].fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn commits(&self) -> u64 {
+        self.wait_hist.iter().map(|b| b.load(Ordering::Relaxed)).sum()
+    }
+
+    /// Approximate percentile: the upper bound of the first bucket whose
+    /// cumulative count reaches `q` of the total.
+    fn percentile_us(&self, q: f64) -> u64 {
+        let total = self.commits();
+        if total == 0 {
+            return 0;
+        }
+        let need = ((total as f64) * q).ceil() as u64;
+        let mut seen = 0u64;
+        for (i, b) in self.wait_hist.iter().enumerate() {
+            seen += b.load(Ordering::Relaxed);
+            if seen >= need {
+                return 1u64 << i;
+            }
+        }
+        1u64 << (WAIT_BUCKETS - 1)
+    }
+
+    /// Observability snapshot.
+    pub fn stats(&self) -> CommitStats {
+        CommitStats {
+            batches_flushed: self.log.syncs(),
+            commits_flushed: self.commits(),
+            commit_wait_p50_us: self.percentile_us(0.50),
+            commit_wait_p99_us: self.percentile_us(0.99),
+            flusher_panics: 0,
         }
     }
 }
@@ -190,10 +266,7 @@ impl From<PipeError> for TxnError {
 /// The transaction manager.
 pub struct TxnManager {
     log: Arc<LogManager>,
-    /// Group-commit pipeline over `log`. Owned here so every commit path
-    /// parks on it; the embedder (`Db::build`) starts and stops its
-    /// background flusher.
-    pipeline: Arc<CommitPipeline>,
+    meter: CommitMeter,
     locks: Arc<LockManager>,
     preds: Arc<PredicateManager>,
     table: Mutex<HashMap<TxnId, TxnInfo>>,
@@ -212,7 +285,7 @@ impl TxnManager {
         preds: Arc<PredicateManager>,
     ) -> Self {
         TxnManager {
-            pipeline: CommitPipeline::new(log.clone()),
+            meter: CommitMeter::new(log.clone()),
             log,
             locks,
             preds,
@@ -254,10 +327,10 @@ impl TxnManager {
         &self.log
     }
 
-    /// The group-commit pipeline (the embedder starts/stops its flusher
-    /// and reads its stats).
-    pub fn pipeline(&self) -> &Arc<CommitPipeline> {
-        &self.pipeline
+    /// The commit durability counters. The name is the benchmark's,
+    /// which reads `pipeline().stats()`.
+    pub fn pipeline(&self) -> &CommitMeter {
+        &self.meter
     }
 
     /// The shared lock manager.
@@ -358,14 +431,19 @@ impl TxnManager {
         Ok(lsn)
     }
 
-    /// Commit: append the commit record through the group-commit
-    /// pipeline, park until it is durable (the point of no return —
-    /// every commit is forced), then write the end
-    /// record and release predicates and locks. The force and the
-    /// completion are separate steps so that a caller dying *after* the
-    /// commit record is durable (the `"commit.after_wal_flush"` crash
-    /// point) leaves a transaction that any later `abort` completes
-    /// rather than undoes.
+    /// Commit: append the commit record, sync the log through it on
+    /// this thread (the point of no return — every commit is forced),
+    /// then write the end record, release predicates and locks, and
+    /// yield the CPU once. The force and the completion are separate
+    /// steps so that a caller dying *after* the commit record is durable
+    /// (the `"commit.after_wal_flush"` crash point) leaves a transaction
+    /// that any later `abort` completes rather than undoes; a failed
+    /// sync fails the commit the same way.
+    ///
+    /// The yield comes after the locks are gone: a transaction woken by
+    /// the release, which may be waiting for this CPU, runs now rather
+    /// than after the rest of this thread's scheduler slice. It costs
+    /// one syscall and at most one context switch.
     pub fn commit(&self, txn: TxnId) -> Result<(), TxnError> {
         let commit_lsn = {
             let mut table = self.table.lock();
@@ -373,17 +451,33 @@ impl TxnManager {
             if info.poisoned {
                 return Err(TxnError::MustAbort(txn));
             }
-            let commit_lsn = self.pipeline.append_commit(txn, info.last_lsn)?;
+            // Error fails the commit; Panic kills the committer before
+            // its commit record exists, leaving the transaction a loser.
+            gist_chaos::point("commit.pre_append")?;
+            let commit_lsn = self.log.append(txn, info.last_lsn, RecordBody::TxnCommit);
             info.last_lsn = commit_lsn;
             info.status = TxnStatus::Committed;
             commit_lsn
         };
-        // Park outside the table lock: a whole batch of committers must
-        // be able to reach the pipeline so one fsync covers all of them.
+        // Sync outside the table lock: committers that append behind a
+        // sync in flight queue on the device and ride the next one.
         gist_chaos::point("commit.before_durable_wait")?;
-        self.pipeline.commit_durable(commit_lsn)?;
+        self.make_durable(commit_lsn)?;
         gist_chaos::point("commit.after_wal_flush")?;
         self.finish_commit(txn);
+        std::thread::yield_now();
+        Ok(())
+    }
+
+    /// Sync the log through a commit record, timed into the commit-wait
+    /// histogram. The caller holds no page latch (asserted under
+    /// `latch-audit`): a latch held across a device sync would stall
+    /// every reader of that page.
+    fn make_durable(&self, commit_lsn: Lsn) -> Result<(), TxnError> {
+        audit::assert_thread_clear("waiting for commit durability");
+        let started = Instant::now();
+        self.log.sync_to(commit_lsn)?;
+        self.meter.record_commit(started.elapsed());
         Ok(())
     }
 
@@ -396,7 +490,7 @@ impl TxnManager {
             let Some(info) = table.get(&txn) else { return };
             // The end record is not forced: it only saves restart an undo
             // it would skip anyway, so riding the next sync that a commit,
-            // barrier or checkpoint asks for is soon enough.
+            // write-back or checkpoint asks for is soon enough.
             self.log.append(txn, info.last_lsn, RecordBody::TxnEnd);
             table.remove(&txn).map(|i| i.gc_candidates).unwrap_or_default()
         };
@@ -424,11 +518,11 @@ impl TxnManager {
                     let commit_lsn = info.last_lsn;
                     drop(table);
                     // Lost ack: the commit record is already in the log,
-                    // but the dying caller may not have reached its
-                    // durability wait — honor the promise before
+                    // but the dying caller may not have reached its sync,
+                    // or its sync failed — honor the promise before
                     // completing, so "abort finishes the commit" means a
                     // commit that survives a crash right after this call.
-                    self.pipeline.commit_durable(commit_lsn)?;
+                    self.make_durable(commit_lsn)?;
                     self.finish_commit(txn);
                     return Ok(());
                 }
@@ -566,11 +660,11 @@ impl TxnManager {
             Lsn::NULL,
             RecordBody::Checkpoint { scan_start, active_txns: active, dirty_pages },
         );
-        // Force through the pipeline so the checkpoint is on disk before
-        // the maintenance daemon trims anything that relies on it. A
-        // stalled pipeline leaves the checkpoint volatile, which is safe:
-        // restart just falls back to the previous durable one.
-        let _ = self.pipeline.barrier(lsn);
+        // Force it so the checkpoint is on disk before the maintenance
+        // daemon trims anything that relies on it. A failed sync leaves
+        // the checkpoint volatile, which is safe: restart just falls back
+        // to the previous durable one.
+        let _ = self.log.sync_to(lsn);
         lsn
     }
 
@@ -626,6 +720,17 @@ impl Drop for OpGuard<'_> {
             }
         }
     }
+}
+
+#[cfg(feature = "latch-audit")]
+mod audit {
+    pub(crate) use gist_audit::assert_thread_clear;
+}
+
+#[cfg(not(feature = "latch-audit"))]
+mod audit {
+    #[inline(always)]
+    pub(crate) fn assert_thread_clear(_context: &str) {}
 }
 
 #[cfg(test)]

@@ -88,7 +88,6 @@ fn setup() -> (Arc<TxnManager>, Cells, Arc<LogManager>, Arc<LockManager>) {
     let locks = Arc::new(LockManager::new());
     let preds = Arc::new(PredicateManager::new());
     let mgr = Arc::new(TxnManager::new(log.clone(), locks.clone(), preds));
-    mgr.pipeline().start().unwrap();
     (mgr, Cells::new(8), log, locks)
 }
 
@@ -384,4 +383,100 @@ fn op_guard_poisons_only_on_panic() {
     mgr.commit(t).unwrap();
     assert_eq!(cells.get(1), 7);
     assert_eq!(mgr.op_enter(t).err(), Some(TxnError::NotActive(t)));
+}
+
+// ---- commit durability: the committer syncs, one sync serves a batch ----
+
+#[test]
+fn commit_syncs_its_own_record() {
+    let (mgr, cells, log, _locks) = setup();
+    let t = mgr.begin();
+    cells.set(&mgr, t, 0, 1);
+    mgr.commit(t).unwrap();
+    let commit = log.scan_from(Lsn(1)).into_iter().find(|r| r.body == RecordBody::TxnCommit);
+    assert!(log.flushed_lsn() >= commit.unwrap().lsn, "acknowledged before durable");
+    let s = mgr.pipeline().stats();
+    assert_eq!((s.commits_flushed, s.batches_flushed), (1, 1), "{s:?}");
+}
+
+#[test]
+fn append_commit_appends_the_commit_record() {
+    let (mgr, _cells, log, _locks) = setup();
+    let t = mgr.begin();
+    mgr.commit(t).unwrap();
+    let recs: Vec<_> = log.scan_from(Lsn(1)).into_iter().filter(|r| r.txn == t).collect();
+    let bodies: Vec<_> = recs.iter().map(|r| r.body.clone()).collect();
+    assert_eq!(bodies, vec![RecordBody::TxnBegin, RecordBody::TxnCommit, RecordBody::TxnEnd]);
+    assert_eq!(recs[1].prev_lsn, recs[0].lsn, "the commit record extends the backchain");
+    assert_eq!(recs[2].prev_lsn, recs[1].lsn);
+}
+
+#[test]
+fn batched_commits_share_fsyncs() {
+    let (mgr, _cells, log, _locks) = setup();
+    // A slow device makes batching observable: 8 committers against a
+    // 3 ms sync can't each get a private sync — whoever appends while
+    // one is in flight queues on the device and rides the next.
+    log.set_sync_latency(std::time::Duration::from_millis(3));
+    let threads: Vec<_> = (0..8)
+        .map(|_| {
+            let mgr = mgr.clone();
+            std::thread::spawn(move || {
+                let t = mgr.begin();
+                mgr.commit(t)
+            })
+        })
+        .collect();
+    for t in threads {
+        t.join().unwrap().unwrap();
+    }
+    let s = mgr.pipeline().stats();
+    assert_eq!(s.commits_flushed, 8);
+    assert!(s.batches_flushed < 8, "8 commits must share syncs, got {} syncs", s.batches_flushed);
+    assert!(s.commit_wait_p99_us > 0);
+    assert_eq!(s.flusher_panics, 0);
+}
+
+#[test]
+fn nothing_syncs_until_a_request_asks() {
+    let (mgr, _cells, log, _locks) = setup();
+    let mut last = Lsn::NULL;
+    for i in 0..10_000u64 {
+        last = log.append(TxnId(i + 1), Lsn::NULL, RecordBody::TxnEnd);
+    }
+    let t = mgr.begin();
+    assert_eq!(log.flushed_lsn(), Lsn::NULL, "a sync ran that nobody asked for");
+    assert_eq!(mgr.pipeline().stats().batches_flushed, 0);
+    log.sync_to(last).unwrap();
+    assert_eq!(log.flushed_lsn(), log.last_lsn(), "one sync makes the whole tail durable");
+    assert_eq!(mgr.pipeline().stats().commits_flushed, 0, "a sync is not a commit");
+    mgr.commit(t).unwrap();
+}
+
+/// A checkpoint's sync is a whole-log sync like any other: end records
+/// and other unforced records appended before it become durable too.
+#[test]
+fn checkpoint_syncs_the_whole_log() {
+    let (mgr, cells, log, _locks) = setup();
+    let t = mgr.begin();
+    cells.set(&mgr, t, 0, 1);
+    mgr.commit(t).unwrap();
+    assert!(log.flushed_lsn() < log.last_lsn(), "the end record rides the next sync");
+    let u = mgr.begin();
+    cells.set(&mgr, u, 1, 2);
+    let cp = mgr.checkpoint_with(log.last_lsn(), Vec::new());
+    assert_eq!(log.flushed_lsn(), cp, "the checkpoint synced everything before it");
+    mgr.commit(u).unwrap();
+}
+
+#[test]
+fn commits_flushed_counts_every_acknowledged_commit() {
+    let (mgr, _cells, log, _locks) = setup();
+    let (t1, t2) = (mgr.begin(), mgr.begin());
+    mgr.commit(t1).unwrap();
+    mgr.commit(t2).unwrap();
+    mgr.checkpoint_with(log.last_lsn(), Vec::new());
+    let s = mgr.pipeline().stats();
+    assert_eq!(s.commits_flushed, 2, "{s:?}");
+    assert_eq!(s.batches_flushed, 3, "a checkpoint's sync is counted, not as a commit: {s:?}");
 }

@@ -21,7 +21,8 @@
 //!
 //! The log itself is kept in memory behind one mutex, with an explicit
 //! *durable prefix* (`flushed_lsn`): an append takes its LSN and stores
-//! its record in one critical section, and [`LogManager::crash`]
+//! its record in one critical section, [`LogManager::sync_to`] is the one
+//! path that makes a prefix durable, and [`LogManager::crash`]
 //! discards everything past the prefix, which is exactly what a real system loses when it crashes after
 //! its last `fsync`. This makes crash-injection tests deterministic without
 //! giving up any of the protocol's structure. A byte-level codec
@@ -39,13 +40,11 @@ pub mod recovery;
 pub use checksum::stable_hash_bytes;
 pub use lsn::{Lsn, TxnId};
 pub use record::{LogRecord, Payload, RecordBody};
-pub use log::{LogFlusher, LogManager, WalTailReport};
+pub use log::{LogManager, SyncError, WalTailReport};
 pub use recovery::{
     restart_with_floor, rollback, AnalysisResult, RecoveryError, RecoveryHandler,
     RestartOutcome, RollbackKind,
 };
 
-// The unit tests move the durable horizon by hand.
 #[cfg(test)]
-#[allow(clippy::disallowed_methods)]
 mod tests;

@@ -4,9 +4,13 @@
 //! pushes its record in the same critical section, so every LSN a reader
 //! can see already names a readable record. Two watermarks order the
 //! log, `durable ≤ last`: an append moves `last`, and
-//! [`LogManager::fsync_to`] (a simulated device sync, the log's one
-//! durability primitive) moves `durable`. Waiting for the horizon is the
-//! commit pipeline's job (`crates/commitpipe`), not the log's.
+//! [`LogManager::sync_to`] (a simulated device sync, the log's one
+//! durability path) moves `durable`. Every caller that needs a record
+//! durable — a commit, abort's lost-ack completion, the buffer pool's
+//! write-back, a checkpoint, shutdown — calls `sync_to` on its own
+//! thread; there is no flusher thread. A caller that queues behind a
+//! sync in flight finds its LSN covered when it gets the device and
+//! returns without a second sync (group commit).
 
 use std::fs;
 use std::io::{self, Read, Write};
@@ -19,14 +23,31 @@ use gist_sync::Mutex;
 use crate::codec;
 use crate::{LogRecord, Lsn, RecordBody, TxnId};
 
-/// Anything that can force the log durable up to an LSN.
-///
-/// The buffer pool uses this to enforce the write-ahead rule: before a
-/// dirty page with page-LSN `l` goes to disk, `flush_until(l)` must have
-/// completed.
-pub trait LogFlusher: Send + Sync {
-    /// Make every record with LSN ≤ `lsn` durable.
-    fn flush_until(&self, lsn: Lsn);
+/// Why [`LogManager::sync_to`] did not make its target durable.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SyncError {
+    /// A chaos crash point on the sync path injected this failure.
+    Injected(&'static str),
+    /// The log crashed ([`LogManager::crash`]) and no restart has taken
+    /// it over: it makes nothing durable.
+    Crashed,
+}
+
+impl std::fmt::Display for SyncError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SyncError::Injected(p) => write!(f, "chaos injection at crash point {p:?}"),
+            SyncError::Crashed => write!(f, "the log crashed and refuses to sync until restart"),
+        }
+    }
+}
+
+impl std::error::Error for SyncError {}
+
+impl From<gist_chaos::Injected> for SyncError {
+    fn from(e: gist_chaos::Injected) -> Self {
+        SyncError::Injected(e.0)
+    }
 }
 
 /// Records per chunk. Each chunk is allocated at full capacity once and
@@ -97,8 +118,19 @@ pub struct LogManager {
     /// fsync; tests leave it at zero). Paid once per durability advance,
     /// serialized by `sync_mutex` like a real single log device.
     sync_micros: AtomicU64,
-    /// Serializes durability advances (one fsync in flight at a time).
-    sync_mutex: Mutex<()>,
+    /// Device syncs performed.
+    syncs: AtomicU64,
+    /// The device: serializes durability advances (one sync in flight
+    /// at a time) and guards the crash fence.
+    sync_mutex: Mutex<Device>,
+}
+
+/// State kept under the device mutex.
+#[derive(Default)]
+struct Device {
+    /// Set by [`LogManager::crash`], cleared when restart takes the log
+    /// over: a crashed log makes nothing durable.
+    crashed: bool,
 }
 
 impl Default for LogManager {
@@ -121,7 +153,8 @@ impl LogManager {
             last: AtomicU64::new(n),
             durable: AtomicU64::new(n),
             sync_micros: AtomicU64::new(0),
-            sync_mutex: Mutex::new(()),
+            syncs: AtomicU64::new(0),
+            sync_mutex: Mutex::new(Device::default()),
         }
     }
 
@@ -131,8 +164,7 @@ impl LogManager {
     /// normally the transaction manager — tracks each transaction's last
     /// LSN). The LSN is taken, the record stored and `last` published in
     /// one critical section. An append never waits for or forces the
-    /// durable horizon: making records durable is the commit pipeline's
-    /// job.
+    /// durable horizon: that is [`LogManager::sync_to`]'s job.
     pub fn append(&self, txn: TxnId, prev_lsn: Lsn, body: RecordBody) -> Lsn {
         let mut records = self.records.lock();
         let lsn = Lsn(records.len() + 1);
@@ -160,38 +192,67 @@ impl LogManager {
         self.sync_micros.store(latency.as_micros() as u64, Ordering::Relaxed);
     }
 
+    /// Device syncs performed so far (each one advanced the horizon).
+    pub fn syncs(&self) -> u64 {
+        self.syncs.load(Ordering::Relaxed)
+    }
+
     /// Make every record with LSN ≤ `min(lsn, last)` durable; returns the
-    /// new durable horizon. The only code that moves the horizon.
+    /// durable horizon. The only code that moves the horizon.
     ///
-    /// A target already durable returns at once, and so does one that a
-    /// concurrent sync covered while this caller queued for the device:
-    /// the horizon is re-checked under the device lock, so a covered
-    /// sync is never paid twice.
-    pub fn fsync_to(&self, lsn: Lsn) -> Lsn {
-        let target = lsn.0.min(self.last_lsn().0);
-        if target <= self.flushed_lsn().0 {
-            return self.flushed_lsn();
+    /// Returns at once when the horizon already covers `lsn`. Otherwise
+    /// the caller takes the device, checks again — a sync that ran while
+    /// it queued may have covered it, and then it returns without a
+    /// second one — and syncs the whole log through `last`, so every
+    /// record appended behind it rides the same sync. One point on each
+    /// side of the device sync, `log.sync.before` and `log.sync.after`,
+    /// lets fault tests fail it; a failure after the sync leaves the
+    /// records durable all the same.
+    ///
+    /// A crashed log ([`LogManager::crash`]) refuses with
+    /// [`SyncError::Crashed`] until restart takes it over.
+    pub fn sync_to(&self, lsn: Lsn) -> Result<Lsn, SyncError> {
+        if lsn.min(self.last_lsn()) <= self.flushed_lsn() {
+            return Ok(self.flushed_lsn());
         }
-        let _device = self.sync_mutex.lock();
-        if target <= self.flushed_lsn().0 {
-            return self.flushed_lsn();
+        let device = if gist_chaos::armed("log.sync-follower-early") {
+            // Mutation switch (model-checker self-test): a follower that
+            // finds the device busy returns as if the leader's sync had
+            // covered it.
+            match self.sync_mutex.try_lock() {
+                Some(device) => device,
+                None => return Ok(self.flushed_lsn()),
+            }
+        } else {
+            self.sync_mutex.lock()
+        };
+        if device.crashed {
+            return Err(SyncError::Crashed);
         }
+        if lsn.min(self.last_lsn()) <= self.flushed_lsn() {
+            return Ok(self.flushed_lsn());
+        }
+        gist_chaos::point("log.sync.before")?;
+        let target = self.last_lsn();
+        gist_sync::device_io("log-sync");
         let micros = self.sync_micros.load(Ordering::Relaxed);
         if micros > 0 {
             std::thread::sleep(Duration::from_micros(micros));
         }
-        // Only fsync_to moves the horizon, always under the device lock,
-        // and the check above saw it below `target`.
-        self.durable.store(target, Ordering::Release);
-        self.flushed_lsn()
+        // Only this method moves the horizon, always under the device
+        // lock, and the check above saw it below `target`.
+        self.durable.store(target.0, Ordering::Release);
+        self.syncs.fetch_add(1, Ordering::Relaxed);
+        drop(device);
+        gist_chaos::point("log.sync.after")?;
+        Ok(target)
     }
 
-    /// Force the entire log durable.
-    // The log's own whole-log force (shutdown, drain, tests): the one
-    // sanctioned `fsync_to` caller outside the commit pipeline.
-    #[allow(clippy::disallowed_methods)]
-    pub fn flush_all(&self) {
-        self.fsync_to(Lsn::MAX);
+    /// Force the entire log durable; returns the durable horizon. A
+    /// refused or failed sync leaves it where it was: a caller that must
+    /// know calls [`LogManager::sync_to`].
+    pub fn flush_all(&self) -> Lsn {
+        self.sync_to(Lsn::MAX).unwrap_or_else(|_| self.flushed_lsn())
     }
 
     /// Fetch the record with the given LSN.
@@ -230,16 +291,42 @@ impl LogManager {
     }
 
     /// Simulate a system crash: every record past the durable prefix is
-    /// lost, exactly as if the machine died after its last `fsync`.
+    /// lost, exactly as if the machine died after its last `fsync`. A
+    /// sync in flight completes first. From here on the log refuses to
+    /// sync until restart ([`crate::restart_with_floor`]) takes it over,
+    /// so nothing the crashed incarnation still appends becomes durable.
     ///
     /// Returns the number of records discarded.
     pub fn crash(&self) -> usize {
+        self.crash_at(Lsn::NULL)
+    }
+
+    /// [`LogManager::crash`] after a device sync that reached
+    /// `min(lsn, last)` (the horizon never moves back): tests cut the
+    /// log at a chosen record this way.
+    pub fn crash_at(&self, lsn: Lsn) -> usize {
+        let mut device = self.sync_mutex.lock();
+        device.crashed = true;
         let mut records = self.records.lock();
-        let durable = self.flushed_lsn().0;
+        let durable = lsn.0.min(records.len()).max(self.flushed_lsn().0);
+        self.durable.store(durable, Ordering::Release);
         let lost = records.len() - durable;
         records.truncate(durable);
         self.last.store(durable, Ordering::Release);
         lost as usize
+    }
+
+    /// Lift the crash fence: restart owns the log from here. What the
+    /// crashed incarnation appended after its crash never reached the
+    /// device, so it goes too.
+    pub(crate) fn reopen(&self) {
+        let mut device = self.sync_mutex.lock();
+        if device.crashed {
+            let durable = self.flushed_lsn().0;
+            self.records.lock().truncate(durable);
+            self.last.store(durable, Ordering::Release);
+            device.crashed = false;
+        }
     }
 
     /// LSN of the most recent checkpoint record, if any.

@@ -261,6 +261,9 @@ pub fn restart_with_floor(
     handler: &dyn RecoveryHandler,
     floor: Lsn,
 ) -> Result<RestartOutcome, RecoveryError> {
+    // Restart owns the log now: lift the fence its crash put up, so redo's
+    // write-backs and the sync below can make records durable.
+    log.reopen();
     let analysis_res = analysis(log);
     let mut outcome = RestartOutcome::default();
 
@@ -318,6 +321,6 @@ pub fn restart_with_floor(
     }
     // One sync for every CLR and end record above. A crash before it
     // loses them all, and the next restart simply redoes this one.
-    log.flush_all();
+    log.sync_to(Lsn::MAX).map_err(|e| RecoveryError(format!("restart's final sync: {e}")))?;
     Ok(outcome)
 }

@@ -118,8 +118,8 @@ fn lsns_are_dense_and_monotonic() {
 fn flush_and_crash_truncate_unflushed_suffix() {
     let log = LogManager::new();
     let a = log.append(TxnId(1), Lsn::NULL, RecordBody::TxnBegin);
+    log.sync_to(a).unwrap();
     let _b = log.append(TxnId(1), a, RecordBody::TxnCommit);
-    log.fsync_to(a);
     assert_eq!(log.flushed_lsn(), a);
     let lost = log.crash();
     assert_eq!(lost, 1);
@@ -130,9 +130,9 @@ fn flush_and_crash_truncate_unflushed_suffix() {
 fn flush_is_monotone_and_bounded() {
     let log = LogManager::new();
     let a = log.append(TxnId(1), Lsn::NULL, RecordBody::TxnBegin);
-    log.fsync_to(Lsn(100)); // beyond end: clamps
+    log.sync_to(Lsn(100)).unwrap(); // beyond end: clamps
     assert_eq!(log.flushed_lsn(), a);
-    log.fsync_to(Lsn::NULL); // never regresses
+    log.sync_to(Lsn::NULL).unwrap(); // never regresses
     assert_eq!(log.flushed_lsn(), a);
 }
 
@@ -222,7 +222,7 @@ fn restart_redoes_committed_and_undoes_losers() {
     let u1 = rm.set(t1, b1, 0, 10);
     let u2 = rm.set(t2, b2, 1, 20);
     let c1 = log.append(t1, u1, RecordBody::TxnCommit);
-    log.fsync_to(c1);
+    log.sync_to(c1).unwrap();
     let _u2b = rm.set(t2, u2, 2, 30);
     // Crash: t1 committed (flushed), t2 in flight; t2's second update was
     // never flushed and is lost entirely.
@@ -244,7 +244,7 @@ fn restart_is_idempotent() {
     let b = log.append(t, Lsn::NULL, RecordBody::TxnBegin);
     let u = rm.set(t, b, 0, 42);
     let c = log.append(t, u, RecordBody::TxnCommit);
-    log.fsync_to(c);
+    log.sync_to(c).unwrap();
     log.crash();
     rm.wipe();
 
@@ -316,7 +316,7 @@ fn analysis_tracks_statuses_and_checkpoint() {
     let c1 = log.append(t1, u1, RecordBody::TxnCommit);
     let e1 = log.append(t1, c1, RecordBody::TxnEnd);
     let u3 = rm.set(t3, b3, 1, 2);
-    log.fsync_to(e1);
+    log.sync_to(e1).unwrap();
 
     let res = analysis(&log);
     assert_eq!(res.start_lsn, b2, "scan resumes at the checkpoint's scan_start");
@@ -385,7 +385,7 @@ fn file_persist_and_load_roundtrip() {
     let b = log.append(t, Lsn::NULL, RecordBody::TxnBegin);
     let u = rm.set(t, b, 0, 5);
     let c = log.append(t, u, RecordBody::TxnCommit);
-    log.fsync_to(c);
+    log.sync_to(c).unwrap();
     let _unflushed = log.append(t, c, RecordBody::TxnEnd);
 
     let dir = std::env::temp_dir().join(format!("gist-wal-test-{}", std::process::id()));
@@ -408,7 +408,7 @@ fn persist_replaces_the_file_instead_of_truncating_it() {
     let t = TxnId(1);
     let b = log.append(t, Lsn::NULL, RecordBody::TxnBegin);
     let u = rm.set(t, b, 0, 5);
-    log.fsync_to(u);
+    log.sync_to(u).unwrap();
     let dir = std::env::temp_dir().join(format!("gist-wal-replace-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("db.wal");
@@ -417,7 +417,7 @@ fn persist_replaces_the_file_instead_of_truncating_it() {
     let mut old = std::fs::File::open(&path).unwrap();
 
     let c = log.append(t, u, RecordBody::TxnCommit);
-    log.fsync_to(c);
+    log.sync_to(c).unwrap();
     log.persist_file(&path).unwrap();
 
     let mut seen = Vec::new();
@@ -438,7 +438,7 @@ fn persisted_log(tag: &str) -> (std::path::PathBuf, std::path::PathBuf, u64) {
     let u2 = rm.set(t, u1, 1, 9);
     let c = log.append(t, u2, RecordBody::TxnCommit);
     let e = log.append(t, c, RecordBody::TxnEnd);
-    log.fsync_to(e);
+    log.sync_to(e).unwrap();
     let dir = std::env::temp_dir().join(format!("gist-wal-fault-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("wal.log");
@@ -588,8 +588,7 @@ fn crash_truncates_across_chunk_boundaries() {
         for i in 1..=1_500u64 {
             log.append(TxnId(i), Lsn::NULL, RecordBody::TxnBegin);
         }
-        log.fsync_to(Lsn(durable));
-        assert_eq!(log.crash(), (1_500 - durable) as usize);
+        assert_eq!(log.crash_at(Lsn(durable)), (1_500 - durable) as usize);
         assert_eq!(log.last_lsn(), Lsn(durable));
         assert_eq!(log.try_get(Lsn(durable)).map(|r| r.txn), Some(TxnId(durable)));
         assert!(log.try_get(Lsn(durable + 1)).is_none(), "the volatile suffix is gone");
@@ -610,7 +609,7 @@ fn fsync_pays_serialized_device_latency_once_per_advance() {
         last = log.append(TxnId(i + 1), Lsn::NULL, RecordBody::TxnBegin);
     }
     let t0 = std::time::Instant::now();
-    log.fsync_to(last); // one batch: one device sync
+    log.sync_to(last).unwrap(); // one batch: one device sync
     let one_batch = t0.elapsed();
     assert!(one_batch >= std::time::Duration::from_millis(5));
     assert!(
@@ -619,27 +618,34 @@ fn fsync_pays_serialized_device_latency_once_per_advance() {
     );
     // Already durable: free.
     let t1 = std::time::Instant::now();
-    log.fsync_to(last);
+    log.sync_to(last).unwrap();
     assert!(t1.elapsed() < std::time::Duration::from_millis(5));
 }
 
+/// Group commit without a flusher: a leader holds the device for a
+/// slow sync while a follower whose record the leader's sync covers
+/// queues behind it. The follower returns with its LSN durable and no
+/// second sync is paid — 2 commits, 1 sync — whichever of the two
+/// reaches the device first.
 #[test]
 fn fsync_covered_while_queued_is_not_paid_again() {
     use std::time::{Duration, Instant};
     let log = std::sync::Arc::new(LogManager::new());
     log.set_sync_latency(Duration::from_millis(20));
-    let last = log.append(TxnId(1), Lsn::NULL, RecordBody::TxnCommit);
+    let first = log.append(TxnId(1), Lsn::NULL, RecordBody::TxnCommit);
+    let last = log.append(TxnId(2), Lsn::NULL, RecordBody::TxnCommit);
     let started = Instant::now();
     let a = {
         let log = log.clone();
-        std::thread::spawn(move || log.fsync_to(last))
+        std::thread::spawn(move || log.sync_to(first).unwrap())
     };
-    // B asks for the same target while A is inside its 20 ms sync; A's
-    // sync covers it, so B must not sleep a second device latency.
+    // B asks while A is inside its 20 ms sync; A's sync covers it, so B
+    // must not sleep a second device latency.
     std::thread::sleep(Duration::from_millis(5));
-    assert_eq!(log.fsync_to(last), last);
+    assert_eq!(log.sync_to(last), Ok(last));
     let b_done = started.elapsed();
-    assert_eq!(a.join().unwrap(), last);
+    assert_eq!(a.join().unwrap(), last, "the leader synced through the follower's record");
+    assert_eq!(log.syncs(), 1, "2 commits, 1 sync");
     assert!(b_done < Duration::from_millis(35), "a covered sync was paid again: {b_done:?}");
 }
 
@@ -658,7 +664,7 @@ fn concurrent_appends_get_unique_lsns() {
             let mut syncs = 0u64;
             while syncs == 0 || !done.load(Ordering::Acquire) {
                 for target in [log.last_lsn(), Lsn::MAX] {
-                    log.fsync_to(target);
+                    log.sync_to(target).unwrap();
                     let durable = log.flushed_lsn();
                     let last = log.last_lsn();
                     assert!(durable <= last, "durable {durable} is beyond last {last}");
@@ -690,7 +696,7 @@ fn concurrent_appends_get_unique_lsns() {
     all.dedup();
     assert_eq!(all.len(), 8 * 500);
     assert_eq!(log.last_lsn(), Lsn(4000));
-    assert_eq!(log.fsync_to(Lsn::MAX), Lsn(4000));
+    assert_eq!(log.sync_to(Lsn::MAX), Ok(Lsn(4000)));
 }
 
 #[test]
@@ -715,4 +721,125 @@ fn stable_hash_bytes_digests_are_pinned() {
     let page: Vec<u8> = (0..8192u32).map(|i| (i % 251) as u8).collect();
     assert_eq!(crate::stable_hash_bytes(&page), 0x9ea4_50b8_43f8_5f51);
     assert_eq!(crate::stable_hash_bytes(b"abcdefghi"), 0xd9a4_4bb2_4fdc_6d5c);
+}
+
+/// A crashed log makes nothing durable — not what it held, not what
+/// the crashed incarnation appends afterwards — until restart takes it
+/// over, dropping those late records; restart's own sync then succeeds.
+#[test]
+fn sync_refuses_after_crash_until_restart() {
+    let (log, rm) = setup(2);
+    let t = TxnId(1);
+    let b = log.append(t, Lsn::NULL, RecordBody::TxnBegin);
+    let c = log.append(t, b, RecordBody::TxnCommit);
+    log.sync_to(c).unwrap();
+    let lost = log.append(t, c, RecordBody::TxnEnd);
+    assert_eq!(log.crash(), 1);
+    let late = log.append(TxnId(2), Lsn::NULL, RecordBody::TxnBegin);
+    assert_eq!(late, lost, "the log stays dense after the cut");
+    assert_eq!(log.sync_to(late), Err(crate::SyncError::Crashed));
+    assert_eq!(log.syncs(), 1);
+    let out = restart(&log, &rm).unwrap();
+    assert_eq!(out.completed_winners, vec![t]);
+    assert!(out.losers.is_empty(), "restart saw a record appended after the crash");
+    assert_eq!(log.flushed_lsn(), log.last_lsn(), "restart syncs again");
+}
+
+/// A crash is the log's stop: after it, a sync the horizon does not
+/// cover fails at once, without touching the device, and one the
+/// horizon covers succeeds.
+#[test]
+fn requests_after_stop_fail_at_once_unless_covered() {
+    use std::time::{Duration, Instant};
+    let log = LogManager::new();
+    let covered = log.append(TxnId(1), Lsn::NULL, RecordBody::TxnCommit);
+    assert_eq!(log.sync_to(covered), Ok(covered));
+    log.append(TxnId(2), Lsn::NULL, RecordBody::TxnCommit);
+    assert_eq!(log.crash(), 1);
+    log.set_sync_latency(Duration::from_millis(200));
+    let late = log.append(TxnId(3), Lsn::NULL, RecordBody::TxnCommit);
+    let started = Instant::now();
+    assert_eq!(log.sync_to(late), Err(crate::SyncError::Crashed));
+    assert!(started.elapsed() < Duration::from_millis(200), "the refusal waited");
+    assert_eq!(log.sync_to(covered), Ok(covered), "an LSN the horizon covers needs no sync");
+    assert_eq!(log.flush_all(), covered, "flush_all leaves the horizon where it was");
+    assert_eq!(log.syncs(), 1);
+}
+
+/// A caller queued for the device behind a sync in flight, with the
+/// crash queued ahead of it, fails as soon as the crash has run: it
+/// does not sync the record the crash cut off.
+#[test]
+fn stop_fails_parked_callers_at_once() {
+    use std::sync::Arc;
+    use std::time::Duration;
+    let log = Arc::new(LogManager::new());
+    log.set_sync_latency(Duration::from_millis(300));
+    let first = log.append(TxnId(1), Lsn::NULL, RecordBody::TxnCommit);
+    let syncer = {
+        let log = log.clone();
+        std::thread::spawn(move || log.sync_to(first))
+    };
+    // Time for the syncer to take the device and enter its 300 ms sync,
+    // then for the crash to queue behind it.
+    std::thread::sleep(Duration::from_millis(50));
+    let second = log.append(TxnId(2), Lsn::NULL, RecordBody::TxnCommit);
+    let crasher = {
+        let log = log.clone();
+        std::thread::spawn(move || log.crash())
+    };
+    std::thread::sleep(Duration::from_millis(50));
+    let parked = {
+        let log = log.clone();
+        std::thread::spawn(move || log.sync_to(second))
+    };
+    assert_eq!(syncer.join().unwrap(), Ok(first));
+    assert_eq!(crasher.join().unwrap(), 1, "the record behind the sync is lost");
+    assert_eq!(parked.join().unwrap(), Err(crate::SyncError::Crashed));
+    assert_eq!(log.syncs(), 1, "the parked caller synced after the crash");
+    assert_eq!(log.flushed_lsn(), first);
+}
+
+/// A sync that is not a commit's — a checkpoint's, a page write-back's —
+/// is a barrier: it returns once its LSN is durable, and an LSN already
+/// durable costs nothing.
+#[test]
+fn barrier_blocks_until_durable() {
+    use std::time::{Duration, Instant};
+    let log = LogManager::new();
+    log.set_sync_latency(Duration::from_millis(5));
+    let a = log.append(TxnId(1), Lsn::NULL, RecordBody::TxnCommit);
+    let b = log.append(TxnId(2), Lsn::NULL, RecordBody::TxnCommit);
+    assert_eq!(log.sync_to(b), Ok(b));
+    assert!(log.flushed_lsn() >= b);
+    let started = Instant::now();
+    assert_eq!(log.sync_to(a), Ok(b));
+    assert!(started.elapsed() < Duration::from_millis(5), "an already-durable barrier synced");
+    assert_eq!(log.syncs(), 1);
+}
+
+/// A crash waits for the sync in flight — its records survive — and
+/// loses the tail appended behind it.
+#[test]
+fn crash_keeps_the_sync_in_flight_and_loses_the_tail() {
+    use std::time::Duration;
+    let log = std::sync::Arc::new(LogManager::new());
+    log.set_sync_latency(Duration::from_millis(200));
+    let first = log.append(TxnId(1), Lsn::NULL, RecordBody::TxnCommit);
+    let (started, syncing) = std::sync::mpsc::channel();
+    let syncer = {
+        let log = log.clone();
+        std::thread::spawn(move || {
+            started.send(()).unwrap();
+            log.sync_to(first)
+        })
+    };
+    // Time for the syncer to take the device and enter its 200 ms sync.
+    syncing.recv().unwrap();
+    std::thread::sleep(Duration::from_millis(20));
+    let second = log.append(TxnId(2), Lsn::NULL, RecordBody::TxnCommit);
+    assert_eq!(log.crash(), 1, "the tail behind the sync is lost");
+    assert_eq!(syncer.join().unwrap(), Ok(first), "the sync in flight completes");
+    assert_eq!((log.flushed_lsn(), log.last_lsn()), (first, first));
+    assert!(log.try_get(second).is_none());
 }

@@ -7,7 +7,11 @@
 # The parent side is `<parent-rev>` exported with `git archive` into
 # `target/bench-pairs/parent` and built into its own target directory
 # (`target/bench-pairs/parent-target`, kept so a second workload reuses
-# the build); the exported tree is removed when the script ends. Pair i
+# the build); the exported tree is removed when the script ends. The
+# export is extracted with `tar -x -m`, which stamps every file with the
+# time of extraction: left at the commit's time, the sources would look
+# older than the artifacts a previous export left in the kept target
+# directory, and cargo would run those instead of building `<parent-rev>`. Pair i
 # runs seed first-seed+i-1 on both sides with
 # `bench_e2e/run.sh --workload W --seed S --seconds 10 --trace 0`,
 # the parent first on odd seeds and the change first on even ones.
@@ -50,7 +54,7 @@ trap 'exit 130' INT TERM
 
 rm -rf "$ptree"
 mkdir -p "$ptree" "$ptarget" || exit 1
-git archive "$rev" | tar -x -C "$ptree" || {
+git archive "$rev" | tar -x -m -C "$ptree" || {
     echo "bench_pairs: cannot export $rev" >&2
     exit 1
 }

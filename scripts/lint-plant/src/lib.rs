@@ -27,20 +27,9 @@ fn ignored_io(path: &std::path::Path) {
     std::fs::remove_file(path).ok();
 }
 
-// clippy.toml, one call per entry.
-fn inline_flush(log: &gist_wal::LogManager) {
-    log.fsync_to(gist_wal::Lsn(1));
-}
-
+// clippy.toml, one call per entry. The parking_lot and gist-sync
+// condvars have no unbounded `wait` to call: it does not compile.
 fn unbounded_waits() {
-    let m = parking_lot::Mutex::new(false);
-    let cv = parking_lot::Condvar::new();
-    cv.wait(&mut m.lock());
-
-    let m = gist_sync::Mutex::new(false);
-    let cv = gist_sync::Condvar::new();
-    cv.wait(&mut m.lock());
-
     let m = std::sync::Mutex::new(false);
     let cv = std::sync::Condvar::new();
     let Ok(g) = m.lock() else { return };

@@ -13,9 +13,6 @@ unsafe_code
 clippy::let_underscore_must_use
 clippy::unused_result_ok
 clippy::wildcard_enum_match_arm
-clippy::disallowed_methods gist_wal::LogManager::fsync_to
-clippy::disallowed_methods parking_lot::Condvar::wait
-clippy::disallowed_methods gist_sync::Condvar::wait
 clippy::disallowed_methods std::sync::Condvar::wait
 clippy::disallowed_methods std::sync::Condvar::wait_while
 clippy::disallowed_methods parking_lot::RwLock::read_arc

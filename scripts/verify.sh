@@ -17,11 +17,11 @@
 # release binaries, and the bench_e2e package's own tests.
 #
 # Tier 3: the crates/mc deterministic schedule explorer over its two
-# scenarios, the commit pipeline's park and epoch pin vs §7.2
-# drain-free-reuse, each explored on the current code and with its
-# mutation switch armed (the commit park's lost wakeup, the skipped
-# epoch grace period), which must be found and replay byte for byte
-# (`--features model-check`).
+# scenarios, the log's sync path (two committers and a page write-back,
+# as leader and follower) and epoch pin vs §7.2 drain-free-reuse, each
+# explored on the current code and with its mutation switch armed (a
+# sync follower returning early, the skipped epoch grace period), which
+# must be found and replay byte for byte (`--features model-check`).
 #
 # A filtered `cargo test` whose filter matches no test fails its step
 # (see `filtered`), so a renamed or deleted test cannot turn a step
@@ -118,8 +118,8 @@ step "tier 2: operation chaos harness, seed 1 (audited)" \
     env CHAOS_SEED=1 cargo test -q --release --features chaos,latch-audit --test chaos_ops
 step "tier 2: operation chaos harness, seed 2 (audited)" \
     env CHAOS_SEED=2 cargo test -q --release --features chaos,latch-audit --test chaos_ops
-step "tier 2: flusher crash points (chaos, audited)" \
-    filtered cargo test -q --release --features chaos,latch-audit --test fault_recovery flusher_crash
+step "tier 2: commit and log-sync crash points (chaos, audited)" \
+    filtered cargo test -q --release --features chaos,latch-audit --test fault_recovery sync_crash
 step "tier 2: overload (admission, health)" \
     cargo test -q --release --test overload
 step "tier 2: pinned-reader drill (chaos, audited)" \
@@ -128,7 +128,7 @@ step "tier 2: serve (wire protocol, sessions, drain)" \
     cargo test -q --release --test serve
 step "tier 2: serve chaos teardown sweep" \
     cargo test -q --release --features chaos --test serve
-# One seeded fault plan across store, flusher and wire (tests/serve.rs);
+# One seeded fault plan across store, log sync and wire (tests/serve.rs);
 # FAULT_SEED picks the plan, which the test prints with its fired log.
 cross_layer_seeds() {
     for seed in 1 2; do
@@ -153,7 +153,7 @@ step "tier 2: bench_e2e package tests + smoke runs" \
 # into tests/mc_scenarios.rs (seeded-random + PCT). Any failing
 # exploration writes its minimized, byte-replayable schedule trace to
 # $MC_TRACE_DIR/<scenario>.trace for offline replay.
-step "tier 3: mc scenarios (commit park, epoch reuse)" \
+step "tier 3: mc scenarios (log sync, epoch reuse)" \
     filtered env MC_TRACE_DIR=target/mc-traces \
     cargo test -q --release --features model-check --test mc_scenarios
 

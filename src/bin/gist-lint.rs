@@ -10,7 +10,7 @@
 //!
 //! | rule | what it enforces |
 //! |------|------------------|
-//! | `no-raw-std-sync` | no bare `parking_lot` / `std::sync` mutex, rwlock or condvar in the model-checked crates (commitpipe, wal) — synchronization there must go through the `gist-sync` wrappers, or the deterministic scheduler (`crates/mc`) cannot see the operation and its schedules silently lose coverage |
+//! | `no-raw-std-sync` | no bare `parking_lot` / `std::sync` mutex, rwlock or condvar in the model-checked crate (wal) — synchronization there must go through the `gist-sync` wrappers, or the deterministic scheduler (`crates/mc`) cannot see the operation and its schedules silently lose coverage |
 //! | `no-latch-in-optimistic` | no `fetch_read` / `fetch_write` / `new_page_write` inside a `read_with(...)` optimistic closure in `crates/core` — the latch-free fast path must not take latches mid-copy (static twin of the dynamic `latch-in-optimistic` audit rule) |
 //! | `no-unbounded-read` | no raw `.read(...)` / `.write_all(...)` socket calls in `crates/serve` outside the deadline-wrapped transport helpers (`io.rs`) — a session parked on a dead peer with no deadline is exactly the leak the serving layer exists to prevent |
 //! | `no-owned-decode-in-traversal` | no `LeafEntry::decode(` / `InternalEntry::decode(` / `node::internal_entries(` / `node::leaf_entries(` under `crates/core/src/ops/` or in `tree.rs` / `maint.rs` / `check.rs` — traversals read entries through the borrowed views (`LeafEntryRef`, `InternalEntryRef`); an owning decode there is one `malloc` per entry looked at |
@@ -225,18 +225,17 @@ fn flag_lines(
     }
 }
 
-/// Rule `no-raw-std-sync`: the crates the mc scenarios drive through the
-/// `gist-sync` wrappers (the commit pipeline and the log it syncs) are
-/// model-checked — every mutex/condvar operation there is a scheduling
-/// point. A bare `parking_lot` or `std::sync` primitive in those crates
+/// Rule `no-raw-std-sync`: the crate the mc scenarios drive through the
+/// `gist-sync` wrappers (the log and its device mutex) is model-checked
+/// — every mutex/condvar operation there is a scheduling point. A bare
+/// `parking_lot` or `std::sync` primitive in that crate
 /// is invisible to the deterministic scheduler: schedules interleave
 /// *around* it, and the mc suite quietly stops covering the code it
 /// pins. Tests are exempt (they run unmanaged); a deliberate raw
 /// primitive takes a same-line `lint: allow-raw-sync` waiver stating
 /// why it must not be a yield point.
 fn rule_no_raw_std_sync(f: &SourceFile, out: &mut Vec<Violation>) {
-    let scoped = ["crates/commitpipe/", "crates/wal/"].iter().any(|p| f.path.starts_with(p));
-    if !scoped {
+    if !f.path.starts_with("crates/wal/") {
         return;
     }
     flag_lines(f, "no-raw-std-sync", "lint: allow-raw-sync", out, |clean| {
@@ -742,12 +741,12 @@ mod tests {
     #[test]
     fn raw_sync_in_model_checked_crate_is_flagged() {
         // Imports and qualified construction are both caught.
-        let v = check(rule_no_raw_std_sync, "crates/commitpipe/src/lib.rs", "use parking_lot::{Condvar, Mutex};");
+        let v = check(rule_no_raw_std_sync, "crates/wal/src/recovery.rs", "use parking_lot::{Condvar, Mutex};");
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, "no-raw-std-sync");
         let v = check(rule_no_raw_std_sync, "crates/wal/src/log.rs", "use std::sync::{Arc, Mutex};");
         assert_eq!(v.len(), 1, "{v:?}");
-        let v = check(rule_no_raw_std_sync, "crates/commitpipe/src/lib.rs", "let m = std::sync::Condvar::new();");
+        let v = check(rule_no_raw_std_sync, "crates/wal/src/log.rs", "let m = std::sync::Condvar::new();");
         assert_eq!(v.len(), 1, "{v:?}");
     }
 
@@ -767,7 +766,7 @@ mod tests {
         let v = check(rule_no_raw_std_sync, "crates/wal/src/log.rs", "use std::sync::{Arc, OnceLock};\nuse std::sync::atomic::{AtomicU64, Ordering};");
         assert!(v.is_empty(), "{v:?}");
         // gist-sync imports are the blessed path.
-        let v = check(rule_no_raw_std_sync, "crates/commitpipe/src/lib.rs", "use gist_sync::{Condvar, Mutex};");
+        let v = check(rule_no_raw_std_sync, "crates/wal/src/log.rs", "use gist_sync::{Condvar, Mutex};");
         assert!(v.is_empty(), "{v:?}");
         // Its waiver and test-module exemptions are the three fixtures
         // of the shared machinery above.

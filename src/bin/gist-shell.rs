@@ -279,7 +279,7 @@ impl Shell {
                     None => println!("  pool poisoned:           no"),
                 }
                 let pipe = self.db.txns().pipeline().stats();
-                println!("  wal batches flushed:     {}", s.wal_batches_flushed);
+                println!("  wal device syncs:        {}", s.wal_batches_flushed);
                 let per_sync = match pipe.batches_flushed {
                     0 => 0.0,
                     n => pipe.commits_flushed as f64 / n as f64,
@@ -291,7 +291,6 @@ impl Shell {
                     "  wal lsn lag (append-durable): {}",
                     s.wal_append_lsn.saturating_sub(s.wal_durable_lsn)
                 );
-                println!("  wal flusher panics:      {}", s.wal_flusher_panics);
                 println!("  opt-read node hits:      {}", s.opt_read_hits);
                 println!("  opt-read retries:        {}", s.opt_read_retries);
                 println!("  opt-read fallbacks:      {}", s.opt_read_fallbacks);

@@ -10,8 +10,8 @@
 //! vector, lock-table entries.
 //!
 //! Own test binary because it installs a counting `#[global_allocator]`.
-//! Counting is per thread (the engine's flusher thread allocates on its
-//! own) and only while the measuring thread asks for it.
+//! Counting is per thread (the maintenance worker allocates on its own)
+//! and only while the measuring thread asks for it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

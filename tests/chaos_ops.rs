@@ -265,17 +265,20 @@ fn run_point_scenario(point: &'static str, action: Action) {
 
 /// The catalog points drivable by a foreground victim transaction.
 /// `maint.before_gc` fires on the maintenance daemon and has its own
-/// test below; the `commitpipe.*` points fire on (or wedge) the
-/// group-commit flusher and are covered by the flusher crash tests in
-/// `tests/fault_recovery.rs`; the `serve.*` points fire on the serving
-/// layer's accept/dispatch/drain path and are swept by the session-
-/// teardown drill in `tests/serve.rs`.
+/// test below; the `log.sync.*` points fire on whichever thread syncs
+/// (a peer's commit, a write-back) and, with `commit.pre_append`, are
+/// covered by the sync crash tests in `tests/fault_recovery.rs`; the
+/// `serve.*` points fire on the serving layer's accept/dispatch/drain
+/// path and are swept by the session-teardown drill in `tests/serve.rs`.
 fn foreground_points() -> Vec<&'static str> {
     chaos::POINTS
         .iter()
         .copied()
         .filter(|p| {
-            !p.starts_with("maint.") && !p.starts_with("commitpipe.") && !p.starts_with("serve.")
+            !p.starts_with("maint.")
+                && !p.starts_with("log.")
+                && *p != "commit.pre_append"
+                && !p.starts_with("serve.")
         })
         .collect()
 }
@@ -500,8 +503,12 @@ fn run_txn_resolves_eight_thread_deadlock_storm() {
 }
 
 /// The crash points after the commit record is appended: an error there
-/// loses the acknowledgement, not the commit.
-const LOST_ACK_POINTS: [&str; 2] = ["commit.before_durable_wait", "commit.after_wal_flush"];
+/// loses the acknowledgement, not the commit. The two around the log
+/// sync fire on every sync, but only a commit's surfaces as an injected
+/// transaction error (a write-back's is an I/O error the eviction path
+/// absorbs), and `run_txn`'s abort then completes that commit.
+const LOST_ACK_POINTS: [&str; 4] =
+    ["commit.before_durable_wait", "log.sync.before", "log.sync.after", "commit.after_wal_flush"];
 
 /// Whether `k` is in the index, retrying searches an injection fails.
 /// The probe ends with `abort` so it cannot trip an armed commit point.

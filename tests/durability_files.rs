@@ -309,7 +309,7 @@ fn shell_page_file_without_log_is_refused() {
     session_killed_after(&base, script, "committed");
     assert!(!dir.join("db.wal").exists());
 
-    // Once `fsync_to` appends to the log file as it syncs (ROADMAP item
+    // Once `sync_to` appends to the log file as it syncs (ROADMAP item
     // 1(b)), this reopen succeeds and all 3,000 committed rows are present.
     let stderr = assert_refused(&session(&base, "range t 0 10000\n"));
     assert!(stderr.contains("missing"), "{stderr}");

@@ -454,25 +454,52 @@ fn failed_fsync_aborts_the_checkpoint_and_keeps_the_dpt() {
     assert!(db.pool().is_poisoned());
 }
 
-/// Flusher crash points (`--features chaos`): the commit pipeline's
-/// three crash points from the chaos catalog, driven here rather than in
-/// `tests/chaos_ops.rs` because they need crash + restart plumbing (and
-/// two of them fire on the background flusher thread, not the victim's).
+/// After `Db::crash` the log refuses to sync: a thread of the crashed
+/// incarnation that still commits gets an error, and restart sees
+/// nothing of that transaction.
+#[test]
+fn commit_after_crash_fails_and_restart_sees_nothing_of_it() {
+    let store: Arc<dyn PageStore> = Arc::new(InMemoryStore::new());
+    let log = Arc::new(LogManager::new());
+    let db = Db::open(store.clone(), log.clone(), DbConfig::default()).unwrap();
+    let idx = GistIndex::create(db.clone(), "t", BtreeExt, IndexOptions::default()).unwrap();
+    let txn = db.begin();
+    idx.insert(txn, &1, rid(1)).unwrap();
+    db.commit(txn).unwrap();
+    let late = db.begin();
+    idx.insert(late, &2, rid(2)).unwrap();
+    db.crash();
+    assert!(db.commit(late).is_err(), "a crashed log acknowledged a commit");
+
+    let (db2, report) = Db::restart(store, log, DbConfig::default()).unwrap();
+    assert!(report.outcome.losers.is_empty(), "{:?}", report.outcome);
+    let idx2 = GistIndex::open(db2.clone(), "t", BtreeExt).unwrap();
+    let t = db2.begin();
+    let keys: Vec<i64> =
+        idx2.search(t, &I64Query::range(0, 10)).unwrap().into_iter().map(|(k, _)| k).collect();
+    db2.commit(t).unwrap();
+    assert_eq!(keys, vec![1]);
+}
+
+/// Commit and log-sync crash points (`--features chaos`):
+/// `commit.pre_append` and the two points around the log's device sync,
+/// driven here rather than in `tests/chaos_ops.rs` because they need
+/// crash + restart plumbing. Each fires on the thread that syncs — here,
+/// the committing thread itself.
 ///
-/// Contract under test (PR 6 tentpole):
+/// Contract under test:
 ///
-/// - committers survive a flusher crash *after* the batch fsync even if
-///   the wakeup is lost — the commit record is already durable, and the
-///   flusher's panic containment wakes the parked committer at once;
+/// - a committer that dies *after* its sync leaves a commit that is
+///   durable: `abort` completes it (lost ack) and a crash keeps it;
 /// - a committer that dies just before appending its commit record
 ///   leaves a loser and a usable log: later commits are acknowledged at
 ///   once, and a crash keeps exactly the acknowledged keys;
 /// - a *graceful* failure at the same point fails that one commit, and
 ///   later commits proceed;
-/// - an fsync-path error makes the flusher retry the batch; parked
-///   committers just wait one retry pause longer.
+/// - a failed sync fails the commit, and `abort`'s lost-ack path syncs
+///   again and completes it.
 #[cfg(feature = "chaos")]
-mod flusher_crash {
+mod sync_crash {
     use std::sync::{Arc, Mutex, MutexGuard};
     use std::time::{Duration, Instant};
 
@@ -514,9 +541,9 @@ mod flusher_crash {
     }
 
     impl Rig {
-        /// Group-commit database with `baseline` keys committed and the
-        /// pipeline quiesced (the whole log is durable, so the next
-        /// armed trigger hits our victim's batch).
+        /// Database with `baseline` keys committed and the whole log
+        /// durable, so the next armed sync trigger hits our victim's
+        /// commit.
         fn new(baseline: i64) -> Rig {
             let store: Arc<dyn PageStore> = Arc::new(InMemoryStore::new());
             let log = Arc::new(LogManager::new());
@@ -535,10 +562,9 @@ mod flusher_crash {
         }
 
         /// Make the whole log durable, unforced records (end records)
-        /// included, with one barrier through the pipeline.
+        /// included, with one sync.
         fn quiesce(&self) {
-            let last = self.log.last_lsn();
-            self.db.txns().pipeline().barrier(last).expect("pipeline did not quiesce");
+            self.log.sync_to(self.log.last_lsn()).expect("the log did not sync");
         }
 
         /// One single-key transaction; returns commit result.
@@ -576,34 +602,35 @@ mod flusher_crash {
         }
     }
 
-    /// Crash point between the batch fsync and the waiter wakeup: the
-    /// flusher dies *after* the device sync. The parked committer must
-    /// still get its acknowledgement (it self-heals by rechecking the
-    /// durable horizon, woken by the flusher's panic containment rather
-    /// than the park timeout), and the commit must survive a subsequent
-    /// crash.
+    /// Crash point right after the device sync, armed to panic: the
+    /// committer dies with its commit record durable, before it writes
+    /// the end record or releases anything. Its `abort` (the lost-ack
+    /// path) completes the commit at once, the log stays usable, and the
+    /// commit survives a crash.
     #[test]
-    fn flusher_crash_after_fsync_before_wakeup_keeps_commits() {
+    fn panic_after_log_sync_keeps_the_commit() {
         let _g = serial();
         let mut rig = Rig::new(50);
-        arm("commitpipe.flusher.post_fsync_pre_wakeup", Trigger::Next(1), Action::Panic);
-        let started = Instant::now();
-        rig.commit_one(10_000).expect("commit must succeed despite the lost wakeup");
-        let elapsed = started.elapsed();
-        assert!(elapsed < Duration::from_secs(1), "committer stranded for {elapsed:?}");
-        rig.expected.push(10_000);
+        arm("log.sync.after", Trigger::Next(1), Action::Panic);
+        let (db, idx) = (rig.db.clone(), rig.idx.clone());
+        let (tx, rx) = std::sync::mpsc::channel();
+        let victim = std::thread::spawn(move || {
+            let txn = db.begin();
+            idx.insert(txn, &10_000, rid(10_000)).unwrap();
+            tx.send(txn).unwrap();
+            db.commit(txn)
+        });
+        assert!(victim.join().is_err(), "the victim must die after its sync");
         chaos::uninstall();
-        rig.quiesce();
-        let stats = rig.db.robustness_stats();
-        assert!(
-            stats.wal_flusher_panics >= 1,
-            "the armed panic must have fired on the flusher thread"
-        );
-        // A contained panic must not kill the flusher: the next commit
-        // is served by it at once.
+        let txn = rx.recv().unwrap();
+        assert!(rig.log.flushed_lsn() >= rig.log.last_lsn(), "the commit record is durable");
+        rig.db.abort(txn).expect("abort completes a durable commit");
+        assert!(!rig.db.txns().is_active(txn), "the commit finished");
+        rig.expected.push(10_000);
+
         let started = Instant::now();
-        rig.commit_one(10_001).expect("the flusher must outlive the contained panic");
-        assert!(started.elapsed() < Duration::from_secs(1), "the flusher is gone");
+        rig.commit_one(10_001).expect("the log must stay usable after the victim died");
+        assert!(started.elapsed() < Duration::from_secs(1), "the next commit stalled");
         rig.expected.push(10_001);
         rig.crash_and_verify();
     }
@@ -618,7 +645,7 @@ mod flusher_crash {
     fn panic_before_commit_append_leaves_a_loser_and_the_log_usable() {
         let _g = serial();
         let mut rig = Rig::new(50);
-        arm("commitpipe.append.pre_append", Trigger::Next(1), Action::Panic);
+        arm("commit.pre_append", Trigger::Next(1), Action::Panic);
         let db = rig.db.clone();
         let idx = rig.idx.clone();
         let victim = std::thread::spawn(move || {
@@ -648,7 +675,7 @@ mod flusher_crash {
     fn error_before_commit_append_aborts_cleanly() {
         let _g = serial();
         let mut rig = Rig::new(50);
-        arm("commitpipe.append.pre_append", Trigger::Next(1), Action::Error);
+        arm("commit.pre_append", Trigger::Next(1), Action::Error);
         let err = rig.commit_one(10_000);
         assert!(err.is_err(), "the injected error must surface through commit");
         chaos::uninstall();
@@ -664,30 +691,36 @@ mod flusher_crash {
         rig.crash_and_verify();
     }
 
-    /// Crash point between fill and fsync, armed to error twice: the
-    /// batch fails before the device sync, parked committers stay
-    /// parked, and the flusher retries after a pause until the batch
-    /// lands. The committer sees nothing but a little extra latency.
+    /// Crash point before the device sync, armed to error once: the
+    /// commit fails with its record appended but not durable. The
+    /// transaction is committed-but-unacknowledged, so `abort` takes the
+    /// lost-ack path: it syncs again, which now succeeds, and completes
+    /// the commit rather than undoing it.
     #[test]
-    fn flusher_fsync_error_retries_until_durable() {
+    fn sync_error_fails_the_commit_and_abort_completes_it() {
         let _g = serial();
         let mut rig = Rig::new(50);
-        arm("commitpipe.flusher.post_fill_pre_fsync", Trigger::Next(2), Action::Error);
-        rig.commit_one(10_000).expect("commit must outlast two failed flush attempts");
+        arm("log.sync.before", Trigger::Next(1), Action::Error);
+        let txn = rig.db.begin();
+        rig.idx.insert(txn, &10_000, rid(10_000)).unwrap();
+        let err = rig.db.commit(txn).expect_err("the injected sync failure fails the commit");
+        assert!(err.to_string().contains("log.sync.before"), "{err}");
+        assert!(rig.log.flushed_lsn() < rig.log.last_lsn(), "nothing was synced");
+        rig.db.abort(txn).expect("abort completes the commit");
+        assert!(!rig.db.txns().is_active(txn));
         rig.expected.push(10_000);
         chaos::uninstall();
-        rig.quiesce();
         rig.crash_and_verify();
     }
 
-    /// Under `latch-audit`, `commit_durable` asserts the committing
-    /// thread holds no page latch while parked on the pipeline (a latch
-    /// held across a park would stall every reader of that page for a
-    /// full device sync). Hammering concurrent parking commits proves
-    /// the whole commit path reaches the pipeline latch-clean.
+    /// Under `latch-audit`, commit asserts the committing thread holds
+    /// no page latch while it waits for durability (a latch held across
+    /// a device sync would stall every reader of that page). Hammering
+    /// concurrent commits proves the whole commit path reaches the sync
+    /// latch-clean.
     #[cfg(feature = "latch-audit")]
     #[test]
-    fn no_page_latch_is_held_while_parked_on_commit() {
+    fn no_page_latch_is_held_while_a_commit_syncs() {
         let _g = serial();
         let rig = Rig::new(50);
         let mut workers = Vec::new();
@@ -704,7 +737,7 @@ mod flusher_crash {
             }));
         }
         for w in workers {
-            w.join().expect("a latch held across a park would have tripped the audit");
+            w.join().expect("a latch held across a sync would have tripped the audit");
         }
         rig.db.shutdown().unwrap();
     }

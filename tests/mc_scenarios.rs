@@ -1,12 +1,14 @@
 //! Model-checker scenario suite (`--features model-check`).
 //!
 //! Drives the `gist-mc` deterministic schedule explorer against the real
-//! commit-pipeline, buffer-pool and epoch code, instrumented through the
-//! audit hook layer. Two scenarios live here, each paired with the
-//! mutation switch that proves it fires:
+//! log, buffer-pool and epoch code, instrumented through the audit hook
+//! layer. Two scenarios live here, each paired with the mutation switch
+//! that proves it fires:
 //!
-//! 1. **The commit pipeline's park** — no schedule loses the flusher's
-//!    wakeup; arming `commitpipe.park-unguarded` makes PCT find one.
+//! 1. **The log's sync path** — two committers and a page write-back
+//!    sync through `LogManager::sync_to`, as leader or as follower, and
+//!    no schedule lets one return before its LSN is durable; arming
+//!    `log.sync-follower-early` makes PCT find one.
 //! 2. **Epoch pin vs §7.2 drain-free-reuse** — no schedule shows a pinned
 //!    optimistic reader a reused page; arming `epoch.skip-retire` makes
 //!    seeded exploration find one.
@@ -21,16 +23,17 @@
 //! explorer's own lock only covers a single exploration, not the
 //! arm/explore/disarm span).
 
+use std::collections::BTreeSet;
+use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use gist_chaos::{Action, Plan, Trigger};
-use gist_commitpipe::CommitPipeline;
 use gist_mc::{Explorer, Failure, Report, Sim};
 use gist_wal::{LogManager, Lsn, RecordBody, TxnId};
 
 use gist_epoch::EpochGc;
-use gist_pagestore::{BufferPool, InMemoryStore, PageId, PageStore};
+use gist_pagestore::{BufferPool, InMemoryStore, Page, PageId, PageStore};
 
 /// Serializes the whole suite: the installed fault plan is global state.
 fn suite_lock() -> MutexGuard<'static, ()> {
@@ -61,20 +64,10 @@ impl Drop for Armed {
 /// A mutation-detection failure must replay byte-for-byte: re-running the
 /// minimized trace (with the mutation still armed) reproduces the same
 /// failure class and re-records the identical serialized trace.
-/// `deadline_is_failure` must match the exploration that found the
-/// failure — a lost-wakeup trace only fails again if the replay also
-/// treats fired timeouts as failures.
-fn assert_replays_byte_for_byte(
-    report: &Report,
-    deadline_is_failure: bool,
-    scenario: impl Fn(&mut Sim),
-) {
+fn assert_replays_byte_for_byte(report: &Report, scenario: impl Fn(&mut Sim)) {
     let failure = report.failure.as_ref().expect("caller found a failure");
-    let mut explorer =
+    let explorer =
         Explorer::replay(&format!("{}-replay", report.scenario), failure.minimized.clone());
-    if deadline_is_failure {
-        explorer = explorer.deadline_is_failure();
-    }
     let (replayed, trace) = explorer.run_verbatim(scenario);
     let refailure = replayed.failure.expect("replay must reproduce the failure");
     assert_eq!(
@@ -92,80 +85,140 @@ fn assert_replays_byte_for_byte(
 }
 
 // ---------------------------------------------------------------------------
-// The commit pipeline's park (lost wakeup).
+// The log's sync path: leader and follower.
 // ---------------------------------------------------------------------------
 
-/// One committer parks on LSN 1 through the production
-/// `commit_durable`; one flusher runs the production flusher turn
-/// (`flush_step`, the whole body of the real flusher thread's loop). The
-/// park's timeout is real time, far longer than any exploration, so in a
-/// correct implementation its *virtual* timeout never fires: the
-/// committer checks the horizon under the state mutex the flusher takes
-/// to notify, so the notify cannot be missed. `woke` records whether the
-/// commit was acknowledged.
-fn commit_park_scenario(sim: &mut Sim) {
-    let log = Arc::new(LogManager::new());
-    let lsn = log.append(TxnId(1), Lsn::NULL, RecordBody::TxnCommit);
-    let pipe = CommitPipeline::new(log);
-    let woke = Arc::new(AtomicBool::new(false));
-
-    let (p, w) = (pipe.clone(), woke.clone());
-    sim.spawn("committer", move || {
-        w.store(p.commit_durable(lsn).is_ok(), Ordering::SeqCst);
-    });
-    sim.spawn("flusher", move || {
-        pipe.flush_step();
-    });
-
-    sim.check(move || {
-        if woke.load(Ordering::SeqCst) {
-            Ok(())
-        } else {
-            Err("committer missed the durability notification".to_string())
-        }
-    });
+/// A store that flags any page written back ahead of the log
+/// (WAL-before-data: the page LSN must already be durable).
+struct WalCheckedStore {
+    inner: InMemoryStore,
+    log: Arc<LogManager>,
+    ahead_of_log: AtomicBool,
 }
 
-/// Fixed code: no schedule may lose the wakeup — the committer's virtual
-/// timeout never fires (`deadline_is_failure` turns any firing into a
-/// [`Failure::LostWakeup`]) and every schedule acknowledges the commit.
-#[test]
-fn commit_park_never_loses_wakeup() {
-    let _serial = suite_lock();
-    for (name, explorer) in [
-        ("commit-park-seeded", Explorer::seeded("commit-park-seeded", 0x5EED, 64)),
-        ("commit-park-pct", Explorer::pct("commit-park-pct", 0x9C7, 3, 64)),
-    ] {
-        let report = explorer.deadline_is_failure().run(commit_park_scenario);
-        report.assert_no_failure();
-        assert_eq!(report.timeouts_fired, 0, "{name}: a virtual timeout fired");
+impl PageStore for WalCheckedStore {
+    fn read(&self, id: PageId, page: &mut Page) -> io::Result<()> {
+        self.inner.read(id, page)
+    }
+
+    fn write(&self, id: PageId, page: &Page) -> io::Result<()> {
+        if page.page_lsn() > self.log.flushed_lsn() {
+            self.ahead_of_log.store(true, Ordering::SeqCst);
+        }
+        self.inner.write(id, page)
+    }
+
+    fn page_count(&self) -> u32 {
+        self.inner.page_count()
+    }
+
+    fn ensure_capacity(&self, count: u32) -> io::Result<()> {
+        self.inner.ensure_capacity(count)
+    }
+
+    fn sync(&self) -> io::Result<()> {
+        self.inner.sync()
     }
 }
 
-/// Reintroduce the lost wakeup (the park checks the horizon before
-/// taking the state mutex): the explorer must find a schedule that loses
-/// the wakeup, and the trace must replay.
-///
-/// This is a textbook depth-2 bug — the flusher's sync and notify must
-/// land inside the window between the committer's unguarded horizon
-/// check and its park — so PCT (one priority-change point) finds it
-/// where uniform random choice would need luck. The small `max_steps`
-/// keeps the change-point sampling dense.
+/// Two committers each append a commit record and sync through it with
+/// the production `LogManager::sync_to`; a writer loads a page into a
+/// one-frame pool, which evicts a dirty page whose write-back syncs the
+/// log through that page's LSN first. Whoever takes the device first leads and syncs the whole log;
+/// the others either queue behind it and find themselves covered, or
+/// lead a later sync. In every schedule each committer must return with
+/// its record durable and the page must not reach the store ahead of
+/// the log. `syncs` collects each schedule's device-sync count, so a
+/// test can see that schedules with one leader and with several were
+/// both explored.
+fn log_sync_scenario(sim: &mut Sim, syncs: &Arc<Mutex<BTreeSet<u64>>>) {
+    let log = Arc::new(LogManager::new());
+    let store = Arc::new(WalCheckedStore {
+        inner: InMemoryStore::new(),
+        log: log.clone(),
+        ahead_of_log: AtomicBool::new(false),
+    });
+    store.ensure_capacity(4).unwrap();
+    let pool = BufferPool::new(store.clone(), 1);
+    pool.set_log(log.clone());
+    let page_lsn = log.append(TxnId(3), Lsn::NULL, RecordBody::Noop);
+    {
+        let mut g = pool.new_page_write(PageId(1), 0).unwrap();
+        g.insert_cell(b"dirty").unwrap();
+        g.mark_dirty(page_lsn);
+    }
+
+    let covered: Arc<[AtomicBool; 2]> = Arc::new([AtomicBool::new(false), AtomicBool::new(false)]);
+    for (i, name) in ["committer-a", "committer-b"].into_iter().enumerate() {
+        let (log, covered) = (log.clone(), covered.clone());
+        sim.spawn(name, move || {
+            let lsn = log.append(TxnId(i as u64 + 1), Lsn::NULL, RecordBody::TxnCommit);
+            let durable = log.sync_to(lsn).is_ok() && log.flushed_lsn() >= lsn;
+            covered[i].store(durable, Ordering::SeqCst);
+        });
+    }
+    sim.spawn("writer", move || {
+        drop(pool.new_page_write(PageId(2), 0).unwrap());
+    });
+
+    let syncs = syncs.clone();
+    sim.check(move || {
+        syncs.lock().unwrap().insert(log.syncs());
+        for (i, c) in covered.iter().enumerate() {
+            if !c.load(Ordering::SeqCst) {
+                return Err(format!("committer {i} returned before its commit was durable"));
+            }
+        }
+        if store.ahead_of_log.load(Ordering::SeqCst) {
+            return Err("a page was written back ahead of the log".to_string());
+        }
+        Ok(())
+    });
+}
+
+/// Fixed code: every schedule passes, and the explored schedules include
+/// one where a single sync served all three callers and one where
+/// several syncs ran.
 #[test]
-fn commit_park_mutation_lost_wakeup_is_found() {
+fn log_sync_leader_and_followers_are_durable() {
     let _serial = suite_lock();
-    let _armed = Armed::new("commitpipe.park-unguarded");
-    let report = Explorer::pct("commit-park-lost-wakeup", 0x5EED, 2, 2048)
+    let syncs = Arc::new(Mutex::new(BTreeSet::new()));
+    for explorer in [
+        Explorer::seeded("log-sync-seeded", 0x5EED, 64),
+        Explorer::pct("log-sync-pct", 0x9C7, 3, 64),
+    ] {
+        explorer.run(|sim| log_sync_scenario(sim, &syncs)).assert_no_failure();
+    }
+    let seen = syncs.lock().unwrap().clone();
+    assert!(seen.contains(&1), "no schedule had one sync serve everyone: {seen:?}");
+    assert!(seen.iter().any(|&n| n > 1), "no schedule ran several syncs: {seen:?}");
+}
+
+/// Arm `log.sync-follower-early` (a caller that finds the device busy
+/// returns as if the leader's sync covered it): the explorer must find
+/// a schedule where a committer returns with its record not yet durable,
+/// or a page reaches the store ahead of the log, and the minimized trace
+/// must replay byte for byte.
+///
+/// The window is the leader's device sync, between taking the device and
+/// storing the horizon; a follower must try the device inside it, so
+/// PCT with one priority-change point finds it.
+#[test]
+fn log_sync_follower_early_mutation_is_found() {
+    let _serial = suite_lock();
+    let _armed = Armed::new("log.sync-follower-early");
+    let syncs = Arc::new(Mutex::new(BTreeSet::new()));
+    let scenario = |sim: &mut Sim| log_sync_scenario(sim, &syncs);
+    let report = Explorer::pct("log-sync-follower-early", 0x5EED, 2, 2048)
         .max_steps(128)
-        .deadline_is_failure()
-        .run(commit_park_scenario);
+        .run(scenario);
     let failure = report.failure.as_ref().expect("mutation must be detected within budget");
     assert!(
-        matches!(failure.failure, Failure::LostWakeup { .. }),
-        "expected a lost wakeup, got {}",
+        matches!(failure.failure, Failure::PostCondition { .. }),
+        "expected a post-condition failure, got {}",
         failure.failure
     );
-    assert_replays_byte_for_byte(&report, true, commit_park_scenario);
+    assert_replays_byte_for_byte(&report, scenario);
 }
 
 // ---------------------------------------------------------------------------
@@ -290,5 +343,5 @@ fn epoch_skip_retire_mutation_is_found() {
         failure.failure
     );
     assert!(failure.failure.to_string().contains("reused"), "{}", failure.failure);
-    assert_replays_byte_for_byte(&report, false, optimistic_reader_vs_drain_scenario);
+    assert_replays_byte_for_byte(&report, optimistic_reader_vs_drain_scenario);
 }

@@ -134,9 +134,9 @@ fn run_txn_exhausted_budget_returns_last_error() {
 }
 
 /// An append never waits for or forces the durable horizon, however
-/// long the volatile tail grows: with the flusher running, 70,000
-/// appends and no request leave `flushed_lsn()` where it was and health
-/// healthy. Durability comes from the commit pipeline, here a barrier.
+/// long the volatile tail grows: 70,000 appends and no request leave
+/// `flushed_lsn()` where it was and health healthy. Durability comes
+/// from `LogManager::sync_to`, which one call makes the whole tail.
 #[test]
 fn appends_never_sync_the_log() {
     let store = Arc::new(InMemoryStore::new());
@@ -153,13 +153,13 @@ fn appends_never_sync_the_log() {
     let health = db.health();
     assert_eq!(health.label(), "healthy", "{health:?}");
 
-    db.txns().pipeline().barrier(last).unwrap();
-    assert_eq!(log.flushed_lsn(), last, "the barrier made the whole tail durable");
+    log.sync_to(last).unwrap();
+    assert_eq!(log.flushed_lsn(), last, "one sync made the whole tail durable");
 }
 
 /// The pinned-reader drill (chaos builds only): a reader parks inside
-/// the optimistic path holding its epoch pin while the group-commit
-/// flusher crawls. A pin holds back only the §7.2 page frees retired
+/// the optimistic path holding its epoch pin while every log sync
+/// crawls. A pin holds back only the §7.2 page frees retired
 /// during it, so nothing else may wait on it: while the reader is
 /// parked, reads stay exact, writes commit and health stays healthy.
 #[cfg(feature = "chaos")]
@@ -176,10 +176,10 @@ fn pinned_reader_blocks_no_reads_or_writes() {
     }
     db.commit(txn).unwrap();
 
-    // A slow flusher (every batch crawls) plus one reader that parks
+    // A slow log device (every sync crawls) plus one reader that parks
     // 100ms inside the optimistic path, epoch pin held.
     let plan = chaos::install(Plan::new());
-    plan.add("commitpipe.flusher.stall", Trigger::Always, Action::Delay(5));
+    plan.add("log.sync.before", Trigger::Always, Action::Delay(5));
     plan.add("cursor.optimistic.pinned", Trigger::Next(1), Action::Delay(100));
     plan.arm();
     let reader = {

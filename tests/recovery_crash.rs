@@ -168,8 +168,6 @@ fn split_redo_rebuilds_multi_node_tree() {
 }
 
 #[test]
-// Moves the durable horizon by hand to cut the log at a chosen record.
-#[allow(clippy::disallowed_methods)]
 fn incomplete_split_nta_is_rolled_back() {
     // Crash with a split's records durable but its NtaEnd missing: the
     // restart must undo the partial structure modification (Table 1
@@ -200,11 +198,10 @@ fn incomplete_split_nta_is_rolled_back() {
         }
         assert!(k < 3000, "no split happened");
     };
-    // Truncate durability to just before the NtaEnd.
-    h.log.fsync_to(gist_repro::wal::Lsn(nta_end_lsn.0 - 1));
-    // Crash without the in-memory suffix (commit never happened).
+    // Crash with durability cut just before the NtaEnd (the commit never
+    // happened).
     db.pool().crash();
-    let lost = h.log.crash();
+    let lost = h.log.crash_at(gist_repro::wal::Lsn(nta_end_lsn.0 - 1));
     assert!(lost >= 1, "the NtaEnd must be lost");
 
     let (db2, idx2) = h.restart();
@@ -215,15 +212,13 @@ fn incomplete_split_nta_is_rolled_back() {
 }
 
 #[test]
-// Moves the durable horizon by hand to cut the log at a chosen record.
-#[allow(clippy::disallowed_methods)]
 fn unforced_split_terminator_lost_in_crash_is_rolled_back() {
     // `end_nta` does not force the NtaEnd record. The worst crash that
     // allows: a split ran to completion — every record of the unit
     // durable, latches released, the transaction carried on — but the
     // terminator itself never left the volatile tail. Restart must treat
     // that as a crash inside the unit. Nothing syncs unasked, so between
-    // commits only this test's own `fsync_to` moves the durable horizon.
+    // commits only this test's own cut moves the durable horizon.
     use gist_repro::core::GistRecord;
     use gist_repro::wal::{Lsn, RecordBody};
 
@@ -267,7 +262,7 @@ fn unforced_split_terminator_lost_in_crash_is_rolled_back() {
         h.log.flushed_lsn()
     );
 
-    h.log.fsync_to(Lsn(nta_end_lsn.0 - 1));
+    h.log.crash_at(Lsn(nta_end_lsn.0 - 1));
     db.crash();
 
     let (db2, idx2) = h.restart();
@@ -491,8 +486,6 @@ fn store_only_durability_without_log_is_ignored() {
 /// after the commit) and unwinding the unit (crash before its NtaEnd)
 /// must both leave the chain pointing past the freed pages.
 #[test]
-// Moves the durable horizon by hand to cut the log at a chosen record.
-#[allow(clippy::disallowed_methods)]
 fn split_with_healed_rightlink_redoes_and_undoes() {
     use gist_repro::core::GistRecord;
     use gist_repro::wal::{Lsn, RecordBody};
@@ -553,7 +546,7 @@ fn split_with_healed_rightlink_redoes_and_undoes() {
             db.commit(txn).unwrap();
         };
         if crash_inside_unit {
-            h.log.fsync_to(Lsn(nta_end.0 - 1));
+            h.log.crash_at(Lsn(nta_end.0 - 1));
         } else {
             db.commit(txn).unwrap();
         }

@@ -11,7 +11,7 @@
 //! 3. **Chaos points** (`--features chaos`) — the session is killed at
 //!    every `serve.*` crash point inside an open transaction; the
 //!    leak sweep must come back empty each time. One seeded plan then
-//!    drives the store, the flusher and the wire in the same run.
+//!    drives the store, the log sync and the wire in the same run.
 //!
 //! The leak sweep is the contract from ISSUE 10: zero active
 //! transactions, zero held locks, zero predicate entries, zero
@@ -816,10 +816,9 @@ mod chaos_teardown {
     }
 
     /// A client over a `FaultTransport` on `plan`: transactions on keys
-    /// from `base` until every scheduled fault has fired, then two more
-    /// (their flushes wake a committer whose wake-up the flusher panic
-    /// swallowed). A failed transaction is in doubt and its session is
-    /// dropped for a fresh one. Each round writes dirty pages back — where
+    /// from `base` until every scheduled fault has fired, then two more.
+    /// A failed transaction is in doubt and its session is dropped for a
+    /// fresh one. Each round writes dirty pages back — where
     /// `store.write` fires — until the tear lands, which then stays on
     /// disk for restart to find.
     fn drive(srv: &Server, db: &Arc<Db>, plan: &Arc<Plan>, base: i64) -> Seen {
@@ -858,7 +857,8 @@ mod chaos_teardown {
 
     /// One fault plan across three layers (run with `FAULT_SEED=<n>`,
     /// default 1): `Plan::from_seed` places a torn page write on the
-    /// store, a panic between the flusher's fsync and its wake-up, and a
+    /// store, a failure right after a log sync (the records are durable,
+    /// the caller — a committer or a write-back — sees an error), and a
     /// reset on a server reply, at seeded op indices. Two wire clients
     /// run transactions until all three have fired; a third leaves one
     /// in flight for the drain to force-abort, and an in-process loser
@@ -881,7 +881,7 @@ mod chaos_teardown {
                 ("store.write", Action::Torn(512)),
                 ("store.write", Action::Torn(1024)),
                 ("store.write", Action::Torn(4096)),
-                ("commitpipe.flusher.post_fsync_pre_wakeup", Action::Panic),
+                ("log.sync.after", Action::Error),
                 ("wire.send", Action::Reset),
             ],
         );

@@ -154,8 +154,6 @@ fn random_transactions_match_model() {
 /// truncate the durable log at an arbitrary point ≥ the last commit,
 /// restart — the committed prefix must be intact and the tree sound.
 #[test]
-// Moves the durable horizon by hand to cut the log at a chosen record.
-#[allow(clippy::disallowed_methods)]
 fn crash_at_any_durable_point_recovers() {
     let mut g = Gen::new(0xC4A5_4001_0BAD_F00D);
     for case in 0..40 {
@@ -189,9 +187,8 @@ fn crash_at_any_durable_point_recovers() {
         // crash: everything after the cut is lost.
         let cut_offset = g.below(400);
         let cut = Lsn((commit_point.0 + cut_offset).min(log.last_lsn().0));
-        log.fsync_to(cut);
         db.pool().crash();
-        log.crash();
+        log.crash_at(cut);
 
         let (db2, _) = Db::restart(store, log, DbConfig::default()).unwrap();
         let idx2 = GistIndex::open(db2.clone(), "t", BtreeExt).unwrap();
