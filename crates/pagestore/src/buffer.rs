@@ -670,7 +670,7 @@ impl BufferPool {
         let lsn = page.page_lsn();
         if !lsn.is_null() {
             if let Some(log) = self.log.lock().clone() {
-                log.sync_to(lsn).map_err(io::Error::other)?;
+                log.sync_to(lsn).map_err(|e| io::Error::other(format!("log sync: {e:?}")))?;
             }
         }
         // Stamp a copy: the in-pool image must not carry a checksum that

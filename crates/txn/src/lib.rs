@@ -157,7 +157,7 @@ impl fmt::Display for TxnError {
                 write!(f, "transaction {t} is poisoned by a mid-operation panic; abort it")
             }
             TxnError::Injected(p) => write!(f, "chaos injection at crash point {p:?}"),
-            TxnError::LogCrashed => write!(f, "{}", SyncError::Crashed),
+            TxnError::LogCrashed => write!(f, "the log crashed and refuses to sync until restart"),
         }
     }
 }
@@ -185,13 +185,10 @@ impl From<SyncError> for TxnError {
     }
 }
 
-/// Commit-wait histogram: bucket `i` counts commits whose wait in
-/// microseconds fell in `[2^i, 2^(i+1))` (bucket 0 covers 0–1 µs).
+/// Commit-wait histogram: bucket `i > 0` counts commits whose wait in
+/// microseconds fell in `[2^(i-1), 2^i)`; bucket 0 counts waits under
+/// 1 µs.
 const WAIT_BUCKETS: usize = 32;
-
-fn bucket_of(micros: u64) -> usize {
-    (64 - micros.leading_zeros() as usize).min(WAIT_BUCKETS - 1)
-}
 
 /// Commit durability counters: the commit-wait histogram and the log's
 /// device syncs. Read through [`TxnManager::pipeline`].
@@ -226,7 +223,8 @@ impl CommitMeter {
     }
 
     fn record_commit(&self, waited: Duration) {
-        self.wait_hist[bucket_of(waited.as_micros() as u64)].fetch_add(1, Ordering::Relaxed);
+        let bucket = 128 - waited.as_micros().leading_zeros() as usize;
+        self.wait_hist[bucket.min(WAIT_BUCKETS - 1)].fetch_add(1, Ordering::Relaxed);
     }
 
     fn commits(&self) -> u64 {
@@ -234,21 +232,15 @@ impl CommitMeter {
     }
 
     /// Approximate percentile: the upper bound of the first bucket whose
-    /// cumulative count reaches `q` of the total.
+    /// cumulative count reaches `q` of the total (0 before any commit).
     fn percentile_us(&self, q: f64) -> u64 {
-        let total = self.commits();
-        if total == 0 {
-            return 0;
-        }
-        let need = ((total as f64) * q).ceil() as u64;
-        let mut seen = 0u64;
-        for (i, b) in self.wait_hist.iter().enumerate() {
+        let need = (self.commits() as f64 * q).ceil() as u64;
+        let mut seen = 0;
+        let bucket = self.wait_hist.iter().position(|b| {
             seen += b.load(Ordering::Relaxed);
-            if seen >= need {
-                return 1u64 << i;
-            }
-        }
-        1u64 << (WAIT_BUCKETS - 1)
+            need > 0 && seen >= need
+        });
+        bucket.map_or(0, |i| 1 << i)
     }
 
     /// Observability snapshot.

@@ -33,23 +33,6 @@ pub enum SyncError {
     Crashed,
 }
 
-impl std::fmt::Display for SyncError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SyncError::Injected(p) => write!(f, "chaos injection at crash point {p:?}"),
-            SyncError::Crashed => write!(f, "the log crashed and refuses to sync until restart"),
-        }
-    }
-}
-
-impl std::error::Error for SyncError {}
-
-impl From<gist_chaos::Injected> for SyncError {
-    fn from(e: gist_chaos::Injected) -> Self {
-        SyncError::Injected(e.0)
-    }
-}
-
 /// Records per chunk. Each chunk is allocated at full capacity once and
 /// never moves, so the log grows without copying the records it holds.
 const CHUNK: usize = 512;
@@ -121,16 +104,10 @@ pub struct LogManager {
     /// Device syncs performed.
     syncs: AtomicU64,
     /// The device: serializes durability advances (one sync in flight
-    /// at a time) and guards the crash fence.
-    sync_mutex: Mutex<Device>,
-}
-
-/// State kept under the device mutex.
-#[derive(Default)]
-struct Device {
-    /// Set by [`LogManager::crash`], cleared when restart takes the log
+    /// at a time). It holds the crash fence, set by
+    /// [`LogManager::crash`] and cleared when restart takes the log
     /// over: a crashed log makes nothing durable.
-    crashed: bool,
+    sync_mutex: Mutex<bool>,
 }
 
 impl Default for LogManager {
@@ -154,7 +131,7 @@ impl LogManager {
             durable: AtomicU64::new(n),
             sync_micros: AtomicU64::new(0),
             syncs: AtomicU64::new(0),
-            sync_mutex: Mutex::new(Device::default()),
+            sync_mutex: Mutex::new(false),
         }
     }
 
@@ -212,27 +189,29 @@ impl LogManager {
     /// A crashed log ([`LogManager::crash`]) refuses with
     /// [`SyncError::Crashed`] until restart takes it over.
     pub fn sync_to(&self, lsn: Lsn) -> Result<Lsn, SyncError> {
-        if lsn.min(self.last_lsn()) <= self.flushed_lsn() {
+        // No cap at `last` here: after a crash, `last` can sit below an
+        // LSN appended before it, and only the fence may answer that.
+        if lsn <= self.flushed_lsn() {
             return Ok(self.flushed_lsn());
         }
-        let device = if gist_chaos::armed("log.sync-follower-early") {
+        let crashed = if gist_chaos::armed("log.sync-follower-early") {
             // Mutation switch (model-checker self-test): a follower that
             // finds the device busy returns as if the leader's sync had
             // covered it.
             match self.sync_mutex.try_lock() {
-                Some(device) => device,
+                Some(crashed) => crashed,
                 None => return Ok(self.flushed_lsn()),
             }
         } else {
             self.sync_mutex.lock()
         };
-        if device.crashed {
+        if *crashed {
             return Err(SyncError::Crashed);
         }
         if lsn.min(self.last_lsn()) <= self.flushed_lsn() {
             return Ok(self.flushed_lsn());
         }
-        gist_chaos::point("log.sync.before")?;
+        gist_chaos::point("log.sync.before").map_err(|e| SyncError::Injected(e.0))?;
         let target = self.last_lsn();
         gist_sync::device_io("log-sync");
         let micros = self.sync_micros.load(Ordering::Relaxed);
@@ -243,16 +222,18 @@ impl LogManager {
         // lock, and the check above saw it below `target`.
         self.durable.store(target.0, Ordering::Release);
         self.syncs.fetch_add(1, Ordering::Relaxed);
-        drop(device);
-        gist_chaos::point("log.sync.after")?;
+        drop(crashed);
+        gist_chaos::point("log.sync.after").map_err(|e| SyncError::Injected(e.0))?;
         Ok(target)
     }
 
-    /// Force the entire log durable; returns the durable horizon. A
-    /// refused or failed sync leaves it where it was: a caller that must
-    /// know calls [`LogManager::sync_to`].
-    pub fn flush_all(&self) -> Lsn {
-        self.sync_to(Lsn::MAX).unwrap_or_else(|_| self.flushed_lsn())
+    /// Force the entire log durable. A refused or failed sync leaves the
+    /// horizon where it was: a caller that must know reads
+    /// [`LogManager::flushed_lsn`] or calls [`LogManager::sync_to`].
+    pub fn flush_all(&self) {
+        match self.sync_to(Lsn::MAX) {
+            Ok(_) | Err(SyncError::Crashed | SyncError::Injected(_)) => {}
+        }
     }
 
     /// Fetch the record with the given LSN.
@@ -305,8 +286,8 @@ impl LogManager {
     /// `min(lsn, last)` (the horizon never moves back): tests cut the
     /// log at a chosen record this way.
     pub fn crash_at(&self, lsn: Lsn) -> usize {
-        let mut device = self.sync_mutex.lock();
-        device.crashed = true;
+        let mut crashed = self.sync_mutex.lock();
+        *crashed = true;
         let mut records = self.records.lock();
         let durable = lsn.0.min(records.len()).max(self.flushed_lsn().0);
         self.durable.store(durable, Ordering::Release);
@@ -320,12 +301,12 @@ impl LogManager {
     /// crashed incarnation appended after its crash never reached the
     /// device, so it goes too.
     pub(crate) fn reopen(&self) {
-        let mut device = self.sync_mutex.lock();
-        if device.crashed {
+        let mut crashed = self.sync_mutex.lock();
+        if *crashed {
             let durable = self.flushed_lsn().0;
             self.records.lock().truncate(durable);
             self.last.store(durable, Ordering::Release);
-            device.crashed = false;
+            *crashed = false;
         }
     }
 

@@ -321,6 +321,6 @@ pub fn restart_with_floor(
     }
     // One sync for every CLR and end record above. A crash before it
     // loses them all, and the next restart simply redoes this one.
-    log.sync_to(Lsn::MAX).map_err(|e| RecoveryError(format!("restart's final sync: {e}")))?;
+    log.sync_to(Lsn::MAX).map_err(|e| RecoveryError(format!("restart's final sync: {e:?}")))?;
     Ok(outcome)
 }

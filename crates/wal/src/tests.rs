@@ -747,22 +747,26 @@ fn sync_refuses_after_crash_until_restart() {
 
 /// A crash is the log's stop: after it, a sync the horizon does not
 /// cover fails at once, without touching the device, and one the
-/// horizon covers succeeds.
+/// horizon covers succeeds. That includes a record the crash cut off:
+/// the crash lowers `last` below its LSN, and only the fence may answer
+/// for it.
 #[test]
 fn requests_after_stop_fail_at_once_unless_covered() {
     use std::time::{Duration, Instant};
     let log = LogManager::new();
     let covered = log.append(TxnId(1), Lsn::NULL, RecordBody::TxnCommit);
     assert_eq!(log.sync_to(covered), Ok(covered));
-    log.append(TxnId(2), Lsn::NULL, RecordBody::TxnCommit);
+    let cut = log.append(TxnId(2), Lsn::NULL, RecordBody::TxnCommit);
     assert_eq!(log.crash(), 1);
+    assert_eq!(log.sync_to(cut), Err(crate::SyncError::Crashed), "a cut record read as durable");
     log.set_sync_latency(Duration::from_millis(200));
     let late = log.append(TxnId(3), Lsn::NULL, RecordBody::TxnCommit);
     let started = Instant::now();
     assert_eq!(log.sync_to(late), Err(crate::SyncError::Crashed));
     assert!(started.elapsed() < Duration::from_millis(200), "the refusal waited");
     assert_eq!(log.sync_to(covered), Ok(covered), "an LSN the horizon covers needs no sync");
-    assert_eq!(log.flush_all(), covered, "flush_all leaves the horizon where it was");
+    log.flush_all();
+    assert_eq!(log.flushed_lsn(), covered, "flush_all leaves the horizon where it was");
     assert_eq!(log.syncs(), 1);
 }
 

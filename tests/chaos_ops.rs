@@ -506,7 +506,9 @@ fn run_txn_resolves_eight_thread_deadlock_storm() {
 /// loses the acknowledgement, not the commit. The two around the log
 /// sync fire on every sync, but only a commit's surfaces as an injected
 /// transaction error (a write-back's is an I/O error the eviction path
-/// absorbs), and `run_txn`'s abort then completes that commit.
+/// absorbs), and `run_txn`'s abort then completes that commit — unless
+/// the abort's own sync draws the error, which the soak's worker loop
+/// handles.
 const LOST_ACK_POINTS: [&str; 4] =
     ["commit.before_durable_wait", "log.sync.before", "log.sync.after", "commit.after_wal_flush"];
 
@@ -531,9 +533,11 @@ fn seeded_chaos_soak_stays_consistent_and_recovers() {
     let (db, idx) = h.open();
 
     // Every crash point draws a perturbation or a one-shot error. A
-    // failed abort is the one error the soak keeps off the menu:
-    // `run_txn` swallows it and would leak the transaction, which the
-    // per-point sweep covers on its own.
+    // failed undo is the one error the soak keeps off the menu:
+    // `run_txn` swallows a failed abort and would leak the transaction,
+    // which the per-point sweep covers on its own. (A lost-ack abort can
+    // still fail at a `log.sync.*` point; the worker loop finishes that
+    // commit.)
     let menu: Vec<(&'static str, Action)> = chaos::POINTS
         .iter()
         .flat_map(|&p| {
@@ -555,7 +559,9 @@ fn seeded_chaos_soak_stays_consistent_and_recovers() {
         workers.push(std::thread::spawn(move || {
             for i in 0..60i64 {
                 let k = 30_000 + t * 1000 + i;
+                let last_txn = std::cell::Cell::new(None);
                 match db.run_txn(|txn| {
+                    last_txn.set(Some(txn));
                     idx.insert(txn, &k, rid(k as u64))?;
                     if i % 7 == 0 {
                         idx.search(txn, &I64Query::range(k - 5, k + 5))?;
@@ -570,6 +576,18 @@ fn seeded_chaos_soak_stays_consistent_and_recovers() {
                     // injected error must have rolled the key back.
                     Err(GistError::Injected(p)) | Err(GistError::Txn(TxnError::Injected(p))) => {
                         let lost_ack = LOST_ACK_POINTS.contains(&p);
+                        if let (true, Some(txn)) = (lost_ack, last_txn.get()) {
+                            // `run_txn`'s abort completes a lost-ack
+                            // commit, but its sync can draw a
+                            // `log.sync.*` error of its own, which
+                            // `run_txn` swallows, leaving the commit
+                            // unfinished with its locks held. Finish it
+                            // as a client that saw the error would; each
+                            // injected error fires once, so this ends.
+                            while db.txns().is_active(txn) {
+                                let _ = db.abort(txn);
+                            }
+                        }
                         assert_eq!(
                             present(&db, &idx, k),
                             lost_ack,

@@ -508,7 +508,7 @@ mod sync_crash {
     use gist_repro::core::check::check_tree;
     use gist_repro::core::{Db, DbConfig, GistIndex, IndexOptions};
     use gist_repro::pagestore::{InMemoryStore, PageStore};
-    use gist_repro::wal::LogManager;
+    use gist_repro::wal::{LogManager, LogRecord, RecordBody};
 
     use super::rid;
 
@@ -710,6 +710,39 @@ mod sync_crash {
         assert!(!rig.db.txns().is_active(txn));
         rig.expected.push(10_000);
         chaos::uninstall();
+        rig.crash_and_verify();
+    }
+
+    /// `Db::crash` between a commit's append and its sync: the crash
+    /// cuts the commit record off, so the commit fails rather than being
+    /// acknowledged, and restart sees nothing of it.
+    #[test]
+    fn crash_between_commit_append_and_sync_fails_the_commit() {
+        let _g = serial();
+        let rig = Rig::new(50);
+        let (db, idx) = (rig.db.clone(), rig.idx.clone());
+        let (inserted, go) = (std::sync::mpsc::channel(), std::sync::mpsc::channel());
+        let victim = std::thread::spawn(move || {
+            let txn = db.begin();
+            idx.insert(txn, &10_000, rid(10_000)).unwrap();
+            inserted.0.send(txn).unwrap();
+            go.1.recv().unwrap();
+            db.commit(txn)
+        });
+        let txn = inserted.1.recv().unwrap();
+        // Every commit stalls here, so the victim's does whichever
+        // thread reaches the point first (the plan is process-wide).
+        arm("commit.before_durable_wait", Trigger::Always, Action::Delay(300));
+        go.0.send(()).unwrap();
+        let started = Instant::now();
+        let is_victims_commit = |r: &LogRecord| r.txn == txn && r.body == RecordBody::TxnCommit;
+        while !rig.log.scan_from(rig.log.flushed_lsn()).iter().any(is_victims_commit) {
+            assert!(started.elapsed() < Duration::from_secs(10), "the victim never appended");
+            std::thread::yield_now();
+        }
+        rig.db.crash();
+        let out = victim.join().unwrap();
+        assert!(out.is_err(), "a commit whose record the crash cut off was acknowledged");
         rig.crash_and_verify();
     }
 
