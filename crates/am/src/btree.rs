@@ -38,6 +38,7 @@ fn put_i64(out: &mut Vec<u8>, v: i64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+#[inline]
 fn get_i64(b: &[u8], off: usize) -> i64 {
     let mut v = [0u8; 8];
     v.copy_from_slice(&b[off..off + 8]);
@@ -54,6 +55,7 @@ impl GistExtension for BtreeExt {
         put_i64(out, *key);
     }
 
+    #[inline]
     fn decode_key(&self, bytes: &[u8]) -> i64 {
         get_i64(bytes, 0)
     }
@@ -63,6 +65,7 @@ impl GistExtension for BtreeExt {
         put_i64(out, pred.1);
     }
 
+    #[inline]
     fn decode_pred(&self, bytes: &[u8]) -> (i64, i64) {
         (get_i64(bytes, 0), get_i64(bytes, 8))
     }
@@ -76,10 +79,12 @@ impl GistExtension for BtreeExt {
         I64Query { lo: get_i64(bytes, 0), hi: get_i64(bytes, 8) }
     }
 
+    #[inline]
     fn consistent_pred(&self, pred: &(i64, i64), q: &I64Query) -> bool {
         pred.0 <= q.hi && q.lo <= pred.1
     }
 
+    #[inline]
     fn consistent_key(&self, key: &i64, q: &I64Query) -> bool {
         q.lo <= *key && *key <= q.hi
     }

@@ -24,6 +24,7 @@ pub enum RdQuery {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RdTreeExt;
 
+#[inline]
 fn get_u64(b: &[u8], off: usize) -> u64 {
     let mut v = [0u8; 8];
     v.copy_from_slice(&b[off..off + 8]);
@@ -41,6 +42,7 @@ impl GistExtension for RdTreeExt {
         out.extend_from_slice(&key.to_le_bytes());
     }
 
+    #[inline]
     fn decode_key(&self, bytes: &[u8]) -> u64 {
         get_u64(bytes, 0)
     }
@@ -49,6 +51,7 @@ impl GistExtension for RdTreeExt {
         out.extend_from_slice(&pred.to_le_bytes());
     }
 
+    #[inline]
     fn decode_pred(&self, bytes: &[u8]) -> u64 {
         get_u64(bytes, 0)
     }
@@ -73,6 +76,7 @@ impl GistExtension for RdTreeExt {
         }
     }
 
+    #[inline]
     fn consistent_pred(&self, pred: &u64, q: &RdQuery) -> bool {
         match q {
             RdQuery::Overlaps(v) => pred & v != 0,
@@ -81,6 +85,7 @@ impl GistExtension for RdTreeExt {
         }
     }
 
+    #[inline]
     fn consistent_key(&self, key: &u64, q: &RdQuery) -> bool {
         match q {
             RdQuery::Overlaps(v) => key & v != 0,

@@ -34,11 +34,13 @@ impl Rect {
     }
 
     /// Whether two rectangles overlap (closed edges).
+    #[inline]
     pub fn overlaps(&self, o: &Rect) -> bool {
         self.x1 <= o.x2 && o.x1 <= self.x2 && self.y1 <= o.y2 && o.y1 <= self.y2
     }
 
     /// Whether `self` contains `o`.
+    #[inline]
     pub fn contains(&self, o: &Rect) -> bool {
         self.x1 <= o.x1 && o.x2 <= self.x2 && self.y1 <= o.y1 && o.y2 <= self.y2
     }
@@ -79,6 +81,7 @@ pub enum SpatialQuery {
 }
 
 impl SpatialQuery {
+    #[inline]
     fn window(&self) -> &Rect {
         match self {
             SpatialQuery::Overlaps(r) | SpatialQuery::Within(r) | SpatialQuery::Equals(r) => r,
@@ -94,6 +97,7 @@ fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+#[inline]
 fn get_f64(b: &[u8], off: usize) -> f64 {
     let mut v = [0u8; 8];
     v.copy_from_slice(&b[off..off + 8]);
@@ -107,6 +111,7 @@ fn encode_rect(r: &Rect, out: &mut Vec<u8>) {
     put_f64(out, r.y2);
 }
 
+#[inline]
 fn decode_rect(b: &[u8], off: usize) -> Rect {
     Rect {
         x1: get_f64(b, off),
@@ -125,6 +130,7 @@ impl GistExtension for RtreeExt {
         encode_rect(key, out);
     }
 
+    #[inline]
     fn decode_key(&self, bytes: &[u8]) -> Rect {
         decode_rect(bytes, 0)
     }
@@ -133,6 +139,7 @@ impl GistExtension for RtreeExt {
         encode_rect(pred, out);
     }
 
+    #[inline]
     fn decode_pred(&self, bytes: &[u8]) -> Rect {
         decode_rect(bytes, 0)
     }
@@ -156,12 +163,14 @@ impl GistExtension for RtreeExt {
         }
     }
 
+    #[inline]
     fn consistent_pred(&self, pred: &Rect, q: &SpatialQuery) -> bool {
         // A subtree can contain a qualifying key iff its MBR overlaps
         // the window (for all three query forms).
         pred.overlaps(q.window())
     }
 
+    #[inline]
     fn consistent_key(&self, key: &Rect, q: &SpatialQuery) -> bool {
         match q {
             SpatialQuery::Overlaps(w) => key.overlaps(w),

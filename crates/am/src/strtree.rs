@@ -28,6 +28,7 @@ fn put_framed(out: &mut Vec<u8>, b: &[u8]) {
 }
 
 /// The framed string at `off`, in place, and the offset just past it.
+#[inline]
 fn get_framed(b: &[u8], off: usize) -> (&[u8], usize) {
     let mut len4 = [0u8; 4];
     len4.copy_from_slice(&b[off..off + 4]);
@@ -36,6 +37,7 @@ fn get_framed(b: &[u8], off: usize) -> (&[u8], usize) {
 }
 
 /// An encoded `(min, max)` predicate as two slices of its bytes.
+#[inline]
 fn pred_bounds(bytes: &[u8]) -> (&[u8], &[u8]) {
     let (lo, off) = get_framed(bytes, 0);
     let (hi, _) = get_framed(bytes, off);
@@ -43,6 +45,7 @@ fn pred_bounds(bytes: &[u8]) -> (&[u8], &[u8]) {
 }
 
 /// Can the interval `[lo, hi]` contain a key satisfying `q`?
+#[inline]
 fn interval_consistent(lo: &[u8], hi: &[u8], q: &StrQuery) -> bool {
     match q {
         StrQuery::Range(qlo, qhi) => hi >= qlo.as_slice() && lo <= qhi.as_slice(),
@@ -54,6 +57,7 @@ fn interval_consistent(lo: &[u8], hi: &[u8], q: &StrQuery) -> bool {
     }
 }
 
+#[inline]
 fn key_consistent(key: &[u8], q: &StrQuery) -> bool {
     match q {
         StrQuery::Range(lo, hi) => key >= lo.as_slice() && key <= hi.as_slice(),
@@ -93,6 +97,7 @@ impl GistExtension for StrTreeExt {
         out.extend_from_slice(key);
     }
 
+    #[inline]
     fn decode_key(&self, bytes: &[u8]) -> Vec<u8> {
         bytes.to_vec()
     }
@@ -102,6 +107,7 @@ impl GistExtension for StrTreeExt {
         put_framed(out, &pred.1);
     }
 
+    #[inline]
     fn decode_pred(&self, bytes: &[u8]) -> (Vec<u8>, Vec<u8>) {
         let (lo, hi) = pred_bounds(bytes);
         (lo.to_vec(), hi.to_vec())
@@ -137,10 +143,12 @@ impl GistExtension for StrTreeExt {
         }
     }
 
+    #[inline]
     fn consistent_pred(&self, pred: &(Vec<u8>, Vec<u8>), q: &StrQuery) -> bool {
         interval_consistent(&pred.0, &pred.1, q)
     }
 
+    #[inline]
     fn consistent_key(&self, key: &Vec<u8>, q: &StrQuery) -> bool {
         key_consistent(key, q)
     }
@@ -172,10 +180,12 @@ impl GistExtension for StrTreeExt {
     // Decoding a key or predicate here copies it into fresh `Vec`s, so
     // the per-entry traversal tests read the encoded bytes in place.
 
+    #[inline]
     fn consistent_key_bytes(&self, key_bytes: &[u8], q: &StrQuery) -> bool {
         key_consistent(key_bytes, q)
     }
 
+    #[inline]
     fn consistent_pred_bytes(&self, pred_bytes: &[u8], q: &StrQuery) -> bool {
         let (lo, hi) = pred_bounds(pred_bytes);
         interval_consistent(lo, hi, q)

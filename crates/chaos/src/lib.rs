@@ -35,6 +35,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::ThreadId;
 use std::time::Duration;
 
 /// Every crash point and mutation switch in the source tree, one entry
@@ -175,6 +176,8 @@ struct State {
     schedule: Vec<(&'static str, Trigger, Action)>,
     ops: HashMap<&'static str, u64>,
     fired: Vec<Fired>,
+    /// Set by [`Plan::only_on`]: the one thread the plan acts on.
+    only_on: Option<ThreadId>,
 }
 
 /// A fault schedule keyed by (site, op index), plus its fired log.
@@ -241,6 +244,14 @@ impl Plan {
         lock(&self.state).schedule.push((site, trigger, action));
     }
 
+    /// Act on `thread` only: every other thread passes each site as if no
+    /// plan were installed, uncounted. A test whose victim is one thread
+    /// scopes the process-wide plan this way, so that other tests in the
+    /// same binary neither take its trigger nor shift its op indexes.
+    pub fn only_on(&self, thread: ThreadId) {
+        lock(&self.state).only_on = Some(thread);
+    }
+
     /// Drop every scheduled action at `site`.
     pub fn clear(&self, site: &str) {
         lock(&self.state).schedule.retain(|(s, ..)| *s != site);
@@ -269,6 +280,9 @@ impl Plan {
         }
         let mut guard = lock(&self.state);
         let st = &mut *guard;
+        if st.only_on.is_some_and(|t| t != std::thread::current().id()) {
+            return None;
+        }
         let ops = st.ops.entry(site).or_insert(0);
         let index = *ops;
         *ops += 1;
@@ -405,6 +419,20 @@ mod tests {
             assert_eq!(plan.point(site), Ok(()));
         }
         assert!(plan.fired().is_empty());
+    }
+
+    #[test]
+    fn a_thread_scoped_plan_ignores_other_threads() {
+        let plan = armed_plan();
+        plan.add("commit.pre_append", Trigger::Next(1), Action::Error);
+        plan.only_on(std::thread::current().id());
+        let other = plan.clone();
+        let elsewhere = std::thread::spawn(move || other.point("commit.pre_append"));
+        assert_eq!(elsewhere.join().unwrap(), Ok(()), "another thread took the trigger");
+        assert!(plan.fired().is_empty(), "another thread was counted");
+        assert_eq!(plan.point("commit.pre_append"), Err(Injected("commit.pre_append")));
+        let fired = Fired { site: "commit.pre_append", index: 0, action: Action::Error };
+        assert_eq!(plan.fired(), vec![fired]);
     }
 
     #[test]

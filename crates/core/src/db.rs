@@ -714,6 +714,12 @@ impl Db {
     /// `f` must be idempotent across attempts (standard optimistic-retry
     /// contract): everything it did in a failed attempt is rolled back
     /// before the next one starts.
+    ///
+    /// One failure leaves the transaction open:
+    /// [`GistError::CommitUnfinished`], a commit whose record is in the
+    /// log but whose sync failed, and whose completing `abort` failed as
+    /// well. The caller finishes it with [`Db::abort`] on the transaction
+    /// the error names.
     pub fn run_txn<T>(&self, f: impl Fn(TxnId) -> Result<T>) -> Result<T> {
         const MAX_ATTEMPTS: u32 = 10;
         let mut backoff = Duration::from_millis(1);
@@ -740,13 +746,18 @@ impl Db {
             let err = match self.contained(txn, || f(txn)) {
                 Ok(v) => match self.commit(txn) {
                     Ok(()) => return Ok(v),
-                    Err(e) => {
-                        // A failed commit leaves the transaction for us
-                        // to clean up — unless it is actually committed
-                        // (lost ack), which `abort` completes instead.
-                        let _ = self.abort(txn);
-                        e
-                    }
+                    // A failed commit leaves the transaction for us to
+                    // clean up — unless it is actually committed (lost
+                    // ack), which `abort` completes instead. If that
+                    // completion fails too, the transaction is still open
+                    // with its locks held: say so instead of retrying.
+                    Err(e) => match self.abort(txn) {
+                        Err(cause) if self.txns.is_active(txn) => {
+                            let cause = Box::new(cause);
+                            return Err(GistError::CommitUnfinished { txn, cause });
+                        }
+                        _ => e,
+                    },
                 },
                 Err(e) => {
                     // `contained` already aborted on panic; aborting an

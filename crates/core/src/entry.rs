@@ -26,18 +26,21 @@ const FLAG_DELETED: u8 = 1 << 0;
 
 // Little-endian field reads; the length asserts in the callers make the
 // sub-slice indexing infallible.
+#[inline]
 fn le_u64(b: &[u8]) -> u64 {
     let mut a = [0u8; 8];
     a.copy_from_slice(&b[..8]);
     u64::from_le_bytes(a)
 }
 
+#[inline]
 fn le_u32(b: &[u8]) -> u32 {
     let mut a = [0u8; 4];
     a.copy_from_slice(&b[..4]);
     u32::from_le_bytes(a)
 }
 
+#[inline]
 fn le_u16(b: &[u8]) -> u16 {
     let mut a = [0u8; 2];
     a.copy_from_slice(&b[..2]);
@@ -115,27 +118,32 @@ impl<'a> LeafEntryRef<'a> {
     /// # Panics
     /// Panics on truncated cells — a malformed leaf cell means page
     /// corruption, which must not be papered over.
+    #[inline]
     pub fn new(cell: &'a [u8]) -> Self {
         assert!(cell.len() >= LEAF_HEADER, "leaf cell too short: {}", cell.len());
         LeafEntryRef { cell }
     }
 
     /// The data record this entry points at.
+    #[inline]
     pub fn rid(self) -> Rid {
         Rid::new(PageId(le_u32(&self.cell[9..13])), le_u16(&self.cell[13..15]))
     }
 
     /// Logical-delete mark (§7).
+    #[inline]
     pub fn deleted(self) -> bool {
         self.cell[0] & FLAG_DELETED != 0
     }
 
     /// Transaction that set the mark ([`TxnId::NONE`] when unmarked).
+    #[inline]
     pub fn deleter(self) -> TxnId {
         TxnId(le_u64(&self.cell[1..9]))
     }
 
     /// Encoded key, in place.
+    #[inline]
     pub fn key_bytes(self) -> &'a [u8] {
         &self.cell[LEAF_HEADER..]
     }
@@ -199,17 +207,20 @@ impl<'a> InternalEntryRef<'a> {
     ///
     /// # Panics
     /// Panics on truncated cells (page corruption).
+    #[inline]
     pub fn new(cell: &'a [u8]) -> Self {
         assert!(cell.len() >= INTERNAL_HEADER, "internal cell too short: {}", cell.len());
         InternalEntryRef { cell }
     }
 
     /// Child page.
+    #[inline]
     pub fn child(self) -> PageId {
         PageId(le_u32(&self.cell[..INTERNAL_HEADER]))
     }
 
     /// Encoded bounding predicate of the child, in place.
+    #[inline]
     pub fn pred_bytes(self) -> &'a [u8] {
         &self.cell[INTERNAL_HEADER..]
     }

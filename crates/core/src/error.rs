@@ -6,6 +6,7 @@ use std::io;
 use gist_lockmgr::LockError;
 use gist_pagestore::Rid;
 use gist_txn::TxnError;
+use gist_wal::TxnId;
 
 /// Errors surfaced by index operations.
 #[derive(Debug)]
@@ -49,6 +50,17 @@ pub enum GistError {
     /// retrying (as [`Db::run_txn`](crate::Db::run_txn) does) is always
     /// safe.
     Overloaded,
+    /// [`Db::run_txn`](crate::Db::run_txn) could not finish a commit: the
+    /// commit record is in the log, but its sync failed and so did the
+    /// `abort` that completes such a commit (`cause` is the abort's
+    /// error). The transaction is still open with its locks held; abort
+    /// `txn` again to finish the commit.
+    CommitUnfinished {
+        /// The transaction left open.
+        txn: TxnId,
+        /// Why the completing abort failed.
+        cause: Box<GistError>,
+    },
 }
 
 impl GistError {
@@ -84,6 +96,9 @@ impl fmt::Display for GistError {
             GistError::Overloaded => {
                 write!(f, "admission shed: too many transactions in flight")
             }
+            GistError::CommitUnfinished { txn, cause } => {
+                write!(f, "commit of {txn} is unfinished ({cause}); abort it to finish the commit")
+            }
         }
     }
 }
@@ -94,6 +109,7 @@ impl std::error::Error for GistError {
             GistError::Io(e) => Some(e),
             GistError::Lock(e) => Some(e),
             GistError::Txn(e) => Some(e),
+            GistError::CommitUnfinished { cause, .. } => Some(cause.as_ref()),
             _ => None,
         }
     }

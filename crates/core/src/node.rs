@@ -33,6 +33,7 @@ pub fn set_bp(page: &mut Page, bp_bytes: &[u8]) -> Result<(), PageFull> {
 }
 
 /// Iterate `(slot, cell)` over entry slots (skipping the BP slot).
+#[inline]
 pub fn entry_cells(page: &Page) -> impl Iterator<Item = (SlotId, &[u8])> {
     page.iter_cells().filter(|(s, _)| *s != BP_SLOT)
 }
@@ -44,12 +45,14 @@ pub fn entry_count(page: &Page) -> usize {
 
 /// Borrowed views of a leaf's entries, in slot order. Nothing is copied:
 /// the views read the page bytes in place.
+#[inline]
 pub fn leaf_views(page: &Page) -> impl Iterator<Item = (SlotId, LeafEntryRef<'_>)> {
     debug_assert!(page.is_leaf());
     entry_cells(page).map(|(s, c)| (s, LeafEntryRef::new(c)))
 }
 
 /// Borrowed views of an internal node's entries, in slot order.
+#[inline]
 pub fn internal_views(page: &Page) -> impl Iterator<Item = (SlotId, InternalEntryRef<'_>)> {
     debug_assert!(!page.is_leaf());
     entry_cells(page).map(|(s, c)| (s, InternalEntryRef::new(c)))

@@ -169,6 +169,7 @@ impl Page {
 
     // ---- header accessors ----
 
+    #[inline]
     fn u64_at(&self, off: usize) -> u64 {
         let mut b = [0u8; 8];
         b.copy_from_slice(&self.data[off..off + 8]);
@@ -179,6 +180,7 @@ impl Page {
         self.data[off..off + 8].copy_from_slice(&v.to_le_bytes());
     }
 
+    #[inline]
     fn u32_at(&self, off: usize) -> u32 {
         let mut b = [0u8; 4];
         b.copy_from_slice(&self.data[off..off + 4]);
@@ -189,6 +191,7 @@ impl Page {
         self.data[off..off + 4].copy_from_slice(&v.to_le_bytes());
     }
 
+    #[inline]
     fn u16_at(&self, off: usize) -> u16 {
         let mut b = [0u8; 2];
         b.copy_from_slice(&self.data[off..off + 2]);
@@ -200,6 +203,7 @@ impl Page {
     }
 
     /// Page LSN: the LSN of the last log record applied to this page.
+    #[inline]
     pub fn page_lsn(&self) -> Lsn {
         Lsn(self.u64_at(OFF_LSN))
     }
@@ -211,6 +215,7 @@ impl Page {
     }
 
     /// Node sequence number (§3): updated on every split of this node.
+    #[inline]
     pub fn nsn(&self) -> u64 {
         self.u64_at(OFF_NSN)
     }
@@ -222,6 +227,7 @@ impl Page {
 
     /// Rightlink to the sibling this node most recently split into
     /// ([`PageId::INVALID`] if never split / rightmost).
+    #[inline]
     pub fn rightlink(&self) -> PageId {
         PageId(self.u32_at(OFF_RIGHTLINK))
     }
@@ -232,6 +238,7 @@ impl Page {
     }
 
     /// The page's own id (integrity check against the store index).
+    #[inline]
     pub fn page_id(&self) -> PageId {
         PageId(self.u32_at(OFF_PAGE_ID))
     }
@@ -242,6 +249,7 @@ impl Page {
     }
 
     /// Tree level: 0 for leaves, increasing toward the root.
+    #[inline]
     pub fn level(&self) -> u16 {
         self.u16_at(OFF_LEVEL)
     }
@@ -252,6 +260,7 @@ impl Page {
     }
 
     /// Whether this is a leaf page.
+    #[inline]
     pub fn is_leaf(&self) -> bool {
         self.level() == 0
     }
@@ -318,6 +327,7 @@ impl Page {
     }
 
     /// Number of slots (including vacant ones).
+    #[inline]
     pub fn slot_count(&self) -> u16 {
         self.u16_at(OFF_SLOT_COUNT)
     }
@@ -336,10 +346,12 @@ impl Page {
 
     // ---- slot helpers ----
 
+    #[inline]
     fn slot_off(slot: SlotId) -> usize {
         HEADER_SIZE + slot as usize * SLOT_SIZE
     }
 
+    #[inline]
     fn slot(&self, slot: SlotId) -> (u16, u16, u16) {
         let off = Self::slot_off(slot);
         (self.u16_at(off), self.u16_at(off + 2), self.u16_at(off + 4))
@@ -353,6 +365,7 @@ impl Page {
     }
 
     /// Whether `slot` currently holds a cell.
+    #[inline]
     pub fn is_occupied(&self, slot: SlotId) -> bool {
         slot < self.slot_count() && self.slot(slot).2 & SLOT_FLAG_VACANT == 0
     }
@@ -363,6 +376,7 @@ impl Page {
     }
 
     /// The cell stored in `slot`, if occupied.
+    #[inline]
     pub fn cell(&self, slot: SlotId) -> Option<&[u8]> {
         if !self.is_occupied(slot) {
             return None;
@@ -372,6 +386,7 @@ impl Page {
     }
 
     /// Iterate over `(slot, cell)` pairs for all occupied slots.
+    #[inline]
     pub fn iter_cells(&self) -> impl Iterator<Item = (SlotId, &[u8])> {
         (0..self.slot_count()).filter_map(move |s| self.cell(s).map(|c| (s, c)))
     }

@@ -5,16 +5,22 @@
 //!
 //! Ties the substrates together for the paper's protocols:
 //!
-//! - **begin** assigns a [`TxnId`], writes `TxnBegin`, and takes the X
-//!   lock on the transaction's own id that §10.3 assumes ("every
-//!   transaction acquires an X-mode lock on its own ID when it starts
-//!   up") — this is what lets other operations "block on a predicate" by
-//!   S-locking that id.
+//! - **begin** assigns a [`TxnId`] and takes the X lock on the
+//!   transaction's own id that §10.3 assumes ("every transaction acquires
+//!   an X-mode lock on its own ID when it starts up") — this is what lets
+//!   other operations "block on a predicate" by S-locking that id. It
+//!   logs nothing: `TxnBegin` is appended together with the
+//!   transaction's first record, so a read-only transaction never
+//!   touches the log.
 //! - **commit** forces the log (`TxnCommit`, then
 //!   [`LogManager::sync_to`] on the committer's own thread), writes
 //!   `TxnEnd`, then releases predicate locks and record/signaling locks —
 //!   strict two-phase locking with predicate attachments held to
-//!   transaction end (§4.3) — and yields the CPU once.
+//!   transaction end (§4.3) — and yields the CPU once. A transaction
+//!   that logged nothing has nothing to redo or undo (§9): its commit
+//!   appends and syncs nothing and only releases and yields. Its Degree 3
+//!   guarantee is the locks it held, and every row it read under them
+//!   was written by a commit that was forced before releasing them.
 //! - **abort** performs *logical undo* through the caller-supplied
 //!   [`RecoveryHandler`] (the GiST layer), one CLR per undone record,
 //!   writes `TxnEnd`, then releases everything. No abort record precedes
@@ -110,6 +116,8 @@ pub struct SavepointId(pub u32);
 #[derive(Debug)]
 struct TxnInfo {
     status: TxnStatus,
+    /// The transaction's `TxnBegin`, or [`Lsn::NULL`] until its first
+    /// record (a read-only transaction never gets one).
     begin_lsn: Lsn,
     last_lsn: Lsn,
     savepoints: Vec<(SavepointId, Lsn)>,
@@ -205,7 +213,8 @@ pub struct CommitStats {
     /// checkpoints, shutdown.
     pub batches_flushed: u64,
     /// Commits made durable: successful commits plus lost-ack
-    /// completions by `abort`.
+    /// completions by `abort`. A read-only commit has nothing to make
+    /// durable and is not counted.
     pub commits_flushed: u64,
     /// Median commit wait in `sync_to`, microseconds (bucketed, upper
     /// bound).
@@ -335,20 +344,19 @@ impl TxnManager {
         &self.preds
     }
 
-    /// Start a transaction.
+    /// Start a transaction. Nothing is logged until its first record.
     pub fn begin(&self) -> TxnId {
         let id = {
             let mut n = self.next_txn.lock();
             *n += 1;
             TxnId(*n)
         };
-        let begin_lsn = self.log.append(id, Lsn::NULL, RecordBody::TxnBegin);
         self.table.lock().insert(
             id,
             TxnInfo {
                 status: TxnStatus::Active,
-                begin_lsn,
-                last_lsn: begin_lsn,
+                begin_lsn: Lsn::NULL,
+                last_lsn: Lsn::NULL,
                 savepoints: Vec::new(),
                 next_savepoint: 0,
                 pinned_nodes: HashSet::new(),
@@ -363,11 +371,23 @@ impl TxnManager {
         id
     }
 
-    /// Append a content log record for `txn`, maintaining its backchain.
-    /// Returns the record's LSN.
+    /// Append a log record for `txn`, maintaining its backchain, preceded
+    /// by its `TxnBegin` if this is the transaction's first record.
+    /// Returns the record's LSN. Compensations and nested-top-action
+    /// terminators go through here too.
+    ///
+    /// The begin LSN is in the table before the first record reaches any
+    /// page: a caller appends under the page's X latch and stamps the
+    /// page after this returns. So a reader of
+    /// [`TxnManager::oldest_active_begin_lsn`] that holds that latch
+    /// never misses a writer of the page.
     pub fn log_update(&self, txn: TxnId, body: RecordBody) -> Result<Lsn, TxnError> {
         let mut table = self.table.lock();
         let info = table.get_mut(&txn).ok_or(TxnError::NotActive(txn))?;
+        if info.begin_lsn.is_null() {
+            info.begin_lsn = self.log.append(txn, Lsn::NULL, RecordBody::TxnBegin);
+            info.last_lsn = info.begin_lsn;
+        }
         let lsn = self.log.append(txn, info.last_lsn, body);
         info.last_lsn = lsn;
         Ok(lsn)
@@ -389,11 +409,7 @@ impl TxnManager {
         undo_next: Lsn,
         redo: Payload,
     ) -> Result<Lsn, TxnError> {
-        let mut table = self.table.lock();
-        let info = table.get_mut(&txn).ok_or(TxnError::NotActive(txn))?;
-        let lsn = self.log.append(txn, info.last_lsn, RecordBody::Clr { undo_next, redo });
-        info.last_lsn = lsn;
-        Ok(lsn)
+        self.log_update(txn, RecordBody::Clr { undo_next, redo })
     }
 
     /// Start a nested top action for `txn` (§9.1).
@@ -415,12 +431,7 @@ impl TxnManager {
     /// and restart sees exactly a crash in the middle of the unit, which
     /// its undo pass already handles (`tests/recovery_crash.rs`).
     pub fn end_nta(&self, txn: TxnId, nta: NestedTopAction) -> Result<Lsn, TxnError> {
-        let mut table = self.table.lock();
-        let info = table.get_mut(&txn).ok_or(TxnError::NotActive(txn))?;
-        let body = RecordBody::NtaEnd { undo_next: nta.undo_next };
-        let lsn = self.log.append(txn, info.last_lsn, body);
-        info.last_lsn = lsn;
-        Ok(lsn)
+        self.log_update(txn, RecordBody::NtaEnd { undo_next: nta.undo_next })
     }
 
     /// Commit: append the commit record, sync the log through it on
@@ -436,12 +447,23 @@ impl TxnManager {
     /// the release, which may be waiting for this CPU, runs now rather
     /// than after the rest of this thread's scheduler slice. It costs
     /// one syscall and at most one context switch.
+    ///
+    /// A transaction that logged nothing appends no commit or end record
+    /// and does not sync: it only releases, notifies and yields. That
+    /// includes a commit after [`LogManager::crash`], which has nothing
+    /// to force and so succeeds.
     pub fn commit(&self, txn: TxnId) -> Result<(), TxnError> {
         let commit_lsn = {
             let mut table = self.table.lock();
             let info = table.get_mut(&txn).ok_or(TxnError::NotActive(txn))?;
             if info.poisoned {
                 return Err(TxnError::MustAbort(txn));
+            }
+            if info.last_lsn.is_null() {
+                drop(table);
+                self.finish_commit(txn);
+                std::thread::yield_now();
+                return Ok(());
             }
             // Error fails the commit; Panic kills the committer before
             // its commit record exists, leaving the transaction a loser.
@@ -479,12 +501,15 @@ impl TxnManager {
     fn finish_commit(&self, txn: TxnId) {
         let gc = {
             let mut table = self.table.lock();
-            let Some(info) = table.get(&txn) else { return };
+            let Some(info) = table.remove(&txn) else { return };
             // The end record is not forced: it only saves restart an undo
             // it would skip anyway, so riding the next sync that a commit,
-            // write-back or checkpoint asks for is soon enough.
-            self.log.append(txn, info.last_lsn, RecordBody::TxnEnd);
-            table.remove(&txn).map(|i| i.gc_candidates).unwrap_or_default()
+            // write-back or checkpoint asks for is soon enough. A
+            // transaction with no records needs none.
+            if !info.last_lsn.is_null() {
+                self.log.append(txn, info.last_lsn, RecordBody::TxnEnd);
+            }
+            info.gc_candidates
         };
         self.preds.release_txn(txn);
         self.locks.release_all(txn);
@@ -532,8 +557,11 @@ impl TxnManager {
             let mut table = self.table.lock();
             // Unforced, like the commit-side end record: losing an abort's
             // end record only costs restart a re-undo of already-undone
-            // work (CLRs make that idempotent).
-            self.log.append(txn, chain_end, RecordBody::TxnEnd);
+            // work (CLRs make that idempotent). A transaction that logged
+            // nothing has nothing for restart to undo, and gets none.
+            if !chain_end.is_null() {
+                self.log.append(txn, chain_end, RecordBody::TxnEnd);
+            }
             table.remove(&txn);
         }
         self.preds.release_txn(txn);
@@ -614,15 +642,20 @@ impl TxnManager {
         !self.table.lock().contains_key(&txn)
     }
 
-    /// Smallest `begin_lsn` among active transactions, or [`Lsn::MAX`]
-    /// when none are active. Used for the Commit_LSN fast path of garbage
-    /// collection (\[Moh90b\], §7.1 footnote 11): a page whose LSN is below
-    /// this cannot hold any uncommitted entry.
+    /// Smallest `begin_lsn` among active transactions that have logged
+    /// anything, or [`Lsn::MAX`] when there are none. Used for the
+    /// Commit_LSN fast path of garbage collection (\[Moh90b\], §7.1
+    /// footnote 11): a page whose LSN is below this cannot hold any
+    /// uncommitted entry. A transaction with no record has put nothing on
+    /// any page; its first record will get an LSN above every page LSN
+    /// read now, and the page latch a reader holds keeps it off that page
+    /// meanwhile (see [`TxnManager::log_update`]).
     pub fn oldest_active_begin_lsn(&self) -> Lsn {
         self.table
             .lock()
             .values()
             .map(|i| i.begin_lsn)
+            .filter(|l| !l.is_null())
             .min()
             .unwrap_or(Lsn::MAX)
     }
@@ -644,9 +677,16 @@ impl TxnManager {
     /// Mutators append their log record and mark the frame dirty under
     /// the same page latch, so any dirtying the DPT capture missed has an
     /// LSN > `scan_start` and is re-observed by the analysis scan.
+    /// Transactions that have logged nothing are left out: restart has
+    /// nothing of theirs to undo.
     pub fn checkpoint_with(&self, scan_start: Lsn, dirty_pages: Vec<(u32, Lsn)>) -> Lsn {
-        let active: Vec<(TxnId, Lsn)> =
-            self.table.lock().iter().map(|(t, i)| (*t, i.last_lsn)).collect();
+        let active: Vec<(TxnId, Lsn)> = self
+            .table
+            .lock()
+            .iter()
+            .filter(|(_, i)| !i.last_lsn.is_null())
+            .map(|(t, i)| (*t, i.last_lsn))
+            .collect();
         let lsn = self.log.append(
             TxnId::NONE,
             Lsn::NULL,

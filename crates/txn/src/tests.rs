@@ -243,6 +243,7 @@ fn oldest_active_begin_lsn_tracks_table() {
     assert_eq!(mgr.oldest_active_begin_lsn(), Lsn::MAX);
     let t1 = mgr.begin();
     let t2 = mgr.begin();
+    cells.set(&mgr, t1, 1, 1);
     cells.set(&mgr, t2, 0, 1);
     let oldest = mgr.oldest_active_begin_lsn();
     assert!(oldest <= mgr.last_lsn(t1).unwrap());
@@ -269,9 +270,11 @@ fn wait_for_txn_blocks_until_owner_ends() {
 
 #[test]
 fn checkpoint_lists_active_txns() {
-    let (mgr, _cells, log, _locks) = setup();
+    let (mgr, cells, log, _locks) = setup();
     let t1 = mgr.begin();
-    let _t2 = mgr.begin();
+    let t2 = mgr.begin();
+    cells.set(&mgr, t1, 0, 1);
+    cells.set(&mgr, t2, 1, 1);
     mgr.checkpoint_with(Lsn(1), Vec::new());
     let cp = log.last_checkpoint().unwrap();
     match log.get(cp).body {
@@ -401,28 +404,32 @@ fn commit_syncs_its_own_record() {
 
 #[test]
 fn append_commit_appends_the_commit_record() {
-    let (mgr, _cells, log, _locks) = setup();
+    let (mgr, cells, log, _locks) = setup();
     let t = mgr.begin();
+    cells.set(&mgr, t, 0, 1);
     mgr.commit(t).unwrap();
     let recs: Vec<_> = log.scan_from(Lsn(1)).into_iter().filter(|r| r.txn == t).collect();
-    let bodies: Vec<_> = recs.iter().map(|r| r.body.clone()).collect();
-    assert_eq!(bodies, vec![RecordBody::TxnBegin, RecordBody::TxnCommit, RecordBody::TxnEnd]);
-    assert_eq!(recs[1].prev_lsn, recs[0].lsn, "the commit record extends the backchain");
-    assert_eq!(recs[2].prev_lsn, recs[1].lsn);
+    let bodies: Vec<_> = recs.iter().map(|r| &r.body).collect();
+    use RecordBody::{Payload as Update, TxnBegin, TxnCommit, TxnEnd};
+    assert!(matches!(bodies[..], [TxnBegin, Update(_), TxnCommit, TxnEnd]), "{bodies:?}");
+    assert_eq!(recs[2].prev_lsn, recs[1].lsn, "the commit record extends the backchain");
+    assert_eq!(recs[3].prev_lsn, recs[2].lsn);
 }
 
 #[test]
 fn batched_commits_share_fsyncs() {
-    let (mgr, _cells, log, _locks) = setup();
+    let (mgr, cells, log, _locks) = setup();
+    let cells = Arc::new(cells);
     // A slow device makes batching observable: 8 committers against a
     // 3 ms sync can't each get a private sync — whoever appends while
     // one is in flight queues on the device and rides the next.
     log.set_sync_latency(std::time::Duration::from_millis(3));
     let threads: Vec<_> = (0..8)
-        .map(|_| {
-            let mgr = mgr.clone();
+        .map(|i| {
+            let (mgr, cells) = (mgr.clone(), cells.clone());
             std::thread::spawn(move || {
                 let t = mgr.begin();
+                cells.set(&mgr, t, i, 1);
                 mgr.commit(t)
             })
         })
@@ -471,12 +478,92 @@ fn checkpoint_syncs_the_whole_log() {
 
 #[test]
 fn commits_flushed_counts_every_acknowledged_commit() {
-    let (mgr, _cells, log, _locks) = setup();
+    let (mgr, cells, log, _locks) = setup();
     let (t1, t2) = (mgr.begin(), mgr.begin());
+    cells.set(&mgr, t1, 0, 1);
+    cells.set(&mgr, t2, 1, 1);
     mgr.commit(t1).unwrap();
     mgr.commit(t2).unwrap();
     mgr.checkpoint_with(log.last_lsn(), Vec::new());
     let s = mgr.pipeline().stats();
     assert_eq!(s.commits_flushed, 2, "{s:?}");
     assert_eq!(s.batches_flushed, 3, "a checkpoint's sync is counted, not as a commit: {s:?}");
+}
+
+// ---- read-only transactions touch nothing durable ----
+
+/// A transaction that logs nothing appends no record at begin, commit or
+/// abort, never syncs and records no commit wait, yet releases its locks
+/// and reaches the end observer like any other.
+#[test]
+fn read_only_txn_appends_and_syncs_nothing() {
+    let (mgr, cells, log, locks) = setup();
+    let held = LockName::Node { index: 1, page: PageId(7) };
+    let probe =
+        Arc::new(EndProbe { locks: locks.clone(), held, seen: Mutex::new(Vec::new()) });
+    let obs: Arc<dyn TxnEndObserver> = probe.clone();
+    mgr.set_end_observer(Arc::downgrade(&obs));
+    let (t1, t2) = (mgr.begin(), mgr.begin());
+    assert_eq!((mgr.last_lsn(t1), mgr.last_lsn(t2)), (Some(Lsn::NULL), Some(Lsn::NULL)));
+    locks.lock(t1, held, LockMode::S).unwrap();
+    mgr.savepoint(t1).unwrap();
+    mgr.commit(t1).unwrap();
+    locks.lock(t2, held, LockMode::S).unwrap();
+    mgr.abort(t2, &cells).unwrap();
+    assert_eq!(log.last_lsn(), Lsn::NULL, "a read-only transaction wrote to the log");
+    assert_eq!(mgr.pipeline().stats(), crate::CommitStats::default());
+    assert_eq!(*probe.seen.lock(), vec![(t1, Vec::new(), true), (t2, Vec::new(), true)]);
+    assert_eq!(mgr.active_count(), 0);
+}
+
+/// The first record of a transaction brings its `TxnBegin` along: the
+/// record follows it on the backchain, and the begin LSN is that
+/// `TxnBegin`, whichever kind of record came first.
+#[test]
+fn first_record_appends_txn_begin_before_it() {
+    let (mgr, cells, log, _locks) = setup();
+    let first_records: [&dyn Fn(TxnId) -> Lsn; 3] = [
+        &|t| cells.set(&mgr, t, 0, 1),
+        &|t| mgr.log_compensation(t, Lsn::NULL, Payload::default()).unwrap(),
+        &|t| {
+            let nta = mgr.begin_nta(t).unwrap();
+            mgr.end_nta(t, nta).unwrap()
+        },
+    ];
+    for first in first_records {
+        let t = mgr.begin();
+        let before = log.last_lsn();
+        let lsn = first(t);
+        let begin = log.get(lsn).prev_lsn;
+        assert_eq!(begin, Lsn(before.0 + 1), "TxnBegin right before the first record");
+        assert_eq!(log.get(begin).body, RecordBody::TxnBegin);
+        assert_eq!((log.get(begin).txn, log.get(begin).prev_lsn), (t, Lsn::NULL));
+        assert_eq!(mgr.oldest_active_begin_lsn(), begin);
+        assert_eq!(cells.set(&mgr, t, 1, 2), Lsn(lsn.0 + 1), "only the first record brings one");
+        mgr.abort(t, &cells).unwrap();
+    }
+}
+
+/// A checkpoint's active list and the Commit_LSN floor skip a
+/// transaction that has logged nothing, and count it from its first
+/// record on.
+#[test]
+fn checkpoint_and_begin_floor_skip_record_less_txns() {
+    let (mgr, cells, log, _locks) = setup();
+    let reader = mgr.begin();
+    let writer = mgr.begin();
+    let first = cells.set(&mgr, writer, 0, 1);
+    assert_eq!(mgr.oldest_active_begin_lsn(), log.get(first).prev_lsn);
+    let cp = mgr.checkpoint_with(Lsn(1), Vec::new());
+    match log.get(cp).body {
+        RecordBody::Checkpoint { active_txns, .. } => {
+            assert_eq!(active_txns, vec![(writer, first)]);
+        }
+        other => panic!("expected checkpoint, got {other:?}"),
+    }
+    mgr.commit(writer).unwrap();
+    assert_eq!(mgr.oldest_active_begin_lsn(), Lsn::MAX, "only a reader is left");
+    cells.set(&mgr, reader, 1, 1);
+    assert!(mgr.oldest_active_begin_lsn() > cp, "the reader counts from its first record");
+    mgr.commit(reader).unwrap();
 }

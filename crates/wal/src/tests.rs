@@ -610,16 +610,11 @@ fn fsync_pays_serialized_device_latency_once_per_advance() {
     }
     let t0 = std::time::Instant::now();
     log.sync_to(last).unwrap(); // one batch: one device sync
-    let one_batch = t0.elapsed();
-    assert!(one_batch >= std::time::Duration::from_millis(5));
-    assert!(
-        one_batch < std::time::Duration::from_millis(40),
-        "batched advance pays the device once, not per record: {one_batch:?}"
-    );
+    assert!(t0.elapsed() >= std::time::Duration::from_millis(5), "the device latency was paid");
+    assert_eq!(log.syncs(), 1, "batched advance pays the device once, not per record");
     // Already durable: free.
-    let t1 = std::time::Instant::now();
     log.sync_to(last).unwrap();
-    assert!(t1.elapsed() < std::time::Duration::from_millis(5));
+    assert_eq!(log.syncs(), 1, "an already-durable advance synced again");
 }
 
 /// Group commit without a flusher: a leader holds the device for a
@@ -640,13 +635,12 @@ fn fsync_covered_while_queued_is_not_paid_again() {
         std::thread::spawn(move || log.sync_to(first).unwrap())
     };
     // B asks while A is inside its 20 ms sync; A's sync covers it, so B
-    // must not sleep a second device latency.
+    // must not pay a second device sync.
     std::thread::sleep(Duration::from_millis(5));
     assert_eq!(log.sync_to(last), Ok(last));
-    let b_done = started.elapsed();
+    assert!(started.elapsed() >= Duration::from_millis(20), "B returned before A's sync");
     assert_eq!(a.join().unwrap(), last, "the leader synced through the follower's record");
-    assert_eq!(log.syncs(), 1, "2 commits, 1 sync");
-    assert!(b_done < Duration::from_millis(35), "a covered sync was paid again: {b_done:?}");
+    assert_eq!(log.syncs(), 1, "2 commits, 1 sync: a covered sync was paid again");
 }
 
 #[test]
@@ -814,12 +808,12 @@ fn barrier_blocks_until_durable() {
     log.set_sync_latency(Duration::from_millis(5));
     let a = log.append(TxnId(1), Lsn::NULL, RecordBody::TxnCommit);
     let b = log.append(TxnId(2), Lsn::NULL, RecordBody::TxnCommit);
-    assert_eq!(log.sync_to(b), Ok(b));
-    assert!(log.flushed_lsn() >= b);
     let started = Instant::now();
+    assert_eq!(log.sync_to(b), Ok(b));
+    assert!(started.elapsed() >= Duration::from_millis(5), "the device latency was paid");
+    assert!(log.flushed_lsn() >= b);
     assert_eq!(log.sync_to(a), Ok(b));
-    assert!(started.elapsed() < Duration::from_millis(5), "an already-durable barrier synced");
-    assert_eq!(log.syncs(), 1);
+    assert_eq!(log.syncs(), 1, "an already-durable barrier synced");
 }
 
 /// A crash waits for the sync in flight — its records survive — and

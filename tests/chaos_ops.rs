@@ -536,8 +536,8 @@ fn seeded_chaos_soak_stays_consistent_and_recovers() {
     // failed undo is the one error the soak keeps off the menu:
     // `run_txn` swallows a failed abort and would leak the transaction,
     // which the per-point sweep covers on its own. (A lost-ack abort can
-    // still fail at a `log.sync.*` point; the worker loop finishes that
-    // commit.)
+    // still fail at a `log.sync.*` point; `run_txn` then reports the
+    // commit unfinished and the worker loop finishes it.)
     let menu: Vec<(&'static str, Action)> = chaos::POINTS
         .iter()
         .flat_map(|&p| {
@@ -559,9 +559,7 @@ fn seeded_chaos_soak_stays_consistent_and_recovers() {
         workers.push(std::thread::spawn(move || {
             for i in 0..60i64 {
                 let k = 30_000 + t * 1000 + i;
-                let last_txn = std::cell::Cell::new(None);
                 match db.run_txn(|txn| {
-                    last_txn.set(Some(txn));
                     idx.insert(txn, &k, rid(k as u64))?;
                     if i % 7 == 0 {
                         idx.search(txn, &I64Query::range(k - 5, k + 5))?;
@@ -576,18 +574,6 @@ fn seeded_chaos_soak_stays_consistent_and_recovers() {
                     // injected error must have rolled the key back.
                     Err(GistError::Injected(p)) | Err(GistError::Txn(TxnError::Injected(p))) => {
                         let lost_ack = LOST_ACK_POINTS.contains(&p);
-                        if let (true, Some(txn)) = (lost_ack, last_txn.get()) {
-                            // `run_txn`'s abort completes a lost-ack
-                            // commit, but its sync can draw a
-                            // `log.sync.*` error of its own, which
-                            // `run_txn` swallows, leaving the commit
-                            // unfinished with its locks held. Finish it
-                            // as a client that saw the error would; each
-                            // injected error fires once, so this ends.
-                            while db.txns().is_active(txn) {
-                                let _ = db.abort(txn);
-                            }
-                        }
                         assert_eq!(
                             present(&db, &idx, k),
                             lost_ack,
@@ -596,6 +582,18 @@ fn seeded_chaos_soak_stays_consistent_and_recovers() {
                         if lost_ack {
                             committed.lock().unwrap().push(k);
                         }
+                    }
+                    // `run_txn`'s abort completes a lost-ack commit, but
+                    // its sync drew a `log.sync.*` error of its own: the
+                    // commit stands with its locks held. Finish it as the
+                    // error asks; each injected error fires once, so
+                    // this ends.
+                    Err(GistError::CommitUnfinished { txn, .. }) => {
+                        while db.txns().is_active(txn) {
+                            let _ = db.abort(txn);
+                        }
+                        assert!(present(&db, &idx, k), "key {k} after an unfinished commit");
+                        committed.lock().unwrap().push(k);
                     }
                     Err(e) => panic!("seeded soak hit an unexpected error: {e}"),
                 }

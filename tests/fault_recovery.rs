@@ -497,16 +497,24 @@ fn commit_after_crash_fails_and_restart_sees_nothing_of_it() {
 /// - a *graceful* failure at the same point fails that one commit, and
 ///   later commits proceed;
 /// - a failed sync fails the commit, and `abort`'s lost-ack path syncs
-///   again and completes it.
+///   again and completes it;
+/// - `run_txn` never leaves a commit it could not finish behind
+///   silently.
+///
+/// Each plan acts on its victim's thread only ([`Plan::only_on`]): the
+/// plan is process-wide, and other tests in this binary commit too.
+///
+/// [`Plan::only_on`]: gist_repro::chaos::Plan::only_on
 #[cfg(feature = "chaos")]
 mod sync_crash {
     use std::sync::{Arc, Mutex, MutexGuard};
+    use std::thread::ThreadId;
     use std::time::{Duration, Instant};
 
     use gist_repro::am::{BtreeExt, I64Query};
     use gist_repro::chaos::{self, Action, Plan, Trigger};
     use gist_repro::core::check::check_tree;
-    use gist_repro::core::{Db, DbConfig, GistIndex, IndexOptions};
+    use gist_repro::core::{Db, DbConfig, GistError, GistIndex, IndexOptions};
     use gist_repro::pagestore::{InMemoryStore, PageStore};
     use gist_repro::wal::{LogManager, LogRecord, RecordBody};
 
@@ -523,11 +531,32 @@ mod sync_crash {
     }
 
     /// Install a fresh, armed process-wide plan firing `action` at
-    /// `point` under `trigger`.
-    fn arm(point: &'static str, trigger: Trigger, action: Action) {
+    /// `point` under `trigger`, on `victim`'s thread only.
+    fn arm(point: &'static str, trigger: Trigger, action: Action, victim: ThreadId) -> Arc<Plan> {
         let plan = chaos::install(Plan::new());
         plan.add(point, trigger, action);
+        plan.only_on(victim);
         plan.arm();
+        plan
+    }
+
+    /// Spawn a victim that begins a transaction, inserts `k`, reports
+    /// the transaction, then commits once the test has armed its plan.
+    fn spawn_victim(
+        rig: &Rig,
+        k: i64,
+    ) -> (std::thread::JoinHandle<Result<(), GistError>>, gist_repro::wal::TxnId, impl FnOnce()) {
+        let (db, idx) = (rig.db.clone(), rig.idx.clone());
+        let (inserted, go) = (std::sync::mpsc::channel(), std::sync::mpsc::channel::<()>());
+        let victim = std::thread::spawn(move || {
+            let txn = db.begin();
+            idx.insert(txn, &k, rid(k as u64)).unwrap();
+            inserted.0.send(txn).unwrap();
+            go.1.recv().unwrap();
+            db.commit(txn)
+        });
+        let txn = inserted.1.recv().unwrap();
+        (victim, txn, move || go.0.send(()).unwrap())
     }
 
     struct Rig {
@@ -611,18 +640,11 @@ mod sync_crash {
     fn panic_after_log_sync_keeps_the_commit() {
         let _g = serial();
         let mut rig = Rig::new(50);
-        arm("log.sync.after", Trigger::Next(1), Action::Panic);
-        let (db, idx) = (rig.db.clone(), rig.idx.clone());
-        let (tx, rx) = std::sync::mpsc::channel();
-        let victim = std::thread::spawn(move || {
-            let txn = db.begin();
-            idx.insert(txn, &10_000, rid(10_000)).unwrap();
-            tx.send(txn).unwrap();
-            db.commit(txn)
-        });
+        let (victim, txn, go) = spawn_victim(&rig, 10_000);
+        arm("log.sync.after", Trigger::Next(1), Action::Panic, victim.thread().id());
+        go();
         assert!(victim.join().is_err(), "the victim must die after its sync");
         chaos::uninstall();
-        let txn = rx.recv().unwrap();
         assert!(rig.log.flushed_lsn() >= rig.log.last_lsn(), "the commit record is durable");
         rig.db.abort(txn).expect("abort completes a durable commit");
         assert!(!rig.db.txns().is_active(txn), "the commit finished");
@@ -645,14 +667,9 @@ mod sync_crash {
     fn panic_before_commit_append_leaves_a_loser_and_the_log_usable() {
         let _g = serial();
         let mut rig = Rig::new(50);
-        arm("commit.pre_append", Trigger::Next(1), Action::Panic);
-        let db = rig.db.clone();
-        let idx = rig.idx.clone();
-        let victim = std::thread::spawn(move || {
-            let txn = db.begin();
-            idx.insert(txn, &10_000, rid(10_000)).unwrap();
-            db.commit(txn)
-        });
+        let (victim, _txn, go) = spawn_victim(&rig, 10_000);
+        arm("commit.pre_append", Trigger::Next(1), Action::Panic, victim.thread().id());
+        go();
         assert!(victim.join().is_err(), "the victim must die before its commit append");
         chaos::uninstall();
 
@@ -675,7 +692,8 @@ mod sync_crash {
     fn error_before_commit_append_aborts_cleanly() {
         let _g = serial();
         let mut rig = Rig::new(50);
-        arm("commit.pre_append", Trigger::Next(1), Action::Error);
+        let me = std::thread::current().id();
+        arm("commit.pre_append", Trigger::Next(1), Action::Error, me);
         let err = rig.commit_one(10_000);
         assert!(err.is_err(), "the injected error must surface through commit");
         chaos::uninstall();
@@ -700,7 +718,7 @@ mod sync_crash {
     fn sync_error_fails_the_commit_and_abort_completes_it() {
         let _g = serial();
         let mut rig = Rig::new(50);
-        arm("log.sync.before", Trigger::Next(1), Action::Error);
+        arm("log.sync.before", Trigger::Next(1), Action::Error, std::thread::current().id());
         let txn = rig.db.begin();
         rig.idx.insert(txn, &10_000, rid(10_000)).unwrap();
         let err = rig.db.commit(txn).expect_err("the injected sync failure fails the commit");
@@ -713,6 +731,38 @@ mod sync_crash {
         rig.crash_and_verify();
     }
 
+    /// A `run_txn` whose commit sync fails, and whose completing abort's
+    /// sync fails as well: the commit record stands and the transaction
+    /// still holds its locks. `run_txn` says so instead of retrying or
+    /// returning the commit's error; the caller's `abort` then finishes
+    /// the commit, and it survives a crash.
+    #[test]
+    fn run_txn_reports_a_commit_it_could_not_finish() {
+        let _g = serial();
+        let mut rig = Rig::new(50);
+        let me = std::thread::current().id();
+        let plan = arm("log.sync.before", Trigger::Next(2), Action::Error, me);
+        let attempts = std::cell::Cell::new(0);
+        let err = rig
+            .db
+            .run_txn(|txn| {
+                attempts.set(attempts.get() + 1);
+                rig.idx.insert(txn, &10_000, rid(10_000))
+            })
+            .expect_err("both syncs failed");
+        assert_eq!(plan.fires("log.sync.before"), 2, "the commit's sync, then the abort's");
+        let GistError::CommitUnfinished { txn, cause } = err else {
+            panic!("the transaction was left open without saying so: {err}");
+        };
+        assert!(cause.to_string().contains("log.sync.before"), "{cause}");
+        assert_eq!(attempts.get(), 1, "run_txn retried over an open transaction");
+        assert!(rig.db.txns().is_active(txn), "the error names an open transaction");
+        rig.db.abort(txn).expect("abort finishes the commit");
+        assert!(!rig.db.txns().is_active(txn));
+        rig.expected.push(10_000);
+        rig.crash_and_verify();
+    }
+
     /// `Db::crash` between a commit's append and its sync: the crash
     /// cuts the commit record off, so the commit fails rather than being
     /// acknowledged, and restart sees nothing of it.
@@ -720,20 +770,10 @@ mod sync_crash {
     fn crash_between_commit_append_and_sync_fails_the_commit() {
         let _g = serial();
         let rig = Rig::new(50);
-        let (db, idx) = (rig.db.clone(), rig.idx.clone());
-        let (inserted, go) = (std::sync::mpsc::channel(), std::sync::mpsc::channel());
-        let victim = std::thread::spawn(move || {
-            let txn = db.begin();
-            idx.insert(txn, &10_000, rid(10_000)).unwrap();
-            inserted.0.send(txn).unwrap();
-            go.1.recv().unwrap();
-            db.commit(txn)
-        });
-        let txn = inserted.1.recv().unwrap();
-        // Every commit stalls here, so the victim's does whichever
-        // thread reaches the point first (the plan is process-wide).
-        arm("commit.before_durable_wait", Trigger::Always, Action::Delay(300));
-        go.0.send(()).unwrap();
+        let (victim, txn, go) = spawn_victim(&rig, 10_000);
+        let delay = Action::Delay(300);
+        arm("commit.before_durable_wait", Trigger::Always, delay, victim.thread().id());
+        go();
         let started = Instant::now();
         let is_victims_commit = |r: &LogRecord| r.txn == txn && r.body == RecordBody::TxnCommit;
         while !rig.log.scan_from(rig.log.flushed_lsn()).iter().any(is_victims_commit) {

@@ -576,3 +576,87 @@ fn split_with_healed_rightlink_redoes_and_undoes() {
         );
     }
 }
+
+// ---- read-only transactions touch nothing durable (PAPER.md §9) ----
+
+/// A read-only transaction appends no log record, causes no device sync
+/// and records no commit wait, whether it commits, aborts or runs
+/// through `run_txn`.
+#[test]
+fn read_only_txn_appends_and_syncs_nothing() {
+    let h = Harness::new();
+    let (db, idx) = h.open();
+    let txn = db.begin();
+    for k in 0..100 {
+        idx.insert(txn, &k, rid(k as u64)).unwrap();
+    }
+    db.commit(txn).unwrap();
+    let (last, syncs) = (h.log.last_lsn(), h.log.syncs());
+    let commits = db.txns().pipeline().stats().commits_flushed;
+
+    let committed = db.begin();
+    assert_eq!(idx.search(committed, &I64Query::range(10, 20)).unwrap().len(), 11);
+    db.commit(committed).unwrap();
+    let aborted = db.begin();
+    assert_eq!(idx.search(aborted, &I64Query::eq(5)).unwrap().len(), 1);
+    db.abort(aborted).unwrap();
+    let hits = db.run_txn(|txn| idx.search(txn, &I64Query::range(0, 99))).unwrap();
+    assert_eq!(hits.len(), 100);
+
+    assert_eq!(h.log.last_lsn(), last, "a reader appended to the log");
+    assert_eq!(h.log.syncs(), syncs, "a reader synced the log");
+    let stats = db.txns().pipeline().stats();
+    assert_eq!(stats.commits_flushed, commits, "a reader recorded a commit wait");
+}
+
+/// A crash taken with a read-only transaction in flight leaves restart
+/// nothing to undo, even when a later commit's sync made everything
+/// before it durable. The reader's commit on the crashed incarnation
+/// succeeds: it has nothing to force.
+#[test]
+fn crash_with_a_reader_in_flight_leaves_no_loser() {
+    let h = Harness::new();
+    let (db, idx) = h.open();
+    let reader = db.begin();
+    assert!(idx.search(reader, &I64Query::range(0, 10)).unwrap().is_empty());
+    let writer = db.begin();
+    idx.insert(writer, &50, rid(50)).unwrap();
+    db.commit(writer).unwrap();
+    db.crash();
+    db.commit(reader).expect("a read-only commit has nothing to force");
+
+    let (db2, report) = Db::restart(h.store.clone(), h.log.clone(), h.config.clone()).unwrap();
+    assert!(report.outcome.losers.is_empty(), "{:?}", report.outcome);
+    let idx2 = GistIndex::open(db2.clone(), "t", BtreeExt).unwrap();
+    assert_eq!(keys_present(&db2, &idx2, 0, 100), vec![50]);
+}
+
+/// A Degree 3 reader that waited for a writer's record lock and then saw
+/// its row still finds the row after a crash and restart: the reader
+/// logged nothing, but the writer forced its commit before it released
+/// the lock the reader waited on.
+#[test]
+fn a_row_a_reader_saw_survives_a_crash() {
+    let h = Harness::new();
+    let (db, idx) = h.open();
+    let writer = db.begin();
+    idx.insert(writer, &7, rid(7)).unwrap();
+    let reader = {
+        let (db, idx) = (db.clone(), idx.clone());
+        std::thread::spawn(move || {
+            let txn = db.begin();
+            let seen: Vec<i64> =
+                idx.search(txn, &I64Query::eq(7)).unwrap().into_iter().map(|(k, _)| k).collect();
+            db.commit(txn).unwrap();
+            seen
+        })
+    };
+    std::thread::sleep(std::time::Duration::from_millis(50));
+    assert!(!reader.is_finished(), "the reader must wait for the writer's record lock");
+    db.commit(writer).unwrap();
+    assert_eq!(reader.join().unwrap(), vec![7]);
+
+    db.crash();
+    let (db2, idx2) = h.restart();
+    assert_eq!(keys_present(&db2, &idx2, 0, 100), vec![7]);
+}
