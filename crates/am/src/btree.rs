@@ -121,6 +121,27 @@ impl GistExtension for BtreeExt {
         // classic B-tree half split for point predicates.
         gist_core::ext::median_split(preds, |p| (p.0 as f64 + p.1 as f64) / 2.0)
     }
+
+    // Keys order, so nodes carry summaries: with the sign bit flipped an
+    // `i64` compares as a `u64` in the same order, and key, predicate
+    // and query intervals map onto `u64` intervals exactly.
+
+    #[inline]
+    fn entry_order(&self, bytes: &[u8], leaf: bool) -> Option<[u64; 2]> {
+        let lo = order_word(get_i64(bytes, 0));
+        Some([lo, if leaf { lo } else { order_word(get_i64(bytes, 8)) }])
+    }
+
+    #[inline]
+    fn query_order(&self, q: &I64Query) -> Option<[u64; 2]> {
+        Some([order_word(q.lo), order_word(q.hi)])
+    }
+}
+
+/// `v` as a `u64` in the same order: the sign bit flipped.
+#[inline]
+fn order_word(v: i64) -> u64 {
+    (v as u64) ^ (1 << 63)
 }
 
 #[cfg(test)]
@@ -182,5 +203,53 @@ mod tests {
         let right_min = d.right.iter().map(|&i| preds[i].0).min().unwrap();
         assert!(left_max <= right_min, "split respects key order");
         assert_eq!(d.left.len() + d.right.len(), preds.len());
+    }
+
+    /// The summary hooks are sound: whenever `consistent` holds for an
+    /// encoded key or predicate, its interval meets the query's. Random
+    /// values mixed with the extremes and the sign boundary.
+    #[test]
+    fn order_intervals_meet_whenever_consistent_holds() {
+        const EDGES: [i64; 7] = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX];
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut draw = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            match state % 4 {
+                0 => EDGES[(state >> 8) as usize % EDGES.len()],
+                1 => (state >> 8) as i64 % 1_000,
+                _ => state as i64,
+            }
+        };
+        let meets = |a: [u64; 2], b: [u64; 2]| a[0] <= b[1] && b[0] <= a[1];
+        let e = BtreeExt;
+        let (mut keys_hit, mut preds_hit) = (0, 0);
+        for _ in 0..200_000 {
+            let (a, b) = (draw(), draw());
+            let q = I64Query::range(a.min(b), a.max(b));
+            let q_order = e.query_order(&q).unwrap();
+            let k = draw();
+            let mut kb = Vec::new();
+            e.encode_key(&k, &mut kb);
+            if e.consistent_key_bytes(&kb, &q) {
+                keys_hit += 1;
+                assert!(meets(e.entry_order(&kb, true).unwrap(), q_order), "key {k} in {q:?}");
+            }
+            let (c, d) = (draw(), draw());
+            let mut pb = Vec::new();
+            e.encode_pred(&(c.min(d), c.max(d)), &mut pb);
+            if e.consistent_pred_bytes(&pb, &q) {
+                preds_hit += 1;
+                assert!(meets(e.entry_order(&pb, false).unwrap(), q_order), "{c}..{d} vs {q:?}");
+            }
+        }
+        assert!(keys_hit > 1_000 && preds_hit > 1_000, "{keys_hit} keys, {preds_hit} preds hit");
+        // The order is exact: the sign flip keeps i64 order on u64.
+        let words: Vec<u64> = EDGES
+            .iter()
+            .map(|k| e.query_order(&I64Query::eq(*k)).unwrap()[0])
+            .collect();
+        assert!(words.windows(2).all(|w| w[0] < w[1]), "{words:?}");
     }
 }

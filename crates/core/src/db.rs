@@ -481,8 +481,9 @@ impl Db {
                 wal.display()
             )));
         };
-        // Unset until now: `db` was built just above.
-        let _ = db.files.set(DbFiles { wal, _lock: lock });
+        db.files
+            .set(DbFiles { wal, _lock: lock })
+            .unwrap_or_else(|_| unreachable!("unset until now: `db` was built just above"));
         Ok((db, report))
     }
 
@@ -715,11 +716,12 @@ impl Db {
     /// contract): everything it did in a failed attempt is rolled back
     /// before the next one starts.
     ///
-    /// One failure leaves the transaction open:
-    /// [`GistError::CommitUnfinished`], a commit whose record is in the
-    /// log but whose sync failed, and whose completing `abort` failed as
-    /// well. The caller finishes it with [`Db::abort`] on the transaction
-    /// the error names.
+    /// A transaction `run_txn` could not end is never left behind
+    /// silently: when the `abort` after a failed attempt fails too (after
+    /// a failed commit, that abort completes a commit whose record is in
+    /// the log), it returns [`GistError::TxnUnfinished`] without
+    /// retrying. The caller ends that transaction with [`Db::abort`] on
+    /// the id the error names.
     pub fn run_txn<T>(&self, f: impl Fn(TxnId) -> Result<T>) -> Result<T> {
         const MAX_ATTEMPTS: u32 = 10;
         let mut backoff = Duration::from_millis(1);
@@ -743,29 +745,26 @@ impl Db {
                     continue;
                 }
             };
+            // A failed commit leaves the transaction for us to clean up —
+            // unless it is actually committed (lost ack), which `abort`
+            // completes instead. `contained` already aborted on panic
+            // (aborting an ended transaction is an ignorable NotActive),
+            // and its `TxnUnfinished` already says that abort failed. If
+            // our abort fails, the transaction is still open with its
+            // locks held: say so instead of retrying.
             let err = match self.contained(txn, || f(txn)) {
                 Ok(v) => match self.commit(txn) {
                     Ok(()) => return Ok(v),
-                    // A failed commit leaves the transaction for us to
-                    // clean up — unless it is actually committed (lost
-                    // ack), which `abort` completes instead. If that
-                    // completion fails too, the transaction is still open
-                    // with its locks held: say so instead of retrying.
-                    Err(e) => match self.abort(txn) {
-                        Err(cause) if self.txns.is_active(txn) => {
-                            let cause = Box::new(cause);
-                            return Err(GistError::CommitUnfinished { txn, cause });
-                        }
-                        _ => e,
-                    },
+                    Err(e) => e,
                 },
-                Err(e) => {
-                    // `contained` already aborted on panic; aborting an
-                    // ended transaction is an ignorable NotActive.
-                    let _ = self.abort(txn);
-                    e
-                }
+                Err(e @ GistError::TxnUnfinished { .. }) => return Err(e),
+                Err(e) => e,
             };
+            if let Err(cause) = self.abort(txn) {
+                if self.txns.is_active(txn) {
+                    return Err(GistError::TxnUnfinished { txn, cause: Box::new(cause) });
+                }
+            }
             if !err.is_retryable() || attempt >= MAX_ATTEMPTS {
                 if err.is_retryable() {
                     // Budget exhausted on a contention-class error: the
@@ -805,7 +804,9 @@ impl Db {
     /// by RAII during the unwind, so logical undo runs cleanly), and the
     /// caller gets [`GistError::Panicked`]. One dead operation therefore
     /// never wedges peer threads: its latches, locks and predicates are
-    /// all gone by the time this returns.
+    /// all gone by the time this returns — unless that abort fails, when
+    /// the caller gets [`GistError::TxnUnfinished`] naming `txn`, which
+    /// is still open and must be aborted again.
     ///
     /// [`OpGuard`]: gist_txn::OpGuard
     pub fn contained<T>(&self, txn: TxnId, f: impl FnOnce() -> Result<T>) -> Result<T> {
@@ -821,8 +822,12 @@ impl Db {
                 } else {
                     "non-string panic payload".to_string()
                 };
-                let _ = self.abort(txn);
-                Err(GistError::Panicked(msg))
+                match self.abort(txn) {
+                    Err(cause) if self.txns.is_active(txn) => {
+                        Err(GistError::TxnUnfinished { txn, cause: Box::new(cause) })
+                    }
+                    _ => Err(GistError::Panicked(msg)),
+                }
             }
         }
     }

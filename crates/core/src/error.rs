@@ -50,15 +50,19 @@ pub enum GistError {
     /// retrying (as [`Db::run_txn`](crate::Db::run_txn) does) is always
     /// safe.
     Overloaded,
-    /// [`Db::run_txn`](crate::Db::run_txn) could not finish a commit: the
-    /// commit record is in the log, but its sync failed and so did the
-    /// `abort` that completes such a commit (`cause` is the abort's
-    /// error). The transaction is still open with its locks held; abort
-    /// `txn` again to finish the commit.
-    CommitUnfinished {
+    /// A transaction the engine was to end is still open, with its locks
+    /// held, because the `abort` that should have ended it failed
+    /// (`cause` is the abort's error). [`Db::run_txn`](crate::Db::run_txn)
+    /// returns it when the abort after a failed operation or a failed
+    /// commit fails (a commit whose record is in the log but whose sync
+    /// failed is completed by that abort), and
+    /// [`Db::contained`](crate::Db::contained) when the abort after a
+    /// contained panic fails. Abort `txn` again to end it: a rollback
+    /// finishes, a logged commit is completed.
+    TxnUnfinished {
         /// The transaction left open.
         txn: TxnId,
-        /// Why the completing abort failed.
+        /// Why the abort failed.
         cause: Box<GistError>,
     },
 }
@@ -96,8 +100,8 @@ impl fmt::Display for GistError {
             GistError::Overloaded => {
                 write!(f, "admission shed: too many transactions in flight")
             }
-            GistError::CommitUnfinished { txn, cause } => {
-                write!(f, "commit of {txn} is unfinished ({cause}); abort it to finish the commit")
+            GistError::TxnUnfinished { txn, cause } => {
+                write!(f, "{txn} is unfinished, its abort failed ({cause}); abort it to end it")
             }
         }
     }
@@ -109,7 +113,7 @@ impl std::error::Error for GistError {
             GistError::Io(e) => Some(e),
             GistError::Lock(e) => Some(e),
             GistError::Txn(e) => Some(e),
-            GistError::CommitUnfinished { cause, .. } => Some(cause.as_ref()),
+            GistError::TxnUnfinished { cause, .. } => Some(cause.as_ref()),
             _ => None,
         }
     }

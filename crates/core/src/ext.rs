@@ -158,6 +158,32 @@ pub trait GistExtension: Send + Sync + 'static {
         let k = self.decode_key(key_bytes);
         self.pred_covers_key(pred, &k)
     }
+
+    // ---- optional order (node summaries) ----
+    //
+    // A GiST assumes no order on its keys, so both hooks default to
+    // `None` and the traversal tests every entry. An extension whose
+    // keys do order can map them onto `u64`: each visited node then
+    // carries a summary of one `[lo, hi]` interval per entry, and a
+    // traversal tests only the entries whose interval meets the query's.
+    // `consistent_*_bytes` still decides every entry it tests, so the
+    // intervals only have to be sound, not exact: whenever
+    // `consistent_key_bytes(k, q)` (or `consistent_pred_bytes(p, q)`)
+    // holds, `entry_order` of `k` (or `p`) must meet `query_order(q)`.
+
+    /// The interval `[lo, hi]` of an encoded entry: a key when `leaf`,
+    /// a bounding predicate otherwise. `None` stands for every value.
+    fn entry_order(&self, bytes: &[u8], leaf: bool) -> Option<[u64; 2]> {
+        let _ = (bytes, leaf);
+        None
+    }
+
+    /// The interval every entry consistent with `query` meets; `None`
+    /// (the default) scans every entry.
+    fn query_order(&self, query: &Self::Query) -> Option<[u64; 2]> {
+        let _ = query;
+        None
+    }
 }
 
 /// A linear-split `pick_split` helper usable by extensions: sorts by a

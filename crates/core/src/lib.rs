@@ -1,5 +1,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+// Outside tests, no discarded result: a failed abort must not pass silently.
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use, clippy::unused_result_ok))]
 
 //! # gist-core — Generalized Search Trees with concurrency and recovery
 //!

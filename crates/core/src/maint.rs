@@ -9,6 +9,7 @@
 
 use gist_maint::{DrainOutcome, GcOutcome, MaintError, MaintIndex};
 use gist_pagestore::PageId;
+use gist_wal::TxnId;
 
 use crate::ext::GistExtension;
 use crate::node;
@@ -32,6 +33,13 @@ fn classify(e: GistError) -> MaintError {
         }
         other => MaintError::Fatal(other.to_string()),
     }
+}
+
+/// A maintenance unit whose own transaction could not be aborted: fatal,
+/// and the error names the transaction, which is still open with its
+/// locks held until an abort of it succeeds.
+fn abort_failed(txn: TxnId, e: GistError) -> MaintError {
+    MaintError::Fatal(format!("abort of {txn} failed, the transaction is still open: {e}"))
 }
 
 impl<E: GistExtension> GistIndex<E> {
@@ -113,9 +121,7 @@ impl<E: GistExtension> MaintIndex for GistIndex<E> {
                 db.commit(txn).map_err(|e| MaintError::Fatal(e.to_string()))?;
                 self.audit_check_structure("gc")?;
             }
-            Err(_) => {
-                let _ = db.abort(txn);
-            }
+            Err(_) => db.abort(txn).map_err(|e| abort_failed(txn, e))?,
         }
         result
     }
@@ -157,7 +163,7 @@ impl<E: GistExtension> MaintIndex for GistIndex<E> {
                 }
             }
             Err(e) => {
-                let _ = db.abort(txn);
+                db.abort(txn).map_err(|e| abort_failed(txn, e))?;
                 Err(classify(e))
             }
         }

@@ -58,6 +58,79 @@ pub fn internal_views(page: &Page) -> impl Iterator<Item = (SlotId, InternalEntr
     entry_cells(page).map(|(s, c)| (s, InternalEntryRef::new(c)))
 }
 
+/// The order summary of a node: words `2s` and `2s + 1` hold the
+/// `[lo, hi]` interval `order` gives slot `s`'s key (leaf) or predicate
+/// (internal node), `[0, u64::MAX]` where it gives none. The BP slot and
+/// vacant slots hold the empty interval `[u64::MAX, 0]`. One allocation;
+/// takes no lock and blocks on nothing.
+pub fn summarize(page: &Page, order: impl Fn(&[u8], bool) -> Option<[u64; 2]>) -> Box<[u64]> {
+    let mut words = vec![0u64; 2 * page.slot_count() as usize];
+    words.chunks_exact_mut(2).for_each(|w| w[0] = u64::MAX);
+    let leaf = page.is_leaf();
+    for (slot, cell) in entry_cells(page) {
+        let bytes = if leaf {
+            LeafEntryRef::new(cell).key_bytes()
+        } else {
+            InternalEntryRef::new(cell).pred_bytes()
+        };
+        let [lo, hi] = order(bytes, leaf).unwrap_or([0, u64::MAX]);
+        words[2 * slot as usize..2 * slot as usize + 2].copy_from_slice(&[lo, hi]);
+    }
+    words.into_boxed_slice()
+}
+
+/// The entry cells a scan tests, in slot order: every entry, or only
+/// those whose interval in the node's summary meets the query's.
+pub enum ScanCells<'a, A> {
+    /// No order: every entry ([`entry_cells`]).
+    All(A),
+    /// The node's summary words, walked two at a time.
+    Within {
+        /// The node.
+        page: &'a Page,
+        /// `(slot, [lo, hi])` of the summary, in slot order.
+        words: std::iter::Enumerate<std::slice::ChunksExact<'a, u64>>,
+        /// The query's interval.
+        window: [u64; 2],
+    },
+}
+
+/// The scan of `page`'s entries: with `(window, summary)`, a query's
+/// interval and the node's [`summarize`]d words, only the entries whose
+/// interval meets the window; without, every entry.
+#[inline]
+pub fn scan_cells<'a>(
+    page: &'a Page,
+    within: Option<([u64; 2], &'a [u64])>,
+) -> ScanCells<'a, impl Iterator<Item = (SlotId, &'a [u8])>> {
+    match within {
+        None => ScanCells::All(entry_cells(page)),
+        Some((window, summary)) => {
+            ScanCells::Within { page, words: summary.chunks_exact(2).enumerate(), window }
+        }
+    }
+}
+
+impl<'a, A: Iterator<Item = (SlotId, &'a [u8])>> Iterator for ScanCells<'a, A> {
+    type Item = (SlotId, &'a [u8]);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        match self {
+            ScanCells::All(all) => all.next(),
+            ScanCells::Within { page, words, window: [lo, hi] } => loop {
+                let (slot, _) = words.find(|(_, w)| w[0] <= *hi && *lo <= w[1])?;
+                // The empty interval of the BP slot and of vacant slots
+                // meets only a window of every value.
+                let slot = slot as SlotId;
+                if let Some(cell) = page.cell(slot).filter(|_| slot != BP_SLOT) {
+                    return Some((slot, cell));
+                }
+            },
+        }
+    }
+}
+
 /// Slot of the internal entry pointing at `child`.
 pub fn find_child_entry(page: &Page, child: gist_pagestore::PageId) -> Option<SlotId> {
     entry_cells(page).find(|(_, c)| InternalEntryRef::new(c).child() == child).map(|(s, _)| s)

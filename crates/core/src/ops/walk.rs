@@ -54,12 +54,13 @@ use std::sync::Arc;
 
 use gist_lockmgr::{LockMode, LockName};
 use gist_pagestore::{
-    OptimisticReadGuard, Page, PageId, PageReadGuard, PageWriteGuard, Rid,
+    FrameData, OptimisticReadGuard, PageId, PageReadGuard, PageWriteGuard, Rid, SlotId,
 };
 use gist_predlock::{PredId, PredKind, GLOBAL_NODE};
 use gist_wal::TxnId;
 
 use crate::db::{IsolationLevel, PredicateMode};
+use crate::entry::{InternalEntryRef, LeafEntryRef};
 use crate::ext::GistExtension;
 use crate::node;
 use crate::scratch::{InlineSet, InlineVec};
@@ -110,12 +111,12 @@ enum NodeRead {
 }
 
 impl NodeRead {
-    /// Run `f` over the page image; `None` when an optimistic copy could
-    /// not be taken consistently.
-    fn read_with<T>(&self, f: impl FnOnce(&Page) -> T) -> Option<T> {
+    /// Run `f` over the page image and its summary; `None` when an
+    /// optimistic copy could not be taken consistently.
+    fn read_with<T>(&self, f: impl FnOnce(&FrameData) -> T) -> Option<T> {
         match self {
-            NodeRead::Latched(g) => Some(f(g)),
-            NodeRead::Optimistic(og) => og.read_with(f),
+            NodeRead::Latched(g) => Some(f(g.frame_data())),
+            NodeRead::Optimistic(og) => og.read_frame_with(f),
         }
     }
 
@@ -151,6 +152,8 @@ pub(crate) struct Walk<E: GistExtension, Q: Borrow<E::Query>> {
     index: Arc<GistIndex<E>>,
     txn: TxnId,
     query: Q,
+    /// The query's interval in the extension's order, if it has one.
+    order: Option<[u64; 2]>,
     /// Scan predicate handle (Degree 3 scans only).
     pred: Option<PredId>,
     /// Attach `pred` to every visited node (hybrid mode).
@@ -163,17 +166,33 @@ pub(crate) struct Walk<E: GistExtension, Q: Borrow<E::Query>> {
     at: Position,
 }
 
+/// The entries of the node in `frame` that a scan whose query interval
+/// is `order` tests, in slot order: those whose interval in the node's
+/// summary meets `order` (the summary is built on first use), or every
+/// entry when the extension keeps no order. `consistent_*_bytes` still
+/// decides each one.
+fn scan_cells<'a, E: GistExtension>(
+    ext: &E,
+    frame: &'a FrameData,
+    order: Option<[u64; 2]>,
+) -> impl Iterator<Item = (SlotId, &'a [u8])> {
+    let summarize = |p: &_| node::summarize(p, |bytes, leaf| ext.entry_order(bytes, leaf));
+    node::scan_cells(&frame.page, order.map(|window| (window, frame.summary(summarize))))
+}
+
 /// `(rid, key, delete-marked)` of the entries on `leaf` that satisfy
 /// `query` and are not in `seen`. Entries are tested in place; only the
 /// keys of qualifying entries are decoded.
 fn leaf_candidates<E: GistExtension>(
     ext: &E,
-    leaf: &Page,
+    leaf: &FrameData,
     query: &E::Query,
+    order: Option<[u64; 2]>,
     seen: &RidSet,
 ) -> Vec<(Rid, E::Key, bool)> {
     let mut candidates = Vec::new();
-    for (_, e) in node::leaf_views(leaf) {
+    for (_, cell) in scan_cells(ext, leaf, order) {
+        let e = LeafEntryRef::new(cell);
         if ext.consistent_key_bytes(e.key_bytes(), query) && !seen.contains(&e.rid()) {
             candidates.push((e.rid(), ext.decode_key(e.key_bytes()), e.deleted()));
         }
@@ -219,6 +238,7 @@ impl<E: GistExtension, Q: Borrow<E::Query>> Walk<E, Q> {
         }
         let mut walk = Walk {
             txn,
+            order: index.ext().query_order(query.borrow()),
             query,
             pred,
             per_node: hybrid,
@@ -285,12 +305,15 @@ impl<E: GistExtension, Q: Borrow<E::Query>> Walk<E, Q> {
                 Access::Latched => NodeRead::Latched(db.pool().fetch_read(pid)?),
                 Access::Optimistic { .. } => NodeRead::Optimistic(db.pool().fetch_optimistic(pid)?),
             };
-            let expanded = node.read_with(|p| {
+            let expanded = node.read_with(|frame| {
+                let p = &frame.page;
                 (!p.is_leaf()).then(|| {
                     let child_mem = self.index.read_mem(Some(p));
                     let mut children = NodeStack::new();
-                    for (_, e) in node::internal_views(p) {
-                        if self.index.ext().consistent_pred_bytes(e.pred_bytes(), self.query.borrow()) {
+                    let ext = self.index.ext();
+                    for (_, cell) in scan_cells(ext, frame, self.order) {
+                        let e = InternalEntryRef::new(cell);
+                        if ext.consistent_pred_bytes(e.pred_bytes(), self.query.borrow()) {
                             children.push((e.child(), child_mem, Some(pid)));
                         }
                     }
@@ -336,9 +359,11 @@ impl<E: GistExtension, Q: Borrow<E::Query>> Walk<E, Q> {
     ) -> Result<()> {
         let Leaf { page: pid, parent, mem, node } = leaf;
         let db = self.index.db();
-        let copy = node.read_with(|p| {
+        let copy = node.read_with(|frame| {
+            let ext = self.index.ext();
             let candidates =
-                leaf_candidates(self.index.ext(), p, self.query.borrow(), &self.at.seen);
+                leaf_candidates(ext, frame, self.query.borrow(), self.order, &self.at.seen);
+            let p = &frame.page;
             ((p.nsn() > mem).then(|| p.rightlink()), candidates)
         });
         let Some((split, candidates)) = copy else {

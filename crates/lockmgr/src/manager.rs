@@ -11,6 +11,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+use gist_pagestore::IdMap;
 use gist_sync::{Condvar, Mutex};
 
 use gist_wal::TxnId;
@@ -70,9 +71,9 @@ impl Entry {
 /// The whole lock table, under the manager's one mutex.
 #[derive(Default)]
 struct Table {
-    queues: HashMap<LockName, Vec<Entry>>,
+    queues: IdMap<LockName, Vec<Entry>>,
     /// Names held per transaction (each at most once).
-    held: HashMap<TxnId, Vec<LockName>>,
+    held: IdMap<TxnId, Vec<LockName>>,
     /// Request sequencer (FIFO order within a queue).
     seq: u64,
 }

@@ -48,7 +48,7 @@
 use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use parking_lot::lock_api::{ArcRwLockReadGuard, ArcRwLockWriteGuard};
@@ -57,7 +57,7 @@ use parking_lot::{Mutex, RawRwLock, RwLock};
 use gist_wal::{LogManager, Lsn};
 
 use crate::audit;
-use crate::page::{Page, PageId};
+use crate::page::{IdMap, Page, PageId};
 use crate::store::PageStore;
 
 type ReadLatch = ArcRwLockReadGuard<RawRwLock, FrameData>;
@@ -130,11 +130,29 @@ pub struct FrameData {
     /// Set when the load failed (error kind + message); every waiter
     /// parked on the frame latch returns this error instead of retrying.
     load_error: Option<(io::ErrorKind, String)>,
+    /// Order summary of `page` as it is now ([`FrameData::summary`]).
+    /// Built by the first reader that asks for it; dropped by every
+    /// [`PageWriteGuard`] as it takes the X latch, so it never outlives
+    /// the image it describes.
+    summary: OnceLock<Box<[u64]>>,
 }
 
 impl FrameData {
     fn load_error(&self) -> Option<io::Error> {
         self.load_error.as_ref().map(|(k, m)| io::Error::new(*k, m.clone()))
+    }
+
+    /// The order summary of the current image: `build(&self.page)` the
+    /// first time a reader asks after a write, the cached words after
+    /// that. Callers hold the S latch or are inside
+    /// [`OptimisticReadGuard::read_frame_with`], so the image cannot
+    /// change while the summary is built or read. The pool does not
+    /// know what the words mean; every reader of one page must pass the
+    /// same `build` (the page's owner decides it). `build` must take no
+    /// lock and block on nothing: concurrent readers of the frame wait
+    /// for it inside `OnceLock::get_or_init`.
+    pub fn summary(&self, build: impl FnOnce(&Page) -> Box<[u64]>) -> &[u64] {
+        self.summary.get_or_init(|| build(&self.page))
     }
 }
 
@@ -173,6 +191,7 @@ impl Frame {
                 page: Page::zeroed(),
                 loaded,
                 load_error: None,
+                summary: OnceLock::new(),
             })),
             pins: AtomicUsize::new(1),
             dirty: AtomicBool::new(false),
@@ -255,7 +274,7 @@ pub struct BufferPool {
     capacity: usize,
     /// The frame table. A `gist-sync` mutex, so it is a yield point for
     /// the model checker's optimistic-reader scenarios.
-    frames: gist_sync::Mutex<HashMap<PageId, Arc<Frame>>>,
+    frames: gist_sync::Mutex<IdMap<PageId, Arc<Frame>>>,
     clock: AtomicU64,
     /// Set after a persistent write/sync failure: the pool is read-only.
     poisoned: AtomicBool,
@@ -280,7 +299,7 @@ impl BufferPool {
             audit_id: audit::new_instance_id(),
             log: Mutex::new(None),
             capacity,
-            frames: gist_sync::Mutex::new(HashMap::new()),
+            frames: gist_sync::Mutex::new(IdMap::default()),
             clock: AtomicU64::new(0),
             poisoned: AtomicBool::new(false),
             poison_reason: Mutex::new(String::new()),
@@ -885,12 +904,18 @@ impl OptimisticReadGuard {
     /// *not* reported as a latch acquisition: the audit section stays
     /// latch-free.
     pub fn read_with<T>(&self, f: impl FnOnce(&Page) -> T) -> Option<T> {
+        self.read_frame_with(|d| f(&d.page))
+    }
+
+    /// [`Self::read_with`] over the whole frame content, so `f` can also
+    /// read (or build) the image's [`FrameData::summary`].
+    pub fn read_frame_with<T>(&self, f: impl FnOnce(&FrameData) -> T) -> Option<T> {
         let g = self.frame.latch.try_read()?;
         if !self.validate() {
             return None;
         }
         audit::optimistic_read(self.frame.audit_id, u64::from(self.frame.id.0));
-        Some(f(&g.page))
+        Some(f(&g))
     }
 
     /// Whether every copy taken through this guard is still current: the
@@ -916,6 +941,12 @@ impl PageReadGuard {
     /// Id of the latched page.
     pub fn page_id(&self) -> PageId {
         self.frame.id
+    }
+
+    /// The latched frame content: the page and its
+    /// [`FrameData::summary`].
+    pub fn frame_data(&self) -> &FrameData {
+        &self.guard
     }
 }
 
@@ -946,9 +977,14 @@ pub struct PageWriteGuard {
 impl PageWriteGuard {
     /// Wrap a freshly acquired X latch: the seqlock word goes odd for
     /// the guard's whole life, so optimistic readers refuse to copy (and
-    /// any copy already taken fails validation).
-    fn new(frame: Arc<Frame>, guard: WriteLatch) -> PageWriteGuard {
+    /// any copy already taken fails validation), and the image's summary
+    /// is dropped, since the holder may change the image. Every writer
+    /// (redo, a reformat by `new_page_write`, quarantine zeroing, a
+    /// guard later downgraded) passes here, so no summary outlives its
+    /// image and none needs a version tag.
+    fn new(frame: Arc<Frame>, mut guard: WriteLatch) -> PageWriteGuard {
         frame.seq.fetch_add(1, Ordering::AcqRel);
+        guard.summary = OnceLock::new();
         PageWriteGuard { frame, guard: Some(guard) }
     }
 
@@ -1598,5 +1634,72 @@ mod tests {
         pool.crash();
         assert!(!og.validate());
         assert!(og.read_with(|p| p.page_lsn()).is_none());
+    }
+
+    /// A summary describes the image it was built from: every write
+    /// guard drops it under the X latch (a plain write, a downgraded
+    /// one, a reformat by `new_page_write`, quarantine zeroing), and the
+    /// next reader builds one of the new image. Between writes readers
+    /// share the one build, latched or optimistic.
+    #[test]
+    fn every_write_guard_drops_the_summary() {
+        use std::cell::Cell;
+        let store = Arc::new(InMemoryStore::new());
+        store.ensure_capacity(8).unwrap();
+        let pool = BufferPool::new(store.clone(), 8);
+        let builds = Cell::new(0u32);
+        // The summary here is the cell count, built through `iter_cells`.
+        let build = |p: &Page| -> Box<[u64]> {
+            builds.set(builds.get() + 1);
+            Box::new([p.iter_cells().count() as u64])
+        };
+        let latched = || pool.fetch_read(PageId(1)).unwrap().frame_data().summary(build).to_vec();
+        let optimistic = || {
+            let _pin = pin();
+            let og = pool.fetch_optimistic(PageId(1)).unwrap();
+            og.read_frame_with(|d| d.summary(build).to_vec()).unwrap()
+        };
+
+        {
+            let mut g = pool.new_page_write(PageId(1), 0).unwrap();
+            g.insert_cell(b"a").unwrap();
+            g.mark_dirty_unlogged();
+        }
+        assert_eq!((latched(), optimistic(), latched()), (vec![1], vec![1], vec![1]));
+        assert_eq!(builds.get(), 1, "readers between writes share one build");
+
+        {
+            let mut g = pool.fetch_write(PageId(1)).unwrap();
+            g.insert_cell(b"b").unwrap();
+        }
+        assert_eq!((optimistic(), latched()), (vec![2], vec![2]), "a plain write drops it");
+        assert_eq!(builds.get(), 2);
+
+        {
+            let mut g = pool.fetch_write(PageId(1)).unwrap();
+            g.insert_cell(b"c").unwrap();
+            let r = g.downgrade();
+            assert_eq!(r.frame_data().summary(build), &[3], "a downgraded writer drops it");
+        }
+        assert_eq!(latched(), vec![3]);
+        assert_eq!(builds.get(), 3);
+
+        {
+            let mut g = pool.new_page_write(PageId(1), 0).unwrap();
+            g.insert_cell(b"fresh").unwrap();
+            g.mark_dirty_unlogged();
+        }
+        assert_eq!(latched(), vec![1], "a reformat drops it");
+        assert_eq!(builds.get(), 4);
+
+        // A torn image of page 1 in the store: quarantine zeroes the
+        // cached frame through a write guard.
+        let mut torn = Page::zeroed();
+        torn.format(PageId(1), 0);
+        torn.insert_cell(b"torn").unwrap();
+        store.write(PageId(1), &torn).unwrap();
+        assert_eq!(pool.quarantine_torn_pages(Lsn(0)).unwrap(), vec![PageId(1)]);
+        assert_eq!((optimistic(), latched()), (vec![0], vec![0]), "quarantine drops it");
+        assert_eq!(builds.get(), 5);
     }
 }

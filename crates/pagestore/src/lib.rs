@@ -31,5 +31,7 @@ pub use buffer::{
 };
 pub use fault::FaultStore;
 pub use heap::HeapFile;
-pub use page::{Page, PageFull, PageId, Rid, SlotId, HEADER_SIZE, PAGE_SIZE, SLOT_SIZE};
+pub use page::{
+    IdHasher, IdMap, Page, PageFull, PageId, Rid, SlotId, HEADER_SIZE, PAGE_SIZE, SLOT_SIZE,
+};
 pub use store::{FileStore, InMemoryStore, PageStore, SimulatedLatencyStore};

@@ -34,12 +34,11 @@
 //! Blocking on a predicate is not this component's job: callers block via
 //! the lock manager on the owner's transaction-id lock.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use gist_sync::Mutex;
 
-use gist_pagestore::PageId;
+use gist_pagestore::{IdMap, PageId};
 use gist_wal::TxnId;
 
 /// What a predicate protects.
@@ -90,10 +89,10 @@ struct PredState {
 #[derive(Default)]
 struct Tables {
     next_id: u64,
-    preds: HashMap<PredId, PredState>,
-    by_txn: HashMap<TxnId, Vec<PredId>>,
+    preds: IdMap<PredId, PredState>,
+    by_txn: IdMap<TxnId, Vec<PredId>>,
     /// Per-node FIFO attachment lists.
-    nodes: HashMap<NodeKey, Vec<PredId>>,
+    nodes: IdMap<NodeKey, Vec<PredId>>,
 }
 
 impl Tables {

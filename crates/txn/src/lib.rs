@@ -36,7 +36,7 @@
 //!   the transaction's last LSN and [`TxnManager::end_nta`] appends the
 //!   `NtaEnd` dummy CLR pointing back to it, so rollback skips the unit.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -45,7 +45,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use gist_lockmgr::{LockError, LockManager, LockMode, LockName};
-use gist_pagestore::PageId;
+use gist_pagestore::{IdMap, PageId};
 use gist_predlock::PredicateManager;
 use gist_wal::recovery::{rollback, RecoveryHandler, RollbackKind};
 use gist_wal::{LogManager, Lsn, Payload, RecordBody, SyncError, TxnId};
@@ -270,7 +270,7 @@ pub struct TxnManager {
     meter: CommitMeter,
     locks: Arc<LockManager>,
     preds: Arc<PredicateManager>,
-    table: Mutex<HashMap<TxnId, TxnInfo>>,
+    table: Mutex<IdMap<TxnId, TxnInfo>>,
     next_txn: Mutex<u64>,
     /// End-of-transaction observer (admission-credit release, GC
     /// hand-off). Weak so the embedder, which owns this manager, and the
@@ -290,7 +290,7 @@ impl TxnManager {
             log,
             locks,
             preds,
-            table: Mutex::new(HashMap::new()),
+            table: Mutex::new(IdMap::default()),
             next_txn: Mutex::new(0),
             end_observer: Mutex::new(None),
         }

@@ -106,6 +106,15 @@ step "tier 2: lock/predicate/pool table stress under latch-audit" \
     filtered cargo test -q --features latch-audit --test stress table_stress::
 step "tier 2: optimistic equivalence under latch-audit" \
     cargo test -q --features latch-audit --test optimistic
+# Node order summaries narrow which entries a walk tests, never what it
+# returns: after a write storm, summary-filtered walks (latched and
+# optimistic) return what full node scans return. The summary build
+# (`node::summarize`, run inside `OnceLock::get_or_init`) takes no lock
+# and hits no chaos point, so a model-checked reader never blocks in
+# `get_or_init` behind a builder the scheduler has parked.
+step "tier 2: summary walks match full scans under latch-audit" \
+    filtered cargo test -q --features latch-audit --test optimistic \
+    summary_filtered_walks_match_full_scans
 step "tier 2: optimistic stress under latch-audit" \
     filtered cargo test -q --features latch-audit --test stress optimistic_
 step "tier 2: storage fault-injection crash harness" \

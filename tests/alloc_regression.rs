@@ -294,3 +294,106 @@ fn strtree_traversal_allocations_are_independent_of_fanout() {
         (0..PROBES).map(|i| key((i * 189 % 850) * KEEP_EVERY, b'1')).collect();
     allocations_do_not_scale_with_leaf_occupancy(|| StrTreeExt, &keys, &fresh, 35, 10, 20, 32);
 }
+
+/// [`WidePredBtree`] with `BtreeExt`'s order hooks: the same trees, whose
+/// nodes now carry order summaries.
+struct OrderedWidePredBtree;
+
+impl GistExtension for OrderedWidePredBtree {
+    type Key = i64;
+    type Pred = (i64, i64);
+    type Query = I64Query;
+
+    fn encode_key(&self, key: &i64, out: &mut Vec<u8>) {
+        WidePredBtree.encode_key(key, out);
+    }
+    fn decode_key(&self, bytes: &[u8]) -> i64 {
+        WidePredBtree.decode_key(bytes)
+    }
+    fn encode_pred(&self, pred: &(i64, i64), out: &mut Vec<u8>) {
+        WidePredBtree.encode_pred(pred, out);
+    }
+    fn decode_pred(&self, bytes: &[u8]) -> (i64, i64) {
+        WidePredBtree.decode_pred(bytes)
+    }
+    fn encode_query(&self, q: &I64Query, out: &mut Vec<u8>) {
+        WidePredBtree.encode_query(q, out);
+    }
+    fn decode_query(&self, bytes: &[u8]) -> I64Query {
+        WidePredBtree.decode_query(bytes)
+    }
+    fn consistent_pred(&self, pred: &(i64, i64), q: &I64Query) -> bool {
+        WidePredBtree.consistent_pred(pred, q)
+    }
+    fn consistent_key(&self, key: &i64, q: &I64Query) -> bool {
+        WidePredBtree.consistent_key(key, q)
+    }
+    fn key_equal(&self, a: &i64, b: &i64) -> bool {
+        a == b
+    }
+    fn eq_query(&self, key: &i64) -> I64Query {
+        I64Query::eq(*key)
+    }
+    fn key_pred(&self, key: &i64) -> (i64, i64) {
+        (*key, *key)
+    }
+    fn union_preds(&self, a: &(i64, i64), b: &(i64, i64)) -> (i64, i64) {
+        WidePredBtree.union_preds(a, b)
+    }
+    fn pred_covers(&self, outer: &(i64, i64), inner: &(i64, i64)) -> bool {
+        WidePredBtree.pred_covers(outer, inner)
+    }
+    fn penalty(&self, pred: &(i64, i64), key: &i64) -> f64 {
+        WidePredBtree.penalty(pred, key)
+    }
+    fn pick_split(&self, preds: &[(i64, i64)]) -> SplitDecision {
+        WidePredBtree.pick_split(preds)
+    }
+    fn entry_order(&self, bytes: &[u8], leaf: bool) -> Option<[u64; 2]> {
+        // The padding follows the 16 bytes `BtreeExt` reads.
+        BtreeExt.entry_order(bytes, leaf)
+    }
+    fn query_order(&self, q: &I64Query) -> Option<[u64; 2]> {
+        BtreeExt.query_order(q)
+    }
+}
+
+/// Median allocation count of a point lookup right after a committed
+/// insert next to the probed key, which lands on the probed key's leaf
+/// (the median ignores the few inserts that split or widen a BP).
+fn lookup_after_write_allocations<E: GistExtension<Key = i64>>(t: &Loaded<E>, keys: &[i64]) -> u64 {
+    let survivors: Vec<usize> = (0..keys.len()).step_by(KEEP_EVERY).collect();
+    let mut counts = Vec::new();
+    for i in 0..PROBES {
+        let at = survivors[i * 131 % survivors.len()];
+        let txn = t.db.begin();
+        t.idx.insert(txn, &(keys[at] + 1), rid(200_000 + i)).unwrap();
+        t.db.commit(txn).unwrap();
+        let q = t.idx.ext().eq_query(&keys[at]);
+        let txn = t.db.begin();
+        let (hits, n) = allocations_in(|| t.idx.search(txn, &q).unwrap());
+        t.db.commit(txn).unwrap();
+        assert_eq!(hits.iter().map(|(_, r)| *r).collect::<Vec<_>>(), vec![rid(at)]);
+        counts.push(n);
+    }
+    median(counts)
+}
+
+/// Order summaries cost a warm point lookup nothing: it allocates what
+/// the same lookup allocates on the same tree without them. A write
+/// drops its leaf's summary, and the first lookup after it allocates
+/// exactly one more: the leaf's new summary.
+#[test]
+fn summaries_cost_one_allocation_per_write_and_none_warm() {
+    let keys: Vec<i64> = (0..6000).map(|k| k * 10).collect();
+    let plain = load(WidePredBtree, &keys, false);
+    let ordered = load(OrderedWidePredBtree, &keys, false);
+    let (plain_warm, ordered_warm) =
+        (lookup_allocations(&plain, &keys), lookup_allocations(&ordered, &keys));
+    assert_eq!(ordered_warm, plain_warm, "a warm lookup pays for its summaries");
+    let plain_written = lookup_after_write_allocations(&plain, &keys);
+    let ordered_written = lookup_after_write_allocations(&ordered, &keys);
+    assert_eq!(plain_written, plain_warm, "a write changes what a lookup allocates");
+    assert_eq!(ordered_written, ordered_warm + 1, "one summary rebuilt after a write");
+}
+

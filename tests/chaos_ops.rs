@@ -533,11 +533,12 @@ fn seeded_chaos_soak_stays_consistent_and_recovers() {
     let (db, idx) = h.open();
 
     // Every crash point draws a perturbation or a one-shot error. A
-    // failed undo is the one error the soak keeps off the menu:
-    // `run_txn` swallows a failed abort and would leak the transaction,
-    // which the per-point sweep covers on its own. (A lost-ack abort can
-    // still fail at a `log.sync.*` point; `run_txn` then reports the
-    // commit unfinished and the worker loop finishes it.)
+    // failed undo is the one error the soak keeps off the menu: the
+    // worker loop below reads `TxnUnfinished` as an unfinished commit,
+    // and the per-point sweep covers a failed undo on its own. (A
+    // lost-ack abort can still fail at a `log.sync.*` point; `run_txn`
+    // then reports the transaction unfinished and the worker loop
+    // finishes the commit.)
     let menu: Vec<(&'static str, Action)> = chaos::POINTS
         .iter()
         .flat_map(|&p| {
@@ -588,7 +589,7 @@ fn seeded_chaos_soak_stays_consistent_and_recovers() {
                     // commit stands with its locks held. Finish it as the
                     // error asks; each injected error fires once, so
                     // this ends.
-                    Err(GistError::CommitUnfinished { txn, .. }) => {
+                    Err(GistError::TxnUnfinished { txn, .. }) => {
                         while db.txns().is_active(txn) {
                             let _ = db.abort(txn);
                         }

@@ -499,7 +499,11 @@ fn commit_after_crash_fails_and_restart_sees_nothing_of_it() {
 /// - a failed sync fails the commit, and `abort`'s lost-ack path syncs
 ///   again and completes it;
 /// - `run_txn` never leaves a commit it could not finish behind
-///   silently.
+///   silently;
+/// - no engine path drops an abort's error: when the abort that should
+///   end a transaction fails (`abort.before_undo`), `run_txn`,
+///   `Db::contained` and the maintenance units return an error naming
+///   the still-open transaction, and a later abort ends it.
 ///
 /// Each plan acts on its victim's thread only ([`Plan::only_on`]): the
 /// plan is process-wide, and other tests in this binary commit too.
@@ -514,9 +518,12 @@ mod sync_crash {
     use gist_repro::am::{BtreeExt, I64Query};
     use gist_repro::chaos::{self, Action, Plan, Trigger};
     use gist_repro::core::check::check_tree;
-    use gist_repro::core::{Db, DbConfig, GistError, GistIndex, IndexOptions};
-    use gist_repro::pagestore::{InMemoryStore, PageStore};
-    use gist_repro::wal::{LogManager, LogRecord, RecordBody};
+    use gist_repro::core::{
+        Db, DbConfig, GistError, GistIndex, IndexOptions, InternalEntryRef, LeafEntryRef,
+        MaintError, MaintIndex,
+    };
+    use gist_repro::pagestore::{FaultStore, InMemoryStore, PageId, PageStore};
+    use gist_repro::wal::{LogManager, LogRecord, RecordBody, TxnId};
 
     use super::rid;
 
@@ -751,7 +758,7 @@ mod sync_crash {
             })
             .expect_err("both syncs failed");
         assert_eq!(plan.fires("log.sync.before"), 2, "the commit's sync, then the abort's");
-        let GistError::CommitUnfinished { txn, cause } = err else {
+        let GistError::TxnUnfinished { txn, cause } = err else {
             panic!("the transaction was left open without saying so: {err}");
         };
         assert!(cause.to_string().contains("log.sync.before"), "{cause}");
@@ -761,6 +768,162 @@ mod sync_crash {
         assert!(!rig.db.txns().is_active(txn));
         rig.expected.push(10_000);
         rig.crash_and_verify();
+    }
+
+    /// `run_txn` whose operation fails, and whose abort then fails too:
+    /// the transaction is still open with its locks held. `run_txn`
+    /// returns an error naming it instead of dropping the abort's error;
+    /// a later abort ends it and rolls its insert back.
+    #[test]
+    fn run_txn_reports_a_rollback_it_could_not_finish() {
+        let _g = serial();
+        let rig = Rig::new(50);
+        let plan = arm("abort.before_undo", Trigger::Next(1), Action::Error, thread_id());
+        let err = rig
+            .db
+            .run_txn(|txn| {
+                rig.idx.insert(txn, &10_000, rid(10_000))?;
+                Err::<(), _>(GistError::NotFound)
+            })
+            .expect_err("the operation failed");
+        assert_eq!(plan.fires("abort.before_undo"), 1);
+        let GistError::TxnUnfinished { txn, cause } = err else {
+            panic!("the transaction was left open without saying so: {err}");
+        };
+        assert!(cause.to_string().contains("abort.before_undo"), "{cause}");
+        assert!(rig.db.txns().is_active(txn), "the error names an open transaction");
+        rig.db.abort(txn).expect("a later abort ends it");
+        assert!(!rig.db.txns().is_active(txn));
+        rig.crash_and_verify();
+    }
+
+    /// `Db::contained` catches a panic, and the abort it then runs
+    /// fails: it returns an error naming the still-open transaction
+    /// instead of `Panicked`, and a later abort ends it.
+    #[test]
+    fn contained_reports_a_rollback_it_could_not_finish() {
+        let _g = serial();
+        let rig = Rig::new(50);
+        arm("abort.before_undo", Trigger::Next(1), Action::Error, thread_id());
+        let txn = rig.db.begin();
+        let err = rig
+            .db
+            .contained(txn, || -> Result<(), GistError> {
+                rig.idx.insert(txn, &10_000, rid(10_000))?;
+                panic!("an operation bug after its insert")
+            })
+            .expect_err("the operation panicked");
+        let GistError::TxnUnfinished { txn: named, cause } = err else {
+            panic!("the transaction was left open without saying so: {err}");
+        };
+        assert_eq!(named, txn);
+        assert!(cause.to_string().contains("abort.before_undo"), "{cause}");
+        assert!(rig.db.txns().is_active(txn), "the error names an open transaction");
+        rig.db.abort(txn).expect("a later abort ends it");
+        assert!(!rig.db.txns().is_active(txn));
+        rig.crash_and_verify();
+    }
+
+    fn thread_id() -> ThreadId {
+        std::thread::current().id()
+    }
+
+    /// A database over a store whose writes can be made to fail for
+    /// good, holding `n` committed keys, and that store's own plan.
+    fn poisonable(n: i64) -> (Arc<Db>, Arc<GistIndex<BtreeExt>>, Arc<Plan>) {
+        let store_plan = Plan::new();
+        let store = FaultStore::new(Arc::new(InMemoryStore::new()), store_plan.clone());
+        let db = Db::open(store, Arc::new(LogManager::new()), DbConfig::default()).unwrap();
+        let idx = GistIndex::create(db.clone(), "t", BtreeExt, IndexOptions::default()).unwrap();
+        let txn = db.begin();
+        for k in 0..n {
+            idx.insert(txn, &k, rid(k as u64)).unwrap();
+        }
+        db.commit(txn).unwrap();
+        (db, idx, store_plan)
+    }
+
+    /// Fail the next page write-back for good: the pool turns read-only,
+    /// so every maintenance unit fails once it asks for an X latch.
+    fn poison(db: &Db, store_plan: &Plan) {
+        store_plan.add("store.write", Trigger::At(0), Action::Permanent);
+        store_plan.arm();
+        assert!(db.pool().flush_all().is_err());
+        assert!(db.pool().is_poisoned());
+    }
+
+    /// The transaction a maintenance unit's error names ("abort of T<n>
+    /// failed ...").
+    fn named_txn(err: &MaintError) -> TxnId {
+        let MaintError::Fatal(msg) = err else { panic!("not fatal: {err}") };
+        let n = msg
+            .strip_prefix("abort of T")
+            .and_then(|rest| rest.split(|c: char| !c.is_ascii_digit()).next())
+            .and_then(|n| n.parse().ok());
+        TxnId(n.unwrap_or_else(|| panic!("the error names no transaction: {msg}")))
+    }
+
+    /// The root's children, in slot order.
+    fn root_children(db: &Db, idx: &GistIndex<BtreeExt>) -> Vec<PageId> {
+        let g = db.pool().fetch_read(idx.root().unwrap()).unwrap();
+        g.iter_cells()
+            .filter(|(slot, _)| *slot != 0)
+            .map(|(_, cell)| InternalEntryRef::new(cell).child())
+            .collect()
+    }
+
+    /// The maintenance GC unit fails (the pool is read-only), and so
+    /// does the abort of its own transaction: it returns a fatal error
+    /// naming that transaction, and a later abort ends it.
+    #[test]
+    fn maint_gc_reports_a_transaction_it_could_not_abort() {
+        let _g = serial();
+        let (db, idx, store_plan) = poisonable(600);
+        let leaf = root_children(&db, &idx)[0];
+        poison(&db, &store_plan);
+        let plan = arm("abort.before_undo", Trigger::Next(1), Action::Error, thread_id());
+        let err = idx.maint_gc_leaf(leaf, None).expect_err("a read-only pool refuses GC");
+        assert_eq!(plan.fires("abort.before_undo"), 1);
+        let txn = named_txn(&err);
+        assert!(db.txns().is_active(txn), "{err}");
+        db.abort(txn).expect("a later abort ends it");
+        assert_eq!(db.txns().active_count(), 0);
+    }
+
+    /// The maintenance drain unit fails on an empty leaf (the pool is
+    /// read-only), and so does the abort of its own transaction: it
+    /// returns a fatal error naming that transaction, and a later abort
+    /// ends it.
+    #[test]
+    fn maint_drain_reports_a_transaction_it_could_not_abort() {
+        let _g = serial();
+        let (db, idx, store_plan) = poisonable(600);
+        let root = idx.root().unwrap();
+        let children = root_children(&db, &idx);
+        assert!(children.len() >= 3, "{children:?}");
+        let leaf = children[1];
+        // Empty the leaf and reclaim its entries, leaving it linked.
+        let rids: Vec<_> = {
+            let g = db.pool().fetch_read(leaf).unwrap();
+            g.iter_cells()
+                .filter(|(slot, _)| *slot != 0)
+                .map(|(_, cell)| LeafEntryRef::new(cell).rid())
+                .collect()
+        };
+        let txn = db.begin();
+        for &r in &rids {
+            idx.delete(txn, &i64::from(r.slot), r).unwrap();
+        }
+        db.commit(txn).unwrap();
+        assert!(idx.maint_gc_leaf(leaf, Some(root)).unwrap().leaf_empty);
+        poison(&db, &store_plan);
+        let plan = arm("abort.before_undo", Trigger::Next(1), Action::Error, thread_id());
+        let err = idx.maint_try_drain(leaf, Some(root)).expect_err("a read-only pool refuses it");
+        assert_eq!(plan.fires("abort.before_undo"), 1);
+        let txn = named_txn(&err);
+        assert!(db.txns().is_active(txn), "{err}");
+        db.abort(txn).expect("a later abort ends it");
+        assert_eq!(db.txns().active_count(), 0);
     }
 
     /// `Db::crash` between a commit's append and its sync: the crash

@@ -2,7 +2,8 @@
 //! cursor, repeatability under a concurrent writer storm, the in-place
 //! flip to the latched access that keeps result sets exact, evicted
 //! frames that die with their last `Arc` instead of waiting out a pin,
-//! and a walk that never revisits a pointer it stacked before a wait.
+//! a walk that never revisits a pointer it stacked before a wait, and
+//! order-summary walks that return what full node scans return.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -10,7 +11,10 @@ use std::time::Duration;
 
 use gist_repro::am::{BtreeExt, I64Query};
 use gist_repro::core::check::check_tree;
-use gist_repro::core::{Db, DbConfig, GistIndex, IndexOptions, InternalEntryRef, LeafEntryRef};
+use gist_repro::core::ext::{GistExtension, SplitDecision};
+use gist_repro::core::{
+    Db, DbConfig, GistError, GistIndex, IndexOptions, InternalEntryRef, LeafEntryRef,
+};
 use gist_repro::pagestore::{InMemoryStore, PageId, Rid};
 use gist_repro::wal::LogManager;
 
@@ -393,3 +397,161 @@ fn optimistic_walk_never_revisits_a_pointer_stacked_before_a_wait() {
     let expected: Vec<i64> = (0..600).filter(|k| *k != blocker && !drained.contains(k)).collect();
     assert_eq!(keys, expected);
 }
+
+/// `BtreeExt` without its order hooks: a walk through it tests every
+/// entry of every node it visits.
+struct FullScan;
+
+impl GistExtension for FullScan {
+    type Key = i64;
+    type Pred = (i64, i64);
+    type Query = I64Query;
+
+    fn encode_key(&self, key: &i64, out: &mut Vec<u8>) {
+        BtreeExt.encode_key(key, out);
+    }
+    fn decode_key(&self, bytes: &[u8]) -> i64 {
+        BtreeExt.decode_key(bytes)
+    }
+    fn encode_pred(&self, pred: &(i64, i64), out: &mut Vec<u8>) {
+        BtreeExt.encode_pred(pred, out);
+    }
+    fn decode_pred(&self, bytes: &[u8]) -> (i64, i64) {
+        BtreeExt.decode_pred(bytes)
+    }
+    fn encode_query(&self, q: &I64Query, out: &mut Vec<u8>) {
+        BtreeExt.encode_query(q, out);
+    }
+    fn decode_query(&self, bytes: &[u8]) -> I64Query {
+        BtreeExt.decode_query(bytes)
+    }
+    fn consistent_pred(&self, pred: &(i64, i64), q: &I64Query) -> bool {
+        BtreeExt.consistent_pred(pred, q)
+    }
+    fn consistent_key(&self, key: &i64, q: &I64Query) -> bool {
+        BtreeExt.consistent_key(key, q)
+    }
+    fn key_equal(&self, a: &i64, b: &i64) -> bool {
+        a == b
+    }
+    fn eq_query(&self, key: &i64) -> I64Query {
+        I64Query::eq(*key)
+    }
+    fn key_pred(&self, key: &i64) -> (i64, i64) {
+        (*key, *key)
+    }
+    fn union_preds(&self, a: &(i64, i64), b: &(i64, i64)) -> (i64, i64) {
+        BtreeExt.union_preds(a, b)
+    }
+    fn pred_covers(&self, outer: &(i64, i64), inner: &(i64, i64)) -> bool {
+        BtreeExt.pred_covers(outer, inner)
+    }
+    fn penalty(&self, pred: &(i64, i64), key: &i64) -> f64 {
+        BtreeExt.penalty(pred, key)
+    }
+    fn pick_split(&self, preds: &[(i64, i64)]) -> SplitDecision {
+        BtreeExt.pick_split(preds)
+    }
+}
+
+/// Node summaries narrow which entries a walk tests, never what it
+/// returns. Readers build summaries while writers insert, split, delete,
+/// abort and the maintenance worker reclaims and drains, each write
+/// dropping the summary of the node it changes. Afterwards every query
+/// returns, through both accesses (`search` reads optimistically, a
+/// cursor latched), exactly the rows in exactly the order that a walk
+/// testing every entry of the same nodes returns. A summary that
+/// outlived a write would hide a row or surface a stale one here.
+#[test]
+fn summary_filtered_walks_match_full_scans() {
+    let (db, idx) = open();
+    db.start_maint().unwrap();
+    let txn = db.begin();
+    for k in (0..4_000i64).step_by(2) {
+        idx.insert(txn, &k, rid(k as u64)).unwrap();
+    }
+    db.commit(txn).unwrap();
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let mut handles = Vec::new();
+    // Writers fill the odd keys of their own stripes between the even
+    // ones, every third transaction deleting the key its writer inserted
+    // before; every fourth transaction aborts after its operation.
+    for t in 0..2i64 {
+        let (db, idx, stop) = (db.clone(), idx.clone(), stop.clone());
+        handles.push(std::thread::spawn(move || {
+            let mut i = 0i64;
+            while i < 1_000 && !stop.load(Ordering::Relaxed) {
+                let k = 2 * (i * 2 + t) + 1;
+                let txn = db.begin();
+                let res = if i % 3 == 2 {
+                    idx.delete(txn, &(k - 2), rid((k - 2) as u64)).map(|_| ())
+                } else {
+                    idx.insert(txn, &k, rid(k as u64))
+                };
+                match res {
+                    Ok(()) if i % 4 == 3 => db.abort(txn).unwrap(),
+                    Ok(()) => db.commit(txn).unwrap(),
+                    Err(e) if e.is_retryable() || matches!(e, GistError::NotFound) => {
+                        db.abort(txn).unwrap()
+                    }
+                    Err(e) => panic!("{e}"),
+                }
+                i += 1;
+            }
+        }));
+    }
+    {
+        let (db, idx, stop) = (db.clone(), idx.clone(), stop.clone());
+        handles.push(std::thread::spawn(move || {
+            let mut i = 0i64;
+            while !stop.load(Ordering::Relaxed) {
+                let lo = i * 37 % 4_000;
+                let q = I64Query::range(lo, lo + 60);
+                let txn = db.begin();
+                let res = idx.search(txn, &q).and_then(|_| idx.cursor(txn, q)?.collect_all());
+                match res {
+                    Ok(_) => db.commit(txn).unwrap(),
+                    Err(e) if e.is_retryable() => db.abort(txn).unwrap(),
+                    Err(e) => panic!("{e}"),
+                }
+                i += 1;
+            }
+        }));
+    }
+    std::thread::sleep(Duration::from_millis(1_500));
+    stop.store(true, Ordering::Relaxed);
+    for h in handles {
+        h.join().unwrap();
+    }
+    db.maint_sync();
+    assert!(idx.stats().unwrap().height >= 2);
+
+    let full = GistIndex::open(db.clone(), "t", FullScan).unwrap();
+    let queries = [
+        I64Query::range(i64::MIN, i64::MAX),
+        I64Query::range(0, 3_999),
+        I64Query::range(-50, 10),
+        I64Query::range(1_490, 1_510),
+        I64Query::range(3_990, 9_999),
+        I64Query::eq(1_001),
+        I64Query::eq(2_000),
+        I64Query::range(5_000, 6_000),
+        I64Query::range(10, 0),
+    ];
+    for q in &queries {
+        let txn = db.begin();
+        let summarized = idx.search(txn, q).unwrap();
+        let scanned = full.search(txn, q).unwrap();
+        assert_eq!(summarized, scanned, "optimistic walks diverge on {q:?}");
+        let summarized = idx.cursor(txn, *q).unwrap().collect_all().unwrap();
+        let scanned = full.cursor(txn, *q).unwrap().collect_all().unwrap();
+        assert_eq!(summarized, scanned, "latched walks diverge on {q:?}");
+        db.commit(txn).unwrap();
+    }
+    let s = db.robustness_stats();
+    assert!(s.opt_read_hits > 0, "no optimistic copy validated: {s:?}");
+    check_tree(&idx).unwrap().assert_ok();
+    db.shutdown().unwrap();
+}
+
