@@ -992,44 +992,34 @@ impl Db {
 
     /// Create an index: allocates and formats its root leaf and adds the
     /// catalog entry, as one atomic unit of work under a short system
-    /// transaction.
+    /// transaction. The name check, the id, the catalog slot, the
+    /// catalog cell and the cached entry are one step under page 0's X
+    /// latch, so concurrent creates get distinct ids and slots.
     pub fn create_index_raw(&self, name: &str, unique: bool) -> Result<CatalogEntry> {
-        {
-            let cat = self.catalog.lock();
-            if cat.iter().any(|e| e.name == name) {
-                return Err(GistError::Config(format!("index {name:?} already exists")));
-            }
-        }
         let txn = self.begin();
         let nta = self.txns.begin_nta(txn)?;
         let root = self.alloc.allocate();
         // Get-Page: format the root as an empty leaf (empty BP = covers
         // nothing).
-        let rec = GistRecord::GetPage { page: root.0, level: 0, bp: Vec::new() };
-        let lsn = self.txns.log_update(txn, RecordBody::Payload(rec.to_payload()))?;
-        rec.redo(&self.pool, lsn)?;
-        // Catalog entry.
-        let id = {
-            let cat = self.catalog.lock();
-            cat.iter().map(|e| e.id).max().unwrap_or(0) + 1
-        };
+        let get = GistRecord::GetPage { page: root.0, level: 0, bp: Vec::new() };
+        self.log_apply(txn, &get, &mut [&mut self.pool.new_page_write(root, 0)?])?;
+        let mut cat_g = self.pool.fetch_write(PageId(0))?;
+        let mut cat = self.catalog.lock();
+        if cat.iter().any(|e| e.name == name) {
+            drop((cat, cat_g));
+            self.abort(txn)?;
+            self.alloc.free(root);
+            return Err(GistError::Config(format!("index {name:?} already exists")));
+        }
+        let id = cat.iter().map(|e| e.id).max().unwrap_or(0) + 1;
+        let slot = cat_g.next_insert_slot();
         let cell = encode_catalog_cell(id, root, unique, name);
-        let slot = {
-            // Reserve the slot deterministically under the page latch.
-            let g = self.pool.fetch_read(PageId(0))?;
-            let mut s = 0;
-            while g.is_occupied(s) {
-                s += 1;
-            }
-            s
-        };
-        let rec = GistRecord::CatalogAdd { slot, cell: cell.clone() };
-        let lsn = self.txns.log_update(txn, RecordBody::Payload(rec.to_payload()))?;
-        rec.redo(&self.pool, lsn)?;
+        self.log_apply(txn, &GistRecord::CatalogAdd { slot, cell }, &mut [&mut cat_g])?;
+        let entry = CatalogEntry { id, root, unique, name: name.to_string(), slot };
+        cat.push(entry.clone());
+        drop((cat, cat_g));
         self.txns.end_nta(txn, nta)?;
         self.commit(txn)?;
-        let entry = decode_catalog_cell(slot, &cell);
-        self.catalog.lock().push(entry.clone());
         Ok(entry)
     }
 
@@ -1095,20 +1085,18 @@ impl Db {
         // Undoable catalog removal first (InternalEntryDelete on page 0),
         // then the page frees — all inside one unit, so a crash midway
         // rolls the whole drop back.
-        let old_cell = {
-            let g = self.pool.fetch_read(PageId(0))?;
-            g.cell(entry.slot)
+        {
+            let mut cat_g = self.pool.fetch_write(PageId(0))?;
+            let cell = cat_g
+                .cell(entry.slot)
                 .ok_or_else(|| GistError::Corrupt("catalog cell vanished".into()))?
-                .to_vec()
-        };
-        let rec =
-            GistRecord::InternalEntryDelete { page: 0, slot: entry.slot, cell: old_cell };
-        let lsn = self.txns.log_update(txn, RecordBody::Payload(rec.to_payload()))?;
-        rec.redo(&self.pool, lsn)?;
+                .to_vec();
+            let rec = GistRecord::InternalEntryDelete { page: 0, slot: entry.slot, cell };
+            self.log_apply(txn, &rec, &mut [&mut cat_g])?;
+        }
         for pid in &pages {
             let rec = GistRecord::FreePage { page: pid.0 };
-            let lsn = self.txns.log_update(txn, RecordBody::Payload(rec.to_payload()))?;
-            rec.redo(&self.pool, lsn)?;
+            self.log_apply(txn, &rec, &mut [&mut self.pool.fetch_write(*pid)?])?;
         }
         self.txns.end_nta(txn, nta)?;
         self.commit(txn)?;
@@ -1142,29 +1130,61 @@ impl Db {
     /// Update an index's root pointer (inside the caller's root-split
     /// NTA). Logs the catalog cell update and applies it.
     pub fn set_root(&self, txn: TxnId, entry_slot: SlotId, new_root: PageId) -> Result<()> {
-        let (old_cell, new_cell) = {
-            let g = self.pool.fetch_read(PageId(0))?;
-            let old = g
+        {
+            let mut g = self.pool.fetch_write(PageId(0))?;
+            let old_cell = g
                 .cell(entry_slot)
                 .ok_or_else(|| GistError::Corrupt(format!("catalog slot {entry_slot} missing")))?
                 .to_vec();
-            let e = decode_catalog_cell(entry_slot, &old);
-            let new = encode_catalog_cell(e.id, new_root, e.unique, &e.name);
-            (old, new)
-        };
-        let rec = GistRecord::InternalEntryUpdate {
-            page: 0,
-            slot: entry_slot,
-            new_cell,
-            old_cell,
-        };
-        let lsn = self.txns.log_update(txn, RecordBody::Payload(rec.to_payload()))?;
-        rec.redo(&self.pool, lsn)?;
+            let e = decode_catalog_cell(entry_slot, &old_cell);
+            let new_cell = encode_catalog_cell(e.id, new_root, e.unique, &e.name);
+            let rec =
+                GistRecord::InternalEntryUpdate { page: 0, slot: entry_slot, new_cell, old_cell };
+            self.log_apply(txn, &rec, &mut [&mut g])?;
+        }
         // Refresh the cache and remember the demoted root.
         let mut cat = self.catalog.lock();
         if let Some(e) = cat.iter_mut().find(|e| e.slot == entry_slot) {
             self.retired_roots.lock().insert(e.root);
             e.root = new_root;
+        }
+        Ok(())
+    }
+
+    /// Log `rec` for `txn` and apply it to `pages`, the X-latched guards
+    /// of every page it names. Returns the record's LSN.
+    pub(crate) fn log_apply(
+        &self,
+        txn: TxnId,
+        rec: &GistRecord,
+        pages: &mut [&mut PageWriteGuard],
+    ) -> Result<Lsn> {
+        debug_assert_eq!(pages.len(), rec.pages().len(), "{rec:?}");
+        let lsn = self.txns.log_update(txn, RecordBody::Payload(rec.to_payload()))?;
+        for g in pages {
+            rec.apply(g, lsn)?;
+        }
+        Ok(lsn)
+    }
+
+    /// Revert `rec` inside a failed atomic unit of work, under the
+    /// latches the unit still holds: log its compensation as a CLR whose
+    /// rollback resumes at `undo_next` (the unit's start) and apply it to
+    /// `pages`, the guards of every page the compensation names.
+    pub(crate) fn compensate(
+        &self,
+        txn: TxnId,
+        undo_next: Lsn,
+        rec: &GistRecord,
+        pages: &mut [&mut PageWriteGuard],
+    ) -> Result<()> {
+        let Some(clr) = rec.compensation() else {
+            return Ok(());
+        };
+        debug_assert_eq!(pages.len(), clr.pages().len(), "{clr:?}");
+        let lsn = self.txns.log_compensation(txn, undo_next, clr.to_payload())?;
+        for g in pages {
+            clr.apply(g, lsn)?;
         }
         Ok(())
     }
@@ -1190,7 +1210,7 @@ impl Db {
         &self,
         start: PageId,
         rid: Rid,
-        apply: impl FnOnce(&mut PageWriteGuard, SlotId),
+        apply: impl FnOnce(&mut PageWriteGuard, SlotId) -> Result<()>,
     ) -> std::result::Result<(), RecoveryError> {
         let mut queue = vec![start];
         let mut visited: HashSet<PageId> = HashSet::new();
@@ -1204,8 +1224,7 @@ impl Db {
                 .map_err(|e| RecoveryError(format!("fetch {pid} for undo: {e}")))?;
             if g.is_leaf() {
                 if let Some(slot) = crate::node::find_leaf_by_rid(&g, rid) {
-                    apply(&mut g, slot);
-                    return Ok(());
+                    return apply(&mut g, slot).map_err(|e| RecoveryError(format!("undo: {e}")));
                 }
                 queue.push(g.rightlink());
             } else {
@@ -1268,171 +1287,33 @@ impl RecoveryHandler for Db {
     ) -> std::result::Result<(), RecoveryError> {
         let gr = GistRecord::decode(&payload.bytes)
             .map_err(|e| RecoveryError(format!("undo decode: {e}")))?;
-        // Every record kind by name: a new variant must get an arm here.
-        #[deny(clippy::wildcard_enum_match_arm)]
-        match gr {
-            GistRecord::AddLeafEntry { page, cell, .. } => {
-                // Logical undo: locate the entry (it may have moved right)
-                // and physically remove it. Per Table 1 we skip the
-                // optional immediate garbage collection during restart;
-                // as a conservative simplification we also skip it on
-                // live abort (BPs stay valid upper bounds; the next
-                // reorganization shrinks them).
-                let rid = LeafEntry::decode_rid(&cell);
-                self.locate_and_apply(PageId(page), rid, |g, slot| {
-                    let clr =
-                        log_clr(GistRecord::RemoveLeafEntry { page: g.page_id().0, slot }
-                            .to_payload());
-                    g.delete_cell(slot);
-                    g.mark_dirty(clr);
-                })
-            }
-            GistRecord::MarkLeafEntry { page, old_cell, .. } => {
-                let rid = LeafEntry::decode_rid(&old_cell);
-                self.locate_and_apply(PageId(page), rid, |g, slot| {
-                    let clr = log_clr(
-                        GistRecord::UnmarkLeafEntry {
-                            page: g.page_id().0,
-                            slot,
-                            cell: old_cell.clone(),
-                        }
-                        .to_payload(),
-                    );
-                    g.update_cell(slot, &old_cell)
-                        .unwrap_or_else(|e| unreachable!("unmark is same-size: {e}"));
-                    g.mark_dirty(clr);
-                })
-            }
-            GistRecord::Split {
-                orig,
-                new,
-                moved,
-                orig_bp_old,
-                orig_nsn_old,
-                orig_rightlink_old,
-                ..
-            } => {
-                let clr = log_clr(
-                    GistRecord::UndoSplit {
-                        orig,
-                        new,
-                        restored: moved.clone(),
-                        orig_bp: orig_bp_old.clone(),
-                        orig_nsn: orig_nsn_old,
-                        orig_rightlink: orig_rightlink_old,
-                    }
-                    .to_payload(),
-                );
-                {
-                    let mut g = self
-                        .pool
-                        .fetch_write(PageId(orig))
-                        .map_err(|e| RecoveryError(e.to_string()))?;
-                    for (slot, cell) in &moved {
-                        g.insert_cell_at(*slot, cell)
-                            .map_err(|e| RecoveryError(format!("undo split: {e}")))?;
-                    }
-                    crate::node::set_bp(&mut g, &orig_bp_old)
-                        .map_err(|e| RecoveryError(format!("undo split BP: {e}")))?;
-                    g.set_nsn(orig_nsn_old);
-                    g.set_rightlink(PageId(orig_rightlink_old));
-                    g.mark_dirty(clr);
-                }
-                {
-                    let mut g = self
-                        .pool
-                        .fetch_write(PageId(new))
-                        .map_err(|e| RecoveryError(e.to_string()))?;
-                    g.clear_cells();
-                    g.mark_dirty(clr);
-                }
-                Ok(())
-            }
-            GistRecord::InternalEntryAdd { page, slot, cell } => {
-                let clr =
-                    log_clr(GistRecord::InternalEntryDelete { page, slot, cell }.to_payload());
-                let mut g = self
-                    .pool
-                    .fetch_write(PageId(page))
-                    .map_err(|e| RecoveryError(e.to_string()))?;
-                g.delete_cell(slot);
-                g.mark_dirty(clr);
-                Ok(())
-            }
-            GistRecord::InternalEntryUpdate { page, slot, new_cell, old_cell } => {
-                let clr = log_clr(
-                    GistRecord::InternalEntryUpdate {
-                        page,
-                        slot,
-                        new_cell: old_cell.clone(),
-                        old_cell: new_cell,
-                    }
-                    .to_payload(),
-                );
-                let mut g = self
-                    .pool
-                    .fetch_write(PageId(page))
-                    .map_err(|e| RecoveryError(e.to_string()))?;
-                g.update_cell(slot, &old_cell)
-                    .map_err(|e| RecoveryError(format!("undo entry update: {e}")))?;
-                g.mark_dirty(clr);
-                Ok(())
-            }
-            GistRecord::InternalEntryDelete { page, slot, cell } => {
-                let clr = log_clr(
-                    GistRecord::InternalEntryAdd { page, slot, cell: cell.clone() }.to_payload(),
-                );
-                let mut g = self
-                    .pool
-                    .fetch_write(PageId(page))
-                    .map_err(|e| RecoveryError(e.to_string()))?;
-                g.insert_cell_at(slot, &cell)
-                    .map_err(|e| RecoveryError(format!("undo entry delete: {e}")))?;
-                g.mark_dirty(clr);
-                Ok(())
-            }
-            GistRecord::GetPage { page, .. } => {
-                let clr = log_clr(GistRecord::SetAvailable { page }.to_payload());
-                let mut g = self
-                    .pool
-                    .fetch_write(PageId(page))
-                    .map_err(|e| RecoveryError(e.to_string()))?;
-                g.set_available(true);
-                g.mark_dirty(clr);
-                Ok(())
-            }
-            GistRecord::FreePage { page } => {
-                let clr = log_clr(GistRecord::SetUnavailable { page }.to_payload());
-                let mut g = self
-                    .pool
-                    .fetch_write(PageId(page))
-                    .map_err(|e| RecoveryError(e.to_string()))?;
-                g.set_available(false);
-                g.mark_dirty(clr);
-                Ok(())
-            }
-            GistRecord::CatalogAdd { slot, .. } => {
-                let clr = log_clr(GistRecord::CatalogRemove { slot }.to_payload());
-                let mut g = self
-                    .pool
-                    .fetch_write(PageId(0))
-                    .map_err(|e| RecoveryError(e.to_string()))?;
-                g.delete_cell(slot);
-                g.mark_dirty(clr);
-                Ok(())
-            }
-            // Redo-only records (Table 1: Parent-Entry-Update and
-            // Garbage-Collection) and compensation payloads: no action —
-            // the driver writes an empty CLR to keep the chain skipping.
-            GistRecord::ParentEntryUpdate { .. }
-            | GistRecord::GarbageCollection { .. }
-            | GistRecord::CatalogRemove { .. }
-            | GistRecord::RemoveLeafEntry { .. }
-            | GistRecord::UnmarkLeafEntry { .. }
-            | GistRecord::UndoSplit { .. }
-            | GistRecord::SetAvailable { .. }
-            | GistRecord::SetUnavailable { .. } => Ok(()),
+        // Redo-only records (Table 1: Parent-Entry-Update and
+        // Garbage-Collection) and CLRs have none: `rollback` writes an
+        // empty CLR to keep the chain skipping.
+        let Some(clr) = gr.compensation() else {
+            return Ok(());
+        };
+        // Logical undo of the two leaf records: locate the entry (it may
+        // have moved right) and compensate it where it is. Per Table 1 we
+        // skip the optional immediate garbage collection during restart;
+        // as a conservative simplification we also skip it on live abort
+        // (BPs stay valid upper bounds; the next reorganization shrinks
+        // them).
+        if let GistRecord::AddLeafEntry { page, cell, .. }
+        | GistRecord::MarkLeafEntry { page, old_cell: cell, .. } = &gr
+        {
+            return self.locate_and_apply(PageId(*page), LeafEntry::decode_rid(cell), |g, slot| {
+                let clr = clr.located_at(g.page_id(), slot);
+                clr.apply(g, log_clr(clr.to_payload()))
+            });
         }
+        let lsn = log_clr(clr.to_payload());
+        for page in clr.pages() {
+            let mut g =
+                self.pool.fetch_write(PageId(page)).map_err(|e| RecoveryError(e.to_string()))?;
+            clr.apply(&mut g, lsn).map_err(|e| RecoveryError(format!("undo: {e}")))?;
+        }
+        Ok(())
     }
 }
 
@@ -1479,6 +1360,67 @@ mod tests {
         let db = fresh_db();
         db.create_index_raw("t", false).unwrap();
         assert!(matches!(db.create_index_raw("t", true), Err(GistError::Config(_))));
+    }
+
+    /// Four threads create indexes named `name(thread)` at once, `rounds`
+    /// times, each round on a fresh database that is then crashed and
+    /// restarted; returns each round's results and restarted database.
+    fn create_concurrently(
+        rounds: usize,
+        name: impl Fn(usize) -> String + Sync,
+    ) -> Vec<(Vec<Result<CatalogEntry>>, Arc<Db>)> {
+        (0..rounds)
+            .map(|_| {
+                let store = Arc::new(InMemoryStore::new());
+                let log = Arc::new(LogManager::new());
+                let db = Db::open(store.clone(), log.clone(), DbConfig::default()).unwrap();
+                let barrier = std::sync::Barrier::new(4);
+                let made: Vec<_> = std::thread::scope(|s| {
+                    let handles: Vec<_> = (0..4)
+                        .map(|i| {
+                            let (db, barrier, name) = (&db, &barrier, &name);
+                            s.spawn(move || {
+                                barrier.wait();
+                                db.create_index_raw(&name(i), false)
+                            })
+                        })
+                        .collect();
+                    handles.into_iter().map(|h| h.join().expect("a create panicked")).collect()
+                });
+                assert_eq!(db.txns().active_count(), 0, "a create left its transaction open");
+                db.crash();
+                (made, Db::restart(store, log, DbConfig::default()).unwrap().0)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn concurrent_creates_get_distinct_ids_and_slots() {
+        for (made, db) in create_concurrently(50, |i| format!("i{i}")) {
+            let made: Vec<CatalogEntry> = made.into_iter().map(|r| r.unwrap()).collect();
+            for (field, values) in [
+                ("id", made.iter().map(|e| e.id).collect::<HashSet<_>>()),
+                ("slot", made.iter().map(|e| u32::from(e.slot)).collect()),
+                ("root", made.iter().map(|e| e.root.0).collect()),
+            ] {
+                assert_eq!(values.len(), 4, "two creates share a {field}: {made:?}");
+            }
+            for e in &made {
+                assert_eq!(db.open_index_raw(&e.name).as_ref(), Some(e), "lost by restart");
+            }
+            assert_eq!(db.catalog_names().len(), 4);
+        }
+    }
+
+    #[test]
+    fn concurrent_creates_of_one_name_make_one_index() {
+        for (made, db) in create_concurrently(20, |_| "t".into()) {
+            let created: Vec<_> = made.iter().filter_map(|r| r.as_ref().ok()).collect();
+            assert_eq!(created.len(), 1, "{made:?}");
+            assert!(made.iter().all(|r| r.is_ok() || matches!(r, Err(GistError::Config(_)))));
+            assert_eq!(db.open_index_raw("t").as_ref(), Some(created[0]));
+            assert_eq!(db.catalog_names(), vec!["t".to_string()]);
+        }
     }
 
     #[test]

@@ -26,12 +26,20 @@
 //! The catalog record and the `Undo*`/`Set*` compensation payloads are
 //! implementation additions (the paper's CLRs are implicit in its WAL
 //! environment).
+//!
+//! Each record's effect on each page it names is written once, in
+//! [`GistRecord::apply`], and each undo once, as the CLR that
+//! [`GistRecord::compensation`] returns. Forward operations, restart
+//! redo, rollback and the in-unit split reverts all go through the two.
 
-use gist_pagestore::{BufferPool, PageId, SlotId};
+use std::sync::Arc;
+
+use gist_pagestore::{BufferPool, PageFull, PageId, PageWriteGuard, SlotId};
 use gist_wal::codec::{put_bytes, put_u16, put_u32, put_u64, CodecError, Reader};
-use gist_wal::{Lsn, Payload};
+use gist_wal::{Lsn, Payload, TxnId};
 
-use crate::node;
+use crate::entry::{InternalEntry, LeafEntry};
+use crate::{node, GistError};
 
 /// A `(slot, cell-bytes)` pair as logged by `Split` and
 /// `Garbage-Collection`.
@@ -264,18 +272,11 @@ fn read_slot_cells(r: &mut Reader<'_>) -> Result<Vec<SlotCell>, CodecError> {
     Ok(cells)
 }
 
-/// Map a page-capacity failure during redo to an I/O error: redo replays
-/// exactly what was once applied, so a non-fitting cell means the page
-/// image diverged from the log — surfaced, not papered over.
-fn redo_fit<T>(r: Result<T, gist_pagestore::PageFull>, what: &str) -> std::io::Result<T> {
-    r.map_err(|e| {
-        std::io::Error::new(std::io::ErrorKind::InvalidData, format!("redo {what}: {e}"))
-    })
-}
-
-/// Same, for a cell that must be present on the page being replayed.
-fn redo_present<T>(v: Option<T>, what: &str) -> std::io::Result<T> {
-    v.ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, format!("redo: {what}")))
+/// A cell that does not fit where its record puts it: the page image is
+/// not the one the record was logged against. Surfaced, not papered
+/// over.
+fn fit<T>(r: Result<T, PageFull>, what: &str) -> crate::Result<()> {
+    r.map(drop).map_err(|e| GistError::Corrupt(format!("apply {what}: {e}")))
 }
 
 impl GistRecord {
@@ -530,43 +531,30 @@ impl GistRecord {
         Ok(rec)
     }
 
-    /// Page-oriented redo: apply this record's effects to pages whose
-    /// page-LSN predates `lsn`. Returns whether anything was (re)applied.
-    ///
-    /// Used both at restart ("repeating history") and as the forward
-    /// application path during normal operation (callers log first, then
-    /// call `redo` — guaranteeing the applied state matches what restart
-    /// would reproduce).
-    pub fn redo(&self, pool: &std::sync::Arc<BufferPool>, lsn: Lsn) -> std::io::Result<bool> {
-        // Make sure every touched page exists in the store.
-        let max_page = self.pages().into_iter().max().unwrap_or(0);
-        pool.store().ensure_capacity(max_page + 1)?;
-        let mut applied = false;
+    /// This record's effect on `g`, one of the pages it names
+    /// ([`GistRecord::pages`]), stamped with `lsn`. The only code that
+    /// changes an index or catalog page for a logged change: a forward
+    /// operation logs a record and applies it to the pages it holds
+    /// X-latched, restart [`redo`](GistRecord::redo)es it, and a rollback
+    /// logs and applies its [`compensation`](GistRecord::compensation).
+    /// So restart reproduces the forward image by construction.
+    pub fn apply(&self, g: &mut PageWriteGuard, lsn: Lsn) -> crate::Result<()> {
+        let page = g.page_id().0;
+        debug_assert!(self.pages().contains(&page), "{self:?} does not name page {page}");
         // Every record kind by name: a new variant must get an arm here.
         #[deny(clippy::wildcard_enum_match_arm)]
         match self {
-            GistRecord::ParentEntryUpdate { child, parent, parent_slot, new_bp } => {
-                {
-                    let mut g = pool.fetch_write(PageId(*child))?;
-                    if g.page_lsn() < lsn {
-                        redo_fit(node::set_bp(&mut g, new_bp), "BP update")?;
-                        g.mark_dirty(lsn);
-                        applied = true;
+            GistRecord::ParentEntryUpdate { child, parent_slot, new_bp, .. } => {
+                if page == *child {
+                    fit(node::set_bp(g, new_bp), "BP update")?;
+                } else {
+                    if !g.is_occupied(*parent_slot) {
+                        return Err(GistError::Corrupt(format!(
+                            "apply: parent entry {parent_slot} of {child} vanished"
+                        )));
                     }
-                }
-                if *parent != u32::MAX {
-                    let mut g = pool.fetch_write(PageId(*parent))?;
-                    if g.page_lsn() < lsn {
-                        let cell =
-                            redo_present(g.cell(*parent_slot), "parent entry vanished")?
-                                .to_vec();
-                        let child_id = crate::entry::InternalEntry::decode_child(&cell);
-                        let new_cell =
-                            crate::entry::InternalEntry::new(child_id, new_bp.clone()).encode();
-                        redo_fit(g.update_cell(*parent_slot, &new_cell), "parent entry update")?;
-                        g.mark_dirty(lsn);
-                        applied = true;
-                    }
+                    let cell = InternalEntry::new(PageId(*child), new_bp.clone()).encode();
+                    fit(g.update_cell(*parent_slot, &cell), "parent entry update")?;
                 }
             }
             GistRecord::Split {
@@ -576,184 +564,156 @@ impl GistRecord {
                 moved,
                 orig_bp_new,
                 new_bp,
-                orig_nsn_new,
                 orig_nsn_old,
+                orig_nsn_new,
                 orig_rightlink_old,
                 ..
             } => {
-                let nsn_new = if *orig_nsn_new == 0 { lsn.0 } else { *orig_nsn_new };
-                {
-                    let mut g = pool.fetch_write(PageId(*orig))?;
-                    if g.page_lsn() < lsn {
-                        for (slot, _) in moved {
-                            g.delete_cell(*slot);
-                        }
-                        redo_fit(node::set_bp(&mut g, orig_bp_new), "shrunk BP")?;
-                        g.set_nsn(nsn_new);
-                        g.set_rightlink(PageId(*new));
-                        g.mark_dirty(lsn);
-                        applied = true;
-                    }
-                }
-                {
-                    let mut g = pool.fetch_write(PageId(*new))?;
-                    if g.page_lsn() < lsn {
-                        g.format(PageId(*new), *level);
-                        node::init_node(&mut g, new_bp);
-                        for (_, cell) in moved {
-                            redo_fit(g.insert_cell(cell), "moved cell")?;
-                        }
-                        g.set_nsn(*orig_nsn_old);
-                        g.set_rightlink(PageId(*orig_rightlink_old));
-                        g.mark_dirty(lsn);
-                        applied = true;
-                    }
-                }
-            }
-            GistRecord::GarbageCollection { page, removed, new_bp } => {
-                let mut g = pool.fetch_write(PageId(*page))?;
-                if g.page_lsn() < lsn {
-                    for (slot, _) in removed {
+                if page == *orig {
+                    for (slot, _) in moved {
                         g.delete_cell(*slot);
                     }
-                    redo_fit(node::set_bp(&mut g, new_bp), "shrunk BP")?;
-                    g.mark_dirty(lsn);
-                    applied = true;
+                    fit(node::set_bp(g, orig_bp_new), "shrunk BP")?;
+                    // Zero is the sentinel for "this record's own LSN".
+                    g.set_nsn(if *orig_nsn_new == 0 { lsn.0 } else { *orig_nsn_new });
+                    g.set_rightlink(PageId(*new));
+                } else {
+                    // The sibling inherits the old NSN and rightlink (§3).
+                    g.format(PageId(*new), *level);
+                    node::init_node(g, new_bp);
+                    for (_, cell) in moved {
+                        fit(g.insert_cell(cell), "moved cell")?;
+                    }
+                    g.set_nsn(*orig_nsn_old);
+                    g.set_rightlink(PageId(*orig_rightlink_old));
                 }
             }
+            GistRecord::GarbageCollection { removed, new_bp, .. } => {
+                for (slot, _) in removed {
+                    g.delete_cell(*slot);
+                }
+                fit(node::set_bp(g, new_bp), "shrunk BP")?;
+            }
+            GistRecord::InternalEntryAdd { slot, cell, .. }
+            | GistRecord::AddLeafEntry { slot, cell, .. }
+            | GistRecord::CatalogAdd { slot, cell } => fit(g.insert_cell_at(*slot, cell), "entry")?,
+            GistRecord::InternalEntryUpdate { slot, new_cell: cell, .. }
+            | GistRecord::UnmarkLeafEntry { slot, cell, .. } => {
+                fit(g.update_cell(*slot, cell), "entry update")?;
+            }
+            GistRecord::InternalEntryDelete { slot, .. }
+            | GistRecord::CatalogRemove { slot }
+            | GistRecord::RemoveLeafEntry { slot, .. } => {
+                g.delete_cell(*slot);
+            }
+            GistRecord::MarkLeafEntry { slot, old_cell, deleter, .. } => {
+                let marked = LeafEntry::with_mark(old_cell, true, TxnId(*deleter));
+                fit(g.update_cell(*slot, &marked), "in-place mark")?;
+            }
+            GistRecord::GetPage { level, bp, .. } => {
+                g.format(PageId(page), *level);
+                node::init_node(g, bp);
+                g.set_available(false);
+            }
+            GistRecord::FreePage { .. } | GistRecord::SetAvailable { .. } => g.set_available(true),
+            GistRecord::SetUnavailable { .. } => g.set_available(false),
+            GistRecord::UndoSplit { orig, restored, orig_bp, orig_nsn, orig_rightlink, .. } => {
+                if page == *orig {
+                    for (slot, cell) in restored {
+                        fit(g.insert_cell_at(*slot, cell), "restored cell")?;
+                    }
+                    fit(node::set_bp(g, orig_bp), "restored BP")?;
+                    g.set_nsn(*orig_nsn);
+                    g.set_rightlink(PageId(*orig_rightlink));
+                } else {
+                    g.clear_cells();
+                }
+            }
+        }
+        g.mark_dirty(lsn);
+        Ok(())
+    }
+
+    /// Table 1's undo of this record, as the compensation record (CLR)
+    /// whose [`apply`](GistRecord::apply) performs it; `None` for the
+    /// redo-only records and for CLRs themselves. The two logical kinds'
+    /// CLRs name the page and slot the record left its entry at; rollback
+    /// moves them to where it finds the entry now (§9.2).
+    pub fn compensation(&self) -> Option<GistRecord> {
+        // Every record kind by name: a new variant must get an arm here.
+        #[deny(clippy::wildcard_enum_match_arm)]
+        let clr = match self {
+            GistRecord::AddLeafEntry { page, slot, .. } => {
+                GistRecord::RemoveLeafEntry { page: *page, slot: *slot }
+            }
+            GistRecord::MarkLeafEntry { page, slot, old_cell, .. } => {
+                GistRecord::UnmarkLeafEntry { page: *page, slot: *slot, cell: old_cell.clone() }
+            }
+            GistRecord::Split {
+                orig, new, moved, orig_bp_old, orig_nsn_old, orig_rightlink_old, ..
+            } => GistRecord::UndoSplit {
+                orig: *orig,
+                new: *new,
+                restored: moved.clone(),
+                orig_bp: orig_bp_old.clone(),
+                orig_nsn: *orig_nsn_old,
+                orig_rightlink: *orig_rightlink_old,
+            },
+            GistRecord::GetPage { page, .. } => GistRecord::SetAvailable { page: *page },
+            GistRecord::FreePage { page } => GistRecord::SetUnavailable { page: *page },
             GistRecord::InternalEntryAdd { page, slot, cell } => {
-                let mut g = pool.fetch_write(PageId(*page))?;
-                if g.page_lsn() < lsn {
-                    redo_fit(g.insert_cell_at(*slot, cell), "entry insert")?;
-                    g.mark_dirty(lsn);
-                    applied = true;
+                GistRecord::InternalEntryDelete { page: *page, slot: *slot, cell: cell.clone() }
+            }
+            GistRecord::InternalEntryUpdate { page, slot, new_cell, old_cell } => {
+                GistRecord::InternalEntryUpdate {
+                    page: *page,
+                    slot: *slot,
+                    new_cell: old_cell.clone(),
+                    old_cell: new_cell.clone(),
                 }
             }
-            GistRecord::InternalEntryUpdate { page, slot, new_cell, .. } => {
-                let mut g = pool.fetch_write(PageId(*page))?;
-                if g.page_lsn() < lsn {
-                    redo_fit(g.update_cell(*slot, new_cell), "entry update")?;
-                    g.mark_dirty(lsn);
-                    applied = true;
-                }
+            GistRecord::InternalEntryDelete { page, slot, cell } => {
+                GistRecord::InternalEntryAdd { page: *page, slot: *slot, cell: cell.clone() }
             }
-            GistRecord::InternalEntryDelete { page, slot, .. } => {
-                let mut g = pool.fetch_write(PageId(*page))?;
-                if g.page_lsn() < lsn {
-                    g.delete_cell(*slot);
-                    g.mark_dirty(lsn);
-                    applied = true;
-                }
-            }
-            GistRecord::AddLeafEntry { page, slot, cell, .. } => {
-                let mut g = pool.fetch_write(PageId(*page))?;
-                if g.page_lsn() < lsn {
-                    redo_fit(g.insert_cell_at(*slot, cell), "entry insert")?;
-                    g.mark_dirty(lsn);
-                    applied = true;
-                }
-            }
-            GistRecord::MarkLeafEntry { page, slot, old_cell, deleter, .. } => {
-                let mut g = pool.fetch_write(PageId(*page))?;
-                if g.page_lsn() < lsn {
-                    let marked = crate::entry::LeafEntry::with_mark(
-                        old_cell,
-                        true,
-                        gist_wal::TxnId(*deleter),
-                    );
-                    redo_fit(g.update_cell(*slot, &marked), "in-place mark")?;
-                    g.mark_dirty(lsn);
-                    applied = true;
-                }
-            }
-            GistRecord::GetPage { page, level, bp } => {
-                let mut g = pool.fetch_write(PageId(*page))?;
-                if g.page_lsn() < lsn {
-                    g.format(PageId(*page), *level);
-                    node::init_node(&mut g, bp);
-                    g.set_available(false);
-                    g.mark_dirty(lsn);
-                    applied = true;
-                }
-            }
-            GistRecord::FreePage { page } => {
-                let mut g = pool.fetch_write(PageId(*page))?;
-                if g.page_lsn() < lsn {
-                    g.set_available(true);
-                    g.mark_dirty(lsn);
-                    applied = true;
-                }
-            }
-            GistRecord::CatalogAdd { slot, cell } => {
-                let mut g = pool.fetch_write(PageId(0))?;
-                if g.page_lsn() < lsn {
-                    redo_fit(g.insert_cell_at(*slot, cell), "catalog cell")?;
-                    g.mark_dirty(lsn);
-                    applied = true;
-                }
-            }
-            GistRecord::CatalogRemove { slot } => {
-                let mut g = pool.fetch_write(PageId(0))?;
-                if g.page_lsn() < lsn {
-                    g.delete_cell(*slot);
-                    g.mark_dirty(lsn);
-                    applied = true;
-                }
-            }
-            GistRecord::RemoveLeafEntry { page, slot } => {
-                let mut g = pool.fetch_write(PageId(*page))?;
-                if g.page_lsn() < lsn {
-                    g.delete_cell(*slot);
-                    g.mark_dirty(lsn);
-                    applied = true;
-                }
-            }
-            GistRecord::UnmarkLeafEntry { page, slot, cell } => {
-                let mut g = pool.fetch_write(PageId(*page))?;
-                if g.page_lsn() < lsn {
-                    redo_fit(g.update_cell(*slot, cell), "in-place unmark")?;
-                    g.mark_dirty(lsn);
-                    applied = true;
-                }
-            }
-            GistRecord::UndoSplit { orig, new, restored, orig_bp, orig_nsn, orig_rightlink } => {
-                {
-                    let mut g = pool.fetch_write(PageId(*orig))?;
-                    if g.page_lsn() < lsn {
-                        for (slot, cell) in restored {
-                            redo_fit(g.insert_cell_at(*slot, cell), "restored cell")?;
-                        }
-                        redo_fit(node::set_bp(&mut g, orig_bp), "restored BP")?;
-                        g.set_nsn(*orig_nsn);
-                        g.set_rightlink(PageId(*orig_rightlink));
-                        g.mark_dirty(lsn);
-                        applied = true;
-                    }
-                }
-                {
-                    let mut g = pool.fetch_write(PageId(*new))?;
-                    if g.page_lsn() < lsn {
-                        g.clear_cells();
-                        g.mark_dirty(lsn);
-                        applied = true;
-                    }
-                }
-            }
-            GistRecord::SetAvailable { page } => {
-                let mut g = pool.fetch_write(PageId(*page))?;
-                if g.page_lsn() < lsn {
-                    g.set_available(true);
-                    g.mark_dirty(lsn);
-                    applied = true;
-                }
-            }
-            GistRecord::SetUnavailable { page } => {
-                let mut g = pool.fetch_write(PageId(*page))?;
-                if g.page_lsn() < lsn {
-                    g.set_available(false);
-                    g.mark_dirty(lsn);
-                    applied = true;
-                }
+            GistRecord::CatalogAdd { slot, .. } => GistRecord::CatalogRemove { slot: *slot },
+            // Table 1's redo-only records, and the CLRs.
+            GistRecord::ParentEntryUpdate { .. }
+            | GistRecord::GarbageCollection { .. }
+            | GistRecord::CatalogRemove { .. }
+            | GistRecord::RemoveLeafEntry { .. }
+            | GistRecord::UnmarkLeafEntry { .. }
+            | GistRecord::UndoSplit { .. }
+            | GistRecord::SetAvailable { .. }
+            | GistRecord::SetUnavailable { .. } => return None,
+        };
+        Some(clr)
+    }
+
+    /// A leaf entry's CLR, moved to `page` and `slot`, where logical undo
+    /// found the entry. Other records are returned unchanged.
+    pub(crate) fn located_at(mut self, at: PageId, at_slot: SlotId) -> GistRecord {
+        if let GistRecord::RemoveLeafEntry { page, slot }
+        | GistRecord::UnmarkLeafEntry { page, slot, .. } = &mut self
+        {
+            (*page, *slot) = (at.0, at_slot);
+        }
+        self
+    }
+
+    /// Page-oriented redo at restart (repeating history):
+    /// [`apply`](GistRecord::apply) this record to each page it names
+    /// whose page LSN predates `lsn`. Returns whether any page changed.
+    pub fn redo(&self, pool: &Arc<BufferPool>, lsn: Lsn) -> crate::Result<bool> {
+        let pages = self.pages();
+        // Make sure every touched page exists in the store.
+        let max_page = pages.iter().copied().max().unwrap_or(0);
+        pool.store().ensure_capacity(max_page + 1)?;
+        let mut applied = false;
+        for page in pages {
+            let mut g = pool.fetch_write(PageId(page))?;
+            if g.page_lsn() < lsn {
+                self.apply(&mut g, lsn)?;
+                applied = true;
             }
         }
         Ok(applied)

@@ -15,7 +15,7 @@ use crate::ext::GistExtension;
 use crate::node;
 use crate::ops::StackEntry;
 use crate::tree::GistIndex;
-use crate::GistError;
+use crate::{Db, GistError};
 
 /// Classify a tree error for the daemon: lock-manager trouble (timeout,
 /// deadlock victim) means a foreground transaction got in the way —
@@ -40,6 +40,17 @@ fn classify(e: GistError) -> MaintError {
 /// locks held until an abort of it succeeds.
 fn abort_failed(txn: TxnId, e: GistError) -> MaintError {
     MaintError::Fatal(format!("abort of {txn} failed, the transaction is still open: {e}"))
+}
+
+/// Commit a maintenance unit's own transaction. A failed commit is
+/// fatal, and the transaction is aborted first, which completes it when
+/// its commit record reached the log (a lost acknowledgement) and rolls
+/// it back otherwise; if that abort fails too, the error names it.
+fn commit_unit(db: &Db, txn: TxnId) -> Result<(), MaintError> {
+    db.commit(txn).or_else(|e| {
+        db.abort(txn).map_err(|a| abort_failed(txn, a))?;
+        Err(MaintError::Fatal(e.to_string()))
+    })
 }
 
 impl<E: GistExtension> GistIndex<E> {
@@ -118,7 +129,7 @@ impl<E: GistExtension> MaintIndex for GistIndex<E> {
         })();
         match &result {
             Ok(_) => {
-                db.commit(txn).map_err(|e| MaintError::Fatal(e.to_string()))?;
+                commit_unit(&db, txn)?;
                 self.audit_check_structure("gc")?;
             }
             Err(_) => db.abort(txn).map_err(|e| abort_failed(txn, e))?,
@@ -137,7 +148,6 @@ impl<E: GistExtension> MaintIndex for GistIndex<E> {
             return Ok(DrainOutcome::Skipped);
         };
         let db = self.db().clone();
-        let fatal = |e: GistError| MaintError::Fatal(e.to_string());
         {
             // Cheap ineligibility checks before spending a transaction.
             let g = db.pool().fetch_read(leaf).map_err(|e| classify(e.into()))?;
@@ -151,7 +161,7 @@ impl<E: GistExtension> MaintIndex for GistIndex<E> {
         let txn = db.begin();
         match self.try_delete_node(txn, parent, leaf) {
             Ok(deleted) => {
-                db.commit(txn).map_err(fatal)?;
+                commit_unit(&db, txn)?;
                 if deleted {
                     self.audit_check_structure("drain")?;
                     Ok(DrainOutcome::Deleted)

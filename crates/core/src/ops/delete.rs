@@ -8,10 +8,10 @@ use std::sync::Arc;
 use gist_lockmgr::{LockMode, LockName};
 use gist_pagestore::{PageId, PageWriteGuard};
 use gist_predlock::{PredKind, GLOBAL_NODE};
-use gist_wal::{RecordBody, TxnId};
+use gist_wal::TxnId;
 
 use crate::db::{IsolationLevel, PredicateMode};
-use crate::entry::{LeafEntry, LeafEntryRef};
+use crate::entry::LeafEntryRef;
 use crate::ext::GistExtension;
 use crate::logrec::GistRecord;
 use crate::node;
@@ -95,14 +95,10 @@ impl<E: GistExtension> GistIndex<E> {
                     page: pid.0,
                     nsn: w.nsn(),
                     slot,
-                    old_cell: old_cell.clone(),
+                    old_cell,
                     deleter: txn.0,
                 };
-                let lsn = db.txns().log_update(txn, RecordBody::Payload(rec.to_payload()))?;
-                let marked = LeafEntry::with_mark(&old_cell, true, txn);
-                w.update_cell(slot, &marked)
-                    .unwrap_or_else(|e| unreachable!("mark is same-size: {e}"));
-                w.mark_dirty(lsn);
+                db.log_apply(txn, &rec, &mut [&mut w])?;
                 // An injected fault here leaves a logged, applied mark
                 // behind — exactly what the abort path must undo.
                 gist_chaos::point("delete.after_mark")?;
@@ -144,7 +140,7 @@ impl<E: GistExtension> GistIndex<E> {
         let db = self.db().clone();
         let txns = db.txns();
         let fast_path = leaf.page_lsn() < txns.oldest_active_begin_lsn();
-        // The removed cells are kept: the log record carries them.
+        // The removed cells move into the log record.
         let removed: Vec<(u16, Vec<u8>)> = node::entry_cells(leaf)
             .filter(|(_, cell)| {
                 let e = LeafEntryRef::new(cell);
@@ -172,18 +168,10 @@ impl<E: GistExtension> GistIndex<E> {
         }
         let new_bp = self.encode_bp_opt(&new_bp_opt);
         let nta = txns.begin_nta(txn)?;
-        let rec = GistRecord::GarbageCollection {
-            page: leaf.page_id().0,
-            removed: removed.clone(),
-            new_bp: new_bp.clone(),
-        };
-        let lsn = txns.log_update(txn, RecordBody::Payload(rec.to_payload()))?;
-        for (slot, _) in &removed {
-            leaf.delete_cell(*slot);
-        }
-        node::set_bp(leaf, &new_bp)
-            .map_err(|e| GistError::Corrupt(format!("GC BP overflow: {e}")))?;
-        leaf.mark_dirty(lsn);
+        let removed_count = removed.len();
+        let page = leaf.page_id().0;
+        let rec = GistRecord::GarbageCollection { page, removed, new_bp: new_bp.clone() };
+        db.log_apply(txn, &rec, &mut [leaf])?;
         txns.end_nta(txn, nta)?;
         // Propagate the shrink to the parent entry when we know the
         // parent ("the BP of that node may have shrunk, which can then be
@@ -193,7 +181,7 @@ impl<E: GistExtension> GistIndex<E> {
         // entries always carry decodable, non-empty predicates); the
         // node-deletion path will remove the entry soon anyway.
         if new_bp.is_empty() {
-            return Ok(removed.len());
+            return Ok(removed_count);
         }
         if let Some(hint) = parent_hint {
             match self.latch_parent(&[hint], leaf)? {
@@ -205,7 +193,7 @@ impl<E: GistExtension> GistIndex<E> {
                 }
             }
         }
-        Ok(removed.len())
+        Ok(removed_count)
     }
 
     /// §7.2 node deletion with the drain technique. Opportunistic: any
@@ -249,7 +237,7 @@ impl<E: GistExtension> GistIndex<E> {
             return Ok(false);
         }
         // Child latch: try only (see latch-order note above).
-        let Some(child_g) = db.pool().try_fetch_write(child)? else {
+        let Some(mut child_g) = db.pool().try_fetch_write(child)? else {
             return Ok(false);
         };
         if node::entry_count(&child_g) != 0 {
@@ -279,14 +267,8 @@ impl<E: GistExtension> GistIndex<E> {
             slot,
             cell: entry_cell,
         };
-        let lsn = txns.log_update(txn, RecordBody::Payload(rec.to_payload()))?;
-        parent_g.delete_cell(slot);
-        parent_g.mark_dirty(lsn);
-        let rec = GistRecord::FreePage { page: child.0 };
-        let lsn = txns.log_update(txn, RecordBody::Payload(rec.to_payload()))?;
-        let mut child_g = child_g;
-        child_g.set_available(true);
-        child_g.mark_dirty(lsn);
+        db.log_apply(txn, &rec, &mut [&mut parent_g])?;
+        db.log_apply(txn, &GistRecord::FreePage { page: child.0 }, &mut [&mut child_g])?;
         txns.end_nta(txn, nta)?;
         drop(child_g);
         drop(parent_g);

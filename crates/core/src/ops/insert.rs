@@ -20,7 +20,7 @@ use std::sync::Arc;
 use gist_lockmgr::{LockMode, LockName};
 use gist_pagestore::{PageId, PageWriteGuard, Rid};
 use gist_predlock::{PredKind, GLOBAL_NODE};
-use gist_wal::{RecordBody, TxnId};
+use gist_wal::TxnId;
 
 use crate::db::{IsolationLevel, PredicateMode};
 use crate::entry::{InternalEntry, InternalEntryRef, LeafEntry, LeafEntryRef};
@@ -140,17 +140,13 @@ impl<E: GistExtension> GistIndex<E> {
         // Phase 5: the Add-Leaf-Entry content record (logged, then
         // applied under the latch).
         gist_chaos::point("insert.before_leaf_add")?;
-        let slot = leaf.next_insert_slot();
         let rec = GistRecord::AddLeafEntry {
             page: leaf.page_id().0,
             nsn: leaf.nsn(),
-            slot,
-            cell: cell.clone(),
+            slot: leaf.next_insert_slot(),
+            cell,
         };
-        let lsn = db.txns().log_update(txn, RecordBody::Payload(rec.to_payload()))?;
-        leaf.insert_cell_at(slot, &cell)
-            .unwrap_or_else(|e| unreachable!("room was ensured before logging: {e}"));
-        leaf.mark_dirty(lsn);
+        db.log_apply(txn, &rec, &mut [&mut leaf])?;
         gist_chaos::point("insert.after_leaf_add")?;
 
         // Phase 6: check the predicates attached to the leaf; block on
@@ -481,56 +477,32 @@ impl<E: GistExtension> GistIndex<E> {
         let new_pid = db.alloc().allocate();
         let orig_rightlink_old = self.inherited_rightlink(&node_g, new_pid)?;
         let get_rec = GistRecord::GetPage { page: new_pid.0, level, bp: new_bp.clone() };
-        let get_lsn = db.txns().log_update(txn, RecordBody::Payload(get_rec.to_payload()))?;
         let mut new_g = db.pool().new_page_write(new_pid, level)?;
-        node::init_node(&mut new_g, &new_bp);
-        new_g.set_available(false);
-        new_g.mark_dirty(get_lsn);
+        db.log_apply(txn, &get_rec, &mut [&mut new_g])?;
 
-        // The Split record: log, then apply to both latched pages.
-        let orig_nsn_old = node_g.nsn();
-        let split_rec_partial = |nsn_new: u64| GistRecord::Split {
-            orig: node_id.0,
-            new: new_pid.0,
-            level,
-            moved: moved.clone(),
-            orig_bp_old: orig_bp_old.clone(),
-            orig_bp_new: orig_bp_new.clone(),
-            new_bp: new_bp.clone(),
-            orig_nsn_old,
-            orig_nsn_new: nsn_new,
-            orig_rightlink_old: orig_rightlink_old.0,
-            pending_to_new,
-        };
-        // In WalLsn mode the record's own LSN becomes the new NSN; since
-        // the LSN is unknown before the append, the record carries the
-        // zero sentinel and redo resolves it to its LSN. The dedicated
-        // counter is drawn (and logged explicitly) before the append.
-        let logged_nsn = match db.config().nsn_source {
+        // The Split record, applied to both latched pages. In WalLsn mode
+        // the record's own LSN becomes the new NSN; since the LSN is
+        // unknown before the append, the record carries the zero sentinel
+        // and applying it resolves it to its LSN. The dedicated counter
+        // is drawn (and logged explicitly) before the append.
+        let orig_nsn_new = match db.config().nsn_source {
             crate::db::NsnSource::WalLsn => 0,
             crate::db::NsnSource::DedicatedCounter => db.split_nsn(gist_wal::Lsn::NULL),
         };
-        let rec = split_rec_partial(logged_nsn);
-        let lsn = db.txns().log_update(txn, RecordBody::Payload(rec.to_payload()))?;
-        let nsn_new = if logged_nsn == 0 { lsn.0 } else { logged_nsn };
-        // Apply to the original node.
-        for (slot, _) in &moved {
-            node_g.delete_cell(*slot);
-        }
-        node::set_bp(&mut node_g, &orig_bp_new)
-            .map_err(|e| GistError::Corrupt(format!("split BP overflow: {e}")))?;
-        node_g.set_nsn(nsn_new);
-        node_g.set_rightlink(new_pid);
-        node_g.mark_dirty(lsn);
-        // Apply to the sibling: inherits the old NSN and rightlink (§3).
-        for (_, cell) in &moved {
-            new_g
-                .insert_cell(cell)
-                .unwrap_or_else(|e| unreachable!("moved cells fit on a fresh page: {e}"));
-        }
-        new_g.set_nsn(orig_nsn_old);
-        new_g.set_rightlink(orig_rightlink_old);
-        new_g.mark_dirty(lsn);
+        let split = GistRecord::Split {
+            orig: node_id.0,
+            new: new_pid.0,
+            level,
+            moved,
+            orig_bp_old,
+            orig_bp_new: orig_bp_new.clone(),
+            new_bp: new_bp.clone(),
+            orig_nsn_old: node_g.nsn(),
+            orig_nsn_new,
+            orig_rightlink_old: orig_rightlink_old.0,
+            pending_to_new,
+        };
+        db.log_apply(txn, &split, &mut [&mut node_g, &mut new_g])?;
 
         // Everything from here to the end of the unit runs with `node_g`
         // and `new_g` (and any parent guards) still latched, so a failure
@@ -566,40 +538,30 @@ impl<E: GistExtension> GistIndex<E> {
                     let root_pid = db.alloc().allocate();
                     let root_bp =
                         self.encode_bp_opt(&Some(ext.union_preds(&orig_bp_new_p, &new_bp_p)));
-                    let rec = GistRecord::GetPage {
+                    let mut root_g = db.pool().new_page_write(root_pid, level + 1)?;
+                    let mut installed = vec![GistRecord::GetPage {
                         page: root_pid.0,
                         level: level + 1,
-                        bp: root_bp.clone(),
-                    };
-                    let lsn = db.txns().log_update(txn, RecordBody::Payload(rec.to_payload()))?;
-                    let mut root_g = db.pool().new_page_write(root_pid, level + 1)?;
-                    node::init_node(&mut root_g, &root_bp);
-                    root_g.set_available(false);
-                    root_g.mark_dirty(lsn);
+                        bp: root_bp,
+                    }];
+                    db.log_apply(txn, &installed[0], &mut [&mut root_g])?;
                     for (child, bp) in [(node_id, &orig_bp_new), (new_pid, &new_bp)] {
-                        let cell = InternalEntry::new(child, bp.clone()).encode();
-                        let slot = root_g.next_insert_slot();
-                        let rec =
-                            GistRecord::InternalEntryAdd { page: root_pid.0, slot, cell: cell.clone() };
-                        let lsn = db.txns().log_update(txn, RecordBody::Payload(rec.to_payload()))?;
-                        root_g
-                            .insert_cell_at(slot, &cell)
-                            .unwrap_or_else(|e| unreachable!("fresh root has room: {e}"));
-                        root_g.mark_dirty(lsn);
+                        let rec = GistRecord::InternalEntryAdd {
+                            page: root_pid.0,
+                            slot: root_g.next_insert_slot(),
+                            cell: InternalEntry::new(child, bp.clone()).encode(),
+                        };
+                        db.log_apply(txn, &rec, &mut [&mut root_g])?;
+                        installed.push(rec);
                     }
                     // The catalog swing below is the commit point of the
                     // root split, so the crash point sits just before it:
                     // an injected failure reverts the fresh root while it
                     // is still unreachable.
                     if let Err(e) = gist_chaos::point("insert.split.after_parent_install") {
-                        let l = db.txns().log_compensation(
-                            txn,
-                            install_start,
-                            GistRecord::SetAvailable { page: root_pid.0 }.to_payload(),
-                        )?;
-                        root_g.clear_cells();
-                        root_g.set_available(true);
-                        root_g.mark_dirty(l);
+                        for rec in installed.iter().rev() {
+                            db.compensate(txn, install_start, rec, &mut [&mut root_g])?;
+                        }
                         drop(root_g);
                         db.alloc().free(root_pid);
                         return Err(e.into());
@@ -628,64 +590,30 @@ impl<E: GistExtension> GistIndex<E> {
                             .unwrap_or_else(|| unreachable!("entry present after parent split"));
                     }
                     let install_start = db.txns().last_lsn(txn).ok_or(GistError::Txn(gist_txn::TxnError::NotActive(txn)))?;
-                    // Update the original node's entry to its shrunk BP.
-                    let old_cell = parent_g
-                        .cell(entry_slot)
-                        .unwrap_or_else(|| unreachable!("parent entry present"))
-                        .to_vec();
-                    let upd_cell = InternalEntry::new(node_id, orig_bp_new.clone()).encode();
-                    let rec = GistRecord::InternalEntryUpdate {
-                        page: parent_g.page_id().0,
+                    // Update the original node's entry to its shrunk BP,
+                    // then add the sibling's entry.
+                    let page = parent_g.page_id().0;
+                    let upd = GistRecord::InternalEntryUpdate {
+                        page,
                         slot: entry_slot,
-                        new_cell: upd_cell.clone(),
-                        old_cell: old_cell.clone(),
+                        new_cell: InternalEntry::new(node_id, orig_bp_new.clone()).encode(),
+                        old_cell: parent_g
+                            .cell(entry_slot)
+                            .unwrap_or_else(|| unreachable!("parent entry present"))
+                            .to_vec(),
                     };
-                    let lsn = db.txns().log_update(txn, RecordBody::Payload(rec.to_payload()))?;
-                    parent_g
-                        .update_cell(entry_slot, &upd_cell)
-                        .unwrap_or_else(|e| unreachable!("room was ensured for the update: {e}"));
-                    parent_g.mark_dirty(lsn);
-                    // Add the sibling's entry.
-                    let add_slot = parent_g.next_insert_slot();
-                    let rec = GistRecord::InternalEntryAdd {
-                        page: parent_g.page_id().0,
-                        slot: add_slot,
-                        cell: new_entry.clone(),
+                    db.log_apply(txn, &upd, &mut [&mut parent_g])?;
+                    let add = GistRecord::InternalEntryAdd {
+                        page,
+                        slot: parent_g.next_insert_slot(),
+                        cell: new_entry,
                     };
-                    let lsn = db.txns().log_update(txn, RecordBody::Payload(rec.to_payload()))?;
-                    parent_g
-                        .insert_cell_at(add_slot, &new_entry)
-                        .unwrap_or_else(|e| unreachable!("room was ensured: {e}"));
-                    parent_g.mark_dirty(lsn);
+                    db.log_apply(txn, &add, &mut [&mut parent_g])?;
                     if let Err(e) = gist_chaos::point("insert.split.after_parent_install") {
                         // Revert both installs under the parent latch.
-                        let l = db.txns().log_compensation(
-                            txn,
-                            install_start,
-                            GistRecord::InternalEntryDelete {
-                                page: parent_g.page_id().0,
-                                slot: add_slot,
-                                cell: new_entry.clone(),
-                            }
-                            .to_payload(),
-                        )?;
-                        parent_g.delete_cell(add_slot);
-                        parent_g.mark_dirty(l);
-                        let l = db.txns().log_compensation(
-                            txn,
-                            install_start,
-                            GistRecord::InternalEntryUpdate {
-                                page: parent_g.page_id().0,
-                                slot: entry_slot,
-                                new_cell: old_cell.clone(),
-                                old_cell: upd_cell,
-                            }
-                            .to_payload(),
-                        )?;
-                        parent_g
-                            .update_cell(entry_slot, &old_cell)
-                            .unwrap_or_else(|e| unreachable!("restoring the original cell: {e}"));
-                        parent_g.mark_dirty(l);
+                        for rec in [&add, &upd] {
+                            db.compensate(txn, install_start, rec, &mut [&mut parent_g])?;
+                        }
                         return Err(e.into());
                     }
                     held.push(parent_g);
@@ -703,38 +631,8 @@ impl<E: GistExtension> GistIndex<E> {
                 // so no concurrent operation ever saw the failed split.
                 // The CLRs re-apply the revert at restart and make every
                 // rollback skip straight past the unit's records.
-                let l = db.txns().log_compensation(
-                    txn,
-                    level_start,
-                    GistRecord::UndoSplit {
-                        orig: node_id.0,
-                        new: new_pid.0,
-                        restored: moved.clone(),
-                        orig_bp: orig_bp_old.clone(),
-                        orig_nsn: orig_nsn_old,
-                        orig_rightlink: orig_rightlink_old.0,
-                    }
-                    .to_payload(),
-                )?;
-                for (slot, cell) in &moved {
-                    node_g
-                        .insert_cell_at(*slot, cell)
-                        .unwrap_or_else(|e| unreachable!("restored cells refill their slots: {e}"));
-                }
-                node::set_bp(&mut node_g, &orig_bp_old)
-                    .map_err(|e| GistError::Corrupt(format!("split revert BP: {e}")))?;
-                node_g.set_nsn(orig_nsn_old);
-                node_g.set_rightlink(orig_rightlink_old);
-                node_g.mark_dirty(l);
-                new_g.clear_cells();
-                new_g.mark_dirty(l);
-                let l = db.txns().log_compensation(
-                    txn,
-                    level_start,
-                    GistRecord::SetAvailable { page: new_pid.0 }.to_payload(),
-                )?;
-                new_g.set_available(true);
-                new_g.mark_dirty(l);
+                db.compensate(txn, level_start, &split, &mut [&mut node_g, &mut new_g])?;
+                db.compensate(txn, level_start, &get_rec, &mut [&mut new_g])?;
                 drop(new_g);
                 // The sibling's replicated predicate table must not leak
                 // onto the page's next tenant (the signaling-lock copies

@@ -4,8 +4,7 @@
 //! The Fig. 3 traversal itself — run by search, cursors and the delete
 //! descent — is [`walk`]. Other shared machinery lives here: descent stack entries, memorized-counter
 //! reads (§10.1), parent latching with rightlink correction, signaling
-//! locks (§7.2), and the log-then-apply helpers for structure
-//! modifications.
+//! locks (§7.2), and the Parent-Entry-Update unit of work.
 
 pub mod cursor;
 pub mod delete;
@@ -14,10 +13,9 @@ mod walk;
 
 use gist_lockmgr::{LockMode, LockName};
 use gist_pagestore::{PageId, PageWriteGuard, SlotId};
-use gist_wal::{RecordBody, TxnId};
+use gist_wal::TxnId;
 
 use crate::db::NsnSource;
-use crate::entry::InternalEntry;
 use crate::ext::GistExtension;
 use crate::logrec::GistRecord;
 use crate::node;
@@ -246,18 +244,12 @@ impl<E: GistExtension> GistIndex<E> {
             child: child.page_id().0,
             parent: parent_page,
             parent_slot,
-            new_bp: new_bp_bytes.clone(),
+            new_bp: new_bp_bytes,
         };
-        let lsn = txns.log_update(txn, RecordBody::Payload(rec.to_payload()))?;
-        node::set_bp(child, &new_bp_bytes)
-            .map_err(|e| GistError::Corrupt(format!("BP update overflow: {e}")))?;
-        child.mark_dirty(lsn);
-        if let Some((pg, slot)) = parent {
-            let new_cell = InternalEntry::new(child.page_id(), new_bp_bytes).encode();
-            pg.update_cell(slot, &new_cell)
-                .map_err(|e| GistError::Corrupt(format!("parent entry overflow: {e}")))?;
-            pg.mark_dirty(lsn);
-        }
+        match parent {
+            Some((pg, _)) => self.db().log_apply(txn, &rec, &mut [child, pg])?,
+            None => self.db().log_apply(txn, &rec, &mut [child])?,
+        };
         txns.end_nta(txn, nta)?;
         Ok(())
     }

@@ -129,6 +129,11 @@ step "tier 2: operation chaos harness, seed 2 (audited)" \
     env CHAOS_SEED=2 cargo test -q --release --features chaos,latch-audit --test chaos_ops
 step "tier 2: commit and log-sync crash points (chaos, audited)" \
     filtered cargo test -q --release --features chaos,latch-audit --test fault_recovery sync_crash
+# A root and a non-root split, each failed once at each of the split's
+# three crash points, are reverted with compensation records: the
+# forward pages must equal a replay of the whole log, byte for byte.
+step "tier 2: split reverts match a log replay (chaos, audited)" \
+    filtered cargo test -q --release --features chaos,latch-audit --test fault_recovery split_revert
 step "tier 2: overload (admission, health)" \
     cargo test -q --release --test overload
 step "tier 2: pinned-reader drill (chaos, audited)" \

@@ -531,7 +531,7 @@ mod sync_crash {
     /// clean.
     static SERIAL: Mutex<()> = Mutex::new(());
 
-    fn serial() -> MutexGuard<'static, ()> {
+    pub(super) fn serial() -> MutexGuard<'static, ()> {
         let g = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
         chaos::uninstall();
         g
@@ -539,7 +539,12 @@ mod sync_crash {
 
     /// Install a fresh, armed process-wide plan firing `action` at
     /// `point` under `trigger`, on `victim`'s thread only.
-    fn arm(point: &'static str, trigger: Trigger, action: Action, victim: ThreadId) -> Arc<Plan> {
+    pub(super) fn arm(
+        point: &'static str,
+        trigger: Trigger,
+        action: Action,
+        victim: ThreadId,
+    ) -> Arc<Plan> {
         let plan = chaos::install(Plan::new());
         plan.add(point, trigger, action);
         plan.only_on(victim);
@@ -926,6 +931,81 @@ mod sync_crash {
         assert_eq!(db.txns().active_count(), 0);
     }
 
+    /// Delete every entry of `leaf` in one committed transaction: the
+    /// marks wait for the maintenance GC unit.
+    fn delete_all(db: &Db, idx: &Arc<GistIndex<BtreeExt>>, leaf: PageId) {
+        let rids: Vec<_> = {
+            let g = db.pool().fetch_read(leaf).unwrap();
+            g.iter_cells()
+                .filter(|(slot, _)| *slot != 0)
+                .map(|(_, cell)| LeafEntryRef::new(cell).rid())
+                .collect()
+        };
+        let txn = db.begin();
+        for &r in &rids {
+            idx.delete(txn, &i64::from(r.slot), r).unwrap();
+        }
+        db.commit(txn).unwrap();
+    }
+
+    /// Run one maintenance unit with its commit's sync failing once, then
+    /// another with that sync and the completing abort's both failing.
+    /// The first aborts its own transaction, which completes the commit,
+    /// so none stays open. The second returns a fatal error naming the
+    /// transaction it could not end, and a later abort ends it.
+    fn commit_failures_end_the_unit_transaction(
+        db: &Db,
+        mut unit: impl FnMut(usize) -> Result<(), MaintError>,
+    ) {
+        let plan = arm("log.sync.before", Trigger::Next(1), Action::Error, thread_id());
+        let err = unit(0).expect_err("the unit's commit fails");
+        assert_eq!(plan.fires("log.sync.before"), 1);
+        assert!(err.to_string().contains("log.sync.before"), "{err}");
+        assert_eq!(db.txns().active_count(), 0, "the unit left its transaction open");
+
+        let plan = arm("log.sync.before", Trigger::Next(2), Action::Error, thread_id());
+        let err = unit(1).expect_err("the unit's commit fails");
+        assert_eq!(plan.fires("log.sync.before"), 2, "the commit's sync, then the abort's");
+        chaos::uninstall();
+        let txn = named_txn(&err);
+        assert!(db.txns().is_active(txn), "{err}");
+        db.abort(txn).expect("a later abort ends it");
+        assert_eq!(db.txns().active_count(), 0);
+    }
+
+    /// The maintenance GC unit whose commit fails ends its transaction.
+    #[test]
+    fn maint_gc_ends_its_transaction_when_the_commit_fails() {
+        let _g = serial();
+        let (db, idx, _) = poisonable(600);
+        let root = idx.root().unwrap();
+        let leaves = root_children(&db, &idx);
+        for &leaf in &leaves[..2] {
+            delete_all(&db, &idx, leaf);
+        }
+        commit_failures_end_the_unit_transaction(&db, |i| {
+            idx.maint_gc_leaf(leaves[i], Some(root)).map(drop)
+        });
+    }
+
+    /// The maintenance drain unit whose commit fails ends its
+    /// transaction.
+    #[test]
+    fn maint_drain_ends_its_transaction_when_the_commit_fails() {
+        let _g = serial();
+        let (db, idx, _) = poisonable(600);
+        let root = idx.root().unwrap();
+        let leaves = root_children(&db, &idx);
+        assert!(leaves.len() >= 4, "{leaves:?}");
+        for &leaf in &leaves[1..3] {
+            delete_all(&db, &idx, leaf);
+            assert!(idx.maint_gc_leaf(leaf, Some(root)).unwrap().leaf_empty);
+        }
+        commit_failures_end_the_unit_transaction(&db, |i| {
+            idx.maint_try_drain(leaves[1 + i], Some(root)).map(drop)
+        });
+    }
+
     /// `Db::crash` between a commit's append and its sync: the crash
     /// cuts the commit record off, so the commit fails rather than being
     /// acknowledged, and restart sees nothing of it.
@@ -976,5 +1056,121 @@ mod sync_crash {
             w.join().expect("a latch held across a sync would have tripped the audit");
         }
         rig.db.shutdown().unwrap();
+    }
+}
+
+/// In-unit split reverts (§9.1): a split that fails at one of its crash
+/// points reverts its pages under the latches it still holds, logging
+/// each revert as a compensation record, and the transaction then
+/// aborts. Replaying the whole log onto an empty store must rebuild
+/// exactly the pages the forward run left — for a root split and a
+/// non-root split, failed at each of the split's three crash points.
+#[cfg(feature = "chaos")]
+mod split_revert {
+    use std::sync::Arc;
+
+    use gist_repro::am::{BtreeExt, I64Query};
+    use gist_repro::chaos::{self, Action, Trigger};
+    use gist_repro::core::check::check_tree;
+    use gist_repro::core::{Db, DbConfig, GistIndex, IndexOptions};
+    use gist_repro::pagestore::{InMemoryStore, Page, PageId, PageStore, PAGE_SIZE};
+    use gist_repro::wal::LogManager;
+
+    use super::rid;
+    use super::sync_crash::{arm, serial};
+
+    /// The ids of the pages whose images differ between two stores (a
+    /// page one store lacks reads as zeroes).
+    fn differing_pages(a: &dyn PageStore, b: &dyn PageStore) -> Vec<u32> {
+        let image = |s: &dyn PageStore, id: u32| {
+            let mut p = Page::zeroed();
+            if id >= s.page_count() {
+                return vec![0; PAGE_SIZE];
+            }
+            s.read(PageId(id), &mut p).unwrap();
+            p.as_bytes().to_vec()
+        };
+        (0..a.page_count().max(b.page_count())).filter(|&id| image(a, id) != image(b, id)).collect()
+    }
+
+    /// Commit keys `0..committed` (none: the root is a leaf, and the
+    /// next split is a root split), fail the next split once at `point`,
+    /// abort, and compare the forward pages with a replay of the log.
+    fn fail_one_split(point: &'static str, committed: i64) {
+        let _g = serial();
+        let store = Arc::new(InMemoryStore::new());
+        let log = Arc::new(LogManager::new());
+        let db = Db::open(store.clone(), log.clone(), DbConfig::default()).unwrap();
+        let idx = GistIndex::create(db.clone(), "t", BtreeExt, IndexOptions::default()).unwrap();
+        let txn = db.begin();
+        for k in 0..committed {
+            idx.insert(txn, &k, rid(k as u64)).unwrap();
+        }
+        db.commit(txn).unwrap();
+        let height = idx.stats().unwrap().height;
+        assert_eq!(height, if committed == 0 { 1 } else { 2 });
+
+        let plan = arm(point, Trigger::Next(1), Action::Error, std::thread::current().id());
+        let txn = db.begin();
+        let mut k = committed;
+        let err = loop {
+            match idx.insert(txn, &k, rid(k as u64)) {
+                Ok(()) => k += 1,
+                Err(e) => break e,
+            }
+            assert!(k < committed + 2000, "no split reached {point}");
+        };
+        assert_eq!(plan.fires(point), 1);
+        chaos::uninstall();
+        assert!(err.to_string().contains(point), "{err}");
+        db.abort(txn).unwrap();
+        assert_eq!(idx.stats().unwrap().height, height, "the failed split was reverted");
+        check_tree(&idx).unwrap().assert_ok();
+        let txn = db.begin();
+        let found = idx.search(txn, &I64Query::range(0, committed + 2000)).unwrap().len();
+        db.commit(txn).unwrap();
+        assert_eq!(found, committed as usize);
+
+        db.flush().unwrap();
+        db.crash();
+        let replayed = Arc::new(InMemoryStore::new());
+        let (db2, _report) =
+            Db::restart(replayed.clone(), log.clone(), DbConfig::default()).unwrap();
+        db2.flush().unwrap();
+        assert_eq!(
+            differing_pages(&*store, &*replayed),
+            Vec::<u32>::new(),
+            "pages whose replayed image is not the forward one after a split failed at {point}"
+        );
+    }
+
+    #[test]
+    fn root_split_failed_after_sibling_write() {
+        fail_one_split("insert.split.after_sibling_write", 0);
+    }
+
+    #[test]
+    fn root_split_failed_before_parent_install() {
+        fail_one_split("insert.split.before_parent_install", 0);
+    }
+
+    #[test]
+    fn root_split_failed_after_parent_install() {
+        fail_one_split("insert.split.after_parent_install", 0);
+    }
+
+    #[test]
+    fn leaf_split_failed_after_sibling_write() {
+        fail_one_split("insert.split.after_sibling_write", 1000);
+    }
+
+    #[test]
+    fn leaf_split_failed_before_parent_install() {
+        fail_one_split("insert.split.before_parent_install", 1000);
+    }
+
+    #[test]
+    fn leaf_split_failed_after_parent_install() {
+        fail_one_split("insert.split.after_parent_install", 1000);
     }
 }

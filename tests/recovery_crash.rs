@@ -10,9 +10,9 @@ use std::sync::Arc;
 
 use gist_repro::am::{BtreeExt, I64Query};
 use gist_repro::core::check::check_tree;
-use gist_repro::core::{Db, DbConfig, GistIndex, IndexOptions, NsnSource};
-use gist_repro::pagestore::{InMemoryStore, PageId, PageStore, Rid};
-use gist_repro::wal::LogManager;
+use gist_repro::core::{Db, DbConfig, GistIndex, GistRecord, IndexOptions, NsnSource};
+use gist_repro::pagestore::{InMemoryStore, Page, PageId, PageStore, Rid, PAGE_SIZE};
+use gist_repro::wal::{LogManager, Lsn, RecordBody};
 
 fn rid(n: u64) -> Rid {
     Rid::new(PageId((n >> 16) as u32 + 1000), (n & 0xFFFF) as u16)
@@ -659,4 +659,128 @@ fn a_row_a_reader_saw_survives_a_crash() {
     db.crash();
     let (db2, idx2) = h.restart();
     assert_eq!(keys_present(&db2, &idx2, 0, 100), vec![7]);
+}
+
+/// The ids of the pages whose images differ between two stores, and the
+/// number of pages compared (a page one store lacks reads as zeroes).
+fn differing_pages(a: &dyn PageStore, b: &dyn PageStore) -> (Vec<u32>, u32) {
+    let image = |s: &dyn PageStore, id: u32| {
+        let mut p = Page::zeroed();
+        if id >= s.page_count() {
+            return vec![0; PAGE_SIZE];
+        }
+        s.read(PageId(id), &mut p).unwrap();
+        p.as_bytes().to_vec()
+    };
+    let n = a.page_count().max(b.page_count());
+    ((0..n).filter(|&id| image(a, id) != image(b, id)).collect(), n)
+}
+
+/// The kinds of the index records in `log` (CLRs by their redo
+/// payload's kind), by variant name.
+fn record_kinds(log: &LogManager) -> std::collections::BTreeSet<String> {
+    log.scan_from(Lsn(1))
+        .iter()
+        .filter_map(|r| match &r.body {
+            RecordBody::Payload(p) | RecordBody::Clr { redo: p, .. } => {
+                GistRecord::decode(&p.bytes).ok()
+            }
+            _ => None,
+        })
+        .map(|rec| format!("{rec:?}").split([' ', '{']).next().unwrap_or_default().to_string())
+        .collect()
+}
+
+/// The forward run and a replay of its whole log write the same pages:
+/// after a workload through every forward path that logs a page change
+/// (leaf and root splits, marks, an abort's and a savepoint rollback's
+/// compensations, `vacuum_sync`'s GC and node deletions, the maintenance
+/// daemon's GC and drains, freed pages reused), the flushed store equals,
+/// byte for byte, a fresh store that `Db::restart` rebuilt from the log.
+fn forward_pages_equal_replayed_pages(nsn_source: NsnSource) {
+    let h = Harness::with_config(DbConfig { nsn_source, ..DbConfig::default() });
+    let (db, idx) = h.open();
+    let insert = |txn, keys: std::ops::Range<i64>| {
+        for k in keys {
+            idx.insert(txn, &k, rid(k as u64)).unwrap();
+        }
+    };
+    let delete = |txn, keys: &mut dyn Iterator<Item = i64>| {
+        for k in keys {
+            idx.delete(txn, &k, rid(k as u64)).unwrap();
+        }
+    };
+    let txn = db.begin();
+    insert(txn, 0..3000);
+    db.commit(txn).unwrap();
+    assert!(idx.stats().unwrap().height >= 2, "the root split");
+    // Committed deletes, reclaimed by the daemon's GC and drain units.
+    let txn = db.begin();
+    delete(txn, &mut (0..600).chain((1000..3000).step_by(7)));
+    db.commit(txn).unwrap();
+    assert!(db.maint_sync() > 0);
+    // An aborted transaction that split leaves (the splits stay: each is
+    // a nested top action) and marked entries.
+    let txn = db.begin();
+    insert(txn, 3000..3600);
+    delete(txn, &mut (1001..1100).step_by(7));
+    db.abort(txn).unwrap();
+    // A savepoint rollback inside a committed transaction.
+    let txn = db.begin();
+    insert(txn, 5000..5001);
+    let sp = db.savepoint(txn).unwrap();
+    insert(txn, 5001..5400);
+    delete(txn, &mut (1002..1100).step_by(7));
+    db.rollback_to_savepoint(txn, sp).unwrap();
+    db.commit(txn).unwrap();
+    // A whole-index vacuum, then inserts that reuse the freed pages.
+    let txn = db.begin();
+    delete(txn, &mut (600..1000));
+    db.commit(txn).unwrap();
+    let txn = db.begin();
+    let vacuumed = idx.vacuum_sync(txn).unwrap();
+    db.commit(txn).unwrap();
+    assert!(vacuumed.nodes_deleted > 0, "{vacuumed:?}");
+    db.maint_sync();
+    let txn = db.begin();
+    insert(txn, 0..600);
+    db.commit(txn).unwrap();
+    check_tree(&idx).unwrap().assert_ok();
+    let kinds = record_kinds(&h.log);
+    for kind in [
+        "GetPage",
+        "Split",
+        "ParentEntryUpdate",
+        "InternalEntryAdd",
+        "InternalEntryUpdate",
+        "InternalEntryDelete",
+        "AddLeafEntry",
+        "MarkLeafEntry",
+        "GarbageCollection",
+        "FreePage",
+        "CatalogAdd",
+        "RemoveLeafEntry",
+        "UnmarkLeafEntry",
+    ] {
+        assert!(kinds.contains(kind), "the workload logged no {kind}: {kinds:?}");
+    }
+
+    db.flush().unwrap();
+    db.crash();
+    let replayed = Arc::new(InMemoryStore::new());
+    let (db2, _report) = Db::restart(replayed.clone(), h.log.clone(), h.config.clone()).unwrap();
+    db2.flush().unwrap();
+    let (differ, compared) = differing_pages(&*h.store, &*replayed);
+    assert!(compared > 20, "{compared} pages");
+    assert_eq!(differ, Vec::<u32>::new(), "pages whose replayed image is not the forward one");
+}
+
+#[test]
+fn forward_and_replayed_pages_are_identical_with_lsn_nsns() {
+    forward_pages_equal_replayed_pages(NsnSource::WalLsn);
+}
+
+#[test]
+fn forward_and_replayed_pages_are_identical_with_counter_nsns() {
+    forward_pages_equal_replayed_pages(NsnSource::DedicatedCounter);
 }
