@@ -31,9 +31,11 @@
 //!
 //! The analyzer keeps a **thread-local shadow state** (held latches,
 //! active allowance scopes) plus small global registries (order graph,
-//! NSN sets, counters). Instrumented crates call the hooks through
-//! no-op shims unless built with their `latch-audit` feature, so release
-//! hot paths are untouched.
+//! NSN sets, counters). Instrumented crates always depend on this crate
+//! and call the hooks directly; the one `enabled` feature (the root
+//! `latch-audit` feature turns it on) decides whether they do anything.
+//! Without it every hook is an inlined early return, or its neutral
+//! value, so release hot paths carry nothing ([`ENABLED`]).
 //!
 //! A violation **panics by default** (tests fail loudly, with the
 //! acquisition backtrace). Deliberate-fault harnesses wrap the faulty
@@ -47,6 +49,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{LazyLock, Mutex, MutexGuard};
 
 pub mod mc;
+
+/// Whether the hooks record anything: the `enabled` feature, or this
+/// crate's own unit tests. Off, every hook returns at once (or returns
+/// `0`, `false`, a zero-size [`ScopeGuard`], `None` from
+/// [`mc::scheduler`]) and inlines away.
+pub const ENABLED: bool = cfg!(any(feature = "enabled", test));
 
 /// One reported discipline violation.
 #[derive(Debug, Clone)]
@@ -141,8 +149,12 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// Allocate a fresh instance id for a buffer pool or NSN counter, so
 /// events from independent databases (e.g. parallel tests in one
-/// process) never alias in the global registries.
+/// process) never alias in the global registries. `0` when disabled.
+#[inline]
 pub fn new_instance_id() -> u64 {
+    if !ENABLED {
+        return 0;
+    }
     IDS.fetch_add(1, Ordering::Relaxed) + 1
 }
 
@@ -184,7 +196,11 @@ fn held_desc(held: &[HeldLatch]) -> String {
 /// `blocking` marks acquisitions that may wait for another holder
 /// (plain `fetch_read`/`fetch_write`); try-acquisitions and fresh-frame
 /// latches pass `false` and contribute no order-graph edges.
+#[inline]
 pub fn latch_acquired(pool: u64, page: u64, exclusive: bool, blocking: bool) {
+    if !ENABLED {
+        return;
+    }
     mc::on_latch_acquired(pool, page);
     STATS.latch_acquires.fetch_add(1, Ordering::Relaxed);
     TS.with(|cell| {
@@ -236,20 +252,29 @@ pub fn latch_acquired(pool: u64, page: u64, exclusive: bool, blocking: bool) {
 /// the block and the exploration would freeze) and virtualizes the wait
 /// through [`latch_contended`] instead. One relaxed load when no
 /// scheduler is registered.
+#[inline]
 pub fn latch_managed() -> bool {
-    mc::latch_managed()
+    mc::scheduler().is_some()
 }
 
 /// A managed task's `try_` frame-latch acquisition failed inside its
 /// virtualized blocking loop: park virtually until the holder releases
 /// (or a short virtual timeout retries). No-op outside model checking.
+#[inline]
 pub fn latch_contended(pool: u64, page: u64) {
+    if !ENABLED {
+        return;
+    }
     mc::on_latch_contended(pool, page);
 }
 
 /// Record a latch release on `(pool, page)`. Only the buffer pool's
 /// RAII guards call this, so the latch is always held.
+#[inline]
 pub fn latch_released(pool: u64, page: u64) {
+    if !ENABLED {
+        return;
+    }
     mc::on_latch_released(pool, page);
     TS.with(|cell| {
         let mut ts = cell.borrow_mut();
@@ -260,7 +285,11 @@ pub fn latch_released(pool: u64, page: u64) {
 }
 
 /// Record an X→S downgrade of a held latch (the latch stays held).
+#[inline]
 pub fn latch_downgraded(pool: u64, page: u64) {
+    if !ENABLED {
+        return;
+    }
     // Shared waiters may now proceed, exactly as after a release.
     mc::on_latch_released(pool, page);
     TS.with(|cell| {
@@ -274,7 +303,11 @@ pub fn latch_downgraded(pool: u64, page: u64) {
 /// A page was freshly formatted (allocation or reuse): drop its
 /// order-graph node, because acquisition orders observed against the
 /// page's previous life are meaningless for its new one.
+#[inline]
 pub fn latch_page_fresh(pool: u64, page: u64) {
+    if !ENABLED {
+        return;
+    }
     let key = (pool, page);
     let mut order = lock(&ORDER);
     order.remove(&key);
@@ -286,7 +319,11 @@ pub fn latch_page_fresh(pool: u64, page: u64) {
 /// Record store I/O (or a `LoadPending`-style blocking load) on
 /// `(pool, page)`. Any *other* latch held by the thread violates the
 /// no-latch-across-I/O discipline, unless an active scope allows it.
+#[inline]
 pub fn io_event(pool: u64, page: u64, what: &'static str) {
+    if !ENABLED {
+        return;
+    }
     mc::on_io_event(pool, page, what);
     STATS.io_events.fetch_add(1, Ordering::Relaxed);
     TS.with(|cell| {
@@ -316,7 +353,11 @@ pub fn io_event(pool: u64, page: u64, what: &'static str) {
 /// marks record (RID) locks — the §5 coupling discipline says those
 /// waits must be latch-free; other lock classes (signaling locks on
 /// nodes, transaction waits) have their own protocols.
+#[inline]
 pub fn lock_wait(is_record: bool, desc: &str) {
+    if !ENABLED {
+        return;
+    }
     STATS.lock_waits.fetch_add(1, Ordering::Relaxed);
     if !is_record {
         return;
@@ -343,7 +384,11 @@ pub fn lock_wait(is_record: bool, desc: &str) {
 /// (`latch-in-optimistic`), and the section must be covered by a live
 /// epoch pin (`optimistic-unpinned`): an unpinned optimistic reader
 /// races page reclamation.
+#[inline]
 pub fn optimistic_enter(pool: u64, page: u64) {
+    if !ENABLED {
+        return;
+    }
     mc::on_optimistic(pool, page, "optimistic-enter");
     STATS.optimistic_enters.fetch_add(1, Ordering::Relaxed);
     TS.with(|cell| {
@@ -361,7 +406,11 @@ pub fn optimistic_enter(pool: u64, page: u64) {
 
 /// Record the close of an optimistic read section on `(pool, page)`
 /// (guard dropped — whether validation succeeded or not).
+#[inline]
 pub fn optimistic_exit(pool: u64, page: u64) {
+    if !ENABLED {
+        return;
+    }
     mc::on_optimistic(pool, page, "optimistic-exit");
     TS.with(|cell| {
         let mut ts = cell.borrow_mut();
@@ -374,7 +423,11 @@ pub fn optimistic_exit(pool: u64, page: u64) {
 /// Record one optimistic dereference (`read_with`) on `(pool, page)`:
 /// the epoch pin must still be live at the moment of the copy-out, not
 /// just at guard creation.
+#[inline]
 pub fn optimistic_read(pool: u64, page: u64) {
+    if !ENABLED {
+        return;
+    }
     mc::on_optimistic(pool, page, "optimistic-read");
     TS.with(|cell| {
         let mut ts = cell.borrow_mut();
@@ -390,14 +443,22 @@ pub fn optimistic_read(pool: u64, page: u64) {
 
 /// Record an epoch-reclamation pin on domain `gc` (a `Guard` was
 /// created; nested guards each count).
+#[inline]
 pub fn epoch_pinned(gc: u64) {
+    if !ENABLED {
+        return;
+    }
     mc::on_epoch(gc, "epoch-pin");
     STATS.epoch_pins.fetch_add(1, Ordering::Relaxed);
     TS.with(|cell| cell.borrow_mut().epoch_pins += 1);
 }
 
 /// Record an epoch-reclamation unpin (a `Guard` dropped).
+#[inline]
 pub fn epoch_unpinned(gc: u64) {
+    if !ENABLED {
+        return;
+    }
     mc::on_epoch(gc, "epoch-unpin");
     TS.with(|cell| {
         let mut ts = cell.borrow_mut();
@@ -407,14 +468,22 @@ pub fn epoch_unpinned(gc: u64) {
 
 /// Record an epoch collection attempt on domain `gc` (pure model-checker
 /// yield point: collection is where deferred frees race live pins).
+#[inline]
 pub fn epoch_collect(gc: u64) {
+    if !ENABLED {
+        return;
+    }
     mc::on_epoch(gc, "epoch-collect");
 }
 
 /// Record an NSN drawn from counter instance `counter`. Each value must
 /// be issued at most once per counter; a duplicate means the counter
 /// regressed or was reissued, which would break split detection.
+#[inline]
 pub fn nsn_drawn(counter: u64, value: u64) {
+    if !ENABLED {
+        return;
+    }
     STATS.nsn_draws.fetch_add(1, Ordering::Relaxed);
     let fresh = lock(&NSN_SEEN).entry(counter).or_default().insert(value);
     if !fresh {
@@ -434,7 +503,11 @@ pub struct ScopeGuard {
 }
 
 impl Drop for ScopeGuard {
+    #[inline]
     fn drop(&mut self) {
+        if !ENABLED {
+            return;
+        }
         TS.with(|cell| {
             cell.borrow_mut().scopes.pop();
         });
@@ -447,12 +520,16 @@ impl Drop for ScopeGuard {
 /// permits blocking record-lock waits under latches. Baseline protocols
 /// (which deliberately violate §5 for the paper's comparison
 /// experiments) enter a fully permissive scope.
+#[inline]
 pub fn enter_scope(
     name: &'static str,
     allowance: usize,
     io_ok: bool,
     lock_wait_ok: bool,
 ) -> ScopeGuard {
+    if !ENABLED {
+        return ScopeGuard { _priv: () };
+    }
     TS.with(|cell| {
         cell.borrow_mut().scopes.push(Scope { name, allowance, io_ok, lock_wait_ok });
     });
@@ -463,7 +540,11 @@ pub fn enter_scope(
 /// thread currently holds — the blessed parent/child window: "I hold a
 /// child and may latch its parent". Implies `io_ok` (the parent may
 /// have to be faulted in).
+#[inline]
 pub fn enter_scope_rel(name: &'static str, extra: usize) -> ScopeGuard {
+    if !ENABLED {
+        return ScopeGuard { _priv: () };
+    }
     TS.with(|cell| {
         let mut ts = cell.borrow_mut();
         let allowance = ts.held.len() + extra;
@@ -474,7 +555,11 @@ pub fn enter_scope_rel(name: &'static str, extra: usize) -> ScopeGuard {
 
 /// Assert the calling thread holds no latches (leak detection between
 /// work items / at operation boundaries).
+#[inline]
 pub fn assert_thread_clear(context: &str) {
+    if !ENABLED {
+        return;
+    }
     TS.with(|cell| {
         let mut ts = cell.borrow_mut();
         if !ts.held.is_empty() {
@@ -503,7 +588,11 @@ pub fn assert_thread_clear(context: &str) {
 /// *cleared*, so a worker thread that contained one dead operation
 /// audits its next operation from a clean slate instead of cascading
 /// false positives.
+#[inline]
 pub fn assert_unwind_clear(context: &str) {
+    if !ENABLED {
+        return;
+    }
     TS.with(|cell| {
         let mut ts = cell.borrow_mut();
         if !ts.held.is_empty() {
@@ -601,7 +690,7 @@ pub fn order_edge_count() -> usize {
 }
 
 /// A snapshot of the analyzer's global counters.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AuditSummary {
     /// Latch acquisitions recorded.
     pub latch_acquires: u64,

@@ -9,8 +9,9 @@
 //! threads, picks which one runs next at each point, and virtualizes
 //! condvar parking (including timeouts, so no real time passes).
 //!
-//! With no scheduler registered (every production and ordinary-test
-//! configuration) the fast path is one relaxed atomic load.
+//! With no scheduler registered the fast path is one relaxed atomic
+//! load; without the `enabled` feature ([`crate::ENABLED`]) there is no
+//! load at all: [`scheduler`] is `None` and every hook inlines away.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, LazyLock, RwLock};
@@ -105,8 +106,10 @@ pub fn set_scheduler(sched: Option<Arc<dyn McScheduler>>) {
 
 /// The registered scheduler, if the calling thread is one of its
 /// managed tasks (the common fast path is one relaxed load + `None`).
+/// Always `None` when the hooks are disabled.
+#[inline]
 pub fn scheduler() -> Option<Arc<dyn McScheduler>> {
-    if !MC_ACTIVE.load(Ordering::Relaxed) {
+    if !crate::ENABLED || !MC_ACTIVE.load(Ordering::Relaxed) {
         return None;
     }
     let slot = SCHEDULER.read().unwrap_or_else(|p| p.into_inner());
@@ -118,6 +121,7 @@ pub fn scheduler() -> Option<Arc<dyn McScheduler>> {
 
 /// Explicit named yield point (scenario code uses this to widen the
 /// interleaving surface around un-instrumented steps).
+#[inline]
 pub fn region(what: &'static str) {
     if let Some(s) = scheduler() {
         s.yield_point(McOp::Region, McObj::new(ObjKind::Region, 0), what);
@@ -148,16 +152,6 @@ pub(crate) fn on_latch_released(pool: u64, page: u64) {
         s.unpark(obj, true);
         s.yield_point(McOp::Latch, obj, "latch-release");
     }
-}
-
-/// Whether the calling thread is a managed model-check task. The buffer
-/// pool consults this before a *blocking* frame-latch acquisition: a
-/// managed task must never block inside the raw rwlock while holding
-/// the scheduler token (the exploration would freeze on a block the
-/// scheduler cannot see) and spins on the `try_` variant instead,
-/// reporting each failed attempt through [`on_latch_contended`].
-pub(crate) fn latch_managed() -> bool {
-    scheduler().is_some()
 }
 
 /// A managed task failed a `try_` frame-latch acquisition inside its

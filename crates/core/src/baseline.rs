@@ -124,7 +124,7 @@ impl<E: GistExtension> SimpleTree<E> {
         // Baseline protocols exist to *measure* what the §5 disciplines
         // cost; latch coupling and whole-path latching deliberately break
         // them, so the audit scope is fully permissive here.
-        let _scope = crate::audit::enter_scope("baseline-protocol", usize::MAX, true, true);
+        let _scope = gist_audit::enter_scope("baseline-protocol", usize::MAX, true, true);
         match self.protocol {
             BaselineProtocol::TreeRwLock => {
                 let _g = self.tree_lock.read();
@@ -249,7 +249,7 @@ impl<E: GistExtension> SimpleTree<E> {
     /// INSERT under the configured protocol.
     pub fn insert(&self, key: &E::Key, rid: Rid) -> Result<()> {
         // See `search`: baseline protocols are exempt by design.
-        let _scope = crate::audit::enter_scope("baseline-protocol", usize::MAX, true, true);
+        let _scope = gist_audit::enter_scope("baseline-protocol", usize::MAX, true, true);
         match self.protocol {
             BaselineProtocol::TreeRwLock => {
                 let _g = self.tree_lock.write();

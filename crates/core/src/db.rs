@@ -409,7 +409,7 @@ impl Db {
             maint,
             config,
             nsn_counter: AtomicU64::new(0),
-            audit_nsn: crate::audit::new_instance_id(),
+            audit_nsn: gist_audit::new_instance_id(),
             catalog: Mutex::new(Vec::new()),
             retired_roots: Mutex::new(HashSet::new()),
             retries: AtomicU64::new(0),
@@ -745,26 +745,19 @@ impl Db {
                     continue;
                 }
             };
-            // A failed commit leaves the transaction for us to clean up —
-            // unless it is actually committed (lost ack), which `abort`
-            // completes instead. `contained` already aborted on panic
-            // (aborting an ended transaction is an ignorable NotActive),
-            // and its `TxnUnfinished` already says that abort failed. If
-            // our abort fails, the transaction is still open with its
-            // locks held: say so instead of retrying.
+            // A failed attempt or commit leaves the transaction for us to
+            // end. `contained` already aborted on panic (aborting an ended
+            // transaction is an ignorable NotActive), and its
+            // `TxnUnfinished` already says that abort failed. So does
+            // ours: that error is not retryable and ends the loop.
             let err = match self.contained(txn, || f(txn)) {
                 Ok(v) => match self.commit(txn) {
                     Ok(()) => return Ok(v),
-                    Err(e) => e,
+                    Err(e) => self.end_failed(txn, e),
                 },
                 Err(e @ GistError::TxnUnfinished { .. }) => return Err(e),
-                Err(e) => e,
+                Err(e) => self.end_failed(txn, e),
             };
-            if let Err(cause) = self.abort(txn) {
-                if self.txns.is_active(txn) {
-                    return Err(GistError::TxnUnfinished { txn, cause: Box::new(cause) });
-                }
-            }
             if !err.is_retryable() || attempt >= MAX_ATTEMPTS {
                 if err.is_retryable() {
                     // Budget exhausted on a contention-class error: the
@@ -814,7 +807,7 @@ impl Db {
             Ok(r) => r,
             Err(payload) => {
                 self.panics_contained.fetch_add(1, Ordering::Relaxed);
-                crate::audit::assert_unwind_clear("Db::contained after operation panic");
+                gist_audit::assert_unwind_clear("Db::contained after operation panic");
                 let msg = if let Some(s) = payload.downcast_ref::<&str>() {
                     (*s).to_string()
                 } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -822,13 +815,22 @@ impl Db {
                 } else {
                     "non-string panic payload".to_string()
                 };
-                match self.abort(txn) {
-                    Err(cause) if self.txns.is_active(txn) => {
-                        Err(GistError::TxnUnfinished { txn, cause: Box::new(cause) })
-                    }
-                    _ => Err(GistError::Panicked(msg)),
-                }
+                Err(self.end_failed(txn, GistError::Panicked(msg)))
             }
+        }
+    }
+
+    /// End `txn` after `err` failed it. The `abort` rolls it back, or,
+    /// when `err` is a failed commit whose record reached the log (a
+    /// lost acknowledgement), completes that commit. Returns `err`, or
+    /// [`GistError::TxnUnfinished`] when the abort failed and left `txn`
+    /// open with its locks held.
+    fn end_failed(&self, txn: TxnId, err: GistError) -> GistError {
+        match self.abort(txn) {
+            Err(cause) if self.txns.is_active(txn) => {
+                GistError::TxnUnfinished { txn, cause: Box::new(cause) }
+            }
+            _ => err,
         }
     }
 
@@ -984,7 +986,7 @@ impl Db {
         };
         // Every NSN handed to a split must be unique for this tree: a
         // reissued value would defeat the memorized-counter split check.
-        crate::audit::nsn_drawn(self.audit_nsn, nsn);
+        gist_audit::nsn_drawn(self.audit_nsn, nsn);
         nsn
     }
 
@@ -995,6 +997,12 @@ impl Db {
     /// transaction. The name check, the id, the catalog slot, the
     /// catalog cell and the cached entry are one step under page 0's X
     /// latch, so concurrent creates get distinct ids and slots.
+    ///
+    /// A failed commit ends the transaction as in [`Db::run_txn`]: the
+    /// abort completes a commit whose record reached the log, and
+    /// otherwise ends the transaction around the unit, which as a nested
+    /// top action survives it. The commit's error is returned either way,
+    /// or [`GistError::TxnUnfinished`] if that abort failed too.
     pub fn create_index_raw(&self, name: &str, unique: bool) -> Result<CatalogEntry> {
         let txn = self.begin();
         let nta = self.txns.begin_nta(txn)?;
@@ -1019,7 +1027,7 @@ impl Db {
         cat.push(entry.clone());
         drop((cat, cat_g));
         self.txns.end_nta(txn, nta)?;
-        self.commit(txn)?;
+        self.commit(txn).map_err(|e| self.end_failed(txn, e))?;
         Ok(entry)
     }
 
@@ -1056,6 +1064,12 @@ impl Db {
     /// transaction. The caller must guarantee no concurrent operations
     /// use the index (DDL is serialized above the index layer in a real
     /// DBMS). Returns the number of pages freed.
+    ///
+    /// A failed commit ends the transaction as in
+    /// [`Db::create_index_raw`]. The cached catalog entry goes and the
+    /// pages return to the allocator once the transaction has ended, when
+    /// the drop stands; a transaction left open
+    /// ([`GistError::TxnUnfinished`]) leaves them as they were.
     pub fn drop_index_raw(&self, name: &str) -> Result<usize> {
         let entry = self
             .open_index_raw(name)
@@ -1099,7 +1113,10 @@ impl Db {
             self.log_apply(txn, &rec, &mut [&mut self.pool.fetch_write(*pid)?])?;
         }
         self.txns.end_nta(txn, nta)?;
-        self.commit(txn)?;
+        let ended = self.commit(txn).map_err(|e| self.end_failed(txn, e));
+        if let Err(e @ GistError::TxnUnfinished { .. }) = ended {
+            return Err(e);
+        }
         self.catalog.lock().retain(|e| e.slot != entry.slot);
         self.retired_roots.lock().remove(&entry.root);
         // The dropped index's pages go back to the allocator through the
@@ -1112,7 +1129,7 @@ impl Db {
                 alloc.free(pid);
             }
         });
-        Ok(pages.len())
+        ended.map(|()| pages.len())
     }
 
     /// Current root of an index, reading through the catalog page (kept

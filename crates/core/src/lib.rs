@@ -30,7 +30,6 @@
 //! Entry points: build a [`Db`], create a [`GistIndex`] with your
 //! extension (or one from `gist-am`), then run transactions.
 
-pub(crate) mod audit;
 pub mod baseline;
 pub mod check;
 mod db;

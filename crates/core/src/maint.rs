@@ -58,10 +58,9 @@ impl<E: GistExtension> GistIndex<E> {
     /// maintenance mutation — but only when the tree is quiescent (the
     /// checker's sweep is only exact without concurrent foreground
     /// transactions) and report any violation as a fatal maint error.
-    #[cfg(feature = "latch-audit")]
     fn audit_check_structure(&self, what: &str) -> Result<(), MaintError> {
-        if self.db().txns().active_count() != 0 {
-            return Ok(()); // non-quiescent: a sweep would race descents
+        if !gist_audit::ENABLED || self.db().txns().active_count() != 0 {
+            return Ok(()); // off, or non-quiescent: a sweep would race descents
         }
         let report = crate::check::check_tree(self)
             .map_err(|e| MaintError::Fatal(format!("post-{what} check failed: {e}")))?;
@@ -74,12 +73,6 @@ impl<E: GistExtension> GistIndex<E> {
         Ok(())
     }
 
-    #[cfg(not(feature = "latch-audit"))]
-    #[inline(always)]
-    fn audit_check_structure(&self, _what: &str) -> Result<(), MaintError> {
-        Ok(())
-    }
-
     /// A usable parent hint, or `None` if the hinted page no longer
     /// looks like an internal node (freed, reused as a leaf). GC then
     /// simply skips the BP-shrink propagation — parent BPs stay
@@ -88,7 +81,7 @@ impl<E: GistExtension> GistIndex<E> {
         let p = hint?;
         // Blessed parent/child window: GC holds the try-latched leaf
         // while peeking (S) at its hinted parent one level up.
-        let _scope = crate::audit::enter_scope_rel("parent-child:hint-check", 1);
+        let _scope = gist_audit::enter_scope_rel("parent-child:hint-check", 1);
         let g = self.db().pool().fetch_read(p).ok()?;
         if g.is_available() || g.is_leaf() {
             return None;

@@ -216,7 +216,7 @@ impl<E: GistExtension> GistIndex<E> {
         // Blessed two-latch window (§5/§7.2): parent X-latched, then the
         // empty child latch is *tried* (never blocked on — see the
         // latch-order note above), so no deadlock-relevant edge exists.
-        let _scope = crate::audit::enter_scope_rel("parent-child:node-delete", 2);
+        let _scope = gist_audit::enter_scope_rel("parent-child:node-delete", 2);
         // Find and X-latch the parent holding the child's entry.
         let mut pid = parent_hint;
         let (mut parent_g, slot) = loop {

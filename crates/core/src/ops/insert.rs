@@ -349,7 +349,7 @@ impl<E: GistExtension> GistIndex<E> {
         // the bottom-up recursion may legitimately hold a short chain of
         // ancestor latches (plus each level's fresh sibling) until the
         // unit commits, and may fault pages in while doing so.
-        let _scope = crate::audit::enter_scope("split-unit", 64, true, false);
+        let _scope = gist_audit::enter_scope("split-unit", 64, true, false);
         let mut held: Vec<PageWriteGuard> = Vec::new();
         let (orig, sibling, pending_to_new) =
             self.split_rec(txn, node_g, stack, &mut held, Some(key))?;

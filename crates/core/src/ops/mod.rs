@@ -119,7 +119,7 @@ impl<E: GistExtension> GistIndex<E> {
         let child_id = child.page_id();
         // Blessed two-latch window (§5): the child is held while its
         // parent is latched (and possibly faulted in) one level up.
-        let _scope = crate::audit::enter_scope_rel("parent-child:latch-parent", 1);
+        let _scope = gist_audit::enter_scope_rel("parent-child:latch-parent", 1);
         if let Some(top) = stack.last() {
             let mut pid = top.page;
             loop {
@@ -151,7 +151,7 @@ impl<E: GistExtension> GistIndex<E> {
     fn find_parent_by_sweep(&self, child_id: PageId, child_level: u16) -> Result<ParentLoc> {
         // Part of the latch-parent window: the caller's child latch stays
         // held while one sweep latch at a time probes the level above.
-        let _scope = crate::audit::enter_scope_rel("parent-child:sweep", 1);
+        let _scope = gist_audit::enter_scope_rel("parent-child:sweep", 1);
         loop {
             let root = self.root()?;
             let mut level_nodes = vec![root];

@@ -42,9 +42,6 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-#[cfg(feature = "latch-audit")]
-use gist_audit as audit_crate;
-
 /// A deferred reclamation callback.
 type Retired = Box<dyn FnOnce() + Send>;
 
@@ -89,7 +86,6 @@ pub struct EpochGc {
     retired: AtomicU64,
     reclaimed: AtomicU64,
     /// gist-audit instance id (0 when auditing is off).
-    #[cfg_attr(not(feature = "latch-audit"), allow(dead_code))]
     audit_id: u64,
 }
 
@@ -122,16 +118,7 @@ impl EpochGc {
             bin: Mutex::new(Vec::new()),
             retired: AtomicU64::new(0),
             reclaimed: AtomicU64::new(0),
-            audit_id: {
-                #[cfg(feature = "latch-audit")]
-                {
-                    audit_crate::new_instance_id()
-                }
-                #[cfg(not(feature = "latch-audit"))]
-                {
-                    0
-                }
-            },
+            audit_id: gist_audit::new_instance_id(),
         }
     }
 
@@ -170,8 +157,7 @@ impl EpochGc {
             slot.epoch.store(e, Ordering::SeqCst);
         }
         slot.depth.fetch_add(1, Ordering::Relaxed);
-        #[cfg(feature = "latch-audit")]
-        audit_crate::epoch_pinned(self.audit_id);
+        gist_audit::epoch_pinned(self.audit_id);
         Guard { gc: self.clone(), slot }
     }
 
@@ -197,8 +183,7 @@ impl EpochGc {
     /// stamp is strictly older than all current pins. Returns how many
     /// callbacks ran.
     pub fn try_collect(self: &Arc<Self>) -> usize {
-        #[cfg(feature = "latch-audit")]
-        audit_crate::epoch_collect(self.audit_id);
+        gist_audit::epoch_collect(self.audit_id);
         let global = self.global.load(Ordering::SeqCst);
         let min_pinned = self.min_pinned();
         // Advance once every live pin has observed the current epoch, so
@@ -279,7 +264,6 @@ pub struct Guard {
     /// Keeps the domain (and with it the slot registry the pinned slot
     /// lives in) alive for the guard's whole life; only read directly by
     /// the audit hooks.
-    #[cfg_attr(not(feature = "latch-audit"), allow(dead_code))]
     gc: Arc<EpochGc>,
     slot: Arc<Slot>,
 }
@@ -289,8 +273,7 @@ impl Drop for Guard {
         if self.slot.depth.fetch_sub(1, Ordering::Relaxed) == 1 {
             self.slot.epoch.store(0, Ordering::SeqCst);
         }
-        #[cfg(feature = "latch-audit")]
-        audit_crate::epoch_unpinned(self.gc.audit_id);
+        gist_audit::epoch_unpinned(self.gc.audit_id);
     }
 }
 

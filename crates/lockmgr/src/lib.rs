@@ -10,13 +10,12 @@
 //! X lock on its own id, so an S request on that id parks until the owner
 //! terminates).
 //!
-//! Features: the standard six lock modes with the \[GR93\] compatibility
-//! matrix, FIFO queues without conflicting overtakes (starvation-free),
-//! lock conversion with conversion priority, waits-for-graph deadlock
-//! detection with the requester as victim, per-transaction lock lists for
-//! two-phase release, and individual unlock for signaling locks.
+//! Features: shared and exclusive lock modes, FIFO queues without
+//! conflicting overtakes (starvation-free), S→X conversion with
+//! conversion priority, waits-for-graph deadlock detection with the
+//! requester as victim, per-transaction lock lists for two-phase release,
+//! and individual unlock for signaling locks.
 
-pub(crate) mod audit;
 mod manager;
 mod modes;
 mod name;

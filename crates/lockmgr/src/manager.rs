@@ -16,7 +16,6 @@ use gist_sync::{Condvar, Mutex};
 
 use gist_wal::TxnId;
 
-use crate::audit;
 use crate::{LockMode, LockName};
 
 /// Why a lock request failed.
@@ -147,7 +146,7 @@ impl LockManager {
                 self.stats.waits.fetch_add(1, Ordering::Relaxed);
                 // §5 coupling discipline: a blocking record-lock wait
                 // must happen latch-free.
-                audit::lock_wait(matches!(name, LockName::Rid(_)), "lock request");
+                gist_audit::lock_wait(matches!(name, LockName::Rid(_)), "lock request");
             }
             if self.cv.wait_for(&mut t, self.timeout).timed_out() {
                 self.stats.timeouts.fetch_add(1, Ordering::Relaxed);

@@ -1,83 +1,30 @@
-//! Lock modes and the compatibility/supremum matrices of \[GR93\].
+//! The S and X lock modes with their \[GR93\] compatibility and supremum.
 
 use std::fmt;
 
-/// The six standard lock modes.
-///
-/// The GiST protocols only need `S` and `X` (record locks, signaling
-/// locks, transaction-id locks), but intention modes come for free and are
-/// exercised by the tests and available to embedders that lock at table
-/// granularity above the index.
+/// The two lock modes the GiST protocols take: record locks, signaling
+/// locks and transaction-id locks are all `S` or `X`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LockMode {
-    /// Intention shared.
-    IS,
-    /// Intention exclusive.
-    IX,
     /// Shared.
     S,
-    /// Shared + intention exclusive.
-    SIX,
-    /// Update (asymmetric: compatible with S holders, not with other U/X).
-    U,
     /// Exclusive.
     X,
 }
 
 impl LockMode {
-    /// All modes, weakest-ish first (matrix order).
-    pub const ALL: [LockMode; 6] =
-        [LockMode::IS, LockMode::IX, LockMode::S, LockMode::SIX, LockMode::U, LockMode::X];
+    /// Both modes, weaker first.
+    pub const ALL: [LockMode; 2] = [LockMode::S, LockMode::X];
 
-    /// Whether a holder of `self` permits a concurrent grant of `other`.
-    ///
-    /// `U` is asymmetric per \[GR93\]: a new S request is compatible with a
-    /// granted U (readers may continue), but a new U request is not
-    /// compatible with granted S (the updater must be the last reader in).
-    /// We use the symmetric-conservative variant where granted-U blocks
-    /// new-S as well, which is what most implementations (incl. DB2) ship:
-    /// it keeps the matrix symmetric and avoids update-starvation.
+    /// Whether a holder of `self` permits a concurrent grant of `other`:
+    /// only two shared holders coexist.
     pub fn compatible(self, other: LockMode) -> bool {
-        use LockMode::*;
-        match (self, other) {
-            (IS, X) | (X, IS) => false,
-            (IS, _) | (_, IS) => true,
-            (IX, IX) => true,
-            (IX, _) | (_, IX) => false,
-            (S, S) => true,
-            (S, _) | (_, S) => false,
-            (SIX, _) | (_, SIX) => false,
-            (U, _) | (_, U) => false,
-            (X, X) => false,
-        }
+        self == LockMode::S && other == LockMode::S
     }
 
     /// Least mode at least as strong as both (`sup` in \[GR93\]).
     pub fn supremum(self, other: LockMode) -> LockMode {
-        use LockMode::*;
-        if self == other {
-            return self;
-        }
-        match (self, other) {
-            (IS, m) | (m, IS) => m,
-            (IX, S) | (S, IX) => SIX,
-            (IX, SIX) | (SIX, IX) => SIX,
-            (IX, m) | (m, IX) => {
-                if m == X {
-                    X
-                } else {
-                    // IX vs U: only X covers both.
-                    X
-                }
-            }
-            (S, SIX) | (SIX, S) => SIX,
-            (S, U) | (U, S) => U,
-            (S, X) | (X, S) => X,
-            (SIX, U) | (U, SIX) => X,
-            (SIX, X) | (X, SIX) => X,
-            (U, X) | (X, U) => X,
-            _ => X,
-        }
+        self.max(other)
     }
 
     /// Whether `self` is at least as strong as `other` (i.e. granting
@@ -111,13 +58,6 @@ mod tests {
         assert!(S.compatible(S));
         assert!(!S.compatible(X));
         assert!(!X.compatible(X));
-        assert!(IS.compatible(IX));
-        assert!(IS.compatible(SIX));
-        assert!(IX.compatible(IX));
-        assert!(!IX.compatible(S));
-        assert!(!SIX.compatible(SIX));
-        assert!(!U.compatible(U));
-        assert!(!U.compatible(X));
     }
 
     #[test]
@@ -134,11 +74,9 @@ mod tests {
 
     #[test]
     fn supremum_examples() {
-        assert_eq!(S.supremum(IX), SIX);
-        assert_eq!(S.supremum(U), U);
-        assert_eq!(U.supremum(IX), X);
-        assert_eq!(IS.supremum(S), S);
-        assert_eq!(X.supremum(IS), X);
+        assert_eq!(S.supremum(S), S);
+        assert_eq!(S.supremum(X), X);
+        assert_eq!(X.supremum(S), X);
     }
 
     #[test]
@@ -148,7 +86,5 @@ mod tests {
         }
         assert!(X.covers(S));
         assert!(!S.covers(X));
-        assert!(SIX.covers(IX));
-        assert!(SIX.covers(S));
     }
 }

@@ -372,23 +372,6 @@ fn stress_many_threads_random_locks() {
 }
 
 #[test]
-fn intention_modes_compose() {
-    // Table-granularity protocol sketch: IS + IX coexist; S blocks IX.
-    let lm = LockManager::new();
-    let table = LockName::Custom(1);
-    lm.lock(TxnId(1), table, LockMode::IS).unwrap();
-    lm.lock(TxnId(2), table, LockMode::IX).unwrap();
-    assert!(!lm.try_lock(TxnId(3), table, LockMode::S), "S vs IX conflicts");
-    lm.release_all(TxnId(2));
-    assert!(lm.try_lock(TxnId(3), table, LockMode::S), "S vs IS is fine");
-    // T1 escalates IS -> SIX (covers S + IX): conflicts with T3's S.
-    assert!(!lm.try_lock(TxnId(1), table, LockMode::SIX));
-    lm.release_all(TxnId(3));
-    assert!(lm.try_lock(TxnId(1), table, LockMode::SIX));
-    assert_eq!(lm.holds(TxnId(1), table), Some(LockMode::SIX));
-}
-
-#[test]
 fn upgrade_wins_over_queued_fresh_request_even_under_load() {
     // Converter priority must hold with several fresh waiters queued.
     let lm = Arc::new(LockManager::new());

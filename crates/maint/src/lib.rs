@@ -44,7 +44,6 @@ use gist_pagestore::{BufferPool, PageId};
 use gist_txn::{GcCandidate, TxnManager};
 use gist_wal::{LogManager, Lsn};
 
-pub(crate) mod audit;
 
 /// Retries a repeatedly contended item gets before it is dropped.
 const RETRY_BUDGET: u32 = 10;
@@ -424,7 +423,7 @@ impl MaintDaemon {
             };
             self.process(q);
             // A work item must never leak a latch past its boundary.
-            audit::assert_thread_clear("maint run_until_idle item");
+            gist_audit::assert_thread_clear("maint run_until_idle item");
             processed += 1;
         }
     }
@@ -482,7 +481,7 @@ impl MaintDaemon {
             if let Some(q) = q {
                 self.process(q);
                 // A work item must never leak a latch past its boundary.
-                audit::assert_thread_clear("maint worker item");
+                gist_audit::assert_thread_clear("maint worker item");
             }
         }
     }

@@ -279,7 +279,7 @@ fn run_iteration(
             std::thread::Builder::new()
                 .name(format!("mc-{name}"))
                 .spawn(move || {
-                    sched::set_task(Some(i));
+                    sched::set_task(Some((i, sched.clone())));
                     sched.wait_initial(i);
                     let result = catch_unwind(AssertUnwindSafe(f));
                     let panic_msg = result.err().map(|p| sched::panic_message(p.as_ref()));
@@ -381,9 +381,22 @@ fn dump_artifact(name: &str, fr: &FailureReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gist_audit::mc::{self, McObj, ObjKind};
+    use gist_audit::mc::{McObj, McOp, McScheduler, ObjKind};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
+
+    /// The calling task's scheduler. `gist_audit::mc::scheduler` is
+    /// `None` unless gist-audit is built with its `enabled` feature.
+    fn scheduler() -> Option<Arc<McSched>> {
+        sched::TASK.with(|t| t.borrow().as_ref().map(|(_, s)| s.clone()))
+    }
+
+    /// `gist_audit::mc::region` against the calling task's scheduler.
+    fn region(what: &'static str) {
+        if let Some(s) = scheduler() {
+            s.yield_point(McOp::Region, McObj::new(ObjKind::Region, 0), what);
+        }
+    }
 
     /// Two tasks each read a shared counter, yield, and write back the
     /// value plus one: a schedule that runs both reads before either
@@ -394,7 +407,7 @@ mod tests {
             let counter = counter.clone();
             sim.spawn(name, move || {
                 let seen = counter.load(Ordering::SeqCst);
-                mc::region("between-read-and-write");
+                region("between-read-and-write");
                 counter.store(seen + 1, Ordering::SeqCst);
             });
         }
@@ -424,12 +437,12 @@ mod tests {
     fn untimed_orphan_park_is_deadlock() {
         let report = Explorer::seeded("orphan-park", 1, 3).run(|sim| {
             sim.spawn("sleeper", || {
-                if let Some(s) = mc::scheduler() {
+                if let Some(s) = scheduler() {
                     s.park(McObj::new(ObjKind::Region, 77), None);
                 }
             });
             sim.spawn("bystander", || {
-                mc::region("noop");
+                region("noop");
             });
         });
         let failure = report.failure.expect("orphan park must deadlock");
@@ -438,12 +451,12 @@ mod tests {
         let replay = Explorer::replay("orphan-park-replay", failure.minimized.clone());
         let (replay, _) = replay.run_verbatim(|sim| {
             sim.spawn("sleeper", || {
-                if let Some(s) = mc::scheduler() {
+                if let Some(s) = scheduler() {
                     s.park(McObj::new(ObjKind::Region, 77), None);
                 }
             });
             sim.spawn("bystander", || {
-                mc::region("noop");
+                region("noop");
             });
         });
         let refailure = replay.failure.expect("replay reproduces");
@@ -457,7 +470,7 @@ mod tests {
         let started = std::time::Instant::now();
         let report = Explorer::seeded("virtual-timeout", 1, 2).run(|sim| {
             sim.spawn("sleeper", || {
-                if let Some(s) = mc::scheduler() {
+                if let Some(s) = scheduler() {
                     let notified =
                         s.park(McObj::new(ObjKind::Region, 5), Some(std::time::Duration::from_secs(3600)));
                     assert!(!notified, "nobody notifies; must be a timeout");

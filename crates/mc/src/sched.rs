@@ -19,9 +19,9 @@
 //! on the real primitives (still correct, no longer deterministic) and
 //! the driver can always join.
 
-use std::cell::Cell;
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use gist_audit::mc::{McObj, McOp, McScheduler};
@@ -31,15 +31,17 @@ use crate::trace::{Decision, EventHasher, Trace};
 const NO_TASK: usize = usize::MAX;
 
 thread_local! {
-    static TASK: Cell<Option<usize>> = const { Cell::new(None) };
+    /// The managed task on this thread: its index and the scheduler
+    /// running it (the unit tests yield through it directly).
+    pub(crate) static TASK: RefCell<Option<(usize, Arc<McSched>)>> = const { RefCell::new(None) };
 }
 
-pub(crate) fn set_task(id: Option<usize>) {
-    TASK.with(|t| t.set(id));
+pub(crate) fn set_task(task: Option<(usize, Arc<McSched>)>) {
+    TASK.with(|t| *t.borrow_mut() = task);
 }
 
 fn current_task() -> Option<usize> {
-    TASK.with(|t| t.get())
+    TASK.with(|t| t.borrow().as_ref().map(|&(me, _)| me))
 }
 
 /// Simple xorshift64* PRNG (deterministic, seedable, no deps).

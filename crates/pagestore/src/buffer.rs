@@ -56,7 +56,6 @@ use parking_lot::{Mutex, RawRwLock, RwLock};
 
 use gist_wal::{LogManager, Lsn};
 
-use crate::audit;
 use crate::page::{IdMap, Page, PageId};
 use crate::store::PageStore;
 
@@ -217,12 +216,12 @@ impl Frame {
     /// model checking this is exactly `write_arc()`.
     #[allow(clippy::disallowed_methods)] // the pool takes its own frame latches
     fn latch_write_blocking(&self) -> WriteLatch {
-        if audit::latch_managed() {
+        if gist_audit::latch_managed() {
             loop {
                 if let Some(g) = self.latch.try_write_arc() {
                     return g;
                 }
-                audit::latch_contended(self.audit_id, u64::from(self.id.0));
+                gist_audit::latch_contended(self.audit_id, u64::from(self.id.0));
             }
         } else {
             self.latch.write_arc()
@@ -233,12 +232,12 @@ impl Frame {
     /// [`Frame::latch_write_blocking`] for the model-check virtualization.
     #[allow(clippy::disallowed_methods)] // the pool takes its own frame latches
     fn latch_read_blocking(&self) -> ReadLatch {
-        if audit::latch_managed() {
+        if gist_audit::latch_managed() {
             loop {
                 if let Some(g) = self.latch.try_read_arc() {
                     return g;
                 }
-                audit::latch_contended(self.audit_id, u64::from(self.id.0));
+                gist_audit::latch_contended(self.audit_id, u64::from(self.id.0));
             }
         } else {
             self.latch.read_arc()
@@ -296,7 +295,7 @@ impl BufferPool {
         assert!(capacity > 0, "capacity must be positive");
         Arc::new(BufferPool {
             store,
-            audit_id: audit::new_instance_id(),
+            audit_id: gist_audit::new_instance_id(),
             log: Mutex::new(None),
             capacity,
             frames: gist_sync::Mutex::new(IdMap::default()),
@@ -441,7 +440,7 @@ impl BufferPool {
                     return Err(e);
                 }
                 debug_assert!(g.loaded);
-                audit::latch_acquired(self.audit_id, u64::from(id.0), true, blocking);
+                gist_audit::latch_acquired(self.audit_id, u64::from(id.0), true, blocking);
                 return Ok(FetchResult::Write(PageWriteGuard::new(frame, g)));
             }
             let g = frame.latch_read_blocking();
@@ -451,7 +450,7 @@ impl BufferPool {
                 return Err(e);
             }
             debug_assert!(g.loaded);
-            audit::latch_acquired(self.audit_id, u64::from(id.0), false, blocking);
+            gist_audit::latch_acquired(self.audit_id, u64::from(id.0), false, blocking);
             return Ok(FetchResult::Read(PageReadGuard { frame, guard: g }));
         }
 
@@ -464,7 +463,7 @@ impl BufferPool {
             return Ok(FetchResult::Retry);
         }
         self.evict_excess();
-        audit::io_event(self.audit_id, u64::from(id.0), "page-load");
+        gist_audit::io_event(self.audit_id, u64::from(id.0), "page-load");
         // Transient read errors are retried with backoff; a loaded image
         // must then pass checksum verification (torn-write detection).
         let res = with_io_retry(|| self.store.read(id, &mut g.page)).and_then(|()| {
@@ -480,7 +479,7 @@ impl BufferPool {
         match res {
             Ok(()) => {
                 g.loaded = true;
-                audit::latch_acquired(self.audit_id, u64::from(id.0), write, blocking);
+                gist_audit::latch_acquired(self.audit_id, u64::from(id.0), write, blocking);
                 if write {
                     Ok(FetchResult::Write(PageWriteGuard::new(frame, g)))
                 } else {
@@ -525,7 +524,7 @@ impl BufferPool {
                 (g.frame.clone(), g.frame.seq.load(Ordering::Acquire))
             }
         };
-        audit::optimistic_enter(self.audit_id, u64::from(id.0));
+        gist_audit::optimistic_enter(self.audit_id, u64::from(id.0));
         Ok(OptimisticReadGuard { frame, seq })
     }
 
@@ -546,7 +545,7 @@ impl BufferPool {
                         frame.pins.fetch_sub(1, Ordering::Relaxed);
                         return Err(e);
                     }
-                    audit::latch_acquired(self.audit_id, u64::from(id.0), true, false);
+                    gist_audit::latch_acquired(self.audit_id, u64::from(id.0), true, false);
                     return Ok(Some(PageWriteGuard::new(frame, g)));
                 }
                 None => {
@@ -568,7 +567,7 @@ impl BufferPool {
         self.retry_write_op(|| self.store.ensure_capacity(id.0 + 1))?;
         // The page begins a new life: latch orders observed against its
         // previous incarnation no longer constrain it.
-        audit::latch_page_fresh(self.audit_id, u64::from(id.0));
+        gist_audit::latch_page_fresh(self.audit_id, u64::from(id.0));
         let mut g = self.fetch_write_or_fresh(id)?;
         g.data_mut().page.format(id, level);
         g.frame.dirty.store(true, Ordering::Relaxed);
@@ -595,7 +594,7 @@ impl BufferPool {
                 // allocating thread, so the acquisition cannot be part of
                 // a deadlock cycle with structured tree operations (any
                 // residual holder is a transient stale rightlink chaser).
-                audit::latch_acquired(self.audit_id, u64::from(id.0), true, false);
+                gist_audit::latch_acquired(self.audit_id, u64::from(id.0), true, false);
                 return Ok(PageWriteGuard::new(frame, g));
             }
             let frame = Frame::new(id, self.audit_id, self.tick(), true);
@@ -604,7 +603,7 @@ impl BufferPool {
                 continue;
             }
             self.evict_excess();
-            audit::latch_acquired(self.audit_id, u64::from(id.0), true, false);
+            gist_audit::latch_acquired(self.audit_id, u64::from(id.0), true, false);
             return Ok(PageWriteGuard::new(frame, g));
         }
     }
@@ -685,7 +684,7 @@ impl BufferPool {
     /// injected fault) fails the write-back before it starts, frame
     /// dirty, pool healthy.
     fn write_back(&self, frame: &Frame, page: &Page) -> io::Result<()> {
-        audit::io_event(self.audit_id, u64::from(frame.id.0), "writeback");
+        gist_audit::io_event(self.audit_id, u64::from(frame.id.0), "writeback");
         let lsn = page.page_lsn();
         if !lsn.is_null() {
             if let Some(log) = self.log.lock().clone() {
@@ -747,7 +746,7 @@ impl BufferPool {
         // racing with the sync inserts into the live map and stays
         // tracked (it may not be covered), while everything taken here is.
         let taken = std::mem::take(&mut *self.unsynced.lock());
-        audit::io_event(self.audit_id, u64::MAX, "store-sync");
+        gist_audit::io_event(self.audit_id, u64::MAX, "store-sync");
         match self.retry_write_op(|| self.store.sync()) {
             Ok(()) => Ok(()),
             Err(e) => {
@@ -834,7 +833,7 @@ impl BufferPool {
         let mut scratch = Page::zeroed();
         for raw in 0..self.store.page_count() {
             let id = PageId(raw);
-            audit::io_event(self.audit_id, u64::from(raw), "torn-scan");
+            gist_audit::io_event(self.audit_id, u64::from(raw), "torn-scan");
             match with_io_retry(|| self.store.read(id, &mut scratch)) {
                 Ok(()) if !scratch.verify_checksum() => quarantined.push(id),
                 Ok(()) if scratch.page_lsn() > log_end => {
@@ -914,7 +913,7 @@ impl OptimisticReadGuard {
         if !self.validate() {
             return None;
         }
-        audit::optimistic_read(self.frame.audit_id, u64::from(self.frame.id.0));
+        gist_audit::optimistic_read(self.frame.audit_id, u64::from(self.frame.id.0));
         Some(f(&g))
     }
 
@@ -927,7 +926,7 @@ impl OptimisticReadGuard {
 
 impl Drop for OptimisticReadGuard {
     fn drop(&mut self) {
-        audit::optimistic_exit(self.frame.audit_id, u64::from(self.frame.id.0));
+        gist_audit::optimistic_exit(self.frame.audit_id, u64::from(self.frame.id.0));
     }
 }
 
@@ -959,7 +958,7 @@ impl std::ops::Deref for PageReadGuard {
 
 impl Drop for PageReadGuard {
     fn drop(&mut self) {
-        audit::latch_released(self.frame.audit_id, u64::from(self.frame.id.0));
+        gist_audit::latch_released(self.frame.audit_id, u64::from(self.frame.id.0));
         self.frame.pins.fetch_sub(1, Ordering::Relaxed);
     }
 }
@@ -1039,7 +1038,7 @@ impl PageWriteGuard {
         // `self` drops here with `guard == None`: the pin and the audit
         // held-entry transfer to the read guard instead of being released.
         drop(self);
-        audit::latch_downgraded(frame.audit_id, u64::from(frame.id.0));
+        gist_audit::latch_downgraded(frame.audit_id, u64::from(frame.id.0));
         PageReadGuard { frame, guard: ArcRwLockWriteGuard::downgrade(guard) }
     }
 }
@@ -1067,7 +1066,7 @@ impl Drop for PageWriteGuard {
             // by the release must see a stable version word.
             self.frame.seq.fetch_add(1, Ordering::AcqRel);
             drop(g);
-            audit::latch_released(self.frame.audit_id, u64::from(self.frame.id.0));
+            gist_audit::latch_released(self.frame.audit_id, u64::from(self.frame.id.0));
             self.frame.pins.fetch_sub(1, Ordering::Relaxed);
         }
     }
@@ -1118,7 +1117,7 @@ mod tests {
     fn pinned_pages_are_not_evicted() {
         // The test deliberately pins three pages at once — legal here,
         // whitelisted for the latch-audit discipline checker.
-        let _scope = audit::enter_scope("test-harness", usize::MAX, true, true);
+        let _scope = gist_audit::enter_scope("test-harness", usize::MAX, true, true);
         let pool = pool(2);
         let g1 = pool.new_page_write(PageId(1), 0).unwrap();
         let g2 = pool.new_page_write(PageId(2), 0).unwrap();
@@ -1181,7 +1180,7 @@ mod tests {
 
     #[test]
     fn concurrent_readers_share_the_latch() {
-        let _scope = audit::enter_scope("test-harness", usize::MAX, true, true);
+        let _scope = gist_audit::enter_scope("test-harness", usize::MAX, true, true);
         let pool = pool(8);
         {
             let mut g = pool.new_page_write(PageId(1), 0).unwrap();
@@ -1194,7 +1193,7 @@ mod tests {
 
     #[test]
     fn downgrade_keeps_the_latch() {
-        let _scope = audit::enter_scope("test-harness", usize::MAX, true, true);
+        let _scope = gist_audit::enter_scope("test-harness", usize::MAX, true, true);
         let pool = pool(8);
         let mut g = pool.new_page_write(PageId(1), 0).unwrap();
         g.insert_cell(b"d").unwrap();
@@ -1470,13 +1469,13 @@ mod tests {
     struct Pin;
 
     fn pin() -> Pin {
-        audit::epoch_pinned(0);
+        gist_audit::epoch_pinned(0);
         Pin
     }
 
     impl Drop for Pin {
         fn drop(&mut self) {
-            audit::epoch_unpinned(0);
+            gist_audit::epoch_unpinned(0);
         }
     }
 

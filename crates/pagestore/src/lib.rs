@@ -16,7 +16,6 @@
 //! a small heap file for the *data records* that index leaves point at.
 
 mod alloc;
-pub(crate) mod audit;
 mod buffer;
 mod heap;
 mod page;

@@ -4,16 +4,18 @@
 //! # gist-sync — audit-instrumented synchronization wrappers
 //!
 //! Thin wrappers over the `parking_lot` mutex and condition variable
-//! that the hot-path crates (lockmgr, predlock, wal) are
-//! required to use instead of constructing raw ones — the
-//! `no-raw-std-sync` gist-lint rule enforces this statically. There is
+//! that the hot-path crates (lockmgr, predlock, wal) use instead of
+//! constructing raw ones. The `no-raw-std-sync` gist-lint rule enforces
+//! this statically for wal, the crate the mc scenarios drive; lockmgr
+//! and predlock keep to it by convention. There is
 //! no reader/writer lock wrapper: none of those crates takes one, and
 //! the buffer pool's frame latches stay on `parking_lot`, covered by
 //! the audit latch hooks instead. The point of the indirection is the
 //! deterministic model checker (`crates/mc`):
 //!
-//! - **Normally** (no scheduler registered, or the `latch-audit` feature
-//!   off) every operation is a direct passthrough to `parking_lot`.
+//! - **Normally** (no scheduler registered, or `gist-audit` built
+//!   without its `enabled` feature) every operation is a direct
+//!   passthrough to `parking_lot`.
 //! - **Under an exploration** (a `gist_audit::mc::McScheduler` is
 //!   registered and the calling thread is one of its managed tasks)
 //!   every operation becomes a cooperative yield point and all blocking
@@ -29,7 +31,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-#[cfg(feature = "latch-audit")]
 use gist_audit::mc::{self, McObj, McOp, McScheduler, ObjKind};
 
 static NEXT_ID: AtomicU64 = AtomicU64::new(0);
@@ -44,7 +45,6 @@ fn next_id() -> u64 {
 
 /// Instrumented mutual exclusion over `T` (see the crate docs).
 pub struct Mutex<T: ?Sized> {
-    #[cfg_attr(not(feature = "latch-audit"), allow(dead_code))]
     id: u64,
     inner: parking_lot::Mutex<T>,
 }
@@ -65,7 +65,6 @@ impl<T: Default> Default for Mutex<T> {
 impl<T: ?Sized> Mutex<T> {
     /// Acquire the mutex, blocking (or virtually parking) until held.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        #[cfg(feature = "latch-audit")]
         if let Some(s) = mc::scheduler() {
             let inner = self.lock_virtual(&*s);
             return MutexGuard { lock: self, inner: Some(inner) };
@@ -76,7 +75,6 @@ impl<T: ?Sized> Mutex<T> {
     /// Acquire the mutex if it is free right now (a yield point under
     /// the scheduler, but never a virtual park).
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        #[cfg(feature = "latch-audit")]
         if let Some(s) = mc::scheduler() {
             let obj = McObj::new(ObjKind::Mutex, self.id);
             s.yield_point(McOp::MutexLock, obj, "mutex-try-lock");
@@ -96,7 +94,6 @@ impl<T: ?Sized> Mutex<T> {
     /// before each attempt, park on the mutex object between failed
     /// attempts (an unlock unparks all waiters, who re-race the lock —
     /// the schedule decides the winner deterministically).
-    #[cfg(feature = "latch-audit")]
     fn lock_virtual(&self, s: &dyn McScheduler) -> parking_lot::MutexGuard<'_, T> {
         let obj = McObj::new(ObjKind::Mutex, self.id);
         loop {
@@ -111,7 +108,6 @@ impl<T: ?Sized> Mutex<T> {
 
 /// Guard returned by [`Mutex::lock`]; releases (and reports) on drop.
 pub struct MutexGuard<'a, T: ?Sized> {
-    #[cfg_attr(not(feature = "latch-audit"), allow(dead_code))]
     lock: &'a Mutex<T>,
     // Option so condvar waits can temporarily give the lock up.
     inner: Option<parking_lot::MutexGuard<'a, T>>,
@@ -141,7 +137,6 @@ impl<T: ?Sized> std::ops::DerefMut for MutexGuard<'_, T> {
 
 impl<T: ?Sized> Drop for MutexGuard<'_, T> {
     fn drop(&mut self) {
-        #[cfg(feature = "latch-audit")]
         if self.inner.is_some() {
             if let Some(s) = mc::scheduler() {
                 let obj = McObj::new(ObjKind::Mutex, self.lock.id);
@@ -176,7 +171,6 @@ impl WaitTimeoutResult {
 /// schedule that loses a wakeup is detected as a deterministic virtual
 /// timeout (or deadlock), never as a flaky slow test.
 pub struct Condvar {
-    #[cfg_attr(not(feature = "latch-audit"), allow(dead_code))]
     id: u64,
     inner: parking_lot::Condvar,
 }
@@ -193,7 +187,6 @@ impl Condvar {
         guard: &mut MutexGuard<'_, T>,
         timeout: Duration,
     ) -> WaitTimeoutResult {
-        #[cfg(feature = "latch-audit")]
         if let Some(s) = mc::scheduler() {
             let notified = self.wait_virtual(&*s, guard, timeout);
             return WaitTimeoutResult(!notified);
@@ -217,7 +210,6 @@ impl Condvar {
 
     /// Wake one waiter (park order under the scheduler).
     pub fn notify_one(&self) {
-        #[cfg(feature = "latch-audit")]
         if let Some(s) = mc::scheduler() {
             let obj = McObj::new(ObjKind::Condvar, self.id);
             s.yield_point(McOp::CvNotify, obj, "cv-notify-one");
@@ -228,7 +220,6 @@ impl Condvar {
 
     /// Wake every waiter.
     pub fn notify_all(&self) {
-        #[cfg(feature = "latch-audit")]
         if let Some(s) = mc::scheduler() {
             let obj = McObj::new(ObjKind::Condvar, self.id);
             s.yield_point(McOp::CvNotify, obj, "cv-notify-all");
@@ -242,7 +233,6 @@ impl Condvar {
     /// between the unlock and the park registration — matching the
     /// atomicity `parking_lot` guarantees), then cooperatively
     /// reacquire the mutex. Returns whether the wait was notified.
-    #[cfg(feature = "latch-audit")]
     fn wait_virtual<T>(
         &self,
         s: &dyn McScheduler,
@@ -273,12 +263,9 @@ impl Default for Condvar {
 /// the model checker, so an exploration can schedule other tasks while
 /// the device is busy; nothing otherwise.
 pub fn device_io(what: &'static str) {
-    #[cfg(feature = "latch-audit")]
     if let Some(s) = mc::scheduler() {
         s.yield_point(McOp::Io, McObj::new(ObjKind::Region, 0), what);
     }
-    #[cfg(not(feature = "latch-audit"))]
-    let _ = what;
 }
 
 #[cfg(test)]

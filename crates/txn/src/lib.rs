@@ -488,7 +488,7 @@ impl TxnManager {
     /// `latch-audit`): a latch held across a device sync would stall
     /// every reader of that page.
     fn make_durable(&self, commit_lsn: Lsn) -> Result<(), TxnError> {
-        audit::assert_thread_clear("waiting for commit durability");
+        gist_audit::assert_thread_clear("waiting for commit durability");
         let started = Instant::now();
         self.log.sync_to(commit_lsn)?;
         self.meter.record_commit(started.elapsed());
@@ -526,7 +526,6 @@ impl TxnManager {
     /// back elsewhere (the serving layer's drain sweep racing a session's
     /// own teardown) returns `Ok` and lets that rollback finish.
     pub fn abort(&self, txn: TxnId, handler: &dyn RecoveryHandler) -> Result<(), TxnError> {
-        gist_chaos::point("abort.before_undo")?;
         let last_lsn = {
             let mut table = self.table.lock();
             let info = table.get_mut(&txn).ok_or(TxnError::NotActive(txn))?;
@@ -544,7 +543,10 @@ impl TxnManager {
                     return Ok(());
                 }
                 TxnStatus::Aborting => return Ok(()),
-                TxnStatus::Active => {}
+                // Only a rollback passes this point: an error here fails
+                // the abort with the transaction still active and nothing
+                // undone, and the next abort starts over.
+                TxnStatus::Active => gist_chaos::point("abort.before_undo")?,
             }
             info.status = TxnStatus::Aborting;
             info.last_lsn
@@ -752,17 +754,6 @@ impl Drop for OpGuard<'_> {
             }
         }
     }
-}
-
-#[cfg(feature = "latch-audit")]
-mod audit {
-    pub(crate) use gist_audit::assert_thread_clear;
-}
-
-#[cfg(not(feature = "latch-audit"))]
-mod audit {
-    #[inline(always)]
-    pub(crate) fn assert_thread_clear(_context: &str) {}
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! gist-lint: std-only static checks for the repo's discipline rules.
 //!
-//! The dynamic analyzer (`crates/audit`, behind the `latch-audit`
-//! feature) asserts the §5 latch/lock protocol at runtime; this binary
+//! The dynamic analyzer (`crates/audit`, live in `latch-audit` builds)
+//! asserts the §5 latch/lock protocol at runtime; this binary
 //! enforces the complementary *source-level* rules that keep the
 //! protocol auditable at all. Only rules that need a path scope or a
 //! closure's extent live here; what the compiler can see by type is the

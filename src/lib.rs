@@ -31,13 +31,13 @@
 //! - [`chaos`] — the one fault plan behind every injector: crash points,
 //!   mutation switches, storage and wire faults, scheduled by (site, op
 //!   index); the crash points fire only in `chaos` builds.
-//! - `audit` (behind the `latch-audit` feature) — the dynamic latch/lock
-//!   discipline analyzer asserting the §5 protocol invariants at runtime.
+//! - [`audit`] — the dynamic latch/lock discipline analyzer asserting
+//!   the §5 protocol invariants at runtime; its hooks record only in
+//!   `latch-audit` builds.
 
 #![forbid(unsafe_code)]
 
 pub use gist_am as am;
-#[cfg(feature = "latch-audit")]
 pub use gist_audit as audit;
 pub use gist_chaos as chaos;
 pub use gist_core as core;

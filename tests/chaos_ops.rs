@@ -513,15 +513,24 @@ const LOST_ACK_POINTS: [&str; 4] =
     ["commit.before_durable_wait", "log.sync.before", "log.sync.after", "commit.after_wal_flush"];
 
 /// Whether `k` is in the index, retrying searches an injection fails.
-/// The probe ends with `abort` so it cannot trip an armed commit point.
+/// The probe ends with `abort` so it cannot trip an armed commit point,
+/// repeated until it ends (an injected error can fail it once).
 fn present(db: &Arc<Db>, idx: &Arc<GistIndex<BtreeExt>>, k: i64) -> bool {
     loop {
         let probe = db.begin();
         let hits = db.contained(probe, || idx.search(probe, &I64Query::range(k, k)));
-        let _ = db.abort(probe);
+        finish(db, probe);
         if let Ok(hits) = hits {
             return !hits.is_empty();
         }
+    }
+}
+
+/// Abort `txn` until it has ended; each injected error fires once, so
+/// this ends.
+fn finish(db: &Db, txn: TxnId) {
+    while db.txns().is_active(txn) {
+        let _ = db.abort(txn);
     }
 }
 
@@ -532,22 +541,10 @@ fn seeded_chaos_soak_stays_consistent_and_recovers() {
     let h = Harness::new(DbConfig::default());
     let (db, idx) = h.open();
 
-    // Every crash point draws a perturbation or a one-shot error. A
-    // failed undo is the one error the soak keeps off the menu: the
-    // worker loop below reads `TxnUnfinished` as an unfinished commit,
-    // and the per-point sweep covers a failed undo on its own. (A
-    // lost-ack abort can still fail at a `log.sync.*` point; `run_txn`
-    // then reports the transaction unfinished and the worker loop
-    // finishes the commit.)
+    // Every crash point draws a perturbation or a one-shot error.
     let menu: Vec<(&'static str, Action)> = chaos::POINTS
         .iter()
-        .flat_map(|&p| {
-            let error = (p != "abort.before_undo").then_some(Action::Error);
-            [Some(Action::Delay(1)), Some(Action::Yield), error]
-                .into_iter()
-                .flatten()
-                .map(move |a| (p, a))
-        })
+        .flat_map(|&p| [Action::Delay(1), Action::Yield, Action::Error].map(|a| (p, a)))
         .collect();
     let plan = chaos::install(Plan::from_seed(seed, &menu));
     println!("seed {seed} plan:\n{plan}");
@@ -584,17 +581,29 @@ fn seeded_chaos_soak_stays_consistent_and_recovers() {
                             committed.lock().unwrap().push(k);
                         }
                     }
-                    // `run_txn`'s abort completes a lost-ack commit, but
-                    // its sync drew a `log.sync.*` error of its own: the
-                    // commit stands with its locks held. Finish it as the
-                    // error asks; each injected error fires once, so
-                    // this ends.
-                    Err(GistError::TxnUnfinished { txn, .. }) => {
-                        while db.txns().is_active(txn) {
-                            let _ = db.abort(txn);
+                    // `run_txn`'s abort failed, leaving the transaction
+                    // open with its locks held; finish it as the error
+                    // asks. The cause says what the abort was doing: an
+                    // error before its undo leaves a rollback to finish,
+                    // one at a `log.sync.*` point the sync of a lost-ack
+                    // commit it was completing.
+                    Err(GistError::TxnUnfinished { txn, cause }) => {
+                        let (GistError::Injected(p) | GistError::Txn(TxnError::Injected(p))) =
+                            *cause
+                        else {
+                            panic!("transaction {txn} unfinished by an uninjected error: {cause}");
+                        };
+                        let commit = match p {
+                            "abort.before_undo" => false,
+                            p if p.starts_with("log.sync.") => true,
+                            p => panic!("transaction {txn} unfinished by an error at {p:?}"),
+                        };
+                        finish(&db, txn);
+                        let msg = format!("key {k} after {p:?} failed an abort");
+                        assert_eq!(present(&db, &idx, k), commit, "{msg}");
+                        if commit {
+                            committed.lock().unwrap().push(k);
                         }
-                        assert!(present(&db, &idx, k), "key {k} after an unfinished commit");
-                        committed.lock().unwrap().push(k);
                     }
                     Err(e) => panic!("seeded soak hit an unexpected error: {e}"),
                 }

@@ -1006,6 +1006,45 @@ mod sync_crash {
         });
     }
 
+    /// Fail `ddl`'s commit once with a `log.sync.before` error on this
+    /// thread: the call fails, its transaction ends (the abort completes
+    /// the commit), and the catalog it leaves cached is the one restart
+    /// recovers after a crash.
+    fn ddl_commit_failure_ends_its_transaction(
+        rig: Rig,
+        ddl: impl FnOnce(&Db) -> Result<(), GistError>,
+    ) {
+        let active = rig.db.txns().active_count();
+        let plan = arm("log.sync.before", Trigger::Next(1), Action::Error, thread_id());
+        let err = ddl(&rig.db).expect_err("the commit fails");
+        assert_eq!(plan.fires("log.sync.before"), 1);
+        chaos::uninstall();
+        assert!(err.to_string().contains("log.sync.before"), "{err}");
+        assert_eq!(rig.db.txns().active_count(), active, "the transaction was left open");
+        let names = rig.db.catalog_names();
+        rig.db.crash();
+        let (db2, _report) = Db::restart(rig.store, rig.log, rig.config).unwrap();
+        assert_eq!(db2.catalog_names(), names, "the cached catalog is not the recovered one");
+    }
+
+    /// An index create whose commit fails ends its transaction.
+    #[test]
+    fn index_create_ends_its_transaction_when_the_commit_fails() {
+        let _g = serial();
+        ddl_commit_failure_ends_its_transaction(Rig::new(10), |db| {
+            db.create_index_raw("u", false).map(drop)
+        });
+    }
+
+    /// An index drop whose commit fails ends its transaction.
+    #[test]
+    fn index_drop_ends_its_transaction_when_the_commit_fails() {
+        let _g = serial();
+        ddl_commit_failure_ends_its_transaction(Rig::new(10), |db| {
+            db.drop_index_raw("t").map(drop)
+        });
+    }
+
     /// `Db::crash` between a commit's append and its sync: the crash
     /// cuts the commit record off, so the commit fails rather than being
     /// acknowledged, and restart sees nothing of it.
