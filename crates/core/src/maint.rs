@@ -2,7 +2,7 @@
 //! [`GistIndex`].
 //!
 //! Every method is self-contained — it begins its own short system
-//! transaction, does NTA-wrapped physical work through the existing §7
+//! transaction, does physical work through the existing §7
 //! machinery ([`GistIndex::gc_leaf`], `try_delete_node`), and commits. Losing a latch or signaling-lock race to a foreground
 //! transaction maps to [`MaintError::Retry`] / [`DrainOutcome::Busy`] so
 //! the daemon backs off instead of blocking anyone.

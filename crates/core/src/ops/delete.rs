@@ -167,12 +167,11 @@ impl<E: GistExtension> GistIndex<E> {
             new_bp_opt = Some(self.bp_union_key(&new_bp_opt, &key));
         }
         let new_bp = self.encode_bp_opt(&new_bp_opt);
-        let nta = txns.begin_nta(txn)?;
+        // One redo-only record: no nested top action (DESIGN §7 item 11).
         let removed_count = removed.len();
         let page = leaf.page_id().0;
         let rec = GistRecord::GarbageCollection { page, removed, new_bp: new_bp.clone() };
         db.log_apply(txn, &rec, &mut [leaf])?;
-        txns.end_nta(txn, nta)?;
         // Propagate the shrink to the parent entry when we know the
         // parent ("the BP of that node may have shrunk, which can then be
         // propagated to the parent nodes"). One level is enough for

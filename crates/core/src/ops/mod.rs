@@ -223,10 +223,11 @@ impl<E: GistExtension> GistIndex<E> {
         })
     }
 
-    /// Log and apply a `Parent-Entry-Update` as its own atomic unit of
-    /// work (§9.1 structure modification (2)): sets the child's slot-0 BP
-    /// and, when the child is not the root, the predicate in the parent's
-    /// entry. Both pages are already X-latched by the caller.
+    /// Log and apply a `Parent-Entry-Update` (§9.1 structure
+    /// modification (2)): sets the child's slot-0 BP and, when the child
+    /// is not the root, the predicate in the parent's entry. Both pages
+    /// are already X-latched by the caller. The unit is one redo-only
+    /// record, so it needs no nested top action (DESIGN §7 item 11).
     pub(crate) fn apply_parent_entry_update(
         &self,
         txn: TxnId,
@@ -234,8 +235,6 @@ impl<E: GistExtension> GistIndex<E> {
         parent: Option<(&mut PageWriteGuard, SlotId)>,
         new_bp_bytes: Vec<u8>,
     ) -> Result<()> {
-        let txns = self.db().txns();
-        let nta = txns.begin_nta(txn)?;
         let (parent_page, parent_slot) = match &parent {
             Some((g, slot)) => (g.page_id().0, *slot),
             None => (u32::MAX, 0),
@@ -250,7 +249,6 @@ impl<E: GistExtension> GistIndex<E> {
             Some((pg, _)) => self.db().log_apply(txn, &rec, &mut [child, pg])?,
             None => self.db().log_apply(txn, &rec, &mut [child])?,
         };
-        txns.end_nta(txn, nta)?;
         Ok(())
     }
 }

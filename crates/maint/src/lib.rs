@@ -102,13 +102,13 @@ pub enum DrainOutcome {
 /// The tree-side surface the daemon drives. Object-safe so the daemon
 /// can hold indexes over any extension type; `gist-core` implements it
 /// for `GistIndex<E>`. Implementations run each call as their own short
-/// system transaction (begin → NTA-wrapped physical work → commit).
+/// system transaction (begin → physical work → commit).
 pub trait MaintIndex: Send + Sync {
     /// The index's catalog id (matches [`GcCandidate::index`]).
     fn maint_index_id(&self) -> u32;
 
     /// Physically reclaim committed delete-marked entries on `leaf`,
-    /// shrinking BPs, inside a nested top action.
+    /// shrinking BPs.
     fn maint_gc_leaf(
         &self,
         leaf: PageId,
@@ -183,7 +183,7 @@ pub struct MaintStats {
     pub nodes_drained: AtomicU64,
     /// Drain attempts executed.
     pub drain_attempts: AtomicU64,
-    /// Fuzzy checkpoints written.
+    /// Fuzzy checkpoints written and made durable.
     pub checkpoints: AtomicU64,
     /// Items requeued after losing a race.
     pub retries: AtomicU64,
@@ -613,7 +613,9 @@ impl MaintDaemon {
     /// `unsynced` ledger (and hence in the DPT) until a sync succeeds,
     /// so redo never trusts a volatile write the device may drop. A
     /// failed sync fails the checkpoint — the previous checkpoint, whose
-    /// DPT still covers those pages, stays authoritative.
+    /// DPT still covers those pages, stays authoritative. So does a
+    /// failed sync of the log through the checkpoint record: only a
+    /// checkpoint that became durable is counted.
     pub fn checkpoint_now(&self) -> std::io::Result<Lsn> {
         // Every record appended after this read has an LSN > scan_start
         // and is re-observed by the scan (which is inclusive of
@@ -621,13 +623,9 @@ impl MaintDaemon {
         let scan_start = self.log.last_lsn();
         self.pool.sync_store()?;
         let dpt = self.pool.dirty_page_table();
-        // Count before publishing: `checkpoint_with` syncs the log after
-        // appending, so an observer who polls
-        // `last_checkpoint()` can see the record milliseconds before the
-        // daemon returns — the counter must already cover it by then.
-        // The fallible part (the sync barrier) is behind us.
+        let lsn = self.txns.checkpoint_with(scan_start, dpt).map_err(std::io::Error::other)?;
         self.stats.checkpoints.fetch_add(1, Ordering::Relaxed);
-        Ok(self.txns.checkpoint_with(scan_start, dpt))
+        Ok(lsn)
     }
 }
 

@@ -1,5 +1,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Outside tests, no discarded result: a failed sync must not pass silently.
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use, clippy::unused_result_ok))]
 
 //! Transaction manager: lifecycle, 2PL integration, savepoints.
 //!
@@ -35,6 +37,9 @@
 //! - **nested top actions** (§9.1): [`TxnManager::begin_nta`] remembers
 //!   the transaction's last LSN and [`TxnManager::end_nta`] appends the
 //!   `NtaEnd` dummy CLR pointing back to it, so rollback skips the unit.
+//!   They wrap node splits and node deletion only: a unit of one
+//!   redo-only record has nothing for rollback to skip, and index DDL is
+//!   an ordinary transaction that rollback undoes.
 
 use std::collections::HashSet;
 use std::fmt;
@@ -47,7 +52,7 @@ use parking_lot::Mutex;
 use gist_lockmgr::{LockError, LockManager, LockMode, LockName};
 use gist_pagestore::{IdMap, PageId};
 use gist_predlock::PredicateManager;
-use gist_wal::recovery::{rollback, RecoveryHandler, RollbackKind};
+use gist_wal::recovery::{rollback, RecoveryHandler};
 use gist_wal::{LogManager, Lsn, Payload, RecordBody, SyncError, TxnId};
 
 /// A leaf page that a transaction left delete-marked entries on —
@@ -553,7 +558,7 @@ impl TxnManager {
         };
         // Undo outside the table lock: logical undo latches pages and may
         // take time.
-        let chain_end = rollback(&self.log, handler, txn, last_lsn, Lsn::NULL, RollbackKind::Live)
+        let chain_end = rollback(&self.log, handler, txn, last_lsn, Lsn::NULL)
             .map_err(|e| TxnError::Undo(e.0))?;
         {
             let mut table = self.table.lock();
@@ -612,7 +617,7 @@ impl TxnManager {
                 .ok_or(TxnError::NoSuchSavepoint(sp))?;
             (info.last_lsn, sp_lsn)
         };
-        let chain_end = rollback(&self.log, handler, txn, last_lsn, sp_lsn, RollbackKind::Live)
+        let chain_end = rollback(&self.log, handler, txn, last_lsn, sp_lsn)
             .map_err(|e| TxnError::Undo(e.0))?;
         let mut table = self.table.lock();
         let info = table.get_mut(&txn).ok_or(TxnError::NotActive(txn))?;
@@ -681,7 +686,16 @@ impl TxnManager {
     /// LSN > `scan_start` and is re-observed by the analysis scan.
     /// Transactions that have logged nothing are left out: restart has
     /// nothing of theirs to undo.
-    pub fn checkpoint_with(&self, scan_start: Lsn, dirty_pages: Vec<(u32, Lsn)>) -> Lsn {
+    ///
+    /// The record is synced before this returns, so the maintenance
+    /// daemon may rely on it. A failed sync fails the checkpoint and
+    /// leaves the record volatile, which is safe: a crash loses it, and
+    /// restart falls back to the previous durable checkpoint.
+    pub fn checkpoint_with(
+        &self,
+        scan_start: Lsn,
+        dirty_pages: Vec<(u32, Lsn)>,
+    ) -> Result<Lsn, TxnError> {
         let active: Vec<(TxnId, Lsn)> = self
             .table
             .lock()
@@ -694,12 +708,8 @@ impl TxnManager {
             Lsn::NULL,
             RecordBody::Checkpoint { scan_start, active_txns: active, dirty_pages },
         );
-        // Force it so the checkpoint is on disk before the maintenance
-        // daemon trims anything that relies on it. A failed sync leaves
-        // the checkpoint volatile, which is safe: restart just falls back
-        // to the previous durable one.
-        let _ = self.log.sync_to(lsn);
-        lsn
+        self.log.sync_to(lsn)?;
+        Ok(lsn)
     }
 
     /// Block until `owner` terminates ("blocking on a predicate",

@@ -8,7 +8,7 @@ use gist_lockmgr::{LockManager, LockMode, LockName};
 use gist_pagestore::PageId;
 use gist_predlock::{PredKind, PredicateManager};
 use gist_wal::recovery::{RecoveryError, RecoveryHandler};
-use gist_wal::{LogManager, LogRecord, Lsn, Payload, RecordBody, TxnId};
+use gist_wal::{LogManager, Lsn, Payload, RecordBody, TxnId};
 
 use crate::{GcCandidate, SavepointId, TxnEndObserver, TxnError, TxnManager};
 
@@ -70,9 +70,7 @@ impl RecoveryHandler for Cells {
 
     fn undo(
         &self,
-        _rec: &LogRecord,
         payload: &Payload,
-        _restart: bool,
         log_clr: &mut dyn FnMut(Payload) -> Lsn,
     ) -> Result<(), RecoveryError> {
         let (cell, _, old) = Self::decode(&payload.bytes);
@@ -275,7 +273,7 @@ fn checkpoint_lists_active_txns() {
     let t2 = mgr.begin();
     cells.set(&mgr, t1, 0, 1);
     cells.set(&mgr, t2, 1, 1);
-    mgr.checkpoint_with(Lsn(1), Vec::new());
+    mgr.checkpoint_with(Lsn(1), Vec::new()).unwrap();
     let cp = log.last_checkpoint().unwrap();
     match log.get(cp).body {
         RecordBody::Checkpoint { active_txns, .. } => {
@@ -471,7 +469,7 @@ fn checkpoint_syncs_the_whole_log() {
     assert!(log.flushed_lsn() < log.last_lsn(), "the end record rides the next sync");
     let u = mgr.begin();
     cells.set(&mgr, u, 1, 2);
-    let cp = mgr.checkpoint_with(log.last_lsn(), Vec::new());
+    let cp = mgr.checkpoint_with(log.last_lsn(), Vec::new()).unwrap();
     assert_eq!(log.flushed_lsn(), cp, "the checkpoint synced everything before it");
     mgr.commit(u).unwrap();
 }
@@ -484,7 +482,7 @@ fn commits_flushed_counts_every_acknowledged_commit() {
     cells.set(&mgr, t2, 1, 1);
     mgr.commit(t1).unwrap();
     mgr.commit(t2).unwrap();
-    mgr.checkpoint_with(log.last_lsn(), Vec::new());
+    mgr.checkpoint_with(log.last_lsn(), Vec::new()).unwrap();
     let s = mgr.pipeline().stats();
     assert_eq!(s.commits_flushed, 2, "{s:?}");
     assert_eq!(s.batches_flushed, 3, "a checkpoint's sync is counted, not as a commit: {s:?}");
@@ -554,7 +552,7 @@ fn checkpoint_and_begin_floor_skip_record_less_txns() {
     let writer = mgr.begin();
     let first = cells.set(&mgr, writer, 0, 1);
     assert_eq!(mgr.oldest_active_begin_lsn(), log.get(first).prev_lsn);
-    let cp = mgr.checkpoint_with(Lsn(1), Vec::new());
+    let cp = mgr.checkpoint_with(Lsn(1), Vec::new()).unwrap();
     match log.get(cp).body {
         RecordBody::Checkpoint { active_txns, .. } => {
             assert_eq!(active_txns, vec![(writer, first)]);

@@ -42,8 +42,7 @@ pub use lsn::{Lsn, TxnId};
 pub use record::{LogRecord, Payload, RecordBody};
 pub use log::{LogManager, SyncError, WalTailReport};
 pub use recovery::{
-    restart_with_floor, rollback, AnalysisResult, RecoveryError, RecoveryHandler,
-    RestartOutcome, RollbackKind,
+    restart_with_floor, rollback, AnalysisResult, RecoveryError, RecoveryHandler, RestartOutcome,
 };
 
 #[cfg(test)]

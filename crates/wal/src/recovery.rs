@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::{LogManager, LogRecord, Lsn, Payload, RecordBody, TxnId};
+use crate::{LogManager, Lsn, Payload, RecordBody, TxnId};
 
 /// Error surfaced by a [`RecoveryHandler`] or the driver.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,12 +29,7 @@ pub trait RecoveryHandler {
     /// update was (re)applied.
     fn redo(&self, lsn: Lsn, payload: &Payload) -> Result<bool, RecoveryError>;
 
-    /// Undo one content record during rollback.
-    ///
-    /// `restart` distinguishes restart undo from live rollback: per §9.2,
-    /// restart undo must not trigger structure modifications (no garbage
-    /// collection, no BP shrinking, no node deletion), because unfinished
-    /// structure modifications may still be present and unlatched.
+    /// Undo one content record during rollback, live or at restart.
     ///
     /// The handler must call `log_clr` with the page-oriented redo
     /// description of the compensation *before* touching any page, and
@@ -42,27 +37,20 @@ pub trait RecoveryHandler {
     /// ARIES discipline that makes undo idempotent: a page flushed with
     /// the CLR's LSN implies (by the WAL rule) the CLR is durable, so a
     /// post-crash redo of the CLR skips the page, and an unflushed page
-    /// is simply re-compensated. Handlers with no page effects may skip
-    /// the call; the driver then writes an empty CLR.
+    /// is simply re-compensated. An undo with no page effect skips the
+    /// call, and the record gets no CLR.
+    ///
+    /// The driver does not say which rollback it runs, so undo must be
+    /// safe at restart on every call: per §9.2, restart undo must not
+    /// perform structure modifications (no garbage collection, no BP
+    /// shrinking, no node deletion), because unfinished structure
+    /// modifications may still be present. The GiST handler never
+    /// performs one, in a live rollback either (DESIGN §7 item 2).
     fn undo(
         &self,
-        rec: &LogRecord,
         payload: &Payload,
-        restart: bool,
         log_clr: &mut dyn FnMut(Payload) -> Lsn,
     ) -> Result<(), RecoveryError>;
-}
-
-/// Why a rollback is being performed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RollbackKind {
-    /// Live rollback, a transaction abort or a partial rollback to a
-    /// savepoint (§10.2): logical undo may perform structure
-    /// modifications (e.g. immediate garbage collection, Table 1
-    /// Add-Leaf-Entry undo).
-    Live,
-    /// Restart undo after a crash: structure modifications forbidden.
-    Restart,
 }
 
 /// Roll back `txn`'s backchain starting at `last_lsn`, stopping once the
@@ -70,15 +58,14 @@ pub enum RollbackKind {
 /// or a savepoint LSN for partial rollback — records with LSN ≤
 /// `stop_after` survive).
 ///
-/// Writes one CLR per undone content record. Returns the transaction's new
-/// last LSN.
+/// Writes one CLR per content record whose undo changes a page. Returns
+/// the transaction's new last LSN.
 pub fn rollback(
     log: &LogManager,
     handler: &dyn RecoveryHandler,
     txn: TxnId,
     last_lsn: Lsn,
     stop_after: Lsn,
-    kind: RollbackKind,
 ) -> Result<Lsn, RecoveryError> {
     let mut cur = last_lsn;
     let mut chain_end = last_lsn;
@@ -104,17 +91,12 @@ pub fn rollback(
                     clr_lsn = Some(l);
                     l
                 };
-                handler.undo(&rec, p, kind == RollbackKind::Restart, &mut log_clr)?;
+                handler.undo(p, &mut log_clr)?;
             }
-            // A handler with no page effects gets an empty CLR so the
-            // chain still skips this record on a re-rollback.
-            chain_end = clr_lsn.unwrap_or_else(|| {
-                log.append(
-                    txn,
-                    chain_end,
-                    RecordBody::Clr { undo_next: rec.prev_lsn, redo: Payload::default() },
-                )
-            });
+            // An undo with no page effect (a redo-only record) gets no
+            // CLR: a later rollback that passes the record again does
+            // nothing either.
+            chain_end = clr_lsn.unwrap_or(chain_end);
             cur = rec.prev_lsn;
         } else {
             cur = rec.undo_next();
@@ -314,7 +296,7 @@ pub fn restart_with_floor(
     losers.sort_by_key(|(t, _)| *t);
     for (txn, last) in losers {
         let before = log.len();
-        let chain_end = rollback(log, handler, txn, last, Lsn::NULL, RollbackKind::Restart)?;
+        let chain_end = rollback(log, handler, txn, last, Lsn::NULL)?;
         outcome.clrs_written += log.len() - before;
         log.append(txn, chain_end, RecordBody::TxnEnd);
         outcome.losers.push(txn);

@@ -4,7 +4,7 @@
 use std::sync::Mutex;
 
 use crate::codec::{decode_record, encode_record};
-use crate::recovery::{analysis, restart_with_floor, rollback, RollbackKind, TxnStatus};
+use crate::recovery::{analysis, restart_with_floor, rollback, TxnStatus};
 use crate::{
     LogManager, LogRecord, Lsn, Payload, RecordBody, RecoveryError, RecoveryHandler, TxnId,
 };
@@ -77,9 +77,7 @@ impl RecoveryHandler for Cells {
 
     fn undo(
         &self,
-        _rec: &LogRecord,
         payload: &Payload,
-        _restart: bool,
         log_clr: &mut dyn FnMut(Payload) -> Lsn,
     ) -> Result<(), RecoveryError> {
         let (cell, _new, old) = Self::decode(&payload.bytes);
@@ -146,7 +144,7 @@ fn rollback_undoes_in_reverse_and_writes_clrs() {
     let l3 = rm.set(t, l2, 0, 30);
     assert_eq!(rm.get(0), 30);
 
-    let end = rollback(&log, &rm, t, l3, Lsn::NULL, RollbackKind::Live).unwrap();
+    let end = rollback(&log, &rm, t, l3, Lsn::NULL).unwrap();
     assert_eq!(rm.get(0), 0);
     assert_eq!(rm.get(1), 0);
     // Three CLRs were written and the chain end moved forward.
@@ -166,7 +164,7 @@ fn partial_rollback_stops_at_savepoint() {
     let l2 = rm.set(t, sp, 1, 20);
     let l3 = rm.set(t, l2, 0, 30);
 
-    rollback(&log, &rm, t, l3, sp, RollbackKind::Live).unwrap();
+    rollback(&log, &rm, t, l3, sp).unwrap();
     // Updates after the savepoint are gone; the one before survives.
     assert_eq!(rm.get(1), 0);
     assert_eq!(rm.get(0), 10);
@@ -185,7 +183,7 @@ fn nta_records_are_skipped_by_rollback() {
     let l2 = log.append(t, s2, RecordBody::NtaEnd { undo_next: l1 });
     let l3 = rm.set(t, l2, 1, 20);
 
-    rollback(&log, &rm, t, l3, Lsn::NULL, RollbackKind::Live).unwrap();
+    rollback(&log, &rm, t, l3, Lsn::NULL).unwrap();
     // Content updates are undone, the NTA's updates survive.
     assert_eq!(rm.get(0), 0);
     assert_eq!(rm.get(1), 0);
@@ -536,13 +534,11 @@ fn restart_syncs_once_after_its_undo_pass() {
         }
         fn undo(
             &self,
-            rec: &LogRecord,
             payload: &Payload,
-            restart: bool,
             log_clr: &mut dyn FnMut(Payload) -> Lsn,
         ) -> Result<(), RecoveryError> {
             self.durable_at_undo.lock().unwrap().push(self.rm.log.flushed_lsn());
-            self.rm.undo(rec, payload, restart, log_clr)
+            self.rm.undo(payload, log_clr)
         }
     }
     let (log, rm) = setup(4);
@@ -574,7 +570,7 @@ fn rollback_with_corrupt_backchain_errors_instead_of_panicking() {
     let _u = rm.set(t, b, 0, 5);
     // A backchain pointer beyond the end of the log (corrupt chain).
     let bogus = Lsn(999);
-    let err = rollback(&log, &rm, t, bogus, Lsn::NULL, RollbackKind::Live).unwrap_err();
+    let err = rollback(&log, &rm, t, bogus, Lsn::NULL).unwrap_err();
     assert!(err.0.contains("beyond end of log"), "{err}");
 }
 

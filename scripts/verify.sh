@@ -134,6 +134,11 @@ step "tier 2: commit and log-sync crash points (chaos, audited)" \
 # forward pages must equal a replay of the whole log, byte for byte.
 step "tier 2: split reverts match a log replay (chaos, audited)" \
     filtered cargo test -q --release --features chaos,latch-audit --test fault_recovery split_revert
+# Index create and drop whose commit fails, or whose thread dies, are
+# rolled back by their abort or by restart, and page 0 shows it; each
+# case ends with the same forward-versus-replay page comparison.
+step "tier 2: DDL rollbacks match a log replay (chaos, audited)" \
+    filtered cargo test -q --release --features chaos,latch-audit --test fault_recovery ddl_rollback
 step "tier 2: overload (admission, health)" \
     cargo test -q --release --test overload
 step "tier 2: pinned-reader drill (chaos, audited)" \

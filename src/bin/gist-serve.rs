@@ -58,7 +58,7 @@ fn run(base: &str, addr: &str) -> Result<(), Box<dyn std::error::Error>> {
     );
     // Every cataloged index is servable (all are i64 B-trees here; the
     // shell and this binary share that convention).
-    for name in db.catalog_names() {
+    for name in db.catalog_names()? {
         let idx = GistIndex::open(db.clone(), &name, BtreeExt)?;
         server.register_index(idx);
     }

@@ -261,7 +261,7 @@ impl Shell {
                 println!("{rep:?}");
             }
             "catalog" => {
-                for line in self.db.catalog_summary() {
+                for line in self.db.catalog_summary()? {
                     println!("  {line}");
                 }
             }

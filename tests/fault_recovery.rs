@@ -1021,10 +1021,10 @@ mod sync_crash {
         chaos::uninstall();
         assert!(err.to_string().contains("log.sync.before"), "{err}");
         assert_eq!(rig.db.txns().active_count(), active, "the transaction was left open");
-        let names = rig.db.catalog_names();
+        let names = rig.db.catalog_names().unwrap();
         rig.db.crash();
         let (db2, _report) = Db::restart(rig.store, rig.log, rig.config).unwrap();
-        assert_eq!(db2.catalog_names(), names, "the cached catalog is not the recovered one");
+        assert_eq!(db2.catalog_names().unwrap(), names, "the cached catalog is not the recovered one");
     }
 
     /// An index create whose commit fails ends its transaction.
@@ -1043,6 +1043,23 @@ mod sync_crash {
         ddl_commit_failure_ends_its_transaction(Rig::new(10), |db| {
             db.drop_index_raw("t").map(drop)
         });
+    }
+
+    /// A checkpoint whose log sync fails is not made: `Db::checkpoint`
+    /// fails and the count of durable checkpoints does not move.
+    #[test]
+    fn checkpoint_whose_log_sync_fails_is_not_counted() {
+        let _g = serial();
+        let rig = Rig::new(10);
+        let before = rig.db.maint_stats().checkpoints;
+        let plan = arm("log.sync.before", Trigger::Next(1), Action::Error, thread_id());
+        let err = rig.db.checkpoint().expect_err("the checkpoint's log sync fails");
+        assert_eq!(plan.fires("log.sync.before"), 1);
+        chaos::uninstall();
+        assert!(err.to_string().contains("log.sync.before"), "{err}");
+        assert_eq!(rig.db.maint_stats().checkpoints, before);
+        rig.db.checkpoint().unwrap();
+        assert_eq!(rig.db.maint_stats().checkpoints, before + 1);
     }
 
     /// `Db::crash` between a commit's append and its sync: the crash
@@ -1132,6 +1149,28 @@ mod split_revert {
         (0..a.page_count().max(b.page_count())).filter(|&id| image(a, id) != image(b, id)).collect()
     }
 
+    /// Flush `db` (over `store` and `log`), crash it, replay the whole
+    /// log onto an empty store, and assert that every page the replay
+    /// writes equals the forward one, byte for byte.
+    pub(super) fn assert_replay_matches(
+        db: &Db,
+        store: &dyn PageStore,
+        log: &Arc<LogManager>,
+        what: &str,
+    ) {
+        db.flush().unwrap();
+        db.crash();
+        let replayed = Arc::new(InMemoryStore::new());
+        let (db2, _report) =
+            Db::restart(replayed.clone(), log.clone(), DbConfig::default()).unwrap();
+        db2.flush().unwrap();
+        assert_eq!(
+            differing_pages(store, &*replayed),
+            Vec::<u32>::new(),
+            "pages whose replayed image is not the forward one after {what}"
+        );
+    }
+
     /// Commit keys `0..committed` (none: the root is a leaf, and the
     /// next split is a root split), fail the next split once at `point`,
     /// abort, and compare the forward pages with a replay of the log.
@@ -1170,17 +1209,7 @@ mod split_revert {
         db.commit(txn).unwrap();
         assert_eq!(found, committed as usize);
 
-        db.flush().unwrap();
-        db.crash();
-        let replayed = Arc::new(InMemoryStore::new());
-        let (db2, _report) =
-            Db::restart(replayed.clone(), log.clone(), DbConfig::default()).unwrap();
-        db2.flush().unwrap();
-        assert_eq!(
-            differing_pages(&*store, &*replayed),
-            Vec::<u32>::new(),
-            "pages whose replayed image is not the forward one after a split failed at {point}"
-        );
+        assert_replay_matches(&db, &*store, &log, &format!("a split failed at {point}"));
     }
 
     #[test]
@@ -1211,5 +1240,200 @@ mod split_revert {
     #[test]
     fn leaf_split_failed_after_parent_install() {
         fail_one_split("insert.split.after_parent_install", 1000);
+    }
+}
+
+/// Index DDL is an ordinary transaction (DESIGN §7 item 9): a create or a
+/// drop whose commit fails, or whose thread dies before its commit, is
+/// rolled back like any other, by its abort or by restart, and page 0 —
+/// the only copy of the catalog — shows it. Each test ends by comparing
+/// the forward pages with a replay of the whole log.
+#[cfg(feature = "chaos")]
+mod ddl_rollback {
+    use std::sync::mpsc::channel;
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    use gist_repro::am::{BtreeExt, I64Query};
+    use gist_repro::chaos::{self, Action, Plan, Trigger};
+    use gist_repro::core::check::check_tree;
+    use gist_repro::core::{Db, DbConfig, GistIndex, IndexOptions};
+    use gist_repro::pagestore::InMemoryStore;
+    use gist_repro::wal::LogManager;
+
+    use super::rid;
+    use super::split_revert::assert_replay_matches;
+    use super::sync_crash::{arm, serial};
+
+    struct Setup {
+        store: Arc<InMemoryStore>,
+        log: Arc<LogManager>,
+        db: Arc<Db>,
+        idx: Arc<GistIndex<BtreeExt>>,
+    }
+
+    /// A database holding index `t` with the committed keys `0..n`.
+    fn setup(n: i64) -> Setup {
+        let store = Arc::new(InMemoryStore::new());
+        let log = Arc::new(LogManager::new());
+        let db = Db::open(store.clone(), log.clone(), DbConfig::default()).unwrap();
+        let idx = GistIndex::create(db.clone(), "t", BtreeExt, IndexOptions::default()).unwrap();
+        let txn = db.begin();
+        for k in 0..n {
+            idx.insert(txn, &k, rid(k as u64)).unwrap();
+        }
+        db.commit(txn).unwrap();
+        Setup { store, log, db, idx }
+    }
+
+    /// `idx` is a clean tree holding exactly the keys `0..n`.
+    fn assert_keys(db: &Db, idx: &Arc<GistIndex<BtreeExt>>, n: i64) {
+        check_tree(idx).unwrap().assert_ok();
+        let txn = db.begin();
+        let mut found: Vec<i64> = idx
+            .search(txn, &I64Query::range(0, n + 1000))
+            .unwrap()
+            .into_iter()
+            .map(|(k, _)| k)
+            .collect();
+        db.commit(txn).unwrap();
+        found.sort();
+        assert_eq!(found, (0..n).collect::<Vec<_>>());
+    }
+
+    /// Crash the database and restart it over the same store and log.
+    fn crash_and_restart(s: &Setup) -> Arc<Db> {
+        s.db.crash();
+        Db::restart(s.store.clone(), s.log.clone(), DbConfig::default()).unwrap().0
+    }
+
+    /// Fail the next commit on this thread before its record is appended.
+    fn fail_next_commit() -> Arc<Plan> {
+        arm("commit.pre_append", Trigger::Next(1), Action::Error, std::thread::current().id())
+    }
+
+    /// (a) A create whose commit fails rolls back: the catalog and the
+    /// free list are as they were, and so is the catalog after a crash.
+    #[test]
+    fn failed_create_rolls_back() {
+        let _g = serial();
+        let s = setup(10);
+        // One free page, so that the create's root comes off the free list.
+        s.db.create_index_raw("x", false).unwrap();
+        s.db.drop_index_raw("x").unwrap();
+        s.db.maint_sync();
+        let free = s.db.alloc().free_count();
+        assert_eq!(free, 1);
+        let plan = fail_next_commit();
+        let err = s.db.create_index_raw("u", false).expect_err("the commit fails");
+        assert_eq!(plan.fires("commit.pre_append"), 1);
+        chaos::uninstall();
+        assert!(err.to_string().contains("commit.pre_append"), "{err}");
+        assert_eq!(s.db.txns().active_count(), 0);
+        assert_eq!(s.db.catalog_names().unwrap(), ["t"]);
+        assert_eq!(s.db.alloc().free_count(), free, "the root did not go back to the allocator");
+        let db2 = crash_and_restart(&s);
+        assert_eq!(db2.catalog_names().unwrap(), ["t"]);
+        assert_replay_matches(&db2, &*s.store, &s.log, "a create rolled back");
+    }
+
+    /// (b) A drop whose commit fails rolls back: `t` keeps its catalog
+    /// entry and every key, no page of it is freed, and so it stays after
+    /// a crash.
+    #[test]
+    fn failed_drop_rolls_back() {
+        let _g = serial();
+        let s = setup(600);
+        let t = s.db.open_index_raw("t").unwrap();
+        let free = s.db.alloc().free_count();
+        let plan = fail_next_commit();
+        let err = s.db.drop_index_raw("t").expect_err("the commit fails");
+        assert_eq!(plan.fires("commit.pre_append"), 1);
+        chaos::uninstall();
+        assert!(err.to_string().contains("commit.pre_append"), "{err}");
+        assert_eq!(s.db.txns().active_count(), 0);
+        s.db.maint_sync(); // frees the drop had retired would land now
+        assert_eq!(s.db.open_index_raw("t"), Some(t.clone()));
+        assert_eq!(s.db.catalog_names().unwrap(), ["t"]);
+        assert_eq!(s.db.alloc().free_count(), free, "a page of the kept index was freed");
+        assert_keys(&s.db, &s.idx, 600);
+        let db2 = crash_and_restart(&s);
+        assert_eq!(db2.open_index_raw("t"), Some(t));
+        assert_keys(&db2, &GistIndex::open(db2.clone(), "t", BtreeExt).unwrap(), 600);
+        assert_replay_matches(&db2, &*s.store, &s.log, "a drop rolled back");
+    }
+
+    /// (c) A create whose thread dies at its commit is a loser: once
+    /// another transaction's commit has made the create's records
+    /// durable, a crash leaves it for restart to undo, and the index is
+    /// gone and its root page free.
+    #[test]
+    fn create_that_died_before_its_commit_is_undone_by_restart() {
+        let _g = serial();
+        let s = setup(10);
+        let (go, wait) = channel::<()>();
+        let db = s.db.clone();
+        let creator = std::thread::spawn(move || {
+            wait.recv().unwrap();
+            db.create_index_raw("u", false)
+        });
+        let plan = arm("commit.pre_append", Trigger::Next(1), Action::Panic, creator.thread().id());
+        go.send(()).unwrap();
+        assert!(creator.join().is_err(), "the creator must die at its commit");
+        assert_eq!(plan.fires("commit.pre_append"), 1);
+        chaos::uninstall();
+        let appended = s.log.last_lsn();
+        let root = s.db.open_index_raw("u").expect("the dead create's entry is on page 0").root;
+        let txn = s.db.begin();
+        s.idx.insert(txn, &10, rid(10)).unwrap();
+        s.db.commit(txn).unwrap();
+        assert!(s.log.flushed_lsn() > appended, "the create's records are durable");
+        let db2 = crash_and_restart(&s);
+        assert_eq!(db2.open_index_raw("u"), None);
+        assert_eq!(db2.catalog_names().unwrap(), ["t"]);
+        assert!(db2.pool().fetch_read(root).unwrap().is_available(), "root {root} is not free");
+        assert_keys(&db2, &GistIndex::open(db2.clone(), "t", BtreeExt).unwrap(), 11);
+        assert_replay_matches(&db2, &*s.store, &s.log, "restart undid a create");
+    }
+
+    /// (d) A drop rolls back, slowly, while another thread creates `u`:
+    /// the create waits for the catalog lock the drop holds until it has
+    /// ended, `t` is back at its slot, and `u` gets another slot.
+    #[test]
+    fn drop_rolled_back_beside_a_create_keeps_its_slot() {
+        let _g = serial();
+        let s = setup(600);
+        let t = s.db.open_index_raw("t").unwrap();
+        let (go, wait) = channel::<()>();
+        let db = s.db.clone();
+        let dropper = std::thread::spawn(move || {
+            wait.recv().unwrap();
+            db.drop_index_raw("t")
+        });
+        let plan = chaos::install(Plan::new());
+        plan.add("commit.pre_append", Trigger::Next(1), Action::Error);
+        plan.add("abort.before_undo", Trigger::Next(1), Action::Delay(200));
+        plan.only_on(dropper.thread().id());
+        plan.arm();
+        go.send(()).unwrap();
+        // The drop has deleted `t`'s entry; its rollback has yet to put
+        // it back.
+        let started = Instant::now();
+        while s.db.open_index_raw("t").is_some() {
+            assert!(started.elapsed() < Duration::from_secs(10), "the drop never ran");
+            std::thread::yield_now();
+        }
+        let u = s.db.create_index_raw("u", false).unwrap();
+        let err = dropper.join().unwrap().expect_err("the drop's commit fails");
+        assert_eq!((plan.fires("commit.pre_append"), plan.fires("abort.before_undo")), (1, 1));
+        chaos::uninstall();
+        assert!(err.to_string().contains("commit.pre_append"), "{err}");
+        assert_eq!(s.db.open_index_raw("t"), Some(t.clone()), "t is not back at its slot");
+        assert_ne!(u.slot, t.slot);
+        assert_keys(&s.db, &s.idx, 600);
+        let db2 = crash_and_restart(&s);
+        assert_eq!(db2.open_index_raw("t"), Some(t));
+        assert_eq!(db2.open_index_raw("u"), Some(u));
+        assert_replay_matches(&db2, &*s.store, &s.log, "a drop rolled back beside a create");
     }
 }

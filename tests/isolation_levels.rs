@@ -164,7 +164,7 @@ fn checkpoint_bounds_analysis_and_recovery_stays_correct() {
     for k in 500..600i64 {
         idx.insert(loser, &k, rid(k as u64 % 60_000)).unwrap();
     }
-    db.txns().checkpoint_with(Lsn(1), Vec::new());
+    db.txns().checkpoint_with(Lsn(1), Vec::new()).unwrap();
     for k in 600..700i64 {
         idx.insert(loser, &k, rid(k as u64 % 60_000)).unwrap();
     }

@@ -10,9 +10,11 @@ use std::sync::Arc;
 
 use gist_repro::am::{BtreeExt, I64Query};
 use gist_repro::core::check::check_tree;
-use gist_repro::core::{Db, DbConfig, GistIndex, GistRecord, IndexOptions, NsnSource};
+use gist_repro::core::{
+    Db, DbConfig, GistExtension, GistIndex, GistRecord, IndexOptions, NsnSource,
+};
 use gist_repro::pagestore::{InMemoryStore, Page, PageId, PageStore, Rid, PAGE_SIZE};
-use gist_repro::wal::{LogManager, Lsn, RecordBody};
+use gist_repro::wal::{LogManager, Lsn, RecordBody, TxnId};
 
 fn rid(n: u64) -> Rid {
     Rid::new(PageId((n >> 16) as u32 + 1000), (n & 0xFFFF) as u16)
@@ -691,10 +693,75 @@ fn record_kinds(log: &LogManager) -> std::collections::BTreeSet<String> {
         .collect()
 }
 
+/// In `txn`, insert copies of `dup` until an insert finds its leaf full
+/// and reclaims the committed deletes on it (an opportunistic
+/// `GarbageCollection`), then `far`, which lies past every BP (a
+/// `ParentEntryUpdate` that expands them).
+fn reclaim_then_expand(
+    log: &LogManager,
+    idx: &Arc<GistIndex<BtreeExt>>,
+    txn: TxnId,
+    dup: i64,
+    far: i64,
+) {
+    let is_gc = |p: &gist_repro::wal::Payload| {
+        matches!(GistRecord::decode(&p.bytes), Ok(GistRecord::GarbageCollection { .. }))
+    };
+    let mut seen = log.last_lsn();
+    for n in 0.. {
+        assert!(n < 2000, "no insert of {dup} reclaimed anything");
+        idx.insert(txn, &dup, rid(dup as u64 * 1000 + n)).unwrap();
+        let tail = log.scan_from(Lsn(seen.0 + 1));
+        seen = log.last_lsn();
+        if tail.iter().any(|r| matches!(&r.body, RecordBody::Payload(p) if r.txn == txn && is_gc(p)))
+        {
+            break;
+        }
+    }
+    idx.insert(txn, &far, rid(far as u64)).unwrap();
+}
+
+/// After `txn` rolled back everything it logged since `from`: the
+/// entries its garbage collection removed are still gone, every BP it
+/// expanded to cover `far` still covers it, and no `NtaEnd` follows
+/// either kind of record.
+fn assert_redo_only_units_stand(db: &Db, log: &LogManager, txn: TxnId, from: Lsn, far: i64) {
+    let recs: Vec<_> = log.scan_from(from).into_iter().filter(|r| r.txn == txn).collect();
+    let covers = |bp: &[u8]| {
+        let (lo, hi) = BtreeExt.decode_pred(bp);
+        lo <= far && far <= hi
+    };
+    let (mut collections, mut expansions) = (0, 0);
+    for (i, r) in recs.iter().enumerate() {
+        let RecordBody::Payload(p) = &r.body else { continue };
+        match GistRecord::decode(&p.bytes).unwrap() {
+            GistRecord::GarbageCollection { page, removed, .. } => {
+                let g = db.pool().fetch_read(PageId(page)).unwrap();
+                for (slot, cell) in &removed {
+                    let back = g.iter_cells().any(|(_, c)| c == &cell[..]);
+                    assert!(!back, "rollback put back the entry GC removed from {page}:{slot}");
+                }
+                collections += 1;
+            }
+            GistRecord::ParentEntryUpdate { child, new_bp, .. } if covers(&new_bp) => {
+                let g = db.pool().fetch_read(PageId(child)).unwrap();
+                assert!(covers(g.cell(0).unwrap()), "rollback shrank the BP of {child}");
+                expansions += 1;
+            }
+            _ => continue,
+        }
+        let next = recs.get(i + 1).map(|r| &r.body);
+        let lsn = r.lsn;
+        assert!(!matches!(next, Some(RecordBody::NtaEnd { .. })), "{lsn:?} is followed by {next:?}");
+    }
+    assert!(collections > 0 && expansions > 0, "{collections} GCs, {expansions} expansions");
+}
+
 /// The forward run and a replay of its whole log write the same pages:
 /// after a workload through every forward path that logs a page change
 /// (leaf and root splits, marks, an abort's and a savepoint rollback's
-/// compensations, `vacuum_sync`'s GC and node deletions, the maintenance
+/// compensations, opportunistic GC and BP expansions that outlive a
+/// rollback, `vacuum_sync`'s GC and node deletions, the maintenance
 /// daemon's GC and drains, freed pages reused), the flushed store equals,
 /// byte for byte, a fresh store that `Db::restart` rebuilt from the log.
 fn forward_pages_equal_replayed_pages(nsn_source: NsnSource) {
@@ -733,6 +800,25 @@ fn forward_pages_equal_replayed_pages(nsn_source: NsnSource) {
     delete(txn, &mut (1002..1100).step_by(7));
     db.rollback_to_savepoint(txn, sp).unwrap();
     db.commit(txn).unwrap();
+    // Opportunistic GC and BP expansions, rolled back by an abort and by
+    // a savepoint rollback: each stays, as one redo-only record.
+    let txn = db.begin();
+    delete(txn, &mut (2000..2100).chain(2500..2600).filter(|k| (k - 1000) % 7 != 0));
+    db.commit(txn).unwrap();
+    let txn = db.begin();
+    let from = h.log.last_lsn();
+    reclaim_then_expand(&h.log, &idx, txn, 2050, 10_000);
+    db.abort(txn).unwrap();
+    assert_redo_only_units_stand(&db, &h.log, txn, from, 10_000);
+    let txn = db.begin();
+    insert(txn, 5500..5501);
+    let sp = db.savepoint(txn).unwrap();
+    let from = h.log.last_lsn();
+    reclaim_then_expand(&h.log, &idx, txn, 2550, 20_000);
+    db.rollback_to_savepoint(txn, sp).unwrap();
+    assert_redo_only_units_stand(&db, &h.log, txn, from, 20_000);
+    db.commit(txn).unwrap();
+    check_tree(&idx).unwrap().assert_ok();
     // A whole-index vacuum, then inserts that reuse the freed pages.
     let txn = db.begin();
     delete(txn, &mut (600..1000));
